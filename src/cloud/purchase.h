@@ -11,12 +11,14 @@
 #ifndef GAIA_CLOUD_PURCHASE_H
 #define GAIA_CLOUD_PURCHASE_H
 
+#include <cstdint>
 #include <string>
 
 namespace gaia {
 
-/** How a unit of compute is purchased. */
-enum class PurchaseOption
+/** How a unit of compute is purchased. One byte wide: it is stored
+ *  in every placed segment of every job outcome. */
+enum class PurchaseOption : std::uint8_t
 {
     Reserved,
     OnDemand,

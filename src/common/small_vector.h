@@ -16,7 +16,16 @@
  * copies are memcpy and the move constructor can steal or copy
  * without per-element bookkeeping. Iterators are raw pointers;
  * the usual vector idioms (range-for, std::sort over begin()/end(),
- * operator[], front/back) work unchanged.
+ * operator[], front/back) work unchanged. As with std::vector,
+ * push_back(v[i]) and emplace_back() from an element of the same
+ * vector are safe: the new element is built before any growth.
+ *
+ * Size and capacity are 32-bit, so the header beyond the inline
+ * buffer is one pointer plus one 8-byte word (16 bytes). These
+ * vectors live inside every job's plan and outcome, where the
+ * 8 bytes a std::size_t pair would add are paid per job per sweep
+ * cell; a per-job array never nears 2^32 elements, and grow()
+ * asserts that it does not.
  *
  * Thread-safety and ownership: SmallVector owns its elements and
  * (when spilled) its heap block exclusively; there is no sharing
@@ -31,11 +40,15 @@
 #define GAIA_COMMON_SMALL_VECTOR_H
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace gaia {
 
@@ -107,19 +120,17 @@ class SmallVector
             grow(wanted);
     }
 
-    void push_back(const T &value)
-    {
-        if (size_ == capacity_)
-            grow(capacity_ * 2);
-        data_[size_++] = value;
-    }
+    void push_back(const T &value) { emplace_back(value); }
 
     template <typename... Args>
     T &emplace_back(Args &&...args)
     {
+        // Build the element first: an argument may alias an element
+        // of this vector, and grow() frees the old heap block.
+        const T value{std::forward<Args>(args)...};
         if (size_ == capacity_)
-            grow(capacity_ * 2);
-        data_[size_] = T{std::forward<Args>(args)...};
+            grow(2 * static_cast<std::size_t>(capacity_));
+        data_[size_] = value;
         return data_[size_++];
     }
 
@@ -187,6 +198,9 @@ class SmallVector
     void grow(std::size_t wanted)
     {
         const std::size_t grown = wanted > 2 * N ? wanted : 2 * N;
+        GAIA_ASSERT(grown <= std::numeric_limits<std::uint32_t>::max(),
+                    "SmallVector capacity ", grown,
+                    " overflows its 32-bit field");
         T *fresh =
             static_cast<T *>(std::malloc(grown * sizeof(T)));
         if (fresh == nullptr)
@@ -195,13 +209,13 @@ class SmallVector
                     size_ * sizeof(T));
         releaseHeap();
         data_ = fresh;
-        capacity_ = grown;
+        capacity_ = static_cast<std::uint32_t>(grown);
     }
 
     alignas(T) unsigned char inline_[N * sizeof(T)];
     T *data_ = inlineData();
-    std::size_t size_ = 0;
-    std::size_t capacity_ = N;
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = N;
 };
 
 } // namespace gaia

@@ -115,6 +115,7 @@ void
 OnlineScheduler::reserveJobs(std::size_t count)
 {
     states_.reserve(count);
+    outcomes_.reserve(count);
     // Each job contributes its arrival plus (typically) one start
     // and one release event; 2x covers the common population
     // without the heap reallocating mid-run.
@@ -150,8 +151,7 @@ OnlineScheduler::onEvent(const SimEvent &event)
         // Notification only; a listener detached after the schedule
         // simply misses the callback.
         if (listener_ != nullptr)
-            listener_->onJobEnd(events_.now(),
-                                states_[idx].outcome.id);
+            listener_->onJobEnd(events_.now(), outcomes_[idx].id);
         return;
     }
     panic("unknown event kind ", event.kind);
@@ -222,10 +222,11 @@ OnlineScheduler::submit(const Job &job)
                 "payload");
     states_.emplace_back();
     states_[idx].job = admitted;
-    states_[idx].outcome.id = job.id;
-    states_[idx].outcome.submit = job.submit;
-    states_[idx].outcome.length = admitted.length;
-    states_[idx].outcome.cpus = job.cpus;
+    JobOutcome &outcome = outcomes_.emplace_back();
+    outcome.id = job.id;
+    outcome.submit = job.submit;
+    outcome.length = admitted.length;
+    outcome.cpus = job.cpus;
     // Priority 0: arrivals at a timestamp run before same-instant
     // releases/starts, so batch and incremental feeding agree. The
     // sequential lane keeps a batch-fed trace's arrivals (sorted by
@@ -321,7 +322,7 @@ OnlineScheduler::onArrival(std::size_t idx)
                     "plan start violates the waiting bound W");
     }
 
-    state.outcome.carbon_nowait_g = cis_.trace().gramsFor(
+    outcomes_[idx].carbon_nowait_g = cis_.trace().gramsFor(
         job.submit, job.submit + job.length,
         cluster_.energy.kilowatts(job.cpus));
 
@@ -528,9 +529,10 @@ OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
         recordSegment(idx, from, evict_at, PurchaseOption::Spot,
                       /*lost=*/true, width);
     }
-    for (PlacedSegment &done : state.outcome.segments)
+    JobOutcome &outcome = outcomes_[idx];
+    for (PlacedSegment &done : outcome.segments)
         done.lost = true;
-    state.outcome.evictions += 1;
+    outcome.evictions += 1;
     state.aborted = true;
     events_.schedule(evict_at,
                      SimEvent{EvRestartAfterEviction,
@@ -615,9 +617,7 @@ OnlineScheduler::recordSegment(std::size_t idx, Seconds from,
                                bool lost, int width)
 {
     GAIA_ASSERT(to > from, "empty placement [", from, ", ", to, ")");
-    JobState &state = states_[idx];
-    state.outcome.segments.push_back({from, to, option, lost,
-                                      width});
+    outcomes_[idx].segments.push_back({from, to, option, lost, width});
 }
 
 void
@@ -669,9 +669,9 @@ OnlineScheduler::drainPending()
 void
 OnlineScheduler::finalizeInto(SimulationResult &result)
 {
-    result.outcomes.reserve(states_.size());
-    for (JobState &state : states_) {
-        JobOutcome &o = state.outcome;
+    for (std::size_t idx = 0; idx < states_.size(); ++idx) {
+        const JobState &state = states_[idx];
+        JobOutcome &o = outcomes_[idx];
         GAIA_ASSERT(!o.segments.empty(), "job ", o.id,
                     " never executed");
         if (o.segments.size() > 1) {
@@ -804,8 +804,8 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         result.lost_core_seconds += o.lost_core_seconds;
         result.eviction_count +=
             static_cast<std::size_t>(o.evictions);
-        result.outcomes.push_back(std::move(o));
     }
+    result.outcomes = std::move(outcomes_);
 
     // Split the variable cost by option from the usage totals so the
     // per-job and cluster books agree by construction.
@@ -896,9 +896,8 @@ OnlineScheduler::finalize()
         // Online mode without a contracted horizon: cover the
         // observed schedule, rounded up to whole days.
         Seconds last_finish = 0;
-        for (const JobState &state : states_) {
-            for (const PlacedSegment &seg :
-                 state.outcome.segments)
+        for (const JobOutcome &o : outcomes_) {
+            for (const PlacedSegment &seg : o.segments)
                 last_finish = std::max(last_finish, seg.end);
         }
         horizon_ = std::max<Seconds>(

@@ -18,6 +18,13 @@
  * per-event closures. reserveJobs() pre-sizes the pool when the
  * population is known up front (the batch wrapper does this).
  *
+ * Job state is stored as two parallel columns indexed by that job
+ * index: the engine's working state (JobState: the admitted job, its
+ * plan and a few flags) and the JobOutcome being recorded. finalize()
+ * accounts the outcome column in place and hands it over whole as
+ * SimulationResult::outcomes, so a run never holds each outcome
+ * twice.
+ *
  * Usage:
  *
  *     GAIA_TRY_ASSIGN(OnlineScheduler sched,
@@ -116,7 +123,8 @@ class OnlineScheduler : public ISchedulerProtocol,
      */
     Status submit(const Job &job);
 
-    /** Pre-size the job pool and event heap for `count` jobs. */
+    /** Pre-size the job and outcome columns and the event heap for
+     *  `count` jobs. */
     void reserveJobs(std::size_t count);
 
     /**
@@ -190,7 +198,6 @@ class OnlineScheduler : public ISchedulerProtocol,
         std::uint32_t cis_attempts = 0;
         /** Post-eviction spot re-attempts under the storm model. */
         std::uint32_t spot_retries = 0;
-        JobOutcome outcome;
     };
 
     /** Event tags; payloads documented per tag. */
@@ -278,6 +285,9 @@ class OnlineScheduler : public ISchedulerProtocol,
     /** Indexed job pool; events reference jobs by index, so growth
      *  is free to relocate the vector. */
     std::vector<JobState> states_;
+    /** outcomes_[i] records job states_[i]; moved into the result
+     *  by finalize(). */
+    std::vector<JobOutcome> outcomes_;
     std::multimap<Seconds, std::size_t> pending_;
     Seconds horizon_ = 0;
     bool horizon_overrun_warned_ = false;

@@ -39,13 +39,21 @@ struct PlacedSegment
     Seconds duration() const { return end - start; }
 };
 
-/** Everything recorded about one job's execution. */
+/**
+ * Everything recorded about one job's execution.
+ *
+ * A sweep holds one of these per job per cell, so the layout is
+ * packed (tests/sim/test_layout_budget.cc pins the byte budget):
+ * the two ints share one 8-byte word, and PlacedSegment is 24 bytes.
+ */
 struct JobOutcome
 {
     JobId id = 0;
     Seconds submit = 0;
     Seconds length = 0;
     int cpus = 1;
+    /** Spot evictions suffered. */
+    int evictions = 0;
 
     /** Chronological placements, including lost spot slices. */
     /** Two segments stay inline: an uninterrupted run, or one
@@ -64,8 +72,6 @@ struct JobOutcome
     double carbon_nowait_g = 0.0;
     /** Pay-as-you-go dollars (on-demand + spot, incl. lost work). */
     double variable_cost = 0.0;
-    /** Spot evictions suffered. */
-    int evictions = 0;
     /** Core-seconds destroyed by evictions. */
     double lost_core_seconds = 0.0;
     /** Core-seconds of instance start/stop overhead attributed. */

@@ -271,8 +271,17 @@ collectTracks(const JsonValue &root)
                                        event.at("dur").number,
                                        event.at("name").text);
     }
-    for (auto &[tid, track] : tracks)
-        std::sort(track.spans.begin(), track.spans.end());
+    // Longer span first on a tied start: at microsecond resolution a
+    // task can end and the next one start in the same tick, and the
+    // enclosing span must open before the spans it holds.
+    for (auto &[tid, track] : tracks) {
+        std::sort(track.spans.begin(), track.spans.end(),
+                  [](const auto &a, const auto &b) {
+                      if (std::get<0>(a) != std::get<0>(b))
+                          return std::get<0>(a) < std::get<0>(b);
+                      return std::get<1>(a) > std::get<1>(b);
+                  });
+    }
     return tracks;
 }
 

@@ -1,0 +1,39 @@
+/**
+ * @file Byte budget of the per-job records.
+ *
+ * A fig14 sweep holds one JobOutcome per job per cell (2.7M of them
+ * for the 27-cell Alibaba-year sweep) and one SchedulePlan per job in
+ * every in-flight cell, so their sizes drive the benchmark's
+ * `peak_rss_mb` (bench/perf/README.md, "End-to-end metrics"). Growing
+ * any of these records should be a visible decision: raise the budget
+ * here in the same change and report the `peak_rss_mb` it costs.
+ */
+
+#include <gtest/gtest.h>
+
+#include "cloud/purchase.h"
+#include "core/schedule.h"
+#include "sim/results.h"
+
+namespace gaia {
+namespace {
+
+TEST(LayoutBudget, PlacedSegmentIsTwentyFourBytes)
+{
+    // start + end + one byte of option + lost + width.
+    static_assert(sizeof(PurchaseOption) == 1);
+    EXPECT_EQ(sizeof(PlacedSegment), 24u);
+}
+
+TEST(LayoutBudget, JobOutcomeFitsItsBudget)
+{
+    EXPECT_LE(sizeof(JobOutcome), 152u);
+}
+
+TEST(LayoutBudget, SchedulePlanFitsItsBudget)
+{
+    EXPECT_LE(sizeof(SchedulePlan), 40u);
+}
+
+} // namespace
+} // namespace gaia

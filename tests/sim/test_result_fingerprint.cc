@@ -1,0 +1,162 @@
+/** @file Pins resultFingerprint() to a literal digest. */
+
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "sim/results.h"
+
+namespace gaia {
+namespace {
+
+/**
+ * One hand-built result touching every field the fingerprint mixes:
+ * on-demand, reserved and spot segments, a lost spot slice, a width-2
+ * segment, a job with more than two segments (so they spill past the
+ * inline buffer) and non-zero evictions. Fields are assigned by name,
+ * so the fixture does not depend on struct layout.
+ */
+SimulationResult
+pinnedResult()
+{
+    SimulationResult r;
+    r.policy = "Carbon-Time";
+    r.strategy = "spot-res";
+    r.region = "CISO";
+    r.workload = "alibaba";
+    r.reserved_cores = 12;
+    r.horizon = 7 * kSecondsPerDay;
+    r.reserved_upfront = 123.25;
+    r.on_demand_cost = 4.1;
+    r.spot_cost = 0.7;
+    r.carbon_kg = 9.875;
+    r.carbon_nowait_kg = 12.3;
+    r.energy_kwh = 33.0625;
+    r.idle_carbon_kg = 0.1;
+    r.idle_energy_kwh = 1.25;
+    r.reserved_core_seconds = 21600.0;
+    r.on_demand_core_seconds = 14400.5;
+    r.spot_core_seconds = 5400.0;
+    r.lost_core_seconds = 1800.0;
+    r.overhead_core_seconds = 240.0;
+    r.reserved_utilization = 0.375;
+    r.eviction_count = 1;
+
+    // Evicted once on spot, restarted on reserved, then a suspend-
+    // resume tail on an on-demand gang of two: four segments.
+    JobOutcome evicted;
+    evicted.id = 17;
+    evicted.submit = 3600;
+    evicted.length = 7200;
+    evicted.cpus = 2;
+    evicted.evictions = 1;
+    evicted.segments.push_back(
+        {3600, 5400, PurchaseOption::Spot, /*lost=*/true, 1});
+    evicted.segments.push_back(
+        {5400, 9000, PurchaseOption::Reserved, false, 1});
+    evicted.segments.push_back(
+        {10800, 12600, PurchaseOption::OnDemand, false, 2});
+    evicted.segments.push_back(
+        {14400, 15300, PurchaseOption::Spot, false, 1});
+    evicted.start = 3600;
+    evicted.finish = 15300;
+    evicted.carbon_g = 812.4;
+    evicted.carbon_nowait_g = 901.7;
+    evicted.variable_cost = 0.33;
+    evicted.lost_core_seconds = 3600.0;
+    evicted.overhead_core_seconds = 120.0;
+    r.outcomes.push_back(evicted);
+
+    JobOutcome plain;
+    plain.id = 18;
+    plain.submit = 7200;
+    plain.length = 3600;
+    plain.cpus = 1;
+    plain.segments.push_back(
+        {7200, 10800, PurchaseOption::OnDemand, false, 1});
+    plain.start = 7200;
+    plain.finish = 10800;
+    plain.carbon_g = 250.0;
+    plain.carbon_nowait_g = 250.0;
+    plain.variable_cost = 0.05;
+    r.outcomes.push_back(plain);
+    return r;
+}
+
+// Computed before JobOutcome, PlacedSegment and SmallVector were
+// repacked; layout changes must never move it. If a deliberate change
+// to the digest's definition moves it, every pinned fingerprint (the
+// golden tests and the benchmark's fingerprint table) moves with it.
+constexpr std::uint64_t kPinnedDigest = 0x34d886c4dd72c8bfULL;
+
+TEST(ResultFingerprint, MatchesThePinnedDigest)
+{
+    EXPECT_EQ(resultFingerprint(pinnedResult()), kPinnedDigest)
+        << std::hex << "got 0x" << resultFingerprint(pinnedResult());
+}
+
+TEST(ResultFingerprint, EveryFieldMovesTheDigest)
+{
+    const std::uint64_t base = resultFingerprint(pinnedResult());
+    using Edit = std::function<void(SimulationResult &)>;
+    const std::vector<Edit> edits = {
+        [](SimulationResult &r) { r.policy += "x"; },
+        [](SimulationResult &r) { r.strategy += "x"; },
+        [](SimulationResult &r) { r.region += "x"; },
+        [](SimulationResult &r) { r.workload += "x"; },
+        [](SimulationResult &r) { r.reserved_cores += 1; },
+        [](SimulationResult &r) { r.horizon += 1; },
+        [](SimulationResult &r) { r.reserved_upfront += 1.0; },
+        [](SimulationResult &r) { r.on_demand_cost += 1.0; },
+        [](SimulationResult &r) { r.spot_cost += 1.0; },
+        [](SimulationResult &r) { r.carbon_kg += 1.0; },
+        [](SimulationResult &r) { r.carbon_nowait_kg += 1.0; },
+        [](SimulationResult &r) { r.energy_kwh += 1.0; },
+        [](SimulationResult &r) { r.idle_carbon_kg += 1.0; },
+        [](SimulationResult &r) { r.idle_energy_kwh += 1.0; },
+        [](SimulationResult &r) { r.reserved_core_seconds += 1.0; },
+        [](SimulationResult &r) { r.on_demand_core_seconds += 1.0; },
+        [](SimulationResult &r) { r.spot_core_seconds += 1.0; },
+        [](SimulationResult &r) { r.lost_core_seconds += 1.0; },
+        [](SimulationResult &r) { r.overhead_core_seconds += 1.0; },
+        [](SimulationResult &r) { r.reserved_utilization += 0.1; },
+        [](SimulationResult &r) { r.eviction_count += 1; },
+        [](SimulationResult &r) { r.outcomes.pop_back(); },
+        [](SimulationResult &r) { r.outcomes[1].id += 1; },
+        [](SimulationResult &r) { r.outcomes[1].submit += 1; },
+        [](SimulationResult &r) { r.outcomes[1].length += 1; },
+        [](SimulationResult &r) { r.outcomes[1].cpus += 1; },
+        [](SimulationResult &r) { r.outcomes[1].evictions += 1; },
+        [](SimulationResult &r) { r.outcomes[1].start += 1; },
+        [](SimulationResult &r) { r.outcomes[1].finish += 1; },
+        [](SimulationResult &r) { r.outcomes[1].carbon_g += 1.0; },
+        [](SimulationResult &r) {
+            r.outcomes[1].carbon_nowait_g += 1.0;
+        },
+        [](SimulationResult &r) { r.outcomes[1].variable_cost += 1.0; },
+        [](SimulationResult &r) {
+            r.outcomes[1].lost_core_seconds += 1.0;
+        },
+        [](SimulationResult &r) {
+            r.outcomes[1].overhead_core_seconds += 1.0;
+        },
+        [](SimulationResult &r) { r.outcomes[0].segments.clear(); },
+        [](SimulationResult &r) { r.outcomes[0].segments[3].start -= 1; },
+        [](SimulationResult &r) { r.outcomes[0].segments[3].end += 1; },
+        [](SimulationResult &r) {
+            r.outcomes[0].segments[3].option = PurchaseOption::OnDemand;
+        },
+        [](SimulationResult &r) { r.outcomes[0].segments[0].lost = false; },
+        [](SimulationResult &r) { r.outcomes[0].segments[2].width = 3; },
+    };
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        SimulationResult edited = pinnedResult();
+        edits[i](edited);
+        EXPECT_NE(resultFingerprint(edited), base) << "edit " << i;
+    }
+}
+
+} // namespace
+} // namespace gaia
