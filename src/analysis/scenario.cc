@@ -253,23 +253,48 @@ AssetCache::carbon(const CarbonSpec &spec,
         });
 }
 
+namespace {
+
+/**
+ * A calibratedQueues() result with its short and long waiting limits
+ * replaced: equal to calibratedQueues(trace, short_wait, long_wait)
+ * for the trace it was calibrated on, without another pass over it.
+ */
+QueueConfig
+withWaits(const QueueConfig &calibrated, Seconds short_wait,
+          Seconds long_wait)
+{
+    std::vector<QueueSpec> queues = calibrated.queues();
+    GAIA_ASSERT(queues.size() == 2, "expected the short/long pair, got ",
+                queues.size(), " queues");
+    queues[0].max_wait = short_wait;
+    queues[1].max_wait = long_wait;
+    return QueueConfig(std::move(queues));
+}
+
+} // namespace
+
 Result<std::shared_ptr<const QueueConfig>>
 AssetCache::queues(const WorkloadSpec &spec, Seconds short_wait,
                    Seconds long_wait)
 {
-    // Fetch the trace first (its own cache entry) so the queue
+    // Fetch the trace first (its own cache entry) so the calibration
     // builder never nests a cache lookup under the lock.
     GAIA_TRY_ASSIGN(const std::shared_ptr<const JobTrace> trace_ptr,
                     trace(spec));
-    std::ostringstream key;
-    key << spec.key() << "|w=" << short_wait << "x" << long_wait;
-    return lookup(
-        queues_, key.str(),
-        [&]() -> Result<std::shared_ptr<const QueueConfig>> {
-            return std::shared_ptr<const QueueConfig>(
-                std::make_shared<QueueConfig>(calibratedQueues(
-                    *trace_ptr, short_wait, long_wait)));
-        });
+    // J_avg depends on the trace and the queue length bounds only, so
+    // one calibration per workload serves every waiting pair.
+    GAIA_TRY_ASSIGN(
+        const std::shared_ptr<const QueueConfig> calibrated,
+        lookup(calibrations_, spec.key(),
+               [&]() -> Result<std::shared_ptr<const QueueConfig>> {
+                   return std::shared_ptr<const QueueConfig>(
+                       std::make_shared<QueueConfig>(
+                           calibratedQueues(*trace_ptr)));
+               }));
+    return std::shared_ptr<const QueueConfig>(
+        std::make_shared<QueueConfig>(
+            withWaits(*calibrated, short_wait, long_wait)));
 }
 
 std::size_t

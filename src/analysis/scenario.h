@@ -9,10 +9,11 @@
  * Specs are cheap to copy and vary, so a sweep is just a vector of
  * them (see analysis/sweep.h).
  *
- * Expensive derived assets (job traces, carbon traces, calibrated
- * queue configs) are built through an AssetCache keyed on the
- * spec's content: two cells that share a workload spec share one
- * JobTrace build, even when the sweep runs its cells in parallel.
+ * Expensive derived assets (job traces, carbon traces, queue
+ * calibrations) are built through an AssetCache keyed on the spec's
+ * content: two cells that share a workload spec share one JobTrace
+ * build and one J_avg calibration, even when the sweep runs its cells
+ * in parallel.
  * Errors are cached too, so a malformed CSV is parsed (and
  * reported) once per sweep rather than once per cell.
  */
@@ -216,7 +217,9 @@ class AssetCache
 
     /**
      * The calibrated QueueConfig for `spec`'s trace under the given
-     * waiting limits (builds the trace too if needed).
+     * waiting limits, equal to calibratedQueues(trace, short_wait,
+     * long_wait). The trace and its calibration are cached once per
+     * workload (two lookups); the waits are applied per call.
      */
     Result<std::shared_ptr<const QueueConfig>>
     queues(const WorkloadSpec &spec, Seconds short_wait,
@@ -239,8 +242,9 @@ class AssetCache
         traces_;
     std::map<std::string, Result<std::shared_ptr<const CarbonTrace>>>
         carbons_;
+    /** calibratedQueues() of each workload's trace, keyed like it. */
     std::map<std::string, Result<std::shared_ptr<const QueueConfig>>>
-        queues_;
+        calibrations_;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
 };

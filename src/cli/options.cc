@@ -5,8 +5,17 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "workload/elastic_profile.h"
+#include "workload/job.h"
 
 namespace gaia {
+
+namespace {
+
+/** Longest --span-days: a century, far past any trace the paper uses
+ *  and far inside what days() can convert to Seconds. */
+constexpr double kMaxSpanDays = 100.0 * kDaysPerYear;
+
+} // namespace
 
 Result<ResourceStrategy>
 CliOptions::resolvedStrategy() const
@@ -179,6 +188,8 @@ parseCliOptions(const std::vector<std::string> &raw_args,
             GAIA_TRY_ASSIGN(const std::int64_t n,
                             tryParseInt(v, "--jobs"));
             GAIA_REQUIRE(n > 0, "--jobs must be positive");
+            GAIA_REQUIRE(static_cast<std::size_t>(n) <= kMaxJobs,
+                         "--jobs must be at most ", kMaxJobs);
             options.jobs = static_cast<std::size_t>(n);
         } else if (arg == "--span-days") {
             GAIA_TRY_ASSIGN(const std::string v,
@@ -187,6 +198,8 @@ parseCliOptions(const std::vector<std::string> &raw_args,
                             tryParseDouble(v, "--span-days"));
             GAIA_REQUIRE(options.span_days > 0.0,
                          "--span-days must be positive");
+            GAIA_REQUIRE(options.span_days <= kMaxSpanDays,
+                         "--span-days must be at most ", kMaxSpanDays);
         } else if (arg == "--region") {
             GAIA_TRY_ASSIGN(options.region, need_value(i++, arg));
         } else if (arg == "--carbon-csv") {

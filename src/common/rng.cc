@@ -130,7 +130,7 @@ Rng::bernoulli(double p)
 }
 
 std::size_t
-Rng::discrete(const std::vector<double> &weights)
+Rng::discrete(std::span<const double> weights)
 {
     GAIA_ASSERT(!weights.empty(), "discrete() needs weights");
     double total = 0.0;

@@ -16,7 +16,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace gaia {
 
@@ -62,9 +62,10 @@ class Rng
 
     /**
      * Sample an index in [0, weights.size()) with probability
-     * proportional to weights (all non-negative, sum > 0).
+     * proportional to weights (all non-negative, sum > 0). Consumes
+     * exactly one uniform() draw.
      */
-    std::size_t discrete(const std::vector<double> &weights);
+    std::size_t discrete(std::span<const double> weights);
 
     /**
      * Sample a geometric "first success" count in {1, 2, ...} with

@@ -40,6 +40,8 @@ struct QueueSpec
 
     /** J_avg with the uncalibrated fallback applied. */
     Seconds effectiveAvgLength() const;
+
+    bool operator==(const QueueSpec &) const = default;
 };
 
 /**

@@ -218,7 +218,7 @@ OnlineScheduler::submit(const Job &job)
     if (default_elastic_.enabled() && !admitted.elastic.enabled())
         admitted.elastic = default_elastic_;
     const std::size_t idx = states_.size();
-    GAIA_ASSERT(idx <= 0xffffffffu, "job index overflows the event "
+    GAIA_ASSERT(idx < kMaxJobs, "job index overflows the event "
                 "payload");
     states_.emplace_back();
     states_[idx].job = admitted;

@@ -28,6 +28,12 @@ namespace gaia {
 /** Unique job identifier within one trace. */
 using JobId = std::int64_t;
 
+/**
+ * Most jobs one run may hold: the engine packs a job's index into 32
+ * bits of each event payload.
+ */
+constexpr std::size_t kMaxJobs = 0xffffffffu;
+
 /** One batch job. */
 struct Job
 {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "analysis/harness.h"
 #include "common/executor.h"
 #include "common/time.h"
 
@@ -125,11 +126,43 @@ TEST(AssetCache, QueuesBuildTheTraceOnDemand)
     ASSERT_TRUE(trace.isOk());
     EXPECT_EQ(cache.hits(), 1u);
 
-    // Different waits -> a different calibrated config.
+    // Different waits -> a different config, from the same
+    // calibration: the trace and its J_avg are both hits.
     const auto other = cache.queues(
         tinyWorkload(), 1 * kSecondsPerHour, 12 * kSecondsPerHour);
     ASSERT_TRUE(other.isOk());
     EXPECT_NE(queues.value().get(), other.value().get());
+    EXPECT_EQ(other.value()->queue(0).max_wait, hours(1));
+    EXPECT_EQ(other.value()->queue(1).max_wait, hours(12));
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 3u);
+}
+
+TEST(AssetCache, EveryWaitingPairMatchesAFreshCalibration)
+{
+    // fig14's waiting pairs, plus the degenerate and the unequal-
+    // bound corners, all served from one calibration.
+    AssetCache cache;
+    const WorkloadSpec spec = tinyWorkload(3);
+    const JobTrace trace = spec.realize().value();
+    std::size_t pairs = 0;
+    for (const int w_short : {0, 1, 3, 6, 12, 18, 24}) {
+        for (const int w_long : {0, 6, 12, 24, 36, 48, 72, 84}) {
+            if (w_short > w_long)
+                continue;
+            const auto cached =
+                cache.queues(spec, hours(w_short), hours(w_long));
+            ASSERT_TRUE(cached.isOk());
+            const QueueConfig fresh =
+                calibratedQueues(trace, hours(w_short), hours(w_long));
+            EXPECT_EQ(cached.value()->queues(), fresh.queues())
+                << w_short << "x" << w_long;
+            ++pairs;
+        }
+    }
+    // One trace build and one calibration for every pair.
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 2 * pairs - 2);
 }
 
 TEST(CarbonSlots, CoverHorizonPlusSlack)

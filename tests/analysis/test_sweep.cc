@@ -51,7 +51,7 @@ TEST(Sweep, SharedSpecsBuildAssetsOnce)
          {"NoWait", "Lowest-Window", "Carbon-Time"})
         sweep.add(cell(policy));
     sweep.run();
-    // One trace + one carbon + one queue config for three cells;
+    // One trace + one carbon + one queue calibration for three cells;
     // every other lookup is served from the cache.
     EXPECT_EQ(sweep.cache().misses(), 3u);
     EXPECT_GT(sweep.cache().hits(), 0u);

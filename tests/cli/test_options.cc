@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/job.h"
+
 namespace gaia {
 namespace {
 
@@ -156,6 +158,31 @@ TEST(CliOptions, MalformedInputYieldsErrorStatus)
                                 "non-negative"));
     EXPECT_TRUE(messageContains(parseError({"--jobs", "lots"}),
                                 "cannot parse"));
+}
+
+TEST(CliOptions, HostileSynthesisSizesAreRejected)
+{
+    // Each of these once reached an undefined double-to-int64 cast in
+    // days() or an uncaught std::bad_alloc in trace synthesis.
+    for (const char *span : {"inf", "1e300", "36501"}) {
+        const Status status = parseError({"--span-days", span});
+        EXPECT_EQ(status.code(), ErrorCode::InvalidArgument) << span;
+        EXPECT_TRUE(messageContains(status, "--span-days must be at most"))
+            << span << ": " << status.message();
+    }
+    EXPECT_TRUE(messageContains(parseError({"--span-days", "nan"}),
+                                "must be positive"));
+    EXPECT_TRUE(messageContains(parseError({"--span-days", "-inf"}),
+                                "must be positive"));
+    EXPECT_DOUBLE_EQ(parse({"--span-days", "36500"}).span_days, 36500.0);
+
+    for (const char *jobs : {"100000000000000", "4294967296"}) {
+        const Status status = parseError({"--jobs", jobs});
+        EXPECT_EQ(status.code(), ErrorCode::InvalidArgument) << jobs;
+        EXPECT_TRUE(messageContains(status, "--jobs must be at most"))
+            << jobs << ": " << status.message();
+    }
+    EXPECT_EQ(parse({"--jobs", "4294967295"}).jobs, kMaxJobs);
 }
 
 TEST(CliOptions, UnknownArgumentErrorIncludesUsage)

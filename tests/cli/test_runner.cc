@@ -312,6 +312,20 @@ TEST(CliRunner, GaiaRunExitsTwoOnMismatchedHorizons)
     EXPECT_EQ(WEXITSTATUS(status), 2);
     std::filesystem::remove_all(dir);
 }
+
+TEST(CliRunner, GaiaRunExitsTwoOnHostileSynthesisSizes)
+{
+    for (const char *flags :
+         {"--span-days inf", "--span-days 1e300",
+          "--jobs 100000000000000"}) {
+        const std::string command = std::string(GAIA_RUN_BIN) + " " +
+                                    flags + " >/dev/null 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << flags;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    }
+}
 #endif
 
 TEST(CliRunner, FaultFlagsFlowIntoTheScenario)

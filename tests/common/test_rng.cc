@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace gaia {
 namespace {
@@ -114,9 +116,10 @@ TEST(Rng, DiscreteRespectsWeights)
 {
     Rng rng(31);
     std::vector<int> counts(3, 0);
+    const std::array<double, 3> weights = {1.0, 2.0, 6.0};
     const int n = 90000;
     for (int i = 0; i < n; ++i)
-        ++counts[rng.discrete({1.0, 2.0, 6.0})];
+        ++counts[rng.discrete(weights)];
     EXPECT_NEAR(counts[0] / static_cast<double>(n), 1.0 / 9.0, 0.01);
     EXPECT_NEAR(counts[1] / static_cast<double>(n), 2.0 / 9.0, 0.01);
     EXPECT_NEAR(counts[2] / static_cast<double>(n), 6.0 / 9.0, 0.01);
@@ -125,8 +128,9 @@ TEST(Rng, DiscreteRespectsWeights)
 TEST(Rng, DiscreteZeroWeightNeverChosen)
 {
     Rng rng(37);
+    const std::array<double, 3> weights = {1.0, 0.0, 1.0};
     for (int i = 0; i < 1000; ++i)
-        EXPECT_NE(rng.discrete({1.0, 0.0, 1.0}), 1u);
+        EXPECT_NE(rng.discrete(weights), 1u);
 }
 
 TEST(Rng, GeometricMeanMatchesAnalytic)
@@ -165,7 +169,8 @@ TEST(RngDeath, InvalidParametersRejected)
     EXPECT_DEATH(rng.geometric(0.0), "out of range");
     EXPECT_DEATH(rng.uniform(5.0, 1.0), "bad uniform range");
     EXPECT_DEATH(rng.discrete({}), "needs weights");
-    EXPECT_DEATH(rng.discrete({0.0, 0.0}), "sum to zero");
+    const std::array<double, 2> zeros = {0.0, 0.0};
+    EXPECT_DEATH(rng.discrete(zeros), "sum to zero");
 }
 
 } // namespace

@@ -81,6 +81,19 @@ TEST(Generators, InvalidOptionsAreError)
         buildTrace(WorkloadSource::AlibabaPai, opt).isOk());
 }
 
+TEST(Generators, JobCountPastTheEngineLimitIsInvalidArgument)
+{
+    // Rejected before anything is allocated for the jobs.
+    TraceBuildOptions opt;
+    opt.job_count = kMaxJobs + 1;
+    const Result<JobTrace> t =
+        buildTrace(WorkloadSource::AlibabaPai, opt);
+    ASSERT_FALSE(t.isOk());
+    EXPECT_EQ(t.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(t.status().message().find("exceeds the limit"),
+              std::string::npos);
+}
+
 TEST(Generators, ArrivalsAreSortedAndSpanTheWindow)
 {
     TraceBuildOptions opt;
