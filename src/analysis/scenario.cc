@@ -408,12 +408,13 @@ realizeScenario(const ScenarioSpec &spec, AssetCache &cache)
 }
 
 Result<SimulationResult>
-runScenario(const ScenarioSpec &spec, AssetCache &cache)
+runScenario(const ScenarioSpec &spec, AssetCache &cache,
+            std::vector<JobOutcome> storage)
 {
     GAIA_TRY_ASSIGN(const RealizedScenario realized,
                     realizeScenario(spec, cache));
     GAIA_TRY_ASSIGN(const SimulationSetup setup, realized.setup());
-    return simulateChecked(setup);
+    return simulateChecked(setup, std::move(storage));
 }
 
 Result<SimulationResult>

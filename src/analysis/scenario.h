@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/time.h"
@@ -307,9 +308,12 @@ Result<RealizedScenario> realizeScenario(const ScenarioSpec &spec,
  * Run one scenario end to end: realizeScenario() + the checked
  * batch simulator. Every "run a scenario" surface (SweepEngine
  * cells, gaia_run, scenario-driven benches) funnels through here.
+ * `storage` is recycled as the outcome column (see simulateChecked);
+ * SweepEngine hands each cell its previous outcomes this way.
  */
-Result<SimulationResult> runScenario(const ScenarioSpec &spec,
-                                     AssetCache &cache);
+Result<SimulationResult>
+runScenario(const ScenarioSpec &spec, AssetCache &cache,
+            std::vector<JobOutcome> storage = {});
 
 /** Convenience overload with a private single-use cache, for
  *  one-off callers with no sweep to share assets with. */

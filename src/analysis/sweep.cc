@@ -3,6 +3,8 @@
 #include <chrono>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/parallel.h"
 #include "common/logging.h"
@@ -69,7 +71,8 @@ SweepEngine::spec(std::size_t index) const
 }
 
 void
-SweepEngine::runCell(std::size_t index)
+SweepEngine::runCell(std::size_t index,
+                     std::vector<JobOutcome> storage)
 {
     const obs::Span span("sweep.cell", specs_[index].label);
     if (obs::detailedTimingEnabled()) {
@@ -77,13 +80,15 @@ SweepEngine::runCell(std::size_t index)
         // golden-scale cells are not; keep the uninstrumented path
         // free of them (see obs.h, "Detailed timing").
         const auto begin = std::chrono::steady_clock::now();
-        results_[index] = runScenario(specs_[index], cache_);
+        results_[index] =
+            runScenario(specs_[index], cache_, std::move(storage));
         h_cell_seconds.observe(
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - begin)
                 .count());
     } else {
-        results_[index] = runScenario(specs_[index], cache_);
+        results_[index] =
+            runScenario(specs_[index], cache_, std::move(storage));
     }
     c_cells_run.add();
     if (!(*results_[index]).isOk())
@@ -95,13 +100,26 @@ SweepEngine::run()
 {
     const obs::Span span("sweep.run");
     const auto begin = std::chrono::steady_clock::now();
+    // Take back every OK cell's outcome column so its rerun refills
+    // it in place. Freed columns would be allocated again on
+    // whichever worker runs each cell next, and glibc's per-thread
+    // arenas would then hold ever more free-but-resident memory,
+    // pass after pass. Slots stay nullopt until their cell has run.
+    std::vector<std::vector<JobOutcome>> storage(specs_.size());
+    for (std::size_t i = 0; i < results_.size(); ++i) {
+        if (results_[i].has_value() && results_[i]->isOk())
+            storage[i] = std::move((*results_[i])->outcomes);
+    }
     results_.assign(specs_.size(), std::nullopt);
+    const auto run_cell = [&](std::size_t index) {
+        runCell(index, std::move(storage[index]));
+    };
     parallelFor(
         groups_.size(),
         [&](std::size_t g) {
             const Group &group = groups_[g];
             if (group.count == 1) {
-                runCell(group.first);
+                run_cell(group.first);
                 return;
             }
             // Replicas become stealable tasks of their own; the
@@ -109,7 +127,7 @@ SweepEngine::run()
             // deadlock the pool.
             parallelFor(
                 group.count,
-                [&](std::size_t r) { runCell(group.first + r); },
+                [&](std::size_t r) { run_cell(group.first + r); },
                 threads_);
         },
         threads_);

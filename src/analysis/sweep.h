@@ -24,9 +24,13 @@
  * run() must finish before result()/printSummary() are read. The
  * parallelism is internal: run() distributes cells over the
  * executor's workers, each writing only its own result slot, and
- * the engine owns every spec and result it hands out references to
- * (a Result<SimulationResult> reference stays valid until the
- * engine is destroyed or run again).
+ * the engine owns every spec and result it hands out references to.
+ * run() recycles each cell's outcome storage: it takes the previous
+ * run's `outcomes` column back from every OK cell and the cell's
+ * rerun refills it in place, so a rerun allocates no new columns.
+ * A Result<SimulationResult> reference, and any pointer into its
+ * outcomes, is therefore invalidated by run() as well as by the
+ * engine's destruction.
  */
 
 #ifndef GAIA_ANALYSIS_SWEEP_H
@@ -85,9 +89,10 @@ class SweepEngine
     const ScenarioSpec &spec(std::size_t index) const;
 
     /**
-     * Run every queued cell (cells added since the last run() rerun
-     * from scratch; assets stay cached). Safe to call again after
-     * adding more cells.
+     * Run every queued cell; assets stay cached and each cell's
+     * previous outcome column is refilled in place. Safe to call
+     * again after adding more cells. Invalidates every reference
+     * result() handed out.
      */
     void run();
 
@@ -121,7 +126,8 @@ class SweepEngine
         std::size_t count = 0;
     };
 
-    void runCell(std::size_t index);
+    /** Run cell `index`, recycling `storage` as its outcome column. */
+    void runCell(std::size_t index, std::vector<JobOutcome> storage);
 
     unsigned threads_ = 0;
     double last_run_seconds_ = 0.0;

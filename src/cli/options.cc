@@ -9,14 +9,6 @@
 
 namespace gaia {
 
-namespace {
-
-/** Longest --span-days: a century, far past any trace the paper uses
- *  and far inside what days() can convert to Seconds. */
-constexpr double kMaxSpanDays = 100.0 * kDaysPerYear;
-
-} // namespace
-
 Result<ResourceStrategy>
 CliOptions::resolvedStrategy() const
 {
@@ -50,10 +42,10 @@ parseWaitingSpec(const std::string &spec, Seconds &short_wait,
     GAIA_TRY_ASSIGN(const double long_h,
                     tryParseDouble(spec.substr(sep + 1),
                                    "long waiting hours"));
-    GAIA_REQUIRE(short_h >= 0.0 && long_h >= 0.0,
-                 "waiting hours must be non-negative: ", spec);
-    short_wait = hours(short_h);
-    long_wait = hours(long_h);
+    GAIA_TRY_ASSIGN(short_wait, tryDuration(short_h, kSecondsPerHour,
+                                            "short waiting hours"));
+    GAIA_TRY_ASSIGN(long_wait, tryDuration(long_h, kSecondsPerHour,
+                                           "long waiting hours"));
     return Status::ok();
 }
 
@@ -194,12 +186,11 @@ parseCliOptions(const std::vector<std::string> &raw_args,
         } else if (arg == "--span-days") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));
-            GAIA_TRY_ASSIGN(options.span_days,
+            GAIA_TRY_ASSIGN(const double d,
                             tryParseDouble(v, "--span-days"));
-            GAIA_REQUIRE(options.span_days > 0.0,
-                         "--span-days must be positive");
-            GAIA_REQUIRE(options.span_days <= kMaxSpanDays,
-                         "--span-days must be at most ", kMaxSpanDays);
+            GAIA_REQUIRE(d > 0.0, "--span-days must be positive");
+            GAIA_TRY_ASSIGN(options.span,
+                            tryDuration(d, kSecondsPerDay, arg));
         } else if (arg == "--region") {
             GAIA_TRY_ASSIGN(options.region, need_value(i++, arg));
         } else if (arg == "--carbon-csv") {
@@ -238,12 +229,10 @@ parseCliOptions(const std::vector<std::string> &raw_args,
         } else if (arg == "--startup-overhead-min") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));
-            GAIA_TRY_ASSIGN(
-                options.startup_overhead_min,
-                tryParseDouble(v, "--startup-overhead-min"));
-            GAIA_REQUIRE(options.startup_overhead_min >= 0.0,
-                         "--startup-overhead-min must be "
-                         "non-negative");
+            GAIA_TRY_ASSIGN(const double m,
+                            tryParseDouble(v, "--startup-overhead-min"));
+            GAIA_TRY_ASSIGN(options.startup_overhead,
+                            tryDuration(m, kSecondsPerMinute, arg));
         } else if (arg == "--idle-power-fraction") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));
@@ -268,10 +257,10 @@ parseCliOptions(const std::vector<std::string> &raw_args,
         } else if (arg == "--spot-max-hours") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));
-            GAIA_TRY_ASSIGN(options.spot_max_hours,
+            GAIA_TRY_ASSIGN(const double h,
                             tryParseDouble(v, "--spot-max-hours"));
-            GAIA_REQUIRE(options.spot_max_hours >= 0.0,
-                         "--spot-max-hours must be non-negative");
+            GAIA_TRY_ASSIGN(options.spot_max_length,
+                            tryDuration(h, kSecondsPerHour, arg));
         } else if (arg == "--fault") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));
@@ -299,11 +288,11 @@ parseCliOptions(const std::vector<std::string> &raw_args,
         } else if (arg == "--fault-backoff-min") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));
-            GAIA_TRY_ASSIGN(
-                options.fault_backoff_min,
-                tryParseDouble(v, "--fault-backoff-min"));
-            GAIA_REQUIRE(options.fault_backoff_min > 0.0,
-                         "--fault-backoff-min must be positive");
+            GAIA_TRY_ASSIGN(const double m,
+                            tryParseDouble(v, "--fault-backoff-min"));
+            GAIA_REQUIRE(m > 0.0, "--fault-backoff-min must be positive");
+            GAIA_TRY_ASSIGN(options.fault_backoff,
+                            tryDuration(m, kSecondsPerMinute, arg));
         } else if (arg == "--fault-spot-retries") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));

@@ -31,11 +31,11 @@ struct CliOptions
     std::string workload_csv;
     /** Jobs to synthesize for built-in workloads. */
     std::size_t jobs = 1000;
-    /** Arrival span in days for built-in workloads. */
-    double span_days = 7.0;
+    /** Arrival span for built-in workloads (--span-days). */
+    Seconds span = 7 * kSecondsPerDay;
     /**
      * Apply the paper's §6.1 pipeline to workload_csv: replicate
-     * the source to cover span_days, filter, and sample `jobs`
+     * the source to cover `span`, filter, and sample `jobs`
      * arrivals (requires workload_csv). Off by default: the CSV is
      * replayed as-is.
      */
@@ -63,8 +63,8 @@ struct CliOptions
     int reserved = 0;
     /** Spot per-hour eviction probability. */
     double eviction_rate = 0.0;
-    /** Spot length bound, hours. */
-    double spot_max_hours = 2.0;
+    /** Spot length bound (--spot-max-hours). */
+    Seconds spot_max_length = 2 * kSecondsPerHour;
     /** Maximum waiting, "SHORTxLONG" hours (artifact's -w 6x24). */
     Seconds short_wait = 6 * kSecondsPerHour;
     Seconds long_wait = 24 * kSecondsPerHour;
@@ -74,8 +74,9 @@ struct CliOptions
     /** Forecast source: "oracle" (default), "persistence", or
      *  "profile". */
     std::string forecaster = "oracle";
-    /** Per-acquisition instance startup overhead, minutes. */
-    double startup_overhead_min = 0.0;
+    /** Per-acquisition instance startup overhead
+     *  (--startup-overhead-min). */
+    Seconds startup_overhead = 0;
     /** Idle reserved power as a fraction of busy power. */
     double idle_power_fraction = 0.0;
 
@@ -92,8 +93,9 @@ struct CliOptions
     std::uint64_t fault_seed = 1;
     /** Carbon-source retry budget of the degradation ladder. */
     std::uint32_t fault_retries = 3;
-    /** First retry backoff, minutes (doubles per attempt). */
-    double fault_backoff_min = 5.0;
+    /** First retry backoff, doubling per attempt
+     *  (--fault-backoff-min). */
+    Seconds fault_backoff = 5 * kSecondsPerMinute;
     /** Post-eviction spot re-attempts under the storm model. */
     std::uint32_t fault_spot_retries = 3;
 

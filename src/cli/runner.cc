@@ -18,25 +18,25 @@ namespace {
 Status
 fillWorkloadSpec(const CliOptions &options, ScenarioSpec &spec)
 {
-    const Seconds span = days(options.span_days);
     if (!options.workload_csv.empty()) {
         spec.workload = WorkloadSpec::fromCsv(options.workload_csv,
                                               options.resample);
         // Only read when resampling (§6.1 pipeline parameters).
         spec.workload.options.job_count = options.jobs;
-        spec.workload.options.span = span;
+        spec.workload.options.span = options.span;
         spec.workload.options.seed = options.seed;
         return Status::ok();
     }
 
     if (options.workload == "motivating") {
-        spec.workload = WorkloadSpec::motivating(span, options.seed);
+        spec.workload =
+            WorkloadSpec::motivating(options.span, options.seed);
         return Status::ok();
     }
 
     TraceBuildOptions build;
     build.job_count = options.jobs;
-    build.span = span;
+    build.span = options.span;
     build.seed = options.seed;
     if (options.workload == "alibaba") {
         spec.workload =
@@ -86,9 +86,8 @@ scenarioFromOptions(const CliOptions &options)
 
     spec.cluster.reserved_cores = options.reserved;
     spec.cluster.spot_eviction_rate = options.eviction_rate;
-    spec.cluster.spot_max_length = hours(options.spot_max_hours);
-    spec.cluster.startup_overhead =
-        minutes(options.startup_overhead_min);
+    spec.cluster.spot_max_length = options.spot_max_length;
+    spec.cluster.startup_overhead = options.startup_overhead;
     spec.cluster.reserved_idle_power_fraction =
         options.idle_power_fraction;
     spec.cluster.seed = options.seed;
@@ -109,8 +108,7 @@ scenarioFromOptions(const CliOptions &options)
     spec.fault.seed = options.fault_seed;
     spec.fault.cis_max_retries =
         static_cast<int>(options.fault_retries);
-    spec.fault.cis_retry_backoff =
-        minutes(options.fault_backoff_min);
+    spec.fault.cis_retry_backoff = options.fault_backoff;
     spec.fault.storm_spot_retries =
         static_cast<int>(options.fault_spot_retries);
     GAIA_TRY(spec.fault.validate());

@@ -18,6 +18,19 @@ constexpr std::array<const char *, 12> kMonthNames = {
 
 } // namespace
 
+Result<Seconds>
+tryDuration(double value, Seconds unit, const std::string &what)
+{
+    // Written so NaN fails the first check.
+    GAIA_REQUIRE(value >= 0.0, what, " must be non-negative, got ",
+                 value);
+    GAIA_REQUIRE(value <= static_cast<double>(kMaxInputDuration / unit),
+                 what, " must be at most ",
+                 kMaxInputDuration / kSecondsPerDay, " days, got ",
+                 value);
+    return static_cast<Seconds>(value * static_cast<double>(unit));
+}
+
 SlotIndex
 slotOf(Seconds t)
 {

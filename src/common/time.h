@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
+
 namespace gaia {
 
 /** Simulation time / durations, in seconds. */
@@ -53,6 +55,22 @@ days(double d)
 {
     return static_cast<Seconds>(d * kSecondsPerDay);
 }
+
+/** Longest duration text input may name: a century, far past any
+ *  trace the paper uses and far inside what Seconds can hold. */
+constexpr Seconds kMaxInputDuration = 100 * kSecondsPerYear;
+
+/**
+ * Checked counterpart of minutes()/hours()/days() for a duration read
+ * from text (CLI flags, grammar keys), where an unchecked cast of
+ * 1e300 or inf is undefined behaviour: `value` counts units of `unit`
+ * seconds (e.g. kSecondsPerHour). NaN, negative values and values
+ * past kMaxInputDuration (infinities included) are an InvalidArgument
+ * naming `what`; accepted values convert exactly as the unchecked
+ * helpers do.
+ */
+Result<Seconds> tryDuration(double value, Seconds unit,
+                            const std::string &what);
 
 /** Convert a duration in seconds to fractional hours. */
 constexpr double

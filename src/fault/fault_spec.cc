@@ -67,6 +67,7 @@ applyClause(FaultSpec &spec, const std::string &kind,
             const std::vector<Setting> &settings)
 {
     for (const Setting &s : settings) {
+        const std::string what = "fault " + kind + " " + s.key;
         bool ok = false;
         if (s.key == "rate") {
             ok = true;
@@ -87,7 +88,8 @@ applyClause(FaultSpec &spec, const std::string &kind,
             else
                 ok = false;
         } else if (s.key == "hours") {
-            const Seconds duration = hours(s.value);
+            GAIA_TRY_ASSIGN(const Seconds duration,
+                            tryDuration(s.value, kSecondsPerHour, what));
             ok = true;
             if (kind == "outage")
                 spec.outage_duration = duration;
@@ -98,7 +100,9 @@ applyClause(FaultSpec &spec, const std::string &kind,
             else
                 ok = false;
         } else if (s.key == "minutes" && kind == "delay") {
-            spec.delay_duration = minutes(s.value);
+            GAIA_TRY_ASSIGN(
+                spec.delay_duration,
+                tryDuration(s.value, kSecondsPerMinute, what));
             ok = true;
         } else if (s.key == "factor") {
             ok = true;

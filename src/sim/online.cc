@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/obs.h"
@@ -112,9 +113,13 @@ OnlineScheduler::setDefaultElasticProfile(
 }
 
 void
-OnlineScheduler::reserveJobs(std::size_t count)
+OnlineScheduler::reserveJobs(std::size_t count,
+                             std::vector<JobOutcome> storage)
 {
+    GAIA_ASSERT(states_.empty(), "reserveJobs() after submit()");
     states_.reserve(count);
+    storage.clear();
+    outcomes_ = std::move(storage);
     outcomes_.reserve(count);
     // Each job contributes its arrival plus (typically) one start
     // and one release event; 2x covers the common population

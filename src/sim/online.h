@@ -123,9 +123,18 @@ class OnlineScheduler : public ISchedulerProtocol,
      */
     Status submit(const Job &job);
 
-    /** Pre-size the job and outcome columns and the event heap for
-     *  `count` jobs. */
-    void reserveJobs(std::size_t count);
+    /**
+     * Pre-size the job and outcome columns and the event heap for
+     * `count` jobs. Call before the first submit(). `storage` becomes
+     * the outcome column: it is cleared and only its capacity is
+     * kept, so a caller rerunning a cell can hand back the previous
+     * run's SimulationResult::outcomes and have them refilled in
+     * place instead of freed and allocated again. Every outcome is
+     * still built fresh by submit(); an empty vector (the default)
+     * is a fresh run on the same path.
+     */
+    void reserveJobs(std::size_t count,
+                     std::vector<JobOutcome> storage = {});
 
     /**
      * Apply `profile` to every subsequently submitted job that does

@@ -49,7 +49,8 @@ SimulationSetup::Builder::build() const
 }
 
 Result<SimulationResult>
-simulateChecked(const SimulationSetup &setup)
+simulateChecked(const SimulationSetup &setup,
+                std::vector<JobOutcome> storage)
 {
     GAIA_TRY(validateSetup(setup));
 
@@ -69,7 +70,7 @@ simulateChecked(const SimulationSetup &setup)
         OnlineScheduler::create(*setup.policy, *setup.queues,
                                 *setup.cis, cluster, setup.strategy,
                                 setup.trace->name(), setup.faults));
-    scheduler.reserveJobs(setup.trace->jobCount());
+    scheduler.reserveJobs(setup.trace->jobCount(), std::move(storage));
     if (setup.elastic != nullptr)
         scheduler.setDefaultElasticProfile(*setup.elastic);
     VirtualClockDriver driver(scheduler);
@@ -90,37 +91,6 @@ simulateChecked(const SimulationSetup &setup)
         }
     }
     return result;
-}
-
-SimulationResult
-simulate(const SimulationSetup &setup)
-{
-    Result<SimulationResult> result = simulateChecked(setup);
-    GAIA_ASSERT(result.isOk(),
-                "simulate() on an invalid setup (use "
-                "simulateChecked for untrusted input): ",
-                result.status().message());
-    return std::move(result).value();
-}
-
-SimulationResult
-simulate(const JobTrace &trace, const SchedulingPolicy &policy,
-         const QueueConfig &queues, const CarbonInfoSource &cis,
-         const ClusterConfig &cluster, ResourceStrategy strategy)
-{
-    SimulationSetup setup;
-    setup.trace = &trace;
-    setup.policy = &policy;
-    setup.queues = &queues;
-    setup.cis = &cis;
-    setup.cluster = cluster;
-    setup.strategy = strategy;
-    Result<SimulationResult> result = simulateChecked(setup);
-    GAIA_ASSERT(result.isOk(),
-                "simulate() on an invalid setup (use "
-                "simulateChecked for untrusted input): ",
-                result.status().message());
-    return std::move(result).value();
 }
 
 } // namespace gaia

@@ -18,14 +18,12 @@
  * writing struct fields by hand — build() runs the same validation,
  * so errors surface where the setup is constructed, not where it is
  * run.
- *
- * simulate() — the old trusted-input wrapper that asserted instead
- * of returning — is deprecated and kept for one release as a shim;
- * see DESIGN.md, "Migrating off simulate()".
  */
 
 #ifndef GAIA_SIM_SIMULATOR_H
 #define GAIA_SIM_SIMULATOR_H
+
+#include <vector>
 
 #include "core/cis.h"
 #include "core/policy.h"
@@ -160,35 +158,13 @@ Status validateSetup(const SimulationSetup &setup);
 /**
  * Run one simulation; returns a Status (instead of dying) on an
  * inconsistent setup. Untrusted configuration comes through here.
+ * `storage` is recycled as the result's outcome column (see
+ * OnlineScheduler::reserveJobs): pass a previous result's
+ * `outcomes` to rerun without reallocating them.
  */
 Result<SimulationResult>
-simulateChecked(const SimulationSetup &setup);
-
-/**
- * Trusted-input wrapper; asserts on setups simulateChecked() would
- * reject.
- *
- * @deprecated Call simulateChecked() and handle the Status — the
- * assert-on-bad-input contract hid setup mistakes until runtime in
- * whatever binary tripped them. Shim kept for one release; see
- * DESIGN.md, "Migrating off simulate()".
- */
-[[deprecated("use simulateChecked() (see DESIGN.md)")]]
-SimulationResult simulate(const SimulationSetup &setup);
-
-/**
- * Convenience overload assembling the setup from parts.
- *
- * @deprecated Assemble with SimulationSetup::Builder and call
- * simulateChecked(); see DESIGN.md, "Migrating off simulate()".
- */
-[[deprecated("use SimulationSetup::Builder + simulateChecked() "
-             "(see DESIGN.md)")]]
-SimulationResult
-simulate(const JobTrace &trace, const SchedulingPolicy &policy,
-         const QueueConfig &queues, const CarbonInfoSource &cis,
-         const ClusterConfig &cluster = {},
-         ResourceStrategy strategy = ResourceStrategy::OnDemandOnly);
+simulateChecked(const SimulationSetup &setup,
+                std::vector<JobOutcome> storage = {});
 
 } // namespace gaia
 

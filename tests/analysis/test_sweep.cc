@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "common/time.h"
 
@@ -109,12 +111,49 @@ TEST(Sweep, SummaryReportsCountsAndFailures)
 
 TEST(Sweep, RerunIsIdempotent)
 {
-    SweepEngine sweep;
+    // A plain cell, a replica group and an invalid cell: every OK
+    // cell's rerun must reproduce its result in the very outcome
+    // column the previous run allocated.
+    SweepEngine sweep(2);
     sweep.add(cell("NoWait"));
+    sweep.addSeedReplicas(cell("Carbon-Time", 3), 3);
+    const std::size_t invalid = sweep.add(cell("No-Such-Policy"));
     sweep.run();
-    const double first = sweep.result(0)->carbon_kg;
-    sweep.run();
-    EXPECT_DOUBLE_EQ(sweep.result(0)->carbon_kg, first);
+    const std::size_t cells = sweep.size();
+    std::vector<std::uint64_t> fingerprints(cells, 0);
+    std::vector<const JobOutcome *> columns(cells, nullptr);
+    for (std::size_t i = 0; i < cells; ++i) {
+        if (i == invalid)
+            continue;
+        ASSERT_TRUE(sweep.result(i).isOk())
+            << sweep.result(i).status().toString();
+        fingerprints[i] = resultFingerprint(*sweep.result(i));
+        columns[i] = sweep.result(i)->outcomes.data();
+    }
+    ASSERT_FALSE(sweep.result(invalid).isOk());
+
+    // A cell added between runs gets the same results as a
+    // standalone run of its spec.
+    const std::size_t added = sweep.add(cell("Lowest-Window", 5));
+    for (int pass = 0; pass < 2; ++pass) {
+        sweep.run();
+        for (std::size_t i = 0; i < cells; ++i) {
+            if (i == invalid)
+                continue;
+            ASSERT_TRUE(sweep.result(i).isOk());
+            EXPECT_EQ(resultFingerprint(*sweep.result(i)),
+                      fingerprints[i])
+                << "cell " << i << " pass " << pass;
+            EXPECT_EQ(sweep.result(i)->outcomes.data(), columns[i])
+                << "cell " << i << " pass " << pass;
+        }
+        EXPECT_FALSE(sweep.result(invalid).isOk());
+        EXPECT_EQ(sweep.failureCount(), 1u);
+        ASSERT_TRUE(sweep.result(added).isOk());
+        EXPECT_EQ(resultFingerprint(*sweep.result(added)),
+                  resultFingerprint(
+                      *runScenario(cell("Lowest-Window", 5))));
+    }
 }
 
 TEST(Sweep, GroupCellsGetConsecutiveIndices)

@@ -60,14 +60,14 @@ TEST(CliOptions, ParsesFullCommandLine)
          "--forecast-noise", "0.2"});
     EXPECT_EQ(o.workload, "azure");
     EXPECT_EQ(o.jobs, 500u);
-    EXPECT_DOUBLE_EQ(o.span_days, 14.0);
+    EXPECT_EQ(o.span, days(14));
     EXPECT_EQ(o.region, "CA-US");
     EXPECT_EQ(o.policy, "Lowest-Window");
     EXPECT_EQ(o.resolvedStrategy().value(),
               ResourceStrategy::SpotReserved);
     EXPECT_EQ(o.reserved, 12);
     EXPECT_DOUBLE_EQ(o.eviction_rate, 0.1);
-    EXPECT_DOUBLE_EQ(o.spot_max_hours, 6.0);
+    EXPECT_EQ(o.spot_max_length, hours(6));
     EXPECT_EQ(o.short_wait, 3 * kSecondsPerHour);
     EXPECT_EQ(o.long_wait, 48 * kSecondsPerHour);
     EXPECT_EQ(o.seed, 99u);
@@ -174,7 +174,7 @@ TEST(CliOptions, HostileSynthesisSizesAreRejected)
                                 "must be positive"));
     EXPECT_TRUE(messageContains(parseError({"--span-days", "-inf"}),
                                 "must be positive"));
-    EXPECT_DOUBLE_EQ(parse({"--span-days", "36500"}).span_days, 36500.0);
+    EXPECT_EQ(parse({"--span-days", "36500"}).span, days(36500));
 
     for (const char *jobs : {"100000000000000", "4294967296"}) {
         const Status status = parseError({"--jobs", jobs});
@@ -183,6 +183,34 @@ TEST(CliOptions, HostileSynthesisSizesAreRejected)
             << jobs << ": " << status.message();
     }
     EXPECT_EQ(parse({"--jobs", "4294967295"}).jobs, kMaxJobs);
+}
+
+TEST(CliOptions, HostileDurationsAreRejected)
+{
+    // Each of these once reached an undefined double-to-int64 cast in
+    // hours() or minutes(); one checked conversion bounds them all.
+    for (const auto &[flag, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"-w", "1e300x1e300"},
+             {"-w", "nanx24"},
+             {"--spot-max-hours", "inf"},
+             {"--spot-max-hours", "876000.1"},
+             {"--startup-overhead-min", "1e300"},
+             {"--startup-overhead-min", "-inf"},
+             {"--fault-backoff-min", "1e300"}}) {
+        EXPECT_EQ(parseError({flag, value}).code(),
+                  ErrorCode::InvalidArgument)
+            << flag << " " << value;
+    }
+    EXPECT_TRUE(messageContains(parseError({"-w", "6x1e300"}),
+                                "long waiting hours must be at most "
+                                "36500 days"));
+    // The limit is one century in every unit, and it is inclusive.
+    EXPECT_EQ(parse({"-w", "0x876000"}).long_wait, kMaxInputDuration);
+    EXPECT_EQ(parse({"--spot-max-hours", "876000"}).spot_max_length,
+              kMaxInputDuration);
+    EXPECT_EQ(parse({"--fault-backoff-min", "52560000"}).fault_backoff,
+              kMaxInputDuration);
 }
 
 TEST(CliOptions, UnknownArgumentErrorIncludesUsage)
@@ -198,7 +226,7 @@ TEST(CliOptions, NewFidelityFlags)
         {"--forecaster", "Profile", "--startup-overhead-min", "5",
          "--idle-power-fraction", "0.4"});
     EXPECT_EQ(o.forecaster, "profile");
-    EXPECT_DOUBLE_EQ(o.startup_overhead_min, 5.0);
+    EXPECT_EQ(o.startup_overhead, minutes(5));
     EXPECT_DOUBLE_EQ(o.idle_power_fraction, 0.4);
 }
 

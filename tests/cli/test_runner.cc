@@ -22,7 +22,7 @@ smallRun(const std::string &subdir)
 {
     CliOptions options;
     options.workload = "motivating";
-    options.span_days = 2.0;
+    options.span = days(2);
     options.region = "SA-AU";
     options.seed = 3;
     options.output_dir =
@@ -242,7 +242,7 @@ TEST(CliRunner, ResampleAppliesThePaperPipeline)
     options.workload_csv = jobs_path;
     options.resample = true;
     options.jobs = 300;
-    options.span_days = 20.0;
+    options.span = days(20);
     options.region = "ON-CA";
     options.output_dir = (dir / "out").string();
     const SimulationResult r = runOk(options);
@@ -313,17 +313,23 @@ TEST(CliRunner, GaiaRunExitsTwoOnMismatchedHorizons)
     std::filesystem::remove_all(dir);
 }
 
-TEST(CliRunner, GaiaRunExitsTwoOnHostileSynthesisSizes)
+TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
 {
-    for (const char *flags :
-         {"--span-days inf", "--span-days 1e300",
-          "--jobs 100000000000000"}) {
-        const std::string command = std::string(GAIA_RUN_BIN) + " " +
-                                    flags + " >/dev/null 2>&1";
-        const int status = std::system(command.c_str());
-        ASSERT_NE(status, -1);
-        EXPECT_TRUE(WIFEXITED(status)) << flags;
-        EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    for (const char *binary : {GAIA_RUN_BIN, GAIA_SERVE_BIN}) {
+        for (const char *flags :
+             {"--span-days inf", "--span-days 1e300",
+              "--jobs 100000000000000", "-w 1e300x1e300",
+              "--spot-max-hours inf", "--startup-overhead-min 1e300",
+              "--fault-backoff-min 1e300",
+              "--fault outage:rate=0.1,hours=1e300"}) {
+            const std::string command = std::string(binary) + " " +
+                                        flags + " >/dev/null 2>&1";
+            const int status = std::system(command.c_str());
+            ASSERT_NE(status, -1);
+            EXPECT_TRUE(WIFEXITED(status)) << binary << " " << flags;
+            EXPECT_EQ(WEXITSTATUS(status), 2)
+                << binary << " " << flags;
+        }
     }
 }
 #endif

@@ -2,10 +2,9 @@
  * @file
  * Shared test helper for running one simulation from parts.
  *
- * Mirrors the retired simulate(trace, policy, queues, cis, ...)
- * convenience overload, but goes through SimulationSetup::Builder +
- * simulateChecked() — the supported API — and dies with the Status
- * message on an invalid setup, which in a test is a bug in the test.
+ * Assembles the setup from parts through SimulationSetup::Builder,
+ * runs it with simulateChecked(), and dies with the Status message
+ * on an invalid setup, which in a test is a bug in the test.
  */
 
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H

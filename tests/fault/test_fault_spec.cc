@@ -84,9 +84,17 @@ TEST(FaultSpec, ValidationErrorsAreStatuses)
         FaultSpec::parse("delay:rate=0.1,minutes=0").isOk());
     EXPECT_FALSE(
         FaultSpec::parse("spike:rate=0.1,factor=-1").isOk());
-    // Durations beyond the 7-day scan bound are rejected.
-    EXPECT_FALSE(
-        FaultSpec::parse("stale:rate=0.1,hours=200").isOk());
+    // Durations beyond the 7-day scan bound are rejected; huge and
+    // non-finite ones before they reach a double-to-int64 cast.
+    for (const char *text :
+         {"stale:rate=0.1,hours=200", "outage:rate=0.1,hours=1e300",
+          "spike:rate=0.1,hours=-inf", "delay:rate=0.1,minutes=nan"})
+        EXPECT_FALSE(FaultSpec::parse(text).isOk()) << text;
+    EXPECT_NE(FaultSpec::parse("outage:rate=0.1,hours=inf")
+                  .status()
+                  .message()
+                  .find("fault outage hours must be at most"),
+              std::string::npos);
 
     FaultSpec retries;
     retries.cis_max_retries = 17;

@@ -28,7 +28,7 @@ baseOptions(const std::string &leaf)
     CliOptions options;
     options.workload = "alibaba";
     options.jobs = 400;
-    options.span_days = 5.0;
+    options.span = days(5);
     options.region = "SA-AU";
     options.seed = 13;
     options.output_dir = outDir(leaf);

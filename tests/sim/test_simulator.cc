@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/policy_factory.h"
 #include "tests/common/sim_test_util.h"
 
@@ -319,6 +322,64 @@ TEST(Simulator, EmptyTraceProducesEmptyResult)
     EXPECT_DOUBLE_EQ(r.totalCost(), 0.0);
 }
 
+TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
+{
+    // Wait-Awhile splits jobs across the cheap odd hours and spot
+    // evictions add lost segments, so many outcomes spill their
+    // segment lists to the heap.
+    std::vector<double> hourly(24 * 40);
+    for (std::size_t h = 0; h < hourly.size(); ++h)
+        hourly[h] = h % 2 == 0 ? 400.0 : 40.0 + static_cast<double>(h % 7);
+    const CarbonTrace carbon("alternating", hourly);
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(12));
+    std::vector<Job> jobs;
+    for (int i = 0; i < 40; ++i)
+        jobs.push_back({i, i * 1500, minutes(60 + 3 * i), 1 + i % 2});
+    const JobTrace trace("t", std::move(jobs));
+    const PolicyPtr policy = makePolicy("Wait-Awhile");
+    ClusterConfig cluster;
+    cluster.reserved_cores = 2;
+    cluster.spot_eviction_rate = 0.5;
+    cluster.spot_max_length = 2 * kSecondsPerHour;
+    const SimulationSetup setup =
+        SimulationSetup::Builder()
+            .trace(trace)
+            .policy(*policy)
+            .queues(queues)
+            .cis(cis)
+            .cluster(cluster)
+            .strategy(ResourceStrategy::SpotReserved)
+            .build()
+            .value();
+
+    SimulationResult fresh = simulateChecked(setup).value();
+    const std::uint64_t expected = resultFingerprint(fresh);
+    const auto spilled = [](const JobOutcome &o) {
+        return o.segments.size() > 2;
+    };
+    ASSERT_TRUE(std::any_of(fresh.outcomes.begin(),
+                            fresh.outcomes.end(), spilled));
+
+    // Storage pre-filled by that run is refilled in place.
+    const JobOutcome *column = fresh.outcomes.data();
+    const SimulationResult recycled =
+        simulateChecked(setup, std::move(fresh.outcomes)).value();
+    EXPECT_EQ(resultFingerprint(recycled), expected);
+    EXPECT_EQ(recycled.outcomes.data(), column);
+
+    // Storage with too little capacity grows like a fresh column.
+    std::vector<JobOutcome> small;
+    std::copy_if(recycled.outcomes.begin(), recycled.outcomes.end(),
+                 std::back_inserter(small), spilled);
+    small.resize(std::min<std::size_t>(small.size(), 3));
+    small.shrink_to_fit();
+    ASSERT_FALSE(small.empty());
+    EXPECT_EQ(resultFingerprint(
+                  simulateChecked(setup, std::move(small)).value()),
+              expected);
+}
+
 TEST(SimulatorDeath, OnDemandOnlyWithReservedCoresIsFatal)
 {
     // The test helper treats an invalid setup as a test bug and
@@ -333,17 +394,6 @@ TEST(SimulatorDeath, OnDemandOnlyWithReservedCoresIsFatal)
     EXPECT_DEATH(run(trace, "NoWait", queues, cis, cluster,
                      ResourceStrategy::OnDemandOnly),
                  "OnDemandOnly strategy with 5 reserved");
-}
-
-TEST(SimulatorDeath, MissingInputsArePanics)
-{
-    // The deprecated trusted-input shim must keep its assert-on-bad-
-    // input contract for the release it survives.
-    SimulationSetup setup;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_DEATH(simulate(setup), "has no job trace");
-#pragma GCC diagnostic pop
 }
 
 TEST(SimulatorBuilder, EmptyBuildReportsTheMissingInput)
