@@ -165,7 +165,6 @@ eventLoopRate(std::size_t total)
     Counter counter;
     EventQueue queue;
     const std::size_t batch = 4096;
-    queue.reserve(batch);
     const auto begin = std::chrono::steady_clock::now();
     std::size_t scheduled = 0;
     while (scheduled < total) {

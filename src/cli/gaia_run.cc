@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <new>
 #include <vector>
 
 #include "cli/options.h"
@@ -38,10 +39,8 @@ reportError(const gaia::Status &status)
     return 2;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace gaia;
 
@@ -160,4 +159,21 @@ main(int argc, char **argv)
         std::cout << ", " << options.trace_out;
     std::cout << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Sizes the parser accepts (--jobs up to 2^32 - 1) can still ask
+    // for more memory than the process may have. That is the input's
+    // fault, so it ends like any other input error, not in an abort.
+    try {
+        return run(argc, argv);
+    } catch (const std::bad_alloc &) {
+        std::cerr << "gaia_run: out of memory: the scenario needs more "
+                     "memory than this process may use\n";
+        return 2;
+    }
 }

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <new>
 #include <vector>
 
 #include "cli/options.h"
@@ -61,10 +62,8 @@ serveUsage()
            "below.\n\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace gaia;
     using namespace gaia::serve;
@@ -167,4 +166,21 @@ main(int argc, char **argv)
               << " jobs, carbon " << result.carbon_kg
               << " kg, fingerprint " << hex << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Sizes the parser accepts (--jobs up to 2^32 - 1) can still ask
+    // for more memory than the process may have. That is the input's
+    // fault, so it ends like any other input error, not in an abort.
+    try {
+        return run(argc, argv);
+    } catch (const std::bad_alloc &) {
+        std::cerr << "gaia_serve: out of memory: the scenario needs more "
+                     "memory than this process may use\n";
+        return 2;
+    }
 }

@@ -20,10 +20,12 @@
  * push_back(v[i]) and emplace_back() from an element of the same
  * vector are safe: the new element is built before any growth.
  *
- * Size and capacity are 32-bit, so the header beyond the inline
- * buffer is one pointer plus one 8-byte word (16 bytes). These
- * vectors live inside every job's plan and outcome, where the
- * 8 bytes a std::size_t pair would add are paid per job per sweep
+ * The header beyond the inline buffer is one 8-byte word: a 32-bit
+ * size and a 32-bit capacity. Once the vector spills, the inline
+ * buffer holds the heap pointer instead of elements, so the vector
+ * is on the heap exactly when capacity > N and needs no data
+ * pointer of its own. These vectors live inside every job's plan
+ * and outcome, where each header byte is paid per job per sweep
  * cell; a per-job array never nears 2^32 elements, and grow()
  * asserts that it does not.
  *
@@ -98,19 +100,19 @@ class SmallVector
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
 
-    T *data() { return data_; }
-    const T *data() const { return data_; }
-    iterator begin() { return data_; }
-    iterator end() { return data_ + size_; }
-    const_iterator begin() const { return data_; }
-    const_iterator end() const { return data_ + size_; }
+    T *data() { return onHeap() ? heap_ : inlineData(); }
+    const T *data() const { return onHeap() ? heap_ : inlineData(); }
+    iterator begin() { return data(); }
+    iterator end() { return data() + size_; }
+    const_iterator begin() const { return data(); }
+    const_iterator end() const { return data() + size_; }
 
-    T &operator[](std::size_t i) { return data_[i]; }
-    const T &operator[](std::size_t i) const { return data_[i]; }
-    T &front() { return data_[0]; }
-    const T &front() const { return data_[0]; }
-    T &back() { return data_[size_ - 1]; }
-    const T &back() const { return data_[size_ - 1]; }
+    T &operator[](std::size_t i) { return data()[i]; }
+    const T &operator[](std::size_t i) const { return data()[i]; }
+    T &front() { return data()[0]; }
+    const T &front() const { return data()[0]; }
+    T &back() { return data()[size_ - 1]; }
+    const T &back() const { return data()[size_ - 1]; }
 
     void clear() { size_ = 0; }
 
@@ -130,23 +132,26 @@ class SmallVector
         const T value{std::forward<Args>(args)...};
         if (size_ == capacity_)
             grow(2 * static_cast<std::size_t>(capacity_));
-        data_[size_] = value;
-        return data_[size_++];
+        T *slot = data() + size_++;
+        *slot = value;
+        return *slot;
     }
 
     friend bool operator==(const SmallVector &a, const SmallVector &b)
     {
         if (a.size_ != b.size_)
             return false;
+        const T *x = a.data();
+        const T *y = b.data();
         for (std::size_t i = 0; i < a.size_; ++i) {
-            if (!(a.data_[i] == b.data_[i]))
+            if (!(x[i] == y[i]))
                 return false;
         }
         return true;
     }
 
   private:
-    bool onHeap() const { return data_ != inlineData(); }
+    bool onHeap() const { return capacity_ > N; }
 
     T *inlineData()
     {
@@ -160,12 +165,11 @@ class SmallVector
     void releaseHeap()
     {
         if (onHeap())
-            std::free(data_);
+            std::free(heap_);
     }
 
     void resetToInline()
     {
-        data_ = inlineData();
         size_ = 0;
         capacity_ = N;
     }
@@ -174,7 +178,7 @@ class SmallVector
     {
         resetToInline();
         reserve(other.size_);
-        std::memcpy(static_cast<void *>(data_), other.data_,
+        std::memcpy(static_cast<void *>(data()), other.data(),
                     other.size_ * sizeof(T));
         size_ = other.size_;
     }
@@ -182,14 +186,14 @@ class SmallVector
     void stealFrom(SmallVector &other) noexcept
     {
         if (other.onHeap()) {
-            data_ = other.data_;
+            heap_ = other.heap_;
             size_ = other.size_;
             capacity_ = other.capacity_;
             other.resetToInline();
         } else {
             resetToInline();
-            std::memcpy(static_cast<void *>(data_), other.data_,
-                        other.size_ * sizeof(T));
+            std::memcpy(static_cast<void *>(inlineData()),
+                        other.inlineData(), other.size_ * sizeof(T));
             size_ = other.size_;
             other.size_ = 0;
         }
@@ -197,6 +201,8 @@ class SmallVector
 
     void grow(std::size_t wanted)
     {
+        // At least 2N, so a spilled vector's capacity always
+        // exceeds N — the test onHeap() relies on.
         const std::size_t grown = wanted > 2 * N ? wanted : 2 * N;
         GAIA_ASSERT(grown <= std::numeric_limits<std::uint32_t>::max(),
                     "SmallVector capacity ", grown,
@@ -205,15 +211,22 @@ class SmallVector
             static_cast<T *>(std::malloc(grown * sizeof(T)));
         if (fresh == nullptr)
             throw std::bad_alloc();
-        std::memcpy(static_cast<void *>(fresh), data_,
+        // Copy out before heap_ is written: while inline, heap_
+        // overlays the elements being copied.
+        std::memcpy(static_cast<void *>(fresh), data(),
                     size_ * sizeof(T));
         releaseHeap();
-        data_ = fresh;
+        heap_ = fresh;
         capacity_ = static_cast<std::uint32_t>(grown);
     }
 
-    alignas(T) unsigned char inline_[N * sizeof(T)];
-    T *data_ = inlineData();
+    /** Elements while capacity_ == N; the heap block's address once
+     *  spilled (capacity_ > N). */
+    union
+    {
+        T *heap_;
+        alignas(T) unsigned char inline_[N * sizeof(T)];
+    };
     std::uint32_t size_ = 0;
     std::uint32_t capacity_ = N;
 };

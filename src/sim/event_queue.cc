@@ -121,9 +121,8 @@ EventQueue::nextEventTime() const
 }
 
 void
-EventQueue::reserve(std::size_t events)
+EventQueue::reserveSequential(std::size_t events)
 {
-    heap_.reserve(events);
     fifo_.reserve(events);
 }
 

@@ -105,8 +105,9 @@ class EventQueue
         return heap_.size() + (fifo_.size() - fifo_head_);
     }
 
-    /** Pre-size the lanes for an expected event population. */
-    void reserve(std::size_t events);
+    /** Pre-size the sequential lane for `events`
+     *  scheduleSequential() calls; the heap grows as needed. */
+    void reserveSequential(std::size_t events);
 
   private:
     /**
@@ -130,17 +131,11 @@ class EventQueue
             return a.ord > b.ord;
         }
     };
-    /** priority_queue with a reservable backing vector. */
-    struct Heap : std::priority_queue<Entry, std::vector<Entry>, Later>
-    {
-        void reserve(std::size_t entries) { c.reserve(entries); }
-    };
-
     std::uint64_t packOrd(int priority);
     const Entry *peek() const;
     Entry pop();
 
-    Heap heap_;
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
     /** Sorted lane: non-decreasing (time, ord), consumed in order. */
     std::vector<Entry> fifo_;
     std::size_t fifo_head_ = 0;

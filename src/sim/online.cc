@@ -116,15 +116,20 @@ void
 OnlineScheduler::reserveJobs(std::size_t count,
                              std::vector<JobOutcome> storage)
 {
+    // Byte budget of the job column, one entry per job per cell in
+    // flight; tests/sim/test_layout_budget.cc pins the public
+    // records, and JobState is private, so its budget lives here.
+    static_assert(sizeof(JobState) <= 112,
+                  "JobState outgrew its 112-byte budget");
     GAIA_ASSERT(states_.empty(), "reserveJobs() after submit()");
     states_.reserve(count);
     storage.clear();
     outcomes_ = std::move(storage);
     outcomes_.reserve(count);
-    // Each job contributes its arrival plus (typically) one start
-    // and one release event; 2x covers the common population
-    // without the heap reallocating mid-run.
-    events_.reserve(2 * count);
+    // A batch feed puts exactly the `count` arrivals in the
+    // sequential lane; the heap holds only in-flight events, far
+    // fewer than `count`, and grows with them.
+    events_.reserveSequential(count);
 }
 
 void
@@ -691,8 +696,6 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         const bool elastic_job = profile.enabled();
         Seconds useful = 0;
         double useful_work = 0.0;
-        o.start = o.segments.front().start;
-        o.finish = 0;
         for (const PlacedSegment &seg : o.segments) {
             // Every per-instance quantity scales with the gang
             // width (1 for fixed-width jobs, so their books are
@@ -757,15 +760,12 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                     core_seconds + overhead_core_seconds);
                 break;
             }
-            if (seg.lost) {
-                o.lost_core_seconds += core_seconds;
-            } else {
+            if (!seg.lost) {
                 useful += seg.duration();
                 useful_work +=
                     static_cast<double>(seg.duration()) *
                     (elastic_job ? profile.throughputAt(seg.width)
                                  : 1.0);
-                o.finish = std::max(o.finish, seg.end);
             }
         }
         if (elastic_job) {
@@ -786,7 +786,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                         useful, "s of useful work, expected ",
                         o.length);
         }
-        if (o.finish > horizon_) {
+        if (o.finish() > horizon_) {
             // Impossible under the derived horizon (it covers every
             // schedule the queue limits admit); a user-supplied
             // horizon can legitimately be shorter, so the books
@@ -797,7 +797,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             if (!horizon_overrun_warned_) {
                 warn("schedule extends past the configured "
                      "reservation horizon (job ", o.id,
-                     " finishes at ", o.finish, " > ", horizon_,
+                     " finishes at ", o.finish(), " > ", horizon_,
                      "); reserved upfront cost still covers only "
                      "the configured horizon");
                 horizon_overrun_warned_ = true;
@@ -806,7 +806,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
 
         result.carbon_kg += o.carbon_g / 1000.0;
         result.carbon_nowait_kg += o.carbon_nowait_g / 1000.0;
-        result.lost_core_seconds += o.lost_core_seconds;
+        result.lost_core_seconds += o.lostCoreSeconds();
         result.eviction_count +=
             static_cast<std::size_t>(o.evictions);
     }

@@ -42,6 +42,29 @@ class Digest
 
 } // namespace
 
+Seconds
+JobOutcome::finish() const
+{
+    Seconds latest = 0;
+    for (const PlacedSegment &seg : segments) {
+        if (!seg.lost)
+            latest = std::max(latest, seg.end);
+    }
+    return latest;
+}
+
+double
+JobOutcome::lostCoreSeconds() const
+{
+    double lost = 0.0;
+    for (const PlacedSegment &seg : segments) {
+        if (seg.lost)
+            lost += static_cast<double>(seg.duration()) *
+                    (cpus * seg.width);
+    }
+    return lost;
+}
+
 double
 SimulationResult::meanWaitingHours() const
 {
@@ -107,13 +130,13 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(o.submit);
         digest.mix(o.length);
         digest.mix(o.cpus);
-        digest.mix(o.start);
-        digest.mix(o.finish);
+        digest.mix(o.start());
+        digest.mix(o.finish());
         digest.mix(o.carbon_g);
         digest.mix(o.carbon_nowait_g);
         digest.mix(o.variable_cost);
         digest.mix(o.evictions);
-        digest.mix(o.lost_core_seconds);
+        digest.mix(o.lostCoreSeconds());
         digest.mix(o.overhead_core_seconds);
         digest.mix<std::uint64_t>(o.segments.size());
         for (const PlacedSegment &seg : o.segments) {
@@ -138,7 +161,7 @@ allocationSeries(const SimulationResult &result, Seconds step,
     GAIA_ASSERT(step > 0, "non-positive allocation step");
     Seconds horizon = result.horizon;
     for (const JobOutcome &o : result.outcomes)
-        horizon = std::max(horizon, o.finish);
+        horizon = std::max(horizon, o.finish());
     if (horizon <= 0)
         return {};
 

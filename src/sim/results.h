@@ -42,9 +42,12 @@ struct PlacedSegment
 /**
  * Everything recorded about one job's execution.
  *
- * A sweep holds one of these per job per cell, so the layout is
- * packed (tests/sim/test_layout_budget.cc pins the byte budget):
- * the two ints share one 8-byte word, and PlacedSegment is 24 bytes.
+ * The placed segments are the only record of when a job ran:
+ * start(), finish() and lostCoreSeconds() derive from them rather
+ * than being stored beside them. A sweep holds one of these per job
+ * per cell, so the layout is packed (tests/sim/test_layout_budget.cc
+ * pins the byte budget): the two ints share one 8-byte word, and
+ * PlacedSegment is 24 bytes.
  */
 struct JobOutcome
 {
@@ -55,16 +58,12 @@ struct JobOutcome
     /** Spot evictions suffered. */
     int evictions = 0;
 
-    /** Chronological placements, including lost spot slices. */
-    /** Two segments stay inline: an uninterrupted run, or one
-     *  lost spot slice plus the restart — so recording placements
-     *  allocates only for suspend-resume schedules. */
+    /** Placements, including lost spot slices; chronological once
+     *  the scheduler has finalized the run. Two segments stay
+     *  inline: an uninterrupted run, or one lost spot slice plus
+     *  the restart — so recording placements allocates only for
+     *  suspend-resume schedules. */
     SmallVector<PlacedSegment, 2> segments;
-
-    /** First instant any segment ran. */
-    Seconds start = 0;
-    /** Instant the final (successful) segment completed. */
-    Seconds finish = 0;
 
     /** Attributed emissions, grams CO2eq (includes lost work). */
     double carbon_g = 0.0;
@@ -72,13 +71,24 @@ struct JobOutcome
     double carbon_nowait_g = 0.0;
     /** Pay-as-you-go dollars (on-demand + spot, incl. lost work). */
     double variable_cost = 0.0;
-    /** Core-seconds destroyed by evictions. */
-    double lost_core_seconds = 0.0;
     /** Core-seconds of instance start/stop overhead attributed. */
     double overhead_core_seconds = 0.0;
 
+    /** First instant any segment ran (the first segment's start);
+     *  0 without segments. */
+    Seconds start() const
+    {
+        return segments.empty() ? 0 : segments.front().start;
+    }
+    /** Instant the last successful segment completed (lost slices
+     *  ignored); 0 without one. */
+    Seconds finish() const;
+    /** Core-seconds destroyed by evictions: the lost segments'
+     *  duration x cpus x width, summed in segment order. */
+    double lostCoreSeconds() const;
+
     /** Completion time: finish − submit. */
-    Seconds completion() const { return finish - submit; }
+    Seconds completion() const { return finish() - submit; }
     /** Waiting (non-running) time: completion − useful run time.
      *  Negative for elastic jobs that finish faster than their
      *  single-instance length — a speedup, reported as-is. */

@@ -86,7 +86,7 @@ simulateChecked(const SimulationSetup &setup,
         // legitimately overrun a horizon derived from the nominal
         // trace.
         for (const JobOutcome &o : result.outcomes) {
-            GAIA_ASSERT(o.finish <= result.horizon, "job ", o.id,
+            GAIA_ASSERT(o.finish() <= result.horizon, "job ", o.id,
                         " finished past the derived horizon");
         }
     }

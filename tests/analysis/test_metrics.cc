@@ -24,8 +24,7 @@ TEST(Metrics, ExtractFromResult)
     JobOutcome o;
     o.submit = 0;
     o.length = 3600;
-    o.start = 3600;
-    o.finish = 7200;
+    o.segments.push_back({3600, 7200, PurchaseOption::OnDemand, false});
     r.outcomes.push_back(o);
 
     const MetricsRow m = metricsOf("x", r);

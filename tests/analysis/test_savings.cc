@@ -15,8 +15,8 @@ outcomeWith(Seconds length, double saved, Seconds wait = 0)
     o.submit = 0;
     o.length = length;
     o.cpus = 1;
-    o.start = wait;
-    o.finish = wait + length;
+    o.segments.push_back(
+        {wait, wait + length, PurchaseOption::OnDemand, false});
     o.carbon_nowait_g = saved;
     o.carbon_g = 0.0;
     return o;

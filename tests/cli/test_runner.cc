@@ -6,6 +6,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <utility>
 
 #ifndef _WIN32
 #include <sys/wait.h>
@@ -331,6 +334,53 @@ TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
                 << binary << " " << flags;
         }
     }
+}
+
+TEST(CliRunner, BothDriversExitTwoWhenTheJobLimitOutgrowsMemory)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer runtimes need the address space "
+                    "the cap takes away";
+#else
+    // --jobs at its documented limit parses, but its trace cannot be
+    // allocated under a 1 GiB address-space cap.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_memcap";
+    std::filesystem::create_directories(dir);
+    const std::string capped = "ulimit -v 1048576 && exec ";
+    const std::string out = " --output-dir " + (dir / "out").string();
+    const std::filesystem::path err = dir / "stderr.txt";
+    const std::pair<std::string, std::string> drivers[] = {
+        {"gaia_run", GAIA_RUN_BIN + out},
+        {"gaia_serve",
+         GAIA_SERVE_BIN + out + " --socket " + (dir / "sock").string()},
+    };
+    for (const auto &[name, binary] : drivers) {
+        const std::string command =
+            capped + binary + " --jobs 4294967295 --span-days 0.0001" +
+            " >/dev/null 2>" + err.string();
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << name;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << name;
+
+        // One "<driver>: ..." line on stderr.
+        std::ifstream in(err);
+        std::string line, rest;
+        std::getline(in, line);
+        EXPECT_EQ(line.rfind(name + ": ", 0), 0u) << line;
+        EXPECT_FALSE(std::getline(in, rest)) << rest;
+    }
+
+    // The cap is not what fails: a 2M-job run fits under it.
+    const std::string normal = capped + GAIA_RUN_BIN + out +
+                               " --jobs 2000000 >/dev/null 2>&1";
+    const int status = std::system(normal.c_str());
+    ASSERT_NE(status, -1);
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    std::filesystem::remove_all(dir);
+#endif
 }
 #endif
 

@@ -150,6 +150,56 @@ TEST(SmallVector, MoveCopiesTheInlineBuffer)
     EXPECT_EQ(assigned, filled(1));
 }
 
+TEST(SmallVector, MovedFromSpilledVectorIsInlineAgain)
+{
+    Vec src = filled(5);
+    Vec moved(std::move(src));
+    // The heap pointer lived in the inline buffer; the source now
+    // holds elements there again.
+    EXPECT_TRUE(src.empty()); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(src.capacity(), 2u);
+    EXPECT_TRUE(inlineStorage(src));
+    src.push_back({1, 1});
+    src.push_back({2, 2});
+    EXPECT_TRUE(inlineStorage(src));
+    EXPECT_EQ(src.capacity(), 2u);
+    EXPECT_EQ(src[1], (Pair{2, 2}));
+    EXPECT_EQ(moved, filled(5));
+
+    Vec donor = filled(3);
+    Vec assigned;
+    assigned = std::move(donor);
+    EXPECT_EQ(donor.capacity(), 2u); // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(inlineStorage(donor));
+    donor.push_back({7, 7});
+    EXPECT_TRUE(inlineStorage(donor));
+    EXPECT_EQ(assigned, filled(3));
+}
+
+TEST(SmallVector, ClearKeepsTheHeapBlockButACopyIsInline)
+{
+    Vec v = filled(5);
+    const Pair *block = v.data();
+    v.clear();
+    EXPECT_TRUE(v.empty());
+    EXPECT_EQ(v.capacity(), 8u);
+    EXPECT_EQ(v.data(), block);
+
+    // Refilling reuses the block rather than going back inline.
+    v.push_back({4, 4});
+    EXPECT_EQ(v.data(), block);
+    v.clear();
+
+    const Vec copy(v);
+    EXPECT_TRUE(copy.empty());
+    EXPECT_EQ(copy.capacity(), 2u);
+    EXPECT_TRUE(inlineStorage(copy));
+    Vec assigned = filled(6);
+    assigned = v;
+    EXPECT_EQ(assigned.capacity(), 2u);
+    EXPECT_TRUE(inlineStorage(assigned));
+}
+
 TEST(SmallVector, SelfAssignmentIsANoOp)
 {
     for (int count : {2, 6}) {
@@ -219,12 +269,14 @@ TEST(SmallVector, PushBackOfOwnElementSurvivesGrowth)
 
 TEST(SmallVector, SizeAndCapacityAreThirtyTwoBit)
 {
-    // One pointer plus a 32-bit size and capacity beyond the inline
-    // buffer; size() still speaks std::size_t.
+    // Only a 32-bit size and capacity beyond the inline buffer, which
+    // is at least one pointer wide since it holds the heap pointer
+    // once spilled; size() still speaks std::size_t.
     static_assert(sizeof(SmallVector<std::uint64_t, 2>) ==
-                  2 * sizeof(std::uint64_t) + sizeof(void *) +
-                      2 * sizeof(std::uint32_t));
-    static_assert(sizeof(SmallVector<std::uint64_t, 1>) == 24);
+                  2 * sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t));
+    static_assert(sizeof(SmallVector<std::uint64_t, 1>) == 16);
+    static_assert(sizeof(SmallVector<char, 1>) ==
+                  sizeof(void *) + 2 * sizeof(std::uint32_t));
     static_assert(
         std::is_same_v<decltype(std::declval<Vec>().size()),
                        std::size_t>);

@@ -104,7 +104,7 @@ TEST(ElasticFaults, StormGangRetriesCountEveryInstance)
     // re-attempts revoked at their start (the storm covers it),
     // then the on-demand gang restart finishes in one hour.
     EXPECT_EQ(o.evictions, 3u);
-    EXPECT_EQ(o.finish, strike + hours(1));
+    EXPECT_EQ(o.finish(), strike + hours(1));
     ASSERT_FALSE(o.segments.empty());
     EXPECT_EQ(o.segments.back().width, 3);
     EXPECT_FALSE(o.segments.back().lost);
@@ -142,8 +142,8 @@ TEST(ElasticFaults, DegradedElasticPlansBillInstanceHours)
     // out at the elastic NoWait analogue — start now at full
     // width, so four hours of work finish in one wall hour (and
     // waiting() reports the speedup as negative, as documented).
-    EXPECT_EQ(o.start, 0);
-    EXPECT_EQ(o.finish, hours(1));
+    EXPECT_EQ(o.start(), 0);
+    EXPECT_EQ(o.finish(), hours(1));
     EXPECT_EQ(o.waiting(), hours(1) - hours(4));
     ASSERT_EQ(o.segments.size(), 1u);
     EXPECT_EQ(o.segments[0].width, 4);

@@ -167,9 +167,9 @@ TEST(FaultSim, RetriesBackOffExponentiallyThenDegrade)
     // source still down, so the job degrades and starts at 3h. The
     // stall counts as waiting against the original submit.
     EXPECT_EQ(o.submit, 0);
-    EXPECT_EQ(o.start, hours(3));
+    EXPECT_EQ(o.start(), hours(3));
     EXPECT_EQ(o.waiting(), hours(3));
-    EXPECT_EQ(o.finish, hours(4));
+    EXPECT_EQ(o.finish(), hours(4));
 }
 
 TEST(FaultSim, SchedulerRecoversWhereTheSourceIsUp)
@@ -234,7 +234,7 @@ TEST(FaultSim, StormRevokesBackToBackThenFallsToOnDemand)
     // on-demand restart completes the job.
     EXPECT_EQ(o.evictions, 3u);
     EXPECT_EQ(r.eviction_count, 3u);
-    EXPECT_EQ(o.finish, strike + hours(2));
+    EXPECT_EQ(o.finish(), strike + hours(2));
 }
 
 TEST(FaultSim, StormAtSliceEndDoesNotRevoke)
@@ -270,7 +270,7 @@ TEST(FaultSim, StormAtSliceEndDoesNotRevoke)
             ResourceStrategy::SpotFirst);
     const JobOutcome &o = r.outcomes[0];
     EXPECT_EQ(o.evictions, 0u);
-    EXPECT_EQ(o.finish, 1800);
+    EXPECT_EQ(o.finish(), 1800);
     ASSERT_EQ(o.segments.size(), 1u);
     EXPECT_FALSE(o.segments[0].lost);
 }
@@ -289,7 +289,7 @@ TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
     const SimulationResult slow =
         run(trace, "NoWait", queues, cis, &stretcher);
     EXPECT_EQ(slow.outcomes[0].length, hours(2));
-    EXPECT_EQ(slow.outcomes[0].finish, hours(2));
+    EXPECT_EQ(slow.outcomes[0].finish(), hours(2));
 
     FaultSpec late;
     late.delay_rate = 1.0;
@@ -300,7 +300,7 @@ TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
     // The job reaches the scheduler half an hour late; the stall
     // counts as waiting against the user-visible submit.
     EXPECT_EQ(delayed.outcomes[0].submit, 0);
-    EXPECT_EQ(delayed.outcomes[0].start, minutes(30));
+    EXPECT_EQ(delayed.outcomes[0].start(), minutes(30));
     EXPECT_EQ(delayed.outcomes[0].waiting(), minutes(30));
 }
 

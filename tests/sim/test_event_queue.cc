@@ -138,11 +138,13 @@ TEST(EventQueue, ReserveDoesNotDisturbPendingEvents)
     EventQueue q;
     Recorder sink(q);
     q.schedule(10, SimEvent{0, 1, 0});
-    q.reserve(1024);
+    q.scheduleSequential(20, 0, SimEvent{0, 2, 0});
+    q.reserveSequential(1024);
     q.schedule(5, SimEvent{0, 0, 0});
+    q.scheduleSequential(30, 0, SimEvent{0, 3, 0});
     q.runAll(sink);
     EXPECT_EQ(sink.payloads,
-              (std::vector<std::uint32_t>{0, 1}));
+              (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(EventQueue, SequentialLaneMergesWithHeapInGlobalOrder)

@@ -6,12 +6,15 @@
  * every in-flight cell, so their sizes drive the benchmark's
  * `peak_rss_mb` (bench/perf/README.md, "End-to-end metrics"). Growing
  * any of these records should be a visible decision: raise the budget
- * here in the same change and report the `peak_rss_mb` it costs.
+ * here in the same change and report the `peak_rss_mb` it costs. The
+ * engine's private per-job JobState has its budget as a static_assert
+ * in sim/online.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include "cloud/purchase.h"
+#include "common/small_vector.h"
 #include "core/schedule.h"
 #include "sim/results.h"
 
@@ -25,14 +28,21 @@ TEST(LayoutBudget, PlacedSegmentIsTwentyFourBytes)
     EXPECT_EQ(sizeof(PlacedSegment), 24u);
 }
 
+TEST(LayoutBudget, SegmentListIsTwoInlineSegmentsPlusAWord)
+{
+    // The inline buffer doubles as the heap pointer once spilled, so
+    // the header is just the 32-bit size and capacity.
+    EXPECT_EQ((sizeof(SmallVector<PlacedSegment, 2>)), 56u);
+}
+
 TEST(LayoutBudget, JobOutcomeFitsItsBudget)
 {
-    EXPECT_LE(sizeof(JobOutcome), 152u);
+    EXPECT_LE(sizeof(JobOutcome), 120u);
 }
 
 TEST(LayoutBudget, SchedulePlanFitsItsBudget)
 {
-    EXPECT_LE(sizeof(SchedulePlan), 40u);
+    EXPECT_LE(sizeof(SchedulePlan), 32u);
 }
 
 } // namespace

@@ -16,7 +16,8 @@ namespace {
  * on-demand, reserved and spot segments, a lost spot slice, a width-2
  * segment, a job with more than two segments (so they spill past the
  * inline buffer) and non-zero evictions. Fields are assigned by name,
- * so the fixture does not depend on struct layout.
+ * so the fixture does not depend on struct layout; each job's start,
+ * finish and lost core-seconds follow from its segments.
  */
 SimulationResult
 pinnedResult()
@@ -60,12 +61,9 @@ pinnedResult()
         {10800, 12600, PurchaseOption::OnDemand, false, 2});
     evicted.segments.push_back(
         {14400, 15300, PurchaseOption::Spot, false, 1});
-    evicted.start = 3600;
-    evicted.finish = 15300;
     evicted.carbon_g = 812.4;
     evicted.carbon_nowait_g = 901.7;
     evicted.variable_cost = 0.33;
-    evicted.lost_core_seconds = 3600.0;
     evicted.overhead_core_seconds = 120.0;
     r.outcomes.push_back(evicted);
 
@@ -76,8 +74,6 @@ pinnedResult()
     plain.cpus = 1;
     plain.segments.push_back(
         {7200, 10800, PurchaseOption::OnDemand, false, 1});
-    plain.start = 7200;
-    plain.finish = 10800;
     plain.carbon_g = 250.0;
     plain.carbon_nowait_g = 250.0;
     plain.variable_cost = 0.05;
@@ -86,9 +82,11 @@ pinnedResult()
 }
 
 // Computed before JobOutcome, PlacedSegment and SmallVector were
-// repacked; layout changes must never move it. If a deliberate change
-// to the digest's definition moves it, every pinned fingerprint (the
-// golden tests and the benchmark's fingerprint table) moves with it.
+// repacked, and before JobOutcome stopped storing start, finish and
+// lost core-seconds; layout changes must never move it. If a
+// deliberate change to the digest's definition moves it, every pinned
+// fingerprint (the golden tests and the benchmark's fingerprint
+// table) moves with it.
 constexpr std::uint64_t kPinnedDigest = 0x34d886c4dd72c8bfULL;
 
 TEST(ResultFingerprint, MatchesThePinnedDigest)
@@ -129,16 +127,16 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { r.outcomes[1].length += 1; },
         [](SimulationResult &r) { r.outcomes[1].cpus += 1; },
         [](SimulationResult &r) { r.outcomes[1].evictions += 1; },
-        [](SimulationResult &r) { r.outcomes[1].start += 1; },
-        [](SimulationResult &r) { r.outcomes[1].finish += 1; },
+        // start(), finish() and lostCoreSeconds() are computed from
+        // the segments: move each through one.
+        [](SimulationResult &r) { r.outcomes[1].segments[0].start += 1; },
+        [](SimulationResult &r) { r.outcomes[1].segments[0].end += 1; },
+        [](SimulationResult &r) { r.outcomes[0].segments[0].end += 1; },
         [](SimulationResult &r) { r.outcomes[1].carbon_g += 1.0; },
         [](SimulationResult &r) {
             r.outcomes[1].carbon_nowait_g += 1.0;
         },
         [](SimulationResult &r) { r.outcomes[1].variable_cost += 1.0; },
-        [](SimulationResult &r) {
-            r.outcomes[1].lost_core_seconds += 1.0;
-        },
         [](SimulationResult &r) {
             r.outcomes[1].overhead_core_seconds += 1.0;
         },

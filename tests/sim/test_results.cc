@@ -15,8 +15,6 @@ makeOutcome(Seconds submit, Seconds length, Seconds start, int cpus)
     o.submit = submit;
     o.length = length;
     o.cpus = cpus;
-    o.start = start;
-    o.finish = start + length;
     o.segments.push_back(
         {start, start + length, PurchaseOption::OnDemand, false});
     return o;
@@ -27,6 +25,56 @@ TEST(JobOutcome, TimingDerivations)
     const JobOutcome o = makeOutcome(100, 500, 300, 1);
     EXPECT_EQ(o.completion(), 700);
     EXPECT_EQ(o.waiting(), 200);
+}
+
+TEST(JobOutcome, OneSegmentGivesItsSpan)
+{
+    const JobOutcome o = makeOutcome(100, 500, 300, 2);
+    EXPECT_EQ(o.start(), 300);
+    EXPECT_EQ(o.finish(), 800);
+    EXPECT_EQ(o.lostCoreSeconds(), 0.0);
+}
+
+TEST(JobOutcome, FinishIgnoresLostSlices)
+{
+    // A suspend-resume job on spot: the first slice completes, the
+    // second is evicted after 30 min.
+    JobOutcome o;
+    o.submit = 0;
+    o.length = 2 * 3600;
+    o.cpus = 2;
+    o.evictions = 1;
+    o.segments.push_back({0, 3600, PurchaseOption::Spot, false});
+    o.segments.push_back({7200, 9000, PurchaseOption::Spot, true});
+    EXPECT_EQ(o.start(), 0);
+    EXPECT_EQ(o.finish(), 3600); // not the lost slice's end
+    EXPECT_EQ(o.lostCoreSeconds(), 1800.0 * 2);
+
+    // The restart on on-demand settles the job.
+    o.segments.push_back({9000, 12600, PurchaseOption::OnDemand, false});
+    EXPECT_EQ(o.start(), 0);
+    EXPECT_EQ(o.finish(), 12600);
+    EXPECT_EQ(o.lostCoreSeconds(), 1800.0 * 2);
+    EXPECT_EQ(o.waiting(), 12600 - 2 * 3600);
+}
+
+TEST(JobOutcome, LostGangCountsEveryInstance)
+{
+    // An elastic gang of two 3-core instances, lost after 20 min.
+    JobOutcome o;
+    o.cpus = 3;
+    o.segments.push_back({600, 1800, PurchaseOption::Spot, true, 2});
+    EXPECT_EQ(o.start(), 600);
+    EXPECT_EQ(o.finish(), 0);
+    EXPECT_EQ(o.lostCoreSeconds(), 1200.0 * 3 * 2);
+}
+
+TEST(JobOutcome, NoSegmentsGivesZeros)
+{
+    const JobOutcome o;
+    EXPECT_EQ(o.start(), 0);
+    EXPECT_EQ(o.finish(), 0);
+    EXPECT_EQ(o.lostCoreSeconds(), 0.0);
 }
 
 TEST(JobOutcome, CarbonSaved)

@@ -49,8 +49,8 @@ TEST(Simulator, SingleJobClosedFormAccounting)
     ASSERT_EQ(r.outcomes.size(), 1u);
     const JobOutcome &o = r.outcomes[0];
 
-    EXPECT_EQ(o.start, 0);
-    EXPECT_EQ(o.finish, hours(2));
+    EXPECT_EQ(o.start(), 0);
+    EXPECT_EQ(o.finish(), hours(2));
     EXPECT_EQ(o.waiting(), 0);
     // 2 cores x 5 W = 10 W = 0.01 kW for 2 h at 100 g/kWh -> 2 g.
     EXPECT_NEAR(o.carbon_g, 2.0, 1e-9);
@@ -86,7 +86,7 @@ TEST(Simulator, AllWaitOnDemandStartsAtTheLimit)
     const JobTrace trace("t", {{1, 500, hours(1), 1}});
     const SimulationResult r =
         run(trace, "AllWait-Threshold", queues, cis);
-    EXPECT_EQ(r.outcomes[0].start, 500 + hours(4));
+    EXPECT_EQ(r.outcomes[0].start(), 500 + hours(4));
     EXPECT_EQ(r.outcomes[0].waiting(), hours(4));
 }
 
@@ -139,9 +139,9 @@ TEST(Simulator, ReservedFirstIsWorkConserving)
 
     const JobOutcome &first = r.outcomes[0];
     const JobOutcome &second = r.outcomes[1];
-    EXPECT_EQ(first.start, 0); // immediate despite AllWait's plan
+    EXPECT_EQ(first.start(), 0); // immediate despite AllWait's plan
     EXPECT_EQ(first.segments[0].option, PurchaseOption::Reserved);
-    EXPECT_EQ(second.start, hours(1));
+    EXPECT_EQ(second.start(), hours(1));
     EXPECT_EQ(second.segments[0].option, PurchaseOption::Reserved);
     EXPECT_EQ(second.waiting(), hours(1) - 600);
     EXPECT_DOUBLE_EQ(r.on_demand_core_seconds, 0.0);
@@ -163,7 +163,7 @@ TEST(Simulator, ReservedFirstFallsBackToOnDemandAtPlannedStart)
             ResourceStrategy::ReservedFirst);
 
     const JobOutcome &second = r.outcomes[1];
-    EXPECT_EQ(second.start, hours(1));
+    EXPECT_EQ(second.start(), hours(1));
     EXPECT_EQ(second.segments[0].option, PurchaseOption::OnDemand);
 }
 
@@ -183,12 +183,12 @@ TEST(Simulator, WorkConservationOverridesCarbonWaiting)
     const SimulationResult wc =
         run(trace, "Lowest-Slot", queues, cis, cluster,
             ResourceStrategy::ReservedFirst);
-    EXPECT_EQ(wc.outcomes[0].start, 0);
+    EXPECT_EQ(wc.outcomes[0].start(), 0);
 
     const SimulationResult greedy =
         run(trace, "Lowest-Slot", queues, cis, cluster,
             ResourceStrategy::HybridGreedy);
-    EXPECT_EQ(greedy.outcomes[0].start, hours(5));
+    EXPECT_EQ(greedy.outcomes[0].start(), hours(5));
 }
 
 TEST(Simulator, SuspendResumePlacesEachSegment)
@@ -208,7 +208,7 @@ TEST(Simulator, SuspendResumePlacesEachSegment)
     ASSERT_EQ(o.segments.size(), 2u);
     EXPECT_EQ(o.segments[0].start, hours(1));
     EXPECT_EQ(o.segments[1].start, hours(3));
-    EXPECT_EQ(o.finish, hours(4));
+    EXPECT_EQ(o.finish(), hours(4));
     EXPECT_EQ(o.waiting(), hours(2));
     // Carbon: 0.005 kW x (10 + 20) g/kWh x 1 h each.
     EXPECT_NEAR(o.carbon_g, 0.005 * 30.0, 1e-9);
@@ -287,8 +287,8 @@ TEST(Simulator, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.carbon_kg, b.carbon_kg);
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-        EXPECT_EQ(a.outcomes[i].start, b.outcomes[i].start);
-        EXPECT_EQ(a.outcomes[i].finish, b.outcomes[i].finish);
+        EXPECT_EQ(a.outcomes[i].start(), b.outcomes[i].start());
+        EXPECT_EQ(a.outcomes[i].finish(), b.outcomes[i].finish());
     }
 }
 

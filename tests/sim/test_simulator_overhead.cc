@@ -52,8 +52,8 @@ TEST(SimulatorOverhead, OnDemandSegmentChargedOnce)
     EXPECT_NEAR(with.carbon_kg - r.carbon_kg,
                 0.01 * (5.0 / 60.0) * 100.0 / 1000.0, 1e-9);
     // Timing is unchanged — overhead is not useful work.
-    EXPECT_EQ(with.outcomes[0].start, r.outcomes[0].start);
-    EXPECT_EQ(with.outcomes[0].finish, r.outcomes[0].finish);
+    EXPECT_EQ(with.outcomes[0].start(), r.outcomes[0].start());
+    EXPECT_EQ(with.outcomes[0].finish(), r.outcomes[0].finish());
 }
 
 TEST(SimulatorOverhead, ReservedSegmentsAreExempt)

@@ -80,14 +80,14 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         }
         EXPECT_EQ(useful, o.length);
         EXPECT_GE(o.waiting(), 0);
-        EXPECT_GE(o.start, o.submit);
+        EXPECT_GE(o.start(), o.submit);
 
         // Execution begins within the queue's waiting bound for
         // every non-suspend-resume policy (suspend-resume plans
         // bound total waiting instead; evictions may extend
         // completions but never the first start).
         const QueueSpec &queue = queues.queueFor(o.length);
-        EXPECT_LE(o.start, o.submit + queue.max_wait)
+        EXPECT_LE(o.start(), o.submit + queue.max_wait)
             << "job " << o.id;
 
         variable += o.variable_cost;

@@ -112,10 +112,10 @@ TEST(SimulatorSpot, CertainEvictionRestartsOnDemand)
         EXPECT_EQ(o.segments[0].option, PurchaseOption::Spot);
         EXPECT_TRUE(o.segments[0].lost);
         EXPECT_LT(o.segments[0].duration(), kSecondsPerHour);
-        EXPECT_GT(o.lost_core_seconds, 0.0);
+        EXPECT_GT(o.lostCoreSeconds(), 0.0);
     }
     // Completion = eviction offset + a fresh full run.
-    EXPECT_EQ(o.finish - o.start - o.lost_core_seconds, hours(2));
+    EXPECT_EQ(o.finish() - o.start() - o.lostCoreSeconds(), hours(2));
     EXPECT_GE(o.waiting(), 0);
 }
 
@@ -173,7 +173,7 @@ TEST(SimulatorSpot, SpotReservedRoutesLongJobsWorkConserving)
     // Long job grabs the reserved core immediately.
     EXPECT_EQ(r.outcomes[0].segments[0].option,
               PurchaseOption::Reserved);
-    EXPECT_EQ(r.outcomes[0].start, 0);
+    EXPECT_EQ(r.outcomes[0].start(), 0);
     // Short job goes to spot at its planned start.
     EXPECT_EQ(r.outcomes[1].segments[0].option,
               PurchaseOption::Spot);
