@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/logging.h"
 #include "core/plan_cache.h"
@@ -24,9 +25,10 @@ checkContext(const Job &job, const PlanContext &ctx)
 
 /**
  * Sentinel BoundaryKey length for the per-slot intensity table.
- * Real keys use a positive window length (J_avg or an exact job
- * length), so a negative length can never collide with them in the
- * cache's per-length slot tables.
+ * Real keys use a positive window length (J_avg), so a negative
+ * length can never collide with them in the cache's per-length slot
+ * tables. The key starts at the slot after arrival: the arrival
+ * slot reads measured truth, which the table must not hold.
  */
 constexpr Seconds kSlotIntensityKey = -1;
 
@@ -70,24 +72,26 @@ makeElasticWindow(const Job &job, const PlanContext &ctx)
     }
 
     // Slot intensities: one forecastAtSlot() each. The first slot is
-    // measured truth (constant within the slot), later slots are
-    // per-slot forecasts, so the vector is shared by every arrival
-    // in the slot and may be replayed from the PlanCache whenever
-    // the source is slot-invariant — with values bitwise identical
-    // to the direct calls by construction.
+    // measured truth, read directly; later slots are per-slot
+    // forecasts, the same for every arrival in an earlier slot, so
+    // they may be read from the PlanCache's slot table whenever the
+    // source is slot-invariant — with values bitwise identical to
+    // the direct calls by construction.
     const CarbonInfoSource &cis = *ctx.cis;
     if (ctx.cache != nullptr && cis.slotInvariantForecasts() &&
-        !window.slots.empty()) {
+        window.slots.size() > 1) {
+        window.slots.front().ci =
+            cis.forecastAtSlot(now, window.slots.front().index);
         const PlanCache::BoundaryKey key{
-            slotStart(window.slots.front().index),
-            static_cast<std::int64_t>(window.slots.size()),
+            slotStart(window.slots[1].index),
+            static_cast<std::int64_t>(window.slots.size() - 1),
             kSlotIntensityKey};
-        const std::vector<double> &intensities =
+        const std::span<const double> intensities =
             ctx.cache->startIntegrals(key, [&](Seconds b) {
                 return cis.forecastAtSlot(now, slotOf(b));
             });
-        for (std::size_t i = 0; i < window.slots.size(); ++i)
-            window.slots[i].ci = intensities[i];
+        for (std::size_t i = 1; i < window.slots.size(); ++i)
+            window.slots[i].ci = intensities[i - 1];
     } else {
         for (ElasticWindow::Slot &slot : window.slots)
             slot.ci = cis.forecastAtSlot(now, slot.index);

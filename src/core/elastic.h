@@ -91,8 +91,9 @@ struct ElasticWindow
 /**
  * Build the planning window for `job` at ctx.now. Slot intensities
  * come from one forecastAtSlot() call each; when the CIS is
- * slot-invariant and a PlanCache is present they are replayed from
- * the cache's per-slot table (bitwise identical by construction).
+ * slot-invariant and a PlanCache is present, those after the arrival
+ * slot are read from the cache's per-slot table (bitwise identical
+ * by construction).
  */
 ElasticWindow makeElasticWindow(const Job &job,
                                 const PlanContext &ctx);

@@ -1,7 +1,7 @@
 #include "core/plan_cache.h"
 
 #include <atomic>
-#include <ostream>
+#include <utility>
 
 #include "common/obs.h"
 
@@ -21,23 +21,22 @@ obs::Histogram &h_fill =
 
 } // namespace
 
+PlanCache::PlanCache(PlanCache &&other)
+    : slot_tables_(std::move(other.slot_tables_)),
+      hits_(std::exchange(other.hits_, 0)),
+      misses_(std::exchange(other.misses_, 0)),
+      fill_seconds_(std::exchange(other.fill_seconds_, 0.0))
+{
+}
+
 PlanCache::~PlanCache()
 {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    double fill = 0.0;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        hits = hits_;
-        misses = misses_;
-        fill = fill_seconds_;
-    }
-    if (hits > 0)
-        c_hits.add(hits);
-    if (misses > 0)
-        c_misses.add(misses);
-    if (fill > 0.0)
-        h_fill.observe(fill);
+    if (hits_ > 0)
+        c_hits.add(hits_);
+    if (misses_ > 0)
+        c_misses.add(misses_);
+    if (fill_seconds_ > 0.0)
+        h_fill.observe(fill_seconds_);
 }
 
 void
@@ -50,41 +49,6 @@ bool
 planMemoizationEnabled()
 {
     return memoization_enabled.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-PlanCache::hits() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-PlanCache::misses() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-void
-PlanCache::printSummary(std::ostream &out) const
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        hits = hits_;
-        misses = misses_;
-    }
-    const std::uint64_t lookups = hits + misses;
-    out << "plan cache: " << lookups << " lookups, " << hits
-        << " hits, " << misses << " misses";
-    if (lookups > 0) {
-        out << " (" << (100.0 * static_cast<double>(hits) /
-                        static_cast<double>(lookups))
-            << "% hit rate)";
-    }
-    out << "\n";
 }
 
 } // namespace gaia

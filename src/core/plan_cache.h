@@ -1,7 +1,7 @@
 /**
  * @file
- * Memoization of deterministic policies' slot-invariant planning
- * sub-computations.
+ * Memoization of the start-time policies' slot-invariant boundary
+ * work.
  *
  * Arrivals are uniform *within* an hour (workload/generators.cc), so
  * whole plans cannot be keyed by arrival slot — a job arriving at
@@ -12,43 +12,42 @@
  * slotOf(now), where the CIS answers are independent of the exact
  * `now` (the measured-truth branch of forecastAtSlot only fires for
  * slots at or before slotOf(now); oracle noise is a pure per-slot
- * hash). The boundary set itself depends only on (slotOf(now),
- * max_wait), so per arrival slot and queue the boundary work — the
- * dominant cost, one forecast integral per candidate — collapses to
- * one computation reused by every job in that slot.
+ * hash). The dominant cost, one forecast integral per candidate,
+ * therefore need not be paid again by every job in a slot.
  *
- * Cached per policy family:
- *  - Lowest-Window: the first boundary attaining the minimum
- *    integral over [b, b+J_avg) (strict-< scan ≡ first occurrence of
- *    the min), plus that minimum. The per-job decision reduces to
- *    one comparison against the job's own I(now, now+J_avg).
- *  - Carbon-Time: the vector of boundary integrals; the CST ratio
- *    depends on the exact `now`, so the per-job loop replays the
- *    identical arithmetic over cached integrals.
- *  - Lowest-Slot: the argmin slot of the waiting window (the first
- *    scanned slot is slotOf(now) itself, whose measured-truth value
- *    is the same for every arrival in the slot).
+ * The cache is one slot table per window length: entry b holds
+ * `compute_slot(b)` for the hourly boundary b — the forecast
+ * integral over [b, b+length) for the start-time policies, or a
+ * one-slot intensity for Carbon-Scaler's sentinel length. Boundary
+ * keys from consecutive arrival slots overlap in all but one slot,
+ * and the table computes each slot once per simulation, so fill work
+ * is linear in the trace length rather than trace x window. A lookup
+ * is a view of the key's candidates, read in place:
+ *  - Carbon-Time replays its CST loop over it (the ratio divides by
+ *    the exact `s - now`, so only the integrals are shareable).
+ *  - Lowest-Window takes its first-occurrence minimum (strict <) and
+ *    compares that with the job's own start-now integral.
+ *  - Carbon-Scaler reads its window's slot intensities after the
+ *    arrival slot.
  *
- * Boundary keys from consecutive arrival slots cover candidate sets
- * that overlap in all but one slot, so filling each key's miss by
- * scanning its candidates would still recompute every slot integral
- * ~count times per simulation. Misses instead draw from a per-length
- * slot table (slot boundary -> integral over [b, b+length)) that
- * computes each slot's integral exactly once, making total miss work
- * linear in the trace length rather than trace x window.
+ * Two preconditions make a table entry the same for every reader:
+ *  - A key spans only slots strictly after its caller's arrival
+ *    slot. The arrival slot itself reads measured truth, which a
+ *    later arrival would see as a forecast.
+ *  - Lookups arrive in time order, as they do within one simulation.
+ *    A table extends from its current end, so a key may also fill
+ *    slots before its first candidate; those entries may sit at or
+ *    before the filler's arrival slot, and only a reader from an
+ *    earlier slot could see them.
  *
- * Replayed values are bitwise identical to direct evaluation by
+ * Replayed values are then bitwise identical to direct evaluation by
  * construction — same functions, same arguments (up to a `now` the
  * result provably does not depend on) — which the golden CSV tests
  * pin end to end. Policies bypass the cache whenever the invariants
- * do not hold: sub-hourly candidate granularity, or a model-backed
- * forecaster whose predictions depend on the query instant.
+ * do not hold: sub-hourly candidate granularity, or a source whose
+ * forecasts depend on the query instant (slotInvariantForecasts()).
  *
- * Thread-safe: one instance serves one single-threaded simulation,
- * but lookups are mutex-guarded so the cache can also be shared or
- * hammered concurrently (see tests/core/test_plan_cache.cc). Values
- * live in node-stable maps and are immutable after insertion, so
- * returned references survive later inserts.
+ * One instance serves one single-threaded simulation.
  */
 
 #ifndef GAIA_CORE_PLAN_CACHE_H
@@ -57,10 +56,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
+#include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/obs.h"
@@ -75,7 +72,7 @@ namespace gaia {
 void setPlanMemoization(bool enabled);
 bool planMemoizationEnabled();
 
-/** Per-simulation cache of slot-invariant planning results. */
+/** Per-simulation slot tables of slot-invariant planning values. */
 class PlanCache
 {
   public:
@@ -83,32 +80,21 @@ class PlanCache
      * Identifies one boundary-candidate computation: the first
      * hourly boundary candidate, the candidate count, and the
      * window length the integrals span. (first, count) encode the
-     * arrival slot and the queue's max-wait; `length` is J_avg —
-     * or the exact job length for the oracle variant.
+     * arrival slot and the queue's max-wait; `length` is J_avg, or
+     * a negative sentinel for a table of one-slot values.
      */
     struct BoundaryKey
     {
         Seconds first = 0;
         std::int64_t count = 0;
         Seconds length = 0;
-
-        bool operator==(const BoundaryKey &o) const
-        {
-            return first == o.first && count == o.count &&
-                   length == o.length;
-        }
-    };
-
-    /** Lowest-Window's cached winner among boundary candidates. */
-    struct WindowBest
-    {
-        Seconds start = 0;
-        double integral = 0.0;
     };
 
     PlanCache() = default;
-    PlanCache(const PlanCache &) = delete;
-    PlanCache &operator=(const PlanCache &) = delete;
+    /** Takes over the tables and counters; `other` is left empty,
+     *  so only one of the two flushes the counters. */
+    PlanCache(PlanCache &&other);
+    PlanCache &operator=(PlanCache &&) = delete;
 
     /**
      * Flushes this instance's totals into the process-wide metrics
@@ -119,158 +105,33 @@ class PlanCache
     ~PlanCache();
 
     /**
-     * The first boundary candidate minimizing the forecast integral
-     * (and that integral). `compute_slot(Seconds b) -> double` is
-     * the integral over [b, b+length) for one slot-aligned boundary;
-     * the strict-< scan over candidates (first occurrence of the
-     * min) happens here, over the shared slot table. Requires
-     * key.count > 0.
+     * A view of the values at the key's boundary candidates
+     * b_k = key.first + k·3600 for k < key.count (which must be
+     * positive); the value at b is `compute_slot(Seconds b) ->
+     * double`. The length's slot table is extended (one compute_slot
+     * call per new slot) to cover the key; the view stays valid
+     * until the next lookup.
      */
     template <typename ComputeSlot>
-    WindowBest windowBest(const BoundaryKey &key,
-                          ComputeSlot &&compute_slot)
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        auto it = window_best_.find(key);
-        if (it != window_best_.end()) {
-            ++hits_;
-            return it->second;
-        }
-        ++misses_;
-        const double *integrals = tableFor(key, compute_slot);
-        WindowBest best{key.first, integrals[0]};
-        for (std::int64_t k = 1; k < key.count; ++k) {
-            if (integrals[k] < best.integral) {
-                best.integral = integrals[k];
-                best.start = key.first + k * kSecondsPerHour;
-            }
-        }
-        window_best_.emplace(key, best);
-        return best;
-    }
-
-    /**
-     * The forecast integrals over [b_k, b_k + length) for each
-     * boundary candidate, filled from the shared slot table via
-     * `compute_slot(Seconds b) -> double`. The reference stays
-     * valid for the cache's lifetime.
-     */
-    template <typename ComputeSlot>
-    const std::vector<double> &
-    startIntegrals(const BoundaryKey &key,
-                   ComputeSlot &&compute_slot)
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        auto it = start_integrals_.find(key);
-        if (it != start_integrals_.end()) {
-            ++hits_;
-            return it->second;
-        }
-        ++misses_;
-        const double *integrals = tableFor(key, compute_slot);
-        return start_integrals_
-            .emplace(key, std::vector<double>(
-                              integrals, integrals + key.count))
-            .first->second;
-    }
-
-    /**
-     * The waiting window's minimum-intensity slot for the inclusive
-     * slot range [from_slot, last_slot], via
-     * `compute() -> SlotIndex`.
-     */
-    template <typename Compute>
-    SlotIndex minSlot(SlotIndex from_slot, SlotIndex last_slot,
-                      Compute &&compute)
-    {
-        return lookup(min_slot_,
-                      std::pair<SlotIndex, SlotIndex>(from_slot,
-                                                      last_slot),
-                      std::forward<Compute>(compute));
-    }
-
-    /** Lookups served from the cache. */
-    std::uint64_t hits() const;
-    /** Lookups that ran the underlying computation. */
-    std::uint64_t misses() const;
-
-    /** One-line hit/miss report; safe with zero lookups. */
-    void printSummary(std::ostream &out) const;
-
-  private:
-    struct KeyHash
-    {
-        static std::uint64_t mix(std::uint64_t h, std::uint64_t v)
-        {
-            h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-            return h;
-        }
-
-        std::size_t operator()(const BoundaryKey &k) const
-        {
-            std::uint64_t h =
-                mix(0, static_cast<std::uint64_t>(k.first));
-            h = mix(h, static_cast<std::uint64_t>(k.count));
-            h = mix(h, static_cast<std::uint64_t>(k.length));
-            return static_cast<std::size_t>(h);
-        }
-
-        std::size_t
-        operator()(const std::pair<SlotIndex, SlotIndex> &k) const
-        {
-            return static_cast<std::size_t>(
-                mix(mix(0, static_cast<std::uint64_t>(k.first)),
-                    static_cast<std::uint64_t>(k.second)));
-        }
-    };
-
-    template <typename Map, typename Key, typename Compute>
-    typename Map::mapped_type lookup(Map &map, const Key &key,
-                                     Compute &&compute)
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        auto it = map.find(key);
-        if (it != map.end()) {
-            ++hits_;
-            return it->second;
-        }
-        ++misses_;
-        return map.emplace(key, compute()).first->second;
-    }
-
-    /**
-     * Pointer to the key's first candidate inside the per-length
-     * slot table, extending the table (one compute_slot call per
-     * new slot) to cover the key's range. Candidates are
-     * slot-aligned, so slot index = boundary / 3600. Must be called
-     * with mutex_ held; the pointer is invalidated by the next
-     * extension, so callers copy what they need before unlocking.
-     *
-     * Extension fills from the current table end, which on the very
-     * first key also covers slots before its first candidate. Those
-     * gap entries may fall at or before the filling job's arrival
-     * slot — where the CIS answer is not slot-invariant under
-     * oracle noise — but no key can ever read them: a key only
-     * spans slots strictly after its own job's arrival slot, and
-     * arrivals are processed in time order, so later readers sit at
-     * later slots than the filler.
-     */
-    template <typename ComputeSlot>
-    const double *tableFor(const BoundaryKey &key,
-                           ComputeSlot &&compute_slot)
+    std::span<const double> startIntegrals(const BoundaryKey &key,
+                                           ComputeSlot &&compute_slot)
     {
         std::vector<double> &table = slot_tables_[key.length];
         const auto base =
-            static_cast<std::int64_t>(key.first / kSecondsPerHour);
-        const std::int64_t end = base + key.count;
-        if (static_cast<std::int64_t>(table.size()) < end) {
+            static_cast<std::size_t>(key.first / kSecondsPerHour);
+        const std::size_t end =
+            base + static_cast<std::size_t>(key.count);
+        if (table.size() >= end) {
+            ++hits_;
+        } else {
+            ++misses_;
             // Fill timing is clock-heavy relative to the fill loop,
             // so it only runs when a metrics/trace sink asked for it.
             const bool timed = obs::detailedTimingEnabled();
             const auto fill_start =
                 timed ? std::chrono::steady_clock::now()
                       : std::chrono::steady_clock::time_point{};
-            while (static_cast<std::int64_t>(table.size()) < end) {
+            while (table.size() < end) {
                 const Seconds b =
                     static_cast<Seconds>(table.size()) *
                     kSecondsPerHour;
@@ -283,22 +144,21 @@ class PlanCache
                         fill_start)
                         .count();
         }
-        return table.data() + base;
+        return {table.data() + base,
+                static_cast<std::size_t>(key.count)};
     }
 
-    mutable std::mutex mutex_;
-    std::unordered_map<BoundaryKey, WindowBest, KeyHash>
-        window_best_;
-    std::unordered_map<BoundaryKey, std::vector<double>, KeyHash>
-        start_integrals_;
-    /** length -> integral over [b, b+length) per slot boundary b. */
+    /** Lookups whose key the tables already covered. */
+    std::uint64_t hits() const { return hits_; }
+    /** Lookups that had to extend a slot table. */
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    /** length -> value per slot boundary b (see startIntegrals). */
     std::unordered_map<Seconds, std::vector<double>> slot_tables_;
-    std::unordered_map<std::pair<SlotIndex, SlotIndex>, SlotIndex,
-                       KeyHash>
-        min_slot_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    /** Total miss-fill wall time; accumulated only while
+    /** Total fill wall time; accumulated only while
      *  obs::detailedTimingEnabled(). */
     double fill_seconds_ = 0.0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "common/logging.h"
 #include "core/plan_cache.h"
@@ -178,19 +179,8 @@ LowestSlotPolicy::plan(const Job &job, const PlanContext &ctx) const
 {
     checkContext(job, ctx);
     const Seconds now = ctx.now;
-    const Seconds window_end = now + ctx.queue->max_wait + 1;
-    const auto compute = [&] {
-        return ctx.cis->forecastMinSlot(now, now, window_end);
-    };
-    // The scanned slot range [slotOf(now), slotOf(now + W)] and the
-    // answer are shared by every arrival in the slot: the first
-    // slot's value is measured truth either way, the rest are
-    // per-slot forecasts.
-    const SlotIndex best =
-        memoizable(ctx, 0)
-            ? ctx.cache->minSlot(slotOf(now),
-                                 slotOf(window_end - 1), compute)
-            : compute();
+    const SlotIndex best = ctx.cis->forecastMinSlot(
+        now, now, now + ctx.queue->max_wait + 1);
     const Seconds start = std::max(now, slotStart(best));
     return SchedulePlan(start, job.length);
 }
@@ -213,12 +203,12 @@ LowestWindowPolicy::plan(const Job &job, const PlanContext &ctx) const
 
     // Memoized path: the boundary candidates' integrals are
     // independent of the exact arrival instant (their windows lie
-    // strictly after slotOf(now)), so the best boundary is cached
-    // per (first boundary, count, J_avg). The strict-< scan picks
-    // the first occurrence of the minimum, so comparing that cached
-    // winner against this job's start-now integral reproduces the
-    // full scan bit for bit. The oracle variant keys on per-job
-    // exact lengths and would mostly miss, so it stays direct.
+    // strictly after slotOf(now)), so they are read from the shared
+    // slot table. The strict-< scan picks the first occurrence of
+    // the minimum, so comparing that boundary against this job's
+    // start-now integral reproduces the full scan bit for bit. The
+    // oracle variant keys on per-job exact lengths, each with its
+    // own table, so it stays direct.
     if (memoizable(ctx, granularity_) && !use_exact_length_) {
         const PlanCache::BoundaryKey key =
             boundaryKey(now, ctx.queue->max_wait, j_avg);
@@ -226,13 +216,16 @@ LowestWindowPolicy::plan(const Job &job, const PlanContext &ctx) const
             cis.forecastIntegrate(now, now, now + j_avg);
         Seconds best_start = now;
         if (key.count > 0) {
-            const PlanCache::WindowBest best =
-                ctx.cache->windowBest(key, [&](Seconds s) {
+            const std::span<const double> integrals =
+                ctx.cache->startIntegrals(key, [&](Seconds s) {
                     return cis.forecastIntegrate(now, s,
                                                  s + j_avg);
                 });
-            if (best.integral < now_integral)
-                best_start = best.start;
+            const auto best =
+                std::min_element(integrals.begin(), integrals.end());
+            if (*best < now_integral)
+                best_start = key.first + (best - integrals.begin()) *
+                                             kSecondsPerHour;
         }
         return SchedulePlan(best_start, job.length);
     }
@@ -272,14 +265,14 @@ CarbonTimePolicy::plan(const Job &job, const PlanContext &ctx) const
     // Memoized path: only the boundary integrals are shareable —
     // the CST ratio divides by (s − now) + J_avg, which depends on
     // the exact arrival instant — so the per-job selection loop
-    // replays the original arithmetic over cached integrals.
+    // replays the original arithmetic over the slot table.
     if (memoizable(ctx, granularity_)) {
         const PlanCache::BoundaryKey key =
             boundaryKey(now, ctx.queue->max_wait, j_avg);
         Seconds best_start = now;
         double best_cst = 0.0;
         if (key.count > 0) {
-            const std::vector<double> &integrals =
+            const std::span<const double> integrals =
                 ctx.cache->startIntegrals(key, [&](Seconds s) {
                     return cis.forecastIntegrate(now, s,
                                                  s + j_avg);

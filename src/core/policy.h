@@ -42,9 +42,11 @@ struct PlanContext
     /** The job's queue (provides W, J^max, J_avg). */
     const QueueSpec *queue = nullptr;
     /**
-     * Optional memoization of slot-invariant planning work (see
-     * core/plan_cache.h); null disables it. Policies must produce
-     * bitwise-identical plans with and without it.
+     * Optional slot tables of slot-invariant planning values (see
+     * core/plan_cache.h); null disables them. Policies must produce
+     * bitwise-identical plans with and without it, so their keys
+     * span only slots after slotOf(now), and one cache only serves
+     * plans made in time order.
      */
     PlanCache *cache = nullptr;
 };

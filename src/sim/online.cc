@@ -291,8 +291,7 @@ OnlineScheduler::onArrival(std::size_t idx)
         ctx.now = job.submit;
         ctx.cis = &cis_;
         ctx.queue = &queue;
-        ctx.cache =
-            planMemoizationEnabled() ? plan_cache_.get() : nullptr;
+        ctx.cache = planMemoizationEnabled() ? &plan_cache_ : nullptr;
         {
             const obs::Span span("policy.plan");
             state.plan = policy_.plan(job, ctx);

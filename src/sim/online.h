@@ -42,7 +42,6 @@
 #define GAIA_SIM_ONLINE_H
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -186,7 +185,7 @@ class OnlineScheduler : public ISchedulerProtocol,
     int reservedCoresInUse() const { return pool_.inUse(); }
 
     /** This run's plan memoization counters (see core/plan_cache.h). */
-    const PlanCache &planCache() const { return *plan_cache_; }
+    const PlanCache &planCache() const { return plan_cache_; }
 
     /**
      * Close the books and return the result. The scheduler must be
@@ -283,11 +282,9 @@ class OnlineScheduler : public ISchedulerProtocol,
     const FaultInjector *faults_ = nullptr;
 
     EventQueue events_;
-    /** Behind a pointer so the scheduler stays movable (the cache
-     *  holds a mutex); one cache per simulation, plans within a run
-     *  share slot-invariant boundary work. */
-    std::unique_ptr<PlanCache> plan_cache_ =
-        std::make_unique<PlanCache>();
+    /** One cache per simulation; plans within a run share
+     *  slot-invariant boundary work. */
+    PlanCache plan_cache_;
     ReservedPool pool_;
     EvictionModel eviction_;
     Rng rng_;
