@@ -79,7 +79,7 @@ meanEnergyPrice(const SimulationResult &result,
 {
     double weighted = 0.0, core_seconds = 0.0;
     for (const JobOutcome &o : result.outcomes) {
-        for (const PlacedSegment &seg : o.segments) {
+        for (const PlacedSegment &seg : result.placements(o)) {
             for (Seconds t = seg.start; t < seg.end;
                  t += kSecondsPerHour) {
                 const Seconds step =

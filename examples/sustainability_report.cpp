@@ -36,7 +36,8 @@ bookOf(const SimulationResult &result)
 {
     MonthlyBook book;
     for (const JobOutcome &o : result.outcomes) {
-        const auto m = static_cast<std::size_t>(monthOf(o.start()));
+        const auto m =
+            static_cast<std::size_t>(monthOf(result.start(o)));
         book.carbon_g[m] += o.carbon_g;
         book.cost[m] += o.variable_cost;
         book.jobs[m] += 1;

@@ -409,7 +409,7 @@ realizeScenario(const ScenarioSpec &spec, AssetCache &cache)
 
 Result<SimulationResult>
 runScenario(const ScenarioSpec &spec, AssetCache &cache,
-            std::vector<JobOutcome> storage)
+            SimulationResult storage)
 {
     GAIA_TRY_ASSIGN(const RealizedScenario realized,
                     realizeScenario(spec, cache));

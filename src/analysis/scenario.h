@@ -308,12 +308,13 @@ Result<RealizedScenario> realizeScenario(const ScenarioSpec &spec,
  * Run one scenario end to end: realizeScenario() + the checked
  * batch simulator. Every "run a scenario" surface (SweepEngine
  * cells, gaia_run, scenario-driven benches) funnels through here.
- * `storage` is recycled as the outcome column (see simulateChecked);
- * SweepEngine hands each cell its previous outcomes this way.
+ * `storage`'s outcome and segment columns are recycled as the
+ * result's (see simulateChecked); SweepEngine hands each cell its
+ * previous result this way.
  */
 Result<SimulationResult>
 runScenario(const ScenarioSpec &spec, AssetCache &cache,
-            std::vector<JobOutcome> storage = {});
+            SimulationResult storage = {});
 
 /** Convenience overload with a private single-use cache, for
  *  one-off callers with no sweep to share assets with. */

@@ -71,8 +71,7 @@ SweepEngine::spec(std::size_t index) const
 }
 
 void
-SweepEngine::runCell(std::size_t index,
-                     std::vector<JobOutcome> storage)
+SweepEngine::runCell(std::size_t index, SimulationResult storage)
 {
     const obs::Span span("sweep.cell", specs_[index].label);
     if (obs::detailedTimingEnabled()) {
@@ -100,15 +99,16 @@ SweepEngine::run()
 {
     const obs::Span span("sweep.run");
     const auto begin = std::chrono::steady_clock::now();
-    // Take back every OK cell's outcome column so its rerun refills
-    // it in place. Freed columns would be allocated again on
-    // whichever worker runs each cell next, and glibc's per-thread
-    // arenas would then hold ever more free-but-resident memory,
-    // pass after pass. Slots stay nullopt until their cell has run.
-    std::vector<std::vector<JobOutcome>> storage(specs_.size());
+    // Take back every OK cell's result so its rerun refills the
+    // outcome and segment columns in place. Freed columns would be
+    // allocated again on whichever worker runs each cell next, and
+    // glibc's per-thread arenas would then hold ever more
+    // free-but-resident memory, pass after pass. Slots stay nullopt
+    // until their cell has run.
+    std::vector<SimulationResult> storage(specs_.size());
     for (std::size_t i = 0; i < results_.size(); ++i) {
         if (results_[i].has_value() && results_[i]->isOk())
-            storage[i] = std::move((*results_[i])->outcomes);
+            storage[i] = std::move(*results_[i]).value();
     }
     results_.assign(specs_.size(), std::nullopt);
     const auto run_cell = [&](std::size_t index) {

@@ -25,12 +25,12 @@
  * parallelism is internal: run() distributes cells over the
  * executor's workers, each writing only its own result slot, and
  * the engine owns every spec and result it hands out references to.
- * run() recycles each cell's outcome storage: it takes the previous
- * run's `outcomes` column back from every OK cell and the cell's
- * rerun refills it in place, so a rerun allocates no new columns.
- * A Result<SimulationResult> reference, and any pointer into its
- * outcomes, is therefore invalidated by run() as well as by the
- * engine's destruction.
+ * run() recycles each cell's result: it takes the previous run's
+ * whole SimulationResult back from every OK cell and the cell's
+ * rerun refills its `outcomes` and `segments` columns in place, so
+ * a rerun allocates no new columns. A Result<SimulationResult>
+ * reference, and any pointer into its columns, is therefore
+ * invalidated by run() as well as by the engine's destruction.
  */
 
 #ifndef GAIA_ANALYSIS_SWEEP_H
@@ -90,9 +90,9 @@ class SweepEngine
 
     /**
      * Run every queued cell; assets stay cached and each cell's
-     * previous outcome column is refilled in place. Safe to call
-     * again after adding more cells. Invalidates every reference
-     * result() handed out.
+     * previous outcome and segment columns are refilled in place.
+     * Safe to call again after adding more cells. Invalidates every
+     * reference result() handed out.
      */
     void run();
 
@@ -126,8 +126,8 @@ class SweepEngine
         std::size_t count = 0;
     };
 
-    /** Run cell `index`, recycling `storage` as its outcome column. */
-    void runCell(std::size_t index, std::vector<JobOutcome> storage);
+    /** Run cell `index`, recycling `storage`'s columns as its own. */
+    void runCell(std::size_t index, SimulationResult storage);
 
     unsigned threads_ = 0;
     double last_run_seconds_ = 0.0;

@@ -163,12 +163,13 @@ writeRunArtifacts(const SimulationResult &result,
             details.writeRow(
                 {std::to_string(o.id), std::to_string(o.submit),
                  std::to_string(o.length), std::to_string(o.cpus),
-                 std::to_string(o.start()), std::to_string(o.finish()),
-                 std::to_string(o.waiting()), fmt(o.carbon_g, 6),
+                 std::to_string(result.start(o)),
+                 std::to_string(result.finish(o)),
+                 std::to_string(result.waiting(o)), fmt(o.carbon_g, 6),
                  fmt(o.carbon_nowait_g, 6),
                  fmt(o.variable_cost, 6),
                  std::to_string(o.evictions),
-                 fmt(o.lostCoreSeconds(), 1)});
+                 fmt(result.lostCoreSeconds(o), 1)});
         }
     }
 

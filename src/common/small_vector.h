@@ -2,15 +2,16 @@
  * @file
  * Small-buffer vector for trivially copyable hot-path records.
  *
- * Simulation state keeps one tiny array per job (a plan's run
- * segments, an outcome's placed segments) that holds a single
- * element in the overwhelmingly common case — start-time policies
- * emit one segment, and an uninterrupted job executes in one piece.
- * std::vector pays a heap allocation for each, which was a
- * measurable share of the per-job floor in the sweep benches.
- * SmallVector stores up to N elements inline and only touches the
- * heap when a suspend-resume plan or an evicted job spills past
- * that.
+ * Each in-flight job's plan keeps one tiny array, its run segments,
+ * that holds a single element in the overwhelmingly common case —
+ * start-time policies emit one segment. std::vector pays a heap
+ * allocation for each, which was a measurable share of the per-job
+ * floor in the sweep benches. SmallVector stores up to N elements
+ * inline and only touches the heap when a suspend-resume plan spills
+ * past that. (Placed segments, which a sweep holds for every job of
+ * every cell, do not use it: they live in one column per
+ * SimulationResult, so an outcome pays neither inline slots its job
+ * may not fill nor a heap block per spilled job.)
  *
  * Restricted to trivially copyable element types so growth and
  * copies are memcpy and the move constructor can steal or copy
@@ -24,10 +25,10 @@
  * size and a 32-bit capacity. Once the vector spills, the inline
  * buffer holds the heap pointer instead of elements, so the vector
  * is on the heap exactly when capacity > N and needs no data
- * pointer of its own. These vectors live inside every job's plan
- * and outcome, where each header byte is paid per job per sweep
- * cell; a per-job array never nears 2^32 elements, and grow()
- * asserts that it does not.
+ * pointer of its own. These vectors live inside every job's plan,
+ * where each header byte is paid per job of every cell in flight; a
+ * per-job array never nears 2^32 elements, and grow() asserts that
+ * it does not.
  *
  * Thread-safety and ownership: SmallVector owns its elements and
  * (when spilled) its heap block exclusively; there is no sharing

@@ -16,6 +16,11 @@ namespace gaia::serve {
 
 namespace {
 
+/** Longest unterminated line a connection may buffer. Every valid
+ *  command is under 100 bytes, so a longer tail is a client that is
+ *  not speaking the protocol; its connection is closed. */
+constexpr std::size_t kMaxLineBytes = 4096;
+
 /** `fp` as a fixed-width lowercase hex string. */
 std::string
 fingerprintHex(std::uint64_t fp)
@@ -26,14 +31,16 @@ fingerprintHex(std::uint64_t fp)
     return buf;
 }
 
-/** Write all of `text` to `fd`, riding out short writes. */
+/** Write all of `text` to `fd`, riding out short writes. A client
+ *  that closed without reading its replies fails the send with
+ *  EPIPE rather than raising SIGPIPE, which would kill the daemon. */
 void
 writeAll(int fd, const std::string &text)
 {
     std::size_t off = 0;
     while (off < text.size()) {
-        const ssize_t n =
-            ::write(fd, text.data() + off, text.size() - off);
+        const ssize_t n = ::send(fd, text.data() + off,
+                                 text.size() - off, MSG_NOSIGNAL);
         if (n <= 0)
             return; // client went away; nothing to recover
         off += static_cast<std::size_t>(n);
@@ -60,8 +67,10 @@ ControlServer::handleLine(const std::string &line, std::string &reply)
 
     if (command == "submit") {
         Job job;
+        std::string extra;
         if (!(in >> job.id >> job.submit >> job.length >>
-              job.cpus)) {
+              job.cpus) ||
+            in >> extra) {
             reply = "err submit needs: <id> <submit> <length> "
                     "<cpus>";
             return false;
@@ -176,6 +185,10 @@ ControlServer::run()
                     writeAll(conn, reply + "\n");
                 if (drained)
                     open = false;
+            }
+            if (open && pending.size() > kMaxLineBytes) {
+                writeAll(conn, "err line too long\n");
+                open = false;
             }
         }
         ::close(conn);

@@ -12,12 +12,17 @@
  *     quit                                   -> closes connection
  *
  * `submit` offers a job to the daemon (backpressure and late
- * rejections surface as `err` lines); `drain` ends the stream,
- * closes the books, answers with the result fingerprint, and shuts
- * the server down. Connections are served sequentially — the
- * control plane is for streaming and inspection, not a
- * high-fan-in RPC system (the lock-free path is ServeDaemon::submit
- * for in-process producers).
+ * rejections surface as `err` lines); anything after its four fields
+ * is an error too. `drain` ends the stream, closes the books,
+ * answers with the result fingerprint, and shuts the server down.
+ * Connections are served sequentially — the control plane is for
+ * streaming and inspection, not a high-fan-in RPC system (the
+ * lock-free path is ServeDaemon::submit for in-process producers).
+ *
+ * A client may close without reading its replies; the server drops
+ * them and serves the next connection. A connection that buffers
+ * more than 4096 bytes without a newline gets `err line too long`
+ * and is closed.
  */
 
 #ifndef GAIA_SERVE_CONTROL_H

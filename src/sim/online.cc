@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -114,7 +116,7 @@ OnlineScheduler::setDefaultElasticProfile(
 
 void
 OnlineScheduler::reserveJobs(std::size_t count,
-                             std::vector<JobOutcome> storage)
+                             SimulationResult storage)
 {
     // Byte budget of the job column, one entry per job per cell in
     // flight; tests/sim/test_layout_budget.cc pins the public
@@ -123,9 +125,16 @@ OnlineScheduler::reserveJobs(std::size_t count,
                   "JobState outgrew its 112-byte budget");
     GAIA_ASSERT(states_.empty(), "reserveJobs() after submit()");
     states_.reserve(count);
-    storage.clear();
-    outcomes_ = std::move(storage);
+    // Every job records at least one segment, and a rerun of the
+    // cell that filled `storage` records exactly as many as it did.
+    const std::size_t segment_slots =
+        std::max(count, storage.segments.size());
+    storage.outcomes.clear();
+    outcomes_ = std::move(storage.outcomes);
     outcomes_.reserve(count);
+    storage.segments.clear();
+    segments_ = std::move(storage.segments);
+    segments_.reserve(segment_slots);
     // A batch feed puts exactly the `count` arrivals in the
     // sequential lane; the heap holds only in-flight events, far
     // fewer than `count`, and grows with them.
@@ -530,8 +539,9 @@ OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
     }
 
     // Evicted: this slice (and any previously completed slices) is
-    // wasted; the paper assumes all progress is lost. A width-w
-    // gang loses all w instances' work together.
+    // wasted; the paper assumes all progress is lost, so finalize()
+    // marks every segment recorded so far lost. A width-w gang loses
+    // all w instances' work together.
     if (storm)
         ++faults_injected_;
     if (evict_at > from) {
@@ -539,8 +549,7 @@ OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
                       /*lost=*/true, width);
     }
     JobOutcome &outcome = outcomes_[idx];
-    for (PlacedSegment &done : outcome.segments)
-        done.lost = true;
+    state.lost_prefix = outcome.segment_count;
     outcome.evictions += 1;
     state.aborted = true;
     events_.schedule(evict_at,
@@ -626,7 +635,24 @@ OnlineScheduler::recordSegment(std::size_t idx, Seconds from,
                                bool lost, int width)
 {
     GAIA_ASSERT(to > from, "empty placement [", from, ", ", to, ")");
-    outcomes_[idx].segments.push_back({from, to, option, lost, width});
+    GAIA_ASSERT(segments_.size() <
+                    std::numeric_limits<std::uint32_t>::max(),
+                "segment column outgrew its 32-bit indices");
+    const auto job = static_cast<std::uint32_t>(idx);
+    if (segment_jobs_.empty() && job < last_segment_job_) {
+        // The first placement out of job order: log every job from
+        // here on, starting with the grouped prefix.
+        segment_jobs_.reserve(segments_.capacity());
+        for (std::uint32_t j = 0; j <= last_segment_job_; ++j)
+            segment_jobs_.insert(segment_jobs_.end(),
+                                 outcomes_[j].segment_count, j);
+    }
+    if (segment_jobs_.empty())
+        last_segment_job_ = job;
+    else
+        segment_jobs_.push_back(job);
+    segments_.push_back({from, to, option, lost, width});
+    ++outcomes_[idx].segment_count;
 }
 
 void
@@ -676,16 +702,52 @@ OnlineScheduler::drainPending()
 }
 
 void
+OnlineScheduler::groupSegmentsByJob()
+{
+    std::uint32_t next = 0;
+    for (JobOutcome &o : outcomes_) {
+        o.first_segment = next;
+        next += o.segment_count;
+    }
+    if (segment_jobs_.empty())
+        return; // recorded in job order
+    // Turn each job index into its slot: first_segment plus a running
+    // count, kept in first_segment meanwhile.
+    for (std::uint32_t &job : segment_jobs_)
+        job = outcomes_[job].first_segment++;
+    for (JobOutcome &o : outcomes_)
+        o.first_segment -= o.segment_count;
+    // Apply the permutation in place by following its cycles: each
+    // swap puts one segment in its final slot.
+    for (std::uint32_t k = 0; k < segment_jobs_.size(); ++k) {
+        while (segment_jobs_[k] != k) {
+            const std::uint32_t to = segment_jobs_[k];
+            std::swap(segments_[k], segments_[to]);
+            std::swap(segment_jobs_[k], segment_jobs_[to]);
+        }
+    }
+    segment_jobs_ = std::vector<std::uint32_t>();
+}
+
+void
 OnlineScheduler::finalizeInto(SimulationResult &result)
 {
+    groupSegmentsByJob();
+    result.outcomes = std::move(outcomes_);
+    result.segments = std::move(segments_);
     for (std::size_t idx = 0; idx < states_.size(); ++idx) {
         const JobState &state = states_[idx];
-        JobOutcome &o = outcomes_[idx];
-        GAIA_ASSERT(!o.segments.empty(), "job ", o.id,
+        JobOutcome &o = result.outcomes[idx];
+        GAIA_ASSERT(o.segment_count > 0, "job ", o.id,
                     " never executed");
-        if (o.segments.size() > 1) {
+        const std::span<PlacedSegment> segments(
+            result.segments.data() + o.first_segment,
+            o.segment_count);
+        for (std::uint32_t k = 0; k < state.lost_prefix; ++k)
+            segments[k].lost = true;
+        if (segments.size() > 1) {
             std::sort(
-                o.segments.begin(), o.segments.end(),
+                segments.begin(), segments.end(),
                 [](const PlacedSegment &a, const PlacedSegment &b) {
                     return a.start < b.start;
                 });
@@ -695,7 +757,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         const bool elastic_job = profile.enabled();
         Seconds useful = 0;
         double useful_work = 0.0;
-        for (const PlacedSegment &seg : o.segments) {
+        for (const PlacedSegment &seg : segments) {
             // Every per-instance quantity scales with the gang
             // width (1 for fixed-width jobs, so their books are
             // bit-identical to before the field existed).
@@ -785,7 +847,8 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                         useful, "s of useful work, expected ",
                         o.length);
         }
-        if (o.finish() > horizon_) {
+        const Seconds finish = result.finish(o);
+        if (finish > horizon_) {
             // Impossible under the derived horizon (it covers every
             // schedule the queue limits admit); a user-supplied
             // horizon can legitimately be shorter, so the books
@@ -796,7 +859,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             if (!horizon_overrun_warned_) {
                 warn("schedule extends past the configured "
                      "reservation horizon (job ", o.id,
-                     " finishes at ", o.finish(), " > ", horizon_,
+                     " finishes at ", finish, " > ", horizon_,
                      "); reserved upfront cost still covers only "
                      "the configured horizon");
                 horizon_overrun_warned_ = true;
@@ -805,11 +868,10 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
 
         result.carbon_kg += o.carbon_g / 1000.0;
         result.carbon_nowait_kg += o.carbon_nowait_g / 1000.0;
-        result.lost_core_seconds += o.lostCoreSeconds();
+        result.lost_core_seconds += result.lostCoreSeconds(o);
         result.eviction_count +=
             static_cast<std::size_t>(o.evictions);
     }
-    result.outcomes = std::move(outcomes_);
 
     // Split the variable cost by option from the usage totals so the
     // per-job and cluster books agree by construction.
@@ -826,7 +888,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             (horizon_ + kSecondsPerHour - 1) / kSecondsPerHour);
         std::vector<double> busy(slots, 0.0); // core-seconds/slot
         for (const JobOutcome &o : result.outcomes) {
-            for (const PlacedSegment &seg : o.segments) {
+            for (const PlacedSegment &seg : result.placements(o)) {
                 if (seg.option != PurchaseOption::Reserved)
                     continue;
                 Seconds cursor = seg.start;
@@ -900,10 +962,8 @@ OnlineScheduler::finalize()
         // Online mode without a contracted horizon: cover the
         // observed schedule, rounded up to whole days.
         Seconds last_finish = 0;
-        for (const JobOutcome &o : outcomes_) {
-            for (const PlacedSegment &seg : o.segments)
-                last_finish = std::max(last_finish, seg.end);
-        }
+        for (const PlacedSegment &seg : segments_)
+            last_finish = std::max(last_finish, seg.end);
         horizon_ = std::max<Seconds>(
             ((last_finish + kSecondsPerDay - 1) / kSecondsPerDay) *
                 kSecondsPerDay,

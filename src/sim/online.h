@@ -20,10 +20,16 @@
  *
  * Job state is stored as two parallel columns indexed by that job
  * index: the engine's working state (JobState: the admitted job, its
- * plan and a few flags) and the JobOutcome being recorded. finalize()
- * accounts the outcome column in place and hands it over whole as
- * SimulationResult::outcomes, so a run never holds each outcome
- * twice.
+ * plan and a few flags) and the JobOutcome being recorded. Every
+ * placement is appended to one segment column in event order. While
+ * placements come job by job in index order (start-time policies on
+ * on-demand capacity) that column is already grouped by job; from
+ * the first placement out of that order, each placement's job index
+ * is logged in a 4-byte column beside it. finalize() permutes the
+ * segment column in place into job order, accounts both columns in
+ * place, and hands them over whole as SimulationResult::outcomes
+ * and SimulationResult::segments, so a run never holds a record
+ * twice and recording a placement allocates nothing per job.
  *
  * Usage:
  *
@@ -123,17 +129,19 @@ class OnlineScheduler : public ISchedulerProtocol,
     Status submit(const Job &job);
 
     /**
-     * Pre-size the job and outcome columns and the event heap for
-     * `count` jobs. Call before the first submit(). `storage` becomes
-     * the outcome column: it is cleared and only its capacity is
-     * kept, so a caller rerunning a cell can hand back the previous
-     * run's SimulationResult::outcomes and have them refilled in
-     * place instead of freed and allocated again. Every outcome is
-     * still built fresh by submit(); an empty vector (the default)
-     * is a fresh run on the same path.
+     * Pre-size the job, outcome and segment columns and the arrival
+     * lane for `count` jobs. Call before the first submit().
+     * `storage`'s outcome and segment columns become this run's: they
+     * are cleared and only their capacity is kept, so a caller
+     * rerunning a cell can hand back the previous run's whole
+     * SimulationResult and have both columns refilled in place
+     * instead of freed and allocated again. The segment column
+     * reserves max(count, storage.segments.size()) slots, which a
+     * rerun of the same cell fills exactly. Every record is still
+     * built fresh; an empty result (the default) is a fresh run on
+     * the same path.
      */
-    void reserveJobs(std::size_t count,
-                     std::vector<JobOutcome> storage = {});
+    void reserveJobs(std::size_t count, SimulationResult storage = {});
 
     /**
      * Apply `profile` to every subsequently submitted job that does
@@ -206,6 +214,10 @@ class OnlineScheduler : public ISchedulerProtocol,
         std::uint32_t cis_attempts = 0;
         /** Post-eviction spot re-attempts under the storm model. */
         std::uint32_t spot_retries = 0;
+        /** Segments recorded up to the job's latest eviction; the
+         *  paper assumes all that progress is lost, so finalize()
+         *  marks them lost. */
+        std::uint32_t lost_prefix = 0;
     };
 
     /** Event tags; payloads documented per tag. */
@@ -267,6 +279,10 @@ class OnlineScheduler : public ISchedulerProtocol,
     void onPlannedStart(std::size_t idx);
     void drainPending();
     void restartAfterEviction(std::size_t idx, Seconds at);
+    /** Set each outcome's first_segment and, if segment_jobs_ was
+     *  started, permute segments_ into job order in place and free
+     *  segment_jobs_. */
+    void groupSegmentsByJob();
     void finalizeInto(SimulationResult &result);
 
     const SchedulingPolicy &policy_;
@@ -294,6 +310,15 @@ class OnlineScheduler : public ISchedulerProtocol,
     /** outcomes_[i] records job states_[i]; moved into the result
      *  by finalize(). */
     std::vector<JobOutcome> outcomes_;
+    /** Every placement in event order until finalize() groups it by
+     *  job and moves it into the result. */
+    std::vector<PlacedSegment> segments_;
+    /** segment_jobs_[k] is the job index of segments_[k]; empty
+     *  while segments_ is grouped by job, so runs that place jobs in
+     *  order neither allocate nor permute it. */
+    std::vector<std::uint32_t> segment_jobs_;
+    /** Job of the latest placement while segment_jobs_ is empty. */
+    std::uint32_t last_segment_job_ = 0;
     std::multimap<Seconds, std::size_t> pending_;
     Seconds horizon_ = 0;
     bool horizon_overrun_warned_ = false;

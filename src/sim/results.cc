@@ -43,10 +43,10 @@ class Digest
 } // namespace
 
 Seconds
-JobOutcome::finish() const
+SimulationResult::finish(const JobOutcome &o) const
 {
     Seconds latest = 0;
-    for (const PlacedSegment &seg : segments) {
+    for (const PlacedSegment &seg : placements(o)) {
         if (!seg.lost)
             latest = std::max(latest, seg.end);
     }
@@ -54,13 +54,13 @@ JobOutcome::finish() const
 }
 
 double
-JobOutcome::lostCoreSeconds() const
+SimulationResult::lostCoreSeconds(const JobOutcome &o) const
 {
     double lost = 0.0;
-    for (const PlacedSegment &seg : segments) {
+    for (const PlacedSegment &seg : placements(o)) {
         if (seg.lost)
             lost += static_cast<double>(seg.duration()) *
-                    (cpus * seg.width);
+                    (o.cpus * seg.width);
     }
     return lost;
 }
@@ -72,7 +72,7 @@ SimulationResult::meanWaitingHours() const
         return 0.0;
     double total = 0.0;
     for (const JobOutcome &o : outcomes)
-        total += toHours(o.waiting());
+        total += toHours(waiting(o));
     return total / static_cast<double>(outcomes.size());
 }
 
@@ -83,7 +83,7 @@ SimulationResult::meanCompletionHours() const
         return 0.0;
     double total = 0.0;
     for (const JobOutcome &o : outcomes)
-        total += toHours(o.completion());
+        total += toHours(completion(o));
     return total / static_cast<double>(outcomes.size());
 }
 
@@ -95,7 +95,7 @@ SimulationResult::p95WaitingHours() const
     std::vector<double> waits;
     waits.reserve(outcomes.size());
     for (const JobOutcome &o : outcomes)
-        waits.push_back(toHours(o.waiting()));
+        waits.push_back(toHours(waiting(o)));
     return percentile(std::move(waits), 95.0);
 }
 
@@ -130,16 +130,16 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(o.submit);
         digest.mix(o.length);
         digest.mix(o.cpus);
-        digest.mix(o.start());
-        digest.mix(o.finish());
+        digest.mix(result.start(o));
+        digest.mix(result.finish(o));
         digest.mix(o.carbon_g);
         digest.mix(o.carbon_nowait_g);
         digest.mix(o.variable_cost);
         digest.mix(o.evictions);
-        digest.mix(o.lostCoreSeconds());
+        digest.mix(result.lostCoreSeconds(o));
         digest.mix(o.overhead_core_seconds);
-        digest.mix<std::uint64_t>(o.segments.size());
-        for (const PlacedSegment &seg : o.segments) {
+        digest.mix<std::uint64_t>(o.segment_count);
+        for (const PlacedSegment &seg : result.placements(o)) {
             digest.mix(seg.start);
             digest.mix(seg.end);
             digest.mix(static_cast<int>(seg.option));
@@ -161,7 +161,7 @@ allocationSeries(const SimulationResult &result, Seconds step,
     GAIA_ASSERT(step > 0, "non-positive allocation step");
     Seconds horizon = result.horizon;
     for (const JobOutcome &o : result.outcomes)
-        horizon = std::max(horizon, o.finish());
+        horizon = std::max(horizon, result.finish(o));
     if (horizon <= 0)
         return {};
 
@@ -169,7 +169,7 @@ allocationSeries(const SimulationResult &result, Seconds step,
         static_cast<std::size_t>((horizon + step - 1) / step);
     std::vector<double> series(buckets, 0.0);
     for (const JobOutcome &o : result.outcomes) {
-        for (const PlacedSegment &seg : o.segments) {
+        for (const PlacedSegment &seg : result.placements(o)) {
             if (!any_option && seg.option != option)
                 continue;
             Seconds cursor = seg.start;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Simulation outputs: per-job outcomes and cluster-level aggregates.
+ * Simulation outputs: per-job outcomes, the column of their placed
+ * segments, and cluster-level aggregates.
  *
  * GAIA accounts exactly as the paper prescribes (§4.1): on-demand
  * and spot usage is billed pay-as-you-go, reserved capacity is paid
@@ -14,11 +15,11 @@
 #define GAIA_SIM_RESULTS_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cloud/purchase.h"
-#include "common/small_vector.h"
 #include "common/time.h"
 #include "workload/job.h"
 
@@ -40,14 +41,15 @@ struct PlacedSegment
 };
 
 /**
- * Everything recorded about one job's execution.
- *
- * The placed segments are the only record of when a job ran:
- * start(), finish() and lostCoreSeconds() derive from them rather
- * than being stored beside them. A sweep holds one of these per job
- * per cell, so the layout is packed (tests/sim/test_layout_budget.cc
- * pins the byte budget): the two ints share one 8-byte word, and
- * PlacedSegment is 24 bytes.
+ * Everything recorded about one job's execution, except where it
+ * ran: its placed segments live in the result's shared `segments`
+ * column (SimulationResult::placements()), and start, finish,
+ * waiting and lost core-seconds derive from them rather than being
+ * stored beside them. A sweep holds one of these per job per cell,
+ * so the layout is packed (tests/sim/test_layout_budget.cc pins the
+ * byte budget): the two ints share one 8-byte word and the segment
+ * range another. Outcomes hold indices into the column, not
+ * pointers, so copying a result keeps them valid.
  */
 struct JobOutcome
 {
@@ -58,12 +60,9 @@ struct JobOutcome
     /** Spot evictions suffered. */
     int evictions = 0;
 
-    /** Placements, including lost spot slices; chronological once
-     *  the scheduler has finalized the run. Two segments stay
-     *  inline: an uninterrupted run, or one lost spot slice plus
-     *  the restart — so recording placements allocates only for
-     *  suspend-resume schedules. */
-    SmallVector<PlacedSegment, 2> segments;
+    /** This job's range of SimulationResult::segments. */
+    std::uint32_t first_segment = 0;
+    std::uint32_t segment_count = 0;
 
     /** Attributed emissions, grams CO2eq (includes lost work). */
     double carbon_g = 0.0;
@@ -74,30 +73,21 @@ struct JobOutcome
     /** Core-seconds of instance start/stop overhead attributed. */
     double overhead_core_seconds = 0.0;
 
-    /** First instant any segment ran (the first segment's start);
-     *  0 without segments. */
-    Seconds start() const
-    {
-        return segments.empty() ? 0 : segments.front().start;
-    }
-    /** Instant the last successful segment completed (lost slices
-     *  ignored); 0 without one. */
-    Seconds finish() const;
-    /** Core-seconds destroyed by evictions: the lost segments'
-     *  duration x cpus x width, summed in segment order. */
-    double lostCoreSeconds() const;
-
-    /** Completion time: finish − submit. */
-    Seconds completion() const { return finish() - submit; }
-    /** Waiting (non-running) time: completion − useful run time.
-     *  Negative for elastic jobs that finish faster than their
-     *  single-instance length — a speedup, reported as-is. */
-    Seconds waiting() const { return completion() - length; }
     /** Emissions saved versus running immediately. */
     double carbonSaved() const { return carbon_nowait_g - carbon_g; }
 };
 
-/** Cluster-level aggregates for one simulation run. */
+/**
+ * Cluster-level aggregates and the per-job columns of one simulation
+ * run.
+ *
+ * `segments` holds every job's placements, including lost spot
+ * slices, grouped job by job in `outcomes` order; each job's range
+ * is chronological once the scheduler has finalized the run. One
+ * column per result, rather than a list inside each outcome, means
+ * recording placements allocates nothing per job and an outcome
+ * carries no inline slots its job may not use.
+ */
 struct SimulationResult
 {
     std::string policy;
@@ -106,6 +96,7 @@ struct SimulationResult
     std::string workload;
 
     std::vector<JobOutcome> outcomes;
+    std::vector<PlacedSegment> segments;
 
     int reserved_cores = 0;
     Seconds horizon = 0;
@@ -140,6 +131,40 @@ struct SimulationResult
         return reserved_upfront + on_demand_cost + spot_cost;
     }
 
+    /** `o`'s placements, chronological once finalized. */
+    std::span<const PlacedSegment>
+    placements(const JobOutcome &o) const
+    {
+        return {segments.data() + o.first_segment, o.segment_count};
+    }
+
+    /** First instant any of `o`'s segments ran (the first segment's
+     *  start); 0 without segments. */
+    Seconds start(const JobOutcome &o) const
+    {
+        return o.segment_count == 0 ? 0
+                                    : segments[o.first_segment].start;
+    }
+    /** Instant `o`'s last successful segment completed (lost slices
+     *  ignored); 0 without one. */
+    Seconds finish(const JobOutcome &o) const;
+    /** Core-seconds `o` lost to evictions: the lost segments'
+     *  duration x cpus x width, summed in segment order. */
+    double lostCoreSeconds(const JobOutcome &o) const;
+
+    /** Completion time: finish − submit. */
+    Seconds completion(const JobOutcome &o) const
+    {
+        return finish(o) - o.submit;
+    }
+    /** Waiting (non-running) time: completion − useful run time.
+     *  Negative for elastic jobs that finish faster than their
+     *  single-instance length — a speedup, reported as-is. */
+    Seconds waiting(const JobOutcome &o) const
+    {
+        return completion(o) - o.length;
+    }
+
     /** Mean job waiting time, hours. */
     double meanWaitingHours() const;
     /** Mean job completion time, hours. */
@@ -165,10 +190,11 @@ allocationSeries(const SimulationResult &result, Seconds step,
 
 /**
  * Stable 64-bit digest of every field of `result`, including each
- * job outcome and placed segment (doubles hashed by bit pattern, so
- * even sub-printing-precision drift changes the digest). Two runs
- * are bit-identical iff their fingerprints match — the determinism
- * tests compare this across thread counts and repeated runs.
+ * job outcome and its placed segments (doubles hashed by bit
+ * pattern, so even sub-printing-precision drift changes the
+ * digest). Two runs are bit-identical iff their fingerprints match
+ * — the determinism tests compare this across thread counts and
+ * repeated runs.
  */
 std::uint64_t resultFingerprint(const SimulationResult &result);
 

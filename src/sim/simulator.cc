@@ -50,7 +50,7 @@ SimulationSetup::Builder::build() const
 
 Result<SimulationResult>
 simulateChecked(const SimulationSetup &setup,
-                std::vector<JobOutcome> storage)
+                SimulationResult storage)
 {
     GAIA_TRY(validateSetup(setup));
 
@@ -86,8 +86,8 @@ simulateChecked(const SimulationSetup &setup,
         // legitimately overrun a horizon derived from the nominal
         // trace.
         for (const JobOutcome &o : result.outcomes) {
-            GAIA_ASSERT(o.finish() <= result.horizon, "job ", o.id,
-                        " finished past the derived horizon");
+            GAIA_ASSERT(result.finish(o) <= result.horizon, "job ",
+                        o.id, " finished past the derived horizon");
         }
     }
     return result;

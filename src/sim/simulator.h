@@ -158,13 +158,13 @@ Status validateSetup(const SimulationSetup &setup);
 /**
  * Run one simulation; returns a Status (instead of dying) on an
  * inconsistent setup. Untrusted configuration comes through here.
- * `storage` is recycled as the result's outcome column (see
- * OnlineScheduler::reserveJobs): pass a previous result's
- * `outcomes` to rerun without reallocating them.
+ * `storage`'s outcome and segment columns are recycled as the
+ * result's (see OnlineScheduler::reserveJobs): pass a previous
+ * result to rerun without reallocating them.
  */
 Result<SimulationResult>
 simulateChecked(const SimulationSetup &setup,
-                std::vector<JobOutcome> storage = {});
+                SimulationResult storage = {});
 
 } // namespace gaia
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/common/sim_test_util.h"
+
 namespace gaia {
 namespace {
 
@@ -24,8 +26,8 @@ TEST(Metrics, ExtractFromResult)
     JobOutcome o;
     o.submit = 0;
     o.length = 3600;
-    o.segments.push_back({3600, 7200, PurchaseOption::OnDemand, false});
-    r.outcomes.push_back(o);
+    testutil::appendOutcome(
+        r, o, {{3600, 7200, PurchaseOption::OnDemand, false}});
 
     const MetricsRow m = metricsOf("x", r);
     EXPECT_EQ(m.label, "x");

@@ -112,8 +112,8 @@ TEST(Sweep, SummaryReportsCountsAndFailures)
 TEST(Sweep, RerunIsIdempotent)
 {
     // A plain cell, a replica group and an invalid cell: every OK
-    // cell's rerun must reproduce its result in the very outcome
-    // column the previous run allocated.
+    // cell's rerun must reproduce its result in the very outcome and
+    // segment columns the previous run allocated.
     SweepEngine sweep(2);
     sweep.add(cell("NoWait"));
     sweep.addSeedReplicas(cell("Carbon-Time", 3), 3);
@@ -122,6 +122,7 @@ TEST(Sweep, RerunIsIdempotent)
     const std::size_t cells = sweep.size();
     std::vector<std::uint64_t> fingerprints(cells, 0);
     std::vector<const JobOutcome *> columns(cells, nullptr);
+    std::vector<const PlacedSegment *> segment_columns(cells, nullptr);
     for (std::size_t i = 0; i < cells; ++i) {
         if (i == invalid)
             continue;
@@ -129,6 +130,7 @@ TEST(Sweep, RerunIsIdempotent)
             << sweep.result(i).status().toString();
         fingerprints[i] = resultFingerprint(*sweep.result(i));
         columns[i] = sweep.result(i)->outcomes.data();
+        segment_columns[i] = sweep.result(i)->segments.data();
     }
     ASSERT_FALSE(sweep.result(invalid).isOk());
 
@@ -145,6 +147,9 @@ TEST(Sweep, RerunIsIdempotent)
                       fingerprints[i])
                 << "cell " << i << " pass " << pass;
             EXPECT_EQ(sweep.result(i)->outcomes.data(), columns[i])
+                << "cell " << i << " pass " << pass;
+            EXPECT_EQ(sweep.result(i)->segments.data(),
+                      segment_columns[i])
                 << "cell " << i << " pass " << pass;
         }
         EXPECT_FALSE(sweep.result(invalid).isOk());

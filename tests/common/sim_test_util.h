@@ -1,19 +1,99 @@
 /**
  * @file
- * Shared test helper for running one simulation from parts.
+ * Shared test helpers for simulation results.
  *
- * Assembles the setup from parts through SimulationSetup::Builder,
- * runs it with simulateChecked(), and dies with the Status message
- * on an invalid setup, which in a test is a bug in the test.
+ * runSim() assembles the setup from parts through
+ * SimulationSetup::Builder, runs it with simulateChecked(), and dies
+ * with the Status message on an invalid setup, which in a test is a
+ * bug in the test. appendOutcome() builds results by hand, and
+ * segmentColumnViolation() checks a finalized result's segment
+ * column.
  */
 
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
 #define GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
 
+#include <algorithm>
+#include <cstdint>
+#include <initializer_list>
+#include <span>
+#include <string>
+
 #include "common/logging.h"
+#include "sim/results.h"
 #include "sim/simulator.h"
 
 namespace gaia::testutil {
+
+/**
+ * Append `outcome` to a hand-built `result`, with `segments` as its
+ * placements at the end of the segment column; sets the outcome's
+ * segment range and returns the appended outcome (valid until the
+ * next append).
+ */
+inline JobOutcome &
+appendOutcome(SimulationResult &result, JobOutcome outcome,
+              std::initializer_list<PlacedSegment> segments)
+{
+    outcome.first_segment =
+        static_cast<std::uint32_t>(result.segments.size());
+    outcome.segment_count = static_cast<std::uint32_t>(segments.size());
+    result.segments.insert(result.segments.end(), segments);
+    return result.outcomes.emplace_back(outcome);
+}
+
+/**
+ * The first broken invariant of a finalized `result`'s segment
+ * column, or "" when it holds them all:
+ *  - the outcomes' ranges tile `segments` in outcome order;
+ *  - each range is sorted by start and ends in a surviving slice;
+ *  - the lost slices are exactly those recorded before the job's
+ *    last eviction. Each job records its slices in time order, so
+ *    they are a chronological prefix, none of them ends after a
+ *    survivor starts, and a job never evicted has none.
+ */
+inline std::string
+segmentColumnViolation(const SimulationResult &result)
+{
+    std::size_t next = 0;
+    for (const JobOutcome &o : result.outcomes) {
+        const std::string job = "job " + std::to_string(o.id) + ": ";
+        if (o.first_segment != next)
+            return job + "range starts at " +
+                   std::to_string(o.first_segment) + ", expected " +
+                   std::to_string(next);
+        next += o.segment_count;
+        if (o.segment_count == 0 || next > result.segments.size())
+            return job + "empty range or past the column's end";
+        const std::span<const PlacedSegment> segs =
+            result.placements(o);
+        bool lost_any = false;
+        bool survived = false;
+        Seconds evicted_at = 0;
+        for (std::size_t k = 0; k < segs.size(); ++k) {
+            if (k > 0 && segs[k].start < segs[k - 1].start)
+                return job + "segments out of start order";
+            if (segs[k].lost) {
+                if (survived)
+                    return job + "lost slice after a surviving one";
+                lost_any = true;
+                evicted_at = std::max(evicted_at, segs[k].end);
+            } else {
+                if (segs[k].start < evicted_at)
+                    return job + "survivor starts before the last "
+                                 "eviction";
+                survived = true;
+            }
+        }
+        if (segs.back().lost)
+            return job + "ends in a lost slice";
+        if (lost_any && o.evictions == 0)
+            return job + "lost slices but no eviction";
+    }
+    if (next != result.segments.size())
+        return "segments past the last job's range";
+    return "";
+}
 
 inline SimulationResult
 runSim(const JobTrace &trace, const SchedulingPolicy &policy,

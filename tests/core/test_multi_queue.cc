@@ -101,7 +101,7 @@ TEST(MultiQueue, PerQueueWaitingBoundsHold)
             trace, *makePolicy(policy), queues, cis);
         for (const JobOutcome &o : r.outcomes) {
             const QueueSpec &queue = queues.queueFor(o.length);
-            EXPECT_LE(o.start(), o.submit + queue.max_wait)
+            EXPECT_LE(r.start(o), o.submit + queue.max_wait)
                 << policy << " job " << o.id << " in queue "
                 << queue.name;
         }

@@ -16,6 +16,7 @@
 #include "fault/injector.h"
 #include "sim/results.h"
 #include "sim/simulator.h"
+#include "tests/common/sim_test_util.h"
 #include "workload/elastic_profile.h"
 
 namespace gaia {
@@ -104,10 +105,10 @@ TEST(ElasticFaults, StormGangRetriesCountEveryInstance)
     // re-attempts revoked at their start (the storm covers it),
     // then the on-demand gang restart finishes in one hour.
     EXPECT_EQ(o.evictions, 3u);
-    EXPECT_EQ(o.finish(), strike + hours(1));
-    ASSERT_FALSE(o.segments.empty());
-    EXPECT_EQ(o.segments.back().width, 3);
-    EXPECT_FALSE(o.segments.back().lost);
+    EXPECT_EQ(r.finish(o), strike + hours(1));
+    ASSERT_FALSE(r.placements(o).empty());
+    EXPECT_EQ(r.placements(o).back().width, 3);
+    EXPECT_FALSE(r.placements(o).back().lost);
     // Each gang retry re-acquires spot capacity per instance: two
     // retries at width 3 count six instance-level retries.
     EXPECT_EQ(
@@ -142,11 +143,11 @@ TEST(ElasticFaults, DegradedElasticPlansBillInstanceHours)
     // out at the elastic NoWait analogue — start now at full
     // width, so four hours of work finish in one wall hour (and
     // waiting() reports the speedup as negative, as documented).
-    EXPECT_EQ(o.start(), 0);
-    EXPECT_EQ(o.finish(), hours(1));
-    EXPECT_EQ(o.waiting(), hours(1) - hours(4));
-    ASSERT_EQ(o.segments.size(), 1u);
-    EXPECT_EQ(o.segments[0].width, 4);
+    EXPECT_EQ(r.start(o), 0);
+    EXPECT_EQ(r.finish(o), hours(1));
+    EXPECT_EQ(r.waiting(o), hours(1) - hours(4));
+    ASSERT_EQ(r.placements(o).size(), 1u);
+    EXPECT_EQ(r.placements(o)[0].width, 4);
     EXPECT_EQ(
         obs::counter("policy.degraded_slots").value() -
             slots_before,
@@ -213,6 +214,44 @@ TEST(ElasticFaults, SameSpecSameSeedIsBitIdentical)
     FaultSpec reseeded = spec;
     reseeded.seed = 2;
     EXPECT_NE(fingerprintFor(reseeded), first);
+}
+
+TEST(ElasticFaults, SegmentColumnKeepsItsInvariantsUnderStorms)
+{
+    const CarbonTrace carbon = fallingTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(6));
+    std::vector<Job> jobs;
+    for (int i = 0; i < 40; ++i)
+        jobs.push_back({i + 1, i * minutes(45), hours(2), i % 3 + 1});
+    const JobTrace trace("t", jobs);
+    ClusterConfig cluster;
+    cluster.spot_max_length = hours(24);
+    cluster.spot_eviction_rate = 0.1;
+
+    // Back-to-back storm revocations with spot re-attempts, outages
+    // and stragglers, on elastic gangs and on fixed-width jobs.
+    FaultSpec spec;
+    spec.outage_rate = 0.3;
+    spec.storm_rate = 0.5;
+    spec.straggler_rate = 0.5;
+    spec.storm_spot_retries = 2;
+    const FaultInjector injector(spec);
+    const FaultyCarbonSource faulty(cis, injector);
+    const ElasticProfile elastic = profileOf("linear:max=3");
+    const ElasticProfile fixed = profileOf("off");
+    for (const ElasticProfile *profile : {&elastic, &fixed}) {
+        const SimulationResult r =
+            run(trace, profile == &elastic ? "Carbon-Scaler"
+                                           : "Wait-Awhile",
+                queues, faulty, &injector, profile, cluster,
+                ResourceStrategy::SpotFirst);
+        EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+        EXPECT_GT(r.eviction_count, r.outcomes.size() / 4);
+        EXPECT_TRUE(std::any_of(
+            r.outcomes.begin(), r.outcomes.end(),
+            [](const JobOutcome &o) { return o.evictions > 1; }));
+    }
 }
 
 } // namespace

@@ -131,7 +131,7 @@ TEST(FaultSim, OutageDegradesToCarbonObliviousPlan)
     const SimulationResult aware =
         run(trace, "Lowest-Window", queues, cis, nullptr);
     // Falling intensity: the carbon-aware policy waits and saves.
-    ASSERT_GT(aware.outcomes[0].waiting(), 0);
+    ASSERT_GT(aware.waiting(aware.outcomes[0]), 0);
     ASSERT_LT(aware.carbon_kg, nowait.carbon_kg);
 
     FaultSpec spec;
@@ -143,7 +143,7 @@ TEST(FaultSim, OutageDegradesToCarbonObliviousPlan)
         run(trace, "Lowest-Window", queues, faulty, &injector);
     // Source down for the whole run: the ladder bottoms out at the
     // NoWait fallback — start immediately, carbon as NoWait.
-    EXPECT_EQ(degraded.outcomes[0].waiting(), 0);
+    EXPECT_EQ(degraded.waiting(degraded.outcomes[0]), 0);
     EXPECT_DOUBLE_EQ(degraded.carbon_kg, nowait.carbon_kg);
 }
 
@@ -167,9 +167,9 @@ TEST(FaultSim, RetriesBackOffExponentiallyThenDegrade)
     // source still down, so the job degrades and starts at 3h. The
     // stall counts as waiting against the original submit.
     EXPECT_EQ(o.submit, 0);
-    EXPECT_EQ(o.start(), hours(3));
-    EXPECT_EQ(o.waiting(), hours(3));
-    EXPECT_EQ(o.finish(), hours(4));
+    EXPECT_EQ(r.start(o), hours(3));
+    EXPECT_EQ(r.waiting(o), hours(3));
+    EXPECT_EQ(r.finish(o), hours(4));
 }
 
 TEST(FaultSim, SchedulerRecoversWhereTheSourceIsUp)
@@ -199,7 +199,7 @@ TEST(FaultSim, SchedulerRecoversWhereTheSourceIsUp)
         const JobTrace trace("t", {{1, submit, hours(1), 1}});
         const SimulationResult r =
             run(trace, "Lowest-Window", queues, faulty, &injector);
-        return r.outcomes[0].waiting();
+        return r.waiting(r.outcomes[0]);
     };
     // Down instant: degraded NoWait fallback, no waiting. Up
     // instant: normal carbon-aware planning resumes — falling
@@ -234,7 +234,7 @@ TEST(FaultSim, StormRevokesBackToBackThenFallsToOnDemand)
     // on-demand restart completes the job.
     EXPECT_EQ(o.evictions, 3u);
     EXPECT_EQ(r.eviction_count, 3u);
-    EXPECT_EQ(o.finish(), strike + hours(2));
+    EXPECT_EQ(r.finish(o), strike + hours(2));
 }
 
 TEST(FaultSim, StormAtSliceEndDoesNotRevoke)
@@ -270,9 +270,9 @@ TEST(FaultSim, StormAtSliceEndDoesNotRevoke)
             ResourceStrategy::SpotFirst);
     const JobOutcome &o = r.outcomes[0];
     EXPECT_EQ(o.evictions, 0u);
-    EXPECT_EQ(o.finish(), 1800);
-    ASSERT_EQ(o.segments.size(), 1u);
-    EXPECT_FALSE(o.segments[0].lost);
+    EXPECT_EQ(r.finish(o), 1800);
+    ASSERT_EQ(r.placements(o).size(), 1u);
+    EXPECT_FALSE(r.placements(o)[0].lost);
 }
 
 TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
@@ -289,7 +289,7 @@ TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
     const SimulationResult slow =
         run(trace, "NoWait", queues, cis, &stretcher);
     EXPECT_EQ(slow.outcomes[0].length, hours(2));
-    EXPECT_EQ(slow.outcomes[0].finish(), hours(2));
+    EXPECT_EQ(slow.finish(slow.outcomes[0]), hours(2));
 
     FaultSpec late;
     late.delay_rate = 1.0;
@@ -300,8 +300,8 @@ TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
     // The job reaches the scheduler half an hour late; the stall
     // counts as waiting against the user-visible submit.
     EXPECT_EQ(delayed.outcomes[0].submit, 0);
-    EXPECT_EQ(delayed.outcomes[0].start(), minutes(30));
-    EXPECT_EQ(delayed.outcomes[0].waiting(), minutes(30));
+    EXPECT_EQ(delayed.start(delayed.outcomes[0]), minutes(30));
+    EXPECT_EQ(delayed.waiting(delayed.outcomes[0]), minutes(30));
 }
 
 } // namespace

@@ -150,8 +150,8 @@ TEST(Metamorphic, DayShiftOnPeriodicGridPreservesCarbon)
             EXPECT_NEAR(a.outcomes[i].carbon_g,
                         b.outcomes[i].carbon_g, 1e-9)
                 << policy << " job " << i;
-            EXPECT_EQ(a.outcomes[i].start() + kSecondsPerDay,
-                      b.outcomes[i].start())
+            EXPECT_EQ(a.start(a.outcomes[i]) + kSecondsPerDay,
+                      b.start(b.outcomes[i]))
                 << policy << " job " << i;
         }
     }

@@ -2,8 +2,9 @@
  * @file Byte budget of the per-job records.
  *
  * A fig14 sweep holds one JobOutcome per job per cell (2.7M of them
- * for the 27-cell Alibaba-year sweep) and one SchedulePlan per job in
- * every in-flight cell, so their sizes drive the benchmark's
+ * for the 27-cell Alibaba-year sweep) plus one PlacedSegment per
+ * placement in the result's segment column, and one SchedulePlan per
+ * job in every in-flight cell, so their sizes drive the benchmark's
  * `peak_rss_mb` (bench/perf/README.md, "End-to-end metrics"). Growing
  * any of these records should be a visible decision: raise the budget
  * here in the same change and report the `peak_rss_mb` it costs. The
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "cloud/purchase.h"
-#include "common/small_vector.h"
 #include "core/schedule.h"
 #include "sim/results.h"
 
@@ -28,16 +28,12 @@ TEST(LayoutBudget, PlacedSegmentIsTwentyFourBytes)
     EXPECT_EQ(sizeof(PlacedSegment), 24u);
 }
 
-TEST(LayoutBudget, SegmentListIsTwoInlineSegmentsPlusAWord)
-{
-    // The inline buffer doubles as the heap pointer once spilled, so
-    // the header is just the 32-bit size and capacity.
-    EXPECT_EQ((sizeof(SmallVector<PlacedSegment, 2>)), 56u);
-}
-
 TEST(LayoutBudget, JobOutcomeFitsItsBudget)
 {
-    EXPECT_LE(sizeof(JobOutcome), 120u);
+    // id, submit and length; cpus + evictions and the segment range
+    // share a word each; four doubles. The segments themselves live
+    // in the result's column.
+    EXPECT_LE(sizeof(JobOutcome), 72u);
 }
 
 TEST(LayoutBudget, SchedulePlanFitsItsBudget)

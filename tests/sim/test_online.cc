@@ -54,8 +54,8 @@ TEST(Online, InterleavedSubmissionAndTime)
     sched.drain();
     const SimulationResult r = sched.finalize();
     ASSERT_EQ(r.outcomes.size(), 2u);
-    EXPECT_EQ(r.outcomes[1].start(), hours(2)); // work-conserving
-    EXPECT_EQ(r.outcomes[1].segments[0].option,
+    EXPECT_EQ(r.start(r.outcomes[1]), hours(2)); // work-conserving
+    EXPECT_EQ(r.placements(r.outcomes[1])[0].option,
               PurchaseOption::Reserved);
 }
 
@@ -99,10 +99,10 @@ TEST(Online, MatchesBatchSimulationExactly)
     EXPECT_DOUBLE_EQ(online.carbon_kg, batch.carbon_kg);
     EXPECT_DOUBLE_EQ(online.totalCost(), batch.totalCost());
     for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
-        EXPECT_EQ(online.outcomes[i].start(),
-                  batch.outcomes[i].start());
-        EXPECT_EQ(online.outcomes[i].finish(),
-                  batch.outcomes[i].finish());
+        EXPECT_EQ(online.start(online.outcomes[i]),
+                  batch.start(batch.outcomes[i]));
+        EXPECT_EQ(online.finish(online.outcomes[i]),
+                  batch.finish(batch.outcomes[i]));
     }
 }
 
@@ -157,8 +157,8 @@ TEST(Online, RandomAdvancePatternsNeverChangeTheBooks)
         EXPECT_DOUBLE_EQ(online.totalCost(), batch.totalCost())
             << "seed " << seed;
         for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
-            EXPECT_EQ(online.outcomes[i].start(),
-                      batch.outcomes[i].start())
+            EXPECT_EQ(online.start(online.outcomes[i]),
+                      batch.start(batch.outcomes[i]))
                 << "seed " << seed << " job " << i;
         }
     }
@@ -327,7 +327,7 @@ TEST(Online, AdvanceToIsIdempotentAcrossQuietPeriods)
     EXPECT_EQ(sched.now(), 20000);
     sched.drain();
     const SimulationResult r = sched.finalize();
-    EXPECT_EQ(r.outcomes[0].finish(), 600);
+    EXPECT_EQ(r.finish(r.outcomes[0]), 600);
 }
 
 } // namespace

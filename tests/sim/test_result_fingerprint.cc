@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/results.h"
+#include "tests/common/sim_test_util.h"
 
 namespace gaia {
 namespace {
@@ -14,10 +15,10 @@ namespace {
 /**
  * One hand-built result touching every field the fingerprint mixes:
  * on-demand, reserved and spot segments, a lost spot slice, a width-2
- * segment, a job with more than two segments (so they spill past the
- * inline buffer) and non-zero evictions. Fields are assigned by name,
- * so the fixture does not depend on struct layout; each job's start,
- * finish and lost core-seconds follow from its segments.
+ * segment, a job with four segments and non-zero evictions. Fields
+ * are assigned by name, so the fixture does not depend on struct
+ * layout; each job's start, finish and lost core-seconds follow from
+ * its segments.
  */
 SimulationResult
 pinnedResult()
@@ -53,37 +54,41 @@ pinnedResult()
     evicted.length = 7200;
     evicted.cpus = 2;
     evicted.evictions = 1;
-    evicted.segments.push_back(
-        {3600, 5400, PurchaseOption::Spot, /*lost=*/true, 1});
-    evicted.segments.push_back(
-        {5400, 9000, PurchaseOption::Reserved, false, 1});
-    evicted.segments.push_back(
-        {10800, 12600, PurchaseOption::OnDemand, false, 2});
-    evicted.segments.push_back(
-        {14400, 15300, PurchaseOption::Spot, false, 1});
     evicted.carbon_g = 812.4;
     evicted.carbon_nowait_g = 901.7;
     evicted.variable_cost = 0.33;
     evicted.overhead_core_seconds = 120.0;
-    r.outcomes.push_back(evicted);
+    testutil::appendOutcome(
+        r, evicted,
+        {{3600, 5400, PurchaseOption::Spot, /*lost=*/true, 1},
+         {5400, 9000, PurchaseOption::Reserved, false, 1},
+         {10800, 12600, PurchaseOption::OnDemand, false, 2},
+         {14400, 15300, PurchaseOption::Spot, false, 1}});
 
     JobOutcome plain;
     plain.id = 18;
     plain.submit = 7200;
     plain.length = 3600;
     plain.cpus = 1;
-    plain.segments.push_back(
-        {7200, 10800, PurchaseOption::OnDemand, false, 1});
     plain.carbon_g = 250.0;
     plain.carbon_nowait_g = 250.0;
     plain.variable_cost = 0.05;
-    r.outcomes.push_back(plain);
+    testutil::appendOutcome(
+        r, plain, {{7200, 10800, PurchaseOption::OnDemand, false, 1}});
     return r;
 }
 
+/** Segment `k` of job `job` in `r`'s column. */
+PlacedSegment &
+seg(SimulationResult &r, std::size_t job, std::size_t k)
+{
+    return r.segments[r.outcomes[job].first_segment + k];
+}
+
 // Computed before JobOutcome, PlacedSegment and SmallVector were
-// repacked, and before JobOutcome stopped storing start, finish and
-// lost core-seconds; layout changes must never move it. If a
+// repacked, before JobOutcome stopped storing start, finish and lost
+// core-seconds, and before segments moved out of JobOutcome into the
+// result's column; layout changes must never move it. If a
 // deliberate change to the digest's definition moves it, every pinned
 // fingerprint (the golden tests and the benchmark's fingerprint
 // table) moves with it.
@@ -129,9 +134,9 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { r.outcomes[1].evictions += 1; },
         // start(), finish() and lostCoreSeconds() are computed from
         // the segments: move each through one.
-        [](SimulationResult &r) { r.outcomes[1].segments[0].start += 1; },
-        [](SimulationResult &r) { r.outcomes[1].segments[0].end += 1; },
-        [](SimulationResult &r) { r.outcomes[0].segments[0].end += 1; },
+        [](SimulationResult &r) { seg(r, 1, 0).start += 1; },
+        [](SimulationResult &r) { seg(r, 1, 0).end += 1; },
+        [](SimulationResult &r) { seg(r, 0, 0).end += 1; },
         [](SimulationResult &r) { r.outcomes[1].carbon_g += 1.0; },
         [](SimulationResult &r) {
             r.outcomes[1].carbon_nowait_g += 1.0;
@@ -140,14 +145,14 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) {
             r.outcomes[1].overhead_core_seconds += 1.0;
         },
-        [](SimulationResult &r) { r.outcomes[0].segments.clear(); },
-        [](SimulationResult &r) { r.outcomes[0].segments[3].start -= 1; },
-        [](SimulationResult &r) { r.outcomes[0].segments[3].end += 1; },
+        [](SimulationResult &r) { r.outcomes[0].segment_count = 0; },
+        [](SimulationResult &r) { seg(r, 0, 3).start -= 1; },
+        [](SimulationResult &r) { seg(r, 0, 3).end += 1; },
         [](SimulationResult &r) {
-            r.outcomes[0].segments[3].option = PurchaseOption::OnDemand;
+            seg(r, 0, 3).option = PurchaseOption::OnDemand;
         },
-        [](SimulationResult &r) { r.outcomes[0].segments[0].lost = false; },
-        [](SimulationResult &r) { r.outcomes[0].segments[2].width = 3; },
+        [](SimulationResult &r) { seg(r, 0, 0).lost = false; },
+        [](SimulationResult &r) { seg(r, 0, 2).width = 3; },
     };
     for (std::size_t i = 0; i < edits.size(); ++i) {
         SimulationResult edited = pinnedResult();

@@ -4,82 +4,122 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/common/sim_test_util.h"
+
 namespace gaia {
 namespace {
 
-JobOutcome
-makeOutcome(Seconds submit, Seconds length, Seconds start, int cpus)
+/** Append a job that ran on demand over [start, start + length). */
+JobOutcome &
+appendRun(SimulationResult &r, Seconds submit, Seconds length,
+          Seconds start, int cpus)
 {
     JobOutcome o;
     o.id = 1;
     o.submit = submit;
     o.length = length;
     o.cpus = cpus;
-    o.segments.push_back(
-        {start, start + length, PurchaseOption::OnDemand, false});
-    return o;
+    return testutil::appendOutcome(
+        r, o, {{start, start + length, PurchaseOption::OnDemand, false}});
 }
 
 TEST(JobOutcome, TimingDerivations)
 {
-    const JobOutcome o = makeOutcome(100, 500, 300, 1);
-    EXPECT_EQ(o.completion(), 700);
-    EXPECT_EQ(o.waiting(), 200);
+    SimulationResult r;
+    const JobOutcome &o = appendRun(r, 100, 500, 300, 1);
+    EXPECT_EQ(r.completion(o), 700);
+    EXPECT_EQ(r.waiting(o), 200);
 }
 
 TEST(JobOutcome, OneSegmentGivesItsSpan)
 {
-    const JobOutcome o = makeOutcome(100, 500, 300, 2);
-    EXPECT_EQ(o.start(), 300);
-    EXPECT_EQ(o.finish(), 800);
-    EXPECT_EQ(o.lostCoreSeconds(), 0.0);
+    SimulationResult r;
+    const JobOutcome &o = appendRun(r, 100, 500, 300, 2);
+    EXPECT_EQ(r.start(o), 300);
+    EXPECT_EQ(r.finish(o), 800);
+    EXPECT_EQ(r.lostCoreSeconds(o), 0.0);
 }
 
 TEST(JobOutcome, FinishIgnoresLostSlices)
 {
     // A suspend-resume job on spot: the first slice completes, the
     // second is evicted after 30 min.
-    JobOutcome o;
-    o.submit = 0;
-    o.length = 2 * 3600;
-    o.cpus = 2;
-    o.evictions = 1;
-    o.segments.push_back({0, 3600, PurchaseOption::Spot, false});
-    o.segments.push_back({7200, 9000, PurchaseOption::Spot, true});
-    EXPECT_EQ(o.start(), 0);
-    EXPECT_EQ(o.finish(), 3600); // not the lost slice's end
-    EXPECT_EQ(o.lostCoreSeconds(), 1800.0 * 2);
+    SimulationResult r;
+    JobOutcome job;
+    job.submit = 0;
+    job.length = 2 * 3600;
+    job.cpus = 2;
+    job.evictions = 1;
+    JobOutcome &o = testutil::appendOutcome(
+        r, job,
+        {{0, 3600, PurchaseOption::Spot, false},
+         {7200, 9000, PurchaseOption::Spot, true}});
+    EXPECT_EQ(r.start(o), 0);
+    EXPECT_EQ(r.finish(o), 3600); // not the lost slice's end
+    EXPECT_EQ(r.lostCoreSeconds(o), 1800.0 * 2);
 
-    // The restart on on-demand settles the job.
-    o.segments.push_back({9000, 12600, PurchaseOption::OnDemand, false});
-    EXPECT_EQ(o.start(), 0);
-    EXPECT_EQ(o.finish(), 12600);
-    EXPECT_EQ(o.lostCoreSeconds(), 1800.0 * 2);
-    EXPECT_EQ(o.waiting(), 12600 - 2 * 3600);
+    // The restart on on-demand settles the job; it is the last job,
+    // so its range can grow at the column's end.
+    r.segments.push_back({9000, 12600, PurchaseOption::OnDemand, false});
+    ++o.segment_count;
+    EXPECT_EQ(r.start(o), 0);
+    EXPECT_EQ(r.finish(o), 12600);
+    EXPECT_EQ(r.lostCoreSeconds(o), 1800.0 * 2);
+    EXPECT_EQ(r.waiting(o), 12600 - 2 * 3600);
 }
 
 TEST(JobOutcome, LostGangCountsEveryInstance)
 {
     // An elastic gang of two 3-core instances, lost after 20 min.
-    JobOutcome o;
-    o.cpus = 3;
-    o.segments.push_back({600, 1800, PurchaseOption::Spot, true, 2});
-    EXPECT_EQ(o.start(), 600);
-    EXPECT_EQ(o.finish(), 0);
-    EXPECT_EQ(o.lostCoreSeconds(), 1200.0 * 3 * 2);
+    SimulationResult r;
+    JobOutcome job;
+    job.cpus = 3;
+    const JobOutcome &o = testutil::appendOutcome(
+        r, job, {{600, 1800, PurchaseOption::Spot, true, 2}});
+    EXPECT_EQ(r.start(o), 600);
+    EXPECT_EQ(r.finish(o), 0);
+    EXPECT_EQ(r.lostCoreSeconds(o), 1200.0 * 3 * 2);
 }
 
 TEST(JobOutcome, NoSegmentsGivesZeros)
 {
-    const JobOutcome o;
-    EXPECT_EQ(o.start(), 0);
-    EXPECT_EQ(o.finish(), 0);
-    EXPECT_EQ(o.lostCoreSeconds(), 0.0);
+    SimulationResult r;
+    const JobOutcome &o = testutil::appendOutcome(r, JobOutcome{}, {});
+    EXPECT_TRUE(r.placements(o).empty());
+    EXPECT_EQ(r.start(o), 0);
+    EXPECT_EQ(r.finish(o), 0);
+    EXPECT_EQ(r.lostCoreSeconds(o), 0.0);
+}
+
+TEST(JobOutcome, RangesSelectEachJobsSegments)
+{
+    // Jobs own consecutive ranges of one column; each reads only its
+    // own, and a copied result reads the same ranges of its copy.
+    SimulationResult r;
+    appendRun(r, 0, 100, 0, 1);
+    JobOutcome job;
+    job.cpus = 1;
+    testutil::appendOutcome(r, job,
+                            {{200, 260, PurchaseOption::Spot, true},
+                             {300, 400, PurchaseOption::Reserved, false}});
+    appendRun(r, 0, 50, 500, 1);
+    ASSERT_EQ(r.segments.size(), 4u);
+    EXPECT_EQ(r.outcomes[1].first_segment, 1u);
+    EXPECT_EQ(r.outcomes[2].first_segment, 3u);
+
+    const SimulationResult copy = r;
+    r.segments.clear();
+    ASSERT_EQ(copy.placements(copy.outcomes[1]).size(), 2u);
+    EXPECT_EQ(copy.start(copy.outcomes[1]), 200);
+    EXPECT_EQ(copy.finish(copy.outcomes[1]), 400);
+    EXPECT_EQ(copy.lostCoreSeconds(copy.outcomes[1]), 60.0);
+    EXPECT_EQ(copy.start(copy.outcomes[2]), 500);
+    EXPECT_EQ(copy.finish(copy.outcomes[0]), 100);
 }
 
 TEST(JobOutcome, CarbonSaved)
 {
-    JobOutcome o = makeOutcome(0, 100, 0, 1);
+    JobOutcome o;
     o.carbon_nowait_g = 50.0;
     o.carbon_g = 30.0;
     EXPECT_DOUBLE_EQ(o.carbonSaved(), 20.0);
@@ -93,8 +133,8 @@ TEST(SimulationResult, CostAndWaitAggregates)
     r.spot_cost = 1.0;
     EXPECT_DOUBLE_EQ(r.totalCost(), 16.0);
 
-    r.outcomes.push_back(makeOutcome(0, 3600, 3600, 1));  // wait 1 h
-    r.outcomes.push_back(makeOutcome(0, 3600, 10800, 1)); // wait 3 h
+    appendRun(r, 0, 3600, 3600, 1);  // wait 1 h
+    appendRun(r, 0, 3600, 10800, 1); // wait 3 h
     EXPECT_DOUBLE_EQ(r.meanWaitingHours(), 2.0);
     EXPECT_DOUBLE_EQ(r.meanCompletionHours(), 3.0);
     EXPECT_NEAR(r.p95WaitingHours(), 2.9, 0.11);
@@ -113,11 +153,9 @@ TEST(AllocationSeries, SplitsByPurchaseOption)
 {
     SimulationResult r;
     r.horizon = 200;
-    JobOutcome a = makeOutcome(0, 100, 0, 2); // on-demand [0,100)
-    JobOutcome b = makeOutcome(0, 100, 50, 3);
-    b.segments[0].option = PurchaseOption::Reserved; // [50,150)
-    r.outcomes.push_back(a);
-    r.outcomes.push_back(b);
+    appendRun(r, 0, 100, 0, 2); // on-demand [0,100)
+    appendRun(r, 0, 100, 50, 3);
+    r.segments[1].option = PurchaseOption::Reserved; // [50,150)
 
     const auto all = allocationSeries(r, 50);
     ASSERT_EQ(all.size(), 4u);
@@ -139,7 +177,7 @@ TEST(AllocationSeries, ExtendsPastHorizonForLateSegments)
 {
     SimulationResult r;
     r.horizon = 100;
-    r.outcomes.push_back(makeOutcome(0, 100, 150, 1));
+    appendRun(r, 0, 100, 150, 1);
     const auto series = allocationSeries(r, 100);
     ASSERT_EQ(series.size(), 3u);
     EXPECT_DOUBLE_EQ(series[2], 0.5);

@@ -49,9 +49,9 @@ TEST(Simulator, SingleJobClosedFormAccounting)
     ASSERT_EQ(r.outcomes.size(), 1u);
     const JobOutcome &o = r.outcomes[0];
 
-    EXPECT_EQ(o.start(), 0);
-    EXPECT_EQ(o.finish(), hours(2));
-    EXPECT_EQ(o.waiting(), 0);
+    EXPECT_EQ(r.start(o), 0);
+    EXPECT_EQ(r.finish(o), hours(2));
+    EXPECT_EQ(r.waiting(o), 0);
     // 2 cores x 5 W = 10 W = 0.01 kW for 2 h at 100 g/kWh -> 2 g.
     EXPECT_NEAR(o.carbon_g, 2.0, 1e-9);
     EXPECT_NEAR(o.carbon_nowait_g, 2.0, 1e-9);
@@ -86,8 +86,8 @@ TEST(Simulator, AllWaitOnDemandStartsAtTheLimit)
     const JobTrace trace("t", {{1, 500, hours(1), 1}});
     const SimulationResult r =
         run(trace, "AllWait-Threshold", queues, cis);
-    EXPECT_EQ(r.outcomes[0].start(), 500 + hours(4));
-    EXPECT_EQ(r.outcomes[0].waiting(), hours(4));
+    EXPECT_EQ(r.start(r.outcomes[0]), 500 + hours(4));
+    EXPECT_EQ(r.waiting(r.outcomes[0]), hours(4));
 }
 
 TEST(Simulator, HybridGreedyPrefersReservedThenOverflows)
@@ -107,9 +107,9 @@ TEST(Simulator, HybridGreedyPrefersReservedThenOverflows)
 
     int reserved = 0, on_demand = 0;
     for (const JobOutcome &o : r.outcomes) {
-        ASSERT_EQ(o.segments.size(), 1u);
-        EXPECT_EQ(o.waiting(), 0);
-        (o.segments[0].option == PurchaseOption::Reserved
+        ASSERT_EQ(r.placements(o).size(), 1u);
+        EXPECT_EQ(r.waiting(o), 0);
+        (r.placements(o)[0].option == PurchaseOption::Reserved
              ? reserved
              : on_demand)++;
     }
@@ -139,11 +139,11 @@ TEST(Simulator, ReservedFirstIsWorkConserving)
 
     const JobOutcome &first = r.outcomes[0];
     const JobOutcome &second = r.outcomes[1];
-    EXPECT_EQ(first.start(), 0); // immediate despite AllWait's plan
-    EXPECT_EQ(first.segments[0].option, PurchaseOption::Reserved);
-    EXPECT_EQ(second.start(), hours(1));
-    EXPECT_EQ(second.segments[0].option, PurchaseOption::Reserved);
-    EXPECT_EQ(second.waiting(), hours(1) - 600);
+    EXPECT_EQ(r.start(first), 0); // immediate despite AllWait's plan
+    EXPECT_EQ(r.placements(first)[0].option, PurchaseOption::Reserved);
+    EXPECT_EQ(r.start(second), hours(1));
+    EXPECT_EQ(r.placements(second)[0].option, PurchaseOption::Reserved);
+    EXPECT_EQ(r.waiting(second), hours(1) - 600);
     EXPECT_DOUBLE_EQ(r.on_demand_core_seconds, 0.0);
 }
 
@@ -163,8 +163,8 @@ TEST(Simulator, ReservedFirstFallsBackToOnDemandAtPlannedStart)
             ResourceStrategy::ReservedFirst);
 
     const JobOutcome &second = r.outcomes[1];
-    EXPECT_EQ(second.start(), hours(1));
-    EXPECT_EQ(second.segments[0].option, PurchaseOption::OnDemand);
+    EXPECT_EQ(r.start(second), hours(1));
+    EXPECT_EQ(r.placements(second)[0].option, PurchaseOption::OnDemand);
 }
 
 TEST(Simulator, WorkConservationOverridesCarbonWaiting)
@@ -183,12 +183,12 @@ TEST(Simulator, WorkConservationOverridesCarbonWaiting)
     const SimulationResult wc =
         run(trace, "Lowest-Slot", queues, cis, cluster,
             ResourceStrategy::ReservedFirst);
-    EXPECT_EQ(wc.outcomes[0].start(), 0);
+    EXPECT_EQ(wc.start(wc.outcomes[0]), 0);
 
     const SimulationResult greedy =
         run(trace, "Lowest-Slot", queues, cis, cluster,
             ResourceStrategy::HybridGreedy);
-    EXPECT_EQ(greedy.outcomes[0].start(), hours(5));
+    EXPECT_EQ(greedy.start(greedy.outcomes[0]), hours(5));
 }
 
 TEST(Simulator, SuspendResumePlacesEachSegment)
@@ -205,11 +205,11 @@ TEST(Simulator, SuspendResumePlacesEachSegment)
         run(trace, "Wait-Awhile", queues, cis);
 
     const JobOutcome &o = r.outcomes[0];
-    ASSERT_EQ(o.segments.size(), 2u);
-    EXPECT_EQ(o.segments[0].start, hours(1));
-    EXPECT_EQ(o.segments[1].start, hours(3));
-    EXPECT_EQ(o.finish(), hours(4));
-    EXPECT_EQ(o.waiting(), hours(2));
+    ASSERT_EQ(r.placements(o).size(), 2u);
+    EXPECT_EQ(r.placements(o)[0].start, hours(1));
+    EXPECT_EQ(r.placements(o)[1].start, hours(3));
+    EXPECT_EQ(r.finish(o), hours(4));
+    EXPECT_EQ(r.waiting(o), hours(2));
     // Carbon: 0.005 kW x (10 + 20) g/kWh x 1 h each.
     EXPECT_NEAR(o.carbon_g, 0.005 * 30.0, 1e-9);
 }
@@ -287,8 +287,8 @@ TEST(Simulator, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.carbon_kg, b.carbon_kg);
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-        EXPECT_EQ(a.outcomes[i].start(), b.outcomes[i].start());
-        EXPECT_EQ(a.outcomes[i].finish(), b.outcomes[i].finish());
+        EXPECT_EQ(a.start(a.outcomes[i]), b.start(b.outcomes[i]));
+        EXPECT_EQ(a.finish(a.outcomes[i]), b.finish(b.outcomes[i]));
     }
 }
 
@@ -325,8 +325,8 @@ TEST(Simulator, EmptyTraceProducesEmptyResult)
 TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
 {
     // Wait-Awhile splits jobs across the cheap odd hours and spot
-    // evictions add lost segments, so many outcomes spill their
-    // segment lists to the heap.
+    // evictions add lost segments, so many jobs record more than two
+    // segments.
     std::vector<double> hourly(24 * 40);
     for (std::size_t h = 0; h < hourly.size(); ++h)
         hourly[h] = h % 2 == 0 ? 400.0 : 40.0 + static_cast<double>(h % 7);
@@ -355,26 +355,28 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
 
     SimulationResult fresh = simulateChecked(setup).value();
     const std::uint64_t expected = resultFingerprint(fresh);
-    const auto spilled = [](const JobOutcome &o) {
-        return o.segments.size() > 2;
-    };
-    ASSERT_TRUE(std::any_of(fresh.outcomes.begin(),
-                            fresh.outcomes.end(), spilled));
+    ASSERT_TRUE(std::any_of(
+        fresh.outcomes.begin(), fresh.outcomes.end(),
+        [](const JobOutcome &o) { return o.segment_count > 2; }));
 
-    // Storage pre-filled by that run is refilled in place.
-    const JobOutcome *column = fresh.outcomes.data();
+    // Both columns of the result that run filled are refilled in
+    // place.
+    const JobOutcome *outcomes = fresh.outcomes.data();
+    const PlacedSegment *segments = fresh.segments.data();
     const SimulationResult recycled =
-        simulateChecked(setup, std::move(fresh.outcomes)).value();
+        simulateChecked(setup, std::move(fresh)).value();
     EXPECT_EQ(resultFingerprint(recycled), expected);
-    EXPECT_EQ(recycled.outcomes.data(), column);
+    EXPECT_EQ(recycled.outcomes.data(), outcomes);
+    EXPECT_EQ(recycled.segments.data(), segments);
 
-    // Storage with too little capacity grows like a fresh column.
-    std::vector<JobOutcome> small;
-    std::copy_if(recycled.outcomes.begin(), recycled.outcomes.end(),
-                 std::back_inserter(small), spilled);
-    small.resize(std::min<std::size_t>(small.size(), 3));
-    small.shrink_to_fit();
-    ASSERT_FALSE(small.empty());
+    // Storage with too little capacity grows like fresh columns.
+    SimulationResult small;
+    small.outcomes.assign(recycled.outcomes.begin(),
+                          recycled.outcomes.begin() + 3);
+    small.segments.assign(recycled.segments.begin(),
+                          recycled.segments.begin() + 3);
+    small.outcomes.shrink_to_fit();
+    small.segments.shrink_to_fit();
     EXPECT_EQ(resultFingerprint(
                   simulateChecked(setup, std::move(small)).value()),
               expected);

@@ -52,8 +52,8 @@ TEST(SimulatorOverhead, OnDemandSegmentChargedOnce)
     EXPECT_NEAR(with.carbon_kg - r.carbon_kg,
                 0.01 * (5.0 / 60.0) * 100.0 / 1000.0, 1e-9);
     // Timing is unchanged — overhead is not useful work.
-    EXPECT_EQ(with.outcomes[0].start(), r.outcomes[0].start());
-    EXPECT_EQ(with.outcomes[0].finish(), r.outcomes[0].finish());
+    EXPECT_EQ(with.start(with.outcomes[0]), r.start(r.outcomes[0]));
+    EXPECT_EQ(with.finish(with.outcomes[0]), r.finish(r.outcomes[0]));
 }
 
 TEST(SimulatorOverhead, ReservedSegmentsAreExempt)
@@ -92,7 +92,7 @@ TEST(SimulatorOverhead, SuspendResumePaysPerSegment)
     const SimulationResult r = testutil::runSim(
         trace, *wa, queues, cis, cluster,
         ResourceStrategy::OnDemandOnly);
-    ASSERT_EQ(r.outcomes[0].segments.size(), 2u);
+    ASSERT_EQ(r.placements(r.outcomes[0]).size(), 2u);
     EXPECT_DOUBLE_EQ(r.overhead_core_seconds, 2.0 * minutes(5));
     EXPECT_DOUBLE_EQ(r.outcomes[0].overhead_core_seconds,
                      2.0 * minutes(5));
@@ -139,7 +139,7 @@ TEST(SimulatorOverhead, AccountingIdentityHolds)
 
     double placed = 0.0, per_job_overhead = 0.0;
     for (const JobOutcome &o : r.outcomes) {
-        for (const PlacedSegment &seg : o.segments)
+        for (const PlacedSegment &seg : r.placements(o))
             placed += static_cast<double>(seg.duration()) * o.cpus;
         per_job_overhead += o.overhead_core_seconds;
     }

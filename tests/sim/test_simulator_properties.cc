@@ -73,21 +73,21 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
     for (const JobOutcome &o : r.outcomes) {
         // Useful work equals the job length.
         Seconds useful = 0;
-        for (const PlacedSegment &seg : o.segments) {
+        for (const PlacedSegment &seg : r.placements(o)) {
             EXPECT_GT(seg.end, seg.start);
             if (!seg.lost)
                 useful += seg.duration();
         }
         EXPECT_EQ(useful, o.length);
-        EXPECT_GE(o.waiting(), 0);
-        EXPECT_GE(o.start(), o.submit);
+        EXPECT_GE(r.waiting(o), 0);
+        EXPECT_GE(r.start(o), o.submit);
 
         // Execution begins within the queue's waiting bound for
         // every non-suspend-resume policy (suspend-resume plans
         // bound total waiting instead; evictions may extend
         // completions but never the first start).
         const QueueSpec &queue = queues.queueFor(o.length);
-        EXPECT_LE(o.start(), o.submit + queue.max_wait)
+        EXPECT_LE(r.start(o), o.submit + queue.max_wait)
             << "job " << o.id;
 
         variable += o.variable_cost;
@@ -95,7 +95,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
 
         // Recompute carbon from segments independently.
         double expected_carbon = 0.0;
-        for (const PlacedSegment &seg : o.segments) {
+        for (const PlacedSegment &seg : r.placements(o)) {
             expected_carbon += carbon.gramsFor(
                 seg.start, seg.end,
                 cluster.energy.kilowatts(o.cpus));
@@ -110,7 +110,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
     // Usage split is exhaustive.
     double placed = 0.0;
     for (const JobOutcome &o : r.outcomes)
-        for (const PlacedSegment &seg : o.segments)
+        for (const PlacedSegment &seg : r.placements(o))
             placed += static_cast<double>(seg.duration()) * o.cpus;
     EXPECT_NEAR(placed,
                 r.reserved_core_seconds + r.on_demand_core_seconds +
@@ -121,7 +121,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
     if (cluster.reserved_cores > 0) {
         std::map<Seconds, int> deltas;
         for (const JobOutcome &o : r.outcomes) {
-            for (const PlacedSegment &seg : o.segments) {
+            for (const PlacedSegment &seg : r.placements(o)) {
                 if (seg.option != PurchaseOption::Reserved)
                     continue;
                 deltas[seg.start] += o.cpus;

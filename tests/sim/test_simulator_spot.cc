@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/policy_factory.h"
 #include "sim/simulator.h"
 #include "tests/common/sim_test_util.h"
@@ -45,9 +47,9 @@ TEST(SimulatorSpot, ZeroEvictionRunsShortJobsOnSpot)
     const SimulationResult r =
         run(trace, "NoWait", queues, cis, cluster);
     const JobOutcome &o = r.outcomes[0];
-    ASSERT_EQ(o.segments.size(), 1u);
-    EXPECT_EQ(o.segments[0].option, PurchaseOption::Spot);
-    EXPECT_FALSE(o.segments[0].lost);
+    ASSERT_EQ(r.placements(o).size(), 1u);
+    EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::Spot);
+    EXPECT_FALSE(r.placements(o)[0].lost);
     EXPECT_EQ(o.evictions, 0);
     // 2 core-hours at 20% of $0.0624.
     EXPECT_NEAR(r.spot_cost, 2 * 0.0624 * 0.2, 1e-9);
@@ -65,7 +67,7 @@ TEST(SimulatorSpot, LongJobsBypassSpot)
 
     const SimulationResult r =
         run(trace, "NoWait", queues, cis, cluster);
-    EXPECT_EQ(r.outcomes[0].segments[0].option,
+    EXPECT_EQ(r.placements(r.outcomes[0])[0].option,
               PurchaseOption::OnDemand);
     EXPECT_DOUBLE_EQ(r.spot_cost, 0.0);
 }
@@ -80,7 +82,7 @@ TEST(SimulatorSpot, ZeroSpotBoundDisablesSpotEntirely)
     cluster.spot_max_length = 0;
     const SimulationResult r =
         run(trace, "NoWait", queues, cis, cluster);
-    EXPECT_EQ(r.outcomes[0].segments[0].option,
+    EXPECT_EQ(r.placements(r.outcomes[0])[0].option,
               PurchaseOption::OnDemand);
 }
 
@@ -100,23 +102,23 @@ TEST(SimulatorSpot, CertainEvictionRestartsOnDemand)
     EXPECT_EQ(o.evictions, 1);
     EXPECT_EQ(r.eviction_count, 1u);
 
-    ASSERT_GE(o.segments.size(), 1u);
+    ASSERT_GE(r.placements(o).size(), 1u);
     // Depending on the sampled offset there may be no recorded
     // lost slice (offset 0), but the final segment is always a
     // full-length on-demand run.
-    const PlacedSegment &final = o.segments.back();
+    const PlacedSegment &final = r.placements(o).back();
     EXPECT_EQ(final.option, PurchaseOption::OnDemand);
     EXPECT_FALSE(final.lost);
     EXPECT_EQ(final.duration(), hours(2));
-    if (o.segments.size() == 2u) {
-        EXPECT_EQ(o.segments[0].option, PurchaseOption::Spot);
-        EXPECT_TRUE(o.segments[0].lost);
-        EXPECT_LT(o.segments[0].duration(), kSecondsPerHour);
-        EXPECT_GT(o.lostCoreSeconds(), 0.0);
+    if (r.placements(o).size() == 2u) {
+        EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::Spot);
+        EXPECT_TRUE(r.placements(o)[0].lost);
+        EXPECT_LT(r.placements(o)[0].duration(), kSecondsPerHour);
+        EXPECT_GT(r.lostCoreSeconds(o), 0.0);
     }
     // Completion = eviction offset + a fresh full run.
-    EXPECT_EQ(o.finish() - o.start() - o.lostCoreSeconds(), hours(2));
-    EXPECT_GE(o.waiting(), 0);
+    EXPECT_EQ(r.finish(o) - r.start(o) - r.lostCoreSeconds(o), hours(2));
+    EXPECT_GE(r.waiting(o), 0);
 }
 
 TEST(SimulatorSpot, EvictionCostsMoreThanCleanRun)
@@ -151,7 +153,7 @@ TEST(SimulatorSpot, RestartPrefersFreeReservedCores)
     const SimulationResult r =
         run(trace, "NoWait", queues, cis, cluster,
             ResourceStrategy::SpotReserved);
-    const PlacedSegment &final = r.outcomes[0].segments.back();
+    const PlacedSegment &final = r.placements(r.outcomes[0]).back();
     EXPECT_EQ(final.option, PurchaseOption::Reserved);
     EXPECT_EQ(final.duration(), hours(2));
 }
@@ -171,11 +173,11 @@ TEST(SimulatorSpot, SpotReservedRoutesLongJobsWorkConserving)
         run(trace, "AllWait-Threshold", queues, cis, cluster,
             ResourceStrategy::SpotReserved);
     // Long job grabs the reserved core immediately.
-    EXPECT_EQ(r.outcomes[0].segments[0].option,
+    EXPECT_EQ(r.placements(r.outcomes[0])[0].option,
               PurchaseOption::Reserved);
-    EXPECT_EQ(r.outcomes[0].start(), 0);
+    EXPECT_EQ(r.start(r.outcomes[0]), 0);
     // Short job goes to spot at its planned start.
-    EXPECT_EQ(r.outcomes[1].segments[0].option,
+    EXPECT_EQ(r.placements(r.outcomes[1])[0].option,
               PurchaseOption::Spot);
 }
 
@@ -194,8 +196,8 @@ TEST(SimulatorSpot, MultiSegmentSpotPlanSurvivesWithoutEvictions)
     const SimulationResult r =
         run(trace, "Wait-Awhile", queues, cis, cluster);
     const JobOutcome &o = r.outcomes[0];
-    ASSERT_EQ(o.segments.size(), 2u);
-    for (const PlacedSegment &seg : o.segments) {
+    ASSERT_EQ(r.placements(o).size(), 2u);
+    for (const PlacedSegment &seg : r.placements(o)) {
         EXPECT_EQ(seg.option, PurchaseOption::Spot);
         EXPECT_FALSE(seg.lost);
     }
@@ -218,12 +220,12 @@ TEST(SimulatorSpot, MultiSegmentEvictionAbortsAndRestarts)
         run(trace, "Wait-Awhile", queues, cis, cluster);
     const JobOutcome &o = r.outcomes[0];
     EXPECT_EQ(o.evictions, 1);
-    const PlacedSegment &final = o.segments.back();
+    const PlacedSegment &final = r.placements(o).back();
     EXPECT_EQ(final.option, PurchaseOption::OnDemand);
     EXPECT_EQ(final.duration(), hours(2)); // full restart
     // Every earlier slice was marked lost.
-    for (std::size_t i = 0; i + 1 < o.segments.size(); ++i)
-        EXPECT_TRUE(o.segments[i].lost);
+    for (std::size_t i = 0; i + 1 < r.placements(o).size(); ++i)
+        EXPECT_TRUE(r.placements(o)[i].lost);
 }
 
 TEST(SimulatorSpot, EvictionSamplingIsSeedDeterministic)
@@ -275,6 +277,49 @@ TEST(SimulatorSpot, EvictionRateMatchesModelAcrossManyJobs)
     // One-hour jobs: eviction probability per job is exactly 10%.
     EXPECT_NEAR(static_cast<double>(r.eviction_count) / n, 0.10,
                 0.02);
+}
+
+TEST(SimulatorSpot, SegmentColumnKeepsItsInvariantsUnderEvictions)
+{
+    // Many jobs, some evicted, interleaved with reserved placements
+    // and Wait-Awhile plans split across the cheap odd hours.
+    std::vector<double> hourly(24 * 40);
+    for (std::size_t h = 0; h < hourly.size(); ++h)
+        hourly[h] = h % 2 == 0 ? 400.0 : 40.0 + static_cast<double>(h % 7);
+    const CarbonTrace carbon("alternating", hourly);
+    const CarbonInfoService cis(carbon);
+    std::vector<Job> jobs;
+    for (int i = 0; i < 300; ++i)
+        jobs.push_back({i, i * 700, minutes(30 + i % 90), 1 + i % 2});
+    const JobTrace trace("t", std::move(jobs));
+    ClusterConfig cluster;
+    cluster.spot_max_length = 2 * kSecondsPerHour;
+    cluster.spot_eviction_rate = 0.3;
+    cluster.reserved_cores = 2;
+
+    for (const std::string policy :
+         {"NoWait", "Wait-Awhile", "Carbon-Time"}) {
+        const SimulationResult r =
+            run(trace, policy, oneQueue(hours(12)), cis, cluster,
+                ResourceStrategy::SpotReserved);
+        EXPECT_EQ(testutil::segmentColumnViolation(r), "") << policy;
+        EXPECT_GT(r.eviction_count, 10u) << policy;
+        EXPECT_GT(r.segments.size(), r.outcomes.size()) << policy;
+        if (policy != "Wait-Awhile")
+            continue;
+        // Some jobs finish a slice and lose the next one: the
+        // eviction marks the finished slice lost too.
+        EXPECT_TRUE(std::any_of(
+            r.outcomes.begin(), r.outcomes.end(),
+            [&](const JobOutcome &o) {
+                const auto segs = r.placements(o);
+                return o.evictions == 1 &&
+                       std::count_if(segs.begin(), segs.end(),
+                                     [](const PlacedSegment &seg) {
+                                         return seg.lost;
+                                     }) > 1;
+            }));
+    }
 }
 
 } // namespace

@@ -61,10 +61,13 @@ TEST(WorkConserving, FirstFitSkipsWideHeadOfLine)
         runReservedFirst(trace, 2, hours(20));
 
     // A1 frees one core at 2 h: B (2 cores) cannot fit, C can.
-    EXPECT_EQ(r.outcomes[2].start(), hours(4)); // B waits for A2 too
-    EXPECT_EQ(r.outcomes[3].start(), hours(2)); // C takes the core
-    EXPECT_EQ(r.outcomes[3].segments[0].option,
+    EXPECT_EQ(r.start(r.outcomes[2]), hours(4)); // B waits for A2 too
+    EXPECT_EQ(r.start(r.outcomes[3]), hours(2)); // C takes the core
+    EXPECT_EQ(r.placements(r.outcomes[3])[0].option,
               PurchaseOption::Reserved);
+    // C is placed before B, out of job order, after a prefix of
+    // three placements: the segment column is regrouped by job.
+    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
 }
 
 TEST(WorkConserving, DrainOrderFollowsPlannedStart)
@@ -78,10 +81,10 @@ TEST(WorkConserving, DrainOrderFollowsPlannedStart)
                               });
     const SimulationResult r =
         runReservedFirst(trace, 1, hours(20));
-    EXPECT_EQ(r.outcomes[1].start(), hours(3));
-    EXPECT_EQ(r.outcomes[2].start(), hours(4));
+    EXPECT_EQ(r.start(r.outcomes[1]), hours(3));
+    EXPECT_EQ(r.start(r.outcomes[2]), hours(4));
     for (const JobOutcome &o : r.outcomes)
-        EXPECT_EQ(o.segments[0].option, PurchaseOption::Reserved);
+        EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::Reserved);
 }
 
 TEST(WorkConserving, CascadingReleasesDrainEverything)
@@ -97,7 +100,7 @@ TEST(WorkConserving, CascadingReleasesDrainEverything)
 
     std::vector<Seconds> starts;
     for (const JobOutcome &o : r.outcomes)
-        starts.push_back(o.start());
+        starts.push_back(r.start(o));
     std::sort(starts.begin(), starts.end());
     for (std::size_t i = 0; i < starts.size(); ++i)
         EXPECT_EQ(starts[i], static_cast<Seconds>(i) * hours(1));
@@ -119,10 +122,10 @@ TEST(WorkConserving, ReleaseAndDeadlineTieIsDeterministic)
         runReservedFirst(trace, 1, hours(2));
     const SimulationResult b =
         runReservedFirst(trace, 1, hours(2));
-    EXPECT_EQ(a.outcomes[1].start(), b.outcomes[1].start());
-    EXPECT_EQ(a.outcomes[1].segments[0].option,
-              b.outcomes[1].segments[0].option);
-    EXPECT_EQ(a.outcomes[1].start(), hours(2));
+    EXPECT_EQ(a.start(a.outcomes[1]), b.start(b.outcomes[1]));
+    EXPECT_EQ(a.placements(a.outcomes[1])[0].option,
+              b.placements(b.outcomes[1])[0].option);
+    EXPECT_EQ(a.start(a.outcomes[1]), hours(2));
 }
 
 TEST(WorkConserving, ZeroReservedDegeneratesToPlannedStarts)
@@ -132,8 +135,8 @@ TEST(WorkConserving, ZeroReservedDegeneratesToPlannedStarts)
     const SimulationResult r =
         runReservedFirst(trace, 0, hours(3));
     for (const JobOutcome &o : r.outcomes) {
-        EXPECT_EQ(o.start(), o.submit + hours(3));
-        EXPECT_EQ(o.segments[0].option, PurchaseOption::OnDemand);
+        EXPECT_EQ(r.start(o), o.submit + hours(3));
+        EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::OnDemand);
     }
 }
 
@@ -155,8 +158,8 @@ TEST(WorkConserving, CarbonPolicyStillUsesCarbonStartWhenQueued)
     const SimulationResult r =
         testutil::runSim(trace, *p, queues, cis, cluster,
                  ResourceStrategy::ReservedFirst);
-    EXPECT_EQ(r.outcomes[1].start(), hours(2));
-    EXPECT_EQ(r.outcomes[1].segments[0].option,
+    EXPECT_EQ(r.start(r.outcomes[1]), hours(2));
+    EXPECT_EQ(r.placements(r.outcomes[1])[0].option,
               PurchaseOption::OnDemand);
 }
 
@@ -177,8 +180,8 @@ TEST(WorkConserving, MixedWidthHeavyLoadInvariants)
         runReservedFirst(trace, 6, hours(8), "Carbon-Time");
     ASSERT_EQ(r.outcomes.size(), 200u);
     for (const JobOutcome &o : r.outcomes) {
-        EXPECT_GE(o.start(), o.submit);
-        EXPECT_LE(o.start(), o.submit + hours(8));
+        EXPECT_GE(r.start(o), o.submit);
+        EXPECT_LE(r.start(o), o.submit + hours(8));
     }
 }
 
