@@ -78,10 +78,9 @@ obsSinkConfig()
 }
 
 /**
- * atexit hook writing the requested observability sinks. Registered
- * while parsing flags, i.e. before the lazily started executor
- * singleton exists, so exit-time ordering joins the workers (and
- * flushes their counters) before the snapshot is taken.
+ * atexit hook writing the requested observability sinks. parallelFor
+ * joins its threads before it returns, so every counter update and
+ * span has landed by the time the hook runs.
  */
 inline void
 writeObsSinksAtExit()
@@ -98,12 +97,10 @@ writeObsSinksAtExit()
 
 /**
  * Parse the shared bench flags: `--threads N` caps parallelFor's
- * worker count (overriding GAIA_THREADS; malformed or non-positive
- * values exit with code 2), `--no-memo` disables policy-plan
- * memoization, `--no-pool` routes parallelFor onto per-call
- * fork/join threads instead of the persistent executor,
- * `--metrics-out PATH` / `--trace-out PATH` write the metrics
- * snapshot / Chrome trace JSON at process exit, and `--verbose`
+ * worker count (overriding GAIA_THREADS; values parseThreadCount
+ * rejects exit with code 2), `--no-memo` disables policy-plan
+ * memoization, `--metrics-out PATH` / `--trace-out PATH` write the
+ * metrics snapshot / Chrome trace JSON at process exit, and `--verbose`
  * prints the metrics summary table at exit. Flags also accept the
  * `--flag=value` spelling. Unknown arguments are ignored so
  * individual benches can add their own.
@@ -125,21 +122,16 @@ parseBenchArgs(int argc, char **argv)
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--threads") {
-            const std::string value = need_value(i++, arg);
-            char *end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || n <= 0) {
-                std::cerr << argv[0]
-                          << ": --threads expects a positive "
-                             "integer, got '"
-                          << value << "'\n";
+            const Result<unsigned> threads =
+                parseThreadCount(need_value(i++, arg), arg);
+            if (!threads.isOk()) {
+                std::cerr << argv[0] << ": "
+                          << threads.status().message() << "\n";
                 std::exit(2);
             }
-            setParallelThreads(static_cast<unsigned>(n));
+            setParallelThreads(threads.value());
         } else if (arg == "--no-memo") {
             setPlanMemoization(false);
-        } else if (arg == "--no-pool") {
-            setExecutorPoolEnabled(false);
         } else if (arg == "--metrics-out" || arg == "--trace-out" ||
                    arg == "--verbose") {
             ObsSinkConfig &config = obsSinkConfig();

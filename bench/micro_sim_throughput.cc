@@ -12,14 +12,13 @@
  * are pre-warmed with a throwaway run so the measured pass times
  * simulation, not trace synthesis.
  *
- * The waiting sweep is measured four ways — with and without plan
- * memoization and the persistent executor pool — so BENCH_sim.json
- * records what each mechanism buys on this machine.
+ * The waiting sweep is measured with and without plan memoization,
+ * so BENCH_sim.json records what the PlanCache buys on this
+ * machine.
  *
  * Flags: --quick (week-scale configs for CI smoke), --threads N,
- * --no-memo / --no-pool (set the process default for the
- * non-ablation sections), --json PATH (default <results
- * dir>/BENCH_sim.json).
+ * --no-memo (sets the process default for the non-ablation
+ * sections), --json PATH (default <results dir>/BENCH_sim.json).
  */
 
 #include "bench_common.h"
@@ -211,29 +210,15 @@ main(int argc, char **argv)
     json.set("bench", std::string("micro_sim_throughput"));
     json.set("mode", std::string(quick ? "quick" : "full"));
 
-    // Four-way ablation of the two hot-path mechanisms. The first
-    // row is the headline configuration; the toggles are restored
-    // to the flag-selected process defaults afterwards.
+    // Memoization on (the headline configuration) and off; the
+    // toggle is restored to the flag-selected process default
+    // afterwards.
     const bool default_memo = planMemoizationEnabled();
-    const bool default_pool = executorPoolEnabled();
-    const struct
-    {
-        const char *name;
-        bool memo;
-        bool pool;
-    } ablations[] = {
-        {"fig14_waiting_sweep", true, true},
-        {"fig14_no_memo", false, true},
-        {"fig14_no_pool", true, false},
-        {"fig14_no_memo_no_pool", false, false},
-    };
-    for (const auto &ab : ablations) {
-        setPlanMemoization(ab.memo);
-        setExecutorPoolEnabled(ab.pool);
-        report(json, ab.name, waitingSweep(quick));
-    }
+    setPlanMemoization(true);
+    report(json, "fig14_waiting_sweep", waitingSweep(quick));
+    setPlanMemoization(false);
+    report(json, "fig14_no_memo", waitingSweep(quick));
     setPlanMemoization(default_memo);
-    setExecutorPoolEnabled(default_pool);
 
     report(json, "fig08_policy_week", policySweep());
 

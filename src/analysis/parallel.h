@@ -1,26 +1,27 @@
 /**
  * @file
  * Parallel index loop for parameter sweeps: simulations are
- * independent, so the figure harnesses fan each configuration out
- * across hardware threads.
+ * independent, so the figure harnesses and SweepEngine fan each
+ * configuration out across hardware threads.
  *
- * parallelFor dispatches onto the process-wide work-stealing
- * Executor (common/executor.h): runner tasks share an atomic index
- * counter, the calling thread runs one runner inline, and nested
- * parallelFor calls compose through the executor's task groups
- * instead of oversubscribing the machine with fresh threads. With
- * the pool disabled (setExecutorPoolEnabled(false), the --no-pool
- * bench ablation) it falls back to the historical fork-join team,
- * forkJoinParallelFor.
+ * parallelFor is a flat fork-join loop. Each call starts
+ * min(cap, n) − 1 fresh threads, runs one more runner inline on the
+ * calling thread, and joins them all; every runner claims indices
+ * from one shared atomic counter. No threads outlive a call: a
+ * persistent work-stealing pool measured no faster on the sweeps
+ * and held more memory (DESIGN.md, "Parallel execution"). Nested
+ * calls compose by starting their own threads.
  *
- * Both paths are exception-safe: the first exception thrown by
- * `fn(i)` stops the dispatch of new indices, every in-flight worker
- * finishes, and the exception is rethrown on the calling thread.
+ * The first exception thrown by `fn(i)` stops the dispatch of new
+ * indices, every call already running finishes, and the exception
+ * is rethrown on the calling thread. If starting a thread fails,
+ * the runners already started are stopped and joined before the
+ * error propagates.
  *
- * The worker count resolves, in order: the explicit `threads`
+ * The worker cap resolves, in order: the explicit `threads`
  * argument, setParallelThreads() (e.g. a bench's --threads flag),
  * the GAIA_THREADS environment variable, and finally
- * std::thread::hardware_concurrency().
+ * std::thread::hardware_concurrency() (common/executor.h).
  */
 
 #ifndef GAIA_ANALYSIS_PARALLEL_H
@@ -39,16 +40,22 @@
 namespace gaia {
 
 /**
- * Fork-join fallback: spawn `worker_count` fresh threads, join them
- * all, rethrow the first exception. If spawning itself fails
- * mid-loop (std::system_error from thread creation), the already
- * spawned part of the team is stopped and joined before the error
- * propagates — never std::terminate from an unjoined thread.
+ * Invoke `fn(i)` for i in [0, n) across up to `threads` workers
+ * (0 = defaultParallelThreads()), one of them the calling thread.
+ * `fn` must be safe to call concurrently for distinct indices;
+ * results should be written to pre-sized slots indexed by i. If any
+ * invocation throws, no new indices are dispatched, every in-flight
+ * call completes, and the first exception is rethrown here.
  */
 template <typename Fn>
 void
-forkJoinParallelFor(std::size_t n, Fn fn, unsigned worker_count)
+parallelFor(std::size_t n, Fn fn, unsigned threads = 0)
 {
+    if (n == 0)
+        return;
+    unsigned cap = threads > 0 ? threads : defaultParallelThreads();
+    cap = static_cast<unsigned>(std::min<std::size_t>(cap, n));
+
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
     std::exception_ptr first_error;
@@ -73,9 +80,9 @@ forkJoinParallelFor(std::size_t n, Fn fn, unsigned worker_count)
     };
 
     std::vector<std::thread> workers;
-    workers.reserve(worker_count);
+    workers.reserve(cap - 1);
     try {
-        for (unsigned w = 0; w < worker_count; ++w)
+        for (unsigned w = 0; w + 1 < cap; ++w)
             workers.emplace_back(runner);
     } catch (...) {
         stop.store(true, std::memory_order_relaxed);
@@ -83,74 +90,11 @@ forkJoinParallelFor(std::size_t n, Fn fn, unsigned worker_count)
             t.join();
         throw;
     }
+    runner();
     for (std::thread &t : workers)
         t.join();
     if (first_error)
         std::rethrow_exception(first_error);
-}
-
-/**
- * Invoke `fn(i)` for i in [0, n) across up to `threads` workers
- * (0 = defaultParallelThreads()). `fn` must be safe to call
- * concurrently for distinct indices; results should be written to
- * pre-sized slots indexed by i. If any invocation throws, no new
- * indices are dispatched, every in-flight call completes, and the
- * first exception is rethrown here. Safe to call from inside a task
- * already running on the executor (nested sweeps).
- */
-template <typename Fn>
-void
-parallelFor(std::size_t n, Fn fn, unsigned threads = 0)
-{
-    if (n == 0)
-        return;
-    unsigned cap = threads > 0 ? threads : defaultParallelThreads();
-    cap = static_cast<unsigned>(std::min<std::size_t>(cap, n));
-
-    if (cap <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    if (!executorPoolEnabled()) {
-        forkJoinParallelFor(n, fn, cap);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> stop{false};
-    const auto runner = [&next, &stop, &fn, n] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                stop.store(true, std::memory_order_relaxed);
-                throw; // captured by the task group
-            }
-        }
-    };
-
-    // cap−1 pool runners plus one inline on the calling thread; a
-    // runner that starts late (all indices taken) exits right away,
-    // so oversubscription beyond the pool size is harmless.
-    TaskGroup group;
-    for (unsigned w = 0; w + 1 < cap; ++w)
-        group.run(runner);
-
-    std::exception_ptr inline_error;
-    try {
-        runner();
-    } catch (...) {
-        inline_error = std::current_exception();
-    }
-    group.wait(); // rethrows the first pool-side exception
-    if (inline_error)
-        std::rethrow_exception(inline_error);
 }
 
 } // namespace gaia

@@ -25,7 +25,6 @@ std::size_t
 SweepEngine::add(ScenarioSpec spec)
 {
     specs_.push_back(std::move(spec));
-    groups_.push_back({specs_.size() - 1, 1});
     return specs_.size() - 1;
 }
 
@@ -36,7 +35,6 @@ SweepEngine::addGroup(std::vector<ScenarioSpec> specs)
     const std::size_t first = specs_.size();
     for (ScenarioSpec &spec : specs)
         specs_.push_back(std::move(spec));
-    groups_.push_back({first, specs_.size() - first});
     return first;
 }
 
@@ -101,7 +99,7 @@ SweepEngine::run()
     const auto begin = std::chrono::steady_clock::now();
     // Take back every OK cell's result so its rerun refills the
     // outcome and segment columns in place. Freed columns would be
-    // allocated again on whichever worker runs each cell next, and
+    // allocated again on whichever thread runs each cell next, and
     // glibc's per-thread arenas would then hold ever more
     // free-but-resident memory, pass after pass. Slots stay nullopt
     // until their cell has run.
@@ -111,24 +109,10 @@ SweepEngine::run()
             storage[i] = std::move(*results_[i]).value();
     }
     results_.assign(specs_.size(), std::nullopt);
-    const auto run_cell = [&](std::size_t index) {
-        runCell(index, std::move(storage[index]));
-    };
     parallelFor(
-        groups_.size(),
-        [&](std::size_t g) {
-            const Group &group = groups_[g];
-            if (group.count == 1) {
-                run_cell(group.first);
-                return;
-            }
-            // Replicas become stealable tasks of their own; the
-            // nested wait helps run queued work, so this cannot
-            // deadlock the pool.
-            parallelFor(
-                group.count,
-                [&](std::size_t r) { run_cell(group.first + r); },
-                threads_);
+        specs_.size(),
+        [&](std::size_t index) {
+            runCell(index, std::move(storage[index]));
         },
         threads_);
     last_run_seconds_ =

@@ -12,18 +12,16 @@
  * failures and the asset-cache hit rate (each distinct trace is
  * built exactly once per sweep).
  *
- * Sweeps can also go two levels deep: addGroup()/addSeedReplicas()
- * queue a *group* of related cells (e.g. one configuration under
- * several seeds) that run() fans out as nested tasks on the
- * work-stealing executor — so a sweep with fewer groups than cores
- * still saturates the machine. Replicas are ordinary cells with
- * consecutive flat indices, so result(i) works unchanged.
+ * addGroup()/addSeedReplicas() append a batch of related cells
+ * (e.g. one configuration under several seeds) at consecutive
+ * indices; run() fans every cell out in one flat parallelFor, so
+ * replicas spread across the machine like any other cells.
  *
  * Thread-safety and ownership: a SweepEngine is a single-owner
  * object — add() and run() must be called from one thread, and
  * run() must finish before result()/printSummary() are read. The
- * parallelism is internal: run() distributes cells over the
- * executor's workers, each writing only its own result slot, and
+ * parallelism is internal: run() distributes cells over
+ * parallelFor's threads, each writing only its own result slot, and
  * the engine owns every spec and result it hands out references to.
  * run() recycles each cell's result: it takes the previous run's
  * whole SimulationResult back from every OK cell and the cell's
@@ -61,17 +59,13 @@ class SweepEngine
     std::size_t add(ScenarioSpec spec);
 
     /**
-     * Queue a non-empty batch of related cells as one group. Groups
-     * are the outer level of run()'s fan-out and a group's cells
-     * run as nested tasks on the executor, so a sweep with fewer
-     * groups than workers still spreads across the machine. Returns
-     * the first cell's index; the batch occupies consecutive
-     * indices (plain add() forms a group of one).
+     * Queue a non-empty batch of related cells at consecutive
+     * indices; returns the first cell's index.
      */
     std::size_t addGroup(std::vector<ScenarioSpec> specs);
 
     /**
-     * Queue `count` seed replicas of `base` as one group: replica r
+     * Queue `count` seed replicas of `base` via addGroup: replica r
      * shifts the workload, carbon-model, and forecast-noise seeds
      * by +r (replica 0 runs `base`'s own seeds) and tags each label
      * with its workload seed. Returns the first replica's index.
@@ -81,9 +75,6 @@ class SweepEngine
 
     /** Queued cell count. */
     std::size_t size() const { return specs_.size(); }
-
-    /** Queued group count (plain add() forms a group of one). */
-    std::size_t groupCount() const { return groups_.size(); }
 
     /** The spec queued at `index`. */
     const ScenarioSpec &spec(std::size_t index) const;
@@ -119,20 +110,12 @@ class SweepEngine
     void printSummary(std::ostream &out) const;
 
   private:
-    /** Consecutive cell range fanned out as one nested task set. */
-    struct Group
-    {
-        std::size_t first = 0;
-        std::size_t count = 0;
-    };
-
     /** Run cell `index`, recycling `storage`'s columns as its own. */
     void runCell(std::size_t index, SimulationResult storage);
 
     unsigned threads_ = 0;
     double last_run_seconds_ = 0.0;
     std::vector<ScenarioSpec> specs_;
-    std::vector<Group> groups_;
     /** nullopt until run() fills the slot (Result has no default). */
     std::vector<std::optional<Result<SimulationResult>>> results_;
     AssetCache cache_;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/executor.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "workload/elastic_profile.h"
@@ -311,11 +312,8 @@ parseCliOptions(const std::vector<std::string> &raw_args,
         } else if (arg == "--threads") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));
-            GAIA_TRY_ASSIGN(const std::int64_t n,
-                            tryParseInt(v, "--threads"));
-            GAIA_REQUIRE(n > 0, "--threads must be positive, got ",
-                         n);
-            options.threads = static_cast<unsigned>(n);
+            GAIA_TRY_ASSIGN(options.threads,
+                            parseThreadCount(v, "--threads"));
         } else if (arg == "--output-dir") {
             GAIA_TRY_ASSIGN(options.output_dir,
                             need_value(i++, arg));

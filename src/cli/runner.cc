@@ -206,10 +206,10 @@ runFromOptions(const CliOptions &options, RunArtifacts *artifacts)
 {
     GAIA_TRY_ASSIGN(const ScenarioSpec spec,
                     scenarioFromOptions(options));
-    // A one-cell sweep rather than a direct runScenario() call: the
-    // cell rides the shared executor, so the observability layer
-    // sees the same sweep.cell / executor.task structure a
-    // multi-cell sweep produces.
+    // A one-cell sweep rather than a direct runScenario() call, so
+    // the observability layer sees the same sweep.run / sweep.cell
+    // spans and sweep.* metrics a multi-cell sweep produces. The
+    // cell runs inline on this thread.
     SweepEngine sweep;
     sweep.add(spec);
     sweep.run();

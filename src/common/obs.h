@@ -3,7 +3,7 @@
  * gaia::obs — low-overhead observability: a process-wide metrics
  * registry and a scoped-span tracer.
  *
- * The executor, plan cache, simulator, and sweep engine run the hot
+ * The sweep engine, plan cache, and simulator run the hot
  * path of every figure sweep, and after the PR 2–3 optimizations
  * none of that work is visible at runtime: there was no way to see
  * where a sweep's wall-clock goes, how the PlanCache hit rate
@@ -323,10 +323,11 @@ detailedTimingEnabled()
 void setDetailedTiming(bool enabled);
 
 /**
- * Name the calling thread's trace track ("main", "worker 3"…);
- * shown as the thread name in Perfetto. Also forces the track to
- * exist, so named threads appear in the JSON even when they
- * recorded no spans.
+ * Name the calling thread's trace track (e.g. "main"); shown as
+ * the thread name in Perfetto, where unnamed tracks read
+ * "thread N". Also forces the track, and its ring, to exist, so
+ * named threads appear in the JSON even when they recorded no
+ * spans.
  */
 void setThreadTrackName(std::string name);
 

@@ -8,7 +8,7 @@
 #include <fstream>
 
 #include "analysis/harness.h"
-#include "common/executor.h"
+#include "analysis/parallel.h"
 #include "common/time.h"
 
 namespace gaia {
@@ -261,14 +261,13 @@ TEST(RunScenario, EmptyWorkloadIsFailedPrecondition)
 TEST(AssetCache, ConcurrentLookupsBuildEachAssetOnce)
 {
     AssetCache cache;
-    Executor pool(4);
     const int kTasks = 8;
     const int kIters = 25;
     const int kSeeds = 4;
 
-    TaskGroup group(pool);
-    for (int t = 0; t < kTasks; ++t) {
-        group.run([&] {
+    parallelFor(
+        kTasks,
+        [&](std::size_t) {
             for (int i = 0; i < kIters; ++i) {
                 const std::uint64_t seed = 1 + i % kSeeds;
                 const auto trace =
@@ -279,9 +278,8 @@ TEST(AssetCache, ConcurrentLookupsBuildEachAssetOnce)
                     tinyWorkload(seed), hours(6), hours(24));
                 ASSERT_TRUE(queues.isOk());
             }
-        });
-    }
-    group.wait();
+        },
+        4);
 
     // Every lookup either hit or built; each distinct asset was
     // built exactly once despite the contention. queues() resolves

@@ -171,7 +171,6 @@ TEST(Sweep, GroupCellsGetConsecutiveIndices)
               1u);
     EXPECT_EQ(sweep.add(cell("Lowest-Window")), 4u);
     EXPECT_EQ(sweep.size(), 5u);
-    EXPECT_EQ(sweep.groupCount(), 3u);
 
     sweep.run();
     EXPECT_EQ(sweep.failureCount(), 0u);
@@ -188,7 +187,6 @@ TEST(Sweep, SeedReplicasVarySeedsAndLabels)
     EXPECT_EQ(sweep.addSeedReplicas(cell("Carbon-Time", 10), 3),
               0u);
     EXPECT_EQ(sweep.size(), 3u);
-    EXPECT_EQ(sweep.groupCount(), 1u);
 
     // Replica r shifts the seeds by +r and tags the label.
     EXPECT_EQ(sweep.spec(0).workload.options.seed, 10u);

@@ -259,6 +259,12 @@ TEST(CliOptions, ThreadsFlagRejectsGarbage)
                                 "positive"));
     EXPECT_TRUE(messageContains(parseError({"--threads", "-2"}),
                                 "positive"));
+    // Counts that do not fit in `unsigned` are errors, not a wrapped
+    // value (2^32 would read as 0, i.e. "auto").
+    EXPECT_TRUE(messageContains(
+        parseError({"--threads", "4294967296"}), "at most 4294967295"));
+    EXPECT_TRUE(messageContains(
+        parseError({"--threads", "4294967297"}), "at most 4294967295"));
     EXPECT_TRUE(messageContains(parseError({"--threads"}),
                                 "--threads"));
 }

@@ -1,216 +1,26 @@
-/** @file Tests for the work-stealing Executor and parallelFor. */
+/** @file Tests for the worker-count resolution behind parallelFor. */
 
 #include "common/executor.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <stdexcept>
-#include <vector>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "analysis/parallel.h"
 #include "common/logging.h"
 
 namespace gaia {
 namespace {
 
-/** Restores the pool toggle and thread override on scope exit. */
-struct ExecutorConfigGuard
+/** Restores the thread override on scope exit. */
+struct ThreadOverrideGuard
 {
-    ~ExecutorConfigGuard()
-    {
-        setExecutorPoolEnabled(true);
-        setParallelThreads(0);
-    }
+    ~ThreadOverrideGuard() { setParallelThreads(0); }
 };
-
-TEST(Executor, RunsSubmittedTasks)
-{
-    Executor pool(2);
-    EXPECT_EQ(pool.workerCount(), 2u);
-
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 64; ++i)
-        group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(Executor, ZeroWorkerRequestStillRuns)
-{
-    Executor pool(0);
-    EXPECT_EQ(pool.workerCount(), 1u);
-
-    std::atomic<bool> ran{false};
-    TaskGroup group(pool);
-    group.run([&] { ran.store(true); });
-    group.wait();
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(Executor, WaitIsReusableAfterCompletion)
-{
-    Executor pool(2);
-    TaskGroup group(pool);
-    std::atomic<int> ran{0};
-
-    group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(Executor, NestedGroupsComposeWithoutDeadlock)
-{
-    // Every task opens an inner group and waits on it; with only
-    // two workers this deadlocks unless wait() helps run queued
-    // tasks instead of blocking.
-    Executor pool(2);
-    std::atomic<int> leaves{0};
-
-    TaskGroup outer(pool);
-    for (int i = 0; i < 8; ++i) {
-        outer.run([&] {
-            TaskGroup inner(pool);
-            for (int j = 0; j < 8; ++j)
-                inner.run([&] { leaves.fetch_add(1); });
-            inner.wait();
-        });
-    }
-    outer.wait();
-    EXPECT_EQ(leaves.load(), 64);
-}
-
-TEST(Executor, WaitRethrowsFirstTaskError)
-{
-    Executor pool(2);
-    TaskGroup group(pool);
-    std::atomic<int> completed{0};
-
-    for (int i = 0; i < 16; ++i) {
-        group.run([&, i] {
-            if (i == 5)
-                throw std::runtime_error("task 5 failed");
-            completed.fetch_add(1);
-        });
-    }
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    // Every non-throwing task still ran to completion.
-    EXPECT_EQ(completed.load(), 15);
-}
-
-TEST(Executor, DestructorDrainsWithoutRethrow)
-{
-    Executor pool(2);
-    std::atomic<int> ran{0};
-    {
-        TaskGroup group(pool);
-        for (int i = 0; i < 32; ++i) {
-            group.run([&] {
-                ran.fetch_add(1);
-                throw std::runtime_error("always fails");
-            });
-        }
-        // No wait(): the destructor must drain and swallow.
-    }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(Executor, TryRunOneTaskReportsIdle)
-{
-    Executor pool(1);
-    EXPECT_FALSE(pool.tryRunOneTask());
-
-    TaskGroup group(pool);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 4; ++i)
-        group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 4);
-    EXPECT_FALSE(pool.tryRunOneTask());
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce)
-{
-    const std::size_t n = 1000;
-    std::vector<std::atomic<int>> hits(n);
-    parallelFor(
-        n, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ParallelFor, ZeroAndSingleIndexRunInline)
-{
-    parallelFor(0, [](std::size_t) { FAIL() << "n = 0 called fn"; },
-                8);
-
-    std::size_t calls = 0;
-    parallelFor(1, [&](std::size_t i) { calls += i + 1; }, 8);
-    EXPECT_EQ(calls, 1u);
-}
-
-TEST(ParallelFor, PropagatesExceptionOnPoolPath)
-{
-    ExecutorConfigGuard guard;
-    setExecutorPoolEnabled(true);
-    EXPECT_THROW(parallelFor(
-                     100,
-                     [](std::size_t i) {
-                         if (i == 37)
-                             throw std::runtime_error("boom");
-                     },
-                     4),
-                 std::runtime_error);
-}
-
-TEST(ParallelFor, PropagatesExceptionOnForkJoinPath)
-{
-    ExecutorConfigGuard guard;
-    setExecutorPoolEnabled(false);
-    EXPECT_FALSE(executorPoolEnabled());
-    EXPECT_THROW(parallelFor(
-                     100,
-                     [](std::size_t i) {
-                         if (i == 37)
-                             throw std::runtime_error("boom");
-                     },
-                     4),
-                 std::runtime_error);
-}
-
-TEST(ParallelFor, ForkJoinFallbackCoversAllIndices)
-{
-    ExecutorConfigGuard guard;
-    setExecutorPoolEnabled(false);
-    const std::size_t n = 500;
-    std::vector<std::atomic<int>> hits(n);
-    parallelFor(
-        n, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ParallelFor, NestedLoopsCompose)
-{
-    // The sweep shape: outer groups, inner replicas, both parallel.
-    std::atomic<int> cells{0};
-    parallelFor(
-        8,
-        [&](std::size_t) {
-            parallelFor(
-                8, [&](std::size_t) { cells.fetch_add(1); }, 4);
-        },
-        4);
-    EXPECT_EQ(cells.load(), 64);
-}
 
 TEST(Threads, ExplicitOverrideWins)
 {
-    ExecutorConfigGuard guard;
+    ThreadOverrideGuard guard;
     setParallelThreads(3);
     EXPECT_EQ(defaultParallelThreads(), 3u);
     setParallelThreads(0);
@@ -219,7 +29,7 @@ TEST(Threads, ExplicitOverrideWins)
 
 TEST(Threads, GarbageEnvValueWarnsOnceAndFallsBack)
 {
-    ExecutorConfigGuard guard;
+    ThreadOverrideGuard guard;
     setParallelThreads(0);
     ASSERT_EQ(setenv("GAIA_THREADS", "abc", 1), 0);
     setQuiet(true);
@@ -239,11 +49,43 @@ TEST(Threads, GarbageEnvValueWarnsOnceAndFallsBack)
 
 TEST(Threads, ValidEnvValueIsUsed)
 {
-    ExecutorConfigGuard guard;
+    ThreadOverrideGuard guard;
     setParallelThreads(0);
     ASSERT_EQ(setenv("GAIA_THREADS", "5", 1), 0);
     EXPECT_EQ(defaultParallelThreads(), 5u);
     unsetenv("GAIA_THREADS");
+}
+
+TEST(Threads, EnvValuesThatWrapInUnsignedFallBack)
+{
+    // Unchecked, 2^32 would wrap to 0 workers and 2^32 + 1 to one;
+    // both must fall back to the hardware default like any bad value.
+    ThreadOverrideGuard guard;
+    setParallelThreads(0);
+    unsetenv("GAIA_THREADS");
+    const unsigned fallback = defaultParallelThreads();
+    setQuiet(true);
+    for (const char *value : {"4294967296", "4294967297", "0", "-3"}) {
+        ASSERT_EQ(setenv("GAIA_THREADS", value, 1), 0);
+        EXPECT_EQ(defaultParallelThreads(), fallback) << value;
+    }
+    setQuiet(false);
+    unsetenv("GAIA_THREADS");
+}
+
+TEST(Threads, ParseThreadCountAcceptsOnlyUnsignedPositives)
+{
+    EXPECT_EQ(parseThreadCount("1", "t").value(), 1u);
+    EXPECT_EQ(parseThreadCount("4294967295", "t").value(),
+              4294967295u);
+    for (const char *bad : {"0", "-1", "4294967296", "4294967297",
+                            "99999999999999999999", "4x", "", "abc"}) {
+        const Result<unsigned> parsed = parseThreadCount(bad, "--t");
+        ASSERT_FALSE(parsed.isOk()) << bad;
+        EXPECT_NE(parsed.status().message().find("--t"),
+                  std::string::npos)
+            << parsed.status().message();
+    }
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * gaia::obs unit tests: metric correctness under concurrent
- * updates through the executor (the hammer the instrumented hot
- * paths apply), snapshot/JSON integrity, and tracer output
+ * updates from parallelFor's threads (the hammer the instrumented
+ * hot paths apply), snapshot/JSON integrity, and tracer output
  * validity including per-track well-nestedness and ring-buffer
  * bounds.
  */
@@ -19,7 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/executor.h"
+#include "analysis/parallel.h"
 #include "json_lite.h"
 
 namespace gaia {
@@ -57,11 +57,11 @@ TEST(Counter, ExactUnderConcurrentIncrements)
     EXPECT_EQ(counter.value(), kThreads * kPerThread);
 }
 
-TEST(Counter, ExactUnderExecutorHammer)
+TEST(Counter, ExactUnderParallelForHammer)
 {
-    // The real usage pattern: executor tasks bumping shared
-    // counters from every worker. Totals must be exact once the
-    // group completes.
+    // The real usage pattern: sweep cells bumping shared counters
+    // from every parallelFor thread. Totals must be exact once the
+    // loop returns.
     obs::Counter &counter =
         obs::counter("test_obs.hammer_counter");
     counter.reset();
@@ -69,23 +69,26 @@ TEST(Counter, ExactUnderExecutorHammer)
         obs::histogram("test_obs.hammer_hist");
     hist.reset();
 
-    Executor pool(4);
-    TaskGroup tasks(pool);
     constexpr int kTasks = 64;
     constexpr std::uint64_t kPerTask = 5000;
-    for (int t = 0; t < kTasks; ++t) {
-        tasks.run([&counter, &hist] {
-            for (std::uint64_t i = 0; i < kPerTask; ++i) {
-                counter.add();
-                hist.observe(1.0);
-            }
-        });
-    }
+    // The loop runs on its own thread so this one can snapshot
+    // mid-hammer.
+    std::thread hammer([&counter, &hist] {
+        parallelFor(
+            kTasks,
+            [&counter, &hist](std::size_t) {
+                for (std::uint64_t i = 0; i < kPerTask; ++i) {
+                    counter.add();
+                    hist.observe(1.0);
+                }
+            },
+            4);
+    });
 
     // Snapshots taken mid-hammer must never overshoot the final
     // total (counters are monotonic).
     const std::uint64_t mid = counter.value();
-    tasks.wait();
+    hammer.join();
     const std::uint64_t total =
         static_cast<std::uint64_t>(kTasks) * kPerTask;
     EXPECT_LE(mid, total);
@@ -360,18 +363,14 @@ TEST(Tracer, ConcurrentSpansStayPerThreadAndNested)
 {
     obs::setTracingEnabled(true);
     obs::clearTrace();
-    {
-        Executor pool(4);
-        TaskGroup tasks(pool);
-        for (int t = 0; t < 32; ++t) {
-            tasks.run([] {
-                obs::Span outer("test_obs.task");
-                for (int i = 0; i < 8; ++i)
-                    obs::Span inner("test_obs.step");
-            });
-        }
-        tasks.wait();
-    }
+    parallelFor(
+        32,
+        [](std::size_t) {
+            obs::Span outer("test_obs.task");
+            for (int i = 0; i < 8; ++i)
+                obs::Span inner("test_obs.step");
+        },
+        4);
     obs::setTracingEnabled(false);
 
     std::ostringstream out;
