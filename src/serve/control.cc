@@ -75,10 +75,6 @@ ControlServer::handleLine(const std::string &line, std::string &reply)
                     "<cpus>";
             return false;
         }
-        if (job.length <= 0 || job.cpus <= 0 || job.submit < 0) {
-            reply = "err submit/length/cpus out of range";
-            return false;
-        }
         const Status submitted = daemon_.submit(job);
         reply = submitted.isOk()
                     ? "ok"

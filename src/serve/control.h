@@ -11,9 +11,10 @@
  *     drain                                  -> drained <fp-hex>
  *     quit                                   -> closes connection
  *
- * `submit` offers a job to the daemon (backpressure and late
- * rejections surface as `err` lines); anything after its four fields
- * is an error too. `drain` ends the stream, closes the books,
+ * `submit` offers a job to the daemon: a job validateJob() rejects
+ * and backpressure surface as `err` lines, and so does anything
+ * after its four fields. A job already behind the simulated clock
+ * answers `ok` and is counted in the `rejected_late` stat. `drain` ends the stream, closes the books,
  * answers with the result fingerprint, and shuts the server down.
  * Connections are served sequentially — the control plane is for
  * streaming and inspection, not a high-fan-in RPC system (the

@@ -46,23 +46,17 @@ ServeDaemon::start(const ServeConfig &config)
 ServeDaemon::ServeDaemon(RealizedScenario realized,
                          OnlineScheduler engine,
                          const ServeConfig &config)
-    : realized_(std::move(realized)),
-      engine_(std::make_unique<OnlineScheduler>(std::move(engine))),
-      queue_(config.queue_capacity)
+    : realized_(std::move(realized)), engine_(std::move(engine)),
+      queue_(config.queue_capacity),
+      driver_(engine_, queue_, config.accel, realized_.carbonSource())
 {
-    engine_->reserveJobs(realized_.trace->jobCount());
+    engine_.reserveJobs(realized_.trace->jobCount());
     if (realized_.elastic.enabled())
-        engine_->setDefaultElasticProfile(realized_.elastic);
-    engine_->setListener(this);
-
-    WallClockConfig wall;
-    wall.accel = config.accel;
-    wall.source = &realized_.carbonSource();
-    driver_ =
-        std::make_unique<WallClockDriver>(*engine_, queue_, wall);
+        engine_.setDefaultElasticProfile(realized_.elastic);
+    engine_.setListener(this);
 
     // Spawned last: every member the consumer touches is live.
-    consumer_ = std::thread([this] { driver_->run(stop_); });
+    consumer_ = std::thread([this] { driver_.run(stop_); });
 }
 
 ServeDaemon::~ServeDaemon()
@@ -79,6 +73,7 @@ ServeDaemon::submit(const Job &job)
         return Status::failedPrecondition(
             "daemon is draining; no further submissions accepted");
     }
+    GAIA_TRY(validateJob(job));
     Status offered = queue_.offer(job);
     if (!offered.isOk()) {
         rejected_full_.fetch_add(1, std::memory_order_relaxed);
@@ -94,10 +89,10 @@ ServeDaemon::stats() const
     ServeStats s;
     s.accepted = accepted_.load(std::memory_order_relaxed);
     s.rejected_full = rejected_full_.load(std::memory_order_relaxed);
-    s.rejected_late = driver_->rejectedLate();
-    s.released = driver_->released();
+    s.rejected_late = driver_.rejectedLate();
+    s.released = driver_.released();
     s.completed = completed_.load(std::memory_order_relaxed);
-    s.sim_now = driver_->simNow();
+    s.sim_now = driver_.simNow();
     s.queue_depth = queue_.sizeApprox();
     s.queue_capacity = queue_.capacity();
     return s;
@@ -114,7 +109,7 @@ ServeDaemon::drain()
     consumer_.join();
     // The consumer released every queued job and ran the engine dry
     // before exiting; all that remains is closing the books.
-    return engine_->onSimulationEnd();
+    return engine_.finalize();
 }
 
 const JobTrace &

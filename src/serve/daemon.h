@@ -4,11 +4,12 @@
  *
  * Promotes the scenario machinery from "replay a trace" to "accept
  * a live stream": one daemon owns a realized scenario (assets,
- * policy, CIS, fault wiring), an OnlineScheduler behind the
- * ISchedulerProtocol surface, a bounded MPSC submission queue, and
- * the consumer thread running the WallClockDriver. Producers call
- * submit() from any thread; backpressure surfaces as a
- * ResourceExhausted Status past the queue's high-water mark.
+ * policy, CIS, fault wiring), an OnlineScheduler, a bounded MPSC
+ * submission queue, and the consumer thread running the
+ * WallClockDriver that feeds the engine. Producers call submit()
+ * from any thread; a job that fails validateJob() is refused there,
+ * and backpressure surfaces as a ResourceExhausted Status past the
+ * queue's high-water mark.
  *
  * Lifecycle: start() realizes the scenario and spawns the consumer;
  * submit()/stats() run for as long as the stream lasts; drain()
@@ -98,8 +99,9 @@ class ServeDaemon final : public ProtocolListener
 
     /**
      * Offer one job to the stream. Thread-safe, lock-free, callable
-     * from any number of producers; ResourceExhausted past the
-     * queue's high-water mark, FailedPrecondition after drain().
+     * from any number of producers; InvalidArgument for a job
+     * validateJob() rejects, ResourceExhausted past the queue's
+     * high-water mark, FailedPrecondition after drain().
      */
     Status submit(const Job &job);
 
@@ -130,11 +132,9 @@ class ServeDaemon final : public ProtocolListener
                 const ServeConfig &config);
 
     RealizedScenario realized_;
-    /** Behind a pointer for address stability: the driver and the
-     *  listener registration both alias the engine. */
-    std::unique_ptr<OnlineScheduler> engine_;
+    OnlineScheduler engine_;
     SubmissionQueue queue_;
-    std::unique_ptr<WallClockDriver> driver_;
+    WallClockDriver driver_;
     std::thread consumer_;
     std::atomic<bool> stop_{false};
     std::atomic<bool> draining_{false};

@@ -15,6 +15,8 @@ namespace {
 obs::Counter &c_released = obs::counter("serve.jobs_released");
 obs::Counter &c_rejected_late =
     obs::counter("serve.jobs_rejected_late");
+obs::Counter &c_source_updates =
+    obs::counter("serve.source_updates");
 
 /** Idle backoff between polls when neither the queue nor the clock
  *  had work; long enough to not burn a core, short enough that a
@@ -23,10 +25,10 @@ constexpr auto kIdleSleep = std::chrono::microseconds(200);
 
 } // namespace
 
-WallClockDriver::WallClockDriver(ISchedulerProtocol &protocol,
-                                 SubmissionQueue &queue,
-                                 WallClockConfig config)
-    : protocol_(protocol), queue_(queue), config_(config)
+WallClockDriver::WallClockDriver(OnlineScheduler &engine,
+                                 SubmissionQueue &queue, double accel,
+                                 const CarbonInfoSource &source)
+    : engine_(engine), queue_(queue), accel_(accel), source_(source)
 {
 }
 
@@ -37,7 +39,7 @@ WallClockDriver::drainQueue()
     Job job;
     while (queue_.tryPop(job)) {
         did_work = true;
-        const Status released = protocol_.onJobRelease(job);
+        const Status released = engine_.submit(job);
         if (released.isOk()) {
             release_horizon_ =
                 std::max(release_horizon_, job.submit);
@@ -54,17 +56,16 @@ WallClockDriver::drainQueue()
 void
 WallClockDriver::tickTo(Seconds target)
 {
-    if (config_.source != nullptr) {
-        // Report availability edges of the carbon source as they
-        // come into effect. Informational (the engine re-probes
-        // lazily), so polling at tick granularity is enough.
-        const bool available = config_.source->availableAt(target);
-        if (available != source_available_) {
-            source_available_ = available;
-            protocol_.onSourceUpdate(target);
-        }
+    // Count availability edges of the carbon source as they come
+    // into effect. The engine re-probes the source lazily at its
+    // next planning decision, so an edge never alters a schedule and
+    // polling at tick granularity is enough.
+    const bool available = source_.availableAt(target);
+    if (available != source_available_) {
+        source_available_ = available;
+        c_source_updates.add(1);
     }
-    protocol_.onTick(target);
+    engine_.advanceTo(target);
     sim_now_.store(target, std::memory_order_relaxed);
 }
 
@@ -81,15 +82,17 @@ WallClockDriver::run(const std::atomic<bool> &stop)
         // enter the timestamp of a job the stream may still be
         // delivering.
         Seconds target = release_horizon_ - 1;
-        if (config_.accel > 0.0) {
+        if (accel_ > 0.0) {
             const double wall =
                 std::chrono::duration<double>(Clock::now() - start)
                     .count();
-            const auto paced = static_cast<Seconds>(
-                std::floor(wall * config_.accel));
-            target = std::min(target, paced);
+            // Compared in double and cast only below the horizon, so
+            // a huge or infinite pace never overflows the cast.
+            const double paced = std::floor(wall * accel_);
+            if (paced < static_cast<double>(target))
+                target = static_cast<Seconds>(paced);
         }
-        if (target > protocol_.now()) {
+        if (target > engine_.now()) {
             tickTo(target);
             did_work = true;
         }
@@ -99,8 +102,8 @@ WallClockDriver::run(const std::atomic<bool> &stop)
             // are expected to have stopped), then run the engine to
             // completion — drain-on-shutdown never discards work.
             drainQueue();
-            protocol_.onDrain();
-            sim_now_.store(protocol_.now(),
+            engine_.drain();
+            sim_now_.store(engine_.now(),
                            std::memory_order_relaxed);
             return;
         }

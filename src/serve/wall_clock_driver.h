@@ -1,10 +1,10 @@
 /**
  * @file
- * WallClockDriver — the streaming driver of ISchedulerProtocol.
+ * WallClockDriver — the streaming driver of OnlineScheduler.
  *
  * Runs on the daemon's single consumer thread: drains the MPSC
  * submission queue into the engine, paces virtual time against the
- * wall clock at an acceleration factor, and reports carbon-source
+ * wall clock at an acceleration factor, and counts carbon-source
  * availability edges. The correctness story is *driver parity*: a
  * sorted job stream produces a byte-identical result to the batch
  * VirtualClockDriver replay of the same jobs, at any acceleration
@@ -21,7 +21,7 @@
  * so timing jitter and acceleration cannot reorder anything.
  *
  * Out-of-order submissions (a producer streaming an unsorted trace)
- * are therefore rejected by the engine's release check once the
+ * are therefore rejected by the engine's submit check once the
  * clock has passed their submit instant; the driver counts them and
  * moves on — best-effort admission, never a crash.
  */
@@ -33,38 +33,24 @@
 #include <cstdint>
 
 #include "serve/submission_queue.h"
-#include "sim/protocol.h"
+#include "sim/online.h"
 
-namespace gaia {
-
-class CarbonInfoSource;
-
-namespace serve {
-
-/** Pacing configuration of one driver run. */
-struct WallClockConfig
-{
-    /**
-     * Virtual seconds advanced per wall-clock second. <= 0 runs
-     * unpaced: the clock snaps straight to the release horizon,
-     * i.e. "as fast as the stream allows".
-     */
-    double accel = 1000.0;
-
-    /**
-     * Carbon source to watch for availability edges (reported to
-     * the engine via onSourceUpdate); nullptr disables the watch.
-     */
-    const CarbonInfoSource *source = nullptr;
-};
+namespace gaia::serve {
 
 /** Streaming driver; see the file comment. */
 class WallClockDriver
 {
   public:
-    /** `protocol` and `queue` must outlive the driver. */
-    WallClockDriver(ISchedulerProtocol &protocol,
-                    SubmissionQueue &queue, WallClockConfig config);
+    /**
+     * `engine`, `queue` and `source` must outlive the driver.
+     * `accel` is the virtual seconds advanced per wall-clock second;
+     * <= 0, NaN and infinity run unpaced: the clock snaps straight
+     * to the release horizon, i.e. "as fast as the stream allows".
+     * `source` is watched for availability edges, which are counted
+     * in the serve.source_updates metric.
+     */
+    WallClockDriver(OnlineScheduler &engine, SubmissionQueue &queue,
+                    double accel, const CarbonInfoSource &source);
 
     /**
      * The consumer loop: drain the queue, pace the clock, repeat —
@@ -98,12 +84,13 @@ class WallClockDriver
   private:
     /** Pop everything currently queued into the engine. */
     bool drainQueue();
-    /** Advance the clock to `target`, reporting source edges. */
+    /** Advance the clock to `target`, counting source edges. */
     void tickTo(Seconds target);
 
-    ISchedulerProtocol &protocol_;
+    OnlineScheduler &engine_;
     SubmissionQueue &queue_;
-    WallClockConfig config_;
+    double accel_;
+    const CarbonInfoSource &source_;
     /** Highest submit instant released so far; -1 before the
      *  first release. */
     Seconds release_horizon_ = -1;
@@ -113,7 +100,6 @@ class WallClockDriver
     std::atomic<Seconds> sim_now_{0};
 };
 
-} // namespace serve
-} // namespace gaia
+} // namespace gaia::serve
 
 #endif // GAIA_SERVE_WALL_CLOCK_DRIVER_H

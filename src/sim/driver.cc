@@ -6,8 +6,8 @@ Status
 VirtualClockDriver::replay(const JobTrace &trace)
 {
     for (const Job &job : trace.jobs())
-        GAIA_TRY(protocol_.onJobRelease(job));
-    protocol_.onDrain();
+        GAIA_TRY(engine_.submit(job));
+    engine_.drain();
     return Status::ok();
 }
 

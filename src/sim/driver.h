@@ -1,21 +1,21 @@
 /**
  * @file
- * VirtualClockDriver — the batch driver of ISchedulerProtocol.
+ * VirtualClockDriver — the batch driver of OnlineScheduler.
  *
- * Replays a pre-materialised JobTrace against a scheduling engine in
- * virtual time: release every job in submit order, then drain. The
- * engine's event queue does all the clock-keeping, so there is no
- * explicit ticking — this is exactly the feed loop the batch
- * simulator has always run, expressed against the protocol so the
- * serving layer's wall-clock driver can be held to byte-identical
- * results (see tests/serve/test_driver_parity.cc).
+ * Replays a pre-materialised JobTrace against the engine in virtual
+ * time: submit every job in submit order, then drain. The engine's
+ * event queue does all the clock-keeping, so there is no explicit
+ * ticking — this is exactly the feed loop the batch simulator has
+ * always run, and the serving layer's wall-clock driver is held to
+ * byte-identical results against it (see
+ * tests/serve/test_driver_parity.cc).
  */
 
 #ifndef GAIA_SIM_DRIVER_H
 #define GAIA_SIM_DRIVER_H
 
 #include "common/status.h"
-#include "sim/protocol.h"
+#include "sim/online.h"
 #include "workload/job.h"
 
 namespace gaia {
@@ -24,24 +24,24 @@ namespace gaia {
 class VirtualClockDriver
 {
   public:
-    /** `protocol` must outlive the driver. */
-    explicit VirtualClockDriver(ISchedulerProtocol &protocol)
-        : protocol_(protocol)
+    /** `engine` must outlive the driver. */
+    explicit VirtualClockDriver(OnlineScheduler &engine)
+        : engine_(engine)
     {
     }
 
     /**
-     * Release every job of `trace` (sorted by submit time, so no
-     * release can land in the past), then drain the engine. May be
+     * Submit every job of `trace` (sorted by submit time, so no
+     * submit can land in the past), then drain the engine. May be
      * called more than once for incremental multi-trace feeds.
      */
     Status replay(const JobTrace &trace);
 
     /** Close the engine's books; call once, after the replays. */
-    SimulationResult finish() { return protocol_.onSimulationEnd(); }
+    SimulationResult finish() { return engine_.finalize(); }
 
   private:
-    ISchedulerProtocol &protocol_;
+    OnlineScheduler &engine_;
 };
 
 } // namespace gaia

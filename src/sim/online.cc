@@ -28,8 +28,6 @@ obs::Counter &c_spot_instance_retries =
     obs::counter("fault.spot_instance_retries");
 obs::Counter &c_degraded_instance_hours =
     obs::counter("policy.degraded_instance_hours");
-obs::Counter &c_source_updates =
-    obs::counter("serve.source_updates");
 
 /**
  * Same-timestamp priority of EvJobEnd notifications. Arrivals run at
@@ -184,16 +182,6 @@ OnlineScheduler::notifyJobEnd(std::size_t idx, Seconds at)
     events_.schedule(at, kNotifyPriority,
                      SimEvent{EvJobEnd,
                               static_cast<std::uint32_t>(idx), 0});
-}
-
-void
-OnlineScheduler::onSourceUpdate(Seconds t)
-{
-    GAIA_ASSERT(!finalized_, "onSourceUpdate() after finalize()");
-    GAIA_ASSERT(t >= events_.now(),
-                "source update at ", t, " is in the past (now ",
-                events_.now(), ")");
-    ++source_updates_;
 }
 
 bool
@@ -992,8 +980,6 @@ OnlineScheduler::finalize()
         c_degraded.add(degraded_plans_);
     if (spot_instance_retries_ > 0)
         c_spot_instance_retries.add(spot_instance_retries_);
-    if (source_updates_ > 0)
-        c_source_updates.add(source_updates_);
     if (degraded_instance_seconds_ > 0) {
         c_degraded_instance_hours.add(
             (degraded_instance_seconds_ + kSecondsPerHour - 1) /

@@ -8,9 +8,19 @@
  * is that embedding surface in this codebase: jobs are submitted
  * one at a time as they arrive, simulated time advances
  * incrementally, and the books can be read out whenever the caller
- * likes. The trace-driven simulateChecked() API is a thin batch
- * wrapper around this class, so both paths share one engine and one
- * accounting implementation.
+ * likes. Two drivers own its clock and call it directly:
+ * VirtualClockDriver (sim/driver.h) replays a JobTrace for the batch
+ * simulator and every figure sweep, and the serving layer's
+ * WallClockDriver (serve/wall_clock_driver.h) paces a live stream.
+ * Both paths share one engine and one accounting implementation.
+ *
+ * Tie-breaking contract drivers rely on: events at equal virtual
+ * timestamps dispatch in (priority, schedule order), and job
+ * arrivals use the highest priority — so submitting a job before
+ * advancing the clock *into* its submit second reproduces the batch
+ * ordering exactly. A driver must therefore never advance the clock
+ * past `submit - 1` of a job it has yet to submit (the wall-clock
+ * driver's release-horizon bound).
  *
  * The event loop is allocation-free on the hot path: every handler
  * is a 16-byte tagged SimEvent carrying a job index into the
@@ -61,7 +71,6 @@
 #include "core/queues.h"
 #include "sim/cluster.h"
 #include "sim/event_queue.h"
-#include "sim/protocol.h"
 #include "sim/results.h"
 
 namespace gaia {
@@ -69,17 +78,32 @@ namespace gaia {
 class FaultInjector;
 
 /**
- * Incremental cluster scheduler/simulator. Single-threaded; all
- * referenced collaborators must outlive the scheduler.
- *
- * The driver-facing surface is ISchedulerProtocol (sim/protocol.h):
- * VirtualClockDriver replays traces for the batch simulator, the
- * serving layer's WallClockDriver paces a live stream. The named
- * methods below (submit/advanceTo/drain/finalize) remain for
- * embedders that hold the concrete class.
+ * Observer of engine-side lifecycle events, for live monitoring.
+ * Attached by the serving layer; the batch path leaves it unset,
+ * in which case the engine schedules no notification events at all,
+ * so batch results never depend on it.
  */
-class OnlineScheduler : public ISchedulerProtocol,
-                        private EventQueue::Sink
+class ProtocolListener
+{
+  public:
+    virtual ~ProtocolListener() = default;
+
+    /**
+     * `id` finished its last successful segment at `at` (virtual
+     * time). Fired through the event queue, so notifications are
+     * delivered in non-decreasing `at` order, after every
+     * same-instant scheduling action.
+     */
+    virtual void onJobEnd(Seconds at, JobId id) = 0;
+};
+
+/**
+ * Incremental cluster scheduler/simulator. Single-threaded — exactly
+ * one driver thread may call it; cross-thread submission hand-off
+ * happens upstream (the serving layer's MPSC queue). All referenced
+ * collaborators must outlive the scheduler.
+ */
+class OnlineScheduler : private EventQueue::Sink
 {
   public:
     /**
@@ -151,7 +175,7 @@ class OnlineScheduler : public ISchedulerProtocol,
     void setDefaultElasticProfile(const ElasticProfile &profile);
 
     /** Current simulation time. */
-    Seconds now() const override { return events_.now(); }
+    Seconds now() const { return events_.now(); }
 
     /** Process every event up to and including time `t`. */
     void advanceTo(Seconds t);
@@ -162,28 +186,15 @@ class OnlineScheduler : public ISchedulerProtocol,
     /** Jobs submitted so far. */
     std::size_t submittedJobs() const { return states_.size(); }
 
-    // ISchedulerProtocol: the driver-facing aliases of the embedding
-    // API above. Kept thin so a driver and a direct embedder observe
-    // the same engine behaviour.
-    Status onJobRelease(const Job &job) override
+    /**
+     * Attach (or detach, with nullptr) the lifecycle observer.
+     * Must be set before the first submit; the engine only
+     * schedules notification events for jobs submitted while a
+     * listener is attached.
+     */
+    void setListener(ProtocolListener *listener)
     {
-        return submit(job);
-    }
-
-    void onTick(Seconds t) override { advanceTo(t); }
-
-    /** Informational only (see ISchedulerProtocol): counted and
-     *  flushed to the `serve.source_updates` metric; the engine
-     *  re-probes the source lazily, so schedules never change. */
-    void onSourceUpdate(Seconds t) override;
-
-    void onDrain() override { drain(); }
-
-    SimulationResult onSimulationEnd() override { return finalize(); }
-
-    std::size_t releasedJobs() const override
-    {
-        return states_.size();
+        listener_ = listener;
     }
 
     /** Jobs currently waiting for reserved capacity. */
@@ -239,8 +250,7 @@ class OnlineScheduler : public ISchedulerProtocol,
          * a = job index; notification to the attached
          * ProtocolListener that the job settled. Scheduled only
          * while a listener is attached, so listener-free (batch)
-         * runs dispatch a bit-identical event stream to the
-         * pre-protocol engine.
+         * runs dispatch no notification events at all.
          */
         EvJobEnd,
     };
@@ -296,6 +306,9 @@ class OnlineScheduler : public ISchedulerProtocol,
     ElasticProfile default_elastic_;
     /** Cluster-side fault oracle; nullptr = faults disabled. */
     const FaultInjector *faults_ = nullptr;
+    /** Lifecycle observer; nullptr (the batch path) schedules no
+     *  EvJobEnd events. */
+    ProtocolListener *listener_ = nullptr;
 
     EventQueue events_;
     /** One cache per simulation; plans within a run share
@@ -327,9 +340,6 @@ class OnlineScheduler : public ISchedulerProtocol,
      *  dispatch loop is single-threaded) flushed to the process-wide
      *  sim.events_dispatched counter once at finalize(). */
     std::uint64_t events_dispatched_ = 0;
-    /** Source-availability edges reported by the driver, flushed to
-     *  serve.source_updates at finalize(). */
-    std::uint64_t source_updates_ = 0;
     /** Fault bookkeeping, flushed like events_dispatched_. */
     std::uint64_t faults_injected_ = 0;
     std::uint64_t cis_retries_ = 0;

@@ -8,19 +8,34 @@
 namespace gaia {
 
 Status
+validateJob(const Job &job)
+{
+    GAIA_REQUIRE(job.submit >= 0, "job ", job.id,
+                 " has negative submit time ", job.submit);
+    GAIA_REQUIRE(job.submit <= kMaxInputDuration, "job ", job.id,
+                 " has submit time ", job.submit, " past the ",
+                 kMaxInputDuration, " s limit");
+    GAIA_REQUIRE(job.length > 0, "job ", job.id,
+                 " has non-positive length ", job.length);
+    GAIA_REQUIRE(job.length <= kMaxInputDuration, "job ", job.id,
+                 " has length ", job.length, " past the ",
+                 kMaxInputDuration, " s limit");
+    GAIA_REQUIRE(job.cpus > 0, "job ", job.id,
+                 " has non-positive cpu demand ", job.cpus);
+    const Status elastic = job.elastic.validate();
+    GAIA_REQUIRE(elastic.isOk(), "job ", job.id, ": ",
+                 elastic.message());
+    return Status::ok();
+}
+
+Status
 JobTrace::validateJobs(const std::string &name,
                        const std::vector<Job> &jobs)
 {
     for (const Job &j : jobs) {
-        GAIA_REQUIRE(j.submit >= 0, "trace '", name, "': job ", j.id,
-                     " has negative submit time ", j.submit);
-        GAIA_REQUIRE(j.length > 0, "trace '", name, "': job ", j.id,
-                     " has non-positive length ", j.length);
-        GAIA_REQUIRE(j.cpus > 0, "trace '", name, "': job ", j.id,
-                     " has non-positive cpu demand ", j.cpus);
-        const Status elastic = j.elastic.validate();
-        GAIA_REQUIRE(elastic.isOk(), "trace '", name, "': job ",
-                     j.id, ": ", elastic.message());
+        const Status valid = validateJob(j);
+        GAIA_REQUIRE(valid.isOk(), "trace '", name, "': ",
+                     valid.message());
     }
     return Status::ok();
 }

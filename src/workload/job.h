@@ -66,15 +66,24 @@ struct Job
     }
 };
 
+/**
+ * OK when `job` can be scheduled: a submit time in [0,
+ * kMaxInputDuration], a length in (0, kMaxInputDuration], a positive
+ * CPU demand and a valid elastic profile. The one rule for every job
+ * from outside the program (JobTrace::make, the serving daemon); the
+ * bounds keep a job's window within two centuries, so integrating it
+ * past the end of the carbon trace stays cheap.
+ */
+Status validateJob(const Job &job);
+
 /** Arrival-ordered collection of jobs. */
 class JobTrace
 {
   public:
     /**
      * Jobs are sorted by submit time on construction. Every job
-     * needs a non-negative submit time, a positive length, and a
-     * positive CPU demand; the constructor asserts this — untrusted
-     * job lists (CSV loads) must go through make().
+     * must pass validateJob(); the constructor asserts this —
+     * untrusted job lists (CSV loads) must go through make().
      */
     JobTrace(std::string name, std::vector<Job> jobs);
 
@@ -119,7 +128,7 @@ class JobTrace
                                     const std::string &name);
 
   private:
-    /** OK when every job satisfies the constructor's contract. */
+    /** OK when every job passes validateJob(). */
     static Status validateJobs(const std::string &name,
                                const std::vector<Job> &jobs);
 

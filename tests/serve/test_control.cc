@@ -87,6 +87,13 @@ TEST(ControlServer, MalformedAndUnknownLinesAreCleanErrors)
     EXPECT_FALSE(server.handleLine("submit 1 100 -5 1", reply));
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
 
+    // Longer than kMaxInputDuration: refused before it reaches the
+    // engine, whose drain would otherwise hang integrating it past
+    // the carbon trace's end.
+    EXPECT_FALSE(
+        server.handleLine("submit 2 3600 100000000000000 1", reply));
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
+
     EXPECT_FALSE(
         server.handleLine("submit 999999 0 60 1 junk trailing", reply));
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -134,6 +135,11 @@ TEST(DriverParity, WallClockPacingCannotPerturbTheSchedule)
     const std::uint64_t batch = batchFingerprint(spec);
     EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/2.0e6));
     EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/7.0e6));
+    // A pace past any Seconds value runs unpaced.
+    EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/1.0e300));
+    EXPECT_EQ(batch,
+              streamedFingerprint(
+                  spec, std::numeric_limits<double>::infinity()));
 }
 
 } // namespace

@@ -1,12 +1,10 @@
 /**
- * @file
- * ISchedulerProtocol contract tests: the virtual-clock driver is
- * exactly the batch simulator, listener notifications are complete,
- * ordered, and perturbation-free, and out-of-order releases are
- * clean errors.
+ * Driver-contract tests: the virtual-clock driver is exactly the
+ * batch simulator, and ProtocolListener notifications are complete,
+ * ordered, and perturbation-free.
  */
 
-#include "sim/protocol.h"
+#include "sim/driver.h"
 
 #include <gtest/gtest.h>
 
@@ -17,20 +15,12 @@
 #include "analysis/harness.h"
 #include "common/rng.h"
 #include "core/policy_factory.h"
-#include "sim/driver.h"
 #include "sim/online.h"
 #include "sim/simulator.h"
 #include "tests/common/sim_test_util.h"
 
 namespace gaia {
 namespace {
-
-QueueConfig
-oneQueue(Seconds max_wait = hours(6))
-{
-    return QueueConfig(
-        {{"only", 3 * kSecondsPerDay, max_wait, kSecondsPerHour}});
-}
 
 CarbonTrace
 bumpyTrace()
@@ -78,7 +68,7 @@ TEST(Protocol, VirtualClockDriverIsTheBatchSimulator)
     const SimulationResult batch =
         testutil::runSim(trace, *policy, queues, cis);
 
-    // The same run assembled by hand from the protocol pieces,
+    // The same run assembled by hand from the engine and driver,
     // including the horizon derivation simulateChecked performs.
     ClusterConfig cluster;
     cluster.reservation_horizon =
@@ -161,29 +151,6 @@ TEST(Protocol, ListenerLeavesTheScheduleUntouched)
     RecordingListener listener;
     EXPECT_EQ(run(nullptr), run(&listener));
     EXPECT_EQ(listener.ends.size(), trace.jobCount());
-}
-
-TEST(Protocol, RejectsAReleaseBehindTheClock)
-{
-    const CarbonTrace carbon = bumpyTrace();
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = oneQueue();
-    const PolicyPtr policy = makePolicy("NoWait");
-
-    OnlineScheduler engine(*policy, queues, cis, {},
-                           ResourceStrategy::OnDemandOnly);
-    ISchedulerProtocol &protocol = engine;
-
-    EXPECT_TRUE(
-        protocol.onJobRelease({1, hours(2), 600, 1}).isOk());
-    protocol.onTick(hours(3));
-    const Status late = protocol.onJobRelease({2, hours(1), 600, 1});
-    EXPECT_FALSE(late.isOk());
-    EXPECT_EQ(protocol.releasedJobs(), 1u);
-
-    protocol.onDrain();
-    const SimulationResult result = protocol.onSimulationEnd();
-    EXPECT_EQ(result.outcomes.size(), 1u);
 }
 
 } // namespace

@@ -108,7 +108,14 @@ TEST(JobTrace, MakeRejectsInvalidJobs)
     expectError({1, -5, 10, 1}, "negative submit");
     expectError({1, 0, 0, 1}, "non-positive length");
     expectError({1, 0, 10, 0}, "non-positive cpu demand");
+    expectError({1, kMaxInputDuration + 1, 10, 1},
+                "has submit time 3153600001 past the");
+    expectError({1, 0, kMaxInputDuration + 1, 1},
+                "has length 3153600001 past the");
     EXPECT_TRUE(JobTrace::make("x", {{1, 0, 10, 1}}).isOk());
+    EXPECT_TRUE(JobTrace::make(
+                    "x", {{1, kMaxInputDuration, kMaxInputDuration, 1}})
+                    .isOk());
 }
 
 TEST(JobTrace, FromCsvReportsMalformedInput)
