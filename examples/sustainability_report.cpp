@@ -39,7 +39,7 @@ bookOf(const SimulationResult &result)
         const auto m =
             static_cast<std::size_t>(monthOf(result.start(o)));
         book.carbon_g[m] += o.carbon_g;
-        book.cost[m] += o.variable_cost;
+        book.cost[m] += result.variableCost(o);
         book.jobs[m] += 1;
     }
     return book;

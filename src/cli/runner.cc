@@ -167,7 +167,7 @@ writeRunArtifacts(const SimulationResult &result,
                  std::to_string(result.finish(o)),
                  std::to_string(result.waiting(o)), fmt(o.carbon_g, 6),
                  fmt(o.carbon_nowait_g, 6),
-                 fmt(o.variable_cost, 6),
+                 fmt(result.variableCost(o), 6),
                  std::to_string(o.evictions),
                  fmt(result.lostCoreSeconds(o), 1)});
         }

@@ -1,5 +1,6 @@
 #include "fault/fault_spec.h"
 
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -158,8 +159,9 @@ FaultSpec::validate() const
     GAIA_REQUIRE(spike_factor > 0.0,
                  "spike factor must be positive, got ",
                  spike_factor);
-    GAIA_REQUIRE(straggler_factor >= 1.0,
-                 "straggler factor must be >= 1, got ",
+    GAIA_REQUIRE(straggler_factor >= 1.0 &&
+                     std::isfinite(straggler_factor),
+                 "straggler factor must be finite and >= 1, got ",
                  straggler_factor);
     GAIA_REQUIRE(cis_max_retries >= 0 && cis_max_retries <= 16,
                  "cis retry budget must be in [0, 16], got ",

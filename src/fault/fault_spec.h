@@ -66,7 +66,7 @@ struct FaultSpec
 
     /** Per-job probability of a straggler slowdown. */
     double straggler_rate = 0.0;
-    /** Runtime multiplier for straggler jobs (> 1). */
+    /** Runtime multiplier for straggler jobs (finite, >= 1). */
     double straggler_factor = 2.0;
 
     /** Per-job probability of a delayed start. */

@@ -157,6 +157,12 @@ FaultInjector::stretched(Seconds length) const
 {
     const double scaled = std::ceil(static_cast<double>(length) *
                                     spec_.straggler_factor);
+    // Saturate at the century validateJob allows an input job, so a
+    // huge factor neither overflows the cast nor stretches a job
+    // past what the carbon trace integrates cheaply.
+    const Seconds cap = std::max(length, kMaxInputDuration);
+    if (scaled >= static_cast<double>(cap))
+        return cap;
     return std::max<Seconds>(static_cast<Seconds>(scaled), length);
 }
 

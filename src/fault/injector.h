@@ -79,7 +79,9 @@ class FaultInjector
 
     /** Job `job_id` suffers a straggler slowdown. */
     bool straggler(std::uint64_t job_id) const;
-    /** Straggler-inflated runtime for a nominal `length`. */
+    /** Straggler-inflated runtime for a nominal `length`:
+     *  ceil(length x factor), never below `length` and saturating
+     *  at max(length, kMaxInputDuration). */
     Seconds stretched(Seconds length) const;
 
     /** Job `job_id` arrives late. */

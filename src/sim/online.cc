@@ -42,19 +42,19 @@ constexpr int kNotifyPriority = 2;
  * restart covers their work in ceil(length / maxThroughput) seconds.
  */
 Seconds
-restartDuration(const Job &job)
+restartDuration(const ElasticProfile &profile, Seconds length)
 {
-    if (!job.elastic.enabled())
-        return job.length;
+    if (!profile.enabled())
+        return length;
     return static_cast<Seconds>(
-        std::ceil(static_cast<double>(job.length) /
-                  job.elastic.maxThroughput()));
+        std::ceil(static_cast<double>(length) /
+                  profile.maxThroughput()));
 }
 
 int
-restartWidth(const Job &job)
+restartWidth(const ElasticProfile &profile)
 {
-    return job.elastic.enabled() ? job.elastic.maxInstances() : 1;
+    return profile.enabled() ? profile.maxInstances() : 1;
 }
 
 } // namespace
@@ -109,7 +109,12 @@ OnlineScheduler::setDefaultElasticProfile(
     const Status valid = profile.validate();
     GAIA_ASSERT(valid.isOk(), "invalid default elastic profile: ",
                 valid.message());
-    default_elastic_ = profile;
+    if (!profile.enabled()) {
+        default_profile_ = 0;
+        return;
+    }
+    default_profile_ = static_cast<std::uint32_t>(profiles_.size());
+    profiles_.push_back(profile);
 }
 
 void
@@ -119,8 +124,8 @@ OnlineScheduler::reserveJobs(std::size_t count,
     // Byte budget of the job column, one entry per job per cell in
     // flight; tests/sim/test_layout_budget.cc pins the public
     // records, and JobState is private, so its budget lives here.
-    static_assert(sizeof(JobState) <= 112,
-                  "JobState outgrew its 112-byte budget");
+    static_assert(sizeof(JobState) <= 64,
+                  "JobState outgrew its 64-byte budget");
     GAIA_ASSERT(states_.empty(), "reserveJobs() after submit()");
     states_.reserve(count);
     // Every job records at least one segment, and a rerun of the
@@ -206,41 +211,44 @@ OnlineScheduler::submit(const Job &job)
     GAIA_REQUIRE(job.submit >= events_.now(), "job ", job.id,
                  " submitted at ", job.submit,
                  " but simulation time is already ", events_.now());
-    Job admitted = job;
+    const std::size_t idx = states_.size();
+    GAIA_ASSERT(idx < kMaxJobs, "job index overflows the event "
+                "payload");
+    JobState &state = states_.emplace_back();
+    state.arrival = job.submit;
+    state.queue_hint = job.queue_hint;
+    state.profile = default_profile_;
+    if (job.elastic.enabled()) {
+        state.profile = static_cast<std::uint32_t>(profiles_.size());
+        profiles_.push_back(job.elastic);
+    }
+    JobOutcome &outcome = outcomes_.emplace_back();
+    outcome.id = job.id;
+    outcome.submit = job.submit;
+    outcome.length = job.length;
+    outcome.cpus = job.cpus;
     if (faults_ != nullptr) {
         if (faults_->straggler(job.id)) {
             // Straggler slowdown: the job really takes longer; the
             // books account the stretched length as useful work.
-            admitted.length = faults_->stretched(admitted.length);
+            outcome.length = faults_->stretched(job.length);
             ++faults_injected_;
         }
         if (faults_->delayedStart(job.id)) {
             // Delayed start: the scheduler sees the job late, but
             // the user submitted at the original instant, so the
             // delay counts as waiting time in the outcome.
-            admitted.submit += faults_->startDelay();
+            state.arrival += faults_->startDelay();
             ++faults_injected_;
         }
     }
-    if (default_elastic_.enabled() && !admitted.elastic.enabled())
-        admitted.elastic = default_elastic_;
-    const std::size_t idx = states_.size();
-    GAIA_ASSERT(idx < kMaxJobs, "job index overflows the event "
-                "payload");
-    states_.emplace_back();
-    states_[idx].job = admitted;
-    JobOutcome &outcome = outcomes_.emplace_back();
-    outcome.id = job.id;
-    outcome.submit = job.submit;
-    outcome.length = admitted.length;
-    outcome.cpus = job.cpus;
     // Priority 0: arrivals at a timestamp run before same-instant
     // releases/starts, so batch and incremental feeding agree. The
     // sequential lane keeps a batch-fed trace's arrivals (sorted by
     // submit time) out of the heap; a fault-delayed arrival that
     // lands out of order falls back to the heap transparently.
     events_.scheduleSequential(
-        admitted.submit, /*priority=*/0,
+        state.arrival, /*priority=*/0,
         SimEvent{EvArrival, static_cast<std::uint32_t>(idx), 0});
     return Status::ok();
 }
@@ -263,7 +271,12 @@ void
 OnlineScheduler::onArrival(std::size_t idx)
 {
     JobState &state = states_[idx];
-    const Job &job = state.job;
+    JobOutcome &outcome = outcomes_[idx];
+    // The job as admitted: stretched by a straggler fault, arriving
+    // at its (possibly delayed or retried) arrival instant.
+    const Job job{outcome.id, state.arrival, outcome.length,
+                  outcome.cpus, state.queue_hint,
+                  profiles_[state.profile]};
 
     if (!cis_.availableAt(events_.now())) {
         if (retryArrivalLater(idx))
@@ -328,7 +341,7 @@ OnlineScheduler::onArrival(std::size_t idx)
                     "plan start violates the waiting bound W");
     }
 
-    outcomes_[idx].carbon_nowait_g = cis_.trace().gramsFor(
+    outcome.carbon_nowait_g = cis_.trace().gramsFor(
         job.submit, job.submit + job.length,
         cluster_.energy.kilowatts(job.cpus));
 
@@ -357,13 +370,13 @@ OnlineScheduler::retryArrivalLater(std::size_t idx)
         spec.cis_retry_backoff << state.cis_attempts;
     ++state.cis_attempts;
     ++cis_retries_;
-    // The job effectively re-arrives at the probe instant; mutating
-    // its submit keeps the planning contract (ctx.now == submit)
-    // intact, while the outcome keeps the user-visible submit time
-    // so the stall counts as waiting.
-    state.job.submit = events_.now() + backoff;
+    // The job effectively re-arrives at the probe instant; moving
+    // its arrival keeps the planning contract (ctx.now == the
+    // admitted submit) intact, while the outcome keeps the
+    // user-visible submit time so the stall counts as waiting.
+    state.arrival = events_.now() + backoff;
     events_.schedule(
-        state.job.submit, /*priority=*/0,
+        state.arrival, /*priority=*/0,
         SimEvent{EvArrival, static_cast<std::uint32_t>(idx), 0});
     return true;
 }
@@ -372,7 +385,6 @@ void
 OnlineScheduler::dispatch(std::size_t idx)
 {
     JobState &state = states_[idx];
-    const Job &job = state.job;
     const Seconds at = events_.now();
 
     switch (strategy_) {
@@ -402,7 +414,8 @@ OnlineScheduler::dispatch(std::size_t idx)
         // is free, even if the policy preferred to wait. (Plans
         // reaching here are single-segment; elastic ones need the
         // segment's full gang of cores.)
-        if (pool_.canFit(job.cpus * state.plan.segment(0).width)) {
+        if (pool_.canFit(outcomes_[idx].cpus *
+                         state.plan.segment(0).width)) {
             startOnReserved(idx, at);
             return;
         }
@@ -457,7 +470,7 @@ OnlineScheduler::placeSegment(std::size_t idx, std::size_t seg_idx)
     if (state.aborted)
         return; // plan superseded by an eviction restart
     const RunSegment &seg = state.plan.segment(seg_idx);
-    const int cores = state.job.cpus * seg.width;
+    const int cores = outcomes_[idx].cpus * seg.width;
     const Seconds at = events_.now();
     GAIA_ASSERT(at == seg.start, "segment event fired at ", at,
                 " for a segment starting at ", seg.start);
@@ -549,14 +562,15 @@ void
 OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
 {
     JobState &state = states_[idx];
-    const Job &job = state.job;
+    const ElasticProfile &profile = profiles_[state.profile];
     // Under the storm model a bounded number of restarts re-attempt
     // spot first — that is what makes back-to-back revocations of
     // the same job possible — before falling through to the
     // baseline ladder below. Gated on storms() so the faults-off
     // path is untouched.
-    const Seconds duration = restartDuration(job);
-    const int width = restartWidth(job);
+    const Seconds duration =
+        restartDuration(profile, outcomes_[idx].length);
+    const int width = restartWidth(profile);
     if (faults_ != nullptr && faults_->storms() &&
         state.spot_eligible && spotEnabled() &&
         static_cast<int>(state.spot_retries) <
@@ -575,7 +589,7 @@ OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
     // Restart the full job; prefer a free reserved core, matching
     // the paper ("on either on-demand or reserved instances based
     // on availability"). The restart never returns to spot.
-    const int cores = job.cpus * width;
+    const int cores = outcomes_[idx].cpus * width;
     if (usesReserved() && pool_.canFit(cores)) {
         pool_.acquire(cores, at);
         recordSegment(idx, at, at + duration,
@@ -597,14 +611,13 @@ void
 OnlineScheduler::startOnReserved(std::size_t idx, Seconds at)
 {
     JobState &state = states_[idx];
-    const Job &job = state.job;
     // Only single-segment plans take the work-conserving path; the
     // run keeps the planned duration and width but starts at `at`.
     GAIA_ASSERT(!state.plan.isSuspendResume(),
                 "work-conserving start of a suspend-resume plan");
     const int width = state.plan.segment(0).width;
     const Seconds duration = state.plan.totalRunTime();
-    const int cores = job.cpus * width;
+    const int cores = outcomes_[idx].cpus * width;
     state.started = true;
     state.pending = false;
     pool_.acquire(cores, at);
@@ -676,11 +689,11 @@ OnlineScheduler::drainPending()
     // small jobs from starving behind a wide one.
     const Seconds at = events_.now();
     for (auto it = pending_.begin(); it != pending_.end();) {
-        JobState &state = states_[it->second];
+        const std::size_t idx = it->second;
+        const JobState &state = states_[idx];
         GAIA_ASSERT(state.pending, "stale pending-queue entry");
-        if (pool_.canFit(state.job.cpus *
+        if (pool_.canFit(outcomes_[idx].cpus *
                          state.plan.segment(0).width)) {
-            const std::size_t idx = it->second;
             it = pending_.erase(it);
             startOnReserved(idx, at);
         } else {
@@ -741,7 +754,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                 });
         }
 
-        const ElasticProfile &profile = state.job.elastic;
+        const ElasticProfile &profile = profiles_[state.profile];
         const bool elastic_job = profile.enabled();
         Seconds useful = 0;
         double useful_work = 0.0;
@@ -762,12 +775,11 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             // Instance lifecycle overhead: each non-reserved
             // segment is a fresh cloud acquisition whose spin-up
             // time is billed and emits carbon without doing work.
-            double overhead_core_seconds = 0.0;
-            if (seg.option != PurchaseOption::Reserved &&
-                cluster_.startup_overhead > 0) {
+            const double overhead_core_seconds =
+                seg.overheadCoreSeconds(cores,
+                                        cluster_.startup_overhead);
+            if (overhead_core_seconds > 0.0) {
                 const Seconds ov = cluster_.startup_overhead;
-                overhead_core_seconds =
-                    static_cast<double>(ov) * cores;
                 const Seconds ov_from =
                     std::max<Seconds>(seg.start - ov, 0);
                 double ov_grams = cis_.trace().gramsFor(
@@ -783,7 +795,6 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                                 static_cast<double>(kSecondsPerHour);
                 }
                 o.carbon_g += ov_grams;
-                o.overhead_core_seconds += overhead_core_seconds;
                 result.overhead_core_seconds +=
                     overhead_core_seconds;
                 result.energy_kwh += cluster_.energy.kilowattHours(
@@ -797,16 +808,10 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
               case PurchaseOption::OnDemand:
                 result.on_demand_core_seconds +=
                     core_seconds + overhead_core_seconds;
-                o.variable_cost += cluster_.pricing.usageCost(
-                    PurchaseOption::OnDemand,
-                    core_seconds + overhead_core_seconds);
                 break;
               case PurchaseOption::Spot:
                 result.spot_core_seconds +=
                     core_seconds + overhead_core_seconds;
-                o.variable_cost += cluster_.pricing.usageCost(
-                    PurchaseOption::Spot,
-                    core_seconds + overhead_core_seconds);
                 break;
             }
             if (!seg.lost) {
@@ -924,6 +929,8 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
 
     result.reserved_cores = cluster_.reserved_cores;
     result.horizon = horizon_;
+    result.pricing = cluster_.pricing;
+    result.startup_overhead = cluster_.startup_overhead;
     result.reserved_upfront = cluster_.pricing.reservedUpfront(
         cluster_.reserved_cores, horizon_);
     if (cluster_.reserved_cores > 0 && horizon_ > 0) {

@@ -29,8 +29,11 @@
  * population is known up front (the batch wrapper does this).
  *
  * Job state is stored as two parallel columns indexed by that job
- * index: the engine's working state (JobState: the admitted job, its
- * plan and a few flags) and the JobOutcome being recorded. Every
+ * index: the engine's working state (JobState: the plan, the
+ * admitted arrival instant, an index into a per-engine table of
+ * elastic profiles and a few flags) and the JobOutcome being
+ * recorded, which alone holds the job's id, cpus and (stretched)
+ * length, so no job is stored twice. Every
  * placement is appended to one segment column in event order. While
  * placements come job by job in index order (start-time policies on
  * on-demand capacity) that column is already grouped by job; from
@@ -215,8 +218,15 @@ class OnlineScheduler : private EventQueue::Sink
   private:
     struct JobState
     {
-        Job job;
         SchedulePlan plan;
+        /** Admitted submit: the user's submit plus any fault delay,
+         *  moved by each carbon-source retry backoff. Planning runs
+         *  at this instant; the outcome keeps the user's submit. */
+        Seconds arrival = 0;
+        /** The submitted Job::queue_hint. */
+        int queue_hint = -1;
+        /** This job's entry in profiles_; 0 = fixed width. */
+        std::uint32_t profile = 0;
         bool spot_eligible = false;
         bool pending = false;
         bool started = false;
@@ -301,9 +311,14 @@ class OnlineScheduler : private EventQueue::Sink
     ClusterConfig cluster_;
     ResourceStrategy strategy_;
     std::string workload_;
-    /** Scenario-wide elastic profile applied at submit() to jobs
-     *  without one of their own; disabled by default. */
-    ElasticProfile default_elastic_;
+    /** Elastic profiles jobs index by JobState::profile: [0] is
+     *  fixed width, then the scenario default (if set) and one entry
+     *  per job submitted with an enabled profile of its own. */
+    std::vector<ElasticProfile> profiles_{ElasticProfile{}};
+    /** profiles_ entry given at submit() to jobs without an enabled
+     *  profile of their own; 0 (fixed width) unless a scenario
+     *  default is set. */
+    std::uint32_t default_profile_ = 0;
     /** Cluster-side fault oracle; nullptr = faults disabled. */
     const FaultInjector *faults_ = nullptr;
     /** Lifecycle observer; nullptr (the batch path) schedules no

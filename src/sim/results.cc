@@ -66,6 +66,32 @@ SimulationResult::lostCoreSeconds(const JobOutcome &o) const
 }
 
 double
+SimulationResult::overheadCoreSeconds(const JobOutcome &o) const
+{
+    double overhead = 0.0;
+    for (const PlacedSegment &seg : placements(o))
+        overhead +=
+            seg.overheadCoreSeconds(o.cpus * seg.width, startup_overhead);
+    return overhead;
+}
+
+double
+SimulationResult::variableCost(const JobOutcome &o) const
+{
+    double cost = 0.0;
+    for (const PlacedSegment &seg : placements(o)) {
+        if (seg.option == PurchaseOption::Reserved)
+            continue; // paid upfront
+        const int cores = o.cpus * seg.width;
+        cost += pricing.usageCost(
+            seg.option,
+            static_cast<double>(seg.duration()) * cores +
+                seg.overheadCoreSeconds(cores, startup_overhead));
+    }
+    return cost;
+}
+
+double
 SimulationResult::meanWaitingHours() const
 {
     if (outcomes.empty())
@@ -134,10 +160,10 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(result.finish(o));
         digest.mix(o.carbon_g);
         digest.mix(o.carbon_nowait_g);
-        digest.mix(o.variable_cost);
+        digest.mix(result.variableCost(o));
         digest.mix(o.evictions);
         digest.mix(result.lostCoreSeconds(o));
-        digest.mix(o.overhead_core_seconds);
+        digest.mix(result.overheadCoreSeconds(o));
         digest.mix<std::uint64_t>(o.segment_count);
         for (const PlacedSegment &seg : result.placements(o)) {
             digest.mix(seg.start);

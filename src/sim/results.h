@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cloud/pricing.h"
 #include "cloud/purchase.h"
 #include "common/time.h"
 #include "workload/job.h"
@@ -38,13 +39,25 @@ struct PlacedSegment
     int width = 1;
 
     Seconds duration() const { return end - start; }
+
+    /** Core-seconds of start-up overhead this slice carries at
+     *  `cores` cores: every non-reserved slice is a fresh cloud
+     *  acquisition whose spin-up is billed and draws power without
+     *  doing work. */
+    double overheadCoreSeconds(int cores, Seconds startup_overhead) const
+    {
+        if (option == PurchaseOption::Reserved || startup_overhead <= 0)
+            return 0.0;
+        return static_cast<double>(startup_overhead) * cores;
+    }
 };
 
 /**
  * Everything recorded about one job's execution, except where it
  * ran: its placed segments live in the result's shared `segments`
  * column (SimulationResult::placements()), and start, finish,
- * waiting and lost core-seconds derive from them rather than being
+ * waiting, lost core-seconds, start-up overhead and variable cost
+ * derive from them (with the result's price list) rather than being
  * stored beside them. A sweep holds one of these per job per cell,
  * so the layout is packed (tests/sim/test_layout_budget.cc pins the
  * byte budget): the two ints share one 8-byte word and the segment
@@ -68,10 +81,6 @@ struct JobOutcome
     double carbon_g = 0.0;
     /** Counterfactual emissions of starting at submit. */
     double carbon_nowait_g = 0.0;
-    /** Pay-as-you-go dollars (on-demand + spot, incl. lost work). */
-    double variable_cost = 0.0;
-    /** Core-seconds of instance start/stop overhead attributed. */
-    double overhead_core_seconds = 0.0;
 
     /** Emissions saved versus running immediately. */
     double carbonSaved() const { return carbon_nowait_g - carbon_g; }
@@ -100,6 +109,11 @@ struct SimulationResult
 
     int reserved_cores = 0;
     Seconds horizon = 0;
+    /** The price list and per-acquisition start-up overhead the run
+     *  was billed under; each job's variable cost and overhead
+     *  derive from its segments through them. */
+    PricingModel pricing;
+    Seconds startup_overhead = 0;
 
     /** Dollars. */
     double reserved_upfront = 0.0;
@@ -151,6 +165,15 @@ struct SimulationResult
     /** Core-seconds `o` lost to evictions: the lost segments'
      *  duration x cpus x width, summed in segment order. */
     double lostCoreSeconds(const JobOutcome &o) const;
+    /** Core-seconds of instance start-up overhead attributed to `o`:
+     *  startup_overhead x cpus x width per non-reserved segment
+     *  (lost ones included), summed in segment order. */
+    double overheadCoreSeconds(const JobOutcome &o) const;
+    /** `o`'s pay-as-you-go dollars: each on-demand or spot
+     *  segment's core-seconds plus its start-up overhead, billed at
+     *  `pricing` and summed in segment order. Lost work still costs
+     *  money. */
+    double variableCost(const JobOutcome &o) const;
 
     /** Completion time: finish − submit. */
     Seconds completion(const JobOutcome &o) const
@@ -194,7 +217,9 @@ allocationSeries(const SimulationResult &result, Seconds step,
  * pattern, so even sub-printing-precision drift changes the
  * digest). Two runs are bit-identical iff their fingerprints match
  * — the determinism tests compare this across thread counts and
- * repeated runs.
+ * repeated runs. `pricing` and `startup_overhead` are not mixed
+ * themselves: they enter through each job's variableCost() and
+ * overheadCoreSeconds().
  */
 std::uint64_t resultFingerprint(const SimulationResult &result);
 

@@ -81,6 +81,8 @@ TEST(FaultSpec, ValidationErrorsAreStatuses)
     EXPECT_FALSE(
         FaultSpec::parse("straggler:rate=0.5,factor=0.5").isOk());
     EXPECT_FALSE(
+        FaultSpec::parse("straggler:rate=0.5,factor=inf").isOk());
+    EXPECT_FALSE(
         FaultSpec::parse("delay:rate=0.1,minutes=0").isOk());
     EXPECT_FALSE(
         FaultSpec::parse("spike:rate=0.1,factor=-1").isOk());

@@ -133,6 +133,14 @@ TEST(Injector, StragglerStretchRoundsUpAndNeverShrinks)
     FaultSpec unit = spec;
     unit.straggler_factor = 1.0;
     EXPECT_EQ(FaultInjector(unit).stretched(3600), 3600);
+    // Huge factors saturate at the century an input job may last,
+    // with no float-to-int overflow on the way.
+    for (const double factor : {1e7, 1e300}) {
+        FaultSpec huge = spec;
+        huge.straggler_factor = factor;
+        EXPECT_EQ(FaultInjector(huge).stretched(3600), kMaxInputDuration)
+            << factor;
+    }
 }
 
 TEST(Injector, DelayUsesTheConfiguredDuration)

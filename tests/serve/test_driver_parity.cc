@@ -5,8 +5,8 @@
  * fingerprint of the batch virtual-clock run — the tentpole
  * guarantee of the serving layer. Cells are drawn from the golden
  * sweeps (fig08 policy comparison, fig14 waiting pair, fig19
- * hybrid spot+reserved) plus an elastic-scaling cell, unpaced and
- * wall-clock paced.
+ * hybrid spot+reserved) plus an elastic-scaling cell and an elastic
+ * hybrid cell under cluster faults, unpaced and wall-clock paced.
  */
 
 #include <gtest/gtest.h>
@@ -120,6 +120,23 @@ TEST(DriverParity, ElasticScalerCell)
 {
     ScenarioSpec spec = weekSpec("Carbon-Scaler");
     spec.elastic_profile = "diminishing:max=4,alpha=0.6";
+    EXPECT_EQ(batchFingerprint(spec),
+              streamedFingerprint(spec, /*accel=*/0.0));
+}
+
+TEST(DriverParity, ElasticHybridCellUnderClusterFaults)
+{
+    // Stragglers stretch lengths, delays move arrivals out of submit
+    // order and storms restart elastic gangs: every admitted field
+    // the engine keeps outside the outcome must stream like batch.
+    ScenarioSpec spec = hybridSpec();
+    spec.policy = "Carbon-Scaler";
+    spec.elastic_profile = "linear:max=4";
+    const Result<FaultSpec> fault = FaultSpec::parse(
+        "straggler:rate=0.3,factor=1.5;delay:rate=0.2,minutes=20;"
+        "storm:rate=0.05");
+    ASSERT_TRUE(fault.isOk()) << fault.status().toString();
+    spec.fault = *fault;
     EXPECT_EQ(batchFingerprint(spec),
               streamedFingerprint(spec, /*accel=*/0.0));
 }

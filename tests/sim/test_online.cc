@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "core/policy_factory.h"
+#include "fault/injector.h"
 #include "sim/simulator.h"
 #include "tests/common/sim_test_util.h"
 
@@ -161,6 +162,56 @@ TEST(Online, RandomAdvancePatternsNeverChangeTheBooks)
                       batch.start(batch.outcomes[i]))
                 << "seed " << seed << " job " << i;
         }
+    }
+}
+
+TEST(Online, OwnElasticProfileBeatsTheDefaultThroughARestart)
+{
+    // A job's own enabled profile beats the scenario default and a
+    // disabled one takes the default. A storm revokes each first
+    // spot slice; with no spot re-attempts, the on-demand restart
+    // runs the job at its profile's full width for ceil(length /
+    // max throughput), so the restart shows which profile it kept.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    ClusterConfig cluster;
+    cluster.spot_eviction_rate = 0.0; // storms only
+    cluster.spot_max_length = hours(24);
+    FaultSpec spec;
+    spec.storm_rate = 1.0;
+    spec.storm_spot_retries = 0;
+    const FaultInjector injector(spec);
+    const PolicyPtr policy = makePolicy("Carbon-Scaler");
+
+    OnlineScheduler sched(*policy, queues, cis, cluster,
+                          ResourceStrategy::SpotFirst, "t", &injector);
+    sched.setDefaultElasticProfile(
+        parseElasticProfile("linear:max=4").value());
+    Job own{1, 0, hours(4), 1};
+    own.elastic = parseElasticProfile("linear:max=2").value();
+    Job disabled{2, 0, hours(4), 1};
+    disabled.elastic = ElasticProfile{1, {1.0}};
+    ASSERT_FALSE(disabled.elastic.enabled());
+    const Job plain{3, 0, hours(4), 1};
+    for (const Job &job : {own, disabled, plain})
+        ASSERT_TRUE(sched.submit(job).isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+
+    const int widths[] = {2, 4, 4};
+    const Seconds durations[] = {hours(2), hours(1), hours(1)};
+    ASSERT_EQ(r.outcomes.size(), 3u);
+    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+        const JobOutcome &o = r.outcomes[i];
+        EXPECT_EQ(o.evictions, 1) << "job " << o.id;
+        const PlacedSegment &restart = r.placements(o).back();
+        EXPECT_FALSE(restart.lost) << "job " << o.id;
+        EXPECT_EQ(restart.option, PurchaseOption::OnDemand);
+        EXPECT_EQ(restart.width, widths[i]) << "job " << o.id;
+        EXPECT_EQ(restart.duration(), durations[i]) << "job " << o.id;
+        for (const PlacedSegment &seg : r.placements(o))
+            EXPECT_LE(seg.width, widths[i]) << "job " << o.id;
     }
 }
 

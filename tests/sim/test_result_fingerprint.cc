@@ -17,8 +17,9 @@ namespace {
  * on-demand, reserved and spot segments, a lost spot slice, a width-2
  * segment, a job with four segments and non-zero evictions. Fields
  * are assigned by name, so the fixture does not depend on struct
- * layout; each job's start, finish and lost core-seconds follow from
- * its segments.
+ * layout; each job's start, finish, lost core-seconds, start-up
+ * overhead and variable cost follow from its segments, the default
+ * price list and a 15 s start-up overhead.
  */
 SimulationResult
 pinnedResult()
@@ -30,6 +31,8 @@ pinnedResult()
     r.workload = "alibaba";
     r.reserved_cores = 12;
     r.horizon = 7 * kSecondsPerDay;
+    r.pricing = PricingModel{};
+    r.startup_overhead = 15;
     r.reserved_upfront = 123.25;
     r.on_demand_cost = 4.1;
     r.spot_cost = 0.7;
@@ -56,8 +59,6 @@ pinnedResult()
     evicted.evictions = 1;
     evicted.carbon_g = 812.4;
     evicted.carbon_nowait_g = 901.7;
-    evicted.variable_cost = 0.33;
-    evicted.overhead_core_seconds = 120.0;
     testutil::appendOutcome(
         r, evicted,
         {{3600, 5400, PurchaseOption::Spot, /*lost=*/true, 1},
@@ -72,7 +73,6 @@ pinnedResult()
     plain.cpus = 1;
     plain.carbon_g = 250.0;
     plain.carbon_nowait_g = 250.0;
-    plain.variable_cost = 0.05;
     testutil::appendOutcome(
         r, plain, {{7200, 10800, PurchaseOption::OnDemand, false, 1}});
     return r;
@@ -85,14 +85,13 @@ seg(SimulationResult &r, std::size_t job, std::size_t k)
     return r.segments[r.outcomes[job].first_segment + k];
 }
 
-// Computed before JobOutcome, PlacedSegment and SmallVector were
-// repacked, before JobOutcome stopped storing start, finish and lost
-// core-seconds, and before segments moved out of JobOutcome into the
-// result's column; layout changes must never move it. If a
-// deliberate change to the digest's definition moves it, every pinned
-// fingerprint (the golden tests and the benchmark's fingerprint
-// table) moves with it.
-constexpr std::uint64_t kPinnedDigest = 0x34d886c4dd72c8bfULL;
+// Computed while JobOutcome still stored its variable cost and
+// start-up overhead (set to the values the accessors derive here),
+// so deriving them instead provably mixes the same bits; layout
+// changes must never move it. If a deliberate change to the digest's
+// definition moves it, every pinned fingerprint (the golden tests and
+// the benchmark's fingerprint table) moves with it.
+constexpr std::uint64_t kPinnedDigest = 0x93b1006495850bb2ULL;
 
 TEST(ResultFingerprint, MatchesThePinnedDigest)
 {
@@ -141,10 +140,13 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) {
             r.outcomes[1].carbon_nowait_g += 1.0;
         },
-        [](SimulationResult &r) { r.outcomes[1].variable_cost += 1.0; },
+        // variableCost() and overheadCoreSeconds() are computed from
+        // the segments, the price list and the start-up overhead.
         [](SimulationResult &r) {
-            r.outcomes[1].overhead_core_seconds += 1.0;
+            r.pricing.on_demand_per_core_hour += 0.01;
         },
+        [](SimulationResult &r) { r.pricing.spot_fraction += 0.01; },
+        [](SimulationResult &r) { r.startup_overhead += 1; },
         [](SimulationResult &r) { r.outcomes[0].segment_count = 0; },
         [](SimulationResult &r) { seg(r, 0, 3).start -= 1; },
         [](SimulationResult &r) { seg(r, 0, 3).end += 1; },

@@ -56,7 +56,7 @@ TEST(Simulator, SingleJobClosedFormAccounting)
     EXPECT_NEAR(o.carbon_g, 2.0, 1e-9);
     EXPECT_NEAR(o.carbon_nowait_g, 2.0, 1e-9);
     // 4 core-hours on demand at $0.0624.
-    EXPECT_NEAR(o.variable_cost, 4 * 0.0624, 1e-9);
+    EXPECT_NEAR(r.variableCost(o), 4 * 0.0624, 1e-9);
     EXPECT_NEAR(r.totalCost(), 4 * 0.0624, 1e-9);
     EXPECT_DOUBLE_EQ(r.reserved_upfront, 0.0);
     // 20 Wh of energy.
@@ -254,7 +254,7 @@ TEST(Simulator, AccountingConservation)
 
     double sum_cost = 0.0, sum_carbon = 0.0;
     for (const JobOutcome &o : r.outcomes) {
-        sum_cost += o.variable_cost;
+        sum_cost += r.variableCost(o);
         sum_carbon += o.carbon_g;
     }
     EXPECT_NEAR(sum_cost, r.on_demand_cost + r.spot_cost, 1e-6);

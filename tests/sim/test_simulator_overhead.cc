@@ -94,7 +94,7 @@ TEST(SimulatorOverhead, SuspendResumePaysPerSegment)
         ResourceStrategy::OnDemandOnly);
     ASSERT_EQ(r.placements(r.outcomes[0]).size(), 2u);
     EXPECT_DOUBLE_EQ(r.overhead_core_seconds, 2.0 * minutes(5));
-    EXPECT_DOUBLE_EQ(r.outcomes[0].overhead_core_seconds,
+    EXPECT_DOUBLE_EQ(r.overheadCoreSeconds(r.outcomes[0]),
                      2.0 * minutes(5));
 }
 
@@ -141,7 +141,7 @@ TEST(SimulatorOverhead, AccountingIdentityHolds)
     for (const JobOutcome &o : r.outcomes) {
         for (const PlacedSegment &seg : r.placements(o))
             placed += static_cast<double>(seg.duration()) * o.cpus;
-        per_job_overhead += o.overhead_core_seconds;
+        per_job_overhead += r.overheadCoreSeconds(o);
     }
     EXPECT_NEAR(per_job_overhead, r.overhead_core_seconds, 1e-9);
     EXPECT_NEAR(placed + r.overhead_core_seconds,
@@ -151,7 +151,7 @@ TEST(SimulatorOverhead, AccountingIdentityHolds)
 
     double variable = 0.0;
     for (const JobOutcome &o : r.outcomes)
-        variable += o.variable_cost;
+        variable += r.variableCost(o);
     EXPECT_NEAR(variable, r.on_demand_cost + r.spot_cost, 1e-6);
 }
 

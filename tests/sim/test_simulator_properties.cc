@@ -90,7 +90,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         EXPECT_LE(r.start(o), o.submit + queue.max_wait)
             << "job " << o.id;
 
-        variable += o.variable_cost;
+        variable += r.variableCost(o);
         carbon_g += o.carbon_g;
 
         // Recompute carbon from segments independently.
