@@ -249,7 +249,8 @@ parseCliOptions(const std::vector<std::string> &raw_args,
             GAIA_TRY_ASSIGN(const std::int64_t n,
                             tryParseInt(v, "--reserved"));
             GAIA_REQUIRE(n >= 0, "--reserved must be non-negative");
-            options.reserved = static_cast<int>(n);
+            GAIA_TRY_ASSIGN(options.reserved,
+                            tryNarrowInt(n, "--reserved"));
         } else if (arg == "--eviction-rate") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -63,6 +64,16 @@ tryParseInt(std::string_view text, std::string_view context)
                                   "' as an integer (", context, ")");
     }
     return value;
+}
+
+Result<int>
+tryNarrowInt(std::int64_t value, std::string_view context)
+{
+    using Limits = std::numeric_limits<int>;
+    GAIA_REQUIRE(value >= Limits::min() && value <= Limits::max(),
+                 context, ": ", value, " is out of range (an int holds ",
+                 Limits::min(), " to ", Limits::max(), ")");
+    return static_cast<int>(value);
 }
 
 double

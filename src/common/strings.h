@@ -31,6 +31,10 @@ Result<double> tryParseDouble(std::string_view text,
 Result<std::int64_t> tryParseInt(std::string_view text,
                                  std::string_view context);
 
+/** `value` as an int; InvalidArgument (with `context`) when it lies
+ *  outside int's range, where a cast would silently wrap it. */
+Result<int> tryNarrowInt(std::int64_t value, std::string_view context);
+
 /** Parse a double; calls fatal() with `context` on failure. */
 double parseDouble(std::string_view text, std::string_view context);
 

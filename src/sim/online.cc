@@ -208,6 +208,10 @@ Status
 OnlineScheduler::submit(const Job &job)
 {
     GAIA_ASSERT(!finalized_, "submit() after finalize()");
+    // The engine holds its own bounds rather than trusting every
+    // feed to have validated: the packed outcome stores submit and
+    // length in 32 bits, and cpus x width must stay inside an int.
+    GAIA_TRY(validateJob(job));
     GAIA_REQUIRE(job.submit >= events_.now(), "job ", job.id,
                  " submitted at ", job.submit,
                  " but simulation time is already ", events_.now());
@@ -224,14 +228,15 @@ OnlineScheduler::submit(const Job &job)
     }
     JobOutcome &outcome = outcomes_.emplace_back();
     outcome.id = job.id;
-    outcome.submit = job.submit;
-    outcome.length = job.length;
+    outcome.submit = static_cast<std::uint32_t>(job.submit);
+    outcome.length = static_cast<std::uint32_t>(job.length);
     outcome.cpus = job.cpus;
     if (faults_ != nullptr) {
         if (faults_->straggler(job.id)) {
             // Straggler slowdown: the job really takes longer; the
             // books account the stretched length as useful work.
-            outcome.length = faults_->stretched(job.length);
+            outcome.length = static_cast<std::uint32_t>(
+                faults_->stretched(job.length));
             ++faults_injected_;
         }
         if (faults_->delayedStart(job.id)) {
@@ -635,7 +640,6 @@ OnlineScheduler::recordSegment(std::size_t idx, Seconds from,
                                Seconds to, PurchaseOption option,
                                bool lost, int width)
 {
-    GAIA_ASSERT(to > from, "empty placement [", from, ", ", to, ")");
     GAIA_ASSERT(segments_.size() <
                     std::numeric_limits<std::uint32_t>::max(),
                 "segment column outgrew its 32-bit indices");
@@ -652,7 +656,10 @@ OnlineScheduler::recordSegment(std::size_t idx, Seconds from,
         last_segment_job_ = job;
     else
         segment_jobs_.push_back(job);
-    segments_.push_back({from, to, option, lost, width});
+    // The constructor asserts the slice is non-empty and fits its
+    // 32-bit duration and 16-bit width; a validated job keeps far
+    // inside both.
+    segments_.emplace_back(from, to, option, lost, width);
     ++outcomes_[idx].segment_count;
 }
 
@@ -766,7 +773,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             const double core_seconds =
                 static_cast<double>(seg.duration()) * cores;
             const double grams = cis_.trace().gramsFor(
-                seg.start, seg.end,
+                seg.start, seg.end(),
                 cluster_.energy.kilowatts(cores));
             o.carbon_g += grams;
             result.energy_kwh +=
@@ -885,14 +892,14 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                 if (seg.option != PurchaseOption::Reserved)
                     continue;
                 Seconds cursor = seg.start;
-                while (cursor < seg.end) {
+                while (cursor < seg.end()) {
                     const auto slot = static_cast<std::size_t>(
                         cursor / kSecondsPerHour);
                     const Seconds slot_end =
                         static_cast<Seconds>(slot + 1) *
                         kSecondsPerHour;
                     const Seconds end =
-                        std::min(slot_end, seg.end);
+                        std::min(slot_end, seg.end());
                     busy[slot] +=
                         static_cast<double>(end - cursor) *
                         o.cpus * seg.width;
@@ -958,7 +965,7 @@ OnlineScheduler::finalize()
         // observed schedule, rounded up to whole days.
         Seconds last_finish = 0;
         for (const PlacedSegment &seg : segments_)
-            last_finish = std::max(last_finish, seg.end);
+            last_finish = std::max(last_finish, seg.end());
         horizon_ = std::max<Seconds>(
             ((last_finish + kSecondsPerDay - 1) / kSecondsPerDay) *
                 kSecondsPerDay,

@@ -42,7 +42,10 @@
  * segment column in place into job order, accounts both columns in
  * place, and hands them over whole as SimulationResult::outcomes
  * and SimulationResult::segments, so a run never holds a record
- * twice and recording a placement allocates nothing per job.
+ * twice and recording a placement allocates nothing per job. Both
+ * records are packed (48-byte outcomes, 16-byte segments; see
+ * sim/results.h), since a sweep holds them for every job of every
+ * cell.
  *
  * Usage:
  *
@@ -149,9 +152,13 @@ class OnlineScheduler : private EventQueue::Sink
     OnlineScheduler(OnlineScheduler &&) = default;
 
     /**
-     * Submit a job. Errors (rather than asserting) when the job's
-     * submit time precedes the current simulation time, since live
-     * feeds are untrusted input.
+     * Submit a job. Errors (rather than asserting) when the job
+     * fails validateJob() or its submit time precedes the current
+     * simulation time, since live feeds are untrusted input; a
+     * rejected job leaves no trace. The engine applies validateJob()
+     * itself because its packed records rely on it: outcomes hold
+     * submit and length in 32 bits, and cpus x width must fit an
+     * int.
      */
     Status submit(const Job &job);
 

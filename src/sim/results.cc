@@ -48,7 +48,7 @@ SimulationResult::finish(const JobOutcome &o) const
     Seconds latest = 0;
     for (const PlacedSegment &seg : placements(o)) {
         if (!seg.lost)
-            latest = std::max(latest, seg.end);
+            latest = std::max(latest, seg.end());
     }
     return latest;
 }
@@ -152,9 +152,11 @@ resultFingerprint(const SimulationResult &result)
     digest.mix<std::uint64_t>(result.eviction_count);
     digest.mix<std::uint64_t>(result.outcomes.size());
     for (const JobOutcome &o : result.outcomes) {
+        // Narrowed fields mix at their old widths (Seconds, int), so
+        // packing the records moved no fingerprint.
         digest.mix(o.id);
-        digest.mix(o.submit);
-        digest.mix(o.length);
+        digest.mix<Seconds>(o.submit);
+        digest.mix<Seconds>(o.length);
         digest.mix(o.cpus);
         digest.mix(result.start(o));
         digest.mix(result.finish(o));
@@ -167,14 +169,14 @@ resultFingerprint(const SimulationResult &result)
         digest.mix<std::uint64_t>(o.segment_count);
         for (const PlacedSegment &seg : result.placements(o)) {
             digest.mix(seg.start);
-            digest.mix(seg.end);
+            digest.mix(seg.end());
             digest.mix(static_cast<int>(seg.option));
             digest.mix(seg.lost);
             // Mixed only when above 1 so every fixed-width
             // fingerprint (all pinned golden CSVs) is unchanged by
             // the field's introduction.
             if (seg.width != 1)
-                digest.mix(seg.width);
+                digest.mix<int>(seg.width);
         }
     }
     return digest.value();
@@ -199,13 +201,13 @@ allocationSeries(const SimulationResult &result, Seconds step,
             if (!any_option && seg.option != option)
                 continue;
             Seconds cursor = seg.start;
-            while (cursor < seg.end) {
+            while (cursor < seg.end()) {
                 const auto bucket =
                     static_cast<std::size_t>(cursor / step);
                 const Seconds bucket_end =
                     static_cast<Seconds>(bucket + 1) * step;
                 const Seconds seg_end =
-                    std::min(bucket_end, seg.end);
+                    std::min(bucket_end, seg.end());
                 series[bucket] +=
                     static_cast<double>(seg_end - cursor) * o.cpus *
                     seg.width;

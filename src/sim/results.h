@@ -15,30 +15,72 @@
 #define GAIA_SIM_RESULTS_H
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cloud/pricing.h"
 #include "cloud/purchase.h"
+#include "common/logging.h"
 #include "common/time.h"
 #include "workload/job.h"
 
 namespace gaia {
 
-/** One executed (or lost) slice of a job on a purchase option. */
+/** Longest slice a PlacedSegment can hold: its duration is 32-bit. */
+constexpr Seconds kMaxSegmentDuration =
+    std::numeric_limits<std::uint32_t>::max();
+/** Widest gang a PlacedSegment can hold: its width is 16-bit. */
+constexpr int kMaxSegmentWidth = std::numeric_limits<std::uint16_t>::max();
+
+// The engine records nothing these fields cannot hold: validateJob
+// bounds every job's submit and length by kMaxInputDuration (and
+// FaultInjector::stretched saturates there), no slice outlasts its
+// job, and ElasticProfile::validate caps the width.
+static_assert(kMaxInputDuration <= kMaxSegmentDuration,
+              "a century must fit the 32-bit outcome and slice fields");
+static_assert(kMaxElasticInstances <= kMaxSegmentWidth);
+
+/**
+ * One executed (or lost) slice of a job on a purchase option. A
+ * sweep holds one per placement per cell, so it packs into 16 bytes
+ * (tests/sim/test_layout_budget.cc): a 32-bit duration with the end
+ * derived from it, and a 16-bit width. The one constructor takes the
+ * end, so no initializer can pass an end where a duration belongs,
+ * and asserts both fit.
+ */
 struct PlacedSegment
 {
-    Seconds start = 0;
-    Seconds end = 0;
-    PurchaseOption option = PurchaseOption::OnDemand;
-    /** True for spot work destroyed by an eviction. */
-    bool lost = false;
+    /** The slice [start, end) at `width` instances; asserts it is
+     *  non-empty, at most kMaxSegmentDuration long and 1 to
+     *  kMaxSegmentWidth wide. */
+    PlacedSegment(Seconds start, Seconds end, PurchaseOption option,
+                  bool lost, int width)
+        : start(start),
+          width(static_cast<std::uint16_t>(width)),
+          option(option),
+          lost(lost),
+          duration_(static_cast<std::uint32_t>(end - start))
+    {
+        GAIA_ASSERT(end > start && end - start <= kMaxSegmentDuration,
+                    "slice [", start, ", ", end,
+                    ") is empty or outlasts the 32-bit duration");
+        GAIA_ASSERT(width >= 1 && width <= kMaxSegmentWidth,
+                    "slice width ", width, " outside [1, ",
+                    kMaxSegmentWidth, "]");
+    }
+
+    Seconds start;
     /** Concurrent instances during the slice; 1 for every
      *  fixed-width job, above 1 only for elastic plans. */
-    int width = 1;
+    std::uint16_t width;
+    PurchaseOption option;
+    /** True for spot work destroyed by an eviction. */
+    bool lost;
 
-    Seconds duration() const { return end - start; }
+    Seconds end() const { return start + duration_; }
+    Seconds duration() const { return duration_; }
 
     /** Core-seconds of start-up overhead this slice carries at
      *  `cores` cores: every non-reserved slice is a fresh cloud
@@ -50,6 +92,9 @@ struct PlacedSegment
             return 0.0;
         return static_cast<double>(startup_overhead) * cores;
     }
+
+  private:
+    std::uint32_t duration_;
 };
 
 /**
@@ -60,15 +105,16 @@ struct PlacedSegment
  * derive from them (with the result's price list) rather than being
  * stored beside them. A sweep holds one of these per job per cell,
  * so the layout is packed (tests/sim/test_layout_budget.cc pins the
- * byte budget): the two ints share one 8-byte word and the segment
- * range another. Outcomes hold indices into the column, not
- * pointers, so copying a result keeps them valid.
+ * byte budget): submit and length are 32-bit (a validated job's are
+ * at most kMaxInputDuration), and they, the two ints and the segment
+ * range fill three 8-byte words. Outcomes hold indices into the
+ * column, not pointers, so copying a result keeps them valid.
  */
 struct JobOutcome
 {
     JobId id = 0;
-    Seconds submit = 0;
-    Seconds length = 0;
+    std::uint32_t submit = 0;
+    std::uint32_t length = 0;
     int cpus = 1;
     /** Spot evictions suffered. */
     int evictions = 0;

@@ -54,9 +54,10 @@ ElasticProfile::validate() const
                      min_instances);
         return Status::ok();
     }
-    GAIA_REQUIRE(marginal.size() <= 64,
+    GAIA_REQUIRE(marginal.size() <=
+                     static_cast<std::size_t>(kMaxElasticInstances),
                  "elastic profile with ", marginal.size(),
-                 " instances (limit 64)");
+                 " instances (limit ", kMaxElasticInstances, ")");
     GAIA_REQUIRE(marginal.front() == 1.0,
                  "elastic profile's first marginal rate must be "
                  "1.0 (the nominal single-instance rate), got ",
@@ -121,7 +122,8 @@ parseElasticProfile(const std::string &text)
         } else if (clause_key == "min") {
             GAIA_TRY_ASSIGN(const std::int64_t m,
                             tryParseInt(value, "elastic min"));
-            profile.min_instances = static_cast<int>(m);
+            GAIA_TRY_ASSIGN(profile.min_instances,
+                            tryNarrowInt(m, "elastic min"));
         } else if (clause_key == "alpha") {
             GAIA_TRY_ASSIGN(alpha,
                             tryParseDouble(value, "elastic alpha"));

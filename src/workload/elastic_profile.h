@@ -34,6 +34,9 @@
 
 namespace gaia {
 
+/** Most instances an elastic profile may run at once. */
+constexpr int kMaxElasticInstances = 64;
+
 /** Marginal-throughput scaling curve of one elastic job. */
 struct ElasticProfile
 {

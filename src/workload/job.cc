@@ -4,6 +4,7 @@
 
 #include "common/csv.h"
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace gaia {
 
@@ -22,6 +23,9 @@ validateJob(const Job &job)
                  kMaxInputDuration, " s limit");
     GAIA_REQUIRE(job.cpus > 0, "job ", job.id,
                  " has non-positive cpu demand ", job.cpus);
+    GAIA_REQUIRE(job.cpus <= kMaxJobCpus, "job ", job.id,
+                 " has cpu demand ", job.cpus, " past the ", kMaxJobCpus,
+                 " limit");
     const Status elastic = job.elastic.validate();
     GAIA_REQUIRE(elastic.isOk(), "job ", job.id, ": ",
                  elastic.message());
@@ -153,7 +157,9 @@ JobTrace::fromCsv(const std::string &path, const std::string &name)
         GAIA_TRY_ASSIGN(j.length, table.tryCellInt(r, length_col));
         GAIA_TRY_ASSIGN(const std::int64_t cpus,
                         table.tryCellInt(r, cpus_col));
-        j.cpus = static_cast<int>(cpus);
+        GAIA_TRY_ASSIGN(j.cpus,
+                        tryNarrowInt(cpus, "row " + std::to_string(r) +
+                                               ", column 'cpus'"));
         jobs.push_back(j);
     }
     return make(name, std::move(jobs));

@@ -16,6 +16,7 @@
 #define GAIA_WORKLOAD_JOB_H
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,16 @@ using JobId = std::int64_t;
  * bits of each event payload.
  */
 constexpr std::size_t kMaxJobs = 0xffffffffu;
+
+/**
+ * Most CPU cores one job may demand. Times the widest elastic gang
+ * it stays far inside an int, so the engine's per-slice core count
+ * (cpus x width) cannot overflow.
+ */
+constexpr int kMaxJobCpus = 1 << 20;
+static_assert(static_cast<std::int64_t>(kMaxJobCpus) *
+                  kMaxElasticInstances <=
+              std::numeric_limits<int>::max());
 
 /** One batch job. */
 struct Job
@@ -68,11 +79,13 @@ struct Job
 
 /**
  * OK when `job` can be scheduled: a submit time in [0,
- * kMaxInputDuration], a length in (0, kMaxInputDuration], a positive
- * CPU demand and a valid elastic profile. The one rule for every job
- * from outside the program (JobTrace::make, the serving daemon); the
- * bounds keep a job's window within two centuries, so integrating it
- * past the end of the carbon trace stays cheap.
+ * kMaxInputDuration], a length in (0, kMaxInputDuration], a CPU
+ * demand in [1, kMaxJobCpus] and a valid elastic profile. The one
+ * rule for every job from outside the program (JobTrace::make, the
+ * serving daemon), and OnlineScheduler::submit applies it again. The
+ * time bounds keep a job's window within two centuries, so
+ * integrating it past the end of the carbon trace stays cheap, and
+ * let the engine's outcome records hold them in 32 bits.
  */
 Status validateJob(const Job &job);
 

@@ -27,7 +27,7 @@ TEST(Metrics, ExtractFromResult)
     o.submit = 0;
     o.length = 3600;
     testutil::appendOutcome(
-        r, o, {{3600, 7200, PurchaseOption::OnDemand, false}});
+        r, o, {{3600, 7200, PurchaseOption::OnDemand, false, 1}});
 
     const MetricsRow m = metricsOf("x", r);
     EXPECT_EQ(m.label, "x");

@@ -22,7 +22,8 @@ addOutcome(SimulationResult &r, Seconds length, double saved,
     o.carbon_nowait_g = saved;
     o.carbon_g = 0.0;
     testutil::appendOutcome(
-        r, o, {{wait, wait + length, PurchaseOption::OnDemand, false}});
+        r, o,
+        {{wait, wait + length, PurchaseOption::OnDemand, false, 1}});
 }
 
 TEST(Savings, CdfByLengthHandExample)

@@ -15,8 +15,9 @@ parse(const std::vector<std::string> &args)
     CliOptions options;
     const Result<CliAction> action = parseCliOptions(args, options);
     EXPECT_TRUE(action.isOk()) << action.status().toString();
-    if (action.isOk())
+    if (action.isOk()) {
         EXPECT_EQ(*action, CliAction::Run);
+    }
     return options;
 }
 
@@ -158,6 +159,9 @@ TEST(CliOptions, MalformedInputYieldsErrorStatus)
                                 "non-negative"));
     EXPECT_TRUE(messageContains(parseError({"--jobs", "lots"}),
                                 "cannot parse"));
+    // 2^32 + 40 once wrapped to 40 reserved cores.
+    EXPECT_TRUE(messageContains(parseError({"--reserved", "4294967336"}),
+                                "--reserved: 4294967336 is out of range"));
 }
 
 TEST(CliOptions, HostileSynthesisSizesAreRejected)

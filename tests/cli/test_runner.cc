@@ -252,7 +252,7 @@ TEST(CliRunner, ResampleAppliesThePaperPipeline)
     EXPECT_EQ(r.outcomes.size(), 300u);
     Seconds last = 0;
     for (const JobOutcome &o : r.outcomes)
-        last = std::max(last, o.submit);
+        last = std::max<Seconds>(last, o.submit);
     EXPECT_GT(last, days(15));
     std::filesystem::remove_all(dir);
 }

@@ -77,7 +77,7 @@ segmentColumnViolation(const SimulationResult &result)
                 if (survived)
                     return job + "lost slice after a surviving one";
                 lost_any = true;
-                evicted_at = std::max(evicted_at, segs[k].end);
+                evicted_at = std::max(evicted_at, segs[k].end());
             } else {
                 if (segs[k].start < evicted_at)
                     return job + "survivor starts before the last "

@@ -465,6 +465,14 @@ TEST(ElasticProfileParser, GrammarRoundTrips)
         parseElasticProfile("diminishing:max=3,alpha=1.5").isOk());
     EXPECT_FALSE(parseElasticProfile("list:rates=0.5+1").isOk());
     EXPECT_FALSE(parseElasticProfile("linear:max=2,min=3").isOk());
+    // 2^32 + 2 once wrapped to min=2.
+    const Result<ElasticProfile> wrapped =
+        parseElasticProfile("linear:max=4,min=4294967298");
+    ASSERT_FALSE(wrapped.isOk());
+    EXPECT_NE(wrapped.status().message().find(
+                  "elastic min: 4294967298 is out of range"),
+              std::string::npos)
+        << wrapped.status().message();
     EXPECT_FALSE(parseElasticProfile("bogus:max=2").isOk());
 }
 

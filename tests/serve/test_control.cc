@@ -94,6 +94,13 @@ TEST(ControlServer, MalformedAndUnknownLinesAreCleanErrors)
         server.handleLine("submit 2 3600 100000000000000 1", reply));
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
 
+    // More cores than kMaxJobCpus: cpus x width could overflow an int
+    // in the engine's accounting.
+    EXPECT_FALSE(server.handleLine("submit 5 0 60 1048577", reply));
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("past the 1048576 limit"), std::string::npos)
+        << reply;
+
     EXPECT_FALSE(
         server.handleLine("submit 999999 0 60 1 junk trailing", reply));
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;

@@ -1,9 +1,9 @@
 /**
  * @file Byte budget of the per-job records.
  *
- * A fig14 sweep holds one JobOutcome per job per cell (2.7M of them
- * for the 27-cell Alibaba-year sweep) plus one PlacedSegment per
- * placement in the result's segment column, and one SchedulePlan per
+ * A sweep holds one JobOutcome per job per cell (2.0M of them for the
+ * 20-cell hybrid year sweep) plus one PlacedSegment per placement in
+ * the result's segment column (3.27M there), and one SchedulePlan per
  * job in every in-flight cell, so their sizes drive the benchmark's
  * `peak_rss_mb` (bench/perf/README.md, "End-to-end metrics"). Growing
  * any of these records should be a visible decision: raise the budget
@@ -22,19 +22,20 @@
 namespace gaia {
 namespace {
 
-TEST(LayoutBudget, PlacedSegmentIsTwentyFourBytes)
+TEST(LayoutBudget, PlacedSegmentIsSixteenBytes)
 {
-    // start + end + one byte of option + lost + width.
+    // start; a 32-bit duration, a 16-bit width, one byte of option
+    // and lost share the second word.
     static_assert(sizeof(PurchaseOption) == 1);
-    EXPECT_EQ(sizeof(PlacedSegment), 24u);
+    EXPECT_EQ(sizeof(PlacedSegment), 16u);
 }
 
 TEST(LayoutBudget, JobOutcomeFitsItsBudget)
 {
-    // id, submit and length; cpus + evictions and the segment range
-    // share a word each; the two carbon doubles. The segments live in
-    // the result's column, and the money derives from them.
-    EXPECT_LE(sizeof(JobOutcome), 56u);
+    // id; 32-bit submit and length, cpus + evictions and the segment
+    // range share a word each; the two carbon doubles. The segments
+    // live in the result's column, and the money derives from them.
+    EXPECT_LE(sizeof(JobOutcome), 48u);
 }
 
 TEST(LayoutBudget, SchedulePlanFitsItsBudget)

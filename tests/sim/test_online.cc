@@ -278,6 +278,115 @@ TEST(Online, SubmitIntoThePastIsARecoverableError)
     EXPECT_EQ(r.outcomes.size(), 2u);
 }
 
+TEST(Online, SubmitRejectsWhatValidateJobRejects)
+{
+    // The engine holds its own input bounds rather than trusting the
+    // feed: its packed outcome stores submit and length in 32 bits,
+    // and cpus x width must stay inside an int.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    const PolicyPtr policy = makePolicy("NoWait");
+
+    OnlineScheduler sched(*policy, queues, cis, {},
+                          ResourceStrategy::OnDemandOnly);
+    for (const Job &job : {Job{1, 0, 0, 1},
+                           Job{2, kMaxInputDuration + 1, 600, 1},
+                           Job{3, 0, 600, kMaxJobCpus + 1}}) {
+        const Status status = sched.submit(job);
+        ASSERT_FALSE(status.isOk()) << "job " << job.id;
+        EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
+        EXPECT_EQ(status.message(), validateJob(job).message());
+    }
+    EXPECT_EQ(sched.submittedJobs(), 0u);
+
+    EXPECT_TRUE(sched.submit({4, 0, 600, kMaxJobCpus}).isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+    ASSERT_EQ(r.outcomes.size(), 1u);
+    EXPECT_EQ(r.outcomes[0].cpus, kMaxJobCpus);
+}
+
+TEST(Online, PackedRecordsHoldTheirBoundsExactly)
+{
+    // A century is the longest submit and length validateJob admits
+    // and what a straggler stretches to at most; both come back
+    // exactly through the 32-bit outcome and slice fields.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    const PolicyPtr policy = makePolicy("NoWait");
+    FaultSpec spec;
+    spec.straggler_rate = 1.0;
+    spec.straggler_factor = 1e12;
+    const FaultInjector injector(spec);
+
+    OnlineScheduler sched(*policy, queues, cis, {},
+                          ResourceStrategy::OnDemandOnly, "t",
+                          &injector);
+    ASSERT_TRUE(sched.submit({1, 0, hours(1), 1}).isOk());
+    ASSERT_TRUE(
+        sched.submit({2, kMaxInputDuration, kMaxInputDuration, 1})
+            .isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+
+    ASSERT_EQ(r.outcomes.size(), 2u);
+    const Seconds submits[] = {0, kMaxInputDuration};
+    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+        const JobOutcome &o = r.outcomes[i];
+        EXPECT_EQ(o.submit, submits[i]) << "job " << o.id;
+        EXPECT_EQ(o.length, kMaxInputDuration) << "job " << o.id;
+        EXPECT_EQ(r.start(o), submits[i]) << "job " << o.id;
+        EXPECT_EQ(r.finish(o), submits[i] + kMaxInputDuration)
+            << "job " << o.id;
+        ASSERT_EQ(r.placements(o).size(), 1u) << "job " << o.id;
+        EXPECT_EQ(r.placements(o)[0].duration(), kMaxInputDuration)
+            << "job " << o.id;
+    }
+}
+
+TEST(Online, WidestElasticGangKeepsItsWidth)
+{
+    // A job planned at the 64-instance profile limit keeps width 64
+    // in every slice it records: the lost spot slice a storm revokes
+    // and the on-demand restart alike.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    ClusterConfig cluster;
+    cluster.spot_eviction_rate = 0.0; // storms only
+    // Spot eligibility compares the single-instance length.
+    cluster.spot_max_length = 64 * hours(2);
+    FaultSpec spec;
+    spec.storm_rate = 1.0;
+    spec.storm_spot_retries = 0;
+    const FaultInjector injector(spec);
+    const PolicyPtr policy = makePolicy("Elastic-NoWait");
+
+    OnlineScheduler sched(*policy, queues, cis, cluster,
+                          ResourceStrategy::SpotFirst, "t", &injector);
+    Job job{1, 600, 64 * hours(2), 2};
+    job.elastic = parseElasticProfile("linear:max=64").value();
+    ASSERT_EQ(job.elastic.maxInstances(), kMaxElasticInstances);
+    ASSERT_TRUE(sched.submit(job).isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+
+    ASSERT_EQ(r.outcomes.size(), 1u);
+    const JobOutcome &o = r.outcomes[0];
+    EXPECT_EQ(o.evictions, 1);
+    ASSERT_EQ(r.placements(o).size(), 2u);
+    EXPECT_TRUE(r.placements(o)[0].lost);
+    EXPECT_FALSE(r.placements(o)[1].lost);
+    EXPECT_EQ(r.placements(o)[1].duration(), hours(2));
+    for (const PlacedSegment &seg : r.placements(o))
+        EXPECT_EQ(seg.width, kMaxElasticInstances);
+    EXPECT_EQ(r.lostCoreSeconds(o),
+              static_cast<double>(r.placements(o)[0].duration()) * 2 *
+                  kMaxElasticInstances);
+}
+
 TEST(Online, CreateValidatesUntrustedConfiguration)
 {
     const CarbonTrace carbon = flatTrace();

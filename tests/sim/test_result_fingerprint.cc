@@ -85,6 +85,15 @@ seg(SimulationResult &r, std::size_t job, std::size_t k)
     return r.segments[r.outcomes[job].first_segment + k];
 }
 
+/** Move segment `k` of job `job`'s end by `by` seconds, keeping its
+ *  start. */
+void
+moveEnd(SimulationResult &r, std::size_t job, std::size_t k, Seconds by)
+{
+    PlacedSegment &s = seg(r, job, k);
+    s = PlacedSegment(s.start, s.end() + by, s.option, s.lost, s.width);
+}
+
 // Computed while JobOutcome still stored its variable cost and
 // start-up overhead (set to the values the accessors derive here),
 // so deriving them instead provably mixes the same bits; layout
@@ -134,8 +143,8 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         // start(), finish() and lostCoreSeconds() are computed from
         // the segments: move each through one.
         [](SimulationResult &r) { seg(r, 1, 0).start += 1; },
-        [](SimulationResult &r) { seg(r, 1, 0).end += 1; },
-        [](SimulationResult &r) { seg(r, 0, 0).end += 1; },
+        [](SimulationResult &r) { moveEnd(r, 1, 0, 1); },
+        [](SimulationResult &r) { moveEnd(r, 0, 0, 1); },
         [](SimulationResult &r) { r.outcomes[1].carbon_g += 1.0; },
         [](SimulationResult &r) {
             r.outcomes[1].carbon_nowait_g += 1.0;
@@ -149,7 +158,7 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { r.startup_overhead += 1; },
         [](SimulationResult &r) { r.outcomes[0].segment_count = 0; },
         [](SimulationResult &r) { seg(r, 0, 3).start -= 1; },
-        [](SimulationResult &r) { seg(r, 0, 3).end += 1; },
+        [](SimulationResult &r) { moveEnd(r, 0, 3, 1); },
         [](SimulationResult &r) {
             seg(r, 0, 3).option = PurchaseOption::OnDemand;
         },

@@ -20,7 +20,8 @@ appendRun(SimulationResult &r, Seconds submit, Seconds length,
     o.length = length;
     o.cpus = cpus;
     return testutil::appendOutcome(
-        r, o, {{start, start + length, PurchaseOption::OnDemand, false}});
+        r, o,
+        {{start, start + length, PurchaseOption::OnDemand, false, 1}});
 }
 
 TEST(JobOutcome, TimingDerivations)
@@ -52,15 +53,16 @@ TEST(JobOutcome, FinishIgnoresLostSlices)
     job.evictions = 1;
     JobOutcome &o = testutil::appendOutcome(
         r, job,
-        {{0, 3600, PurchaseOption::Spot, false},
-         {7200, 9000, PurchaseOption::Spot, true}});
+        {{0, 3600, PurchaseOption::Spot, false, 1},
+         {7200, 9000, PurchaseOption::Spot, true, 1}});
     EXPECT_EQ(r.start(o), 0);
     EXPECT_EQ(r.finish(o), 3600); // not the lost slice's end
     EXPECT_EQ(r.lostCoreSeconds(o), 1800.0 * 2);
 
     // The restart on on-demand settles the job; it is the last job,
     // so its range can grow at the column's end.
-    r.segments.push_back({9000, 12600, PurchaseOption::OnDemand, false});
+    r.segments.emplace_back(9000, 12600, PurchaseOption::OnDemand, false,
+                            1);
     ++o.segment_count;
     EXPECT_EQ(r.start(o), 0);
     EXPECT_EQ(r.finish(o), 12600);
@@ -99,9 +101,10 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
     appendRun(r, 0, 100, 0, 1);
     JobOutcome job;
     job.cpus = 1;
-    testutil::appendOutcome(r, job,
-                            {{200, 260, PurchaseOption::Spot, true},
-                             {300, 400, PurchaseOption::Reserved, false}});
+    testutil::appendOutcome(
+        r, job,
+        {{200, 260, PurchaseOption::Spot, true, 1},
+         {300, 400, PurchaseOption::Reserved, false, 1}});
     appendRun(r, 0, 50, 500, 1);
     ASSERT_EQ(r.segments.size(), 4u);
     EXPECT_EQ(r.outcomes[1].first_segment, 1u);

@@ -74,7 +74,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         // Useful work equals the job length.
         Seconds useful = 0;
         for (const PlacedSegment &seg : r.placements(o)) {
-            EXPECT_GT(seg.end, seg.start);
+            EXPECT_GT(seg.end(), seg.start);
             if (!seg.lost)
                 useful += seg.duration();
         }
@@ -97,7 +97,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         double expected_carbon = 0.0;
         for (const PlacedSegment &seg : r.placements(o)) {
             expected_carbon += carbon.gramsFor(
-                seg.start, seg.end,
+                seg.start, seg.end(),
                 cluster.energy.kilowatts(o.cpus));
         }
         EXPECT_NEAR(o.carbon_g, expected_carbon, 1e-6);
@@ -125,7 +125,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
                 if (seg.option != PurchaseOption::Reserved)
                     continue;
                 deltas[seg.start] += o.cpus;
-                deltas[seg.end] -= o.cpus;
+                deltas[seg.end()] -= o.cpus;
             }
         }
         int in_use = 0;

@@ -112,7 +112,10 @@ TEST(JobTrace, MakeRejectsInvalidJobs)
                 "has submit time 3153600001 past the");
     expectError({1, 0, kMaxInputDuration + 1, 1},
                 "has length 3153600001 past the");
+    expectError({1, 0, 10, kMaxJobCpus + 1},
+                "has cpu demand 1048577 past the 1048576 limit");
     EXPECT_TRUE(JobTrace::make("x", {{1, 0, 10, 1}}).isOk());
+    EXPECT_TRUE(JobTrace::make("x", {{1, 0, 10, kMaxJobCpus}}).isOk());
     EXPECT_TRUE(JobTrace::make(
                     "x", {{1, kMaxInputDuration, kMaxInputDuration, 1}})
                     .isOk());
@@ -142,6 +145,20 @@ TEST(JobTrace, FromCsvReportsMalformedInput)
         std::fclose(f);
     }
     EXPECT_FALSE(JobTrace::fromCsv(path, "t").isOk());
+
+    // 2^32 + 1 cpus once wrapped to 1.
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs("id,submit,length,cpus\n1,0,60,4294967297\n", f);
+        std::fclose(f);
+    }
+    const Result<JobTrace> wrapped = JobTrace::fromCsv(path, "t");
+    ASSERT_FALSE(wrapped.isOk());
+    EXPECT_NE(wrapped.status().message().find(
+                  "row 0, column 'cpus': 4294967297 is out of range"),
+              std::string::npos)
+        << wrapped.status().message();
     std::remove(path.c_str());
 }
 
