@@ -20,8 +20,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "idle-reserved power draw vs carbon savings "
                   "(week-long Alibaba-PAI, SA-AU, R=9)");

@@ -18,8 +18,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "mis-estimated queue-average job length "
                   "(week-long Alibaba-PAI, SA-AU)");

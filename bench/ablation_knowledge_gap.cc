@@ -25,8 +25,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "length knowledge vs suspension (year traces, "
                   "CA-US)");
@@ -59,8 +60,7 @@ main()
         std::vector<double> carbon_kg(policies.size());
         parallelFor(policies.size(), [&](std::size_t i) {
             carbon_kg[i] =
-                bench::runChecked(trace, *policies[i], queues, cis)
-                    .carbon_kg;
+                runPolicy(*policies[i], trace, queues, cis).carbon_kg;
         });
 
         const auto saving = [&](std::size_t i) {

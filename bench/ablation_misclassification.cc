@@ -45,8 +45,9 @@ misclassify(const JobTrace &trace, const QueueConfig &queues,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "queue misclassification (week-long Alibaba-PAI, "
                   "SA-AU)");

@@ -19,8 +19,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "real forecast models vs the perfect-forecast "
                   "oracle (week-long Alibaba-PAI, SA-AU)");

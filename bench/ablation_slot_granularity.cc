@@ -18,8 +18,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "candidate-start granularity (week-long "
                   "Alibaba-PAI, SA-AU)");
@@ -51,10 +52,8 @@ main()
     for (const Case &c : cases) {
         const LowestWindowPolicy lw(c.granularity);
         const CarbonTimePolicy ct(c.granularity);
-        const SimulationResult r_lw =
-            bench::runChecked(trace, lw, queues, cis);
-        const SimulationResult r_ct =
-            bench::runChecked(trace, ct, queues, cis);
+        const SimulationResult r_lw = runPolicy(lw, trace, queues, cis);
+        const SimulationResult r_ct = runPolicy(ct, trace, queues, cis);
         table.addRow(c.label,
                      {r_lw.carbon_kg, r_lw.meanWaitingHours(),
                       r_ct.carbon_kg, r_ct.meanWaitingHours()});

@@ -19,8 +19,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Ablation",
                   "instance startup/teardown overhead (week-long "
                   "Alibaba-PAI, SA-AU)");

@@ -27,39 +27,8 @@
 #include "common/strings.h"
 #include "common/time.h"
 #include "core/plan_cache.h"
-#include "sim/simulator.h"
 
 namespace gaia::bench {
-
-/**
- * Run a simulation through the checked API; a bench dies with the
- * status message on an inconsistent setup (its inputs are code, so
- * an error here is a bench bug, not user input).
- */
-inline SimulationResult
-runChecked(const JobTrace &trace, const SchedulingPolicy &policy,
-           const QueueConfig &queues, const CarbonInfoSource &cis,
-           const ClusterConfig &cluster = {},
-           ResourceStrategy strategy = ResourceStrategy::OnDemandOnly,
-           const FaultInjector *faults = nullptr)
-{
-    const Result<SimulationSetup> setup = SimulationSetup::Builder()
-                                              .trace(trace)
-                                              .policy(policy)
-                                              .queues(queues)
-                                              .cis(cis)
-                                              .cluster(cluster)
-                                              .strategy(strategy)
-                                              .faults(faults)
-                                              .build();
-    if (!setup.isOk())
-        fatal("simulation setup rejected: ",
-              setup.status().message());
-    Result<SimulationResult> result = simulateChecked(*setup);
-    if (!result.isOk())
-        fatal("simulation failed: ", result.status().message());
-    return std::move(result).value();
-}
 
 /** Observability sinks requested on the bench command line;
  *  written once at process exit. */

@@ -25,8 +25,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Extension",
                   "Adaptive-SR: suspend-resume inside GAIA "
                   "(week-long Alibaba-PAI, SA-AU)");
@@ -45,7 +46,7 @@ main()
     }
     const AdaptiveSRPolicy adaptive;
     rows.push_back(metricsOf(
-        "Adaptive-SR", bench::runChecked(trace, adaptive, queues, cis)));
+        "Adaptive-SR", runPolicy(adaptive, trace, queues, cis)));
 
     const double base_carbon = rows[0].carbon_kg;
     TextTable table("Carbon and waiting across the spectrum",
@@ -98,7 +99,7 @@ main()
     add_long("Ecovisor",
              runPolicy("Ecovisor", long_jobs, queues, cis));
     add_long("Adaptive-SR",
-             bench::runChecked(long_jobs, adaptive, queues, cis));
+             runPolicy(adaptive, long_jobs, queues, cis));
     add_long("Wait-Awhile",
              runPolicy("Wait-Awhile", long_jobs, queues, cis));
     long_table.print(std::cout);

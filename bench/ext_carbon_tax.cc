@@ -20,8 +20,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Extension",
                   "carbon tax folds the trade-off into cost "
                   "(week-long Alibaba-PAI, SA-AU)");

@@ -37,8 +37,8 @@ spatialCarbonKg(const SpatialPartition &partition,
          ++r) {
         if (partition.region_traces[r].empty())
             continue;
-        total += bench::runChecked(partition.region_traces[r], policy,
-                          queues, *cis[r])
+        total += runPolicy(policy, partition.region_traces[r],
+                           queues, *cis[r])
                      .carbon_kg;
     }
     return total;
@@ -47,8 +47,9 @@ spatialCarbonKg(const SpatialPartition &partition,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Extension",
                   "spatial vs temporal carbon shifting (week-long "
                   "Alibaba-PAI)");
@@ -82,10 +83,9 @@ main()
     std::string best_single_name;
     for (std::size_t r = 0; r < regions.size(); ++r) {
         const double nw =
-            bench::runChecked(trace, *nowait, queues, *cis[r]).carbon_kg;
-        const double ct = bench::runChecked(trace, *carbon_time, queues,
-                                   *cis[r])
-                              .carbon_kg;
+            runPolicy(*nowait, trace, queues, *cis[r]).carbon_kg;
+        const double ct =
+            runPolicy(*carbon_time, trace, queues, *cis[r]).carbon_kg;
         table.addRow({"NoWait @ " + regionName(regions[r]),
                       fmt(nw, 2), "-"});
         table.addRow({"Carbon-Time @ " + regionName(regions[r]),

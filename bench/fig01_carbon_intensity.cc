@@ -14,8 +14,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 1",
                   "grid carbon intensity across three regions, "
                   "three days");

@@ -99,8 +99,9 @@ runRegion(Region region, const JobTrace &trace,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 2",
                   "carbon-aware scheduling vs. cost/performance on "
                   "a hybrid cluster (motivating example)");

@@ -16,8 +16,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 5",
                   "length and CPU-demand CDFs: original vs sampled "
                   "Alibaba-PAI traces");

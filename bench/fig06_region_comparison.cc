@@ -28,8 +28,9 @@ classify(double mean, double cov)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 6",
                   "carbon intensity across cloud regions (year)");
 

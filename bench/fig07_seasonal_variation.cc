@@ -13,8 +13,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 7",
                   "monthly mean carbon intensity, CA-US vs SA-AU");
 

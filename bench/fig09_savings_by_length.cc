@@ -19,8 +19,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 9",
                   "CDF of carbon savings by job length "
                   "(Carbon-Time, week-long Alibaba-PAI, SA-AU)");

@@ -22,8 +22,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 10",
                   "policies on a hybrid cluster with 9 reserved "
                   "instances (week-long Alibaba-PAI, SA-AU)");

@@ -21,8 +21,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 11",
                   "reserved-capacity sweep, RES-First-Carbon-Time "
                   "(week-long Alibaba-PAI, SA-AU)");

@@ -20,8 +20,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 12",
                   "spot + reserved combinations (week-long "
                   "Alibaba-PAI, SA-AU)");

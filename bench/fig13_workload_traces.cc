@@ -22,8 +22,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 13",
                   "policies across year-long workload traces "
                   "(CA-US)");

@@ -20,8 +20,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 15",
                   "normalized carbon across regions and workloads "
                   "(Carbon-Time)");

@@ -21,8 +21,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 16",
                   "normalized vs total carbon savings across "
                   "regions (Alibaba-PAI year, Carbon-Time)");

@@ -24,8 +24,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 17",
                   "cost/carbon across traces with R = mean demand "
                   "(SA-AU)");

@@ -22,8 +22,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 18",
                   "Spot-First J^max sweep across eviction rates "
                   "(Azure-VM year, SA-AU)");

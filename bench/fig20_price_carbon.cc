@@ -16,8 +16,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Figure 20",
                   "ERCOT carbon intensity vs energy price");
 

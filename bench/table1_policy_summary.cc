@@ -12,8 +12,9 @@
 using namespace gaia;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseBenchArgs(argc, argv);
     bench::banner("Table 1", "summary of scheduling policies");
 
     TextTable table("Policies and assumptions",

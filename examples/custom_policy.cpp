@@ -16,10 +16,8 @@
 
 #include <iostream>
 #include <limits>
-#include <utility>
 
 #include "analysis/harness.h"
-#include "common/logging.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/policies.h"
@@ -116,21 +114,7 @@ main()
     for (const SchedulingPolicy *policy :
          std::initializer_list<const SchedulingPolicy *>{
              &no_wait, &carbon_time, &price_aware}) {
-        const Result<SimulationSetup> setup =
-            SimulationSetup::Builder()
-                .trace(trace)
-                .policy(*policy)
-                .queues(queues)
-                .cis(cis)
-                .build();
-        if (!setup.isOk())
-            fatal("simulation setup rejected: ",
-                  setup.status().message());
-        Result<SimulationResult> checked = simulateChecked(*setup);
-        if (!checked.isOk())
-            fatal("simulation failed: ",
-                  checked.status().message());
-        const SimulationResult r = std::move(checked).value();
+        const SimulationResult r = runPolicy(*policy, trace, queues, cis);
         table.addRow(policy->name(),
                      {r.carbon_kg,
                       meanEnergyPrice(r, market.price),

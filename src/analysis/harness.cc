@@ -18,26 +18,30 @@ calibratedQueues(const JobTrace &trace, Seconds short_wait,
 }
 
 SimulationResult
+runPolicy(const SchedulingPolicy &policy, const JobTrace &trace,
+          const QueueConfig &queues, const CarbonInfoSource &cis,
+          const ClusterConfig &cluster, ResourceStrategy strategy)
+{
+    SimulationSetup setup;
+    setup.trace = &trace;
+    setup.policy = &policy;
+    setup.queues = &queues;
+    setup.cis = &cis;
+    setup.cluster = cluster;
+    setup.strategy = strategy;
+    Result<SimulationResult> result = simulateChecked(setup);
+    GAIA_ASSERT(result.isOk(), "harness simulation failed: ",
+                result.status().message());
+    return std::move(result).value();
+}
+
+SimulationResult
 runPolicy(const std::string &policy_name, const JobTrace &trace,
           const QueueConfig &queues, const CarbonInfoSource &cis,
           const ClusterConfig &cluster, ResourceStrategy strategy)
 {
-    const PolicyPtr policy = makePolicy(policy_name);
-    const Result<SimulationSetup> setup =
-        SimulationSetup::Builder()
-            .trace(trace)
-            .policy(*policy)
-            .queues(queues)
-            .cis(cis)
-            .cluster(cluster)
-            .strategy(strategy)
-            .build();
-    GAIA_ASSERT(setup.isOk(), "harness setup is invalid: ",
-                setup.status().message());
-    Result<SimulationResult> result = simulateChecked(*setup);
-    GAIA_ASSERT(result.isOk(), "harness simulation failed: ",
-                result.status().message());
-    return std::move(result).value();
+    return runPolicy(*makePolicy(policy_name), trace, queues, cis,
+                     cluster, strategy);
 }
 
 std::vector<double>

@@ -28,9 +28,17 @@ QueueConfig calibratedQueues(
     Seconds long_wait = 24 * kSecondsPerHour);
 
 /**
- * Build and run a policy by name against the given scenario; the
- * result's label fields are filled for reporting.
+ * Run `policy` against the given scenario through simulateChecked()
+ * and return the result; dies with the Status message on an invalid
+ * setup, since the callers' inputs are code, not user input.
  */
+SimulationResult
+runPolicy(const SchedulingPolicy &policy, const JobTrace &trace,
+          const QueueConfig &queues, const CarbonInfoSource &cis,
+          const ClusterConfig &cluster = {},
+          ResourceStrategy strategy = ResourceStrategy::OnDemandOnly);
+
+/** runPolicy() on the policy makePolicy() builds from a name. */
 SimulationResult
 runPolicy(const std::string &policy_name, const JobTrace &trace,
           const QueueConfig &queues, const CarbonInfoSource &cis,

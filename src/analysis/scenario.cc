@@ -333,17 +333,18 @@ RealizedScenario::setup() const
     GAIA_ASSERT(trace != nullptr && policy != nullptr &&
                     queues != nullptr && cis != nullptr,
                 "scenario was never realized");
-    SimulationSetup::Builder builder;
-    builder.trace(*trace)
-        .policy(*policy)
-        .queues(*queues)
-        .cis(carbonSource())
-        .cluster(cluster)
-        .strategy(strategy)
-        .faults(injector.get());
+    SimulationSetup setup;
+    setup.trace = trace.get();
+    setup.policy = policy.get();
+    setup.queues = queues.get();
+    setup.cis = &carbonSource();
+    setup.cluster = cluster;
+    setup.strategy = strategy;
+    setup.faults = injector.get();
     if (elastic.enabled())
-        builder.elastic(&elastic);
-    return builder.build();
+        setup.elastic = &elastic;
+    GAIA_TRY(validateSetup(setup));
+    return setup;
 }
 
 Result<RealizedScenario>

@@ -287,7 +287,7 @@ struct RealizedScenario
      *  decorator when one is wired, the plain service otherwise. */
     const CarbonInfoSource &carbonSource() const;
 
-    /** Batch view of the bundle, validated through the Builder.
+    /** Batch view of the bundle, checked with validateSetup().
      *  References the bundle's members — the bundle must outlive
      *  any use of the returned setup. */
     Result<SimulationSetup> setup() const;

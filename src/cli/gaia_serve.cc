@@ -79,16 +79,20 @@ run(int argc, char **argv)
         std::vector<std::string>(argv + 1, argv + argc));
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        const bool has_value = i + 1 < args.size();
-        if (arg == "--socket" && has_value) {
+        const bool serve_flag = arg == "--socket" || arg == "--accel" ||
+                                arg == "--queue-capacity";
+        if (serve_flag && i + 1 == args.size())
+            return reportError(
+                Status::invalidArgument("missing value for ", arg));
+        if (arg == "--socket") {
             socket_path = args[++i];
-        } else if (arg == "--accel" && has_value) {
+        } else if (arg == "--accel") {
             const Result<double> v =
                 tryParseDouble(args[++i], "--accel");
             if (!v.isOk())
                 return reportError(v.status());
             accel = *v;
-        } else if (arg == "--queue-capacity" && has_value) {
+        } else if (arg == "--queue-capacity") {
             const Result<std::int64_t> v =
                 tryParseInt(args[++i], "--queue-capacity");
             if (!v.isOk())

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "fault/injector.h"
+#include "sim/simulator.h"
 
 namespace gaia::serve {
 
@@ -19,23 +19,12 @@ ServeDaemon::start(const ServeConfig &config)
     GAIA_TRY_ASSIGN(RealizedScenario realized,
                     realizeScenario(config.scenario, cache));
 
-    // Horizon parity with the batch path (simulateChecked): a zero
-    // reservation horizon is derived from the calibration workload
-    // up front, so reserved-capacity accounting of a streamed run
-    // matches the batch run of the same trace.
-    ClusterConfig cluster = realized.cluster;
-    if (cluster.reservation_horizon == 0) {
-        cluster.reservation_horizon = defaultReservationHorizon(
-            *realized.trace, *realized.queues);
-    }
-    realized.cluster = cluster;
-
-    GAIA_TRY_ASSIGN(
-        OnlineScheduler engine,
-        OnlineScheduler::create(
-            *realized.policy, *realized.queues,
-            realized.carbonSource(), cluster, realized.strategy,
-            realized.trace->name(), realized.injector.get()));
+    // The batch path's validation and engine assembly, so a streamed
+    // run of the calibration workload is configured exactly like
+    // gaia_run's. Built before `realized` moves: the setup points
+    // into it, and makeEngine copies the elastic profile out.
+    GAIA_TRY_ASSIGN(const SimulationSetup setup, realized.setup());
+    GAIA_TRY_ASSIGN(OnlineScheduler engine, makeEngine(setup));
 
     // Cannot use make_unique: the constructor is private.
     std::unique_ptr<ServeDaemon> daemon(new ServeDaemon(
@@ -50,9 +39,6 @@ ServeDaemon::ServeDaemon(RealizedScenario realized,
       queue_(config.queue_capacity),
       driver_(engine_, queue_, config.accel, realized_.carbonSource())
 {
-    engine_.reserveJobs(realized_.trace->jobCount());
-    if (realized_.elastic.enabled())
-        engine_.setDefaultElasticProfile(realized_.elastic);
     engine_.setListener(this);
 
     // Spawned last: every member the consumer touches is live.

@@ -18,14 +18,16 @@
  * for the same released stream — pinned byte-identical by the
  * driver-parity tests via resultFingerprint().
  *
- * Reservation-horizon parity: batch runs derive the reserved-
- * capacity horizon from the full trace before simulating. A live
- * daemon cannot see the future, so it derives the same horizon from
- * its scenario's *calibration workload* (the trace the scenario
- * realizes anyway to calibrate queue averages) at start(). Streams
- * drawn from that workload — the serving deployment model, and what
- * the parity harness replays — therefore account reserved cost
- * exactly like the batch run.
+ * Setup parity: start() validates the realized scenario with the
+ * batch path's validateSetup() and builds its engine with the batch
+ * path's makeEngine() (sim/simulator.h), so it rejects what gaia_run
+ * rejects and configures the engine as gaia_run does. In particular
+ * a live daemon cannot see the future, so the reserved-capacity
+ * horizon makeEngine() derives comes from the scenario's
+ * *calibration workload* (the trace the scenario realizes anyway to
+ * calibrate queue averages). Streams drawn from that workload — the
+ * serving deployment model, and what the parity harness replays —
+ * therefore account reserved cost exactly like the batch run.
  */
 
 #ifndef GAIA_SERVE_DAEMON_H
@@ -84,9 +86,9 @@ class ServeDaemon final : public ProtocolListener
 {
   public:
     /**
-     * Realize the scenario, derive the reservation horizon from its
-     * calibration workload, boot the engine, and spawn the consumer
-     * thread. Errors on any invalid input, never exits.
+     * Realize and validate the scenario, build the engine with
+     * makeEngine() over its calibration workload, and spawn the
+     * consumer thread. Errors on any invalid input, never exits.
      */
     static Result<std::unique_ptr<ServeDaemon>>
     start(const ServeConfig &config);

@@ -77,12 +77,6 @@ OnlineScheduler::OnlineScheduler(const SchedulingPolicy &policy,
       eviction_(cluster.spot_eviction_rate),
       rng_(cluster.seed)
 {
-    const Status setup = validateClusterSetup(cluster_, strategy_);
-    GAIA_ASSERT(setup.isOk(),
-                "invalid cluster setup passed to the constructor "
-                "(use OnlineScheduler::create for untrusted "
-                "configuration): ",
-                setup.message());
     horizon_ = cluster_.reservation_horizon; // 0 = derive later
 }
 

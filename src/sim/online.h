@@ -26,7 +26,8 @@
  * is a 16-byte tagged SimEvent carrying a job index into the
  * scheduler's job-state pool, dispatched through onEvent() — no
  * per-event closures. reserveJobs() pre-sizes the pool when the
- * population is known up front (the batch wrapper does this).
+ * population is known up front (makeEngine() in sim/simulator.h
+ * does this for both drivers).
  *
  * Job state is stored as two parallel columns indexed by that job
  * index: the engine's working state (JobState: the plan, the
@@ -113,10 +114,11 @@ class OnlineScheduler : private EventQueue::Sink
 {
   public:
     /**
-     * Validating factory: checks the cluster/strategy combination
-     * and returns a ready scheduler or the Status explaining what
-     * is wrong with the input. Untrusted configuration must come
-     * through here.
+     * Validating factory and the only public constructor: checks
+     * the cluster/strategy combination and the fault spec, and
+     * returns a ready scheduler or the Status explaining what is
+     * wrong with the input. sim/simulator.h's makeEngine() wraps it
+     * for a whole SimulationSetup.
      *
      * @param policy    temporal scheduling policy
      * @param queues    queue configuration (calibrated J_avg)
@@ -136,18 +138,6 @@ class OnlineScheduler : private EventQueue::Sink
            const CarbonInfoSource &cis, const ClusterConfig &cluster,
            ResourceStrategy strategy, std::string workload = "online",
            const FaultInjector *faults = nullptr);
-
-    /**
-     * Direct construction for pre-validated configuration; asserts
-     * on a setup create() would have rejected.
-     */
-    OnlineScheduler(const SchedulingPolicy &policy,
-                    const QueueConfig &queues,
-                    const CarbonInfoSource &cis,
-                    const ClusterConfig &cluster,
-                    ResourceStrategy strategy,
-                    std::string workload = "online",
-                    const FaultInjector *faults = nullptr);
 
     OnlineScheduler(OnlineScheduler &&) = default;
 
@@ -223,6 +213,14 @@ class OnlineScheduler : private EventQueue::Sink
     SimulationResult finalize();
 
   private:
+    /** Called only by create(), after it has validated the input. */
+    OnlineScheduler(const SchedulingPolicy &policy,
+                    const QueueConfig &queues,
+                    const CarbonInfoSource &cis,
+                    const ClusterConfig &cluster,
+                    ResourceStrategy strategy, std::string workload,
+                    const FaultInjector *faults);
+
     struct JobState
     {
         SchedulePlan plan;

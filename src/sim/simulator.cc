@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "fault/injector.h"
 #include "sim/driver.h"
-#include "sim/online.h"
 
 namespace gaia {
 
@@ -41,11 +40,26 @@ validateSetup(const SimulationSetup &setup)
     return Status::ok();
 }
 
-Result<SimulationSetup>
-SimulationSetup::Builder::build() const
+Result<OnlineScheduler>
+makeEngine(const SimulationSetup &setup, SimulationResult storage)
 {
-    GAIA_TRY(validateSetup(setup_));
-    return setup_;
+    // The reservation horizon is resolved up front: it depends only
+    // on the trace and queue limits, so every policy compared on one
+    // scenario, batch or streamed, pays the same upfront cost.
+    ClusterConfig cluster = setup.cluster;
+    if (cluster.reservation_horizon == 0) {
+        cluster.reservation_horizon =
+            defaultReservationHorizon(*setup.trace, *setup.queues);
+    }
+    GAIA_TRY_ASSIGN(
+        OnlineScheduler engine,
+        OnlineScheduler::create(*setup.policy, *setup.queues,
+                                *setup.cis, cluster, setup.strategy,
+                                setup.trace->name(), setup.faults));
+    engine.reserveJobs(setup.trace->jobCount(), std::move(storage));
+    if (setup.elastic != nullptr)
+        engine.setDefaultElasticProfile(*setup.elastic);
+    return engine;
 }
 
 Result<SimulationResult>
@@ -53,31 +67,14 @@ simulateChecked(const SimulationSetup &setup,
                 SimulationResult storage)
 {
     GAIA_TRY(validateSetup(setup));
-
-    // Batch mode: resolve the reservation horizon up front (it only
-    // depends on the trace and queue limits, so every policy
-    // compared on one scenario pays the same upfront cost), then
-    // ride the virtual-clock driver over the online engine.
-    ClusterConfig cluster = setup.cluster;
-    const bool derived = cluster.reservation_horizon == 0;
-    if (derived) {
-        cluster.reservation_horizon =
-            defaultReservationHorizon(*setup.trace, *setup.queues);
-    }
-
-    GAIA_TRY_ASSIGN(
-        OnlineScheduler scheduler,
-        OnlineScheduler::create(*setup.policy, *setup.queues,
-                                *setup.cis, cluster, setup.strategy,
-                                setup.trace->name(), setup.faults));
-    scheduler.reserveJobs(setup.trace->jobCount(), std::move(storage));
-    if (setup.elastic != nullptr)
-        scheduler.setDefaultElasticProfile(*setup.elastic);
+    GAIA_TRY_ASSIGN(OnlineScheduler scheduler,
+                    makeEngine(setup, std::move(storage)));
     VirtualClockDriver driver(scheduler);
     GAIA_TRY(driver.replay(*setup.trace));
     SimulationResult result = driver.finish();
 
-    if (derived && setup.faults == nullptr) {
+    if (setup.cluster.reservation_horizon == 0 &&
+        setup.faults == nullptr) {
         // The derived horizon is a guarantee, not a user choice;
         // finishing past it would be an engine bug, which the
         // OnlineScheduler already treats as soft for explicit

@@ -9,15 +9,14 @@
  * AWS ParallelCluster deployment, minus instance spin-up/teardown
  * overheads (which the paper's normalized metrics neglect too).
  *
- * The one entry point is simulateChecked(): it validates the setup
- * and returns a Status for inconsistent input (missing
- * collaborators, a carbon trace that ends before the last job
- * arrives, an invalid cluster/strategy combination), then rides the
- * VirtualClockDriver (sim/driver.h) over the online engine.
- * Assemble the setup with SimulationSetup::Builder rather than
- * writing struct fields by hand — build() runs the same validation,
- * so errors surface where the setup is constructed, not where it is
- * run.
+ * The one entry point is simulateChecked(): fill a SimulationSetup's
+ * fields and pass it in. It validates the setup and returns a Status
+ * for inconsistent input (missing collaborators, a carbon trace that
+ * ends before the last job arrives, an invalid cluster/strategy
+ * combination), then rides the VirtualClockDriver (sim/driver.h)
+ * over the engine makeEngine() assembles. The serving daemon builds
+ * its engine through makeEngine() too, so a batch run and a streamed
+ * run of one setup are configured identically.
  */
 
 #ifndef GAIA_SIM_SIMULATOR_H
@@ -29,6 +28,7 @@
 #include "core/policy.h"
 #include "core/queues.h"
 #include "sim/cluster.h"
+#include "sim/online.h"
 #include "sim/results.h"
 #include "workload/job.h"
 
@@ -55,105 +55,29 @@ struct SimulationSetup
      * at submit time, never onto the trace itself.
      */
     const ElasticProfile *elastic = nullptr;
-
-    class Builder;
-};
-
-/**
- * Fluent assembly of a SimulationSetup. All referenced
- * collaborators must outlive the built setup's run. build()
- * validates the whole setup (the same checks simulateChecked()
- * runs), so a bad combination errors at construction:
- *
- *     GAIA_TRY_ASSIGN(const SimulationSetup setup,
- *                     SimulationSetup::Builder()
- *                         .trace(trace)
- *                         .policy(*policy)
- *                         .queues(queues)
- *                         .cis(cis)
- *                         .cluster(cluster)
- *                         .strategy(ResourceStrategy::SpotReserved)
- *                         .build());
- *     GAIA_TRY_ASSIGN(const SimulationResult result,
- *                     simulateChecked(setup));
- */
-class SimulationSetup::Builder
-{
-  public:
-    Builder &
-    trace(const JobTrace &trace)
-    {
-        setup_.trace = &trace;
-        return *this;
-    }
-
-    Builder &
-    policy(const SchedulingPolicy &policy)
-    {
-        setup_.policy = &policy;
-        return *this;
-    }
-
-    Builder &
-    queues(const QueueConfig &queues)
-    {
-        setup_.queues = &queues;
-        return *this;
-    }
-
-    Builder &
-    cis(const CarbonInfoSource &cis)
-    {
-        setup_.cis = &cis;
-        return *this;
-    }
-
-    Builder &
-    cluster(const ClusterConfig &cluster)
-    {
-        setup_.cluster = cluster;
-        return *this;
-    }
-
-    Builder &
-    strategy(ResourceStrategy strategy)
-    {
-        setup_.strategy = strategy;
-        return *this;
-    }
-
-    /** nullptr (the default) disables fault injection. */
-    Builder &
-    faults(const FaultInjector *faults)
-    {
-        setup_.faults = faults;
-        return *this;
-    }
-
-    /** nullptr (the default) leaves every job fixed-width. */
-    Builder &
-    elastic(const ElasticProfile *elastic)
-    {
-        setup_.elastic = elastic;
-        return *this;
-    }
-
-    /** Validate and return the setup, or the Status explaining
-     *  what is wrong with it. */
-    Result<SimulationSetup> build() const;
-
-  private:
-    SimulationSetup setup_;
 };
 
 /**
  * Full input validation of a setup: required collaborators present,
  * the carbon trace covers the arrivals, the cluster/strategy
  * combination is consistent, fault and elastic specs are valid.
- * Shared by SimulationSetup::Builder::build() and
- * simulateChecked(), so the two can never drift.
+ * simulateChecked() runs it on every setup it is given.
  */
 Status validateSetup(const SimulationSetup &setup);
+
+/**
+ * Assemble the engine for a setup validateSetup() accepted: derive a
+ * zero reservation horizon from the trace and queue limits (see
+ * defaultReservationHorizon), create the OnlineScheduler, size its
+ * columns for the trace's jobs with `storage` recycled (see
+ * OnlineScheduler::reserveJobs), and install the scenario-wide
+ * elastic profile. The engine copies the profile, so `setup.elastic`
+ * need not outlive this call; every other collaborator must outlive
+ * the engine. Both the batch simulator and the serving daemon build
+ * their engine here.
+ */
+Result<OnlineScheduler> makeEngine(const SimulationSetup &setup,
+                                   SimulationResult storage = {});
 
 /**
  * Run one simulation; returns a Status (instead of dying) on an

@@ -299,20 +299,62 @@ TEST(CliRunner, MismatchedHorizonsIsAStatusNotAPanic)
 }
 
 #ifdef GAIA_RUN_BIN
-TEST(CliRunner, GaiaRunExitsTwoOnMismatchedHorizons)
+TEST(CliRunner, BothDriversExitTwoOnMismatchedHorizons)
 {
+    // gaia_serve runs under a timeout: a daemon that accepted these
+    // inputs would listen on its socket until killed.
     const std::filesystem::path dir =
         writeMismatchedInputs("gaia_cli_mismatch_bin");
-    const std::string command =
-        std::string(GAIA_RUN_BIN) + " --workload-csv " +
-        (dir / "jobs.csv").string() + " --carbon-csv " +
-        (dir / "carbon.csv").string() + " --policy NoWait" +
-        " --output-dir " + (dir / "out").string() +
-        " >/dev/null 2>&1";
-    const int status = std::system(command.c_str());
-    ASSERT_NE(status, -1);
-    EXPECT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 2);
+    const std::filesystem::path err = dir / "stderr.txt";
+    const std::pair<std::string, std::string> drivers[] = {
+        {"gaia_run", GAIA_RUN_BIN},
+        {"gaia_serve", "timeout 10 " + std::string(GAIA_SERVE_BIN) +
+                           " --socket " + (dir / "sock").string()},
+    };
+    for (const auto &[name, binary] : drivers) {
+        const std::string command =
+            binary + " --workload-csv " + (dir / "jobs.csv").string() +
+            " --carbon-csv " + (dir / "carbon.csv").string() +
+            " --policy NoWait --output-dir " + (dir / "out").string() +
+            " >/dev/null 2>" + err.string();
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << name;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << name;
+
+        std::ifstream in(err);
+        std::string line;
+        std::getline(in, line);
+        EXPECT_EQ(line.rfind(name + ": ", 0), 0u) << line;
+        EXPECT_NE(line.find("horizons do not match"), std::string::npos)
+            << line;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CliRunner, GaiaServeNamesAServeFlagMissingItsValue)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_serve_flags";
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path err = dir / "stderr.txt";
+    for (const std::string flag :
+         {"--socket", "--accel", "--queue-capacity"}) {
+        const std::string command = std::string(GAIA_SERVE_BIN) + " " +
+                                    flag + " >/dev/null 2>" +
+                                    err.string();
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << flag;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flag;
+
+        // One "gaia_serve: ..." line on stderr.
+        std::ifstream in(err);
+        std::string line, rest;
+        std::getline(in, line);
+        EXPECT_EQ(line, "gaia_serve: missing value for " + flag);
+        EXPECT_FALSE(std::getline(in, rest)) << rest;
+    }
     std::filesystem::remove_all(dir);
 }
 

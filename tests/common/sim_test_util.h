@@ -2,12 +2,11 @@
  * @file
  * Shared test helpers for simulation results.
  *
- * runSim() assembles the setup from parts through
- * SimulationSetup::Builder, runs it with simulateChecked(), and dies
- * with the Status message on an invalid setup, which in a test is a
- * bug in the test. appendOutcome() builds results by hand, and
- * segmentColumnViolation() checks a finalized result's segment
- * column.
+ * runSim() fills a SimulationSetup from parts, runs it with
+ * simulateChecked(), and dies with the Status message on an invalid
+ * setup, which in a test is a bug in the test. appendOutcome()
+ * builds results by hand, and segmentColumnViolation() checks a
+ * finalized result's segment column.
  */
 
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
@@ -101,18 +100,14 @@ runSim(const JobTrace &trace, const SchedulingPolicy &policy,
        const ClusterConfig &cluster = {},
        ResourceStrategy strategy = ResourceStrategy::OnDemandOnly)
 {
-    const Result<SimulationSetup> setup =
-        SimulationSetup::Builder()
-            .trace(trace)
-            .policy(policy)
-            .queues(queues)
-            .cis(cis)
-            .cluster(cluster)
-            .strategy(strategy)
-            .build();
-    GAIA_ASSERT(setup.isOk(), "test simulation setup is invalid: ",
-                setup.status().message());
-    Result<SimulationResult> result = simulateChecked(*setup);
+    SimulationSetup setup;
+    setup.trace = &trace;
+    setup.policy = &policy;
+    setup.queues = &queues;
+    setup.cis = &cis;
+    setup.cluster = cluster;
+    setup.strategy = strategy;
+    Result<SimulationResult> result = simulateChecked(setup);
     GAIA_ASSERT(result.isOk(), "test simulation failed: ",
                 result.status().message());
     return std::move(result).value();

@@ -93,8 +93,10 @@ TEST(Protocol, ListenerGetsOneOrderedEndPerJob)
     const QueueConfig queues = calibratedQueues(trace);
     const PolicyPtr policy = makePolicy("Carbon-Time");
 
-    OnlineScheduler engine(*policy, queues, cis, {},
-                           ResourceStrategy::OnDemandOnly);
+    OnlineScheduler engine =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly)
+            .value();
     RecordingListener listener;
     engine.setListener(&listener);
     VirtualClockDriver driver(engine);

@@ -38,8 +38,10 @@ TEST(Online, InterleavedSubmissionAndTime)
     // wait for the reserved core instead of spilling to on-demand.
     const PolicyPtr policy = makePolicy("AllWait-Threshold");
 
-    OnlineScheduler sched(*policy, queues, cis, cluster,
-                          ResourceStrategy::ReservedFirst);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::ReservedFirst)
+            .value();
     EXPECT_EQ(sched.now(), 0);
 
     sched.submit({1, 0, hours(2), 1});
@@ -86,8 +88,10 @@ TEST(Online, MatchesBatchSimulationExactly)
         testutil::runSim(trace, *policy, queues, cis, cluster,
                  ResourceStrategy::ReservedFirst);
 
-    OnlineScheduler sched(*policy, queues, cis, cluster,
-                          ResourceStrategy::ReservedFirst, "t");
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::ReservedFirst, "t")
+            .value();
     // Feed jobs in arrival order with time advancing in between.
     for (const Job &job : trace.jobs()) {
         sched.advanceTo(job.submit);
@@ -137,9 +141,10 @@ TEST(Online, RandomAdvancePatternsNeverChangeTheBooks)
 
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         Rng advance_rng(seed);
-        OnlineScheduler sched(*policy, queues, cis, cluster,
-                              ResourceStrategy::ReservedFirst,
-                              "t");
+        OnlineScheduler sched =
+            OnlineScheduler::create(*policy, queues, cis, cluster,
+                                    ResourceStrategy::ReservedFirst, "t")
+                .value();
         for (const Job &job : trace.jobs()) {
             // Random dawdling before each submission.
             Seconds t = sched.now();
@@ -184,8 +189,10 @@ TEST(Online, OwnElasticProfileBeatsTheDefaultThroughARestart)
     const FaultInjector injector(spec);
     const PolicyPtr policy = makePolicy("Carbon-Scaler");
 
-    OnlineScheduler sched(*policy, queues, cis, cluster,
-                          ResourceStrategy::SpotFirst, "t", &injector);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::SpotFirst, "t", &injector)
+            .value();
     sched.setDefaultElasticProfile(
         parseElasticProfile("linear:max=4").value());
     Job own{1, 0, hours(4), 1};
@@ -223,8 +230,10 @@ TEST(Online, DerivedHorizonCoversSchedule)
     ClusterConfig cluster; // reservation_horizon = 0 -> derive
     const PolicyPtr policy = makePolicy("NoWait");
 
-    OnlineScheduler sched(*policy, queues, cis, cluster,
-                          ResourceStrategy::OnDemandOnly);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::OnDemandOnly)
+            .value();
     sched.submit({1, hours(30), hours(5), 1});
     sched.drain();
     const SimulationResult r = sched.finalize();
@@ -238,8 +247,10 @@ TEST(Online, IntrospectionCounters)
     const CarbonInfoService cis(carbon);
     const QueueConfig queues = oneQueue();
     const PolicyPtr policy = makePolicy("NoWait");
-    OnlineScheduler sched(*policy, queues, cis, {},
-                          ResourceStrategy::OnDemandOnly);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly)
+            .value();
     EXPECT_EQ(sched.submittedJobs(), 0u);
     sched.submit({1, 100, 600, 1});
     sched.submit({2, 200, 600, 1});
@@ -259,8 +270,10 @@ TEST(Online, SubmitIntoThePastIsARecoverableError)
     const QueueConfig queues = oneQueue();
     const PolicyPtr policy = makePolicy("NoWait");
 
-    OnlineScheduler sched(*policy, queues, cis, {},
-                          ResourceStrategy::OnDemandOnly);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly)
+            .value();
     EXPECT_TRUE(sched.submit({1, 1000, 600, 1}).isOk());
     sched.advanceTo(5000);
 
@@ -288,8 +301,10 @@ TEST(Online, SubmitRejectsWhatValidateJobRejects)
     const QueueConfig queues = oneQueue();
     const PolicyPtr policy = makePolicy("NoWait");
 
-    OnlineScheduler sched(*policy, queues, cis, {},
-                          ResourceStrategy::OnDemandOnly);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly)
+            .value();
     for (const Job &job : {Job{1, 0, 0, 1},
                            Job{2, kMaxInputDuration + 1, 600, 1},
                            Job{3, 0, 600, kMaxJobCpus + 1}}) {
@@ -321,9 +336,10 @@ TEST(Online, PackedRecordsHoldTheirBoundsExactly)
     spec.straggler_factor = 1e12;
     const FaultInjector injector(spec);
 
-    OnlineScheduler sched(*policy, queues, cis, {},
-                          ResourceStrategy::OnDemandOnly, "t",
-                          &injector);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly, "t", &injector)
+            .value();
     ASSERT_TRUE(sched.submit({1, 0, hours(1), 1}).isOk());
     ASSERT_TRUE(
         sched.submit({2, kMaxInputDuration, kMaxInputDuration, 1})
@@ -364,8 +380,10 @@ TEST(Online, WidestElasticGangKeepsItsWidth)
     const FaultInjector injector(spec);
     const PolicyPtr policy = makePolicy("Elastic-NoWait");
 
-    OnlineScheduler sched(*policy, queues, cis, cluster,
-                          ResourceStrategy::SpotFirst, "t", &injector);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::SpotFirst, "t", &injector)
+            .value();
     Job job{1, 600, 64 * hours(2), 2};
     job.elastic = parseElasticProfile("linear:max=64").value();
     ASSERT_EQ(job.elastic.maxInstances(), kMaxElasticInstances);
@@ -446,29 +464,23 @@ TEST(OnlineDeath, ApiMisuseIsCaught)
     const PolicyPtr policy = makePolicy("NoWait");
 
     {
-        OnlineScheduler sched(*policy, queues, cis, {},
-                              ResourceStrategy::OnDemandOnly);
+        OnlineScheduler sched =
+            OnlineScheduler::create(*policy, queues, cis, {},
+                                    ResourceStrategy::OnDemandOnly)
+                .value();
         sched.submit({1, 0, 600, 1});
         EXPECT_DEATH((void)sched.finalize(),
                      "events still pending");
     }
     {
-        OnlineScheduler sched(*policy, queues, cis, {},
-                              ResourceStrategy::OnDemandOnly);
+        OnlineScheduler sched =
+            OnlineScheduler::create(*policy, queues, cis, {},
+                                    ResourceStrategy::OnDemandOnly)
+                .value();
         sched.drain();
         (void)sched.finalize();
         EXPECT_DEATH(sched.submit({1, 0, 600, 1}),
                      "after finalize");
-    }
-    {
-        // The direct constructor is for pre-validated input only;
-        // feeding it a setup create() rejects is a caller bug.
-        ClusterConfig odd;
-        odd.reserved_cores = 4;
-        EXPECT_DEATH(
-            OnlineScheduler(*policy, queues, cis, odd,
-                            ResourceStrategy::OnDemandOnly),
-            "use OnlineScheduler::create");
     }
 }
 
@@ -478,8 +490,10 @@ TEST(Online, AdvanceToIsIdempotentAcrossQuietPeriods)
     const CarbonInfoService cis(carbon);
     const QueueConfig queues = oneQueue();
     const PolicyPtr policy = makePolicy("NoWait");
-    OnlineScheduler sched(*policy, queues, cis, {},
-                          ResourceStrategy::OnDemandOnly);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly)
+            .value();
     sched.submit({1, 0, 600, 1});
     sched.advanceTo(10000);
     sched.advanceTo(10000);

@@ -342,16 +342,13 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
     cluster.reserved_cores = 2;
     cluster.spot_eviction_rate = 0.5;
     cluster.spot_max_length = 2 * kSecondsPerHour;
-    const SimulationSetup setup =
-        SimulationSetup::Builder()
-            .trace(trace)
-            .policy(*policy)
-            .queues(queues)
-            .cis(cis)
-            .cluster(cluster)
-            .strategy(ResourceStrategy::SpotReserved)
-            .build()
-            .value();
+    SimulationSetup setup;
+    setup.trace = &trace;
+    setup.policy = policy.get();
+    setup.queues = &queues;
+    setup.cis = &cis;
+    setup.cluster = cluster;
+    setup.strategy = ResourceStrategy::SpotReserved;
 
     SimulationResult fresh = simulateChecked(setup).value();
     const std::uint64_t expected = resultFingerprint(fresh);
@@ -385,8 +382,8 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
 TEST(SimulatorDeath, OnDemandOnlyWithReservedCoresIsFatal)
 {
     // The test helper treats an invalid setup as a test bug and
-    // dies with the build() Status; the inconsistency named there
-    // must survive into the message.
+    // dies with simulateChecked()'s Status; the inconsistency named
+    // there must survive into the message.
     const CarbonTrace carbon = flatTrace();
     const CarbonInfoService cis(carbon);
     const QueueConfig queues = oneQueue(hours(1));
@@ -396,60 +393,6 @@ TEST(SimulatorDeath, OnDemandOnlyWithReservedCoresIsFatal)
     EXPECT_DEATH(run(trace, "NoWait", queues, cis, cluster,
                      ResourceStrategy::OnDemandOnly),
                  "OnDemandOnly strategy with 5 reserved");
-}
-
-TEST(SimulatorBuilder, EmptyBuildReportsTheMissingInput)
-{
-    const Result<SimulationSetup> setup =
-        SimulationSetup::Builder().build();
-    ASSERT_FALSE(setup.isOk());
-    EXPECT_NE(setup.status().message().find("has no job trace"),
-              std::string::npos);
-}
-
-TEST(SimulatorBuilder, BuildsAndRunsACompleteSetup)
-{
-    const CarbonTrace carbon = flatTrace();
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = oneQueue(hours(1));
-    const JobTrace trace("t", {{1, 0, 100, 1}});
-    const PolicyPtr policy = makePolicy("NoWait");
-
-    const Result<SimulationSetup> setup =
-        SimulationSetup::Builder()
-            .trace(trace)
-            .policy(*policy)
-            .queues(queues)
-            .cis(cis)
-            .build();
-    ASSERT_TRUE(setup.isOk()) << setup.status().toString();
-    const Result<SimulationResult> result = simulateChecked(*setup);
-    ASSERT_TRUE(result.isOk()) << result.status().toString();
-    EXPECT_EQ(result->outcomes.size(), 1u);
-}
-
-TEST(SimulatorBuilder, RejectsTheInconsistentCombination)
-{
-    const CarbonTrace carbon = flatTrace();
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = oneQueue(hours(1));
-    const JobTrace trace("t", {{1, 0, 100, 1}});
-    const PolicyPtr policy = makePolicy("NoWait");
-    ClusterConfig cluster;
-    cluster.reserved_cores = 5;
-
-    const Result<SimulationSetup> setup =
-        SimulationSetup::Builder()
-            .trace(trace)
-            .policy(*policy)
-            .queues(queues)
-            .cis(cis)
-            .cluster(cluster)
-            .strategy(ResourceStrategy::OnDemandOnly)
-            .build();
-    ASSERT_FALSE(setup.isOk());
-    EXPECT_NE(setup.status().message().find("OnDemandOnly"),
-              std::string::npos);
 }
 
 TEST(SimulatorChecked, RejectsEachMissingInput)
