@@ -26,7 +26,6 @@
 #include "common/obs.h"
 #include "common/strings.h"
 #include "common/time.h"
-#include "core/plan_cache.h"
 
 namespace gaia::bench {
 
@@ -55,24 +54,18 @@ inline void
 writeObsSinksAtExit()
 {
     const ObsSinkConfig &config = obsSinkConfig();
-    if (!config.metrics_out.empty())
-        obs::writeMetricsJson(config.metrics_out);
-    if (!config.trace_out.empty())
-        obs::writeTraceJson(config.trace_out);
-    if (config.verbose)
-        obs::printMetricsSummary(std::cout,
-                                 obs::metricsSnapshot());
+    obs::writeSinks(config.metrics_out, config.trace_out,
+                    config.verbose, std::cout);
 }
 
 /**
  * Parse the shared bench flags: `--threads N` caps parallelFor's
  * worker count (overriding GAIA_THREADS; values parseThreadCount
- * rejects exit with code 2), `--no-memo` disables policy-plan
- * memoization, `--metrics-out PATH` / `--trace-out PATH` write the
- * metrics snapshot / Chrome trace JSON at process exit, and `--verbose`
- * prints the metrics summary table at exit. Flags also accept the
- * `--flag=value` spelling. Unknown arguments are ignored so
- * individual benches can add their own.
+ * rejects exit with code 2), `--metrics-out PATH` /
+ * `--trace-out PATH` write the metrics snapshot / Chrome trace JSON
+ * at process exit, and `--verbose` prints the metrics summary table
+ * at exit. Flags also accept the `--flag=value` spelling. Unknown
+ * arguments are ignored so individual benches can add their own.
  */
 inline void
 parseBenchArgs(int argc, char **argv)
@@ -99,28 +92,18 @@ parseBenchArgs(int argc, char **argv)
                 std::exit(2);
             }
             setParallelThreads(threads.value());
-        } else if (arg == "--no-memo") {
-            setPlanMemoization(false);
-        } else if (arg == "--metrics-out" || arg == "--trace-out" ||
-                   arg == "--verbose") {
-            ObsSinkConfig &config = obsSinkConfig();
-            const bool first_use = config.metrics_out.empty() &&
-                                   config.trace_out.empty() &&
-                                   !config.verbose;
-            if (arg == "--verbose")
-                config.verbose = true;
-            else if (arg == "--metrics-out")
-                config.metrics_out = need_value(i++, arg);
-            else
-                config.trace_out = need_value(i++, arg);
-            if (first_use)
-                std::atexit(writeObsSinksAtExit);
-            obs::setDetailedTiming(true);
-            obs::setThreadTrackName("main");
-            if (!config.trace_out.empty())
-                obs::setTracingEnabled(true);
+        } else if (arg == "--metrics-out") {
+            obsSinkConfig().metrics_out = need_value(i++, arg);
+        } else if (arg == "--trace-out") {
+            obsSinkConfig().trace_out = need_value(i++, arg);
+        } else if (arg == "--verbose") {
+            obsSinkConfig().verbose = true;
         }
     }
+    const ObsSinkConfig &config = obsSinkConfig();
+    obs::startSinks(config.metrics_out, config.trace_out,
+                    config.verbose);
+    std::atexit(writeObsSinksAtExit);
 }
 
 /** Directory for CSV mirrors (override with GAIA_RESULTS_DIR). */

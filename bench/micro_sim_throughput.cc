@@ -12,13 +12,8 @@
  * are pre-warmed with a throwaway run so the measured pass times
  * simulation, not trace synthesis.
  *
- * The waiting sweep is measured with and without plan memoization,
- * so BENCH_sim.json records what the PlanCache buys on this
- * machine.
- *
  * Flags: --quick (week-scale configs for CI smoke), --threads N,
- * --no-memo (sets the process default for the non-ablation
- * sections), --json PATH (default <results dir>/BENCH_sim.json).
+ * --json PATH (default <results dir>/BENCH_sim.json).
  */
 
 #include "bench_common.h"
@@ -210,16 +205,7 @@ main(int argc, char **argv)
     json.set("bench", std::string("micro_sim_throughput"));
     json.set("mode", std::string(quick ? "quick" : "full"));
 
-    // Memoization on (the headline configuration) and off; the
-    // toggle is restored to the flag-selected process default
-    // afterwards.
-    const bool default_memo = planMemoizationEnabled();
-    setPlanMemoization(true);
     report(json, "fig14_waiting_sweep", waitingSweep(quick));
-    setPlanMemoization(false);
-    report(json, "fig14_no_memo", waitingSweep(quick));
-    setPlanMemoization(default_memo);
-
     report(json, "fig08_policy_week", policySweep());
 
     const std::size_t events = quick ? 1u << 18 : 1u << 22;

@@ -356,8 +356,10 @@ realizeScenario(const ScenarioSpec &spec, AssetCache &cache)
     GAIA_REQUIRE(spec.short_wait <= spec.long_wait,
                  "short waiting limit ", spec.short_wait,
                  "s exceeds long limit ", spec.long_wait, "s");
-    GAIA_REQUIRE(spec.cis.noise >= 0.0, "negative forecast noise ",
-                 spec.cis.noise);
+    GAIA_REQUIRE(spec.cis.noise >= 0.0 &&
+                     spec.cis.noise <= kMaxForecastNoise,
+                 "forecast noise ", spec.cis.noise, " outside [0, ",
+                 kMaxForecastNoise, "]");
     GAIA_TRY(spec.fault.validate());
 
     RealizedScenario out;

@@ -27,7 +27,6 @@
 #include "common/obs.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/policy_factory.h"
 
 namespace {
 
@@ -39,75 +38,11 @@ reportError(const gaia::Status &status)
     return 2;
 }
 
-int
-run(int argc, char **argv)
+/** The run's summary table, then its fingerprint when asked for. */
+void
+printSummary(const gaia::SimulationResult &result, bool print_fingerprint)
 {
     using namespace gaia;
-
-    std::vector<std::string> args(argv + 1, argv + argc);
-    CliOptions options;
-    const Result<CliAction> action = parseCliOptions(args, options);
-    if (!action.isOk())
-        return reportError(action.status());
-    if (*action == CliAction::ShowHelp) {
-        std::cout << cliUsage();
-        return 0;
-    }
-    if (*action == CliAction::ListPolicies) {
-        for (const std::string &name : allPolicyNames())
-            std::cout << name << "\n";
-        // The elastic family is listed apart from the paper's
-        // Table 1 set (see elasticPolicyNames()).
-        for (const std::string &name : elasticPolicyNames())
-            std::cout << name << "\n";
-        return 0;
-    }
-
-    if (options.threads > 0)
-        setParallelThreads(options.threads);
-
-    // Observability sinks: tracing and the clock-heavy
-    // instrumentation points only run when a sink asked for them.
-    const bool wants_obs =
-        !options.metrics_out.empty() || !options.trace_out.empty();
-    if (wants_obs) {
-        obs::setDetailedTiming(true);
-        obs::setThreadTrackName("main");
-    }
-    if (!options.trace_out.empty())
-        obs::setTracingEnabled(true);
-
-    if (!options.export_workload.empty()) {
-        // Export the exact stream a serve client would replay: the
-        // realized (synthesized/loaded/resampled) trace, not the
-        // spec that describes it.
-        Result<ScenarioSpec> spec = scenarioFromOptions(options);
-        if (!spec.isOk())
-            return reportError(spec.status());
-        Result<JobTrace> trace = spec->workload.realize();
-        if (!trace.isOk())
-            return reportError(trace.status());
-        trace->toCsv(options.export_workload);
-    }
-
-    RunArtifacts artifacts;
-    Result<SimulationResult> run =
-        runFromOptions(options, &artifacts);
-
-    // Sinks are written even when the run failed — a partial trace
-    // is exactly what you want while diagnosing the failure.
-    bool sinks_ok = true;
-    if (!options.metrics_out.empty())
-        sinks_ok &= obs::writeMetricsJson(options.metrics_out);
-    if (!options.trace_out.empty())
-        sinks_ok &= obs::writeTraceJson(options.trace_out);
-
-    if (!run.isOk())
-        return reportError(run.status());
-    if (!sinks_ok)
-        return reportError(Status::invalidArgument(
-            "failed to write observability sink(s)"));
-    const SimulationResult result = std::move(run).value();
 
     TextTable summary("gaia_run summary",
                       {"field", "value"});
@@ -137,18 +72,71 @@ run(int argc, char **argv)
                     std::to_string(result.eviction_count)});
     summary.print(std::cout);
 
-    if (options.print_fingerprint) {
+    if (print_fingerprint) {
         char hex[17];
         std::snprintf(hex, sizeof hex, "%016llx",
                       static_cast<unsigned long long>(
                           resultFingerprint(result)));
         std::cout << "fingerprint " << hex << "\n";
     }
+}
 
-    if (options.verbose) {
-        std::cout << "\n";
-        obs::printMetricsSummary(std::cout, obs::metricsSnapshot());
+int
+run(int argc, char **argv)
+{
+    using namespace gaia;
+
+    std::vector<std::string> args(argv + 1, argv + argc);
+    CliOptions options;
+    const Result<CliAction> action = parseCliOptions(args, options);
+    if (!action.isOk())
+        return reportError(action.status());
+    if (*action == CliAction::ShowHelp) {
+        std::cout << cliUsage();
+        return 0;
     }
+    if (*action == CliAction::ListPolicies) {
+        std::cout << policyListing();
+        return 0;
+    }
+
+    if (options.threads > 0)
+        setParallelThreads(options.threads);
+
+    // Tracing and the clock-heavy instrumentation points only run
+    // when a sink asked for them.
+    obs::startSinks(options.metrics_out, options.trace_out,
+                    options.verbose);
+
+    if (!options.export_workload.empty()) {
+        // Export the exact stream a serve client would replay: the
+        // realized (synthesized/loaded/resampled) trace, not the
+        // spec that describes it.
+        Result<ScenarioSpec> spec = scenarioFromOptions(options);
+        if (!spec.isOk())
+            return reportError(spec.status());
+        Result<JobTrace> trace = spec->workload.realize();
+        if (!trace.isOk())
+            return reportError(trace.status());
+        trace->toCsv(options.export_workload);
+    }
+
+    RunArtifacts artifacts;
+    Result<SimulationResult> run =
+        runFromOptions(options, &artifacts);
+    if (run.isOk())
+        printSummary(*run, options.print_fingerprint);
+
+    // Sinks are written even when the run failed — a partial trace
+    // is exactly what you want while diagnosing the failure.
+    const bool sinks_ok =
+        obs::writeSinks(options.metrics_out, options.trace_out,
+                        options.verbose, std::cout);
+    if (!run.isOk())
+        return reportError(run.status());
+    if (!sinks_ok)
+        return reportError(Status::invalidArgument(
+            "failed to write observability sink(s)"));
 
     std::cout << "\nWrote " << artifacts.aggregate_csv << ", "
               << artifacts.details_csv << ", "

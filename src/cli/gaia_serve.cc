@@ -59,7 +59,10 @@ serveUsage()
            "connection\n\n"
            "The scenario is described by the gaia_run flags "
            "(workload, region,\npolicy, cluster...); they follow "
-           "below.\n\n";
+           "below. --verbose prints the metrics\ntable after the "
+           "drain. --export-workload, --output-dir, "
+           "--print-fingerprint\nand --threads apply to gaia_run "
+           "only.\n\n";
 }
 
 int
@@ -79,6 +82,11 @@ run(int argc, char **argv)
         std::vector<std::string>(argv + 1, argv + argc));
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        // A daemon writes no batch artifacts and runs one engine.
+        if (arg == "--export-workload" || arg == "--output-dir" ||
+            arg == "--print-fingerprint" || arg == "--threads")
+            return reportError(Status::invalidArgument(
+                arg, " applies to gaia_run only"));
         const bool serve_flag = arg == "--socket" || arg == "--accel" ||
                                 arg == "--queue-capacity";
         if (serve_flag && i + 1 == args.size())
@@ -111,19 +119,17 @@ run(int argc, char **argv)
         parseCliOptions(scenario_args, options);
     if (!action.isOk())
         return reportError(action.status());
-    if (*action != CliAction::Run) {
+    if (*action == CliAction::ShowHelp) {
         std::cout << serveUsage() << cliUsage();
         return 0;
     }
-
-    const bool wants_obs =
-        !options.metrics_out.empty() || !options.trace_out.empty();
-    if (wants_obs) {
-        obs::setDetailedTiming(true);
-        obs::setThreadTrackName("main");
+    if (*action == CliAction::ListPolicies) {
+        std::cout << policyListing();
+        return 0;
     }
-    if (!options.trace_out.empty())
-        obs::setTracingEnabled(true);
+
+    obs::startSinks(options.metrics_out, options.trace_out,
+                    options.verbose);
 
     ServeConfig config;
     const Result<ScenarioSpec> spec = scenarioFromOptions(options);
@@ -148,27 +154,24 @@ run(int argc, char **argv)
 
     ControlServer server(**daemon, socket_path);
     Result<SimulationResult> run = server.run();
+    if (run.isOk()) {
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016llx",
+                      static_cast<unsigned long long>(
+                          resultFingerprint(*run)));
+        std::cout << "gaia_serve: drained " << run->outcomes.size()
+                  << " jobs, carbon " << run->carbon_kg
+                  << " kg, fingerprint " << hex << "\n";
+    }
 
-    bool sinks_ok = true;
-    if (!options.metrics_out.empty())
-        sinks_ok &= obs::writeMetricsJson(options.metrics_out);
-    if (!options.trace_out.empty())
-        sinks_ok &= obs::writeTraceJson(options.trace_out);
-
+    const bool sinks_ok =
+        obs::writeSinks(options.metrics_out, options.trace_out,
+                        options.verbose, std::cout);
     if (!run.isOk())
         return reportError(run.status());
     if (!sinks_ok)
         return reportError(Status::invalidArgument(
             "failed to write observability sink(s)"));
-
-    const SimulationResult &result = *run;
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(
-                      resultFingerprint(result)));
-    std::cout << "gaia_serve: drained " << result.outcomes.size()
-              << " jobs, carbon " << result.carbon_kg
-              << " kg, fingerprint " << hex << "\n";
     return 0;
 }
 

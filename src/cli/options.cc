@@ -5,6 +5,8 @@
 #include "common/executor.h"
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/cis.h"
+#include "core/policy_factory.h"
 #include "workload/elastic_profile.h"
 #include "workload/job.h"
 
@@ -51,6 +53,19 @@ parseWaitingSpec(const std::string &spec, Seconds &short_wait,
 }
 
 std::string
+policyListing()
+{
+    std::string out;
+    for (const std::string &name : allPolicyNames())
+        out += name + "\n";
+    // The elastic family is listed apart from the paper's Table 1
+    // set (see elasticPolicyNames()).
+    for (const std::string &name : elasticPolicyNames())
+        out += name + "\n";
+    return out;
+}
+
+std::string
 cliUsage()
 {
     std::ostringstream oss;
@@ -90,8 +105,8 @@ cliUsage()
            "res-first | spot-first | spot-res\n"
            "  -w, --waiting SxL     max waiting hours, short x "
            "long (default 6x24)\n"
-           "  --forecast-noise F    CIS forecast error sigma "
-           "(default 0)\n"
+           "  --forecast-noise F    CIS forecast error sigma, 0 "
+           "to 100 (default 0)\n"
            "  --forecaster NAME     oracle (default) | persistence "
            "| profile\n\n"
            "Cluster:\n"
@@ -215,8 +230,12 @@ parseCliOptions(const std::vector<std::string> &raw_args,
                             need_value(i++, arg));
             GAIA_TRY_ASSIGN(options.forecast_noise,
                             tryParseDouble(v, "--forecast-noise"));
-            GAIA_REQUIRE(options.forecast_noise >= 0.0,
-                         "--forecast-noise must be non-negative");
+            GAIA_REQUIRE(options.forecast_noise >= 0.0 &&
+                             options.forecast_noise <=
+                                 kMaxForecastNoise,
+                         "--forecast-noise must be in [0, ",
+                         kMaxForecastNoise, "], got ",
+                         options.forecast_noise);
         } else if (arg == "--forecaster") {
             GAIA_TRY_ASSIGN(const std::string v,
                             need_value(i++, arg));

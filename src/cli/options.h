@@ -144,6 +144,10 @@ Result<CliAction> parseCliOptions(const std::vector<std::string> &args,
 /** Usage text for --help and error paths. */
 std::string cliUsage();
 
+/** The --list-policies output of both drivers: one name per line,
+ *  the paper's Table 1 set, then the elastic family. */
+std::string policyListing();
+
 /** Parse the artifact-style waiting pair "6x24" (hours). */
 Status parseWaitingSpec(const std::string &spec, Seconds &short_wait,
                         Seconds &long_wait);

@@ -18,48 +18,19 @@ ReservedPool::canFit(int cores) const
 }
 
 void
-ReservedPool::advanceTo(Seconds now)
-{
-    GAIA_ASSERT(now >= last_update_, "reserved pool time went ",
-                "backwards: ", now, " < ", last_update_);
-    used_core_seconds_ +=
-        static_cast<double>(now - last_update_) * in_use_;
-    last_update_ = now;
-}
-
-void
-ReservedPool::acquire(int cores, Seconds now)
+ReservedPool::acquire(int cores)
 {
     GAIA_ASSERT(canFit(cores), "acquire(", cores, ") with only ",
                 freeCores(), " free");
-    advanceTo(now);
     in_use_ += cores;
 }
 
 void
-ReservedPool::release(int cores, Seconds now)
+ReservedPool::release(int cores)
 {
     GAIA_ASSERT(cores > 0 && cores <= in_use_, "release(", cores,
                 ") with ", in_use_, " in use");
-    advanceTo(now);
     in_use_ -= cores;
-}
-
-double
-ReservedPool::usedCoreSeconds(Seconds now) const
-{
-    GAIA_ASSERT(now >= last_update_, "query time precedes last update");
-    return used_core_seconds_ +
-           static_cast<double>(now - last_update_) * in_use_;
-}
-
-double
-ReservedPool::utilization(Seconds now) const
-{
-    if (capacity_ == 0 || now <= 0)
-        return 0.0;
-    return usedCoreSeconds(now) /
-           (static_cast<double>(capacity_) * static_cast<double>(now));
 }
 
 } // namespace gaia

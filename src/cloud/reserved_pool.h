@@ -2,20 +2,17 @@
  * @file
  * Counting allocator for the fixed reserved-core pool.
  *
- * Tracks how many reserved cores are busy and integrates the busy
- * core-seconds over time so cluster utilization — the quantity that
- * determines whether the upfront reservation paid off — can be
- * reported exactly.
+ * Tracks how many reserved cores are busy. Reserved utilization,
+ * the quantity that decides whether the upfront reservation paid
+ * off, is derived from the finished run's segment column, not here.
  */
 
 #ifndef GAIA_CLOUD_RESERVED_POOL_H
 #define GAIA_CLOUD_RESERVED_POOL_H
 
-#include "common/time.h"
-
 namespace gaia {
 
-/** Fixed pool of reserved cores with time-weighted usage tracking. */
+/** Fixed pool of reserved cores. */
 class ReservedPool
 {
   public:
@@ -29,35 +26,15 @@ class ReservedPool
     /** True when `cores` can be acquired right now. */
     bool canFit(int cores) const;
 
-    /**
-     * Acquire `cores` at time `now`; the caller must have checked
-     * canFit(). Time must be monotonically non-decreasing across
-     * acquire/release calls.
-     */
-    void acquire(int cores, Seconds now);
+    /** Acquire `cores`; the caller must have checked canFit(). */
+    void acquire(int cores);
 
-    /** Release `cores` at time `now`. */
-    void release(int cores, Seconds now);
-
-    /**
-     * Busy core-seconds accumulated through `now` (includes cores
-     * still held).
-     */
-    double usedCoreSeconds(Seconds now) const;
-
-    /**
-     * Utilization in [0, 1] over [0, now]: busy core-seconds over
-     * capacity * now. Zero-capacity pools report zero.
-     */
-    double utilization(Seconds now) const;
+    /** Release `cores` previously acquired. */
+    void release(int cores);
 
   private:
-    void advanceTo(Seconds now);
-
     int capacity_;
     int in_use_ = 0;
-    Seconds last_update_ = 0;
-    double used_core_seconds_ = 0.0;
 };
 
 } // namespace gaia

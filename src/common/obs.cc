@@ -22,15 +22,6 @@ namespace detail {
 std::atomic<bool> tracing_enabled{false};
 std::atomic<bool> detailed_timing{false};
 
-unsigned
-stripeSlot()
-{
-    static std::atomic<unsigned> next{0};
-    thread_local unsigned slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kCounterStripes;
-    return slot;
-}
-
 namespace {
 
 std::chrono::steady_clock::time_point
@@ -647,6 +638,34 @@ traceDroppedSpans()
         total += track.dropped;
     }
     return total;
+}
+
+void
+startSinks(const std::string &metrics_out, const std::string &trace_out,
+           bool verbose)
+{
+    if (metrics_out.empty() && trace_out.empty() && !verbose)
+        return;
+    setDetailedTiming(true);
+    setThreadTrackName("main");
+    if (!trace_out.empty())
+        setTracingEnabled(true);
+}
+
+bool
+writeSinks(const std::string &metrics_out, const std::string &trace_out,
+           bool verbose, std::ostream &out)
+{
+    bool ok = true;
+    if (!metrics_out.empty())
+        ok &= writeMetricsJson(metrics_out);
+    if (!trace_out.empty())
+        ok &= writeTraceJson(trace_out);
+    if (verbose) {
+        out << "\n";
+        printMetricsSummary(out, metricsSnapshot());
+    }
+    return ok;
 }
 
 } // namespace gaia::obs

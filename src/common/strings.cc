@@ -76,24 +76,6 @@ tryNarrowInt(std::int64_t value, std::string_view context)
     return static_cast<int>(value);
 }
 
-double
-parseDouble(std::string_view text, std::string_view context)
-{
-    const Result<double> parsed = tryParseDouble(text, context);
-    if (!parsed.isOk())
-        fatal(parsed.status().message());
-    return parsed.value();
-}
-
-std::int64_t
-parseInt(std::string_view text, std::string_view context)
-{
-    const Result<std::int64_t> parsed = tryParseInt(text, context);
-    if (!parsed.isOk())
-        fatal(parsed.status().message());
-    return parsed.value();
-}
-
 std::string
 fmt(double value, int places)
 {

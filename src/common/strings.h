@@ -35,12 +35,6 @@ Result<std::int64_t> tryParseInt(std::string_view text,
  *  outside int's range, where a cast would silently wrap it. */
 Result<int> tryNarrowInt(std::int64_t value, std::string_view context);
 
-/** Parse a double; calls fatal() with `context` on failure. */
-double parseDouble(std::string_view text, std::string_view context);
-
-/** Parse an int64; calls fatal() with `context` on failure. */
-std::int64_t parseInt(std::string_view text, std::string_view context);
-
 /** Format with fixed decimal places, e.g. fmt(3.14159, 2) == "3.14". */
 std::string fmt(double value, int places = 2);
 

@@ -97,6 +97,10 @@ class CarbonInfoSource
                                       double p) const = 0;
 };
 
+/** Largest forecast-noise sigma a scenario accepts; a noise factor
+ *  stays below 1 + 1.73·sigma, so forecasts stay finite. */
+constexpr double kMaxForecastNoise = 100.0;
+
 /**
  * Forecast-capable view over a carbon trace — the ground-truth
  * CarbonInfoSource implementation.

@@ -1,6 +1,5 @@
 #include "core/plan_cache.h"
 
-#include <atomic>
 #include <utility>
 
 #include "common/obs.h"
@@ -8,8 +7,6 @@
 namespace gaia {
 
 namespace {
-
-std::atomic<bool> memoization_enabled{true};
 
 // Process-wide aggregates across every PlanCache instance (one per
 // simulated cell); registered at load so they always appear in
@@ -37,18 +34,6 @@ PlanCache::~PlanCache()
         c_misses.add(misses_);
     if (fill_seconds_ > 0.0)
         h_fill.observe(fill_seconds_);
-}
-
-void
-setPlanMemoization(bool enabled)
-{
-    memoization_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-planMemoizationEnabled()
-{
-    return memoization_enabled.load(std::memory_order_relaxed);
 }
 
 } // namespace gaia

@@ -42,10 +42,12 @@
  *
  * Replayed values are then bitwise identical to direct evaluation by
  * construction — same functions, same arguments (up to a `now` the
- * result provably does not depend on) — which the golden CSV tests
- * pin end to end. Policies bypass the cache whenever the invariants
- * do not hold: sub-hourly candidate granularity, or a source whose
- * forecasts depend on the query instant (slotInvariantForecasts()).
+ * result provably does not depend on) — which test_plan_memo checks
+ * job by job against direct planning, and the golden CSV tests pin
+ * end to end. The engine always hands its policy the cache; policies
+ * bypass it whenever the invariants do not hold: sub-hourly candidate
+ * granularity, or a source whose forecasts depend on the query
+ * instant (slotInvariantForecasts()).
  *
  * One instance serves one single-threaded simulation.
  */
@@ -64,13 +66,6 @@
 #include "common/time.h"
 
 namespace gaia {
-
-/**
- * Process-wide memoization toggle (default on); the --no-memo bench
- * ablation. Checked once per job at plan-context build time.
- */
-void setPlanMemoization(bool enabled);
-bool planMemoizationEnabled();
 
 /** Per-simulation slot tables of slot-invariant planning values. */
 class PlanCache

@@ -13,6 +13,9 @@ namespace {
 /** Bound on window/delay durations so injector window scans stay
  *  O(slots-per-window) with a small constant. */
 constexpr Seconds kMaxFaultDuration = 7 * kSecondsPerDay;
+/** Spiked forecasts of the largest intensity a carbon trace accepts
+ *  stay finite, and so do the integrals over them. */
+constexpr double kMaxSpikeFactor = 1000.0;
 
 Status
 checkRate(const char *what, double rate)
@@ -156,9 +159,9 @@ FaultSpec::validate() const
     GAIA_TRY(checkDuration("stale", stale_duration));
     GAIA_TRY(checkDuration("spike", spike_duration));
     GAIA_TRY(checkDuration("delay", delay_duration));
-    GAIA_REQUIRE(spike_factor > 0.0,
-                 "spike factor must be positive, got ",
-                 spike_factor);
+    GAIA_REQUIRE(spike_factor > 0.0 && spike_factor <= kMaxSpikeFactor,
+                 "spike factor must be in (0, ", kMaxSpikeFactor,
+                 "], got ", spike_factor);
     GAIA_REQUIRE(straggler_factor >= 1.0 &&
                      std::isfinite(straggler_factor),
                  "straggler factor must be finite and >= 1, got ",

@@ -160,7 +160,7 @@ OnlineScheduler::onEvent(const SimEvent &event)
         restartAfterEviction(idx, events_.now());
         return;
       case EvPoolRelease:
-        pool_.release(static_cast<int>(event.a), events_.now());
+        pool_.release(static_cast<int>(event.a));
         drainPending();
         return;
       case EvJobEnd:
@@ -300,7 +300,7 @@ OnlineScheduler::onArrival(std::size_t idx)
         ctx.now = job.submit;
         ctx.cis = &cis_;
         ctx.queue = &queue;
-        ctx.cache = planMemoizationEnabled() ? &plan_cache_ : nullptr;
+        ctx.cache = &plan_cache_;
         {
             const obs::Span span("policy.plan");
             state.plan = policy_.plan(job, ctx);
@@ -476,7 +476,7 @@ OnlineScheduler::placeSegment(std::size_t idx, std::size_t seg_idx)
 
     if (strategy_ != ResourceStrategy::OnDemandOnly &&
         pool_.canFit(cores)) {
-        pool_.acquire(cores, at);
+        pool_.acquire(cores);
         recordSegment(idx, seg.start, seg.end,
                       PurchaseOption::Reserved, /*lost=*/false,
                       seg.width);
@@ -590,7 +590,7 @@ OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
     // on availability"). The restart never returns to spot.
     const int cores = outcomes_[idx].cpus * width;
     if (usesReserved() && pool_.canFit(cores)) {
-        pool_.acquire(cores, at);
+        pool_.acquire(cores);
         recordSegment(idx, at, at + duration,
                       PurchaseOption::Reserved, /*lost=*/false,
                       width);
@@ -619,7 +619,7 @@ OnlineScheduler::startOnReserved(std::size_t idx, Seconds at)
     const int cores = outcomes_[idx].cpus * width;
     state.started = true;
     state.pending = false;
-    pool_.acquire(cores, at);
+    pool_.acquire(cores);
     recordSegment(idx, at, at + duration,
                   PurchaseOption::Reserved, /*lost=*/false, width);
     events_.schedule(

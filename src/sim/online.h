@@ -331,8 +331,8 @@ class OnlineScheduler : private EventQueue::Sink
     ProtocolListener *listener_ = nullptr;
 
     EventQueue events_;
-    /** One cache per simulation; plans within a run share
-     *  slot-invariant boundary work. */
+    /** One cache per simulation, handed to every plan() call;
+     *  plans within a run share slot-invariant boundary work. */
     PlanCache plan_cache_;
     ReservedPool pool_;
     EvictionModel eviction_;

@@ -1,7 +1,6 @@
 #include "trace/carbon_trace.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/csv.h"
 #include "common/logging.h"
@@ -17,9 +16,12 @@ CarbonTrace::validateValues(const std::string &region,
     GAIA_REQUIRE(!hourly.empty(), "carbon trace '", region,
                  "' has no slots");
     for (std::size_t i = 0; i < hourly.size(); ++i) {
-        GAIA_REQUIRE(hourly[i] >= 0.0 && std::isfinite(hourly[i]),
+        GAIA_REQUIRE(hourly[i] >= 0.0 &&
+                         hourly[i] <= kMaxCarbonIntensity,
                      "carbon trace '", region, "' slot ", i,
-                     " has invalid intensity ", hourly[i]);
+                     " has invalid intensity ", hourly[i],
+                     " (must be in [0, ", kMaxCarbonIntensity,
+                     "] g/kWh)");
     }
     return Status::ok();
 }

@@ -22,6 +22,11 @@
 
 namespace gaia {
 
+/** Largest intensity a trace accepts, in g·CO2eq/kWh: about 100x the
+ *  dirtiest grid's, and low enough that forecasts distorted by noise
+ *  and spike faults, and integrals over them, stay finite. */
+constexpr double kMaxCarbonIntensity = 100000.0;
+
 /**
  * Piecewise-constant hourly carbon-intensity series in g·CO2eq/kWh.
  *

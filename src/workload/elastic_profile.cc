@@ -142,14 +142,18 @@ parseElasticProfile(const std::string &text)
         }
     }
 
+    if (kind == "linear" || kind == "diminishing") {
+        GAIA_REQUIRE(max_instances >= 1, kind,
+                     " elastic profile needs max>=1");
+        // validate()'s cap, checked before `max` rates are built.
+        GAIA_REQUIRE(max_instances <= kMaxElasticInstances,
+                     "elastic profile with ", max_instances,
+                     " instances (limit ", kMaxElasticInstances, ")");
+    }
     if (kind == "linear") {
-        GAIA_REQUIRE(max_instances >= 1,
-                     "linear elastic profile needs max>=1");
         profile.marginal.assign(
             static_cast<std::size_t>(max_instances), 1.0);
     } else if (kind == "diminishing") {
-        GAIA_REQUIRE(max_instances >= 1,
-                     "diminishing elastic profile needs max>=1");
         GAIA_REQUIRE(alpha > 0.0 && alpha <= 1.0,
                      "diminishing elastic profile needs alpha in "
                      "(0, 1], got ", alpha);

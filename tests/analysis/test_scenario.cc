@@ -6,10 +6,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "analysis/harness.h"
 #include "analysis/parallel.h"
 #include "common/time.h"
+#include "core/cis.h"
 
 namespace gaia {
 namespace {
@@ -227,6 +229,27 @@ TEST(RunScenario, BadWaitsAreError)
     spec.short_wait = 12 * kSecondsPerHour;
     spec.long_wait = 6 * kSecondsPerHour;
     EXPECT_FALSE(runScenario(spec, cache).isOk());
+}
+
+TEST(RunScenario, ForecastNoisePastTheCapIsError)
+{
+    // Carbon-Scaler's allocator once panicked when every forecast in
+    // its window overflowed.
+    AssetCache cache;
+    ScenarioSpec spec = tinyScenario();
+    spec.policy = "Carbon-Scaler";
+    spec.elastic_profile = "linear:max=4";
+    for (const double noise :
+         {std::numeric_limits<double>::infinity(), 1e308, 100.5}) {
+        spec.cis.noise = noise;
+        const Result<SimulationResult> r = runScenario(spec, cache);
+        ASSERT_FALSE(r.isOk()) << noise;
+        EXPECT_NE(r.status().message().find("forecast noise"),
+                  std::string::npos)
+            << r.status().message();
+    }
+    spec.cis.noise = kMaxForecastNoise;
+    EXPECT_TRUE(runScenario(spec, cache).isOk());
 }
 
 TEST(RunScenario, InvalidClusterSetupIsError)

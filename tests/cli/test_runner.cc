@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -307,7 +308,8 @@ TEST(CliRunner, BothDriversExitTwoOnMismatchedHorizons)
         writeMismatchedInputs("gaia_cli_mismatch_bin");
     const std::filesystem::path err = dir / "stderr.txt";
     const std::pair<std::string, std::string> drivers[] = {
-        {"gaia_run", GAIA_RUN_BIN},
+        {"gaia_run", std::string(GAIA_RUN_BIN) + " --output-dir " +
+                         (dir / "out").string()},
         {"gaia_serve", "timeout 10 " + std::string(GAIA_SERVE_BIN) +
                            " --socket " + (dir / "sock").string()},
     };
@@ -315,8 +317,7 @@ TEST(CliRunner, BothDriversExitTwoOnMismatchedHorizons)
         const std::string command =
             binary + " --workload-csv " + (dir / "jobs.csv").string() +
             " --carbon-csv " + (dir / "carbon.csv").string() +
-            " --policy NoWait --output-dir " + (dir / "out").string() +
-            " >/dev/null 2>" + err.string();
+            " --policy NoWait >/dev/null 2>" + err.string();
         const int status = std::system(command.c_str());
         ASSERT_NE(status, -1);
         EXPECT_TRUE(WIFEXITED(status)) << name;
@@ -358,6 +359,68 @@ TEST(CliRunner, GaiaServeNamesAServeFlagMissingItsValue)
     std::filesystem::remove_all(dir);
 }
 
+TEST(CliRunner, GaiaServeRefusesTheBatchOnlyFlags)
+{
+    // A daemon that ignored these would listen until killed.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_serve_batch";
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path err = dir / "stderr.txt";
+    const std::pair<std::string, std::string> flags[] = {
+        {"--export-workload", " " + (dir / "x.csv").string()},
+        {"--output-dir", " " + (dir / "out").string()},
+        {"--print-fingerprint", ""},
+        {"--threads", " 3"},
+    };
+    for (const auto &[flag, value] : flags) {
+        const std::string command =
+            "timeout 10 " + std::string(GAIA_SERVE_BIN) +
+            " --workload azure --jobs 50 --span-days 2 --accel 0"
+            " --socket " +
+            (dir / "sock").string() + " " + flag + value +
+            " >/dev/null 2>" + err.string();
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << flag;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flag;
+
+        std::ifstream in(err);
+        std::string line;
+        std::getline(in, line);
+        EXPECT_EQ(line, "gaia_serve: " + flag + " applies to gaia_run only");
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir / "x.csv"));
+    EXPECT_FALSE(std::filesystem::exists(dir / "out"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CliRunner, BothDriversListTheSamePolicies)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_policies";
+    std::filesystem::create_directories(dir);
+    std::string listings[2];
+    const char *binaries[] = {GAIA_RUN_BIN, GAIA_SERVE_BIN};
+    for (int b = 0; b < 2; ++b) {
+        const std::filesystem::path out = dir / "stdout.txt";
+        const std::string command = std::string(binaries[b]) +
+                                    " --list-policies >" +
+                                    out.string() + " 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << binaries[b];
+        EXPECT_EQ(WEXITSTATUS(status), 0) << binaries[b];
+        std::ifstream in(out);
+        std::ostringstream text;
+        text << in.rdbuf();
+        listings[b] = text.str();
+    }
+    EXPECT_EQ(listings[1], listings[0]);
+    EXPECT_EQ(listings[0], policyListing());
+    EXPECT_NE(listings[0].find("Carbon-Scaler\n"), std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
 {
     for (const char *binary : {GAIA_RUN_BIN, GAIA_SERVE_BIN}) {
@@ -378,6 +441,32 @@ TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
     }
 }
 
+TEST(CliRunner, GaiaRunExitsTwoOnForecastsThatWouldOverflow)
+{
+    // Past the caps these inputs can overflow a forecast; the spike
+    // repros once aborted Carbon-Scaler's allocator.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_overflow";
+    const std::string elastic =
+        " --scaling-policy Carbon-Scaler --elastic-profile linear:max=4"
+        " --output-dir " +
+        (dir / "out").string();
+    for (const char *flags :
+         {"--jobs 30 --fault spike:rate=0.3,hours=6,factor=inf",
+          "--jobs 30 --fault spike:rate=0.3,hours=6,factor=1e308",
+          "--workload azure --jobs 300 --forecast-noise inf",
+          "--workload azure --jobs 300 --forecast-noise 1e308"}) {
+        const std::string command = std::string(GAIA_RUN_BIN) + " " +
+                                    flags + elastic +
+                                    " >/dev/null 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << flags;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CliRunner, BothDriversExitTwoWhenTheJobLimitOutgrowsMemory)
 {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -395,7 +484,8 @@ TEST(CliRunner, BothDriversExitTwoWhenTheJobLimitOutgrowsMemory)
     const std::pair<std::string, std::string> drivers[] = {
         {"gaia_run", GAIA_RUN_BIN + out},
         {"gaia_serve",
-         GAIA_SERVE_BIN + out + " --socket " + (dir / "sock").string()},
+         GAIA_SERVE_BIN + std::string(" --socket ") +
+             (dir / "sock").string()},
     };
     for (const auto &[name, binary] : drivers) {
         const std::string command =

@@ -15,51 +15,22 @@ TEST(ReservedPool, AcquireReleaseCounting)
     EXPECT_TRUE(pool.canFit(10));
     EXPECT_FALSE(pool.canFit(11));
 
-    pool.acquire(4, 0);
+    pool.acquire(4);
     EXPECT_EQ(pool.inUse(), 4);
     EXPECT_EQ(pool.freeCores(), 6);
-    pool.acquire(6, 10);
+    pool.acquire(6);
     EXPECT_FALSE(pool.canFit(1));
-    pool.release(4, 20);
+    pool.release(4);
     EXPECT_EQ(pool.freeCores(), 4);
-    pool.release(6, 20);
+    pool.release(6);
     EXPECT_EQ(pool.inUse(), 0);
-}
-
-TEST(ReservedPool, UsageIntegralIsExact)
-{
-    ReservedPool pool(10);
-    pool.acquire(4, 0);    // 4 cores busy over [0, 100)
-    pool.release(4, 100);  //   -> 400 core-seconds
-    pool.acquire(10, 100); // 10 cores busy over [100, 150)
-    pool.release(10, 150); //   -> 500 core-seconds
-    EXPECT_DOUBLE_EQ(pool.usedCoreSeconds(150), 900.0);
-    EXPECT_DOUBLE_EQ(pool.usedCoreSeconds(200), 900.0);
-}
-
-TEST(ReservedPool, UsageIncludesHeldCores)
-{
-    ReservedPool pool(5);
-    pool.acquire(2, 0);
-    EXPECT_DOUBLE_EQ(pool.usedCoreSeconds(50), 100.0);
-}
-
-TEST(ReservedPool, Utilization)
-{
-    ReservedPool pool(10);
-    pool.acquire(5, 0);
-    pool.release(5, 100);
-    // 500 busy core-seconds of 1000 possible over [0, 100].
-    EXPECT_DOUBLE_EQ(pool.utilization(100), 0.5);
-    EXPECT_DOUBLE_EQ(pool.utilization(200), 0.25);
 }
 
 TEST(ReservedPool, ZeroCapacityPool)
 {
     ReservedPool pool(0);
     EXPECT_FALSE(pool.canFit(1));
-    EXPECT_DOUBLE_EQ(pool.utilization(100), 0.0);
-    EXPECT_DOUBLE_EQ(pool.usedCoreSeconds(100), 0.0);
+    EXPECT_EQ(pool.freeCores(), 0);
 }
 
 TEST(ReservedPoolDeath, MisuseIsFatal)
@@ -67,10 +38,10 @@ TEST(ReservedPoolDeath, MisuseIsFatal)
     EXPECT_DEATH(ReservedPool(-1), "negative reserved capacity");
 
     ReservedPool pool(4);
-    EXPECT_DEATH(pool.acquire(5, 0), "acquire");
-    EXPECT_DEATH(pool.release(1, 0), "release");
-    pool.acquire(2, 10);
-    EXPECT_DEATH(pool.acquire(1, 5), "backwards");
+    EXPECT_DEATH(pool.acquire(5), "acquire");
+    EXPECT_DEATH(pool.release(1), "release");
+    pool.acquire(2);
+    EXPECT_DEATH(pool.release(3), "release");
     EXPECT_DEATH(pool.canFit(0), "non-positive core request");
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 namespace gaia {
 namespace {
 
@@ -33,24 +36,29 @@ TEST(Strings, TrimWhitespace)
 
 TEST(Strings, ParseDouble)
 {
-    EXPECT_DOUBLE_EQ(parseDouble("3.25", "test"), 3.25);
-    EXPECT_DOUBLE_EQ(parseDouble(" -1e3 ", "test"), -1000.0);
+    EXPECT_DOUBLE_EQ(tryParseDouble("3.25", "test").value(), 3.25);
+    EXPECT_DOUBLE_EQ(tryParseDouble(" -1e3 ", "test").value(), -1000.0);
 }
 
 TEST(Strings, ParseInt)
 {
-    EXPECT_EQ(parseInt("42", "test"), 42);
-    EXPECT_EQ(parseInt("  -7 ", "test"), -7);
+    EXPECT_EQ(tryParseInt("42", "test").value(), 42);
+    EXPECT_EQ(tryParseInt("  -7 ", "test").value(), -7);
 }
 
-TEST(StringsDeath, ParseErrorsAreFatal)
+TEST(Strings, ParseErrorsAreStatuses)
 {
-    EXPECT_EXIT(parseDouble("abc", "ctx"),
-                ::testing::ExitedWithCode(1), "cannot parse 'abc'");
-    EXPECT_EXIT(parseInt("1.5", "ctx"),
-                ::testing::ExitedWithCode(1), "cannot parse '1.5'");
-    EXPECT_EXIT(parseInt("", "ctx"), ::testing::ExitedWithCode(1),
-                "cannot parse ''");
+    const Status statuses[] = {tryParseDouble("abc", "ctx").status(),
+                               tryParseInt("1.5", "ctx").status(),
+                               tryParseInt("", "ctx").status()};
+    const char *messages[] = {"cannot parse 'abc'", "cannot parse '1.5'",
+                              "cannot parse ''"};
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(statuses[i].code(), ErrorCode::ParseError);
+        EXPECT_NE(statuses[i].message().find(messages[i]),
+                  std::string::npos)
+            << statuses[i].message();
+    }
 }
 
 TEST(Strings, FixedFormatting)

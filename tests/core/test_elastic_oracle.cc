@@ -461,6 +461,16 @@ TEST(ElasticProfileParser, GrammarRoundTrips)
     EXPECT_FALSE(parseElasticProfile("linear").isOk());
     EXPECT_FALSE(parseElasticProfile("linear:max=0").isOk());
     EXPECT_FALSE(parseElasticProfile("linear:max=100").isOk());
+    // The cap is checked before the rates are built, so a huge max
+    // is a Status, not a bad_alloc.
+    for (const char *huge : {"linear:max=1000000000000",
+                             "diminishing:max=1000000000000,alpha=0.5"}) {
+        const Result<ElasticProfile> capped = parseElasticProfile(huge);
+        ASSERT_FALSE(capped.isOk()) << huge;
+        EXPECT_NE(capped.status().message().find("limit 64"),
+                  std::string::npos)
+            << capped.status().message();
+    }
     EXPECT_FALSE(
         parseElasticProfile("diminishing:max=3,alpha=1.5").isOk());
     EXPECT_FALSE(parseElasticProfile("list:rates=0.5+1").isOk());

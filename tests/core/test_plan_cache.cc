@@ -18,15 +18,6 @@
 namespace gaia {
 namespace {
 
-TEST(PlanCacheFlag, TogglesProcessWideMemoization)
-{
-    EXPECT_TRUE(planMemoizationEnabled());
-    setPlanMemoization(false);
-    EXPECT_FALSE(planMemoizationEnabled());
-    setPlanMemoization(true);
-    EXPECT_TRUE(planMemoizationEnabled());
-}
-
 TEST(PlanCache, MissesOnlyWhenALookupExtendsTheTable)
 {
     PlanCache cache;

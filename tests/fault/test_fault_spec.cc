@@ -86,6 +86,17 @@ TEST(FaultSpec, ValidationErrorsAreStatuses)
         FaultSpec::parse("delay:rate=0.1,minutes=0").isOk());
     EXPECT_FALSE(
         FaultSpec::parse("spike:rate=0.1,factor=-1").isOk());
+    // A spike past 1000x, finite or not, could overflow a forecast.
+    for (const char *text :
+         {"spike:rate=0.1,factor=inf", "spike:rate=0.1,factor=1e308"}) {
+        const Result<FaultSpec> spike = FaultSpec::parse(text);
+        ASSERT_FALSE(spike.isOk()) << text;
+        EXPECT_NE(spike.status().message().find(
+                      "spike factor must be in (0, 1000]"),
+                  std::string::npos)
+            << spike.status().message();
+    }
+    EXPECT_TRUE(FaultSpec::parse("spike:rate=0.1,factor=1000").isOk());
     // Durations beyond the 7-day scan bound are rejected; huge and
     // non-finite ones before they reach a double-to-int64 cast.
     for (const char *text :

@@ -25,7 +25,6 @@
 #include "common/executor.h"
 #include "common/obs.h"
 #include "common/strings.h"
-#include "core/plan_cache.h"
 #include "sim/results.h"
 
 namespace gaia {
@@ -420,17 +419,16 @@ TEST(GoldenOutputs, ExtProvisioningMix)
 
 /**
  * The elastic goldens embed result fingerprints, so this pins
- * bitwise determinism end to end: one worker thread and disabled
- * plan memoization must reproduce the parallel, memoized bytes —
- * schedules (and their fingerprints) may depend on neither.
+ * bitwise determinism end to end: one worker thread must reproduce
+ * the parallel bytes — schedules (and their fingerprints) may not
+ * depend on the thread count. test_plan_memo checks the same cells'
+ * memoized plans against direct planning job by job.
  */
-TEST(GoldenOutputs, ElasticCsvsStableAcrossThreadsAndMemo)
+TEST(GoldenOutputs, ElasticCsvsStableAcrossThreads)
 {
     setParallelThreads(1);
-    setPlanMemoization(false);
     const std::string elastic = buildExtElasticCsv();
     const std::string provisioning = buildExtProvisioningCsv();
-    setPlanMemoization(true);
     setParallelThreads(0); // back to the default resolution
 
     checkGolden("ext_elastic_small.csv", elastic);

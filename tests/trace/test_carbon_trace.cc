@@ -138,6 +138,14 @@ TEST(CarbonTrace, MakeRejectsInvalidValues)
     EXPECT_NE(negative.status().message().find("invalid intensity"),
               std::string::npos);
     EXPECT_TRUE(CarbonTrace::make("x", {1.0, 2.0}).isOk());
+    // Finite but past the cap: integrals over it could overflow.
+    const Result<CarbonTrace> huge =
+        CarbonTrace::make("x", {1.0, 1e308});
+    ASSERT_FALSE(huge.isOk());
+    EXPECT_NE(huge.status().message().find("invalid intensity"),
+              std::string::npos);
+    EXPECT_TRUE(
+        CarbonTrace::make("x", {1.0, kMaxCarbonIntensity}).isOk());
 }
 
 TEST(CarbonTrace, FromCsvReportsMalformedInput)
