@@ -2,7 +2,7 @@
  * @file
  * Serving-layer ingest harness: measures the submission path of
  * gaia_serve — the lock-free MPSC queue in isolation and the full
- * daemon (queue -> wall-clock driver -> engine) end to end — and
+ * daemon (queue -> consumer thread -> engine) end to end — and
  * writes the numbers to BENCH_serve.json so serving-perf changes
  * are recorded alongside the code.
  *
@@ -24,8 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/mpsc_queue.h"
 #include "serve/daemon.h"
-#include "serve/submission_queue.h"
 #include "sim/results.h"
 
 using namespace gaia;
@@ -52,13 +52,13 @@ syntheticJob(std::int64_t i)
 double
 singleProducerRate(std::size_t total)
 {
-    SubmissionQueue queue(1 << 10);
+    MpscQueue<Job> queue(1 << 10);
     const auto begin = std::chrono::steady_clock::now();
     Job out;
     for (std::size_t i = 0; i < total; ++i) {
-        const Status pushed =
-            queue.offer(syntheticJob(static_cast<std::int64_t>(i)));
-        GAIA_ASSERT(pushed.isOk(), "push into empty ring failed");
+        GAIA_ASSERT(queue.tryPush(syntheticJob(
+                        static_cast<std::int64_t>(i))),
+                    "push into empty ring failed");
         GAIA_ASSERT(queue.tryPop(out), "pop after push failed");
     }
     return static_cast<double>(total) / seconds(begin);
@@ -69,7 +69,7 @@ singleProducerRate(std::size_t total)
 double
 multiProducerRate(int producers, std::size_t per_producer)
 {
-    SubmissionQueue queue(1 << 12);
+    MpscQueue<Job> queue(1 << 12);
     const std::size_t total = producers * per_producer;
     const auto begin = std::chrono::steady_clock::now();
 
@@ -78,9 +78,9 @@ multiProducerRate(int producers, std::size_t per_producer)
     for (int p = 0; p < producers; ++p) {
         threads.emplace_back([&queue, per_producer, p] {
             for (std::size_t i = 0; i < per_producer; ++i) {
-                const Job job = syntheticJob(
+                Job job = syntheticJob(
                     static_cast<std::int64_t>(p * per_producer + i));
-                while (!queue.offer(job).isOk())
+                while (!queue.tryPush(job))
                     std::this_thread::yield();
             }
         });

@@ -31,8 +31,6 @@ class EvictionModel
     /** Validating factory for untrusted rates. */
     static Result<EvictionModel> make(double hourly_rate);
 
-    double hourlyRate() const { return rate_; }
-
     /**
      * Sample the offset (seconds after the spot run begins) at which
      * the instance is evicted, or -1 if it survives `duration`.

@@ -145,7 +145,6 @@ struct MetricsRegistry::Impl
     // node-based maps: element addresses are stable across inserts,
     // which is what lets callers cache the returned references.
     std::map<std::string, Counter, std::less<>> counters;
-    std::map<std::string, Gauge, std::less<>> gauges;
     std::map<std::string, Histogram, std::less<>> histograms;
 };
 
@@ -176,17 +175,6 @@ MetricsRegistry::counter(std::string_view name)
     return it->second;
 }
 
-Gauge &
-MetricsRegistry::gauge(std::string_view name)
-{
-    Impl &state = impl();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    auto it = state.gauges.find(name);
-    if (it == state.gauges.end())
-        it = state.gauges.try_emplace(std::string(name)).first;
-    return it->second;
-}
-
 Histogram &
 MetricsRegistry::histogram(std::string_view name)
 {
@@ -208,10 +196,6 @@ MetricsRegistry::snapshot() const
     snap.counters.reserve(state.counters.size());
     for (const auto &[name, counter] : state.counters)
         snap.counters.push_back({name, counter.value()});
-
-    snap.gauges.reserve(state.gauges.size());
-    for (const auto &[name, gauge] : state.gauges)
-        snap.gauges.push_back({name, gauge.value()});
 
     snap.histograms.reserve(state.histograms.size());
     for (const auto &[name, hist] : state.histograms) {
@@ -236,8 +220,6 @@ MetricsRegistry::reset()
     std::lock_guard<std::mutex> lock(state.mutex);
     for (auto &[name, counter] : state.counters)
         counter.reset();
-    for (auto &[name, gauge] : state.gauges)
-        gauge.reset();
     for (auto &[name, hist] : state.histograms)
         hist.reset();
 }
@@ -255,12 +237,6 @@ Counter &
 counter(std::string_view name)
 {
     return MetricsRegistry::instance().counter(name);
-}
-
-Gauge &
-gauge(std::string_view name)
-{
-    return MetricsRegistry::instance().gauge(name);
 }
 
 Histogram &
@@ -342,14 +318,6 @@ writeMetricsJson(std::ostream &out, const MetricsSnapshot &snapshot)
     }
     out << (snapshot.counters.empty() ? "},\n" : "\n  },\n");
 
-    out << "  \"gauges\": {";
-    for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-        out << (i ? ",\n    \"" : "\n    \"");
-        appendJsonEscaped(out, snapshot.gauges[i].name);
-        out << "\": " << snapshot.gauges[i].value;
-    }
-    out << (snapshot.gauges.empty() ? "},\n" : "\n  },\n");
-
     out << "  \"histograms\": {";
     for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
         const HistogramSnapshot &h = snapshot.histograms[i];
@@ -389,12 +357,10 @@ writeMetricsJson(const std::string &path)
 void
 printMetricsSummary(std::ostream &out, const MetricsSnapshot &snapshot)
 {
-    if (!snapshot.counters.empty() || !snapshot.gauges.empty()) {
+    if (!snapshot.counters.empty()) {
         TextTable table("metrics", {"metric", "value"});
         for (const CounterSnapshot &c : snapshot.counters)
             table.addRow({c.name, std::to_string(c.value)});
-        for (const GaugeSnapshot &g : snapshot.gauges)
-            table.addRow({g.name, std::to_string(g.value)});
         table.print(out);
     }
     if (!snapshot.histograms.empty()) {

@@ -11,8 +11,8 @@
  * the telemetry layer those questions need, built so that having it
  * compiled in costs nothing measurable when no sink is requested:
  *
- *  - **Metrics** — named Counters, Gauges, and Histograms owned by
- *    a process-wide MetricsRegistry. A counter is one relaxed
+ *  - **Metrics** — named Counters and Histograms owned by a
+ *    process-wide MetricsRegistry. A counter is one relaxed
  *    atomic on a cache line of its own, bumped once per cell or run
  *    (or by the daemon's one consumer thread), so increments never
  *    contend. Instrumented subsystems hold references to their
@@ -35,7 +35,7 @@
  *    see startSinks).
  *
  * Thread-safety: every entry point is safe from any thread.
- * Counter/Gauge/Histogram updates are lock-free; registry lookups
+ * Counter/Histogram updates are lock-free; registry lookups
  * (obs::counter() etc.) take the registry mutex and should be
  * hoisted out of hot loops by keeping the returned reference.
  * Registered metrics live for the process — references never
@@ -110,35 +110,6 @@ class Counter
     alignas(64) std::atomic<std::uint64_t> value_{0};
 };
 
-/** Last-writer-wins instantaneous value (e.g. queue depth). */
-class Gauge
-{
-  public:
-    Gauge() = default;
-    Gauge(const Gauge &) = delete;
-    Gauge &operator=(const Gauge &) = delete;
-
-    void set(std::int64_t v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    void add(std::int64_t delta)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    std::int64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { set(0); }
-
-  private:
-    std::atomic<std::int64_t> value_{0};
-};
-
 /**
  * Power-of-two-bucket histogram of non-negative samples (wall-time
  * seconds, sizes…). observe() is lock-free: an atomic count per
@@ -196,13 +167,6 @@ struct CounterSnapshot
     std::uint64_t value = 0;
 };
 
-/** One gauge's name and last-written value. */
-struct GaugeSnapshot
-{
-    std::string name;
-    std::int64_t value = 0;
-};
-
 /** One histogram's aggregate statistics. */
 struct HistogramSnapshot
 {
@@ -221,7 +185,6 @@ struct HistogramSnapshot
 struct MetricsSnapshot
 {
     std::vector<CounterSnapshot> counters;
-    std::vector<GaugeSnapshot> gauges;
     std::vector<HistogramSnapshot> histograms;
 
     /** The named counter's value, or 0 when absent. */
@@ -243,7 +206,6 @@ class MetricsRegistry
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
     Counter &counter(std::string_view name);
-    Gauge &gauge(std::string_view name);
     Histogram &histogram(std::string_view name);
 
     MetricsSnapshot snapshot() const;
@@ -262,7 +224,6 @@ class MetricsRegistry
 
 /** Shorthands for MetricsRegistry::instance() lookups. */
 Counter &counter(std::string_view name);
-Gauge &gauge(std::string_view name);
 Histogram &histogram(std::string_view name);
 
 /** Snapshot of the process-wide registry. */
@@ -272,7 +233,7 @@ MetricsSnapshot metricsSnapshot();
 void resetMetrics();
 
 /** Serialize a snapshot as a stable, pretty-printed JSON object
- *  ({"counters": {...}, "gauges": {...}, "histograms": {...}}). */
+ *  ({"counters": {...}, "histograms": {...}}). */
 void writeMetricsJson(std::ostream &out,
                       const MetricsSnapshot &snapshot);
 

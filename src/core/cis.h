@@ -134,11 +134,6 @@ class CarbonInfoService final : public CarbonInfoSource
                       const CarbonForecaster &forecaster);
 
     const CarbonTrace &trace() const override { return trace_; }
-    double forecastNoise() const { return noise_; }
-    bool usesForecastModel() const
-    {
-        return forecaster_ != nullptr;
-    }
 
     /**
      * Trace truth and per-slot hashed noise are pure functions of

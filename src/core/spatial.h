@@ -73,8 +73,6 @@ class SpatialPlanner
                    const SchedulingPolicy &policy,
                    const QueueConfig &queues);
 
-    std::size_t regionCount() const { return regions_.size(); }
-
     /** Best region + plan for a single job. */
     SpatialAssignment assign(const Job &job) const;
 

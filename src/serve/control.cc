@@ -58,12 +58,18 @@ ControlServer::ControlServer(ServeDaemon &daemon,
 bool
 ControlServer::handleLine(const std::string &line, std::string &reply)
 {
+    return handle(line, reply) == Next::Stop;
+}
+
+ControlServer::Next
+ControlServer::handle(const std::string &line, std::string &reply)
+{
     std::istringstream in(line);
     std::string command;
     in >> command;
 
     if (command.empty())
-        return false; // blank line: no reply
+        return Next::Serve; // blank line: no reply
 
     if (command == "submit") {
         Job job;
@@ -73,14 +79,25 @@ ControlServer::handleLine(const std::string &line, std::string &reply)
             in >> extra) {
             reply = "err submit needs: <id> <submit> <length> "
                     "<cpus>";
-            return false;
+            return Next::Serve;
         }
         const Status submitted = daemon_.submit(job);
         reply = submitted.isOk()
                     ? "ok"
                     : "err " + submitted.message();
-        return false;
+        return Next::Serve;
     }
+
+    // The other commands take no arguments.
+    const bool known =
+        command == "stats" || command == "drain" || command == "quit";
+    if (std::string extra; known && in >> extra) {
+        reply = "err " + command + " takes no arguments";
+        return Next::Serve;
+    }
+
+    if (command == "quit")
+        return Next::Close;
 
     if (command == "stats") {
         const ServeStats s = daemon_.stats();
@@ -94,7 +111,7 @@ ControlServer::handleLine(const std::string &line, std::string &reply)
             << ",\"queue_depth\":" << s.queue_depth
             << ",\"queue_capacity\":" << s.queue_capacity << "}";
         reply = out.str();
-        return false;
+        return Next::Serve;
     }
 
     if (command == "drain") {
@@ -103,12 +120,12 @@ ControlServer::handleLine(const std::string &line, std::string &reply)
                     ? "drained " +
                           fingerprintHex(resultFingerprint(*drained_))
                     : "err " + drained_.status().message();
-        return true;
+        return Next::Stop;
     }
 
     reply = "err unknown command \"" + command +
             "\" (submit/stats/drain/quit)";
-    return false;
+    return Next::Serve;
 }
 
 Result<SimulationResult>
@@ -171,16 +188,12 @@ ControlServer::run()
                 if (!line.empty() && line.back() == '\r')
                     line.pop_back();
 
-                if (line == "quit") {
-                    open = false;
-                    break;
-                }
                 std::string reply;
-                drained = handleLine(line, reply);
+                const Next next = handle(line, reply);
                 if (!reply.empty())
                     writeAll(conn, reply + "\n");
-                if (drained)
-                    open = false;
+                drained = next == Next::Stop;
+                open = next == Next::Serve;
             }
             if (open && pending.size() > kMaxLineBytes) {
                 writeAll(conn, "err line too long\n");

@@ -14,8 +14,11 @@
  * `submit` offers a job to the daemon: a job validateJob() rejects
  * and backpressure surface as `err` lines, and so does anything
  * after its four fields. A job already behind the simulated clock
- * answers `ok` and is counted in the `rejected_late` stat. `drain` ends the stream, closes the books,
- * answers with the result fingerprint, and shuts the server down.
+ * answers `ok` and is counted in the `rejected_late` stat. `stats`,
+ * `drain` and `quit` take no arguments: anything but whitespace
+ * after them is an `err` line and nothing else happens. `drain`
+ * ends the stream, closes the books, answers with the result
+ * fingerprint, and shuts the server down.
  * Connections are served sequentially — the control plane is for
  * streaming and inspection, not a high-fan-in RPC system (the
  * lock-free path is ServeDaemon::submit for in-process producers).
@@ -50,17 +53,28 @@ class ControlServer
      */
     Result<SimulationResult> run();
 
-    /** Handle one already-parsed command line, appending the
-     *  protocol reply (without trailing newline) to `reply`.
-     *  Returns true when the command was `drain` (serving should
-     *  stop). Exposed for protocol tests; run() is a socket loop
-     *  around this. */
+    /** Handle one already-parsed command line, setting `reply` to
+     *  the protocol reply (without trailing newline); blank lines
+     *  and `quit` leave it untouched. Returns true when the command
+     *  was `drain` (serving should stop). Exposed for protocol
+     *  tests; run() is a socket loop around the same handler. */
     bool handleLine(const std::string &line, std::string &reply);
 
     /** The drained result after handleLine() saw `drain`. */
     Result<SimulationResult> &drained() { return drained_; }
 
   private:
+    /** What a handled line asks of the connection that sent it. */
+    enum class Next
+    {
+        Serve, ///< keep reading this connection
+        Close, ///< `quit`: close this connection
+        Stop,  ///< `drain`: close it and stop serving
+    };
+
+    /** handleLine(), reporting `quit` as well as `drain`. */
+    Next handle(const std::string &line, std::string &reply);
+
     ServeDaemon &daemon_;
     std::string socket_path_;
     /** Holds an error until handleLine() sees `drain`. */

@@ -5,11 +5,35 @@
  * Promotes the scenario machinery from "replay a trace" to "accept
  * a live stream": one daemon owns a realized scenario (assets,
  * policy, CIS, fault wiring), an OnlineScheduler, a bounded MPSC
- * submission queue, and the consumer thread running the
- * WallClockDriver that feeds the engine. Producers call submit()
- * from any thread; a job that fails validateJob() is refused there,
- * and backpressure surfaces as a ResourceExhausted Status past the
- * queue's high-water mark.
+ * submission queue (common/mpsc_queue.h), and the consumer thread
+ * that feeds the engine. Producers call submit() from any thread; a
+ * job that fails validateJob() is refused there, and a full queue
+ * surfaces as a ResourceExhausted Status — the backpressure signal —
+ * rather than blocking the producer or growing without bound.
+ *
+ * The consumer thread is the engine's streaming driver: it releases
+ * queued jobs into the engine, paces virtual time against the wall
+ * clock at ServeConfig::accel, and counts carbon-source availability
+ * edges (serve.source_updates). The correctness story is *driver
+ * parity*: a sorted job stream produces a byte-identical result to
+ * the batch VirtualClockDriver replay of the same jobs, at any
+ * acceleration and any wall-clock timing.
+ *
+ * The invariant that makes parity hold unconditionally is the
+ * *release horizon*: the consumer never advances virtual time past
+ * `max_submit_released - 1`. Job arrivals dispatch at the highest
+ * event priority, so as long as every arrival at timestamp T is
+ * enqueued before the clock enters T, the engine's (time, priority,
+ * sequence) order — and with it every placement, eviction draw, and
+ * accounting record — is identical to the batch feed. Wall-clock
+ * pacing can only make the clock *lag* the stream, never lead it,
+ * so timing jitter and acceleration cannot reorder anything.
+ *
+ * Out-of-order submissions (a producer streaming an unsorted trace)
+ * are therefore rejected by the engine's submit check once the
+ * clock has passed their submit instant; the consumer counts them
+ * (rejected_late) and moves on — best-effort admission, never a
+ * crash.
  *
  * Lifecycle: start() realizes the scenario and spawns the consumer;
  * submit()/stats() run for as long as the stream lasts; drain()
@@ -39,8 +63,7 @@
 #include <thread>
 
 #include "analysis/scenario.h"
-#include "serve/submission_queue.h"
-#include "serve/wall_clock_driver.h"
+#include "common/mpsc_queue.h"
 #include "sim/online.h"
 
 namespace gaia::serve {
@@ -133,16 +156,43 @@ class ServeDaemon final : public ProtocolListener
     ServeDaemon(RealizedScenario realized, OnlineScheduler engine,
                 const ServeConfig &config);
 
+    /**
+     * The consumer loop: release what is queued, pace the clock,
+     * repeat — until stop_ is set, then release any stragglers,
+     * drain the engine, and return. Runs on consumer_ only.
+     */
+    void consume();
+    /** Pop everything currently queued into the engine. */
+    bool releaseQueued();
+    /** Advance the clock to `target`, counting source edges. */
+    void tickTo(Seconds target);
+
     RealizedScenario realized_;
     OnlineScheduler engine_;
-    SubmissionQueue queue_;
-    WallClockDriver driver_;
-    std::thread consumer_;
-    std::atomic<bool> stop_{false};
-    std::atomic<bool> draining_{false};
+    MpscQueue<Job> queue_;
+    /** Virtual seconds per wall second; <= 0, NaN and infinity run
+     *  unpaced: the clock snaps straight to the release horizon. */
+    const double accel_;
+
+    // One cache line per side: a shared line slows serve_stream (DESIGN.md).
+    /** Producer side: read or bumped by every submit(). */
+    alignas(64) std::atomic<bool> draining_{false};
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> rejected_full_{0};
+
+    /** Consumer side: written by the consumer thread (stop_ once,
+     *  by drain() or the destructor). */
+    alignas(64) std::atomic<bool> stop_{false};
+    /** Highest submit instant released so far; -1 before the
+     *  first release. */
+    Seconds release_horizon_ = -1;
+    bool source_available_ = true;
+    std::atomic<std::uint64_t> released_{0};
+    std::atomic<std::uint64_t> rejected_late_{0};
     std::atomic<std::uint64_t> completed_{0};
+    std::atomic<Seconds> sim_now_{0};
+
+    std::thread consumer_;
 };
 
 } // namespace gaia::serve

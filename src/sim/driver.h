@@ -6,8 +6,8 @@
  * time: submit every job in submit order, then drain. The engine's
  * event queue does all the clock-keeping, so there is no explicit
  * ticking — this is exactly the feed loop the batch simulator has
- * always run, and the serving layer's wall-clock driver is held to
- * byte-identical results against it (see
+ * always run, and the serving daemon's wall-clock-paced consumer is
+ * held to byte-identical results against it (see
  * tests/serve/test_driver_parity.cc).
  */
 

@@ -10,8 +10,8 @@
  * incrementally, and the books can be read out whenever the caller
  * likes. Two drivers own its clock and call it directly:
  * VirtualClockDriver (sim/driver.h) replays a JobTrace for the batch
- * simulator and every figure sweep, and the serving layer's
- * WallClockDriver (serve/wall_clock_driver.h) paces a live stream.
+ * simulator and every figure sweep, and the consumer thread of the
+ * serving layer's ServeDaemon (serve/daemon.h) paces a live stream.
  * Both paths share one engine and one accounting implementation.
  *
  * Tie-breaking contract drivers rely on: events at equal virtual
@@ -19,8 +19,8 @@
  * arrivals use the highest priority — so submitting a job before
  * advancing the clock *into* its submit second reproduces the batch
  * ordering exactly. A driver must therefore never advance the clock
- * past `submit - 1` of a job it has yet to submit (the wall-clock
- * driver's release-horizon bound).
+ * past `submit - 1` of a job it has yet to submit (the daemon
+ * consumer's release-horizon bound).
  *
  * The event loop is allocation-free on the hot path: every handler
  * is a 16-byte tagged SimEvent carrying a job index into the

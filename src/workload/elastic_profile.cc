@@ -26,15 +26,6 @@ ElasticProfile::throughputAt(int instances) const
     return rate;
 }
 
-double
-ElasticProfile::maxMarginal() const
-{
-    double best = 1.0;
-    for (double m : marginal)
-        best = std::max(best, m);
-    return best;
-}
-
 bool
 ElasticProfile::concave() const
 {

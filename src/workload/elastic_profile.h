@@ -73,9 +73,6 @@ struct ElasticProfile
         return throughputAt(maxInstances());
     }
 
-    /** Largest single marginal rate (1.0 for a fixed job). */
-    double maxMarginal() const;
-
     /**
      * True when marginal rates are non-increasing — the scaling
      * regime where the CarbonScaler greedy allocator is provably

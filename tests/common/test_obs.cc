@@ -97,17 +97,6 @@ TEST(Counter, ExactUnderParallelForHammer)
     EXPECT_DOUBLE_EQ(hist.sum(), static_cast<double>(total));
 }
 
-TEST(Gauge, SetAddReset)
-{
-    obs::Gauge gauge;
-    gauge.set(7);
-    EXPECT_EQ(gauge.value(), 7);
-    gauge.add(-10);
-    EXPECT_EQ(gauge.value(), -3);
-    gauge.reset();
-    EXPECT_EQ(gauge.value(), 0);
-}
-
 TEST(Histogram, StatsAndQuantiles)
 {
     obs::Histogram hist;
@@ -151,19 +140,19 @@ TEST(MetricsRegistry, SameNameSameInstance)
     obs::Counter &b = obs::counter("test_obs.same_name");
     EXPECT_EQ(&a, &b);
     // Distinct kinds may share a name without aliasing.
-    obs::Gauge &g = obs::gauge("test_obs.same_name");
-    g.set(3);
+    obs::Histogram &h = obs::histogram("test_obs.same_name");
+    h.reset();
+    h.observe(3.0);
     a.reset();
     a.add(5);
     EXPECT_EQ(b.value(), 5u);
-    EXPECT_EQ(g.value(), 3);
+    EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(MetricsRegistry, SnapshotContainsRegisteredMetrics)
 {
     obs::counter("test_obs.snap_counter").reset();
     obs::counter("test_obs.snap_counter").add(9);
-    obs::gauge("test_obs.snap_gauge").set(-4);
     obs::histogram("test_obs.snap_hist").reset();
     obs::histogram("test_obs.snap_hist").observe(2.5);
 
@@ -177,15 +166,6 @@ TEST(MetricsRegistry, SnapshotContainsRegisteredMetrics)
         [](const auto &x, const auto &y) {
             return x.name < y.name;
         }));
-
-    bool found_gauge = false;
-    for (const obs::GaugeSnapshot &g : snap.gauges) {
-        if (g.name == "test_obs.snap_gauge") {
-            found_gauge = true;
-            EXPECT_EQ(g.value, -4);
-        }
-    }
-    EXPECT_TRUE(found_gauge);
 
     bool found_hist = false;
     for (const obs::HistogramSnapshot &h : snap.histograms) {
@@ -225,7 +205,6 @@ TEST(MetricsJson, ParsesAndRoundTrips)
 
     ASSERT_EQ(root.kind, JsonValue::Object);
     ASSERT_TRUE(root.has("counters"));
-    ASSERT_TRUE(root.has("gauges"));
     ASSERT_TRUE(root.has("histograms"));
     EXPECT_DOUBLE_EQ(
         root.at("counters").at("test_obs.json \"quoted\"").number,

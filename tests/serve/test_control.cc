@@ -3,8 +3,8 @@
  * ControlServer tests. The line protocol is exercised through
  * handleLine() — the exact code path the socket loop runs. The
  * ControlServerSocket tests run the socket loop itself on a thread,
- * against clients that misbehave at the connection level; the CI
- * serve-smoke job covers a well-behaved client end to end.
+ * against clients that misbehave at the connection level; CI's
+ * serve-smoke steps cover a well-behaved client end to end.
  */
 
 #include "serve/control.h"
@@ -117,6 +117,12 @@ TEST(ControlServer, MalformedAndUnknownLinesAreCleanErrors)
     reply = "stale";
     EXPECT_FALSE(server.handleLine("", reply));
     EXPECT_EQ(reply, "stale") << "blank lines draw no reply";
+
+    // stats and drain take no arguments, as submit takes no fifth.
+    EXPECT_FALSE(server.handleLine("stats extra", reply));
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
+    EXPECT_FALSE(server.handleLine("drain now", reply));
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
 
     // The daemon is still healthy after every bad line.
     EXPECT_FALSE(server.handleLine("submit 2 200 600 1", reply));
@@ -293,6 +299,26 @@ TEST(ControlServerSocket, OverlongLineIsRefusedAndTheServerStaysUp)
     sendAll(fd, std::string(std::size_t{1} << 20, 'x'));
     EXPECT_EQ(readUntilClosed(fd), "err line too long\n");
     ::close(fd);
+
+    const std::string reply = serving.drain();
+    ASSERT_TRUE(serving.served().isOk())
+        << serving.served().status().message();
+    EXPECT_EQ(reply, drainedLine(*serving.served()));
+}
+
+TEST(ControlServerSocket, QuitAmidWhitespaceClosesTheConnection)
+{
+    std::unique_ptr<ServeDaemon> daemon = startSmallDaemon();
+    ServingThread serving(*daemon, socketPath("quit"));
+
+    for (const char *line : {"quit \n", " quit\n", "\tquit \r\n"}) {
+        const int fd = connectTo(serving.path());
+        ASSERT_GE(fd, 0);
+        EXPECT_TRUE(sendAll(fd, line));
+        EXPECT_EQ(readUntilClosed(fd), "")
+            << "answered '" << line << "' instead of closing";
+        ::close(fd);
+    }
 
     const std::string reply = serving.drain();
     ASSERT_TRUE(serving.served().isOk())

@@ -1,9 +1,10 @@
 /**
  * @file
  * ServeDaemon behaviour: streamed parity with the batch simulator,
- * backpressure accounting, late-arrival rejection, and drain
- * semantics. Every test streams real jobs through the real consumer
- * thread — no mocks between the queue and the engine.
+ * backpressure accounting, late-arrival rejection, carbon-source
+ * edge counting, and drain semantics. Every test streams real jobs
+ * through the real consumer thread — no mocks between the queue and
+ * the engine.
  */
 
 #include "serve/daemon.h"
@@ -11,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "analysis/scenario.h"
-#include "serve/submission_queue.h"
+#include "common/obs.h"
+#include "fault/injector.h"
 #include "sim/results.h"
 
 namespace gaia::serve {
@@ -176,20 +179,87 @@ TEST(ServeDaemon, DrainOnShutdownReleasesEverythingStillQueued)
     EXPECT_EQ(d.stats().released, d.stats().accepted);
 }
 
-TEST(SubmissionQueue, BackpressureSurfacesAsResourceExhausted)
+TEST(ServeDaemon, FullQueueAnswersResourceExhausted)
 {
-    SubmissionQueue queue(2);
-    EXPECT_EQ(queue.capacity(), 2u);
-    EXPECT_TRUE(queue.offer({1, 0, 600, 1}).isOk());
-    EXPECT_TRUE(queue.offer({2, 0, 600, 1}).isOk());
+    ServeConfig config;
+    config.scenario = smallSpec();
+    config.accel = 0.0;
+    config.queue_capacity = 2;
+    Result<std::unique_ptr<ServeDaemon>> daemon =
+        ServeDaemon::start(config);
+    ASSERT_TRUE(daemon.isOk()) << daemon.status().toString();
+    ServeDaemon &d = **daemon;
 
-    const Status full = queue.offer({3, 0, 600, 1});
-    EXPECT_EQ(full.code(), ErrorCode::ResourceExhausted);
+    // A burst at one instant outruns a consumer that plans each job
+    // it pops, so a two-slot ring must refuse some offers.
+    constexpr std::uint64_t kOffers = 20000;
+    std::uint64_t refused = 0;
+    for (std::uint64_t i = 0; i < kOffers; ++i) {
+        const Status status =
+            d.submit({static_cast<JobId>(i), 0, 600, 1});
+        if (status.isOk())
+            continue;
+        ++refused;
+        ASSERT_EQ(status.code(), ErrorCode::ResourceExhausted)
+            << status.toString();
+        ASSERT_NE(status.message().find("2 slots"), std::string::npos)
+            << status.message();
+    }
+    EXPECT_GE(refused, 1u);
 
-    Job out;
-    ASSERT_TRUE(queue.tryPop(out));
-    EXPECT_EQ(out.id, 1);
-    EXPECT_TRUE(queue.offer({3, 0, 600, 1}).isOk());
+    const ServeStats stats = d.stats();
+    EXPECT_EQ(stats.rejected_full, refused);
+    EXPECT_EQ(stats.accepted + stats.rejected_full, kOffers);
+    Result<SimulationResult> result = d.drain();
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_EQ(result->outcomes.size(), stats.accepted);
+}
+
+TEST(ServeDaemon, CountsCarbonSourceAvailabilityEdges)
+{
+    ServeConfig config;
+    config.scenario = smallSpec();
+    Result<FaultSpec> fault =
+        FaultSpec::parse("outage:rate=0.3,hours=2");
+    ASSERT_TRUE(fault.isOk()) << fault.status().toString();
+    config.scenario.fault = *fault;
+    config.accel = 0.0;
+    Result<std::unique_ptr<ServeDaemon>> daemon =
+        ServeDaemon::start(config);
+    ASSERT_TRUE(daemon.isOk()) << daemon.status().toString();
+    ServeDaemon &d = **daemon;
+
+    const obs::Counter &updates = obs::counter("serve.source_updates");
+    const std::uint64_t before = updates.value();
+
+    // Unpaced, the consumer ticks to the release horizon after each
+    // release. Waiting for that tick before the next offer makes the
+    // tick instants exactly the new horizons, so the edges the
+    // consumer sees can be replayed here from the fault oracle.
+    const FaultInjector faults(*fault);
+    bool available = true;
+    std::uint64_t expected = 0;
+    std::uint64_t offered = 0;
+    Seconds now = 0;
+    for (const Job &job : d.calibrationTrace().jobs()) {
+        submitBlocking(d, job);
+        ++offered;
+        if (job.submit - 1 > now) {
+            now = job.submit - 1;
+            const bool up = !faults.outageAt(now);
+            if (up != available) {
+                available = up;
+                ++expected;
+            }
+        }
+        waitForStats(d, [&](const ServeStats &s) {
+            return s.released == offered && s.sim_now >= now;
+        });
+    }
+    ASSERT_TRUE(d.drain().isOk());
+
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(updates.value() - before, expected);
 }
 
 } // namespace
