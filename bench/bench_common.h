@@ -16,6 +16,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,23 @@
 #include "common/time.h"
 
 namespace gaia::bench {
+
+/** The bench's argv[0], recorded by parseBenchArgs for error lines. */
+inline std::string &
+programName()
+{
+    static std::string name = "bench";
+    return name;
+}
+
+/** Print `message` as the bench's one error line and exit 2, as an
+ *  input error does. */
+[[noreturn]] inline void
+exitWithError(const std::string &message)
+{
+    std::cerr << programName() << ": " << message << "\n";
+    std::exit(2);
+}
 
 /** Observability sinks requested on the bench command line;
  *  written once at process exit. */
@@ -70,15 +88,13 @@ writeObsSinksAtExit()
 inline void
 parseBenchArgs(int argc, char **argv)
 {
+    programName() = argv[0];
     const std::vector<std::string> args = expandEqualsArgs(
         std::vector<std::string>(argv + 1, argv + argc));
     const auto need_value = [&](std::size_t i,
                                 const std::string &flag) {
-        if (i + 1 >= args.size()) {
-            std::cerr << argv[0] << ": " << flag
-                      << " needs a value\n";
-            std::exit(2);
-        }
+        if (i + 1 >= args.size())
+            exitWithError(flag + " needs a value");
         return args[i + 1];
     };
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -86,11 +102,8 @@ parseBenchArgs(int argc, char **argv)
         if (arg == "--threads") {
             const Result<unsigned> threads =
                 parseThreadCount(need_value(i++, arg), arg);
-            if (!threads.isOk()) {
-                std::cerr << argv[0] << ": "
-                          << threads.status().message() << "\n";
-                std::exit(2);
-            }
+            if (!threads.isOk())
+                exitWithError(threads.status().message());
             setParallelThreads(threads.value());
         } else if (arg == "--metrics-out") {
             obsSinkConfig().metrics_out = need_value(i++, arg);
@@ -106,22 +119,31 @@ parseBenchArgs(int argc, char **argv)
     std::atexit(writeObsSinksAtExit);
 }
 
-/** Directory for CSV mirrors (override with GAIA_RESULTS_DIR). */
+/** Directory for CSV mirrors (override with GAIA_RESULTS_DIR);
+ *  exits 2 when it cannot be created. */
 inline std::string
 resultsDir()
 {
     const char *env = std::getenv("GAIA_RESULTS_DIR");
     const std::string dir = env ? env : "bench_results";
-    std::filesystem::create_directories(dir);
+    std::error_code error;
+    std::filesystem::create_directories(dir, error);
+    if (error)
+        exitWithError("cannot create results directory " + dir + ": " +
+                      error.message());
     return dir;
 }
 
-/** Open a CSV mirror for one experiment output. */
+/** Open a CSV mirror for one experiment output; exits 2 when the
+ *  file cannot be opened. */
 inline CsvWriter
 openCsv(const std::string &name, std::vector<std::string> header)
 {
-    return CsvWriter(resultsDir() + "/" + name + ".csv",
-                     std::move(header));
+    Result<CsvWriter> writer = CsvWriter::open(
+        resultsDir() + "/" + name + ".csv", std::move(header));
+    if (!writer.isOk())
+        exitWithError(writer.status().message());
+    return std::move(writer).value();
 }
 
 /** Banner naming the paper artifact being regenerated. */

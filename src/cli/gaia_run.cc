@@ -16,14 +16,12 @@
  *   gaia_run --policy Carbon-Time --strategy res-first --reserved 18
  */
 
-#include <cstdio>
 #include <iostream>
 #include <new>
 #include <vector>
 
 #include "cli/options.h"
 #include "cli/runner.h"
-#include "common/executor.h"
 #include "common/obs.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -72,13 +70,9 @@ printSummary(const gaia::SimulationResult &result, bool print_fingerprint)
                     std::to_string(result.eviction_count)});
     summary.print(std::cout);
 
-    if (print_fingerprint) {
-        char hex[17];
-        std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(
-                          resultFingerprint(result)));
-        std::cout << "fingerprint " << hex << "\n";
-    }
+    if (print_fingerprint)
+        std::cout << "fingerprint "
+                  << fingerprintHex(resultFingerprint(result)) << "\n";
 }
 
 int
@@ -100,9 +94,6 @@ run(int argc, char **argv)
         return 0;
     }
 
-    if (options.threads > 0)
-        setParallelThreads(options.threads);
-
     // Tracing and the clock-heavy instrumentation points only run
     // when a sink asked for them.
     obs::startSinks(options.metrics_out, options.trace_out,
@@ -118,7 +109,9 @@ run(int argc, char **argv)
         Result<JobTrace> trace = spec->workload.realize();
         if (!trace.isOk())
             return reportError(trace.status());
-        trace->toCsv(options.export_workload);
+        const Status exported = trace->toCsv(options.export_workload);
+        if (!exported.isOk())
+            return reportError(exported);
     }
 
     RunArtifacts artifacts;

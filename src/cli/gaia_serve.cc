@@ -14,7 +14,6 @@
  *   # then: scripts/serve_client.py /tmp/gaia.sock trace.csv
  */
 
-#include <cstdio>
 #include <iostream>
 #include <new>
 #include <vector>
@@ -60,9 +59,8 @@ serveUsage()
            "The scenario is described by the gaia_run flags "
            "(workload, region,\npolicy, cluster...); they follow "
            "below. --verbose prints the metrics\ntable after the "
-           "drain. --export-workload, --output-dir, "
-           "--print-fingerprint\nand --threads apply to gaia_run "
-           "only.\n\n";
+           "drain. --export-workload, --output-dir and "
+           "--print-fingerprint\napply to gaia_run only.\n\n";
 }
 
 int
@@ -82,9 +80,9 @@ run(int argc, char **argv)
         std::vector<std::string>(argv + 1, argv + argc));
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        // A daemon writes no batch artifacts and runs one engine.
+        // A daemon writes no batch artifacts.
         if (arg == "--export-workload" || arg == "--output-dir" ||
-            arg == "--print-fingerprint" || arg == "--threads")
+            arg == "--print-fingerprint")
             return reportError(Status::invalidArgument(
                 arg, " applies to gaia_run only"));
         const bool serve_flag = arg == "--socket" || arg == "--accel" ||
@@ -155,13 +153,10 @@ run(int argc, char **argv)
     ControlServer server(**daemon, socket_path);
     Result<SimulationResult> run = server.run();
     if (run.isOk()) {
-        char hex[17];
-        std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(
-                          resultFingerprint(*run)));
         std::cout << "gaia_serve: drained " << run->outcomes.size()
                   << " jobs, carbon " << run->carbon_kg
-                  << " kg, fingerprint " << hex << "\n";
+                  << " kg, fingerprint "
+                  << fingerprintHex(resultFingerprint(*run)) << "\n";
     }
 
     const bool sinks_ok =

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/executor.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "core/cis.h"
@@ -96,8 +95,8 @@ cliUsage()
            "Carbon-Time (default)\n"
            "  --scaling-policy NAME Elastic-NoWait | Carbon-Scaler "
            "(elastic family; alias for --policy)\n"
-           "  --elastic-profile SPEC  per-job scaling profile: off "
-           "(default) |\n"
+           "  --elastic-profile SPEC  the run's scaling profile, "
+           "applied to every job: off (default) |\n"
            "                        linear:max=K[,min=M] | "
            "diminishing:max=K,alpha=A[,min=M] |\n"
            "                        list:rates=R0+R1+...[,min=M]\n"
@@ -136,8 +135,6 @@ cliUsage()
            "storm eviction (default 3)\n\n"
            "Misc:\n"
            "  --seed S              RNG seed (default 1)\n"
-           "  --threads N           worker threads for parallel "
-           "phases (default: auto)\n"
            "  --output-dir DIR      CSV output directory "
            "(default gaia_results)\n"
            "  --metrics-out PATH    write a metrics-snapshot JSON "
@@ -329,11 +326,6 @@ parseCliOptions(const std::vector<std::string> &raw_args,
             GAIA_TRY_ASSIGN(const std::int64_t n,
                             tryParseInt(v, "--seed"));
             options.seed = static_cast<std::uint64_t>(n);
-        } else if (arg == "--threads") {
-            GAIA_TRY_ASSIGN(const std::string v,
-                            need_value(i++, arg));
-            GAIA_TRY_ASSIGN(options.threads,
-                            parseThreadCount(v, "--threads"));
         } else if (arg == "--output-dir") {
             GAIA_TRY_ASSIGN(options.output_dir,
                             need_value(i++, arg));

@@ -99,9 +99,6 @@ struct CliOptions
     /** Post-eviction spot re-attempts under the storm model. */
     std::uint32_t fault_spot_retries = 3;
 
-    /** Worker threads for parallel phases (0 = auto-detect). */
-    unsigned threads = 0;
-
     /** Output directory for aggregate/details/allocation CSVs. */
     std::string output_dir = "gaia_results";
 

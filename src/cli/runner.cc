@@ -1,8 +1,8 @@
 #include "cli/runner.h"
 
 #include <algorithm>
-
 #include <filesystem>
+#include <system_error>
 
 #include "analysis/sweep.h"
 #include "common/csv.h"
@@ -117,25 +117,31 @@ scenarioFromOptions(const CliOptions &options)
     return spec;
 }
 
-RunArtifacts
+Result<RunArtifacts>
 writeRunArtifacts(const SimulationResult &result,
                   const std::string &output_dir)
 {
-    std::filesystem::create_directories(output_dir);
+    std::error_code error;
+    std::filesystem::create_directories(output_dir, error);
+    if (error)
+        return Status::invalidArgument("cannot create output directory ",
+                                       output_dir, ": ", error.message());
     RunArtifacts artifacts;
     artifacts.aggregate_csv = output_dir + "/aggregate.csv";
     artifacts.details_csv = output_dir + "/details.csv";
     artifacts.allocation_csv = output_dir + "/allocation.csv";
 
     {
-        CsvWriter aggregate(
-            artifacts.aggregate_csv,
-            {"policy", "strategy", "region", "workload", "jobs",
-             "carbon_kg", "carbon_nowait_kg", "total_cost",
-             "reserved_upfront", "on_demand_cost", "spot_cost",
-             "energy_kwh", "mean_wait_h", "p95_wait_h",
-             "mean_completion_h", "reserved_cores",
-             "reserved_utilization", "evictions"});
+        GAIA_TRY_ASSIGN(
+            CsvWriter aggregate,
+            CsvWriter::open(
+                artifacts.aggregate_csv,
+                {"policy", "strategy", "region", "workload", "jobs",
+                 "carbon_kg", "carbon_nowait_kg", "total_cost",
+                 "reserved_upfront", "on_demand_cost", "spot_cost",
+                 "energy_kwh", "mean_wait_h", "p95_wait_h",
+                 "mean_completion_h", "reserved_cores",
+                 "reserved_utilization", "evictions"}));
         aggregate.writeRow(
             {result.policy, result.strategy, result.region,
              result.workload, std::to_string(result.outcomes.size()),
@@ -154,11 +160,13 @@ writeRunArtifacts(const SimulationResult &result,
     }
 
     {
-        CsvWriter details(
-            artifacts.details_csv,
-            {"id", "submit", "length", "cpus", "start", "finish",
-             "wait_s", "carbon_g", "carbon_nowait_g",
-             "variable_cost", "evictions", "lost_core_seconds"});
+        GAIA_TRY_ASSIGN(
+            CsvWriter details,
+            CsvWriter::open(
+                artifacts.details_csv,
+                {"id", "submit", "length", "cpus", "start", "finish",
+                 "wait_s", "carbon_g", "carbon_nowait_g",
+                 "variable_cost", "evictions", "lost_core_seconds"}));
         for (const JobOutcome &o : result.outcomes) {
             details.writeRow(
                 {std::to_string(o.id), std::to_string(o.submit),
@@ -182,9 +190,10 @@ writeRunArtifacts(const SimulationResult &result,
             PurchaseOption::OnDemand);
         const auto spot = allocationSeries(
             result, kSecondsPerHour, false, PurchaseOption::Spot);
-        CsvWriter allocation(
-            artifacts.allocation_csv,
-            {"hour", "reserved", "on_demand", "spot"});
+        GAIA_TRY_ASSIGN(
+            CsvWriter allocation,
+            CsvWriter::open(artifacts.allocation_csv,
+                            {"hour", "reserved", "on_demand", "spot"}));
         const std::size_t slots = std::max(
             {reserved.size(), on_demand.size(), spot.size()});
         const auto at = [](const std::vector<double> &v,
@@ -214,8 +223,8 @@ runFromOptions(const CliOptions &options, RunArtifacts *artifacts)
     sweep.add(spec);
     sweep.run();
     GAIA_TRY_ASSIGN(SimulationResult result, sweep.result(0));
-    const RunArtifacts files =
-        writeRunArtifacts(result, options.output_dir);
+    GAIA_TRY_ASSIGN(const RunArtifacts files,
+                    writeRunArtifacts(result, options.output_dir));
     if (artifacts != nullptr)
         *artifacts = files;
     return result;

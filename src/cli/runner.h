@@ -40,15 +40,20 @@ Result<ScenarioSpec> scenarioFromOptions(const CliOptions &options);
  * Execute one gaia_run invocation: build the scenario, simulate it,
  * write the three CSVs into options.output_dir, and return the
  * result for further inspection. Bad input (missing file, malformed
- * CSV, unknown name) yields an error Status instead of exiting.
+ * CSV, unknown name, an output path that cannot be written) yields
+ * an error Status instead of exiting.
  */
 Result<SimulationResult>
 runFromOptions(const CliOptions &options,
                RunArtifacts *artifacts = nullptr);
 
-/** Write the three artifact CSVs for an existing result. */
-RunArtifacts writeRunArtifacts(const SimulationResult &result,
-                               const std::string &output_dir);
+/**
+ * Write the three artifact CSVs for an existing result, creating
+ * `output_dir` if needed. A directory that cannot be created or a
+ * file that cannot be opened is an error Status.
+ */
+Result<RunArtifacts> writeRunArtifacts(const SimulationResult &result,
+                                       const std::string &output_dir);
 
 } // namespace gaia
 

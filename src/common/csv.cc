@@ -118,22 +118,24 @@ tryReadCsvText(const std::string &text, const std::string &context)
     return parseStream(in, context);
 }
 
-CsvWriter::CsvWriter(const std::string &path,
-                     std::vector<std::string> header)
-    : path_(path), width_(header.size()), out_(path)
+Result<CsvWriter>
+CsvWriter::open(const std::string &path, std::vector<std::string> header)
 {
-    if (!out_)
-        fatal("cannot open CSV file for writing: ", path);
-    GAIA_ASSERT(width_ > 0, "CSV writer needs a non-empty header");
-    for (std::size_t i = 0; i < header.size(); ++i) {
-        if (i > 0)
-            out_ << ',';
-        out_ << header[i];
-    }
-    out_ << '\n';
+    GAIA_ASSERT(!header.empty(), "CSV writer needs a non-empty header");
+    std::ofstream out(path);
+    if (!out)
+        return Status::invalidArgument(
+            "cannot open CSV file for writing: ", path);
+    CsvWriter writer(path, header.size(), std::move(out));
+    writer.writeRow(header);
+    return writer;
 }
 
-CsvWriter::~CsvWriter() = default;
+CsvWriter::CsvWriter(std::string path, std::size_t width,
+                     std::ofstream out)
+    : path_(std::move(path)), width_(width), out_(std::move(out))
+{
+}
 
 void
 CsvWriter::writeRow(const std::vector<std::string> &fields)

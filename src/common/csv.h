@@ -67,18 +67,22 @@ Result<CsvTable> tryReadCsvText(const std::string &text,
 class CsvWriter
 {
   public:
-    CsvWriter(const std::string &path,
-              std::vector<std::string> header);
-    ~CsvWriter();
-
-    CsvWriter(const CsvWriter &) = delete;
-    CsvWriter &operator=(const CsvWriter &) = delete;
+    /**
+     * Create (or truncate) `path` and write the header row. The one
+     * way to open a writer: a path that cannot be opened for writing
+     * (a missing directory, a directory in the way) is an error
+     * Status, since output paths come from the command line.
+     */
+    static Result<CsvWriter> open(const std::string &path,
+                                  std::vector<std::string> header);
 
     void writeRow(const std::vector<std::string> &fields);
 
     const std::string &path() const { return path_; }
 
   private:
+    CsvWriter(std::string path, std::size_t width, std::ofstream out);
+
     std::string path_;
     std::size_t width_;
     std::ofstream out_;

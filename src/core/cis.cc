@@ -9,6 +9,57 @@
 
 namespace gaia {
 
+double
+CarbonInfoSource::forecastIntegrate(Seconds now, Seconds from,
+                                    Seconds to) const
+{
+    GAIA_ASSERT(from <= to, "forecastIntegrate: from > to");
+    double total = 0.0;
+    Seconds cursor = from;
+    while (cursor < to) {
+        const SlotIndex slot = slotOf(std::max<Seconds>(cursor, 0));
+        const Seconds slot_end = slotStart(slot) + kSecondsPerHour;
+        const Seconds seg_end = std::min(slot_end, to);
+        total += forecastAtSlot(now, slot) *
+                 static_cast<double>(seg_end - cursor);
+        cursor = seg_end;
+    }
+    return total;
+}
+
+SlotIndex
+CarbonInfoSource::forecastMinSlot(Seconds now, Seconds from,
+                                  Seconds to) const
+{
+    GAIA_ASSERT(from < to, "forecastMinSlot: empty window");
+    const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
+    const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
+    SlotIndex best = first;
+    double best_value = forecastAtSlot(now, first);
+    for (SlotIndex s = first + 1; s <= last; ++s) {
+        const double v = forecastAtSlot(now, s);
+        if (v < best_value) {
+            best_value = v;
+            best = s;
+        }
+    }
+    return best;
+}
+
+double
+CarbonInfoSource::forecastPercentile(Seconds now, Seconds from,
+                                     Seconds to, double p) const
+{
+    GAIA_ASSERT(from < to, "forecastPercentile: empty window");
+    const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
+    const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
+    std::vector<double> window;
+    window.reserve(static_cast<std::size_t>(last - first + 1));
+    for (SlotIndex s = first; s <= last; ++s)
+        window.push_back(forecastAtSlot(now, s));
+    return percentile(std::move(window), p);
+}
+
 CarbonInfoService::CarbonInfoService(const CarbonTrace &trace,
                                      double forecast_noise,
                                      std::uint64_t seed)
@@ -68,60 +119,27 @@ double
 CarbonInfoService::forecastIntegrate(Seconds now, Seconds from,
                                      Seconds to) const
 {
-    GAIA_ASSERT(from <= to, "forecastIntegrate: from > to");
-    if (noise_ <= 0.0 && forecaster_ == nullptr)
-        return trace_.integrate(from, to);
-
-    double total = 0.0;
-    Seconds cursor = from;
-    while (cursor < to) {
-        const SlotIndex slot = slotOf(std::max<Seconds>(cursor, 0));
-        const Seconds slot_end = slotStart(slot) + kSecondsPerHour;
-        const Seconds seg_end = std::min(slot_end, to);
-        total += forecastAtSlot(now, slot) *
-                 static_cast<double>(seg_end - cursor);
-        cursor = seg_end;
-    }
-    return total;
+    return oracle() ? trace_.integrate(from, to)
+                    : CarbonInfoSource::forecastIntegrate(now, from, to);
 }
 
 SlotIndex
 CarbonInfoService::forecastMinSlot(Seconds now, Seconds from,
                                    Seconds to) const
 {
-    GAIA_ASSERT(from < to, "forecastMinSlot: empty window");
-    if (noise_ <= 0.0 && forecaster_ == nullptr) {
-        // Perfect forecasts read trace truth slot for slot, so the
-        // trace's O(1) sparse-table argmin answers the query with
-        // the same first-win tie-breaking as the scan below.
-        return trace_.minSlotIn(from, to);
-    }
-    const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
-    const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
-    SlotIndex best = first;
-    double best_value = forecastAtSlot(now, first);
-    for (SlotIndex s = first + 1; s <= last; ++s) {
-        const double v = forecastAtSlot(now, s);
-        if (v < best_value) {
-            best_value = v;
-            best = s;
-        }
-    }
-    return best;
+    // The trace's O(1) sparse-table argmin breaks ties toward the
+    // first slot, as the walk does.
+    return oracle() ? trace_.minSlotIn(from, to)
+                    : CarbonInfoSource::forecastMinSlot(now, from, to);
 }
 
 double
 CarbonInfoService::forecastPercentile(Seconds now, Seconds from,
                                       Seconds to, double p) const
 {
-    GAIA_ASSERT(from < to, "forecastPercentile: empty window");
-    const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
-    const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
-    std::vector<double> window;
-    window.reserve(static_cast<std::size_t>(last - first + 1));
-    for (SlotIndex s = first; s <= last; ++s)
-        window.push_back(forecastAtSlot(now, s));
-    return percentile(std::move(window), p);
+    return oracle()
+               ? trace_.percentileOver(from, to, p)
+               : CarbonInfoSource::forecastPercentile(now, from, to, p);
 }
 
 } // namespace gaia

@@ -74,27 +74,33 @@ class CarbonInfoSource
     virtual double forecastAtSlot(Seconds now,
                                   SlotIndex slot) const = 0;
 
+    /*
+     * Window queries. Each defaults to a walk over forecastAtSlot(),
+     * slot by slot, so a source that only distorts per-slot answers
+     * (a fault decorator) gets all three for free. A source with a
+     * faster exact answer overrides them.
+     */
+
     /**
      * Forecast of the intensity-time integral over [from, to) as
      * seen from `now`, in (g/kWh)·seconds.
      */
     virtual double forecastIntegrate(Seconds now, Seconds from,
-                                     Seconds to) const = 0;
+                                     Seconds to) const;
 
     /**
      * Forecast slot with minimum intensity within [from, to), ties
      * broken toward the earliest slot.
      */
     virtual SlotIndex forecastMinSlot(Seconds now, Seconds from,
-                                      Seconds to) const = 0;
+                                      Seconds to) const;
 
     /**
      * Forecast p-th percentile of slot intensities over [from, to)
      * (Ecovisor's threshold input).
      */
     virtual double forecastPercentile(Seconds now, Seconds from,
-                                      Seconds to,
-                                      double p) const = 0;
+                                      Seconds to, double p) const;
 };
 
 /** Largest forecast-noise sigma a scenario accepts; a noise factor
@@ -152,28 +158,26 @@ class CarbonInfoService final : public CarbonInfoSource
     double forecastAtSlot(Seconds now,
                           SlotIndex slot) const override;
 
-    /**
-     * Forecast of the intensity-time integral over [from, to) as
-     * seen from `now`, in (g/kWh)·seconds.
+    /*
+     * With perfect forecasts every slot reads trace truth, so the
+     * trace answers each window query from its own tables: the
+     * walk's argmin and percentile, and the integral with
+     * compensated summation. Otherwise they take the walk.
      */
     double forecastIntegrate(Seconds now, Seconds from,
                              Seconds to) const override;
-
-    /**
-     * Forecast slot with minimum intensity within [from, to), ties
-     * broken toward the earliest slot.
-     */
     SlotIndex forecastMinSlot(Seconds now, Seconds from,
                               Seconds to) const override;
-
-    /**
-     * Forecast p-th percentile of slot intensities over [from, to)
-     * (Ecovisor's threshold input).
-     */
     double forecastPercentile(Seconds now, Seconds from, Seconds to,
                               double p) const override;
 
   private:
+    /** Perfect forecasts: the trace answers every query. */
+    bool oracle() const
+    {
+        return noise_ <= 0.0 && forecaster_ == nullptr;
+    }
+
     /** Deterministic multiplicative error factor for `slot`. */
     double noiseFactor(SlotIndex slot) const;
 

@@ -12,15 +12,12 @@ namespace gaia {
 
 namespace {
 
-/** Shared sanity checks on the planning context. */
-void
-checkContext(const Job &job, const PlanContext &ctx)
+/** The run's profile; fixed width when the context carries none. */
+const ElasticProfile &
+runProfile(const PlanContext &ctx)
 {
-    GAIA_ASSERT(ctx.cis != nullptr, "plan() without a CIS");
-    GAIA_ASSERT(ctx.queue != nullptr, "plan() without a queue");
-    GAIA_ASSERT(ctx.now == job.submit, "plan() at t=", ctx.now,
-                " for a job submitted at ", job.submit);
-    GAIA_ASSERT(job.length > 0, "job ", job.id, " has no work");
+    static const ElasticProfile fixed_width;
+    return ctx.elastic != nullptr ? *ctx.elastic : fixed_width;
 }
 
 /**
@@ -37,7 +34,7 @@ constexpr Seconds kSlotIntensityKey = -1;
 ElasticWindow
 makeElasticWindow(const Job &job, const PlanContext &ctx)
 {
-    const ElasticProfile &profile = job.elastic;
+    const ElasticProfile &profile = runProfile(ctx);
     const Seconds now = ctx.now;
     const int min_width = profile.min_instances;
     const int max_width = profile.maxInstances();
@@ -237,9 +234,8 @@ allocationToPlan(const ElasticWindow &window,
 }
 
 SchedulePlan
-elasticNoWaitPlan(const Job &job)
+elasticNoWaitPlan(const Job &job, const ElasticProfile &profile)
 {
-    const ElasticProfile &profile = job.elastic;
     if (!profile.enabled())
         return SchedulePlan(job.submit, job.length);
     const auto duration = static_cast<Seconds>(
@@ -267,7 +263,7 @@ ElasticNoWaitPolicy::plan(const Job &job,
                           const PlanContext &ctx) const
 {
     checkContext(job, ctx);
-    return elasticNoWaitPlan(job);
+    return elasticNoWaitPlan(job, runProfile(ctx));
 }
 
 } // namespace gaia

@@ -89,7 +89,8 @@ struct ElasticWindow
 };
 
 /**
- * Build the planning window for `job` at ctx.now. Slot intensities
+ * Build the planning window for `job` at ctx.now under the run's
+ * profile, ctx.elastic (fixed width when null). Slot intensities
  * come from one forecastAtSlot() call each; when the CIS is
  * slot-invariant and a PlanCache is present, those after the arrival
  * slot are read from the cache's per-slot table (bitwise identical
@@ -174,16 +175,17 @@ SchedulePlan allocationToPlan(const ElasticWindow &window,
                               const ElasticAllocation &alloc);
 
 /**
- * Run-immediately plan at the job's maximum width; the elastic
+ * Run-immediately plan at `profile`'s maximum width; the elastic
  * analogue of NoWait and the degraded-mode fallback for elastic jobs
  * when the CIS is unavailable. Falls back to the fixed-width NoWait
- * plan when the job carries no enabled profile.
+ * plan when `profile` is disabled.
  */
-SchedulePlan elasticNoWaitPlan(const Job &job);
+SchedulePlan elasticNoWaitPlan(const Job &job,
+                               const ElasticProfile &profile);
 
 /**
  * CarbonScaler: greedy marginal-capacity allocation over the waiting
- * window. For a job with a disabled profile this degenerates to
+ * window. Under a disabled profile this degenerates to
  * Wait-Awhile's lowest-slots suspend-resume schedule (same deadline
  * t + W + J, same slot order, same partial-slot trim).
  */

@@ -17,9 +17,7 @@ AdaptiveSRPolicy::AdaptiveSRPolicy(double initial_percentile)
 SchedulePlan
 AdaptiveSRPolicy::plan(const Job &job, const PlanContext &ctx) const
 {
-    GAIA_ASSERT(ctx.cis != nullptr, "plan() without a CIS");
-    GAIA_ASSERT(ctx.queue != nullptr, "plan() without a queue");
-    GAIA_ASSERT(ctx.now == job.submit, "plan() at the wrong time");
+    checkContext(job, ctx);
 
     const CarbonInfoSource &cis = *ctx.cis;
     const Seconds now = ctx.now;

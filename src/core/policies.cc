@@ -11,17 +11,6 @@ namespace gaia {
 
 namespace {
 
-/** Shared sanity checks on the planning context. */
-void
-checkContext(const Job &job, const PlanContext &ctx)
-{
-    GAIA_ASSERT(ctx.cis != nullptr, "plan() without a CIS");
-    GAIA_ASSERT(ctx.queue != nullptr, "plan() without a queue");
-    GAIA_ASSERT(ctx.now == job.submit, "plan() at t=", ctx.now,
-                " for a job submitted at ", job.submit);
-    GAIA_ASSERT(job.length > 0, "job ", job.id, " has no work");
-}
-
 /**
  * Whether boundary-candidate results may be replayed across jobs:
  * needs a cache, hourly-only candidates, and source answers that do

@@ -4,6 +4,16 @@
 
 namespace gaia {
 
+void
+SchedulingPolicy::checkContext(const Job &job, const PlanContext &ctx)
+{
+    GAIA_ASSERT(ctx.cis != nullptr, "plan() without a CIS");
+    GAIA_ASSERT(ctx.queue != nullptr, "plan() without a queue");
+    GAIA_ASSERT(ctx.now == job.submit, "plan() at t=", ctx.now,
+                " for a job submitted at ", job.submit);
+    GAIA_ASSERT(job.length > 0, "job ", job.id, " has no work");
+}
+
 std::vector<Seconds>
 SchedulingPolicy::candidateStarts(Seconds now, Seconds max_wait,
                                   Seconds granularity)

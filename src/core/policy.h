@@ -49,6 +49,12 @@ struct PlanContext
      * plans made in time order.
      */
     PlanCache *cache = nullptr;
+    /**
+     * The run's elastic-scaling profile (CarbonScaler extension),
+     * applied to every job; null means fixed width, as in the paper.
+     * Only elastic() policies read it.
+     */
+    const ElasticProfile *elastic = nullptr;
 };
 
 /** What a policy knows about job lengths (Table 1, "Job Length"). */
@@ -85,8 +91,8 @@ class SchedulingPolicy
 
     /**
      * True when plans may use multi-instance segments (widths above
-     * 1) for jobs carrying an enabled ElasticProfile. Elastic plans
-     * are exempt from the fixed-width contract below: their
+     * 1) under an enabled PlanContext::elastic profile. Elastic
+     * plans are exempt from the fixed-width contract below: their
      * segments' *work* (duration x throughput at the segment width)
      * covers job.length rather than their wall time.
      */
@@ -101,6 +107,10 @@ class SchedulingPolicy
                               const PlanContext &ctx) const = 0;
 
   protected:
+    /** What every plan() asserts of its input: a source and a queue,
+     *  planning at the job's submit instant, and a job with work. */
+    static void checkContext(const Job &job, const PlanContext &ctx);
+
     /**
      * Candidate start times for start-time policies: `now` plus each
      * hourly boundary in (now, now + max_wait]. With hourly

@@ -1,10 +1,6 @@
 #include "fault/faulty_source.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "common/logging.h"
-#include "common/stats.h"
 
 namespace gaia {
 
@@ -57,57 +53,6 @@ FaultyCarbonSource::intensityAt(Seconds t) const
         return rawAtSlot(freeze, slotOf(freeze));
     }
     return rawAtSlot(t, slotOf(std::max<Seconds>(t, 0)));
-}
-
-double
-FaultyCarbonSource::forecastIntegrate(Seconds now, Seconds from,
-                                      Seconds to) const
-{
-    GAIA_ASSERT(from <= to, "forecastIntegrate: from > to");
-    double total = 0.0;
-    Seconds cursor = from;
-    while (cursor < to) {
-        const SlotIndex slot = slotOf(std::max<Seconds>(cursor, 0));
-        const Seconds slot_end = slotStart(slot) + kSecondsPerHour;
-        const Seconds seg_end = std::min(slot_end, to);
-        total += forecastAtSlot(now, slot) *
-                 static_cast<double>(seg_end - cursor);
-        cursor = seg_end;
-    }
-    return total;
-}
-
-SlotIndex
-FaultyCarbonSource::forecastMinSlot(Seconds now, Seconds from,
-                                    Seconds to) const
-{
-    GAIA_ASSERT(from < to, "forecastMinSlot: empty window");
-    const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
-    const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
-    SlotIndex best = first;
-    double best_value = forecastAtSlot(now, first);
-    for (SlotIndex s = first + 1; s <= last; ++s) {
-        const double v = forecastAtSlot(now, s);
-        if (v < best_value) {
-            best_value = v;
-            best = s;
-        }
-    }
-    return best;
-}
-
-double
-FaultyCarbonSource::forecastPercentile(Seconds now, Seconds from,
-                                       Seconds to, double p) const
-{
-    GAIA_ASSERT(from < to, "forecastPercentile: empty window");
-    const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
-    const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
-    std::vector<double> window;
-    window.reserve(static_cast<std::size_t>(last - first + 1));
-    for (SlotIndex s = first; s <= last; ++s)
-        window.push_back(forecastAtSlot(now, s));
-    return percentile(std::move(window), p);
 }
 
 } // namespace gaia

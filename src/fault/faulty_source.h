@@ -59,14 +59,11 @@ class FaultyCarbonSource final : public CarbonInfoSource
     bool slotInvariantForecasts() const override { return false; }
 
     double intensityAt(Seconds t) const override;
+    /** The inherited window queries (CarbonInfoSource's slot walk)
+     *  read every slot through this, so each distortion reaches
+     *  them. */
     double forecastAtSlot(Seconds now,
                           SlotIndex slot) const override;
-    double forecastIntegrate(Seconds now, Seconds from,
-                             Seconds to) const override;
-    SlotIndex forecastMinSlot(Seconds now, Seconds from,
-                              Seconds to) const override;
-    double forecastPercentile(Seconds now, Seconds from, Seconds to,
-                              double p) const override;
 
   private:
     /** Inner answer for `slot` with gap slots carried forward. */

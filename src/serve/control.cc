@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -20,16 +19,6 @@ namespace {
  *  command is under 100 bytes, so a longer tail is a client that is
  *  not speaking the protocol; its connection is closed. */
 constexpr std::size_t kMaxLineBytes = 4096;
-
-/** `fp` as a fixed-width lowercase hex string. */
-std::string
-fingerprintHex(std::uint64_t fp)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    return buf;
-}
 
 /** Write all of `text` to `fd`, riding out short writes. A client
  *  that closed without reading its replies fails the send with

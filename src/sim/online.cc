@@ -36,27 +36,6 @@ obs::Counter &c_degraded_instance_hours =
  */
 constexpr int kNotifyPriority = 2;
 
-/**
- * Post-eviction restarts abandon the (now stale) plan and re-run the
- * whole job contiguously; elastic jobs restart at full width, so the
- * restart covers their work in ceil(length / maxThroughput) seconds.
- */
-Seconds
-restartDuration(const ElasticProfile &profile, Seconds length)
-{
-    if (!profile.enabled())
-        return length;
-    return static_cast<Seconds>(
-        std::ceil(static_cast<double>(length) /
-                  profile.maxThroughput()));
-}
-
-int
-restartWidth(const ElasticProfile &profile)
-{
-    return profile.enabled() ? profile.maxInstances() : 1;
-}
-
 } // namespace
 
 OnlineScheduler::OnlineScheduler(const SchedulingPolicy &policy,
@@ -100,15 +79,12 @@ void
 OnlineScheduler::setDefaultElasticProfile(
     const ElasticProfile &profile)
 {
+    GAIA_ASSERT(states_.empty(),
+                "setDefaultElasticProfile() after submit()");
     const Status valid = profile.validate();
     GAIA_ASSERT(valid.isOk(), "invalid default elastic profile: ",
                 valid.message());
-    if (!profile.enabled()) {
-        default_profile_ = 0;
-        return;
-    }
-    default_profile_ = static_cast<std::uint32_t>(profiles_.size());
-    profiles_.push_back(profile);
+    elastic_ = profile;
 }
 
 void
@@ -215,11 +191,6 @@ OnlineScheduler::submit(const Job &job)
     JobState &state = states_.emplace_back();
     state.arrival = job.submit;
     state.queue_hint = job.queue_hint;
-    state.profile = default_profile_;
-    if (job.elastic.enabled()) {
-        state.profile = static_cast<std::uint32_t>(profiles_.size());
-        profiles_.push_back(job.elastic);
-    }
     JobOutcome &outcome = outcomes_.emplace_back();
     outcome.id = job.id;
     outcome.submit = static_cast<std::uint32_t>(job.submit);
@@ -274,8 +245,7 @@ OnlineScheduler::onArrival(std::size_t idx)
     // The job as admitted: stretched by a straggler fault, arriving
     // at its (possibly delayed or retried) arrival instant.
     const Job job{outcome.id, state.arrival, outcome.length,
-                  outcome.cpus, state.queue_hint,
-                  profiles_[state.profile]};
+                  outcome.cpus, state.queue_hint};
 
     if (!cis_.availableAt(events_.now())) {
         if (retryArrivalLater(idx))
@@ -283,12 +253,13 @@ OnlineScheduler::onArrival(std::size_t idx)
         // Retry budget exhausted: degrade to the carbon-oblivious
         // NoWait plan rather than blocking the queue. Recovery is
         // automatic — the next arrival (or retry probe) that finds
-        // the source available plans normally again. Elastic jobs
-        // degrade to the elastic NoWait analogue (full width now),
-        // keeping their work-conserving completion semantics.
+        // the source available plans normally again. An elastic
+        // policy degrades to the elastic NoWait analogue (full width
+        // now under an enabled profile), keeping its work-conserving
+        // completion semantics.
         ++degraded_plans_;
-        state.plan = policy_.elastic() && job.elastic.enabled()
-                         ? elasticNoWaitPlan(job)
+        state.plan = policy_.elastic()
+                         ? elasticNoWaitPlan(job, elastic_)
                          : SchedulePlan(job.submit, job.length);
         for (const RunSegment &seg : state.plan.segments())
             degraded_instance_seconds_ +=
@@ -301,32 +272,32 @@ OnlineScheduler::onArrival(std::size_t idx)
         ctx.cis = &cis_;
         ctx.queue = &queue;
         ctx.cache = &plan_cache_;
+        ctx.elastic = &elastic_;
         {
             const obs::Span span("policy.plan");
             state.plan = policy_.plan(job, ctx);
         }
 
         // Plan contract checks (see SchedulingPolicy::plan). An
-        // elastic policy planning an elastic job covers the job's
-        // *work* at the planned widths; everyone else covers its
-        // wall time exactly.
-        if (policy_.elastic() && job.elastic.enabled()) {
-            const ElasticProfile &profile = job.elastic;
+        // elastic policy under an enabled run profile covers the
+        // job's *work* at the planned widths; everyone else covers
+        // its wall time exactly.
+        if (policy_.elastic() && elastic_.enabled()) {
             double work = 0.0;
             for (const RunSegment &seg : state.plan.segments())
                 work += static_cast<double>(seg.duration()) *
-                        profile.throughputAt(seg.width);
+                        elastic_.throughputAt(seg.width);
             GAIA_ASSERT(
                 work + 1e-6 >= static_cast<double>(job.length) &&
                     work < static_cast<double>(job.length) +
-                               2.0 * profile.maxThroughput() + 1e-6,
+                               2.0 * elastic_.maxThroughput() + 1e-6,
                 "policy '", policy_.name(), "' planned ", work,
                 " work units for a ", job.length, "s job");
             GAIA_ASSERT(state.plan.maxWidth() <=
-                            profile.maxInstances(),
+                            elastic_.maxInstances(),
                         "plan width ", state.plan.maxWidth(),
-                        " exceeds the job's maximum of ",
-                        profile.maxInstances());
+                        " exceeds the profile's maximum of ",
+                        elastic_.maxInstances());
         } else {
             GAIA_ASSERT(state.plan.totalRunTime() == job.length,
                         "policy '", policy_.name(), "' planned ",
@@ -433,7 +404,6 @@ void
 OnlineScheduler::followPlan(std::size_t idx, bool on_spot)
 {
     JobState &state = states_[idx];
-    state.started = true;
     if (!on_spot && strategy_ == ResourceStrategy::OnDemandOnly) {
         // Pure on-demand placement touches no shared state (no
         // reserved pool, no evictions), so deferring each segment
@@ -501,7 +471,6 @@ OnlineScheduler::placeSpotSegment(std::size_t idx,
     if (state.aborted)
         return;
     const RunSegment &seg = state.plan.segment(seg_idx);
-    state.started = true;
     runSpotSlice(idx, seg.start, seg.end, seg.width,
                  seg_idx + 1 == state.plan.segmentCount());
 }
@@ -561,15 +530,19 @@ void
 OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
 {
     JobState &state = states_[idx];
-    const ElasticProfile &profile = profiles_[state.profile];
+    // A restart abandons the (now stale) plan and re-runs the whole
+    // job contiguously at the run profile's full width, covering its
+    // work in ceil(length / maxThroughput) seconds: exactly the
+    // length at fixed width, whose throughput is 1.0.
+    const int width = elastic_.maxInstances();
+    const auto duration = static_cast<Seconds>(
+        std::ceil(static_cast<double>(outcomes_[idx].length) /
+                  elastic_.maxThroughput()));
     // Under the storm model a bounded number of restarts re-attempt
     // spot first — that is what makes back-to-back revocations of
     // the same job possible — before falling through to the
     // baseline ladder below. Gated on storms() so the faults-off
     // path is untouched.
-    const Seconds duration =
-        restartDuration(profile, outcomes_[idx].length);
-    const int width = restartWidth(profile);
     if (faults_ != nullptr && faults_->storms() &&
         state.spot_eligible && spotEnabled() &&
         static_cast<int>(state.spot_retries) <
@@ -617,7 +590,6 @@ OnlineScheduler::startOnReserved(std::size_t idx, Seconds at)
     const int width = state.plan.segment(0).width;
     const Seconds duration = state.plan.totalRunTime();
     const int cores = outcomes_[idx].cpus * width;
-    state.started = true;
     state.pending = false;
     pool_.acquire(cores);
     recordSegment(idx, at, at + duration,
@@ -675,7 +647,6 @@ OnlineScheduler::onPlannedStart(std::size_t idx)
     }
     // Planned start reached without reserved capacity: on-demand,
     // at the plan's duration and width (single-segment plans only).
-    state.started = true;
     recordSegment(idx, events_.now(),
                   events_.now() + state.plan.totalRunTime(),
                   PurchaseOption::OnDemand, /*lost=*/false,
@@ -755,8 +726,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                 });
         }
 
-        const ElasticProfile &profile = profiles_[state.profile];
-        const bool elastic_job = profile.enabled();
+        const bool elastic_job = elastic_.enabled();
         Seconds useful = 0;
         double useful_work = 0.0;
         for (const PlacedSegment &seg : segments) {
@@ -819,7 +789,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                 useful += seg.duration();
                 useful_work +=
                     static_cast<double>(seg.duration()) *
-                    (elastic_job ? profile.throughputAt(seg.width)
+                    (elastic_job ? elastic_.throughputAt(seg.width)
                                  : 1.0);
             }
         }
@@ -832,7 +802,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                                 static_cast<double>(o.length) &&
                             useful_work <
                                 static_cast<double>(o.length) +
-                                    2.0 * profile.maxThroughput() +
+                                    2.0 * elastic_.maxThroughput() +
                                     1e-6,
                         "job ", o.id, " delivered ", useful_work,
                         " work-seconds, expected about ", o.length);

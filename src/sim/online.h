@@ -31,10 +31,10 @@
  *
  * Job state is stored as two parallel columns indexed by that job
  * index: the engine's working state (JobState: the plan, the
- * admitted arrival instant, an index into a per-engine table of
- * elastic profiles and a few flags) and the JobOutcome being
- * recorded, which alone holds the job's id, cpus and (stretched)
- * length, so no job is stored twice. Every
+ * admitted arrival instant and a few flags and counters) and the
+ * JobOutcome being recorded, which alone holds the job's id, cpus
+ * and (stretched) length, so no job is stored twice. The one
+ * elastic profile belongs to the run, not to a job. Every
  * placement is appended to one segment column in event order. While
  * placements come job by job in index order (start-time policies on
  * on-demand capacity) that column is already grouped by job; from
@@ -168,9 +168,9 @@ class OnlineScheduler : private EventQueue::Sink
     void reserveJobs(std::size_t count, SimulationResult storage = {});
 
     /**
-     * Apply `profile` to every subsequently submitted job that does
-     * not carry an enabled profile of its own — the scenario-level
-     * `--elastic-profile` knob. Call before the affected submits.
+     * Set the run's elastic-scaling profile, applied to every job —
+     * the scenario-level `--elastic-profile` knob. Call before the
+     * first submit(); without a call every job runs at fixed width.
      */
     void setDefaultElasticProfile(const ElasticProfile &profile);
 
@@ -230,11 +230,8 @@ class OnlineScheduler : private EventQueue::Sink
         Seconds arrival = 0;
         /** The submitted Job::queue_hint. */
         int queue_hint = -1;
-        /** This job's entry in profiles_; 0 = fixed width. */
-        std::uint32_t profile = 0;
         bool spot_eligible = false;
         bool pending = false;
-        bool started = false;
         bool aborted = false;
         /** Carbon-source probes spent in the degradation ladder. */
         std::uint32_t cis_attempts = 0;
@@ -316,14 +313,10 @@ class OnlineScheduler : private EventQueue::Sink
     ClusterConfig cluster_;
     ResourceStrategy strategy_;
     std::string workload_;
-    /** Elastic profiles jobs index by JobState::profile: [0] is
-     *  fixed width, then the scenario default (if set) and one entry
-     *  per job submitted with an enabled profile of its own. */
-    std::vector<ElasticProfile> profiles_{ElasticProfile{}};
-    /** profiles_ entry given at submit() to jobs without an enabled
-     *  profile of their own; 0 (fixed width) unless a scenario
-     *  default is set. */
-    std::uint32_t default_profile_ = 0;
+    /** The run's elastic profile, handed to every plan() call;
+     *  disabled (fixed width) unless setDefaultElasticProfile()
+     *  enabled it. */
+    ElasticProfile elastic_;
     /** Cluster-side fault oracle; nullptr = faults disabled. */
     const FaultInjector *faults_ = nullptr;
     /** Lifecycle observer; nullptr (the batch path) schedules no

@@ -1,6 +1,7 @@
 #include "sim/results.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <type_traits>
 
@@ -180,6 +181,15 @@ resultFingerprint(const SimulationResult &result)
         }
     }
     return digest.value();
+}
+
+std::string
+fingerprintHex(std::uint64_t fingerprint)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fingerprint));
+    return hex;
 }
 
 std::vector<double>

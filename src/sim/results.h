@@ -269,6 +269,10 @@ allocationSeries(const SimulationResult &result, Seconds step,
  */
 std::uint64_t resultFingerprint(const SimulationResult &result);
 
+/** `fingerprint` as 16 lowercase hex digits, the spelling every
+ *  printed fingerprint uses. */
+std::string fingerprintHex(std::uint64_t fingerprint);
+
 } // namespace gaia
 
 #endif // GAIA_SIM_RESULTS_H

@@ -48,11 +48,10 @@ struct SimulationSetup
     /** Optional cluster-side fault injector; nullptr = no faults. */
     const FaultInjector *faults = nullptr;
     /**
-     * Optional scenario-wide elastic profile applied to every job
-     * that does not carry an enabled profile of its own; nullptr
-     * (the default) leaves every job fixed-width. Traces are shared
-     * (and cached) across cells, so the profile is applied per-job
-     * at submit time, never onto the trace itself.
+     * Optional elastic profile of the run, applied to every job;
+     * nullptr (the default) leaves every job fixed-width. The
+     * engine hands it to the policy with each plan, so the shared
+     * (and cached) trace never carries it.
      */
     const ElasticProfile *elastic = nullptr;
 };

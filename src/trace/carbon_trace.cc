@@ -251,12 +251,14 @@ CarbonTrace::resized(std::size_t slots) const
     return CarbonTrace(region_, std::move(out));
 }
 
-void
+Status
 CarbonTrace::toCsv(const std::string &path) const
 {
-    CsvWriter writer(path, {"hour", "carbon_intensity"});
+    GAIA_TRY_ASSIGN(CsvWriter writer,
+                    CsvWriter::open(path, {"hour", "carbon_intensity"}));
     for (std::size_t i = 0; i < values_.size(); ++i)
         writer.writeRow({std::to_string(i), fmt(values_[i], 4)});
+    return Status::ok();
 }
 
 Result<CarbonTrace>

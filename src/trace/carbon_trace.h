@@ -92,8 +92,9 @@ class CarbonTrace
     /** A copy truncated/extended (by repetition) to `slots` hours. */
     CarbonTrace resized(std::size_t slots) const;
 
-    /** Serialize to CSV (columns: hour, carbon_intensity). */
-    void toCsv(const std::string &path) const;
+    /** Serialize to CSV (columns: hour, carbon_intensity); an error
+     *  when `path` cannot be opened for writing. */
+    Status toCsv(const std::string &path) const;
 
     /** Load from CSV produced by toCsv() (or ElectricityMaps dumps
      *  reduced to the same two columns). */

@@ -26,9 +26,6 @@ validateJob(const Job &job)
     GAIA_REQUIRE(job.cpus <= kMaxJobCpus, "job ", job.id,
                  " has cpu demand ", job.cpus, " past the ", kMaxJobCpus,
                  " limit");
-    const Status elastic = job.elastic.validate();
-    GAIA_REQUIRE(elastic.isOk(), "job ", job.id, ": ",
-                 elastic.message());
     return Status::ok();
 }
 
@@ -123,16 +120,19 @@ JobTrace::filtered(Seconds min_length, Seconds max_length,
     return JobTrace(name_, std::move(kept));
 }
 
-void
+Status
 JobTrace::toCsv(const std::string &path) const
 {
-    CsvWriter writer(path, {"id", "submit", "length", "cpus"});
+    GAIA_TRY_ASSIGN(CsvWriter writer,
+                    CsvWriter::open(path, {"id", "submit", "length",
+                                           "cpus"}));
     for (const Job &j : jobs_) {
         writer.writeRow({std::to_string(j.id),
                          std::to_string(j.submit),
                          std::to_string(j.length),
                          std::to_string(j.cpus)});
     }
+    return Status::ok();
 }
 
 Result<JobTrace>

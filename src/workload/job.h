@@ -45,7 +45,11 @@ static_assert(static_cast<std::int64_t>(kMaxJobCpus) *
                   kMaxElasticInstances <=
               std::numeric_limits<int>::max());
 
-/** One batch job. */
+/**
+ * One batch job. `length` measures single-instance work: under the
+ * run's elastic profile (PlanContext::elastic) a job finishing at
+ * width > 1 completes sooner.
+ */
 struct Job
 {
     JobId id = 0;
@@ -62,13 +66,6 @@ struct Job
      * experiments model queue misclassification.
      */
     int queue_hint = -1;
-    /**
-     * Elastic-scaling profile (CarbonScaler extension). The default
-     * is a disabled profile: the job runs at fixed width exactly as
-     * in the paper. `length` always measures single-instance work,
-     * so an elastic job finishing at width > 1 completes sooner.
-     */
-    ElasticProfile elastic = {};
 
     /** Core-seconds of compute this job performs. */
     double coreSeconds() const
@@ -79,13 +76,13 @@ struct Job
 
 /**
  * OK when `job` can be scheduled: a submit time in [0,
- * kMaxInputDuration], a length in (0, kMaxInputDuration], a CPU
- * demand in [1, kMaxJobCpus] and a valid elastic profile. The one
- * rule for every job from outside the program (JobTrace::make, the
- * serving daemon), and OnlineScheduler::submit applies it again. The
- * time bounds keep a job's window within two centuries, so
- * integrating it past the end of the carbon trace stays cheap, and
- * let the engine's outcome records hold them in 32 bits.
+ * kMaxInputDuration], a length in (0, kMaxInputDuration] and a CPU
+ * demand in [1, kMaxJobCpus]. The one rule for every job from
+ * outside the program (JobTrace::make, the serving daemon), and
+ * OnlineScheduler::submit applies it again. The time bounds keep a
+ * job's window within two centuries, so integrating it past the end
+ * of the carbon trace stays cheap, and let the engine's outcome
+ * records hold them in 32 bits.
  */
 Status validateJob(const Job &job);
 
@@ -133,8 +130,9 @@ class JobTrace
     JobTrace filtered(Seconds min_length, Seconds max_length,
                       int max_cpus /* 0 = unlimited */) const;
 
-    /** Serialize (columns: id, submit, length, cpus). */
-    void toCsv(const std::string &path) const;
+    /** Serialize (columns: id, submit, length, cpus); an error when
+     *  `path` cannot be opened for writing. */
+    Status toCsv(const std::string &path) const;
 
     /** Load a trace written by toCsv(). */
     static Result<JobTrace> fromCsv(const std::string &path,

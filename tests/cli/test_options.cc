@@ -247,32 +247,6 @@ TEST(CliOptions, NewFlagValidation)
         "non-negative"));
 }
 
-TEST(CliOptions, ThreadsFlag)
-{
-    EXPECT_EQ(parse({}).threads, 0u); // 0 = auto-detect
-    EXPECT_EQ(parse({"--threads", "4"}).threads, 4u);
-}
-
-TEST(CliOptions, ThreadsFlagRejectsGarbage)
-{
-    EXPECT_TRUE(messageContains(parseError({"--threads", "abc"}),
-                                "--threads"));
-    EXPECT_TRUE(messageContains(parseError({"--threads", "4x"}),
-                                "--threads"));
-    EXPECT_TRUE(messageContains(parseError({"--threads", "0"}),
-                                "positive"));
-    EXPECT_TRUE(messageContains(parseError({"--threads", "-2"}),
-                                "positive"));
-    // Counts that do not fit in `unsigned` are errors, not a wrapped
-    // value (2^32 would read as 0, i.e. "auto").
-    EXPECT_TRUE(messageContains(
-        parseError({"--threads", "4294967296"}), "at most 4294967295"));
-    EXPECT_TRUE(messageContains(
-        parseError({"--threads", "4294967297"}), "at most 4294967295"));
-    EXPECT_TRUE(messageContains(parseError({"--threads"}),
-                                "--threads"));
-}
-
 TEST(CliOptions, ObservabilitySinkFlags)
 {
     const CliOptions defaults = parse({});
@@ -320,13 +294,12 @@ TEST(CliOptions, EqualsSpellingMatchesSpaceSpelling)
 {
     const CliOptions o = parse(
         {"--policy=Lowest-Window", "--jobs=500",
-         "--trace-out=t.json", "--waiting=3x48", "--threads=4"});
+         "--trace-out=t.json", "--waiting=3x48"});
     EXPECT_EQ(o.policy, "Lowest-Window");
     EXPECT_EQ(o.jobs, 500u);
     EXPECT_EQ(o.trace_out, "t.json");
     EXPECT_EQ(o.short_wait, 3 * kSecondsPerHour);
     EXPECT_EQ(o.long_wait, 48 * kSecondsPerHour);
-    EXPECT_EQ(o.threads, 4u);
 
     // A value containing '=' splits only at the first one.
     EXPECT_EQ(parse({"--output-dir=a=b"}).output_dir, "a=b");

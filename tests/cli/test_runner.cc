@@ -128,12 +128,14 @@ TEST(CliRunner, CsvWorkloadAndCarbonInputs)
     const std::string jobs_path = (dir / "jobs.csv").string();
     const std::string carbon_path = (dir / "carbon.csv").string();
     {
-        CsvWriter jobs(jobs_path, {"id", "submit", "length",
-                                   "cpus"});
+        CsvWriter jobs =
+            CsvWriter::open(jobs_path, {"id", "submit", "length", "cpus"})
+                .value();
         jobs.writeRow({"1", "0", "3600", "1"});
         jobs.writeRow({"2", "1800", "7200", "2"});
-        CsvWriter carbon(carbon_path,
-                         {"hour", "carbon_intensity"});
+        CsvWriter carbon =
+            CsvWriter::open(carbon_path, {"hour", "carbon_intensity"})
+                .value();
         for (int h = 0; h < 24 * 5; ++h)
             carbon.writeRow({std::to_string(h),
                              fmt(100.0 + (h % 24) * 10.0, 1)});
@@ -156,8 +158,9 @@ TEST(CliRunner, EmptyWorkloadIsError)
     std::filesystem::create_directories(dir);
     const std::string jobs_path = (dir / "empty.csv").string();
     {
-        CsvWriter jobs(jobs_path, {"id", "submit", "length",
-                                   "cpus"});
+        CsvWriter jobs =
+            CsvWriter::open(jobs_path, {"id", "submit", "length", "cpus"})
+                .value();
     }
     CliOptions options;
     options.workload_csv = jobs_path;
@@ -185,8 +188,9 @@ TEST(CliRunner, MalformedCarbonCsvIsError)
     std::filesystem::create_directories(dir);
     const std::string carbon_path = (dir / "carbon.csv").string();
     {
-        CsvWriter carbon(carbon_path,
-                         {"hour", "carbon_intensity"});
+        CsvWriter carbon =
+            CsvWriter::open(carbon_path, {"hour", "carbon_intensity"})
+                .value();
         carbon.writeRow({"0", "100.0"});
         carbon.writeRow({"1", "not-a-number"});
     }
@@ -234,8 +238,9 @@ TEST(CliRunner, ResampleAppliesThePaperPipeline)
     std::filesystem::create_directories(dir);
     const std::string jobs_path = (dir / "month.csv").string();
     {
-        CsvWriter jobs(jobs_path, {"id", "submit", "length",
-                                   "cpus"});
+        CsvWriter jobs =
+            CsvWriter::open(jobs_path, {"id", "submit", "length", "cpus"})
+                .value();
         for (int i = 0; i < 50; ++i) {
             jobs.writeRow({std::to_string(i),
                            std::to_string(i * 3600),
@@ -266,15 +271,19 @@ writeMismatchedInputs(const std::string &subdir)
         std::filesystem::temp_directory_path() / subdir;
     std::filesystem::create_directories(dir);
     {
-        CsvWriter jobs((dir / "jobs.csv").string(),
-                       {"id", "submit", "length", "cpus"});
+        CsvWriter jobs =
+            CsvWriter::open((dir / "jobs.csv").string(),
+                            {"id", "submit", "length", "cpus"})
+                .value();
         jobs.writeRow({"1", "0", "3600", "1"});
         jobs.writeRow(
             {"2", std::to_string(hours(100)), "3600", "1"});
     }
     {
-        CsvWriter carbon((dir / "carbon.csv").string(),
-                         {"carbon_intensity"});
+        CsvWriter carbon =
+            CsvWriter::open((dir / "carbon.csv").string(),
+                            {"carbon_intensity"})
+                .value();
         carbon.writeRow({"100"});
         carbon.writeRow({"120"});
     }
@@ -359,6 +368,53 @@ TEST(CliRunner, GaiaServeNamesAServeFlagMissingItsValue)
     std::filesystem::remove_all(dir);
 }
 
+TEST(CliRunner, GaiaRunReportsUnwritableOutputPaths)
+{
+    // Output paths are command-line input too: each one below cannot
+    // be written, and gaia_run must say so in one stderr line and
+    // exit 2, like any input error.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_outputs";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path file = dir / "file";
+    std::ofstream(file) << "not a directory\n";
+    // An output directory whose details.csv is a directory.
+    const std::filesystem::path blocked = dir / "blocked";
+    std::filesystem::create_directories(blocked / "details.csv");
+    const std::filesystem::path err = dir / "stderr.txt";
+
+    const std::pair<std::string, std::string> cases[] = {
+        {"--output-dir " + (file / "out").string(),
+         "cannot create output directory " + (file / "out").string()},
+        {"--export-workload " + (dir / "missing" / "x.csv").string() +
+             " --output-dir " + (dir / "out").string(),
+         "cannot open CSV file for writing: " +
+             (dir / "missing" / "x.csv").string()},
+        {"--output-dir " + blocked.string(),
+         "cannot open CSV file for writing: " +
+             (blocked / "details.csv").string()},
+    };
+    for (const auto &[args, needle] : cases) {
+        const std::string command =
+            std::string(GAIA_RUN_BIN) +
+            " --workload azure --jobs 50 --span-days 2 " + args +
+            " >/dev/null 2>" + err.string();
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+
+        std::ifstream in(err);
+        std::string line, rest;
+        std::getline(in, line);
+        EXPECT_EQ(line.rfind("gaia_run: ", 0), 0u) << line;
+        EXPECT_NE(line.find(needle), std::string::npos) << line;
+        EXPECT_FALSE(std::getline(in, rest)) << rest;
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CliRunner, GaiaServeRefusesTheBatchOnlyFlags)
 {
     // A daemon that ignored these would listen until killed.
@@ -370,7 +426,6 @@ TEST(CliRunner, GaiaServeRefusesTheBatchOnlyFlags)
         {"--export-workload", " " + (dir / "x.csv").string()},
         {"--output-dir", " " + (dir / "out").string()},
         {"--print-fingerprint", ""},
-        {"--threads", " 3"},
     };
     for (const auto &[flag, value] : flags) {
         const std::string command =

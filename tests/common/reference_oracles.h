@@ -5,7 +5,8 @@
  *
  * Each production fast path in this repo is pinned to a naive loop
  * that re-derives the same answer the slow way: the carbon-trace
- * prefix/RMQ tables (test_cis_fastpath, test_plan_cache), the
+ * prefix/RMQ tables (test_cis_fastpath, test_plan_cache), every
+ * carbon source's window queries (test_cis_fastpath), the
  * Wait-Awhile greedy (test_policy_optimality), and the elastic
  * CarbonScaler allocator (test_elastic_oracle). The loops live here
  * so every suite tests against the *same* reference arithmetic —
@@ -29,6 +30,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time.h"
+#include "core/cis.h"
 #include "core/elastic.h"
 #include "trace/carbon_trace.h"
 
@@ -134,6 +136,46 @@ refMinSlot(const CarbonTrace &trace, Seconds from, Seconds to)
         }
     }
     return best;
+}
+
+/** The three window queries of one source over one window. */
+struct WindowAnswers
+{
+    double integral = 0.0;
+    SlotIndex min_slot = 0;
+    double percentile = 0.0;
+};
+
+/**
+ * Reference window queries over any carbon source: one
+ * forecastAtSlot() read per hourly slot of the non-empty window
+ * [from, to) as seen at `now`, the integral summed slice by slice in
+ * time order (a window starting before t=0 charges that stretch at
+ * slot 0), the argmin first-win, the percentile through
+ * common/stats.h. A source without an exact shortcut must answer
+ * bit for bit the same.
+ */
+inline WindowAnswers
+refWindowAnswers(const CarbonInfoSource &source, Seconds now,
+                 Seconds from, Seconds to, double p)
+{
+    const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
+    const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
+    WindowAnswers ref;
+    ref.min_slot = first;
+    std::vector<double> values;
+    for (SlotIndex s = first; s <= last; ++s) {
+        const double v = source.forecastAtSlot(now, s);
+        const Seconds lo = s == first ? from : slotStart(s);
+        const Seconds hi = std::min(slotStart(s) + kSecondsPerHour, to);
+        ref.integral += v * static_cast<double>(hi - lo);
+        if (s > first && v < values[static_cast<std::size_t>(
+                                 ref.min_slot - first)])
+            ref.min_slot = s;
+        values.push_back(v);
+    }
+    ref.percentile = percentile(std::move(values), p);
+    return ref;
 }
 
 /**

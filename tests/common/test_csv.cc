@@ -96,7 +96,8 @@ TEST(Csv, WriterRoundTrip)
 {
     const std::string path = tempPath("roundtrip.csv");
     {
-        CsvWriter w(path, {"id", "value"});
+        CsvWriter w =
+            CsvWriter::open(path, {"id", "value"}).value();
         w.writeRow({"1", "3.5"});
         w.writeRow({"2", "4.5"});
     }
@@ -113,7 +114,8 @@ TEST(Csv, WriterRoundTrip)
 TEST(CsvDeath, WriterRejectsRaggedRows)
 {
     const std::string path = tempPath("ragged.csv");
-    CsvWriter w(path, {"a", "b"});
+    CsvWriter w =
+        CsvWriter::open(path, {"a", "b"}).value();
     EXPECT_DEATH(w.writeRow({"only-one"}), "row width 1");
     std::remove(path.c_str());
 }

@@ -9,7 +9,10 @@
  * the tables replaced — the reference accumulates with the same
  * CompensatedSum discipline, i.e. the same rounding — and require
  * exact agreement across randomized traces and windows, including
- * the clamp regions before t=0 and past the end of the trace.
+ * the clamp regions before t=0 and past the end of the trace. The
+ * CisFastPath tests then pin every carbon source's window queries:
+ * the oracle service to the trace, every other source to a walk
+ * over its own per-slot forecasts.
  */
 
 #include "core/cis.h"
@@ -21,14 +24,17 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "fault/faulty_source.h"
 #include "tests/common/reference_oracles.h"
 #include "trace/carbon_trace.h"
+#include "trace/forecast.h"
 
 namespace gaia {
 namespace {
-// refIntegrate / naiveIntegrate / refMinSlot and the randomized
-// trace/window generators live in tests/common/reference_oracles.h,
-// shared with the plan-cache and elastic oracle suites.
+// refIntegrate / naiveIntegrate / refMinSlot, refWindowAnswers and
+// the randomized trace/window generators live in
+// tests/common/reference_oracles.h, shared with the plan-cache and
+// elastic oracle suites.
 
 TEST(CarbonTraceFastPath, IntegrateMatchesReferenceBitwise)
 {
@@ -155,38 +161,65 @@ TEST(CisFastPath, OracleDelegatesToTraceExactly)
             to = from + 1;
         const Seconds now =
             rng.uniformInt(0, trace.duration() - 1);
+        const double p = rng.uniform(0.0, 100.0);
         EXPECT_EQ(cis.forecastIntegrate(now, from, to),
                   trace.integrate(from, to));
         EXPECT_EQ(cis.forecastMinSlot(now, from, to),
                   trace.minSlotIn(from, to));
+        EXPECT_EQ(cis.forecastPercentile(now, from, to, p),
+                  trace.percentileOver(from, to, p));
     }
 }
 
-TEST(CisFastPath, NoisyForecastsStillScanSlotwise)
+TEST(CisFastPath, OtherSourcesWalkTheirSlotsExactly)
 {
-    // Nonzero noise takes the slot-by-slot path; the integral must
-    // then consist of per-slot noisy values, which the exact trace
-    // integral generally does not equal.
+    // Every source without perfect forecasts answers the window
+    // queries by walking its own per-slot forecasts: hashed noise, a
+    // forecast model, and a fault decorator whose stale, spike and
+    // gap clauses distort what each slot reads.
     Rng rng(5);
-    const CarbonTrace trace = randomTrace(rng, 24 * 7);
+    const CarbonTrace trace = randomTrace(rng, 24 * 14);
     const CarbonInfoService noisy(trace, 0.2, 17);
-    const Seconds now = 0;
-    const Seconds from = hours(3);
-    const Seconds to = hours(40);
-    // Reconstruct from forecastAtSlot: same decomposition as the
-    // noisy forecastIntegrate loop.
-    double expected = 0.0;
-    Seconds cursor = from;
-    while (cursor < to) {
-        const SlotIndex slot = slotOf(std::max<Seconds>(cursor, 0));
-        const Seconds slot_end = slotStart(slot) + kSecondsPerHour;
-        const Seconds segment_end = std::min(slot_end, to);
-        expected += noisy.forecastAtSlot(now, slot) *
-                    static_cast<double>(segment_end - cursor);
-        cursor = segment_end;
+    const PersistenceForecaster persistence;
+    const CarbonInfoService modelled(trace, persistence);
+    const CarbonInfoService oracle(trace);
+    FaultSpec spec;
+    spec.stale_rate = 0.1;
+    spec.spike_rate = 0.1;
+    spec.gap_rate = 0.2;
+    const FaultInjector injector(spec);
+    const FaultyCarbonSource faulty(oracle, injector);
+
+    const CarbonInfoSource *const sources[] = {&noisy, &modelled,
+                                               &faulty};
+    for (const CarbonInfoSource *source : sources) {
+        int distorted = 0;
+        for (int q = 0; q < 500; ++q) {
+            auto [from, to] = randomWindow(rng, trace);
+            if (from == to)
+                to = from + 1;
+            const Seconds now =
+                rng.uniformInt(0, trace.duration() - 1);
+            const double p = rng.uniform(0.0, 100.0);
+            const WindowAnswers ref =
+                refWindowAnswers(*source, now, from, to, p);
+            ASSERT_EQ(source->forecastIntegrate(now, from, to),
+                      ref.integral)
+                << "query " << q << " window [" << from << ", " << to
+                << ") at " << now;
+            ASSERT_EQ(source->forecastMinSlot(now, from, to),
+                      ref.min_slot)
+                << "query " << q;
+            ASSERT_EQ(source->forecastPercentile(now, from, to, p),
+                      ref.percentile)
+                << "query " << q;
+            // The same walk over trace truth, same rounding.
+            if (ref.integral != naiveIntegrate(trace, from, to))
+                ++distorted;
+        }
+        // The walk must have seen forecasts that are not the truth.
+        EXPECT_GT(distorted, 100);
     }
-    EXPECT_DOUBLE_EQ(noisy.forecastIntegrate(now, from, to),
-                     expected);
 }
 
 } // namespace

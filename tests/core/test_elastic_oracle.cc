@@ -73,13 +73,14 @@ randomConcaveProfile(Rng &rng)
     return profile;
 }
 
-/** Window for `job` under `wait` hours of waiting, no memoization. */
+/** Window for `job` under the run profile `profile`; memoized only
+ *  when given a cache. */
 ElasticWindow
-windowFor(const Job &job, const CarbonInfoService &cis,
-          const QueueSpec &queue, PlanCache *cache = nullptr)
+windowFor(const Job &job, const ElasticProfile &profile,
+          const CarbonInfoService &cis, const QueueSpec &queue,
+          PlanCache *cache = nullptr)
 {
-    PlanContext ctx{job.submit, &cis, &queue};
-    ctx.cache = cache;
+    PlanContext ctx{job.submit, &cis, &queue, cache, &profile};
     return makeElasticWindow(job, ctx);
 }
 
@@ -95,12 +96,13 @@ TEST(ElasticOracle, GreedyMatchesFlatSortBitwiseOnConcaveProfiles)
         job.id = t;
         job.submit = rng.uniformInt(0, 12 * kSecondsPerHour);
         job.length = rng.uniformInt(600, 16 * kSecondsPerHour);
-        job.elastic = randomConcaveProfile(rng);
+        const ElasticProfile profile = randomConcaveProfile(rng);
         const QueueSpec queue{
             "q", kSecondsPerDay,
             rng.uniformInt(0, 12 * kSecondsPerHour), 0};
 
-        const ElasticWindow window = windowFor(job, cis, queue);
+        const ElasticWindow window =
+            windowFor(job, profile, cis, queue);
         const ElasticAllocation greedy =
             planElasticGreedy(window, job.length);
         const ElasticAllocation reference =
@@ -111,7 +113,7 @@ TEST(ElasticOracle, GreedyMatchesFlatSortBitwiseOnConcaveProfiles)
         ASSERT_TRUE(greedy == reference)
             << "instance " << t << " (submit " << job.submit
             << ", length " << job.length << ", profile "
-            << job.elastic.key() << ")";
+            << profile.key() << ")";
 
         // And therefore so do the canonical values.
         const AllocationValue a = evaluateAllocation(window, greedy);
@@ -148,11 +150,11 @@ TEST(ElasticOracle, GreedyIsNoWorseThanEnumeratedStaircases)
         // enumeration below is exponential in the slot count):
         // deadline = wait + ceil(length / 1.5) <= 1h + 4800s.
         job.length = rng.uniformInt(1800, 2 * kSecondsPerHour);
-        job.elastic = profile;
         const Seconds wait = rng.uniformInt(0, kSecondsPerHour);
         const QueueSpec queue{"q", kSecondsPerDay, wait, 0};
 
-        const ElasticWindow window = windowFor(job, cis, queue);
+        const ElasticWindow window =
+            windowFor(job, profile, cis, queue);
         const ElasticAllocation greedy =
             planElasticGreedy(window, job.length);
         const AllocationValue got =
@@ -278,12 +280,13 @@ TEST(ElasticOracle, PropertiesHoldOnRandomConcaveInstances)
         job.id = t;
         job.submit = rng.uniformInt(0, 10 * kSecondsPerHour);
         job.length = rng.uniformInt(600, 12 * kSecondsPerHour);
-        job.elastic = randomConcaveProfile(rng);
+        const ElasticProfile profile = randomConcaveProfile(rng);
         const Seconds wait =
             rng.uniformInt(0, 10 * kSecondsPerHour);
         const QueueSpec queue{"q", kSecondsPerDay, wait, 0};
 
-        const ElasticWindow window = windowFor(job, cis, queue);
+        const ElasticWindow window =
+            windowFor(job, profile, cis, queue);
         const ElasticAllocation alloc =
             planElasticGreedy(window, job.length);
         const AllocationValue value =
@@ -295,13 +298,13 @@ TEST(ElasticOracle, PropertiesHoldOnRandomConcaveInstances)
                   static_cast<double>(job.length));
         ASSERT_LT(value.work,
                   static_cast<double>(job.length) +
-                      2.0 * job.elastic.maxThroughput() + 1e-6);
+                      2.0 * profile.maxThroughput() + 1e-6);
 
         // Width bounds and the waiting-window contract.
         const SchedulePlan plan = allocationToPlan(window, alloc);
-        ASSERT_LE(plan.maxWidth(), job.elastic.maxInstances());
+        ASSERT_LE(plan.maxWidth(), profile.maxInstances());
         for (const RunSegment &seg : plan.segments())
-            ASSERT_GE(seg.width, job.elastic.min_instances);
+            ASSERT_GE(seg.width, profile.min_instances);
         ASSERT_GE(plan.plannedStart(), job.submit);
         ASSERT_LE(plan.plannedStart(), job.submit + wait)
             << "instance " << t << " missed the waiting window";
@@ -311,7 +314,7 @@ TEST(ElasticOracle, PropertiesHoldOnRandomConcaveInstances)
         // compare through the one canonical evaluator.
         const auto duration = static_cast<Seconds>(
             std::ceil(static_cast<double>(job.length) /
-                      job.elastic.maxThroughput()));
+                      profile.maxThroughput()));
         ElasticAllocation nowait(window.slotCount(),
                                  window.stepCount());
         const Seconds finish = job.submit + duration;
@@ -368,14 +371,15 @@ TEST(ElasticOracle, MemoizedWindowsMatchDirectBitwise)
             job.id = j;
             job.submit = submit;
             job.length = rng.uniformInt(600, 8 * kSecondsPerHour);
-            job.elastic = randomConcaveProfile(rng);
+            const ElasticProfile profile = randomConcaveProfile(rng);
 
-            const ElasticWindow direct = windowFor(job, cis, queue);
+            const ElasticWindow direct =
+                windowFor(job, profile, cis, queue);
             const ElasticWindow memo =
-                windowFor(job, cis, queue, &cache);
+                windowFor(job, profile, cis, queue, &cache);
             // Twice: the second call replays the cached slot table.
             const ElasticWindow replay =
-                windowFor(job, cis, queue, &cache);
+                windowFor(job, profile, cis, queue, &cache);
 
             ASSERT_EQ(direct.slotCount(), memo.slotCount());
             for (int s = 0; s < direct.slotCount(); ++s) {
@@ -418,10 +422,9 @@ TEST(ElasticOracle, NonConcaveProfilesStillProduceValidPlans)
     job.id = 1;
     job.submit = 1800;
     job.length = 3 * kSecondsPerHour;
-    job.elastic = bumpy;
     const QueueSpec queue{"q", kSecondsPerDay, hours(2), 0};
 
-    const ElasticWindow window = windowFor(job, cis, queue);
+    const ElasticWindow window = windowFor(job, bumpy, cis, queue);
     const ElasticAllocation alloc =
         planElasticGreedy(window, job.length);
     const AllocationValue value = evaluateAllocation(window, alloc);

@@ -54,8 +54,8 @@ TEST(EndToEnd, TraceCsvRoundTripPreservesResults)
     const std::string job_path = ::testing::TempDir() + "e2e.csv";
     const std::string carbon_path =
         ::testing::TempDir() + "e2e_carbon.csv";
-    trace.toCsv(job_path);
-    carbon.toCsv(carbon_path);
+    ASSERT_TRUE(trace.toCsv(job_path).isOk());
+    ASSERT_TRUE(carbon.toCsv(carbon_path).isOk());
 
     const JobTrace trace2 =
         JobTrace::fromCsv(job_path, trace.name()).value();

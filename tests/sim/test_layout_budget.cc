@@ -5,12 +5,13 @@
  * 20-cell hybrid year sweep) plus one PlacedSegment per placement in
  * the result's segment column (3.27M there), and one SchedulePlan per
  * job in every in-flight cell, so their sizes drive the benchmark's
- * `peak_rss_mb` (bench/perf/README.md, "End-to-end metrics"). Growing
- * any of these records should be a visible decision: raise the budget
- * here in the same change and report the `peak_rss_mb` it costs. The
- * engine's private per-job JobState (the plan, arrival, queue hint,
- * profile index, flags and counters; 64 bytes) has its budget as a
- * static_assert in sim/online.cc.
+ * `peak_rss_mb` (bench/perf/README.md, "End-to-end metrics"). Every
+ * trace holds one Job per job, and so does every slot of the serving
+ * daemon's submission ring. Growing any of these records should be a
+ * visible decision: raise the budget here in the same change and
+ * report the `peak_rss_mb` it costs. The engine's private per-job
+ * JobState (the plan, arrival, queue hint, flags and counters; 64
+ * bytes) has its budget as a static_assert in sim/online.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "cloud/purchase.h"
 #include "core/schedule.h"
 #include "sim/results.h"
+#include "workload/job.h"
 
 namespace gaia {
 namespace {
@@ -36,6 +38,13 @@ TEST(LayoutBudget, JobOutcomeFitsItsBudget)
     // range share a word each; the two carbon doubles. The segments
     // live in the result's column, and the money derives from them.
     EXPECT_LE(sizeof(JobOutcome), 48u);
+}
+
+TEST(LayoutBudget, JobIsThirtyTwoBytes)
+{
+    // id, submit and length; cpus and the queue hint share a word.
+    // The elastic profile belongs to the run, not to each job.
+    EXPECT_EQ(sizeof(Job), 32u);
 }
 
 TEST(LayoutBudget, SchedulePlanFitsItsBudget)

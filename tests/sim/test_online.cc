@@ -170,58 +170,6 @@ TEST(Online, RandomAdvancePatternsNeverChangeTheBooks)
     }
 }
 
-TEST(Online, OwnElasticProfileBeatsTheDefaultThroughARestart)
-{
-    // A job's own enabled profile beats the scenario default and a
-    // disabled one takes the default. A storm revokes each first
-    // spot slice; with no spot re-attempts, the on-demand restart
-    // runs the job at its profile's full width for ceil(length /
-    // max throughput), so the restart shows which profile it kept.
-    const CarbonTrace carbon = flatTrace();
-    const CarbonInfoService cis(carbon);
-    const QueueConfig queues = oneQueue();
-    ClusterConfig cluster;
-    cluster.spot_eviction_rate = 0.0; // storms only
-    cluster.spot_max_length = hours(24);
-    FaultSpec spec;
-    spec.storm_rate = 1.0;
-    spec.storm_spot_retries = 0;
-    const FaultInjector injector(spec);
-    const PolicyPtr policy = makePolicy("Carbon-Scaler");
-
-    OnlineScheduler sched =
-        OnlineScheduler::create(*policy, queues, cis, cluster,
-                                ResourceStrategy::SpotFirst, "t", &injector)
-            .value();
-    sched.setDefaultElasticProfile(
-        parseElasticProfile("linear:max=4").value());
-    Job own{1, 0, hours(4), 1};
-    own.elastic = parseElasticProfile("linear:max=2").value();
-    Job disabled{2, 0, hours(4), 1};
-    disabled.elastic = ElasticProfile{1, {1.0}};
-    ASSERT_FALSE(disabled.elastic.enabled());
-    const Job plain{3, 0, hours(4), 1};
-    for (const Job &job : {own, disabled, plain})
-        ASSERT_TRUE(sched.submit(job).isOk());
-    sched.drain();
-    const SimulationResult r = sched.finalize();
-
-    const int widths[] = {2, 4, 4};
-    const Seconds durations[] = {hours(2), hours(1), hours(1)};
-    ASSERT_EQ(r.outcomes.size(), 3u);
-    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
-        const JobOutcome &o = r.outcomes[i];
-        EXPECT_EQ(o.evictions, 1) << "job " << o.id;
-        const PlacedSegment &restart = r.placements(o).back();
-        EXPECT_FALSE(restart.lost) << "job " << o.id;
-        EXPECT_EQ(restart.option, PurchaseOption::OnDemand);
-        EXPECT_EQ(restart.width, widths[i]) << "job " << o.id;
-        EXPECT_EQ(restart.duration(), durations[i]) << "job " << o.id;
-        for (const PlacedSegment &seg : r.placements(o))
-            EXPECT_LE(seg.width, widths[i]) << "job " << o.id;
-    }
-}
-
 TEST(Online, DerivedHorizonCoversSchedule)
 {
     const CarbonTrace carbon = flatTrace();
@@ -364,9 +312,10 @@ TEST(Online, PackedRecordsHoldTheirBoundsExactly)
 
 TEST(Online, WidestElasticGangKeepsItsWidth)
 {
-    // A job planned at the 64-instance profile limit keeps width 64
-    // in every slice it records: the lost spot slice a storm revokes
-    // and the on-demand restart alike.
+    // Under a run profile at the 64-instance limit, a job keeps
+    // width 64 in every slice it records: the lost spot slice a
+    // storm revokes and the on-demand restart alike, which runs at
+    // full width for ceil(length / max throughput).
     const CarbonTrace carbon = flatTrace();
     const CarbonInfoService cis(carbon);
     const QueueConfig queues = oneQueue();
@@ -384,10 +333,11 @@ TEST(Online, WidestElasticGangKeepsItsWidth)
         OnlineScheduler::create(*policy, queues, cis, cluster,
                                 ResourceStrategy::SpotFirst, "t", &injector)
             .value();
-    Job job{1, 600, 64 * hours(2), 2};
-    job.elastic = parseElasticProfile("linear:max=64").value();
-    ASSERT_EQ(job.elastic.maxInstances(), kMaxElasticInstances);
-    ASSERT_TRUE(sched.submit(job).isOk());
+    const ElasticProfile widest =
+        parseElasticProfile("linear:max=64").value();
+    ASSERT_EQ(widest.maxInstances(), kMaxElasticInstances);
+    sched.setDefaultElasticProfile(widest);
+    ASSERT_TRUE(sched.submit({1, 600, 64 * hours(2), 2}).isOk());
     sched.drain();
     const SimulationResult r = sched.finalize();
 
@@ -481,6 +431,18 @@ TEST(OnlineDeath, ApiMisuseIsCaught)
         (void)sched.finalize();
         EXPECT_DEATH(sched.submit({1, 0, 600, 1}),
                      "after finalize");
+    }
+    {
+        // The profile belongs to the whole run, so it cannot change
+        // once a job is in.
+        OnlineScheduler sched =
+            OnlineScheduler::create(*policy, queues, cis, {},
+                                    ResourceStrategy::OnDemandOnly)
+                .value();
+        ASSERT_TRUE(sched.submit({1, 0, 600, 1}).isOk());
+        EXPECT_DEATH(sched.setDefaultElasticProfile(
+                         parseElasticProfile("linear:max=2").value()),
+                     "after submit");
     }
 }
 

@@ -119,7 +119,7 @@ TEST(CarbonTrace, ResizedRepeatsValues)
 TEST(CarbonTrace, CsvRoundTrip)
 {
     const std::string path = ::testing::TempDir() + "carbon.csv";
-    makeTrace().toCsv(path);
+    ASSERT_TRUE(makeTrace().toCsv(path).isOk());
     const Result<CarbonTrace> back =
         CarbonTrace::fromCsv(path, "test");
     ASSERT_TRUE(back.isOk()) << back.status().toString();

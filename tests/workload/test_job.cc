@@ -84,7 +84,7 @@ TEST(JobTrace, FilterByLengthAndCpus)
 TEST(JobTrace, CsvRoundTrip)
 {
     const std::string path = ::testing::TempDir() + "jobs.csv";
-    makeTrace().toCsv(path);
+    ASSERT_TRUE(makeTrace().toCsv(path).isOk());
     const Result<JobTrace> back = JobTrace::fromCsv(path, "t");
     ASSERT_TRUE(back.isOk()) << back.status().toString();
     ASSERT_EQ(back->jobCount(), 3u);
