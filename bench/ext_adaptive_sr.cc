@@ -17,7 +17,7 @@
 #include "analysis/harness.h"
 #include "analysis/metrics.h"
 #include "common/table.h"
-#include "core/extensions.h"
+#include "core/policies.h"
 #include "core/policy_factory.h"
 #include "trace/region_model.h"
 #include "workload/generators.h"

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 
 #include "common/logging.h"
-#include "core/plan_cache.h"
 
 namespace gaia {
 
@@ -19,15 +17,6 @@ runProfile(const PlanContext &ctx)
     static const ElasticProfile fixed_width;
     return ctx.elastic != nullptr ? *ctx.elastic : fixed_width;
 }
-
-/**
- * Sentinel BoundaryKey length for the per-slot intensity table.
- * Real keys use a positive window length (J_avg), so a negative
- * length can never collide with them in the cache's per-length slot
- * tables. The key starts at the slot after arrival: the arrival
- * slot reads measured truth, which the table must not hold.
- */
-constexpr Seconds kSlotIntensityKey = -1;
 
 } // namespace
 
@@ -59,40 +48,7 @@ makeElasticWindow(const Job &job, const PlanContext &ctx)
         window.step_instances.push_back(1);
     }
 
-    for (SlotIndex s = slotOf(now); slotStart(s) < window.deadline;
-         ++s) {
-        const Seconds from = std::max(now, slotStart(s));
-        const Seconds to = std::min(window.deadline,
-                                    slotStart(s) + kSecondsPerHour);
-        if (to > from)
-            window.slots.push_back({s, from, to, 0.0});
-    }
-
-    // Slot intensities: one forecastAtSlot() each. The first slot is
-    // measured truth, read directly; later slots are per-slot
-    // forecasts, the same for every arrival in an earlier slot, so
-    // they may be read from the PlanCache's slot table whenever the
-    // source is slot-invariant — with values bitwise identical to
-    // the direct calls by construction.
-    const CarbonInfoSource &cis = *ctx.cis;
-    if (ctx.cache != nullptr && cis.slotInvariantForecasts() &&
-        window.slots.size() > 1) {
-        window.slots.front().ci =
-            cis.forecastAtSlot(now, window.slots.front().index);
-        const PlanCache::BoundaryKey key{
-            slotStart(window.slots[1].index),
-            static_cast<std::int64_t>(window.slots.size() - 1),
-            kSlotIntensityKey};
-        const std::span<const double> intensities =
-            ctx.cache->startIntegrals(key, [&](Seconds b) {
-                return cis.forecastAtSlot(now, slotOf(b));
-            });
-        for (std::size_t i = 1; i < window.slots.size(); ++i)
-            window.slots[i].ci = intensities[i - 1];
-    } else {
-        for (ElasticWindow::Slot &slot : window.slots)
-            slot.ci = cis.forecastAtSlot(now, slot.index);
-    }
+    window.slots = SlotForecasts(ctx, window.deadline).windows();
     return window;
 }
 
@@ -188,10 +144,10 @@ SchedulePlan
 allocationToPlan(const ElasticWindow &window,
                  const ElasticAllocation &alloc)
 {
-    std::vector<RunSegment> segments;
+    SchedulePlan plan;
     std::vector<Seconds> cuts;
     for (int s = 0; s < alloc.slot_count; ++s) {
-        const ElasticWindow::Slot &slot =
+        const SlotWindow &slot =
             window.slots[static_cast<std::size_t>(s)];
         const Seconds base = alloc.at(s, 0);
         if (base == 0) {
@@ -225,12 +181,12 @@ allocationToPlan(const ElasticWindow &window,
                 if (alloc.at(s, k) >= cut)
                     ++extra;
             }
-            segments.push_back({slot.from + prev, slot.from + cut,
-                                window.base_width + extra});
+            plan.append(slot.from + prev, slot.from + cut,
+                        window.base_width + extra);
             prev = cut;
         }
     }
-    return SchedulePlan(std::move(segments));
+    return plan;
 }
 
 SchedulePlan
@@ -241,10 +197,10 @@ elasticNoWaitPlan(const Job &job, const ElasticProfile &profile)
     const auto duration = static_cast<Seconds>(
         std::ceil(static_cast<double>(job.length) /
                   profile.maxThroughput()));
-    std::vector<RunSegment> segments{
-        {job.submit, job.submit + duration,
-         profile.maxInstances()}};
-    return SchedulePlan(std::move(segments));
+    SchedulePlan plan;
+    plan.append(job.submit, job.submit + duration,
+                profile.maxInstances());
+    return plan;
 }
 
 SchedulePlan

@@ -45,18 +45,6 @@ namespace gaia {
 /** Hourly slot windows and capacity steps for one elastic job. */
 struct ElasticWindow
 {
-    /** One hourly slot's usable window [from, to). */
-    struct Slot
-    {
-        SlotIndex index = 0;
-        Seconds from = 0;
-        Seconds to = 0;
-        /** Forecast carbon intensity of the slot (as seen at submit). */
-        double ci = 0.0;
-
-        Seconds capacity() const { return to - from; }
-    };
-
     Seconds submit = 0;
     /** Latest instant any chunk may extend to. */
     Seconds deadline = 0;
@@ -67,7 +55,8 @@ struct ElasticWindow
     std::vector<double> step_rate;
     /** Instances billed per step: base_width for step 0, else 1. */
     std::vector<int> step_instances;
-    std::vector<Slot> slots;
+    /** The hourly slot windows of [submit, deadline). */
+    std::vector<SlotWindow> slots;
 
     int stepCount() const
     {
@@ -91,10 +80,9 @@ struct ElasticWindow
 /**
  * Build the planning window for `job` at ctx.now under the run's
  * profile, ctx.elastic (fixed width when null). Slot intensities
- * come from one forecastAtSlot() call each; when the CIS is
- * slot-invariant and a PlanCache is present, those after the arrival
- * slot are read from the cache's per-slot table (bitwise identical
- * by construction).
+ * come from SlotForecasts, so the slots after the arrival slot may
+ * be read from the PlanCache's one-slot table (bitwise identical by
+ * construction).
  */
 ElasticWindow makeElasticWindow(const Job &job,
                                 const PlanContext &ctx);

@@ -17,18 +17,20 @@
  *
  * The cache is one slot table per window length: entry b holds
  * `compute_slot(b)` for the hourly boundary b — the forecast
- * integral over [b, b+length) for the start-time policies, or a
- * one-slot intensity for Carbon-Scaler's sentinel length. Boundary
- * keys from consecutive arrival slots overlap in all but one slot,
- * and the table computes each slot once per simulation, so fill work
- * is linear in the trace length rather than trace x window. A lookup
- * is a view of the key's candidates, read in place:
- *  - Carbon-Time replays its CST loop over it (the ratio divides by
- *    the exact `s - now`, so only the integrals are shareable).
- *  - Lowest-Window takes its first-occurrence minimum (strict <) and
- *    compares that with the job's own start-now integral.
- *  - Carbon-Scaler reads its window's slot intensities after the
- *    arrival slot.
+ * integral over [b, b+length) for the start-time policies, or one
+ * slot's intensity in the one-slot table under a negative sentinel
+ * length. Boundary keys from consecutive arrival slots overlap in all
+ * but one slot, and the table computes each slot once per
+ * simulation, so fill work is linear in the trace length rather than
+ * trace x window. A lookup is a view of the key's candidates, read in
+ * place:
+ *  - Lowest-Window and Carbon-Time each run their one selection loop
+ *    over it; Carbon-Time's ratio divides by the exact `s - now`, so
+ *    only the integrals are shareable.
+ *  - SlotForecasts (core/policy.h) reads the one-slot table for the
+ *    slots after the arrival slot, on behalf of the four
+ *    suspend-resume policies: Wait-Awhile, Ecovisor, Adaptive-SR and
+ *    Carbon-Scaler.
  *
  * Two preconditions make a table entry the same for every reader:
  *  - A key spans only slots strictly after its caller's arrival

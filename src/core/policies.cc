@@ -1,7 +1,7 @@
 #include "core/policies.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <span>
 
 #include "common/logging.h"
@@ -26,22 +26,86 @@ memoizable(const PlanContext &ctx, Seconds granularity)
 }
 
 /**
- * The hourly boundary-candidate range forEachCandidateStart visits
- * after `now`: first candidate and count. Every job arriving in the
- * same slot under the same max-wait sees the same range, because
- * nextSlotBoundary(now+1) is the next slot's start for any offset
- * within the slot.
+ * Visit the start-time candidates after `now`, in candidateStarts()
+ * order, each with its forecast integral over [s, s + length): the
+ * hourly boundaries in (now, now + W], then the finer starts when
+ * `granularity` is positive. With `memoize`, the boundary integrals
+ * come from the PlanCache's table for `length`: they lie strictly
+ * after slotOf(now), so they do not depend on the exact arrival
+ * instant, and every job arriving in the same slot under the same W
+ * has the same boundaries.
  */
-PlanCache::BoundaryKey
-boundaryKey(Seconds now, Seconds max_wait, Seconds length)
+template <typename Fn>
+void
+forEachLaterCandidate(const PlanContext &ctx, Seconds length,
+                      Seconds granularity, bool memoize, Fn &&fn)
 {
+    const CarbonInfoSource &cis = *ctx.cis;
+    const Seconds now = ctx.now;
+    const Seconds deadline = now + ctx.queue->max_wait;
+    const auto integral = [&](Seconds s) {
+        return cis.forecastIntegrate(now, s, s + length);
+    };
     const Seconds first = nextSlotBoundary(now + 1);
-    const Seconds deadline = now + max_wait;
-    const std::int64_t count =
-        first <= deadline
-            ? (deadline - first) / kSecondsPerHour + 1
-            : 0;
-    return PlanCache::BoundaryKey{first, count, length};
+    if (first <= deadline) {
+        const PlanCache::BoundaryKey key{
+            first, (deadline - first) / kSecondsPerHour + 1, length};
+        const std::span<const double> table =
+            memoize ? ctx.cache->startIntegrals(key, integral)
+                    : std::span<const double>{};
+        for (std::int64_t k = 0; k < key.count; ++k) {
+            const Seconds s = first + k * kSecondsPerHour;
+            fn(s, memoize ? table[static_cast<std::size_t>(k)]
+                          : integral(s));
+        }
+    }
+    if (granularity > 0) {
+        for (Seconds s = now + granularity; s <= deadline;
+             s += granularity)
+            fn(s, integral(s));
+    }
+}
+
+/**
+ * The walk Ecovisor and Adaptive-SR share: from ctx.now, run through
+ * each slot whose forecast is at or below `threshold(waited)` and
+ * pause through the others, where `waited` is the pause so far; once
+ * the pause reaches the queue's budget W, run to completion.
+ */
+template <typename Threshold>
+SchedulePlan
+thresholdWalk(const Job &job, const PlanContext &ctx,
+              Threshold &&threshold)
+{
+    const Seconds budget = ctx.queue->max_wait;
+    const SlotForecasts forecasts(ctx, ctx.now + budget + job.length);
+
+    SchedulePlan plan;
+    Seconds cursor = ctx.now;
+    Seconds waited = 0;
+    Seconds remaining = job.length;
+    while (remaining > 0) {
+        if (waited >= budget) {
+            plan.append(cursor, cursor + remaining);
+            break;
+        }
+        const double limit = threshold(waited);
+        const SlotIndex slot = slotOf(cursor);
+        const Seconds slot_end = slotStart(slot) + kSecondsPerHour;
+        if (forecasts.at(slot) <= limit) {
+            const Seconds run_to =
+                std::min(slot_end, cursor + remaining);
+            plan.append(cursor, run_to);
+            remaining -= run_to - cursor;
+            cursor = run_to;
+        } else {
+            const Seconds pause =
+                std::min(slot_end - cursor, budget - waited);
+            cursor += pause;
+            waited += pause;
+        }
+    }
+    return plan;
 }
 
 } // namespace
@@ -65,54 +129,40 @@ SchedulePlan
 WaitAwhilePolicy::plan(const Job &job, const PlanContext &ctx) const
 {
     checkContext(job, ctx);
-    const CarbonInfoSource &cis = *ctx.cis;
-    const Seconds now = ctx.now;
-    const Seconds deadline = now + job.length + ctx.queue->max_wait;
-
     // Available execution window per hourly slot within the
-    // deadline, each priced at its forecast intensity.
-    struct SlotWindow
-    {
-        Seconds from;
-        Seconds to;
-        double ci;
-    };
-    std::vector<SlotWindow> windows;
-    for (SlotIndex s = slotOf(now); slotStart(s) < deadline; ++s) {
-        const Seconds from = std::max(now, slotStart(s));
-        const Seconds to =
-            std::min(deadline, slotStart(s) + kSecondsPerHour);
-        if (to > from)
-            windows.push_back({from, to, cis.forecastAtSlot(now, s)});
-    }
+    // deadline t + J + W, each priced at its forecast intensity.
+    const std::vector<SlotWindow> windows =
+        SlotForecasts(ctx, ctx.now + job.length + ctx.queue->max_wait)
+            .windows();
 
-    // Greedy: cheapest slots first (earliest on ties), taking the
-    // earliest portion of the final partially-needed slot.
+    // Greedy: cheapest windows first (earliest on ties), taking the
+    // earliest portion of the final partially-needed window.
     std::vector<std::size_t> order(windows.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) {
                   if (windows[a].ci != windows[b].ci)
                       return windows[a].ci < windows[b].ci;
                   return windows[a].from < windows[b].from;
               });
-
-    std::vector<RunSegment> segments;
+    std::vector<Seconds> taken(windows.size(), 0);
     Seconds remaining = job.length;
     for (std::size_t idx : order) {
         if (remaining <= 0)
             break;
-        const SlotWindow &w = windows[idx];
-        const Seconds take =
-            std::min(remaining, w.to - w.from);
-        segments.push_back({w.from, w.from + take});
-        remaining -= take;
+        taken[idx] = std::min(remaining, windows[idx].capacity());
+        remaining -= taken[idx];
     }
     GAIA_ASSERT(remaining == 0, "Wait-Awhile could not place ",
                 remaining, "s of job ", job.id,
                 " within its deadline window");
-    return SchedulePlan(std::move(segments));
+
+    SchedulePlan plan;
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        if (taken[i] > 0)
+            plan.append(windows[i].from, windows[i].from + taken[i]);
+    }
+    return plan;
 }
 
 EcovisorPolicy::EcovisorPolicy(double threshold_percentile)
@@ -127,40 +177,40 @@ SchedulePlan
 EcovisorPolicy::plan(const Job &job, const PlanContext &ctx) const
 {
     checkContext(job, ctx);
-    const CarbonInfoSource &cis = *ctx.cis;
     const Seconds now = ctx.now;
-
-    const double threshold = cis.forecastPercentile(
+    const double threshold = ctx.cis->forecastPercentile(
         now, now, now + kSecondsPerDay, threshold_percentile_);
+    return thresholdWalk(job, ctx, [&](Seconds) { return threshold; });
+}
 
-    std::vector<RunSegment> segments;
-    Seconds cursor = now;
-    Seconds wait_left = ctx.queue->max_wait;
-    Seconds remaining = job.length;
+AdaptiveSRPolicy::AdaptiveSRPolicy(double initial_percentile)
+    : initial_percentile_(initial_percentile)
+{
+    if (initial_percentile_ < 0.0 || initial_percentile_ > 100.0)
+        fatal("Adaptive-SR percentile out of range: ",
+              initial_percentile_);
+}
 
-    while (remaining > 0) {
-        if (wait_left <= 0) {
-            // Waiting budget exhausted: run to completion.
-            segments.push_back({cursor, cursor + remaining});
-            remaining = 0;
-            break;
-        }
-        const Seconds slot_end = slotStart(slotOf(cursor)) +
-                                 kSecondsPerHour;
-        if (cis.forecastAtSlot(now, slotOf(cursor)) <= threshold) {
-            const Seconds run_to =
-                std::min(slot_end, cursor + remaining);
-            segments.push_back({cursor, run_to});
-            remaining -= run_to - cursor;
-            cursor = run_to;
-        } else {
-            const Seconds pause =
-                std::min(slot_end - cursor, wait_left);
-            cursor += pause;
-            wait_left -= pause;
-        }
-    }
-    return SchedulePlan(std::move(segments));
+SchedulePlan
+AdaptiveSRPolicy::plan(const Job &job, const PlanContext &ctx) const
+{
+    checkContext(job, ctx);
+    const Seconds now = ctx.now;
+    const Seconds budget = ctx.queue->max_wait;
+    return thresholdWalk(job, ctx, [&](Seconds waited) {
+        // Quadratic easing from the initial percentile to 100 keeps
+        // the policy selective through most of the budget and only
+        // opens the floodgates near exhaustion.
+        const double progress =
+            budget > 0 ? static_cast<double>(waited) /
+                             static_cast<double>(budget)
+                       : 1.0;
+        const double p =
+            initial_percentile_ +
+            (100.0 - initial_percentile_) * progress * progress;
+        return ctx.cis->forecastPercentile(now, now,
+                                           now + kSecondsPerDay, p);
+    });
 }
 
 SchedulePlan
@@ -184,47 +234,21 @@ SchedulePlan
 LowestWindowPolicy::plan(const Job &job, const PlanContext &ctx) const
 {
     checkContext(job, ctx);
-    const CarbonInfoSource &cis = *ctx.cis;
     const Seconds now = ctx.now;
     const Seconds j_avg = use_exact_length_
                               ? job.length
                               : ctx.queue->effectiveAvgLength();
 
-    // Memoized path: the boundary candidates' integrals are
-    // independent of the exact arrival instant (their windows lie
-    // strictly after slotOf(now)), so they are read from the shared
-    // slot table. The strict-< scan picks the first occurrence of
-    // the minimum, so comparing that boundary against this job's
-    // start-now integral reproduces the full scan bit for bit. The
+    // Strict <: the first minimum wins, starting now first. The
     // oracle variant keys on per-job exact lengths, each with its
-    // own table, so it stays direct.
-    if (memoizable(ctx, granularity_) && !use_exact_length_) {
-        const PlanCache::BoundaryKey key =
-            boundaryKey(now, ctx.queue->max_wait, j_avg);
-        const double now_integral =
-            cis.forecastIntegrate(now, now, now + j_avg);
-        Seconds best_start = now;
-        if (key.count > 0) {
-            const std::span<const double> integrals =
-                ctx.cache->startIntegrals(key, [&](Seconds s) {
-                    return cis.forecastIntegrate(now, s,
-                                                 s + j_avg);
-                });
-            const auto best =
-                std::min_element(integrals.begin(), integrals.end());
-            if (*best < now_integral)
-                best_start = key.first + (best - integrals.begin()) *
-                                             kSecondsPerHour;
-        }
-        return SchedulePlan(best_start, job.length);
-    }
-
+    // own table, so it plans directly.
     Seconds best_start = now;
-    double best_integral = std::numeric_limits<double>::infinity();
-    forEachCandidateStart(
-        now, ctx.queue->max_wait, granularity_, [&](Seconds s) {
-            const double integral =
-                cis.forecastIntegrate(now, s, s + j_avg);
+    double best_integral =
+        ctx.cis->forecastIntegrate(now, now, now + j_avg);
+    forEachLaterCandidate(
+        ctx, j_avg, granularity_,
+        memoizable(ctx, granularity_) && !use_exact_length_,
+        [&](Seconds s, double integral) {
             if (integral < best_integral) {
                 best_integral = integral;
                 best_start = s;
@@ -242,58 +266,20 @@ SchedulePlan
 CarbonTimePolicy::plan(const Job &job, const PlanContext &ctx) const
 {
     checkContext(job, ctx);
-    const CarbonInfoSource &cis = *ctx.cis;
     const Seconds now = ctx.now;
     const Seconds j_avg = ctx.queue->effectiveAvgLength();
 
     // Carbon footprint (up to the constant power factor) of starting
     // now — the carbon-agnostic reference C(t).
     const double base_integral =
-        cis.forecastIntegrate(now, now, now + j_avg);
-
-    // Memoized path: only the boundary integrals are shareable —
-    // the CST ratio divides by (s − now) + J_avg, which depends on
-    // the exact arrival instant — so the per-job selection loop
-    // replays the original arithmetic over the slot table.
-    if (memoizable(ctx, granularity_)) {
-        const PlanCache::BoundaryKey key =
-            boundaryKey(now, ctx.queue->max_wait, j_avg);
-        Seconds best_start = now;
-        double best_cst = 0.0;
-        if (key.count > 0) {
-            const std::span<const double> integrals =
-                ctx.cache->startIntegrals(key, [&](Seconds s) {
-                    return cis.forecastIntegrate(now, s,
-                                                 s + j_avg);
-                });
-            for (std::int64_t k = 0; k < key.count; ++k) {
-                const double saving =
-                    base_integral -
-                    integrals[static_cast<std::size_t>(k)];
-                if (saving <= 0.0)
-                    continue; // never wait for non-positive savings
-                const Seconds s = key.first + k * kSecondsPerHour;
-                const double completion =
-                    static_cast<double>((s - now) + j_avg);
-                const double cst = saving / completion;
-                if (cst > best_cst) {
-                    best_cst = cst;
-                    best_start = s;
-                }
-            }
-        }
-        return SchedulePlan(best_start, job.length);
-    }
+        ctx.cis->forecastIntegrate(now, now, now + j_avg);
 
     Seconds best_start = now;
     double best_cst = 0.0; // starting now scores zero by definition
-    forEachCandidateStart(
-        now, ctx.queue->max_wait, granularity_, [&](Seconds s) {
-            if (s == now)
-                return;
-            const double saving =
-                base_integral -
-                cis.forecastIntegrate(now, s, s + j_avg);
+    forEachLaterCandidate(
+        ctx, j_avg, granularity_, memoizable(ctx, granularity_),
+        [&](Seconds s, double integral) {
+            const double saving = base_integral - integral;
             if (saving <= 0.0)
                 return; // never wait for non-positive savings
             const double completion =

@@ -18,6 +18,11 @@
  *                              a J_avg-long window.
  *   - CarbonTimePolicy:        start maximizing carbon savings per
  *                              completion time (CST).
+ *
+ * Extension (not in the paper's Table 1):
+ *   - AdaptiveSRPolicy:        Ecovisor's walk under a threshold
+ *                              that relaxes as the waiting budget
+ *                              drains.
  */
 
 #ifndef GAIA_CORE_POLICIES_H
@@ -90,6 +95,42 @@ class EcovisorPolicy final : public SchedulingPolicy
 
   private:
     double threshold_percentile_;
+};
+
+/**
+ * Adaptive suspend-resume (extension; not part of the paper).
+ *
+ * The paper's GAIA scheduler is restricted to uninterruptible
+ * execution and names suspend-resume support as future work (§4.1).
+ * The suspend-resume baselines are either length oracles (Wait
+ * Awhile) or performance-oblivious (Ecovisor, which pauses for *any*
+ * saving until its budget dies). Adaptive-SR is the middle ground:
+ * an online rule that needs no length knowledge and spends its
+ * waiting budget progressively, so the tail of the waiting
+ * distribution shrinks while most of the suspension savings survive.
+ *
+ * Like Ecovisor, the job runs whenever the current slot's intensity
+ * is at or below a threshold within the next-24 h distribution — but
+ * the threshold percentile relaxes quadratically from
+ * `initial_percentile` to 100 as the accumulated waiting approaches
+ * the queue's budget W. The policy stays selective through most of
+ * the budget, keeps the same W bound, and softens Ecovisor's hard
+ * cliff at its end.
+ */
+class AdaptiveSRPolicy final : public SchedulingPolicy
+{
+  public:
+    explicit AdaptiveSRPolicy(double initial_percentile = 30.0);
+
+    std::string name() const override { return "Adaptive-SR"; }
+    bool carbonAware() const override { return true; }
+    bool performanceAware() const override { return true; }
+    bool suspendResume() const override { return true; }
+    SchedulePlan plan(const Job &job,
+                      const PlanContext &ctx) const override;
+
+  private:
+    double initial_percentile_;
 };
 
 /**

@@ -10,8 +10,8 @@
  * capability flags reproduce the paper's Table 1.
  *
  * Plans must cover the job's true length so the simulator can
- * execute them — but a policy may only *use* the length when
- * knowsJobLength() is true (Wait Awhile); others act on the
+ * execute them — but a policy may only *use* the length when its
+ * lengthKnowledge() is Exact (Wait Awhile); others act on the
  * queue-wide average or purely online rules, exactly as in the
  * paper.
  */
@@ -20,6 +20,7 @@
 #define GAIA_CORE_POLICY_H
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -123,34 +124,60 @@ class SchedulingPolicy
     static std::vector<Seconds>
     candidateStarts(Seconds now, Seconds max_wait,
                     Seconds granularity = 0);
-
-    /**
-     * Visit the candidateStarts() sequence in the same order without
-     * materializing it — plan() runs once per arriving job, so the
-     * per-call vector was a measurable share of the planning hot
-     * path. `fn` receives each candidate start time.
-     */
-    template <typename Fn>
-    static void forEachCandidateStart(Seconds now, Seconds max_wait,
-                                      Seconds granularity, Fn &&fn)
-    {
-        fn(now);
-        if (max_wait == 0)
-            return;
-        const Seconds deadline = now + max_wait;
-        for (Seconds t = nextSlotBoundary(now + 1); t <= deadline;
-             t += kSecondsPerHour)
-            fn(t);
-        if (granularity > 0) {
-            for (Seconds t = now + granularity; t <= deadline;
-                 t += granularity)
-                fn(t);
-        }
-    }
 };
 
 /** Owning policy handle. */
 using PolicyPtr = std::unique_ptr<SchedulingPolicy>;
+
+/** One hourly slot's usable window [from, to) and its forecast. */
+struct SlotWindow
+{
+    Seconds from = 0;
+    Seconds to = 0;
+    /** Forecast carbon intensity of the slot (as seen at submit). */
+    double ci = 0.0;
+
+    Seconds capacity() const { return to - from; }
+};
+
+/**
+ * The hourly slot forecasts over [ctx.now, deadline) as seen at
+ * ctx.now: the one reader the suspend-resume policies plan from.
+ *
+ * The arrival slot is measured truth, so it is always read from the
+ * source. Later slots come from the PlanCache's one-slot table when
+ * the context carries a cache and the source is
+ * slotInvariantForecasts() (see core/plan_cache.h), and from
+ * forecastAtSlot() otherwise; both give the same bits. at() reads
+ * one slot per call, so a walk that stops early pays only for the
+ * slots it reached. The table view lasts until the cache's next
+ * lookup, so a reader lives within one plan() call.
+ */
+class SlotForecasts
+{
+  public:
+    SlotForecasts(const PlanContext &ctx, Seconds deadline);
+
+    /** Forecast intensity of `slot`, a slot of the window. */
+    double at(SlotIndex slot) const
+    {
+        if (slot == first_ || table_.empty())
+            return cis_.forecastAtSlot(now_, slot);
+        return table_[static_cast<std::size_t>(slot - first_ - 1)];
+    }
+
+    /** Every slot's window, clipped to [now, deadline), in time
+     *  order. */
+    std::vector<SlotWindow> windows() const;
+
+  private:
+    const CarbonInfoSource &cis_;
+    Seconds now_;
+    Seconds deadline_;
+    SlotIndex first_;
+    /** Slots first_ + 1 onward, when the one-slot table serves. */
+    std::span<const double> table_;
+};
 
 } // namespace gaia
 

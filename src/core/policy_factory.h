@@ -15,10 +15,12 @@
 namespace gaia {
 
 /**
- * Construct a policy by canonical name: "NoWait",
- * "AllWait-Threshold", "Wait-Awhile", "Ecovisor", "Lowest-Slot",
- * "Lowest-Window", or "Carbon-Time" (case-insensitive). fatal() on
- * unknown names; user-supplied names go through tryMakePolicy.
+ * Construct a policy by canonical name (case-insensitive): one of
+ * allPolicyNames() — "NoWait", "AllWait-Threshold", "Wait-Awhile",
+ * "Ecovisor", "Lowest-Slot", "Lowest-Window", "Carbon-Time" — or of
+ * elasticPolicyNames(), "Elastic-NoWait" and "Carbon-Scaler".
+ * fatal() on unknown names; user-supplied names go through
+ * tryMakePolicy.
  */
 PolicyPtr makePolicy(const std::string &name);
 

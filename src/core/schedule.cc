@@ -9,45 +9,26 @@ namespace gaia {
 
 SchedulePlan::SchedulePlan(Seconds start, Seconds length)
 {
-    segments_.push_back({start, start + length});
-    validate();
-}
-
-SchedulePlan::SchedulePlan(std::vector<RunSegment> segments)
-{
-    const std::vector<RunSegment> merged =
-        mergeSegments(std::move(segments));
-    segments_.reserve(merged.size());
-    for (const RunSegment &s : merged)
-        segments_.push_back(s);
-    validate();
+    append(start, start + length);
 }
 
 void
-SchedulePlan::validate() const
+SchedulePlan::append(Seconds start, Seconds end, int width)
 {
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-        const RunSegment &s = segments_[i];
-        GAIA_ASSERT(s.start >= 0, "segment starts before t=0");
-        GAIA_ASSERT(s.end > s.start, "empty or inverted segment [",
-                    s.start, ", ", s.end, ")");
-        GAIA_ASSERT(s.width >= 1, "segment width ", s.width,
-                    " below 1");
-        if (i > 0) {
-            const RunSegment &prev = segments_[i - 1];
-            // Equal-width neighbours must be strictly separated
-            // (touching ones were merged); a width change may abut —
-            // that is an elastic job resizing without pausing.
-            if (s.width == prev.width) {
-                GAIA_ASSERT(s.start > prev.end,
-                            "segments overlap or touch after "
-                            "merging");
-            } else {
-                GAIA_ASSERT(s.start >= prev.end,
-                            "segments overlap");
-            }
+    GAIA_ASSERT(start >= 0, "segment starts before t=0");
+    GAIA_ASSERT(end > start, "empty or inverted segment [", start,
+                ", ", end, ")");
+    GAIA_ASSERT(width >= 1, "segment width ", width, " below 1");
+    if (!segments_.empty()) {
+        RunSegment &last = segments_.back();
+        GAIA_ASSERT(start >= last.end, "segment [", start, ", ", end,
+                    ") overlaps the plan's end at ", last.end);
+        if (start == last.end && width == last.width) {
+            last.end = end;
+            return;
         }
     }
+    segments_.push_back({start, end, width});
 }
 
 Seconds
@@ -81,28 +62,6 @@ SchedulePlan::toString() const
             oss << "x" << segments_[i].width;
     }
     return oss.str();
-}
-
-std::vector<RunSegment>
-mergeSegments(std::vector<RunSegment> segments)
-{
-    std::sort(segments.begin(), segments.end(),
-              [](const RunSegment &a, const RunSegment &b) {
-                  return a.start < b.start;
-              });
-    std::vector<RunSegment> merged;
-    for (const RunSegment &s : segments) {
-        if (!merged.empty() && s.start <= merged.back().end &&
-            s.width == merged.back().width) {
-            GAIA_ASSERT(s.start >= merged.back().end,
-                        "overlapping plan segments: ", s.start,
-                        " < ", merged.back().end);
-            merged.back().end = std::max(merged.back().end, s.end);
-        } else {
-            merged.push_back(s);
-        }
-    }
-    return merged;
 }
 
 } // namespace gaia

@@ -5,9 +5,9 @@
  * A SchedulePlan is a sorted, non-overlapping list of execution
  * segments whose durations sum to the job's length. Start-time
  * policies emit one segment; suspend-resume policies (Wait Awhile,
- * Ecovisor) emit several. Placement (reserved / on-demand / spot) is
- * decided later by the simulator's resource strategy — a plan only
- * fixes *when* the job computes.
+ * Ecovisor) emit several, appended in time order. Placement
+ * (reserved / on-demand / spot) is decided later by the simulator's
+ * resource strategy — a plan only fixes *when* the job computes.
  */
 
 #ifndef GAIA_CORE_SCHEDULE_H
@@ -15,7 +15,6 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/small_vector.h"
@@ -49,9 +48,15 @@ class SchedulePlan
     /** Single-segment convenience constructor. */
     SchedulePlan(Seconds start, Seconds length);
 
-    /** Multi-segment constructor; segments are merged when adjacent
-     *  and validated (sorted, non-overlapping, positive length). */
-    explicit SchedulePlan(std::vector<RunSegment> segments);
+    /**
+     * Append [start, end) at `width` instances. The segment must be
+     * non-empty, start at or after the plan's end and at or after
+     * t=0, and have a width of at least 1. One that abuts an
+     * equal-width last segment extends it; abutting segments of
+     * different widths stay separate — an elastic job changing width
+     * without pausing.
+     */
+    void append(Seconds start, Seconds end, int width = 1);
 
     bool empty() const { return segments_.empty(); }
     std::size_t segmentCount() const { return segments_.size(); }
@@ -94,21 +99,10 @@ class SchedulePlan
     std::string toString() const;
 
   private:
-    void validate() const;
-
     /** One segment stays inline — every start-time policy's plan —
      *  so planning a job costs no heap allocation. */
     SmallVector<RunSegment, 1> segments_;
 };
-
-/**
- * Merge chronologically sorted intervals, coalescing abutting ones
- * of equal width; helper shared by the suspend-resume policies.
- * Abutting segments of different widths stay separate — they are an
- * elastic job changing width without pausing.
- */
-std::vector<RunSegment>
-mergeSegments(std::vector<RunSegment> segments);
 
 } // namespace gaia
 

@@ -20,7 +20,7 @@ SpatialPlanner::SpatialPlanner(
 SpatialAssignment
 SpatialPlanner::assign(const Job &job) const
 {
-    const QueueSpec &queue = queues_.queueFor(job.length);
+    const QueueSpec &queue = queues_.queueForJob(job);
 
     SpatialAssignment best;
     best.job = job.id;

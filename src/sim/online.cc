@@ -275,7 +275,8 @@ OnlineScheduler::onArrival(std::size_t idx)
         ctx.elastic = &elastic_;
         {
             const obs::Span span("policy.plan");
-            state.plan = policy_.plan(job, ctx);
+            const SchedulePlan plan = policy_.plan(job, ctx);
+            state.plan = plan; // a copy's heap block is exact-size
         }
 
         // Plan contract checks (see SchedulingPolicy::plan). An

@@ -7,7 +7,8 @@
  * that re-derives the same answer the slow way: the carbon-trace
  * prefix/RMQ tables (test_cis_fastpath, test_plan_cache), every
  * carbon source's window queries (test_cis_fastpath), the
- * Wait-Awhile greedy (test_policy_optimality), and the elastic
+ * Wait-Awhile greedy (test_policy_optimality), the suspend-resume
+ * policies' plans (test_policy_properties), and the elastic
  * CarbonScaler allocator (test_elastic_oracle). The loops live here
  * so every suite tests against the *same* reference arithmetic —
  * bitwise agreement between two suites then means agreement with a
@@ -269,6 +270,165 @@ cheapestExecutionCost(const CarbonTrace &trace, Seconds now,
     }
     EXPECT_EQ(remaining, 0);
     return cost;
+}
+
+/**
+ * Sort segments by start and coalesce abutting ones of equal width:
+ * how the reference plans below are assembled, where the policies
+ * append in time order instead.
+ */
+inline std::vector<RunSegment>
+refMergeSegments(std::vector<RunSegment> segments)
+{
+    std::sort(segments.begin(), segments.end(),
+              [](const RunSegment &a, const RunSegment &b) {
+                  return a.start < b.start;
+              });
+    std::vector<RunSegment> merged;
+    for (const RunSegment &s : segments) {
+        if (!merged.empty() && s.start <= merged.back().end &&
+            s.width == merged.back().width) {
+            EXPECT_GE(s.start, merged.back().end);
+            merged.back().end = std::max(merged.back().end, s.end);
+        } else {
+            merged.push_back(s);
+        }
+    }
+    return merged;
+}
+
+/**
+ * Reference Wait-Awhile plan: one forecastAtSlot() per hourly slot
+ * window of [submit, submit + length + max_wait), every window
+ * sorted by (intensity, start), the cheapest taken first (the
+ * earliest part of the last one), then merged.
+ */
+inline std::vector<RunSegment>
+refWaitAwhile(const CarbonInfoSource &cis, const Job &job,
+              Seconds max_wait)
+{
+    const Seconds now = job.submit;
+    const Seconds deadline = now + job.length + max_wait;
+    struct Window
+    {
+        Seconds from;
+        Seconds to;
+        double ci;
+    };
+    std::vector<Window> windows;
+    for (SlotIndex s = slotOf(now); slotStart(s) < deadline; ++s) {
+        const Seconds from = std::max(now, slotStart(s));
+        const Seconds to =
+            std::min(deadline, slotStart(s) + kSecondsPerHour);
+        if (to > from)
+            windows.push_back({from, to, cis.forecastAtSlot(now, s)});
+    }
+    std::sort(windows.begin(), windows.end(),
+              [](const Window &a, const Window &b) {
+                  if (a.ci != b.ci)
+                      return a.ci < b.ci;
+                  return a.from < b.from;
+              });
+    std::vector<RunSegment> segments;
+    Seconds remaining = job.length;
+    for (const Window &w : windows) {
+        if (remaining <= 0)
+            break;
+        const Seconds take = std::min(remaining, w.to - w.from);
+        segments.push_back({w.from, w.from + take});
+        remaining -= take;
+    }
+    EXPECT_EQ(remaining, 0);
+    return refMergeSegments(std::move(segments));
+}
+
+/**
+ * Reference Ecovisor plan: run through each slot whose forecast is at
+ * or below the `percentile` of the next 24 h (fixed at submit), pause
+ * through the others, and run to completion once `max_wait` of
+ * pause is spent.
+ */
+inline std::vector<RunSegment>
+refEcovisor(const CarbonInfoSource &cis, const Job &job,
+            Seconds max_wait, double percentile = 30.0)
+{
+    const Seconds now = job.submit;
+    const double threshold = cis.forecastPercentile(
+        now, now, now + kSecondsPerDay, percentile);
+    std::vector<RunSegment> segments;
+    Seconds cursor = now;
+    Seconds wait_left = max_wait;
+    Seconds remaining = job.length;
+    while (remaining > 0) {
+        if (wait_left <= 0) {
+            segments.push_back({cursor, cursor + remaining});
+            remaining = 0;
+            break;
+        }
+        const Seconds slot_end = slotStart(slotOf(cursor)) +
+                                 kSecondsPerHour;
+        if (cis.forecastAtSlot(now, slotOf(cursor)) <= threshold) {
+            const Seconds run_to =
+                std::min(slot_end, cursor + remaining);
+            segments.push_back({cursor, run_to});
+            remaining -= run_to - cursor;
+            cursor = run_to;
+        } else {
+            const Seconds pause =
+                std::min(slot_end - cursor, wait_left);
+            cursor += pause;
+            wait_left -= pause;
+        }
+    }
+    return refMergeSegments(std::move(segments));
+}
+
+/**
+ * Reference Adaptive-SR plan: Ecovisor's walk, but each slot's
+ * threshold percentile eases quadratically from
+ * `initial_percentile` to 100 as the pause spent approaches
+ * `max_wait`.
+ */
+inline std::vector<RunSegment>
+refAdaptiveSR(const CarbonInfoSource &cis, const Job &job,
+              Seconds max_wait, double initial_percentile = 30.0)
+{
+    const Seconds now = job.submit;
+    const Seconds budget = max_wait;
+    std::vector<RunSegment> segments;
+    Seconds cursor = now;
+    Seconds waited = 0;
+    Seconds remaining = job.length;
+    while (remaining > 0) {
+        if (waited >= budget) {
+            segments.push_back({cursor, cursor + remaining});
+            break;
+        }
+        const double progress =
+            budget > 0 ? static_cast<double>(waited) /
+                             static_cast<double>(budget)
+                       : 1.0;
+        const double p =
+            initial_percentile +
+            (100.0 - initial_percentile) * progress * progress;
+        const double threshold = cis.forecastPercentile(
+            now, now, now + kSecondsPerDay, p);
+        const Seconds slot_end =
+            slotStart(slotOf(cursor)) + kSecondsPerHour;
+        if (cis.forecastAtSlot(now, slotOf(cursor)) <= threshold) {
+            const Seconds run_to =
+                std::min(slot_end, cursor + remaining);
+            segments.push_back({cursor, run_to});
+            remaining -= run_to - cursor;
+            cursor = run_to;
+        } else {
+            const Seconds pause =
+                std::min(slot_end - cursor, budget - waited);
+            cursor += pause;
+            waited += pause;
+        }
+    }
+    return refMergeSegments(std::move(segments));
 }
 
 /**

@@ -319,7 +319,7 @@ TEST(ElasticOracle, PropertiesHoldOnRandomConcaveInstances)
                                  window.stepCount());
         const Seconds finish = job.submit + duration;
         for (int s = 0; s < window.slotCount(); ++s) {
-            const ElasticWindow::Slot &slot =
+            const SlotWindow &slot =
                 window.slots[static_cast<std::size_t>(s)];
             const Seconds overlap =
                 std::min(slot.to, finish) -

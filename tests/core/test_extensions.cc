@@ -1,11 +1,10 @@
 /** @file Tests for extension policies (Adaptive-SR). */
 
-#include "core/extensions.h"
+#include "core/policies.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/policies.h"
 #include "trace/region_model.h"
 
 namespace gaia {

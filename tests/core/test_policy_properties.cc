@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/time.h"
 #include "core/cis.h"
+#include "core/plan_cache.h"
 #include "core/policies.h"
 #include "core/policy_factory.h"
+#include "fault/faulty_source.h"
+#include "tests/common/reference_oracles.h"
 #include "trace/region_model.h"
 
 namespace gaia {
@@ -168,10 +175,54 @@ TEST_P(CarbonOrdering, MoreKnowledgeNeverIncreasesPlannedCarbon)
 INSTANTIATE_TEST_SUITE_P(Seeds, CarbonOrdering,
                          ::testing::Range(0, 20));
 
+/** Exposes the protected candidate list to the brute forces. */
+struct StartCandidates : SchedulingPolicy
+{
+    using SchedulingPolicy::candidateStarts;
+};
+
+/**
+ * Lowest-Window's and Carbon-Time's starts, brute-forced over
+ * candidateStarts(): the first minimum integral over [s, s + J_avg),
+ * and the first maximum CST among positive savings (now scores 0).
+ */
+std::pair<Seconds, Seconds>
+bruteForceStarts(const CarbonInfoSource &cis, Seconds now,
+                 const QueueSpec &queue, Seconds granularity)
+{
+    const Seconds j_avg = queue.effectiveAvgLength();
+    const auto integral = [&](Seconds s) {
+        return cis.forecastIntegrate(now, s, s + j_avg);
+    };
+    const double base = integral(now);
+    Seconds window_start = now;
+    Seconds cst_start = now;
+    double best_integral = base;
+    double best_cst = 0.0;
+    for (const Seconds s : StartCandidates::candidateStarts(
+             now, queue.max_wait, granularity)) {
+        const double value = integral(s);
+        if (value < best_integral) {
+            best_integral = value;
+            window_start = s;
+        }
+        const double saving = base - value;
+        const double cst =
+            saving / static_cast<double>(s - now + j_avg);
+        if (saving > 0.0 && cst > best_cst) {
+            best_cst = cst;
+            cst_start = s;
+        }
+    }
+    return {window_start, cst_start};
+}
+
 /**
  * Carbon-Time dominates Lowest-Window on savings-per-wait: its CST
  * at the chosen start is at least Lowest-Window's by definition of
- * the maximization.
+ * the maximization. Both policies' starts also equal a brute force
+ * over the same candidates — including a window that holds finer
+ * starts but no hourly boundary.
  */
 TEST(CarbonTimeProperty, ChosenStartMaximizesCst)
 {
@@ -204,6 +255,112 @@ TEST(CarbonTimeProperty, ChosenStartMaximizesCst)
              s <= job.submit + queue.max_wait;
              s += kSecondsPerHour) {
             EXPECT_GE(chosen_cst, cst(s) - 1e-9);
+        }
+        const auto [window_start, cst_start] =
+            bruteForceStarts(cis, job.submit, queue, 0);
+        EXPECT_EQ(LowestWindowPolicy().plan(job, ctx).plannedStart(),
+                  window_start);
+        EXPECT_EQ(chosen, cst_start);
+    }
+
+    // Finer starts 900 .. 1800 s but no hourly boundary in
+    // (600, 1800]; the cheap second slot makes the last the best.
+    const CarbonTrace trace("dip", {500.0, 100.0, 300.0});
+    const CarbonInfoService cis(trace);
+    const QueueSpec queue{"q", days(1), 1200, hours(1)};
+    const Job job{1, 600, hours(1), 1};
+    const PlanContext ctx{job.submit, &cis, &queue};
+    const auto [window_start, cst_start] =
+        bruteForceStarts(cis, job.submit, queue, 300);
+    EXPECT_EQ(window_start, 1800);
+    EXPECT_EQ(cst_start, 1800);
+    EXPECT_EQ(LowestWindowPolicy(300).plan(job, ctx).plannedStart(),
+              window_start);
+    EXPECT_EQ(CarbonTimePolicy(300).plan(job, ctx).plannedStart(),
+              cst_start);
+}
+
+/** Expect `plan` to hold exactly `ref`'s segments. */
+void
+expectSegments(const SchedulePlan &plan,
+               const std::vector<RunSegment> &ref,
+               const std::string &what)
+{
+    ASSERT_EQ(plan.segmentCount(), ref.size())
+        << what << ": " << plan.toString();
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        const RunSegment &seg = plan.segment(i);
+        EXPECT_TRUE(seg.start == ref[i].start &&
+                    seg.end == ref[i].end &&
+                    seg.width == ref[i].width)
+            << what << " segment " << i << ": " << plan.toString();
+    }
+}
+
+/**
+ * Wait-Awhile, Ecovisor and Adaptive-SR plan segment for segment as
+ * their reference loops do, with and without a PlanCache, over
+ * perfect, noisy and faulty forecasts. The traces hold tied runs,
+ * the waits span 0 to 24 h, and arrivals fall mid-slot and move
+ * forward in time, as one cache requires.
+ */
+TEST(SuspendResumeReference, PlansMatchTheReferenceLoops)
+{
+    Rng rng(2718);
+    FaultSpec spec;
+    spec.stale_rate = 0.1;
+    spec.spike_rate = 0.1;
+    spec.gap_rate = 0.2;
+    const FaultInjector injector(spec);
+    const WaitAwhilePolicy wait_awhile;
+    const EcovisorPolicy ecovisor;
+    const AdaptiveSRPolicy adaptive_sr;
+    const SchedulingPolicy *const policies[] = {
+        &wait_awhile, &ecovisor, &adaptive_sr};
+
+    for (int t = 0; t < 8; ++t) {
+        const CarbonTrace trace = randomTrace(rng, 24 * 6);
+        const CarbonInfoService oracle(trace);
+        const CarbonInfoService noisy(
+            trace, 0.3, static_cast<std::uint64_t>(t));
+        const FaultyCarbonSource faulty(oracle, injector);
+        const CarbonInfoSource *const sources[] = {&oracle, &noisy,
+                                                   &faulty};
+        for (const CarbonInfoSource *cis : sources) {
+            for (const SchedulingPolicy *policy : policies) {
+                PlanCache cache;
+                Seconds submit =
+                    rng.uniformInt(0, kSecondsPerHour - 1);
+                for (int j = 0; j < 12; ++j) {
+                    const Job job{j, submit,
+                                  rng.uniformInt(60, hours(10)), 1};
+                    const Seconds wait =
+                        j % 4 == 0 ? 0 : rng.uniformInt(0, hours(24));
+                    const QueueSpec queue{"q", days(1), wait, 0};
+                    std::vector<RunSegment> ref;
+                    if (policy == &wait_awhile)
+                        ref = refWaitAwhile(*cis, job, wait);
+                    else if (policy == &ecovisor)
+                        ref = refEcovisor(*cis, job, wait);
+                    else
+                        ref = refAdaptiveSR(*cis, job, wait);
+                    for (PlanCache *c :
+                         {static_cast<PlanCache *>(nullptr), &cache}) {
+                        PlanContext ctx{submit, cis, &queue};
+                        ctx.cache = c;
+                        expectSegments(
+                            policy->plan(job, ctx), ref,
+                            policy->name() + " trace " +
+                                std::to_string(t) + " job " +
+                                std::to_string(j) +
+                                (c ? " cached" : " direct"));
+                    }
+                    submit += rng.uniformInt(0, hours(3));
+                }
+                if (cis->slotInvariantForecasts()) {
+                    EXPECT_GT(cache.hits(), 0u) << policy->name();
+                }
+            }
         }
     }
 }

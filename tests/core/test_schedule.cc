@@ -1,4 +1,4 @@
-/** @file Tests for schedule plans and segment merging. */
+/** @file Tests for schedule plans and their in-order appends. */
 
 #include "core/schedule.h"
 
@@ -19,8 +19,9 @@ TEST(SchedulePlan, SingleSegmentConvenience)
 
 TEST(SchedulePlan, MultiSegmentAccessors)
 {
-    const SchedulePlan plan(
-        std::vector<RunSegment>{{100, 200}, {400, 450}});
+    SchedulePlan plan;
+    plan.append(100, 200);
+    plan.append(400, 450);
     EXPECT_EQ(plan.segmentCount(), 2u);
     EXPECT_TRUE(plan.isSuspendResume());
     EXPECT_EQ(plan.plannedStart(), 100);
@@ -29,35 +30,43 @@ TEST(SchedulePlan, MultiSegmentAccessors)
     EXPECT_EQ(plan.segment(1).start, 400);
 }
 
-TEST(SchedulePlan, SortsAndMergesAdjacent)
+TEST(SchedulePlan, AppendMergesAbuttingSegmentsOfEqualWidth)
 {
-    const SchedulePlan plan(std::vector<RunSegment>{
-        {400, 450}, {100, 200}, {200, 300}});
-    // [100,200) + [200,300) coalesce.
-    ASSERT_EQ(plan.segmentCount(), 2u);
-    EXPECT_EQ(plan.segment(0).start, 100);
-    EXPECT_EQ(plan.segment(0).end, 300);
-    EXPECT_EQ(plan.segment(1).start, 400);
-}
+    SchedulePlan plan;
+    // A chain of abutting unit-width segments is one segment.
+    plan.append(0, 10);
+    plan.append(10, 20);
+    plan.append(20, 30);
+    ASSERT_EQ(plan.segmentCount(), 1u);
+    EXPECT_EQ(plan.segment(0).end, 30);
 
-TEST(MergeSegments, ChainOfAbuttingIntervals)
-{
-    const auto merged = mergeSegments(
-        {{0, 10}, {10, 20}, {20, 30}, {50, 60}});
-    ASSERT_EQ(merged.size(), 2u);
-    EXPECT_EQ(merged[0].end, 30);
-    EXPECT_EQ(merged[1].start, 50);
-}
-
-TEST(MergeSegments, EmptyInput)
-{
-    EXPECT_TRUE(mergeSegments({}).empty());
+    // A width change that abuts stays separate (an elastic job
+    // resizing without pausing), and so does a gap.
+    plan.append(30, 40, 2);
+    plan.append(40, 45, 2);
+    plan.append(45, 50);
+    plan.append(60, 70);
+    ASSERT_EQ(plan.segmentCount(), 4u);
+    EXPECT_EQ(plan.segment(0).start, 0);
+    EXPECT_EQ(plan.segment(0).end, 30);
+    EXPECT_EQ(plan.segment(1).start, 30);
+    EXPECT_EQ(plan.segment(1).end, 45);
+    EXPECT_EQ(plan.segment(1).width, 2);
+    EXPECT_EQ(plan.segment(2).start, 45);
+    EXPECT_EQ(plan.segment(2).end, 50);
+    EXPECT_EQ(plan.segment(2).width, 1);
+    EXPECT_EQ(plan.segment(3).start, 60);
+    EXPECT_EQ(plan.totalRunTime(), 60);
+    EXPECT_EQ(plan.maxWidth(), 2);
+    EXPECT_EQ(plan.toString(),
+              "[0, 30) + [30, 45)x2 + [45, 50) + [60, 70)");
 }
 
 TEST(SchedulePlan, ToStringRendersIntervals)
 {
-    const SchedulePlan plan(
-        std::vector<RunSegment>{{1, 2}, {5, 7}});
+    SchedulePlan plan;
+    plan.append(1, 2);
+    plan.append(5, 7);
     EXPECT_EQ(plan.toString(), "[1, 2) + [5, 7)");
 }
 
@@ -65,9 +74,13 @@ TEST(SchedulePlanDeath, InvalidPlansRejected)
 {
     EXPECT_DEATH(SchedulePlan(-5, 10), "starts before t=0");
     EXPECT_DEATH(SchedulePlan(0, 0), "empty or inverted");
-    EXPECT_DEATH(SchedulePlan(std::vector<RunSegment>{
-                     {0, 100}, {50, 150}}),
-                 "overlapping plan segments");
+    EXPECT_DEATH(
+        {
+            SchedulePlan plan(0, 100);
+            plan.append(50, 150);
+        },
+        "overlaps the plan's end");
+    EXPECT_DEATH(SchedulePlan().append(0, 10, 0), "width 0 below 1");
     const SchedulePlan empty;
     EXPECT_DEATH(empty.plannedStart(), "empty plan");
 }

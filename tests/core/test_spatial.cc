@@ -130,6 +130,29 @@ TEST(Spatial, SingleRegionDegeneratesToTemporal)
     EXPECT_EQ(via.plan.toString(), direct.toString());
 }
 
+TEST(Spatial, PlansAHintedJobInItsHintedQueue)
+{
+    // The engine runs a job in queueForJob(job), which honours its
+    // queue hint, so the planner must choose the region under the
+    // same waiting bound. Here the short queue's 6 h window misses
+    // the hour-12 dip, and the hinted long queue's 24 h reaches it.
+    std::vector<double> hourly(48, 500.0);
+    hourly[12] = 10.0;
+    const CarbonTrace trace("dip", hourly);
+    const CarbonInfoService cis(trace);
+    const LowestSlotPolicy policy;
+    const QueueConfig queues = QueueConfig::standardShortLong();
+    const SpatialPlanner planner({&cis}, policy, queues);
+
+    Job job{1, 0, hours(1), 1};
+    job.queue_hint = 1;
+    const QueueSpec &queue = queues.queueForJob(job);
+    ASSERT_EQ(queue.max_wait, hours(24));
+    const PlanContext ctx{job.submit, &cis, &queue};
+    EXPECT_EQ(policy.plan(job, ctx).plannedStart(), hours(12));
+    EXPECT_EQ(planner.assign(job).plan.plannedStart(), hours(12));
+}
+
 TEST(SpatialDeath, NoRegionsIsFatal)
 {
     const NoWaitPolicy policy;

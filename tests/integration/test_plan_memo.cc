@@ -13,8 +13,8 @@
  * The grids are the cells whose memoized tables carry the most
  * weight: fig14's 84 h windows on the year-long Alibaba trace, the
  * forecast-noise ablation (whose noisy oracle stays slot-invariant,
- * so Carbon-Scaler's slot-intensity table serves it), and the cells
- * behind the elastic and provisioning goldens.
+ * so the one-slot table serves the suspend-resume policies), and the
+ * cells behind the elastic and provisioning goldens.
  */
 
 #include <gtest/gtest.h>
@@ -194,8 +194,9 @@ TEST(PlanMemo, Fig14WaitingSweepCells)
     expectMemoMatchesDirect(specs);
 }
 
-/** ablation_forecast_noise's grid, plus Carbon-Scaler at each σ,
- *  whose slot-intensity table serves the noisy forecasts. */
+/** ablation_forecast_noise's grid, plus Ecovisor and Carbon-Scaler
+ *  at each σ: the noisy forecasts stay slot-invariant, so the
+ *  one-slot table serves their suspend-resume walks. */
 TEST(PlanMemo, ForecastNoiseCells)
 {
     ScenarioSpec base;
@@ -206,8 +207,9 @@ TEST(PlanMemo, ForecastNoiseCells)
 
     std::vector<ScenarioSpec> specs;
     for (double noise : {0.0, 0.05, 0.1, 0.25, 0.5, 1.0}) {
-        for (const char *policy : {"Lowest-Window", "Carbon-Time",
-                                   "Wait-Awhile", "Carbon-Scaler"}) {
+        for (const char *policy :
+             {"Lowest-Window", "Carbon-Time", "Wait-Awhile",
+              "Ecovisor", "Carbon-Scaler"}) {
             ScenarioSpec spec = base;
             spec.policy = policy;
             spec.cis.noise = noise;
