@@ -31,19 +31,6 @@ tryDuration(double value, Seconds unit, const std::string &what)
     return static_cast<Seconds>(value * static_cast<double>(unit));
 }
 
-SlotIndex
-slotOf(Seconds t)
-{
-    GAIA_ASSERT(t >= 0, "negative simulation time ", t);
-    return t / kSecondsPerHour;
-}
-
-Seconds
-slotStart(SlotIndex slot)
-{
-    return slot * kSecondsPerHour;
-}
-
 Seconds
 nextSlotBoundary(Seconds t)
 {

@@ -80,10 +80,19 @@ toHours(Seconds s)
 }
 
 /** Hourly slot containing time `t` (floor; negative t unsupported). */
-SlotIndex slotOf(Seconds t);
+inline SlotIndex
+slotOf(Seconds t)
+{
+    GAIA_ASSERT(t >= 0, "negative simulation time ", t);
+    return t / kSecondsPerHour;
+}
 
 /** Start time of hourly slot `slot`. */
-Seconds slotStart(SlotIndex slot);
+inline Seconds
+slotStart(SlotIndex slot)
+{
+    return slot * kSecondsPerHour;
+}
 
 /** First slot boundary at or after `t`. */
 Seconds nextSlotBoundary(Seconds t);

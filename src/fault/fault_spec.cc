@@ -10,8 +10,9 @@ namespace gaia {
 
 namespace {
 
-/** Bound on window/delay durations so injector window scans stay
- *  O(slots-per-window) with a small constant. */
+/** Bound on window, delay and retry-backoff durations: injector
+ *  window scans stay O(slots-per-window) with a small constant, and
+ *  the longest retry ladder ends about 1,256 years out. */
 constexpr Seconds kMaxFaultDuration = 7 * kSecondsPerDay;
 /** Spiked forecasts of the largest intensity a carbon trace accepts
  *  stay finite, and so do the integrals over them. */
@@ -169,9 +170,8 @@ FaultSpec::validate() const
     GAIA_REQUIRE(cis_max_retries >= 0 && cis_max_retries <= 16,
                  "cis retry budget must be in [0, 16], got ",
                  cis_max_retries);
-    GAIA_REQUIRE(cis_retry_backoff > 0,
-                 "cis retry backoff must be positive, got ",
-                 cis_retry_backoff, "s");
+    // The retry ladder doubles the backoff up to 15 times.
+    GAIA_TRY(checkDuration("cis retry backoff", cis_retry_backoff));
     GAIA_REQUIRE(storm_spot_retries >= 0 &&
                      storm_spot_retries <= 16,
                  "storm spot-retry budget must be in [0, 16], "

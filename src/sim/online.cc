@@ -79,7 +79,7 @@ void
 OnlineScheduler::setDefaultElasticProfile(
     const ElasticProfile &profile)
 {
-    GAIA_ASSERT(states_.empty(),
+    GAIA_ASSERT(outcomes_.empty(),
                 "setDefaultElasticProfile() after submit()");
     const Status valid = profile.validate();
     GAIA_ASSERT(valid.isOk(), "invalid default elastic profile: ",
@@ -91,13 +91,7 @@ void
 OnlineScheduler::reserveJobs(std::size_t count,
                              SimulationResult storage)
 {
-    // Byte budget of the job column, one entry per job per cell in
-    // flight; tests/sim/test_layout_budget.cc pins the public
-    // records, and JobState is private, so its budget lives here.
-    static_assert(sizeof(JobState) <= 64,
-                  "JobState outgrew its 64-byte budget");
-    GAIA_ASSERT(states_.empty(), "reserveJobs() after submit()");
-    states_.reserve(count);
+    GAIA_ASSERT(outcomes_.empty(), "reserveJobs() after submit()");
     // Every job records at least one segment, and a rerun of the
     // cell that filled `storage` records exactly as many as it did.
     const std::size_t segment_slots =
@@ -118,23 +112,7 @@ void
 OnlineScheduler::onEvent(const SimEvent &event)
 {
     ++events_dispatched_;
-    const auto idx = static_cast<std::size_t>(event.a);
     switch (event.kind) {
-      case EvArrival:
-        onArrival(idx);
-        return;
-      case EvPlaceSegment:
-        placeSegment(idx, static_cast<std::size_t>(event.b));
-        return;
-      case EvPlaceSpotSegment:
-        placeSpotSegment(idx, static_cast<std::size_t>(event.b));
-        return;
-      case EvPlannedStart:
-        onPlannedStart(idx);
-        return;
-      case EvRestartAfterEviction:
-        restartAfterEviction(idx, events_.now());
-        return;
       case EvPoolRelease:
         pool_.release(static_cast<int>(event.a));
         drainPending();
@@ -143,20 +121,85 @@ OnlineScheduler::onEvent(const SimEvent &event)
         // Notification only; a listener detached after the schedule
         // simply misses the callback.
         if (listener_ != nullptr)
-            listener_->onJobEnd(events_.now(), outcomes_[idx].id);
+            listener_->onJobEnd(events_.now(), outcomes_[event.a].id);
         return;
     }
-    panic("unknown event kind ", event.kind);
+
+    // Every other event names a job-state slot. An arrival takes
+    // one; any later event takes off the reference its scheduling
+    // counted, and the slot is freed once the handler has left no
+    // queued event naming it.
+    std::uint32_t slot = event.a;
+    if (event.kind == EvArrival) {
+        slot = takeSlot(event.a, static_cast<int>(event.b));
+    } else {
+        GAIA_ASSERT(slot < states_.size() && states_[slot].refs > 0,
+                    "event ", event.kind, " names free slot ", slot);
+        --states_[slot].refs;
+    }
+    switch (event.kind) {
+      case EvArrival:
+      case EvRetryArrival:
+        onArrival(slot);
+        break;
+      case EvPlaceSegment:
+        placeSegment(slot, static_cast<std::size_t>(event.b));
+        break;
+      case EvPlaceSpotSegment:
+        placeSpotSegment(slot, static_cast<std::size_t>(event.b));
+        break;
+      case EvPlannedStart:
+        onPlannedStart(slot);
+        break;
+      case EvRestartAfterEviction:
+        restartAfterEviction(slot, events_.now());
+        break;
+      default:
+        panic("unknown event kind ", event.kind);
+    }
+    if (states_[slot].refs == 0) {
+        states_[slot] = JobState{};
+        free_slots_.push_back(slot);
+    }
+}
+
+std::uint32_t
+OnlineScheduler::takeSlot(std::uint32_t job, int queue_hint)
+{
+    // Byte budget of one slot; tests/sim/test_layout_budget.cc pins
+    // the public records, and JobState is private, so its budget
+    // lives here.
+    static_assert(sizeof(JobState) <= 56,
+                  "JobState outgrew its 56-byte budget");
+    std::uint32_t slot = 0;
+    if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(states_.size());
+        states_.emplace_back();
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    JobState &state = states_[slot];
+    state.job = job;
+    state.queue_hint = queue_hint;
+    return slot;
 }
 
 void
-OnlineScheduler::notifyJobEnd(std::size_t idx, Seconds at)
+OnlineScheduler::scheduleForSlot(Seconds when, Ev kind,
+                                 std::uint32_t slot, std::int64_t b,
+                                 int priority)
+{
+    ++states_[slot].refs;
+    events_.schedule(when, priority, SimEvent{kind, slot, b});
+}
+
+void
+OnlineScheduler::notifyJobEnd(std::uint32_t job, Seconds at)
 {
     if (listener_ == nullptr)
         return;
-    events_.schedule(at, kNotifyPriority,
-                     SimEvent{EvJobEnd,
-                              static_cast<std::uint32_t>(idx), 0});
+    events_.schedule(at, kNotifyPriority, SimEvent{EvJobEnd, job, 0});
 }
 
 bool
@@ -185,12 +228,11 @@ OnlineScheduler::submit(const Job &job)
     GAIA_REQUIRE(job.submit >= events_.now(), "job ", job.id,
                  " submitted at ", job.submit,
                  " but simulation time is already ", events_.now());
-    const std::size_t idx = states_.size();
+    const std::size_t idx = outcomes_.size();
     GAIA_ASSERT(idx < kMaxJobs, "job index overflows the event "
                 "payload");
-    JobState &state = states_.emplace_back();
-    state.arrival = job.submit;
-    state.queue_hint = job.queue_hint;
+    // Admitted arrival: the user's submit plus any fault delay.
+    Seconds arrival = job.submit;
     JobOutcome &outcome = outcomes_.emplace_back();
     outcome.id = job.id;
     outcome.submit = static_cast<std::uint32_t>(job.submit);
@@ -208,7 +250,7 @@ OnlineScheduler::submit(const Job &job)
             // Delayed start: the scheduler sees the job late, but
             // the user submitted at the original instant, so the
             // delay counts as waiting time in the outcome.
-            state.arrival += faults_->startDelay();
+            arrival += faults_->startDelay();
             ++faults_injected_;
         }
     }
@@ -218,8 +260,9 @@ OnlineScheduler::submit(const Job &job)
     // submit time) out of the heap; a fault-delayed arrival that
     // lands out of order falls back to the heap transparently.
     events_.scheduleSequential(
-        state.arrival, /*priority=*/0,
-        SimEvent{EvArrival, static_cast<std::uint32_t>(idx), 0});
+        arrival, /*priority=*/0,
+        SimEvent{EvArrival, static_cast<std::uint32_t>(idx),
+                 job.queue_hint});
     return Status::ok();
 }
 
@@ -238,17 +281,19 @@ OnlineScheduler::drain()
 }
 
 void
-OnlineScheduler::onArrival(std::size_t idx)
+OnlineScheduler::onArrival(std::uint32_t slot)
 {
-    JobState &state = states_[idx];
-    JobOutcome &outcome = outcomes_[idx];
+    JobState &state = states_[slot];
+    JobOutcome &outcome = outcomes_[state.job];
     // The job as admitted: stretched by a straggler fault, arriving
-    // at its (possibly delayed or retried) arrival instant.
-    const Job job{outcome.id, state.arrival, outcome.length,
+    // now, at its (possibly delayed or retried) arrival instant.
+    // Planning runs at this instant; the outcome keeps the user's
+    // submit, so any delay counts as waiting.
+    const Job job{outcome.id, events_.now(), outcome.length,
                   outcome.cpus, state.queue_hint};
 
     if (!cis_.availableAt(events_.now())) {
-        if (retryArrivalLater(idx))
+        if (retryArrivalLater(slot))
             return;
         // Retry budget exhausted: degrade to the carbon-oblivious
         // NoWait plan rather than blocking the queue. Recovery is
@@ -275,8 +320,7 @@ OnlineScheduler::onArrival(std::size_t idx)
         ctx.elastic = &elastic_;
         {
             const obs::Span span("policy.plan");
-            const SchedulePlan plan = policy_.plan(job, ctx);
-            state.plan = plan; // a copy's heap block is exact-size
+            state.plan = policy_.plan(job, ctx);
         }
 
         // Plan contract checks (see SchedulingPolicy::plan). An
@@ -319,13 +363,13 @@ OnlineScheduler::onArrival(std::size_t idx)
     state.spot_eligible =
         spotEnabled() && job.length <= cluster_.spot_max_length;
 
-    dispatch(idx);
+    dispatch(slot);
 }
 
 bool
-OnlineScheduler::retryArrivalLater(std::size_t idx)
+OnlineScheduler::retryArrivalLater(std::uint32_t slot)
 {
-    JobState &state = states_[idx];
+    JobState &state = states_[slot];
     // Knob defaults apply when a faulty source is wired up without
     // a cluster-side injector.
     const FaultSpec defaults;
@@ -341,70 +385,65 @@ OnlineScheduler::retryArrivalLater(std::size_t idx)
         spec.cis_retry_backoff << state.cis_attempts;
     ++state.cis_attempts;
     ++cis_retries_;
-    // The job effectively re-arrives at the probe instant; moving
-    // its arrival keeps the planning contract (ctx.now == the
-    // admitted submit) intact, while the outcome keeps the
-    // user-visible submit time so the stall counts as waiting.
-    state.arrival = events_.now() + backoff;
-    events_.schedule(
-        state.arrival, /*priority=*/0,
-        SimEvent{EvArrival, static_cast<std::uint32_t>(idx), 0});
+    // The job effectively re-arrives at the probe instant, at an
+    // arrival's priority, and plans there with ctx.now == the
+    // admitted submit.
+    scheduleForSlot(events_.now() + backoff, EvRetryArrival, slot,
+                    0, /*priority=*/0);
     return true;
 }
 
 void
-OnlineScheduler::dispatch(std::size_t idx)
+OnlineScheduler::dispatch(std::uint32_t slot)
 {
-    JobState &state = states_[idx];
+    JobState &state = states_[slot];
     const Seconds at = events_.now();
 
     switch (strategy_) {
       case ResourceStrategy::OnDemandOnly:
       case ResourceStrategy::HybridGreedy:
-        followPlan(idx, /*on_spot=*/false);
+        followPlan(slot, /*on_spot=*/false);
         return;
 
       case ResourceStrategy::SpotFirst:
-        followPlan(idx, /*on_spot=*/state.spot_eligible);
+        followPlan(slot, /*on_spot=*/state.spot_eligible);
         return;
 
       case ResourceStrategy::ReservedFirst:
       case ResourceStrategy::SpotReserved:
         if (strategy_ == ResourceStrategy::SpotReserved &&
             state.spot_eligible) {
-            followPlan(idx, /*on_spot=*/true);
+            followPlan(slot, /*on_spot=*/true);
             return;
         }
         // Suspend-resume plans are not work-conserving: they follow
         // their segment schedule with greedy placement.
         if (state.plan.isSuspendResume()) {
-            followPlan(idx, /*on_spot=*/false);
+            followPlan(slot, /*on_spot=*/false);
             return;
         }
         // Work-conserving: run immediately when reserved capacity
         // is free, even if the policy preferred to wait. (Plans
         // reaching here are single-segment; elastic ones need the
         // segment's full gang of cores.)
-        if (pool_.canFit(outcomes_[idx].cpus *
+        if (pool_.canFit(outcomes_[state.job].cpus *
                          state.plan.segment(0).width)) {
-            startOnReserved(idx, at);
+            startOnReserved(slot, at);
             return;
         }
         state.pending = true;
-        pending_.emplace(state.plan.plannedStart(), idx);
-        events_.schedule(
-            state.plan.plannedStart(),
-            SimEvent{EvPlannedStart,
-                     static_cast<std::uint32_t>(idx), 0});
+        pending_.emplace(state.plan.plannedStart(), slot);
+        scheduleForSlot(state.plan.plannedStart(), EvPlannedStart,
+                        slot);
         return;
     }
     panic("unknown resource strategy");
 }
 
 void
-OnlineScheduler::followPlan(std::size_t idx, bool on_spot)
+OnlineScheduler::followPlan(std::uint32_t slot, bool on_spot)
 {
-    JobState &state = states_[idx];
+    JobState &state = states_[slot];
     if (!on_spot && strategy_ == ResourceStrategy::OnDemandOnly) {
         // Pure on-demand placement touches no shared state (no
         // reserved pool, no evictions), so deferring each segment
@@ -414,33 +453,28 @@ OnlineScheduler::followPlan(std::size_t idx, bool on_spot)
         // path.
         for (std::size_t s = 0; s < state.plan.segmentCount(); ++s) {
             const RunSegment &seg = state.plan.segment(s);
-            recordSegment(idx, seg.start, seg.end,
+            recordSegment(state.job, seg.start, seg.end,
                           PurchaseOption::OnDemand, /*lost=*/false,
                           seg.width);
         }
-        notifyJobEnd(
-            idx,
-            state.plan.segment(state.plan.segmentCount() - 1).end);
+        notifyJobEnd(state.job, state.plan.plannedEnd());
         return;
     }
     for (std::size_t s = 0; s < state.plan.segmentCount(); ++s) {
-        const Seconds at = state.plan.segment(s).start;
-        events_.schedule(
-            at, SimEvent{on_spot ? EvPlaceSpotSegment
-                                 : EvPlaceSegment,
-                         static_cast<std::uint32_t>(idx),
-                         static_cast<std::int64_t>(s)});
+        scheduleForSlot(state.plan.segment(s).start,
+                        on_spot ? EvPlaceSpotSegment : EvPlaceSegment,
+                        slot, static_cast<std::int64_t>(s));
     }
 }
 
 void
-OnlineScheduler::placeSegment(std::size_t idx, std::size_t seg_idx)
+OnlineScheduler::placeSegment(std::uint32_t slot, std::size_t seg_idx)
 {
-    JobState &state = states_[idx];
+    const JobState &state = states_[slot];
     if (state.aborted)
         return; // plan superseded by an eviction restart
     const RunSegment &seg = state.plan.segment(seg_idx);
-    const int cores = outcomes_[idx].cpus * seg.width;
+    const int cores = outcomes_[state.job].cpus * seg.width;
     const Seconds at = events_.now();
     GAIA_ASSERT(at == seg.start, "segment event fired at ", at,
                 " for a segment starting at ", seg.start);
@@ -448,7 +482,7 @@ OnlineScheduler::placeSegment(std::size_t idx, std::size_t seg_idx)
     if (strategy_ != ResourceStrategy::OnDemandOnly &&
         pool_.canFit(cores)) {
         pool_.acquire(cores);
-        recordSegment(idx, seg.start, seg.end,
+        recordSegment(state.job, seg.start, seg.end,
                       PurchaseOption::Reserved, /*lost=*/false,
                       seg.width);
         events_.schedule(
@@ -456,32 +490,32 @@ OnlineScheduler::placeSegment(std::size_t idx, std::size_t seg_idx)
             SimEvent{EvPoolRelease,
                      static_cast<std::uint32_t>(cores), 0});
     } else {
-        recordSegment(idx, seg.start, seg.end,
+        recordSegment(state.job, seg.start, seg.end,
                       PurchaseOption::OnDemand, /*lost=*/false,
                       seg.width);
     }
     if (seg_idx + 1 == state.plan.segmentCount())
-        notifyJobEnd(idx, seg.end);
+        notifyJobEnd(state.job, seg.end);
 }
 
 void
-OnlineScheduler::placeSpotSegment(std::size_t idx,
+OnlineScheduler::placeSpotSegment(std::uint32_t slot,
                                   std::size_t seg_idx)
 {
-    JobState &state = states_[idx];
+    const JobState &state = states_[slot];
     if (state.aborted)
         return;
     const RunSegment &seg = state.plan.segment(seg_idx);
-    runSpotSlice(idx, seg.start, seg.end, seg.width,
+    runSpotSlice(slot, seg.start, seg.end, seg.width,
                  seg_idx + 1 == state.plan.segmentCount());
 }
 
 void
-OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
+OnlineScheduler::runSpotSlice(std::uint32_t slot, Seconds from,
                               Seconds to, int width,
                               bool final_slice)
 {
-    JobState &state = states_[idx];
+    JobState &state = states_[slot];
 
     // The independent per-slice eviction draw is sampled before the
     // storm check so the RNG stream — and with it every faults-off
@@ -501,10 +535,10 @@ OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
         }
     }
     if (evict_at < 0) {
-        recordSegment(idx, from, to, PurchaseOption::Spot,
+        recordSegment(state.job, from, to, PurchaseOption::Spot,
                       /*lost=*/false, width);
         if (final_slice)
-            notifyJobEnd(idx, to);
+            notifyJobEnd(state.job, to);
         return;
     }
 
@@ -515,29 +549,27 @@ OnlineScheduler::runSpotSlice(std::size_t idx, Seconds from,
     if (storm)
         ++faults_injected_;
     if (evict_at > from) {
-        recordSegment(idx, from, evict_at, PurchaseOption::Spot,
+        recordSegment(state.job, from, evict_at, PurchaseOption::Spot,
                       /*lost=*/true, width);
     }
-    JobOutcome &outcome = outcomes_[idx];
-    state.lost_prefix = outcome.segment_count;
+    JobOutcome &outcome = outcomes_[state.job];
+    lost_prefixes_.push_back({state.job, outcome.segment_count});
     outcome.evictions += 1;
     state.aborted = true;
-    events_.schedule(evict_at,
-                     SimEvent{EvRestartAfterEviction,
-                              static_cast<std::uint32_t>(idx), 0});
+    scheduleForSlot(evict_at, EvRestartAfterEviction, slot);
 }
 
 void
-OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
+OnlineScheduler::restartAfterEviction(std::uint32_t slot, Seconds at)
 {
-    JobState &state = states_[idx];
+    JobState &state = states_[slot];
     // A restart abandons the (now stale) plan and re-runs the whole
     // job contiguously at the run profile's full width, covering its
     // work in ceil(length / maxThroughput) seconds: exactly the
     // length at fixed width, whose throughput is 1.0.
     const int width = elastic_.maxInstances();
     const auto duration = static_cast<Seconds>(
-        std::ceil(static_cast<double>(outcomes_[idx].length) /
+        std::ceil(static_cast<double>(outcomes_[state.job].length) /
                   elastic_.maxThroughput()));
     // Under the storm model a bounded number of restarts re-attempt
     // spot first — that is what makes back-to-back revocations of
@@ -555,17 +587,17 @@ OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
             static_cast<std::uint64_t>(width);
         // A restart re-runs the whole job, so surviving it settles
         // the job.
-        runSpotSlice(idx, at, at + duration, width,
+        runSpotSlice(slot, at, at + duration, width,
                      /*final_slice=*/true);
         return;
     }
     // Restart the full job; prefer a free reserved core, matching
     // the paper ("on either on-demand or reserved instances based
     // on availability"). The restart never returns to spot.
-    const int cores = outcomes_[idx].cpus * width;
+    const int cores = outcomes_[state.job].cpus * width;
     if (usesReserved() && pool_.canFit(cores)) {
         pool_.acquire(cores);
-        recordSegment(idx, at, at + duration,
+        recordSegment(state.job, at, at + duration,
                       PurchaseOption::Reserved, /*lost=*/false,
                       width);
         events_.schedule(
@@ -573,44 +605,43 @@ OnlineScheduler::restartAfterEviction(std::size_t idx, Seconds at)
             SimEvent{EvPoolRelease,
                      static_cast<std::uint32_t>(cores), 0});
     } else {
-        recordSegment(idx, at, at + duration,
+        recordSegment(state.job, at, at + duration,
                       PurchaseOption::OnDemand, /*lost=*/false,
                       width);
     }
-    notifyJobEnd(idx, at + duration);
+    notifyJobEnd(state.job, at + duration);
 }
 
 void
-OnlineScheduler::startOnReserved(std::size_t idx, Seconds at)
+OnlineScheduler::startOnReserved(std::uint32_t slot, Seconds at)
 {
-    JobState &state = states_[idx];
+    JobState &state = states_[slot];
     // Only single-segment plans take the work-conserving path; the
     // run keeps the planned duration and width but starts at `at`.
     GAIA_ASSERT(!state.plan.isSuspendResume(),
                 "work-conserving start of a suspend-resume plan");
     const int width = state.plan.segment(0).width;
     const Seconds duration = state.plan.totalRunTime();
-    const int cores = outcomes_[idx].cpus * width;
+    const int cores = outcomes_[state.job].cpus * width;
     state.pending = false;
     pool_.acquire(cores);
-    recordSegment(idx, at, at + duration,
+    recordSegment(state.job, at, at + duration,
                   PurchaseOption::Reserved, /*lost=*/false, width);
     events_.schedule(
         at + duration,
         SimEvent{EvPoolRelease,
                  static_cast<std::uint32_t>(cores), 0});
-    notifyJobEnd(idx, at + duration);
+    notifyJobEnd(state.job, at + duration);
 }
 
 void
-OnlineScheduler::recordSegment(std::size_t idx, Seconds from,
+OnlineScheduler::recordSegment(std::uint32_t job, Seconds from,
                                Seconds to, PurchaseOption option,
                                bool lost, int width)
 {
     GAIA_ASSERT(segments_.size() <
                     std::numeric_limits<std::uint32_t>::max(),
                 "segment column outgrew its 32-bit indices");
-    const auto job = static_cast<std::uint32_t>(idx);
     if (segment_jobs_.empty() && job < last_segment_job_) {
         // The first placement out of job order: log every job from
         // here on, starting with the grouped prefix.
@@ -627,13 +658,13 @@ OnlineScheduler::recordSegment(std::size_t idx, Seconds from,
     // 32-bit duration and 16-bit width; a validated job keeps far
     // inside both.
     segments_.emplace_back(from, to, option, lost, width);
-    ++outcomes_[idx].segment_count;
+    ++outcomes_[job].segment_count;
 }
 
 void
-OnlineScheduler::onPlannedStart(std::size_t idx)
+OnlineScheduler::onPlannedStart(std::uint32_t slot)
 {
-    JobState &state = states_[idx];
+    JobState &state = states_[slot];
     if (!state.pending)
         return; // already started from a reserved release
     state.pending = false;
@@ -641,18 +672,18 @@ OnlineScheduler::onPlannedStart(std::size_t idx)
     const Seconds key = state.plan.plannedStart();
     for (auto it = pending_.lower_bound(key);
          it != pending_.end() && it->first == key; ++it) {
-        if (it->second == idx) {
+        if (it->second == slot) {
             pending_.erase(it);
             break;
         }
     }
     // Planned start reached without reserved capacity: on-demand,
     // at the plan's duration and width (single-segment plans only).
-    recordSegment(idx, events_.now(),
+    recordSegment(state.job, events_.now(),
                   events_.now() + state.plan.totalRunTime(),
                   PurchaseOption::OnDemand, /*lost=*/false,
                   state.plan.segment(0).width);
-    notifyJobEnd(idx, events_.now() + state.plan.totalRunTime());
+    notifyJobEnd(state.job, events_.now() + state.plan.totalRunTime());
 }
 
 void
@@ -662,13 +693,13 @@ OnlineScheduler::drainPending()
     // small jobs from starving behind a wide one.
     const Seconds at = events_.now();
     for (auto it = pending_.begin(); it != pending_.end();) {
-        const std::size_t idx = it->second;
-        const JobState &state = states_[idx];
+        const std::uint32_t slot = it->second;
+        const JobState &state = states_[slot];
         GAIA_ASSERT(state.pending, "stale pending-queue entry");
-        if (pool_.canFit(outcomes_[idx].cpus *
+        if (pool_.canFit(outcomes_[state.job].cpus *
                          state.plan.segment(0).width)) {
             it = pending_.erase(it);
-            startOnReserved(idx, at);
+            startOnReserved(slot, at);
         } else {
             ++it;
         }
@@ -709,16 +740,19 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     groupSegmentsByJob();
     result.outcomes = std::move(outcomes_);
     result.segments = std::move(segments_);
-    for (std::size_t idx = 0; idx < states_.size(); ++idx) {
-        const JobState &state = states_[idx];
-        JobOutcome &o = result.outcomes[idx];
+    // Each job's range is still in record order, so an eviction's
+    // lost segments are a prefix of it.
+    for (const LostPrefix &lost : lost_prefixes_) {
+        const JobOutcome &o = result.outcomes[lost.job];
+        for (std::uint32_t k = 0; k < lost.segments; ++k)
+            result.segments[o.first_segment + k].lost = true;
+    }
+    for (JobOutcome &o : result.outcomes) {
         GAIA_ASSERT(o.segment_count > 0, "job ", o.id,
                     " never executed");
         const std::span<PlacedSegment> segments(
             result.segments.data() + o.first_segment,
             o.segment_count);
-        for (std::uint32_t k = 0; k < state.lost_prefix; ++k)
-            segments[k].lost = true;
         if (segments.size() > 1) {
             std::sort(
                 segments.begin(), segments.end(),
@@ -923,6 +957,9 @@ OnlineScheduler::finalize()
     GAIA_ASSERT(pending_.empty(), "jobs left pending after drain");
     GAIA_ASSERT(pool_.inUse() == 0,
                 "reserved cores leaked: ", pool_.inUse());
+    // Exactly-once settlement: no job is left with queued work.
+    GAIA_ASSERT(jobSlotsInUse() == 0, jobSlotsInUse(),
+                " job slots still in use after drain");
     finalized_ = true;
 
     if (horizon_ == 0) {

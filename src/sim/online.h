@@ -23,30 +23,35 @@
  * consumer's release-horizon bound).
  *
  * The event loop is allocation-free on the hot path: every handler
- * is a 16-byte tagged SimEvent carrying a job index into the
- * scheduler's job-state pool, dispatched through onEvent() — no
- * per-event closures. reserveJobs() pre-sizes the pool when the
- * population is known up front (makeEngine() in sim/simulator.h
- * does this for both drivers).
+ * is a 16-byte tagged SimEvent dispatched through onEvent() — no
+ * per-event closures. reserveJobs() pre-sizes the outcome and
+ * segment columns and the arrival lane when the population is known
+ * up front (makeEngine() in sim/simulator.h does this for both
+ * drivers).
  *
- * Job state is stored as two parallel columns indexed by that job
- * index: the engine's working state (JobState: the plan, the
- * admitted arrival instant and a few flags and counters) and the
- * JobOutcome being recorded, which alone holds the job's id, cpus
- * and (stretched) length, so no job is stored twice. The one
- * elastic profile belongs to the run, not to a job. Every
- * placement is appended to one segment column in event order. While
- * placements come job by job in index order (start-time policies on
+ * submit() records a job's JobOutcome, which alone holds its id,
+ * cpus and (stretched) length, and queues its arrival by outcome
+ * index; nothing else is stored per job. The engine's working state
+ * (JobState: the plan and a few flags and counters) lives in a pool
+ * of slots that holds only the jobs in flight: the arrival takes a
+ * slot, every later event that names the job carries that slot, and
+ * the slot returns to a free list once no queued event names it. So
+ * the pool is sized by concurrency, not by history — about one slot
+ * for on-demand start-time runs and a live daemon, a few hundred in
+ * a year of spot and reserved suspend-resume. The one elastic
+ * profile belongs to the run, not to a job. Every placement is
+ * appended to one segment column in event order. While placements
+ * come job by job in outcome order (start-time policies on
  * on-demand capacity) that column is already grouped by job; from
- * the first placement out of that order, each placement's job index
- * is logged in a 4-byte column beside it. finalize() permutes the
- * segment column in place into job order, accounts both columns in
- * place, and hands them over whole as SimulationResult::outcomes
- * and SimulationResult::segments, so a run never holds a record
- * twice and recording a placement allocates nothing per job. Both
- * records are packed (48-byte outcomes, 16-byte segments; see
- * sim/results.h), since a sweep holds them for every job of every
- * cell.
+ * the first placement out of that order, each placement's outcome
+ * index is logged in a 4-byte column beside it. finalize() permutes
+ * the segment column in place into job order, marks what evictions
+ * lost, accounts both columns in place, and hands them over whole
+ * as SimulationResult::outcomes and SimulationResult::segments, so
+ * a run never holds a record twice and recording a placement
+ * allocates nothing per job. Both records are packed (48-byte
+ * outcomes, 16-byte segments; see sim/results.h), since a sweep
+ * holds them for every job of every cell.
  *
  * Usage:
  *
@@ -153,8 +158,9 @@ class OnlineScheduler : private EventQueue::Sink
     Status submit(const Job &job);
 
     /**
-     * Pre-size the job, outcome and segment columns and the arrival
-     * lane for `count` jobs. Call before the first submit().
+     * Pre-size the outcome and segment columns and the arrival lane
+     * for `count` jobs. Call before the first submit(). The job-state
+     * pool is not reserved: it grows to the jobs in flight.
      * `storage`'s outcome and segment columns become this run's: they
      * are cleared and only their capacity is kept, so a caller
      * rerunning a cell can hand back the previous run's whole
@@ -184,7 +190,16 @@ class OnlineScheduler : private EventQueue::Sink
     void drain();
 
     /** Jobs submitted so far. */
-    std::size_t submittedJobs() const { return states_.size(); }
+    std::size_t submittedJobs() const { return outcomes_.size(); }
+
+    /**
+     * Job-state slots held right now: one per job that has arrived
+     * and still has a queued event naming it. Zero once drained.
+     */
+    std::size_t jobSlotsInUse() const
+    {
+        return states_.size() - free_slots_.size();
+    }
 
     /**
      * Attach (or detach, with nullptr) the lifecycle observer.
@@ -221,45 +236,57 @@ class OnlineScheduler : private EventQueue::Sink
                     ResourceStrategy strategy, std::string workload,
                     const FaultInjector *faults);
 
+    /** A job's working state while it is in flight: one slot of the
+     *  pool, taken at arrival and freed once no queued event names
+     *  it. */
     struct JobState
     {
         SchedulePlan plan;
-        /** Admitted submit: the user's submit plus any fault delay,
-         *  moved by each carbon-source retry backoff. Planning runs
-         *  at this instant; the outcome keeps the user's submit. */
-        Seconds arrival = 0;
+        /** Outcome index of the job holding the slot. */
+        std::uint32_t job = 0;
         /** The submitted Job::queue_hint. */
         int queue_hint = -1;
         bool spot_eligible = false;
         bool pending = false;
         bool aborted = false;
+        /** Queued events that name this slot. */
+        std::uint32_t refs = 0;
         /** Carbon-source probes spent in the degradation ladder. */
         std::uint32_t cis_attempts = 0;
         /** Post-eviction spot re-attempts under the storm model. */
         std::uint32_t spot_retries = 0;
-        /** Segments recorded up to the job's latest eviction; the
-         *  paper assumes all that progress is lost, so finalize()
-         *  marks them lost. */
-        std::uint32_t lost_prefix = 0;
     };
 
-    /** Event tags; payloads documented per tag. */
+    /** One eviction: outcome `job` had recorded `segments` segments
+     *  when it was evicted; the paper assumes all that progress is
+     *  lost, so finalize() marks them lost. */
+    struct LostPrefix
+    {
+        std::uint32_t job;
+        std::uint32_t segments;
+    };
+
+    /** Event tags; payloads documented per tag. Every tag but
+     *  EvArrival, EvPoolRelease and EvJobEnd names a job-state slot
+     *  and is scheduled through scheduleForSlot(). */
     enum Ev : std::uint32_t
     {
-        /** a = job index. */
+        /** a = outcome index, b = queue hint; takes a slot. */
         EvArrival,
-        /** a = job index, b = plan segment index. */
+        /** a = slot; a carbon-source retry probe of the arrival. */
+        EvRetryArrival,
+        /** a = slot, b = plan segment index. */
         EvPlaceSegment,
-        /** a = job index, b = plan segment index. */
+        /** a = slot, b = plan segment index. */
         EvPlaceSpotSegment,
-        /** a = job index. */
+        /** a = slot. */
         EvPlannedStart,
-        /** a = job index; fires at the eviction instant. */
+        /** a = slot; fires at the eviction instant. */
         EvRestartAfterEviction,
         /** a = cpus to return to the reserved pool. */
         EvPoolRelease,
         /**
-         * a = job index; notification to the attached
+         * a = outcome index; notification to the attached
          * ProtocolListener that the job settled. Scheduled only
          * while a listener is attached, so listener-free (batch)
          * runs dispatch no notification events at all.
@@ -269,38 +296,51 @@ class OnlineScheduler : private EventQueue::Sink
 
     void onEvent(const SimEvent &event) override;
 
+    /** A slot for outcome `job`: the most recently freed one, else a
+     *  new one appended to the pool. */
+    std::uint32_t takeSlot(std::uint32_t job, int queue_hint);
+    /** Schedule `kind` naming `slot` and count it in the slot's
+     *  refs; onEvent() takes the count off as it dispatches. Every
+     *  event that names a slot goes through here, so a slot is never
+     *  freed while an event that will read it is queued — including
+     *  events that outlive the work they were queued for (a planned
+     *  start after an early reserved start, the rest of an evicted
+     *  spot plan). */
+    void scheduleForSlot(Seconds when, Ev kind, std::uint32_t slot,
+                         std::int64_t b = 0, int priority = 1);
+
     bool usesReserved() const;
     bool spotEnabled() const;
 
-    void onArrival(std::size_t idx);
+    void onArrival(std::uint32_t slot);
     /** Degradation ladder on source outage: true = arrival handled
      *  (a backoff retry was scheduled); false = plan carbon-
      *  obliviously now. */
-    bool retryArrivalLater(std::size_t idx);
-    void dispatch(std::size_t idx);
-    void followPlan(std::size_t idx, bool on_spot);
-    void placeSegment(std::size_t idx, std::size_t seg_idx);
-    void placeSpotSegment(std::size_t idx, std::size_t seg_idx);
-    /** Run [from, to) of job `idx` on spot at `width` instances;
-     *  evict at the earlier of the independent sampled eviction and
-     *  the first storm. One eviction draw covers the whole gang, so
-     *  the RNG stream is identical to the width-1 stream.
-     *  `final_slice` marks the slice whose successful completion
-     *  settles the job (last planned segment, or a restart that
-     *  covers the whole job). */
-    void runSpotSlice(std::size_t idx, Seconds from, Seconds to,
+    bool retryArrivalLater(std::uint32_t slot);
+    void dispatch(std::uint32_t slot);
+    void followPlan(std::uint32_t slot, bool on_spot);
+    void placeSegment(std::uint32_t slot, std::size_t seg_idx);
+    void placeSpotSegment(std::uint32_t slot, std::size_t seg_idx);
+    /** Run [from, to) of the job in `slot` on spot at `width`
+     *  instances; evict at the earlier of the independent sampled
+     *  eviction and the first storm. One eviction draw covers the
+     *  whole gang, so the RNG stream is identical to the width-1
+     *  stream. `final_slice` marks the slice whose successful
+     *  completion settles the job (last planned segment, or a
+     *  restart that covers the whole job). */
+    void runSpotSlice(std::uint32_t slot, Seconds from, Seconds to,
                       int width, bool final_slice);
-    /** Schedule the EvJobEnd notification for `idx` at `at`; no-op
-     *  without an attached listener. Called exactly once per job, at
-     *  the record site of its final non-lost segment. */
-    void notifyJobEnd(std::size_t idx, Seconds at);
-    void startOnReserved(std::size_t idx, Seconds at);
-    void recordSegment(std::size_t idx, Seconds from, Seconds to,
+    /** Schedule the EvJobEnd notification for outcome `job` at `at`;
+     *  no-op without an attached listener. Called exactly once per
+     *  job, at the record site of its final non-lost segment. */
+    void notifyJobEnd(std::uint32_t job, Seconds at);
+    void startOnReserved(std::uint32_t slot, Seconds at);
+    void recordSegment(std::uint32_t job, Seconds from, Seconds to,
                        PurchaseOption option, bool lost,
                        int width = 1);
-    void onPlannedStart(std::size_t idx);
+    void onPlannedStart(std::uint32_t slot);
     void drainPending();
-    void restartAfterEviction(std::size_t idx, Seconds at);
+    void restartAfterEviction(std::uint32_t slot, Seconds at);
     /** Set each outcome's first_segment and, if segment_jobs_ was
      *  started, permute segments_ into job order in place and free
      *  segment_jobs_. */
@@ -330,22 +370,30 @@ class OnlineScheduler : private EventQueue::Sink
     ReservedPool pool_;
     EvictionModel eviction_;
     Rng rng_;
-    /** Indexed job pool; events reference jobs by index, so growth
-     *  is free to relocate the vector. */
+    /** Job-state slots of the jobs in flight, plus freed ones;
+     *  events name slots by index, so growth is free to relocate
+     *  the vector. */
     std::vector<JobState> states_;
-    /** outcomes_[i] records job states_[i]; moved into the result
-     *  by finalize(). */
+    /** Freed slots of states_, reused last-in first-out. */
+    std::vector<std::uint32_t> free_slots_;
+    /** One record per submitted job, in submit order; moved into the
+     *  result by finalize(). */
     std::vector<JobOutcome> outcomes_;
     /** Every placement in event order until finalize() groups it by
      *  job and moves it into the result. */
     std::vector<PlacedSegment> segments_;
-    /** segment_jobs_[k] is the job index of segments_[k]; empty
+    /** segment_jobs_[k] is the outcome index of segments_[k]; empty
      *  while segments_ is grouped by job, so runs that place jobs in
      *  order neither allocate nor permute it. */
     std::vector<std::uint32_t> segment_jobs_;
     /** Job of the latest placement while segment_jobs_ is empty. */
     std::uint32_t last_segment_job_ = 0;
-    std::multimap<Seconds, std::size_t> pending_;
+    /** Every eviction in event order; a job's later entries only
+     *  lengthen its lost prefix. */
+    std::vector<LostPrefix> lost_prefixes_;
+    /** Slots waiting for reserved capacity, by planned start; equal
+     *  starts keep their insertion order. */
+    std::multimap<Seconds, std::uint32_t> pending_;
     Seconds horizon_ = 0;
     bool horizon_overrun_warned_ = false;
     bool finalized_ = false;

@@ -100,21 +100,6 @@ CarbonTrace::make(std::string region, std::vector<double> hourly)
     return CarbonTrace(std::move(region), std::move(hourly));
 }
 
-std::size_t
-CarbonTrace::clampSlot(SlotIndex slot) const
-{
-    if (slot < 0)
-        return 0;
-    const auto idx = static_cast<std::size_t>(slot);
-    return idx >= values_.size() ? values_.size() - 1 : idx;
-}
-
-double
-CarbonTrace::atSlot(SlotIndex slot) const
-{
-    return values_[clampSlot(slot)];
-}
-
 double
 CarbonTrace::at(Seconds t) const
 {

@@ -56,7 +56,10 @@ class CarbonTrace
     }
 
     /** Intensity of hourly slot `slot` (clamped to the trace). */
-    double atSlot(SlotIndex slot) const;
+    double atSlot(SlotIndex slot) const
+    {
+        return values_[clampSlot(slot)];
+    }
 
     /** Intensity at instant `t`. */
     double at(Seconds t) const;
@@ -107,7 +110,13 @@ class CarbonTrace
                                  const std::vector<double> &hourly);
 
     /** Clamp a slot index into the valid range. */
-    std::size_t clampSlot(SlotIndex slot) const;
+    std::size_t clampSlot(SlotIndex slot) const
+    {
+        if (slot < 0)
+            return 0;
+        const auto idx = static_cast<std::size_t>(slot);
+        return idx >= values_.size() ? values_.size() - 1 : idx;
+    }
 
     /**
      * Precompute the compensated per-hour prefix sums and the

@@ -484,6 +484,7 @@ TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
               "--jobs 100000000000000", "-w 1e300x1e300",
               "--spot-max-hours inf", "--startup-overhead-min 1e300",
               "--fault-backoff-min 1e300",
+              "--fault-backoff-min 10081",
               "--fault outage:rate=0.1,hours=1e300"}) {
             const std::string command = std::string(binary) + " " +
                                         flags + " >/dev/null 2>&1";

@@ -115,6 +115,18 @@ TEST(FaultSpec, ValidationErrorsAreStatuses)
     FaultSpec backoff;
     backoff.cis_retry_backoff = 0;
     EXPECT_FALSE(backoff.validate().isOk());
+    // The backoff doubles up to 15 times, so it shares the 7-day
+    // bound of every other fault duration: the longest ladder then
+    // ends about 1,256 years out instead of overflowing Seconds.
+    backoff.cis_retry_backoff = 7 * kSecondsPerDay + 1;
+    const Status past = backoff.validate();
+    ASSERT_FALSE(past.isOk());
+    EXPECT_NE(past.message().find("cis retry backoff duration exceeds "
+                                  "the 7-day bound"),
+              std::string::npos)
+        << past.message();
+    backoff.cis_retry_backoff = 7 * kSecondsPerDay;
+    EXPECT_TRUE(backoff.validate().isOk());
 }
 
 TEST(FaultSpec, KeyIdentifiesTheConfiguration)

@@ -3,15 +3,15 @@
  *
  * A sweep holds one JobOutcome per job per cell (2.0M of them for the
  * 20-cell hybrid year sweep) plus one PlacedSegment per placement in
- * the result's segment column (3.27M there), and one SchedulePlan per
- * job in every in-flight cell, so their sizes drive the benchmark's
- * `peak_rss_mb` (bench/perf/README.md, "End-to-end metrics"). Every
- * trace holds one Job per job, and so does every slot of the serving
- * daemon's submission ring. Growing any of these records should be a
- * visible decision: raise the budget here in the same change and
- * report the `peak_rss_mb` it costs. The engine's private per-job
- * JobState (the plan, arrival, queue hint, flags and counters; 64
- * bytes) has its budget as a static_assert in sim/online.cc.
+ * the result's segment column (3.27M there), so their sizes drive the
+ * benchmark's `peak_rss_mb` (bench/perf/README.md, "End-to-end
+ * metrics"). Every trace holds one Job per job, and so does every
+ * slot of the serving daemon's submission ring. Growing any of these
+ * records should be a visible decision: raise the budget here in the
+ * same change and report the `peak_rss_mb` it costs. The engine's
+ * private JobState (a SchedulePlan, the outcome index, queue hint,
+ * flags and counters; 56 bytes) is held only for the jobs in flight,
+ * and has its budget as a static_assert in sim/online.cc.
  */
 
 #include <gtest/gtest.h>

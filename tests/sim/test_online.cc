@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/obs.h"
 #include "common/rng.h"
 #include "core/policy_factory.h"
+#include "fault/faulty_source.h"
 #include "fault/injector.h"
 #include "sim/simulator.h"
 #include "tests/common/sim_test_util.h"
+#include "trace/region_model.h"
+#include "workload/generators.h"
 
 namespace gaia {
 namespace {
@@ -25,6 +31,27 @@ flatTrace()
 {
     return CarbonTrace("flat",
                        std::vector<double>(24 * 40, 100.0));
+}
+
+/**
+ * Feed `jobs` (in submit order) the way the serving daemon does:
+ * never advance past the second before a job not yet submitted.
+ * Calls `step()` after every advance and every submit, then drains.
+ */
+template <typename Step>
+void
+streamJobs(OnlineScheduler &sched, const std::vector<Job> &jobs,
+           Step step)
+{
+    for (const Job &job : jobs) {
+        if (job.submit > sched.now()) {
+            sched.advanceTo(job.submit - 1);
+            step();
+        }
+        ASSERT_TRUE(sched.submit(job).isOk()) << "job " << job.id;
+        step();
+    }
+    sched.drain();
 }
 
 TEST(Online, InterleavedSubmissionAndTime)
@@ -444,6 +471,257 @@ TEST(OnlineDeath, ApiMisuseIsCaught)
                          parseElasticProfile("linear:max=2").value()),
                      "after submit");
     }
+}
+
+TEST(Online, EverySlotComesBackUnderEachStrategy)
+{
+    // Spot evictions and storms, carbon-source outages with retries,
+    // pending reserved starts and elastic gangs all leave events
+    // queued behind a job; once drained, every job-state slot is
+    // free again (finalize() asserts the same).
+    const CarbonTrace carbon =
+        makeRegionTrace(Region::SouthAustralia, 24 * 40, 1);
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(12));
+    Rng rng(5);
+    std::vector<Job> jobs;
+    for (int i = 0; i < 300; ++i) {
+        jobs.push_back({i, rng.uniformInt(0, 3 * kSecondsPerDay),
+                        rng.uniformInt(600, hours(8)),
+                        static_cast<int>(rng.uniformInt(1, 3))});
+    }
+    const JobTrace trace("t", jobs);
+
+    FaultSpec spec;
+    spec.outage_rate = 0.3;
+    spec.outage_duration = hours(2);
+    spec.cis_max_retries = 4;
+    spec.cis_retry_backoff = minutes(20);
+    spec.storm_rate = 0.05;
+    spec.delay_rate = 0.2;
+    spec.straggler_rate = 0.1;
+    const FaultInjector injector(spec);
+    const FaultyCarbonSource faulty(cis, injector);
+
+    struct Case
+    {
+        const char *policy;
+        ResourceStrategy strategy;
+        const char *profile;
+    };
+    const std::uint64_t retries_before =
+        obs::counter("cis.retries").value();
+    for (const Case &c : {
+             Case{"Wait-Awhile", ResourceStrategy::OnDemandOnly, ""},
+             Case{"Carbon-Time", ResourceStrategy::HybridGreedy, ""},
+             Case{"Wait-Awhile", ResourceStrategy::SpotFirst, ""},
+             Case{"Carbon-Time", ResourceStrategy::ReservedFirst, ""},
+             Case{"Wait-Awhile", ResourceStrategy::ReservedFirst, ""},
+             Case{"Ecovisor", ResourceStrategy::SpotReserved, ""},
+             Case{"Carbon-Time", ResourceStrategy::SpotReserved, ""},
+             Case{"Carbon-Scaler", ResourceStrategy::SpotReserved,
+                  "linear:max=4"},
+         }) {
+        const std::string label =
+            std::string(c.policy) + " under " +
+            strategyName(c.strategy);
+        ClusterConfig cluster;
+        cluster.reserved_cores =
+            c.strategy == ResourceStrategy::OnDemandOnly ? 0 : 4;
+        cluster.spot_eviction_rate = 0.2;
+        cluster.spot_max_length = hours(4);
+        const PolicyPtr policy = makePolicy(c.policy);
+        OnlineScheduler sched =
+            OnlineScheduler::create(*policy, queues, faulty, cluster,
+                                    c.strategy, "t", &injector)
+                .value();
+        if (*c.profile != '\0')
+            sched.setDefaultElasticProfile(
+                parseElasticProfile(c.profile).value());
+        std::size_t peak = 0;
+        streamJobs(sched, trace.jobs(), [&] {
+            peak = std::max(peak, sched.jobSlotsInUse());
+        });
+        EXPECT_GT(peak, 0u) << label;
+        EXPECT_EQ(sched.jobSlotsInUse(), 0u) << label;
+        const SimulationResult r = sched.finalize();
+        EXPECT_EQ(r.outcomes.size(), jobs.size()) << label;
+        EXPECT_EQ(testutil::segmentColumnViolation(r), "") << label;
+        if (c.strategy == ResourceStrategy::SpotFirst ||
+            c.strategy == ResourceStrategy::SpotReserved) {
+            EXPECT_GT(r.eviction_count, 0u) << label;
+        }
+    }
+    EXPECT_GT(obs::counter("cis.retries").value(), retries_before);
+}
+
+TEST(Online, SlotPoolIsBoundedByConcurrency)
+{
+    // A daemon runs without end, so its working state must scale
+    // with the jobs in flight, not with every job it has been given.
+    // Stream a year of spot and reserved suspend-resume through the
+    // engine the daemon builds, sampling the pool after each step.
+    TraceBuildOptions options;
+    options.job_count = 20000;
+    options.span = kSecondsPerYear;
+    options.seed = 3;
+    const JobTrace trace =
+        buildTrace(WorkloadSource::AzureVm, options).value();
+    const CarbonTrace carbon = makeRegionTrace(
+        Region::SouthAustralia, 24 * (kDaysPerYear + 14), 1);
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues(
+        {{"short", hours(2), hours(6), hours(1)},
+         {"long", 3 * kSecondsPerDay, hours(24), hours(12)}});
+    const PolicyPtr policy = makePolicy("Wait-Awhile");
+    SimulationSetup setup;
+    setup.trace = &trace;
+    setup.policy = policy.get();
+    setup.queues = &queues;
+    setup.cis = &cis;
+    setup.cluster.reserved_cores = 8;
+    setup.cluster.spot_eviction_rate = 0.1;
+    setup.cluster.spot_max_length = hours(2);
+    setup.strategy = ResourceStrategy::SpotReserved;
+
+    const SimulationResult batch = simulateChecked(setup).value();
+    OnlineScheduler sched = makeEngine(setup).value();
+    std::size_t peak = 0;
+    streamJobs(sched, trace.jobs(), [&] {
+        peak = std::max(peak, sched.jobSlotsInUse());
+    });
+    EXPECT_EQ(sched.jobSlotsInUse(), 0u);
+    const SimulationResult streamed = sched.finalize();
+
+    EXPECT_GT(peak, 0u);
+    EXPECT_LT(peak, trace.jobCount() / 20); // under 5% of the jobs
+    EXPECT_GT(batch.eviction_count, 0u);
+    EXPECT_EQ(resultFingerprint(streamed), resultFingerprint(batch));
+}
+
+TEST(Online, StalePlannedStartNeverReachesAReusedSlot)
+{
+    // A reserved release starts a pending job before its planned
+    // start, whose event stays queued. That job keeps its slot until
+    // the event has run; had the slot gone back at the start, the
+    // next job to arrive would take it, and the stale event would
+    // move that job to on-demand.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(6));
+    ClusterConfig cluster;
+    cluster.reserved_cores = 1;
+    // AllWait plans the latest start, submit + 6 h.
+    const PolicyPtr policy = makePolicy("AllWait-Threshold");
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::ReservedFirst)
+            .value();
+
+    // A holds the core until 2 h. B goes pending with planned start
+    // 7 h; A's release starts it at 2 h, on the core until 8 h. C
+    // arrives at 3 h, before B's planned start, and goes pending
+    // (planned start 9 h) until B's release starts it at 8 h.
+    ASSERT_TRUE(sched.submit({1, 0, hours(2), 1}).isOk());
+    ASSERT_TRUE(sched.submit({2, hours(1), hours(6), 1}).isOk());
+    sched.advanceTo(hours(3) - 1);
+    EXPECT_EQ(sched.jobSlotsInUse(), 1u); // B, started at 2 h
+    ASSERT_TRUE(sched.submit({3, hours(3), hours(1), 1}).isOk());
+    sched.advanceTo(hours(7) - 1);
+    EXPECT_EQ(sched.jobSlotsInUse(), 2u); // B and pending C
+    EXPECT_EQ(sched.pendingJobs(), 1u);
+    sched.advanceTo(hours(7));
+    EXPECT_EQ(sched.jobSlotsInUse(), 1u); // B's planned start ran
+    EXPECT_EQ(sched.pendingJobs(), 1u);   // and left C pending
+    sched.advanceTo(hours(9) - 1);
+    EXPECT_EQ(sched.jobSlotsInUse(), 1u); // C, started at 8 h
+    EXPECT_EQ(sched.pendingJobs(), 0u);
+    sched.drain();
+    EXPECT_EQ(sched.jobSlotsInUse(), 0u);
+    const SimulationResult r = sched.finalize();
+
+    ASSERT_EQ(r.outcomes.size(), 3u);
+    const Seconds expected[][2] = {
+        {0, hours(2)}, {hours(2), hours(8)}, {hours(8), hours(9)}};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const std::span<const PlacedSegment> segs =
+            r.placements(r.outcomes[i]);
+        ASSERT_EQ(segs.size(), 1u) << "job " << i;
+        EXPECT_EQ(segs[0].start, expected[i][0]) << "job " << i;
+        EXPECT_EQ(segs[0].end(), expected[i][1]) << "job " << i;
+        EXPECT_EQ(segs[0].option, PurchaseOption::Reserved)
+            << "job " << i;
+        EXPECT_FALSE(segs[0].lost) << "job " << i;
+    }
+}
+
+TEST(Online, StaleSpotSegmentNeverReachesAReusedSlot)
+{
+    // An evicted spot job restarts on demand, which settles it, while
+    // the later segments of its abandoned plan stay queued. The job
+    // keeps its slot until they have run; a job arriving meanwhile
+    // takes another one.
+    std::vector<double> intensity(24 * 40, 500.0);
+    intensity[2] = 100.0;
+    intensity[5] = 100.0;
+    const CarbonTrace carbon("dips", intensity);
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(6));
+    ClusterConfig cluster;
+    cluster.spot_eviction_rate = 0.0; // storms only
+    cluster.spot_max_length = hours(2);
+    FaultSpec spec;
+    spec.storm_rate = 1.0; // a storm in every hour
+    spec.storm_spot_retries = 0;
+    const FaultInjector injector(spec);
+    const Seconds strike = injector.firstStormIn(hours(2), hours(3));
+    ASSERT_GT(strike, hours(2));
+    const PolicyPtr policy = makePolicy("Wait-Awhile");
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::SpotFirst, "t",
+                                &injector)
+            .value();
+
+    // E plans the two dips, [2 h, 3 h) and [5 h, 6 h), on spot. The
+    // storm evicts its first slice and it restarts on demand at the
+    // strike; its second segment stays queued for 5 h. D, too long
+    // for spot, arrives at 4 h and runs on demand from its plan.
+    ASSERT_TRUE(sched.submit({1, 0, hours(2), 1}).isOk());
+    sched.advanceTo(hours(4) - 1);
+    EXPECT_EQ(sched.jobSlotsInUse(), 1u); // E, already restarted
+    ASSERT_TRUE(sched.submit({2, hours(4), hours(3), 1}).isOk());
+    sched.advanceTo(hours(4));
+    EXPECT_EQ(sched.jobSlotsInUse(), 1u); // D placed; E still held
+    sched.advanceTo(hours(5) - 1);
+    EXPECT_EQ(sched.jobSlotsInUse(), 1u);
+    sched.advanceTo(hours(5));
+    EXPECT_EQ(sched.jobSlotsInUse(), 0u); // E's stale segment ran
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+
+    ASSERT_EQ(r.outcomes.size(), 2u);
+    EXPECT_EQ(r.outcomes[0].evictions, 1u);
+    const std::span<const PlacedSegment> e =
+        r.placements(r.outcomes[0]);
+    ASSERT_EQ(e.size(), 2u);
+    EXPECT_EQ(e[0].start, hours(2));
+    EXPECT_EQ(e[0].end(), strike);
+    EXPECT_EQ(e[0].option, PurchaseOption::Spot);
+    EXPECT_TRUE(e[0].lost);
+    EXPECT_EQ(e[1].start, strike);
+    EXPECT_EQ(e[1].end(), strike + hours(2));
+    EXPECT_EQ(e[1].option, PurchaseOption::OnDemand);
+    EXPECT_FALSE(e[1].lost);
+
+    EXPECT_EQ(r.outcomes[1].evictions, 0u);
+    const std::span<const PlacedSegment> d =
+        r.placements(r.outcomes[1]);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].start, hours(4));
+    EXPECT_EQ(d[0].end(), hours(7));
+    EXPECT_EQ(d[0].option, PurchaseOption::OnDemand);
+    EXPECT_FALSE(d[0].lost);
 }
 
 TEST(Online, AdvanceToIsIdempotentAcrossQuietPeriods)
