@@ -38,7 +38,7 @@ bookOf(const SimulationResult &result)
     for (const JobOutcome &o : result.outcomes) {
         const auto m =
             static_cast<std::size_t>(monthOf(result.start(o)));
-        book.carbon_g[m] += o.carbon_g;
+        book.carbon_g[m] += result.carbonGrams(o);
         book.cost[m] += result.variableCost(o);
         book.jobs[m] += 1;
     }

@@ -10,12 +10,18 @@ std::vector<std::pair<double, double>>
 savingsCdfByLength(const SimulationResult &result,
                    const std::vector<double> &length_hours_points)
 {
+    // Derive each job's saving once, as a (length, saving) pair,
+    // summing the total in outcome order.
+    std::vector<std::pair<double, double>> by_length;
+    by_length.reserve(result.outcomes.size());
+    double total = 0.0;
+    for (const JobOutcome &o : result.outcomes) {
+        by_length.emplace_back(toHours(o.length), result.carbonSaved(o));
+        total += by_length.back().second;
+    }
+
     // Total saving can be slightly negative for carbon-agnostic
     // runs; report zeros rather than dividing by noise.
-    double total = 0.0;
-    for (const JobOutcome &o : result.outcomes)
-        total += o.carbonSaved();
-
     std::vector<std::pair<double, double>> out;
     out.reserve(length_hours_points.size());
     if (total <= 0.0) {
@@ -24,11 +30,7 @@ savingsCdfByLength(const SimulationResult &result,
         return out;
     }
 
-    // Sort (length, saving) pairs once, then walk the points.
-    std::vector<std::pair<double, double>> by_length;
-    by_length.reserve(result.outcomes.size());
-    for (const JobOutcome &o : result.outcomes)
-        by_length.emplace_back(toHours(o.length), o.carbonSaved());
+    // Sort the pairs once, then walk the points.
     std::sort(by_length.begin(), by_length.end());
 
     std::vector<double> sorted_points = length_hours_points;
@@ -54,7 +56,7 @@ savingsShareByLength(const SimulationResult &result, double lo_hours,
     double total = 0.0;
     double in_band = 0.0;
     for (const JobOutcome &o : result.outcomes) {
-        const double saved = o.carbonSaved();
+        const double saved = result.carbonSaved(o);
         total += saved;
         const double len = toHours(o.length);
         if (len >= lo_hours && len < hi_hours)

@@ -173,7 +173,8 @@ writeRunArtifacts(const SimulationResult &result,
                  std::to_string(o.length), std::to_string(o.cpus),
                  std::to_string(result.start(o)),
                  std::to_string(result.finish(o)),
-                 std::to_string(result.waiting(o)), fmt(o.carbon_g, 6),
+                 std::to_string(result.waiting(o)),
+                 fmt(result.carbonGrams(o), 6),
                  fmt(o.carbon_nowait_g, 6),
                  fmt(result.variableCost(o), 6),
                  std::to_string(o.evictions),

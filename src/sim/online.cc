@@ -740,6 +740,12 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     groupSegmentsByJob();
     result.outcomes = std::move(outcomes_);
     result.segments = std::move(segments_);
+    // What each job's carbon and money derive from, set before the
+    // loop below accounts by the same rules.
+    result.pricing = cluster_.pricing;
+    result.startup_overhead = cluster_.startup_overhead;
+    result.carbon = cis_.trace();
+    result.energy = cluster_.energy;
     // Each job's range is still in record order, so an eviction's
     // lost segments are a prefix of it.
     for (const LostPrefix &lost : lost_prefixes_) {
@@ -747,7 +753,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         for (std::uint32_t k = 0; k < lost.segments; ++k)
             result.segments[o.first_segment + k].lost = true;
     }
-    for (JobOutcome &o : result.outcomes) {
+    for (const JobOutcome &o : result.outcomes) {
         GAIA_ASSERT(o.segment_count > 0, "job ", o.id,
                     " never executed");
         const std::span<PlacedSegment> segments(
@@ -764,6 +770,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         const bool elastic_job = elastic_.enabled();
         Seconds useful = 0;
         double useful_work = 0.0;
+        double carbon_g = 0.0;
         for (const PlacedSegment &seg : segments) {
             // Every per-instance quantity scales with the gang
             // width (1 for fixed-width jobs, so their books are
@@ -771,10 +778,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             const int cores = o.cpus * seg.width;
             const double core_seconds =
                 static_cast<double>(seg.duration()) * cores;
-            const double grams = cis_.trace().gramsFor(
-                seg.start, seg.end(),
-                cluster_.energy.kilowatts(cores));
-            o.carbon_g += grams;
+            carbon_g = result.addSliceCarbon(carbon_g, seg, cores);
             result.energy_kwh +=
                 cluster_.energy.kilowattHours(core_seconds);
 
@@ -785,22 +789,6 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                 seg.overheadCoreSeconds(cores,
                                         cluster_.startup_overhead);
             if (overhead_core_seconds > 0.0) {
-                const Seconds ov = cluster_.startup_overhead;
-                const Seconds ov_from =
-                    std::max<Seconds>(seg.start - ov, 0);
-                double ov_grams = cis_.trace().gramsFor(
-                    ov_from, seg.start,
-                    cluster_.energy.kilowatts(cores));
-                // Clip at t=0: charge the clipped part at the
-                // first slot's intensity.
-                const Seconds clipped = ov - (seg.start - ov_from);
-                if (clipped > 0) {
-                    ov_grams += cis_.trace().at(0) *
-                                cluster_.energy.kilowatts(cores) *
-                                static_cast<double>(clipped) /
-                                static_cast<double>(kSecondsPerHour);
-                }
-                o.carbon_g += ov_grams;
                 result.overhead_core_seconds +=
                     overhead_core_seconds;
                 result.energy_kwh += cluster_.energy.kilowattHours(
@@ -865,7 +853,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             }
         }
 
-        result.carbon_kg += o.carbon_g / 1000.0;
+        result.carbon_kg += carbon_g / 1000.0;
         result.carbon_nowait_kg += o.carbon_nowait_g / 1000.0;
         result.lost_core_seconds += result.lostCoreSeconds(o);
         result.eviction_count +=
@@ -935,8 +923,6 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
 
     result.reserved_cores = cluster_.reserved_cores;
     result.horizon = horizon_;
-    result.pricing = cluster_.pricing;
-    result.startup_overhead = cluster_.startup_overhead;
     result.reserved_upfront = cluster_.pricing.reservedUpfront(
         cluster_.reserved_cores, horizon_);
     if (cluster_.reserved_cores > 0 && horizon_ > 0) {

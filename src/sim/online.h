@@ -49,7 +49,7 @@
  * lost, accounts both columns in place, and hands them over whole
  * as SimulationResult::outcomes and SimulationResult::segments, so
  * a run never holds a record twice and recording a placement
- * allocates nothing per job. Both records are packed (48-byte
+ * allocates nothing per job. Both records are packed (40-byte
  * outcomes, 16-byte segments; see sim/results.h), since a sweep
  * holds them for every job of every cell.
  *

@@ -93,6 +93,39 @@ SimulationResult::variableCost(const JobOutcome &o) const
 }
 
 double
+SimulationResult::addSliceCarbon(double grams, const PlacedSegment &seg,
+                                 int cores) const
+{
+    const double kilowatts = energy.kilowatts(cores);
+    grams += carbon.gramsFor(seg.start, seg.end(), kilowatts);
+    if (seg.overheadCoreSeconds(cores, startup_overhead) > 0.0) {
+        // Each acquisition's spin-up emits without doing work.
+        const Seconds from =
+            std::max<Seconds>(seg.start - startup_overhead, 0);
+        double overhead = carbon.gramsFor(from, seg.start, kilowatts);
+        // Clip at t=0: charge the clipped part at the first slot's
+        // intensity.
+        const Seconds clipped = startup_overhead - (seg.start - from);
+        if (clipped > 0) {
+            overhead += carbon.at(0) * kilowatts *
+                        static_cast<double>(clipped) /
+                        static_cast<double>(kSecondsPerHour);
+        }
+        grams += overhead;
+    }
+    return grams;
+}
+
+double
+SimulationResult::carbonGrams(const JobOutcome &o) const
+{
+    double grams = 0.0;
+    for (const PlacedSegment &seg : placements(o))
+        grams = addSliceCarbon(grams, seg, o.cpus * seg.width);
+    return grams;
+}
+
+double
 SimulationResult::meanWaitingHours() const
 {
     if (outcomes.empty())
@@ -161,7 +194,7 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(o.cpus);
         digest.mix(result.start(o));
         digest.mix(result.finish(o));
-        digest.mix(o.carbon_g);
+        digest.mix(result.carbonGrams(o));
         digest.mix(o.carbon_nowait_g);
         digest.mix(result.variableCost(o));
         digest.mix(o.evictions);

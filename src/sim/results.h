@@ -24,6 +24,7 @@
 #include "cloud/purchase.h"
 #include "common/logging.h"
 #include "common/time.h"
+#include "trace/carbon_trace.h"
 #include "workload/job.h"
 
 namespace gaia {
@@ -101,14 +102,16 @@ struct PlacedSegment
  * Everything recorded about one job's execution, except where it
  * ran: its placed segments live in the result's shared `segments`
  * column (SimulationResult::placements()), and start, finish,
- * waiting, lost core-seconds, start-up overhead and variable cost
- * derive from them (with the result's price list) rather than being
- * stored beside them. A sweep holds one of these per job per cell,
- * so the layout is packed (tests/sim/test_layout_budget.cc pins the
- * byte budget): submit and length are 32-bit (a validated job's are
- * at most kMaxInputDuration), and they, the two ints and the segment
- * range fill three 8-byte words. Outcomes hold indices into the
- * column, not pointers, so copying a result keeps them valid.
+ * waiting, lost core-seconds, start-up overhead, variable cost and
+ * carbon derive from them (with the result's price list, carbon
+ * trace and power model) rather than being stored beside them. A
+ * sweep holds one of these per job per cell, so the layout is packed
+ * (tests/sim/test_layout_budget.cc pins the byte budget): submit and
+ * length are 32-bit (a validated job's are at most
+ * kMaxInputDuration), and they, the two ints and the segment range
+ * fill three 8-byte words, beside the id and the one counterfactual
+ * double. Outcomes hold indices into the column, not pointers, so
+ * copying a result keeps them valid.
  */
 struct JobOutcome
 {
@@ -123,13 +126,11 @@ struct JobOutcome
     std::uint32_t first_segment = 0;
     std::uint32_t segment_count = 0;
 
-    /** Attributed emissions, grams CO2eq (includes lost work). */
-    double carbon_g = 0.0;
-    /** Counterfactual emissions of starting at submit. */
+    /** Counterfactual emissions of starting at the admitted arrival
+     *  instant, grams CO2eq. Stored, not derived: a fault delay or a
+     *  carbon-source retry moves that instant away from `submit`,
+     *  and the outcome keeps only `submit`. */
     double carbon_nowait_g = 0.0;
-
-    /** Emissions saved versus running immediately. */
-    double carbonSaved() const { return carbon_nowait_g - carbon_g; }
 };
 
 /**
@@ -160,6 +161,13 @@ struct SimulationResult
      *  derive from its segments through them. */
     PricingModel pricing;
     Seconds startup_overhead = 0;
+    /** The ground-truth carbon trace and power model the run was
+     *  accounted against; each job's carbon derives from its segments
+     *  through them and `startup_overhead`. The trace shares its
+     *  tables with the run's, so a result stays valid after the
+     *  trace, carbon source and engine that made it are gone. */
+    CarbonTrace carbon;
+    EnergyModel energy;
 
     /** Dollars. */
     double reserved_upfront = 0.0;
@@ -220,6 +228,24 @@ struct SimulationResult
      *  `pricing` and summed in segment order. Lost work still costs
      *  money. */
     double variableCost(const JobOutcome &o) const;
+    /** `grams` plus the CO2eq `seg` emits at `cores` cores under
+     *  `carbon` and `energy`: first its run, then, for a slice that
+     *  pays the start-up overhead, the spin-up just before it, whose
+     *  part before t=0 is charged at slot 0's intensity. The one
+     *  per-slice carbon rule: finalize and carbonGrams() both add
+     *  every slice through it, in segment order, so their sums round
+     *  alike. */
+    double addSliceCarbon(double grams, const PlacedSegment &seg,
+                          int cores) const;
+    /** `o`'s attributed emissions, grams CO2eq: every segment's, lost
+     *  work and start-up overhead included, through
+     *  addSliceCarbon(). */
+    double carbonGrams(const JobOutcome &o) const;
+    /** Emissions `o` saved versus running immediately, grams. */
+    double carbonSaved(const JobOutcome &o) const
+    {
+        return o.carbon_nowait_g - carbonGrams(o);
+    }
 
     /** Completion time: finish − submit. */
     Seconds completion(const JobOutcome &o) const
@@ -263,9 +289,9 @@ allocationSeries(const SimulationResult &result, Seconds step,
  * pattern, so even sub-printing-precision drift changes the
  * digest). Two runs are bit-identical iff their fingerprints match
  * — the determinism tests compare this across thread counts and
- * repeated runs. `pricing` and `startup_overhead` are not mixed
- * themselves: they enter through each job's variableCost() and
- * overheadCoreSeconds().
+ * repeated runs. `pricing`, `startup_overhead`, `carbon` and
+ * `energy` are not mixed themselves: they enter through each job's
+ * variableCost(), overheadCoreSeconds() and carbonGrams().
  */
 std::uint64_t resultFingerprint(const SimulationResult &result);
 

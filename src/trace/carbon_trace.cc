@@ -27,70 +27,68 @@ CarbonTrace::validateValues(const std::string &region,
 }
 
 CarbonTrace::CarbonTrace(std::string region, std::vector<double> hourly)
-    : region_(std::move(region)), values_(std::move(hourly))
 {
-    const Status valid = validateValues(region_, values_);
+    const Status valid = validateValues(region, hourly);
     GAIA_ASSERT(valid.isOk(), "invalid carbon trace passed to the ",
                 "constructor (use CarbonTrace::make for untrusted ",
                 "data): ", valid.message());
-    buildFastPath();
+    tables_ = std::make_shared<const Tables>(std::move(region),
+                                             std::move(hourly));
 }
 
-void
-CarbonTrace::buildFastPath()
+CarbonTrace::Tables::Tables(std::string region_name,
+                            std::vector<double> hourly)
+    : region(std::move(region_name)), values(std::move(hourly))
 {
-    const std::size_t n = values_.size();
-    prefix_hi_.resize(n + 1);
-    prefix_lo_.resize(n + 1);
-    prefix_hi_[0] = 0.0;
-    prefix_lo_[0] = 0.0;
+    const std::size_t n = values.size();
+    prefix_hi.resize(n + 1);
+    prefix_lo.resize(n + 1);
+    prefix_hi[0] = 0.0;
+    prefix_lo[0] = 0.0;
     CompensatedSum sum;
     for (std::size_t i = 0; i < n; ++i) {
         // The same per-hour product the replaced loop formed; only
         // the summation is upgraded from naive to compensated.
-        sum.add(values_[i] *
-                static_cast<double>(kSecondsPerHour));
-        prefix_hi_[i + 1] = sum.hi;
-        prefix_lo_[i + 1] = sum.lo;
+        sum.add(values[i] * static_cast<double>(kSecondsPerHour));
+        prefix_hi[i + 1] = sum.hi;
+        prefix_lo[i + 1] = sum.lo;
     }
 
     // Sparse-table RMQ storing slot indices; ties keep the leftmost
     // index so queries reproduce the first-win linear scan exactly.
-    rmq_.clear();
-    rmq_.emplace_back(n);
+    rmq.emplace_back(n);
     for (std::size_t i = 0; i < n; ++i)
-        rmq_[0][i] = static_cast<std::uint32_t>(i);
+        rmq[0][i] = static_cast<std::uint32_t>(i);
     for (std::size_t span = 2; span <= n; span *= 2) {
-        const std::vector<std::uint32_t> &prev = rmq_.back();
+        const std::vector<std::uint32_t> &prev = rmq.back();
         std::vector<std::uint32_t> level(n - span + 1);
         for (std::size_t i = 0; i + span <= n; ++i) {
             const std::uint32_t a = prev[i];
             const std::uint32_t b = prev[i + span / 2];
-            level[i] = values_[b] < values_[a] ? b : a;
+            level[i] = values[b] < values[a] ? b : a;
         }
-        rmq_.push_back(std::move(level));
+        rmq.push_back(std::move(level));
     }
 }
 
 double
-CarbonTrace::fullHourSum(std::size_t i, std::size_t j) const
+CarbonTrace::Tables::fullHourSum(std::size_t i, std::size_t j) const
 {
     double s, e;
-    twoSum(prefix_hi_[j], -prefix_hi_[i], s, e);
-    e += prefix_lo_[j] - prefix_lo_[i];
+    twoSum(prefix_hi[j], -prefix_hi[i], s, e);
+    e += prefix_lo[j] - prefix_lo[i];
     return s + e;
 }
 
 std::size_t
-CarbonTrace::argminInRange(std::size_t l, std::size_t r) const
+CarbonTrace::Tables::argminInRange(std::size_t l, std::size_t r) const
 {
     std::size_t level = 0;
     while ((std::size_t{2} << level) <= r - l + 1)
         ++level;
-    const std::uint32_t a = rmq_[level][l];
-    const std::uint32_t b =
-        rmq_[level][r + 1 - (std::size_t{1} << level)];
-    return values_[b] < values_[a] ? b : a;
+    const std::uint32_t a = rmq[level][l];
+    const std::uint32_t b = rmq[level][r + 1 - (std::size_t{1} << level)];
+    return values[b] < values[a] ? b : a;
 }
 
 Result<CarbonTrace>
@@ -110,6 +108,7 @@ double
 CarbonTrace::integrate(Seconds from, Seconds to) const
 {
     GAIA_ASSERT(from <= to, "integrate: from ", from, " > to ", to);
+    const Tables &t = tables();
     if (from == to)
         return 0.0;
 
@@ -125,23 +124,24 @@ CarbonTrace::integrate(Seconds from, Seconds to) const
         // end of the first hour.
         const Seconds seg_end =
             std::min<Seconds>(kSecondsPerHour, to);
-        total.add(values_.front() *
+        total.add(t.values.front() *
                   static_cast<double>(seg_end - cursor));
         cursor = seg_end;
     }
-    const Seconds end_of_trace = duration();
+    const Seconds end_of_trace =
+        static_cast<Seconds>(t.values.size()) * kSecondsPerHour;
     if (cursor < to && cursor < end_of_trace) {
         const Seconds stop = std::min(to, end_of_trace);
         const SlotIndex slot = slotOf(cursor);
         const Seconds slot_end = slotStart(slot) + kSecondsPerHour;
         if (slot_end >= stop) {
             // Window within one slot.
-            total.add(values_[static_cast<std::size_t>(slot)] *
+            total.add(t.values[static_cast<std::size_t>(slot)] *
                       static_cast<double>(stop - cursor));
             cursor = stop;
         } else {
             if (cursor != slotStart(slot)) {
-                total.add(values_[static_cast<std::size_t>(slot)] *
+                total.add(t.values[static_cast<std::size_t>(slot)] *
                           static_cast<double>(slot_end - cursor));
                 cursor = slot_end;
             }
@@ -150,12 +150,12 @@ CarbonTrace::integrate(Seconds from, Seconds to) const
             const auto full_end =
                 static_cast<std::size_t>(slotOf(stop));
             if (full_end > full_begin) {
-                total.add(fullHourSum(full_begin, full_end));
+                total.add(t.fullHourSum(full_begin, full_end));
                 cursor = static_cast<Seconds>(full_end) *
                          kSecondsPerHour;
             }
             if (cursor < stop) {
-                total.add(values_[full_end] *
+                total.add(t.values[full_end] *
                           static_cast<double>(stop - cursor));
                 cursor = stop;
             }
@@ -168,7 +168,7 @@ CarbonTrace::integrate(Seconds from, Seconds to) const
         const Seconds slot_end =
             slotStart(slotOf(cursor)) + kSecondsPerHour;
         const Seconds segment_end = std::min(slot_end, to);
-        total.add(values_.back() *
+        total.add(t.values.back() *
                   static_cast<double>(segment_end - cursor));
         cursor = segment_end;
     }
@@ -188,9 +188,10 @@ CarbonTrace::minSlotIn(Seconds from, Seconds to) const
 {
     GAIA_ASSERT(from < to, "minSlotIn: empty window [", from, ", ",
                 to, ")");
+    const Tables &t = tables();
     const SlotIndex first = slotOf(std::max<Seconds>(from, 0));
     const SlotIndex last = slotOf(std::max<Seconds>(to - 1, 0));
-    const auto n = static_cast<SlotIndex>(values_.size());
+    const auto n = static_cast<SlotIndex>(t.values.size());
     // Windows at or past the end see only the (clamped) final value,
     // so the first slot wins; this also preserves the replaced
     // scan's convention of returning the unclamped first slot.
@@ -199,10 +200,10 @@ CarbonTrace::minSlotIn(Seconds from, Seconds to) const
     const auto l = static_cast<std::size_t>(first);
     const auto r = static_cast<std::size_t>(
         std::min<SlotIndex>(last, n - 1));
-    // Clamped slots past n−1 repeat values_[n−1] and can never win
+    // Clamped slots past n−1 repeat values[n−1] and can never win
     // a strict comparison against slot n−1 itself, so the RMQ over
     // the in-range suffix answers the full window.
-    return static_cast<SlotIndex>(argminInRange(l, r));
+    return static_cast<SlotIndex>(t.argminInRange(l, r));
 }
 
 double
@@ -229,11 +230,12 @@ CarbonTrace
 CarbonTrace::resized(std::size_t slots) const
 {
     GAIA_ASSERT(slots > 0, "resized to zero slots");
+    const Tables &t = tables();
     std::vector<double> out;
     out.reserve(slots);
     for (std::size_t i = 0; i < slots; ++i)
-        out.push_back(values_[i % values_.size()]);
-    return CarbonTrace(region_, std::move(out));
+        out.push_back(t.values[i % t.values.size()]);
+    return CarbonTrace(t.region, std::move(out));
 }
 
 Status
@@ -241,8 +243,9 @@ CarbonTrace::toCsv(const std::string &path) const
 {
     GAIA_TRY_ASSIGN(CsvWriter writer,
                     CsvWriter::open(path, {"hour", "carbon_intensity"}));
-    for (std::size_t i = 0; i < values_.size(); ++i)
-        writer.writeRow({std::to_string(i), fmt(values_[i], 4)});
+    const std::vector<double> &hourly = values();
+    for (std::size_t i = 0; i < hourly.size(); ++i)
+        writer.writeRow({std::to_string(i), fmt(hourly[i], 4)});
     return Status::ok();
 }
 
@@ -252,6 +255,18 @@ CarbonTrace::fromCsv(const std::string &path, const std::string &region)
     GAIA_TRY_ASSIGN(const CsvTable table, tryReadCsv(path));
     GAIA_TRY_ASSIGN(std::vector<double> values,
                     table.tryColumnDoubles("carbon_intensity"));
+    // The slot is the row's position, so the hours, when given, must
+    // run 0, 1, 2, ... with no gap, repeat or offset.
+    const Result<std::size_t> hour = table.tryColumnIndex("hour");
+    for (std::size_t k = 0; hour.isOk() && k < table.rowCount(); ++k) {
+        const std::string &cell = table.cell(k, hour.value());
+        const Result<std::int64_t> parsed = tryParseInt(cell, "hour");
+        GAIA_REQUIRE(parsed.isOk() &&
+                         parsed.value() == static_cast<std::int64_t>(k),
+                     "carbon CSV ", path, ": row ", k, " has hour '",
+                     cell, "', expected ", k,
+                     " (hours must run 0, 1, 2, ... in order)");
+    }
     return make(region, std::move(values));
 }
 

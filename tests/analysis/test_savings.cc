@@ -9,18 +9,19 @@
 namespace gaia {
 namespace {
 
-/** Append a job that waited `wait`, then ran for `length`. */
+/** Append a job that waited `wait`, then ran for `length`, and saved
+ *  `saved` grams: under the zero-intensity trace it emits nothing. */
 void
 addOutcome(SimulationResult &r, Seconds length, double saved,
            Seconds wait = 0)
 {
+    testutil::setCarbon(r, {0.0});
     JobOutcome o;
     o.id = 1;
     o.submit = 0;
     o.length = length;
     o.cpus = 1;
     o.carbon_nowait_g = saved;
-    o.carbon_g = 0.0;
     testutil::appendOutcome(
         r, o,
         {{wait, wait + length, PurchaseOption::OnDemand, false, 1}});

@@ -342,6 +342,56 @@ TEST(CliRunner, BothDriversExitTwoOnMismatchedHorizons)
     std::filesystem::remove_all(dir);
 }
 
+TEST(CliRunner, BothDriversExitTwoOnAShuffledCarbonCsv)
+{
+    // A row's slot is its position in the file, so hours out of
+    // order would put intensities in the wrong slots; both drivers
+    // must refuse the file instead (gaia_serve before it listens).
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_shuffled";
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path carbon = dir / "carbon.csv";
+    {
+        CsvWriter jobs = CsvWriter::open((dir / "jobs.csv").string(),
+                                         {"id", "submit", "length", "cpus"})
+                             .value();
+        jobs.writeRow({"1", "0", "3600", "1"});
+        CsvWriter hours = CsvWriter::open(carbon.string(),
+                                          {"hour", "carbon_intensity"})
+                              .value();
+        hours.writeRow({"5", "100"});
+        hours.writeRow({"0", "200"});
+        hours.writeRow({"3", "50"});
+    }
+    const std::filesystem::path err = dir / "stderr.txt";
+    const std::pair<std::string, std::string> drivers[] = {
+        {"gaia_run", std::string(GAIA_RUN_BIN) + " --output-dir " +
+                         (dir / "out").string()},
+        {"gaia_serve", "timeout 10 " + std::string(GAIA_SERVE_BIN) +
+                           " --socket " + (dir / "sock").string()},
+    };
+    for (const auto &[name, binary] : drivers) {
+        const std::string command =
+            binary + " --workload-csv " + (dir / "jobs.csv").string() +
+            " --carbon-csv " + carbon.string() +
+            " --policy NoWait >/dev/null 2>" + err.string();
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << name;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << name;
+
+        std::ifstream in(err);
+        std::string line, rest;
+        std::getline(in, line);
+        EXPECT_EQ(line.rfind(name + ": ", 0), 0u) << line;
+        EXPECT_NE(line.find(carbon.string()), std::string::npos) << line;
+        EXPECT_NE(line.find("row 0 has hour '5'"), std::string::npos)
+            << line;
+        EXPECT_FALSE(std::getline(in, rest)) << rest;
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CliRunner, GaiaServeNamesAServeFlagMissingItsValue)
 {
     const std::filesystem::path dir =

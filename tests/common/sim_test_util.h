@@ -4,9 +4,9 @@
  *
  * runSim() fills a SimulationSetup from parts, runs it with
  * simulateChecked(), and dies with the Status message on an invalid
- * setup, which in a test is a bug in the test. appendOutcome()
- * builds results by hand, and segmentColumnViolation() checks a
- * finalized result's segment column.
+ * setup, which in a test is a bug in the test. appendOutcome() and
+ * setCarbon() build results by hand, and segmentColumnViolation()
+ * checks a finalized result's segment column.
  */
 
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
@@ -17,6 +17,8 @@
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "sim/results.h"
@@ -39,6 +41,19 @@ appendOutcome(SimulationResult &result, JobOutcome outcome,
     outcome.segment_count = static_cast<std::uint32_t>(segments.size());
     result.segments.insert(result.segments.end(), segments);
     return result.outcomes.emplace_back(outcome);
+}
+
+/**
+ * Give a hand-built `result` the carbon trace and power model its
+ * jobs' carbon derives from (SimulationResult::carbonGrams()):
+ * `hourly` intensities from t = 0, at `watts_per_core`.
+ */
+inline void
+setCarbon(SimulationResult &result, std::vector<double> hourly,
+          double watts_per_core = EnergyModel{}.watts_per_core)
+{
+    result.carbon = CarbonTrace("test", std::move(hourly));
+    result.energy.watts_per_core = watts_per_core;
 }
 
 /**

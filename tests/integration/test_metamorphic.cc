@@ -147,8 +147,8 @@ TEST(Metamorphic, DayShiftOnPeriodicGridPreservesCarbon)
         const SimulationResult b = testutil::runSim(shifted, *p, q, cis);
         ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
         for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-            EXPECT_NEAR(a.outcomes[i].carbon_g,
-                        b.outcomes[i].carbon_g, 1e-9)
+            EXPECT_NEAR(a.carbonGrams(a.outcomes[i]),
+                        b.carbonGrams(b.outcomes[i]), 1e-9)
                 << policy << " job " << i;
             EXPECT_EQ(a.start(a.outcomes[i]) + kSecondsPerDay,
                       b.start(b.outcomes[i]))

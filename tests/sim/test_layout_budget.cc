@@ -5,7 +5,8 @@
  * 20-cell hybrid year sweep) plus one PlacedSegment per placement in
  * the result's segment column (3.27M there), so their sizes drive the
  * benchmark's `peak_rss_mb` (bench/perf/README.md, "End-to-end
- * metrics"). Every trace holds one Job per job, and so does every
+ * metrics"). A figure that derives from a job's segments (its times,
+ * money and attributed carbon) is computed, not held. Every trace holds one Job per job, and so does every
  * slot of the serving daemon's submission ring. Growing any of these
  * records should be a visible decision: raise the budget here in the
  * same change and report the `peak_rss_mb` it costs. The engine's
@@ -35,9 +36,10 @@ TEST(LayoutBudget, PlacedSegmentIsSixteenBytes)
 TEST(LayoutBudget, JobOutcomeFitsItsBudget)
 {
     // id; 32-bit submit and length, cpus + evictions and the segment
-    // range share a word each; the two carbon doubles. The segments
-    // live in the result's column, and the money derives from them.
-    EXPECT_LE(sizeof(JobOutcome), 48u);
+    // range share a word each; the counterfactual carbon double. The
+    // segments live in the result's column, and the money and the
+    // attributed carbon derive from them.
+    EXPECT_LE(sizeof(JobOutcome), 40u);
 }
 
 TEST(LayoutBudget, JobIsThirtyTwoBytes)

@@ -18,8 +18,9 @@ namespace {
  * segment, a job with four segments and non-zero evictions. Fields
  * are assigned by name, so the fixture does not depend on struct
  * layout; each job's start, finish, lost core-seconds, start-up
- * overhead and variable cost follow from its segments, the default
- * price list and a 15 s start-up overhead.
+ * overhead, variable cost and carbon follow from its segments, the
+ * default price list, a 15 s start-up overhead, a six-hour carbon
+ * trace and 7.5 W per core.
  */
 SimulationResult
 pinnedResult()
@@ -33,6 +34,8 @@ pinnedResult()
     r.horizon = 7 * kSecondsPerDay;
     r.pricing = PricingModel{};
     r.startup_overhead = 15;
+    testutil::setCarbon(r, {210.5, 180.25, 95.0, 130.75, 240.0, 160.5},
+                        7.5);
     r.reserved_upfront = 123.25;
     r.on_demand_cost = 4.1;
     r.spot_cost = 0.7;
@@ -57,7 +60,6 @@ pinnedResult()
     evicted.length = 7200;
     evicted.cpus = 2;
     evicted.evictions = 1;
-    evicted.carbon_g = 812.4;
     evicted.carbon_nowait_g = 901.7;
     testutil::appendOutcome(
         r, evicted,
@@ -71,7 +73,6 @@ pinnedResult()
     plain.submit = 7200;
     plain.length = 3600;
     plain.cpus = 1;
-    plain.carbon_g = 250.0;
     plain.carbon_nowait_g = 250.0;
     testutil::appendOutcome(
         r, plain, {{7200, 10800, PurchaseOption::OnDemand, false, 1}});
@@ -94,13 +95,13 @@ moveEnd(SimulationResult &r, std::size_t job, std::size_t k, Seconds by)
     s = PlacedSegment(s.start, s.end() + by, s.option, s.lost, s.width);
 }
 
-// Computed while JobOutcome still stored its variable cost and
-// start-up overhead (set to the values the accessors derive here),
+// Computed while JobOutcome still stored its variable cost, start-up
+// overhead and carbon (set to the values the accessors derive here),
 // so deriving them instead provably mixes the same bits; layout
 // changes must never move it. If a deliberate change to the digest's
 // definition moves it, every pinned fingerprint (the golden tests and
 // the benchmark's fingerprint table) moves with it.
-constexpr std::uint64_t kPinnedDigest = 0x93b1006495850bb2ULL;
+constexpr std::uint64_t kPinnedDigest = 0x415f5c261ff7ba60ULL;
 
 TEST(ResultFingerprint, MatchesThePinnedDigest)
 {
@@ -145,10 +146,17 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { seg(r, 1, 0).start += 1; },
         [](SimulationResult &r) { moveEnd(r, 1, 0, 1); },
         [](SimulationResult &r) { moveEnd(r, 0, 0, 1); },
-        [](SimulationResult &r) { r.outcomes[1].carbon_g += 1.0; },
         [](SimulationResult &r) {
             r.outcomes[1].carbon_nowait_g += 1.0;
         },
+        // carbonGrams() is computed from the segments, the carbon
+        // trace, the power model and the start-up overhead.
+        [](SimulationResult &r) {
+            std::vector<double> hourly = r.carbon.values();
+            hourly[2] += 1.0;
+            r.carbon = CarbonTrace(r.carbon.region(), std::move(hourly));
+        },
+        [](SimulationResult &r) { r.energy.watts_per_core += 1.0; },
         // variableCost() and overheadCoreSeconds() are computed from
         // the segments, the price list and the start-up overhead.
         [](SimulationResult &r) {

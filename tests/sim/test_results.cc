@@ -122,10 +122,14 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
 
 TEST(JobOutcome, CarbonSaved)
 {
+    // One core-hour at 300 g/kWh and 100 W emits 30 g.
+    SimulationResult r;
+    testutil::setCarbon(r, {300.0}, 100.0);
     JobOutcome o;
     o.carbon_nowait_g = 50.0;
-    o.carbon_g = 30.0;
-    EXPECT_DOUBLE_EQ(o.carbonSaved(), 20.0);
+    const JobOutcome &added = testutil::appendOutcome(
+        r, o, {{0, 3600, PurchaseOption::OnDemand, false, 1}});
+    EXPECT_DOUBLE_EQ(r.carbonSaved(added), 20.0);
 }
 
 TEST(SimulationResult, CostAndWaitAggregates)

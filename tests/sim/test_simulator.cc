@@ -53,7 +53,7 @@ TEST(Simulator, SingleJobClosedFormAccounting)
     EXPECT_EQ(r.finish(o), hours(2));
     EXPECT_EQ(r.waiting(o), 0);
     // 2 cores x 5 W = 10 W = 0.01 kW for 2 h at 100 g/kWh -> 2 g.
-    EXPECT_NEAR(o.carbon_g, 2.0, 1e-9);
+    EXPECT_NEAR(r.carbonGrams(o), 2.0, 1e-9);
     EXPECT_NEAR(o.carbon_nowait_g, 2.0, 1e-9);
     // 4 core-hours on demand at $0.0624.
     EXPECT_NEAR(r.variableCost(o), 4 * 0.0624, 1e-9);
@@ -211,7 +211,7 @@ TEST(Simulator, SuspendResumePlacesEachSegment)
     EXPECT_EQ(r.finish(o), hours(4));
     EXPECT_EQ(r.waiting(o), hours(2));
     // Carbon: 0.005 kW x (10 + 20) g/kWh x 1 h each.
-    EXPECT_NEAR(o.carbon_g, 0.005 * 30.0, 1e-9);
+    EXPECT_NEAR(r.carbonGrams(o), 0.005 * 30.0, 1e-9);
 }
 
 TEST(Simulator, SuspendResumeWithReservedUsesGreedyPlacement)
@@ -255,7 +255,7 @@ TEST(Simulator, AccountingConservation)
     double sum_cost = 0.0, sum_carbon = 0.0;
     for (const JobOutcome &o : r.outcomes) {
         sum_cost += r.variableCost(o);
-        sum_carbon += o.carbon_g;
+        sum_carbon += r.carbonGrams(o);
     }
     EXPECT_NEAR(sum_cost, r.on_demand_cost + r.spot_cost, 1e-6);
     EXPECT_NEAR(sum_carbon / 1000.0, r.carbon_kg, 1e-9);

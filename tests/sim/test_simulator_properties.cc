@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/policy_factory.h"
 #include "sim/simulator.h"
 #include "tests/common/sim_test_util.h"
 #include "trace/region_model.h"
+#include "workload/elastic_profile.h"
 
 namespace gaia {
 namespace {
@@ -29,6 +32,120 @@ randomTrace(std::uint64_t seed, std::size_t count = 60)
         jobs.push_back(j);
     }
     return JobTrace("random", std::move(jobs));
+}
+
+/** A South Australia fortnight whose first two hours are its
+ *  cleanest, so jobs submitted at t=0 start at once. */
+CarbonTrace
+cleanOpeningTrace()
+{
+    std::vector<double> hourly =
+        makeRegionTrace(Region::SouthAustralia, 24 * 14, 41).values();
+    hourly[0] = hourly[1] = 1.0;
+    return CarbonTrace("SA-AU", std::move(hourly));
+}
+
+/**
+ * One spot-res cell over `cis` whose carbon takes every branch of
+ * the per-slice rule: a 45-minute start-up overhead that the first
+ * slices of jobs submitted at t=0 start inside (so it is clipped at
+ * t=0), spot evictions, and with an elastic `profile` gangs wider
+ * than one instance.
+ */
+SimulationResult
+carbonCell(const CarbonInfoSource &cis, const std::string &policy,
+           const std::string &profile = "")
+{
+    std::vector<Job> jobs = randomTrace(17, 80).jobs();
+    for (int i = 0; i < 6; ++i)
+        jobs.push_back({100 + i, 60 * i, hours(1) + 600 * i, 1 + i % 3});
+    const JobTrace trace("carbon-cell", std::move(jobs));
+    QueueConfig queues = QueueConfig::standardShortLong();
+    queues.calibrateAverages(trace);
+    const PolicyPtr p = makePolicy(policy);
+    const ElasticProfile elastic =
+        profile.empty() ? ElasticProfile{}
+                        : parseElasticProfile(profile).value();
+
+    SimulationSetup setup;
+    setup.trace = &trace;
+    setup.policy = p.get();
+    setup.queues = &queues;
+    setup.cis = &cis;
+    setup.cluster.reserved_cores = 6;
+    setup.cluster.spot_eviction_rate = 0.3;
+    setup.cluster.spot_max_length = hours(4);
+    setup.cluster.startup_overhead = minutes(45);
+    setup.strategy = ResourceStrategy::SpotReserved;
+    setup.elastic = profile.empty() ? nullptr : &elastic;
+    return simulateChecked(setup).value();
+}
+
+/** Slices of `r` that pay a start-up overhead reaching before t=0. */
+std::size_t
+clippedOverheads(const SimulationResult &r)
+{
+    std::size_t clipped = 0;
+    for (const PlacedSegment &seg : r.segments)
+        clipped += seg.option != PurchaseOption::Reserved &&
+                   seg.start < r.startup_overhead;
+    return clipped;
+}
+
+TEST(SimCarbon, AResultOutlivesItsTraceSourceAndEngine)
+{
+    // A result carries the trace it was accounted against, so its
+    // derived carbon reads the same once the trace, the carbon source
+    // and the engine that made it are gone (under ASan, a result that
+    // referred to any of them would read freed memory here).
+    for (const auto &[policy, profile] :
+         {std::pair<std::string, std::string>{"Wait-Awhile", ""},
+          {"Carbon-Scaler", "linear:max=4"}}) {
+        SimulationResult r;
+        std::uint64_t fingerprint = 0;
+        std::vector<double> grams;
+        {
+            const CarbonTrace carbon = cleanOpeningTrace();
+            const CarbonInfoService cis(carbon);
+            r = carbonCell(cis, policy, profile);
+            fingerprint = resultFingerprint(r);
+            for (const JobOutcome &o : r.outcomes)
+                grams.push_back(r.carbonGrams(o));
+        }
+        EXPECT_EQ(resultFingerprint(r), fingerprint) << policy;
+        ASSERT_EQ(r.outcomes.size(), grams.size());
+        for (std::size_t i = 0; i < grams.size(); ++i)
+            EXPECT_EQ(r.carbonGrams(r.outcomes[i]), grams[i])
+                << policy << " job " << r.outcomes[i].id;
+
+        // The cell took the branches it is meant to cover.
+        EXPECT_GT(r.eviction_count, 0u) << policy;
+        EXPECT_GT(clippedOverheads(r), 0u) << policy;
+        const bool wide = std::any_of(
+            r.segments.begin(), r.segments.end(),
+            [](const PlacedSegment &seg) { return seg.width > 1; });
+        EXPECT_EQ(wide, !profile.empty()) << policy;
+    }
+}
+
+TEST(SimCarbon, PerJobCarbonAddsUpToTheTotalBitwise)
+{
+    // With no idle power, carbon_kg is the per-job carbon summed in
+    // outcome order, so the derived figures must reproduce it to the
+    // bit, on a fixed-width run and on an elastic one.
+    const CarbonTrace carbon = cleanOpeningTrace();
+    const CarbonInfoService cis(carbon);
+    for (const auto &[policy, profile] :
+         {std::pair<std::string, std::string>{"Wait-Awhile", ""},
+          {"Carbon-Scaler", "linear:max=4"}}) {
+        const SimulationResult r = carbonCell(cis, policy, profile);
+        ASSERT_EQ(r.idle_carbon_kg, 0.0);
+        double kg = 0.0;
+        for (const JobOutcome &o : r.outcomes)
+            kg += r.carbonGrams(o) / 1000.0;
+        EXPECT_EQ(kg, r.carbon_kg) << policy;
+        EXPECT_GT(clippedOverheads(r), 0u) << policy;
+    }
 }
 
 using Case = std::tuple<std::string, ResourceStrategy>;
@@ -91,7 +208,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
             << "job " << o.id;
 
         variable += r.variableCost(o);
-        carbon_g += o.carbon_g;
+        carbon_g += r.carbonGrams(o);
 
         // Recompute carbon from segments independently.
         double expected_carbon = 0.0;
@@ -100,7 +217,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
                 seg.start, seg.end(),
                 cluster.energy.kilowatts(o.cpus));
         }
-        EXPECT_NEAR(o.carbon_g, expected_carbon, 1e-6);
+        EXPECT_NEAR(r.carbonGrams(o), expected_carbon, 1e-6);
     }
 
     // Cluster books match per-job books.

@@ -179,7 +179,58 @@ TEST(CarbonTrace, FromCsvReportsMalformedInput)
     ASSERT_FALSE(missing.isOk());
     EXPECT_NE(missing.status().message().find("carbon_intensity"),
               std::string::npos);
+
+    // A row's slot is its position, so the hours must read 0, 1, 2,
+    // ...: each file below names the first row that breaks that.
+    const struct
+    {
+        const char *rows;
+        const char *named;
+    } bad_hours[] = {
+        {"5,100\n0,200\n3,50\n", "row 0 has hour '5', expected 0"},
+        {"0,100\n1,200\n3,50\n", "row 2 has hour '3', expected 2"},
+        {"1,100\n2,200\n3,50\n", "row 0 has hour '1', expected 0"},
+        {"0.5,100\n1,200\n", "row 0 has hour '0.5', expected 0"},
+    };
+    for (const auto &c : bad_hours) {
+        {
+            std::FILE *f = std::fopen(path.c_str(), "w");
+            ASSERT_NE(f, nullptr);
+            std::fputs("hour,carbon_intensity\n", f);
+            std::fputs(c.rows, f);
+            std::fclose(f);
+        }
+        const Result<CarbonTrace> shuffled =
+            CarbonTrace::fromCsv(path, "x");
+        ASSERT_FALSE(shuffled.isOk()) << c.rows;
+        EXPECT_EQ(shuffled.status().code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(shuffled.status().message().find(c.named),
+                  std::string::npos)
+            << shuffled.status().message();
+        EXPECT_NE(shuffled.status().message().find(path),
+                  std::string::npos)
+            << shuffled.status().message();
+    }
     std::remove(path.c_str());
+}
+
+TEST(CarbonTrace, CopiesShareTheTables)
+{
+    const CarbonTrace original = makeTrace();
+    const CarbonTrace copy = original;
+    EXPECT_EQ(copy.values().data(), original.values().data());
+    EXPECT_EQ(copy.region(), "test");
+    EXPECT_EQ(copy.integrate(0, 4 * kSecondsPerHour),
+              original.integrate(0, 4 * kSecondsPerHour));
+
+    // The tables outlive the trace that built them.
+    CarbonTrace survivor;
+    {
+        const CarbonTrace scoped = makeTrace();
+        survivor = scoped;
+    }
+    EXPECT_DOUBLE_EQ(survivor.atSlot(2), 50.0);
+    EXPECT_EQ(survivor.minSlotIn(0, 4 * kSecondsPerHour), 2);
 }
 
 TEST(CarbonTraceDeath, InvalidQueries)
@@ -188,6 +239,16 @@ TEST(CarbonTraceDeath, InvalidQueries)
     EXPECT_DEATH(t.integrate(100, 50), "from");
     EXPECT_DEATH(t.minSlotIn(100, 100), "empty window");
     EXPECT_DEATH(t.gramsFor(0, 10, -1.0), "negative power");
+}
+
+TEST(CarbonTraceDeath, AnEmptyTraceAssertsOnEveryQuery)
+{
+    const CarbonTrace empty;
+    EXPECT_DEATH(empty.integrate(0, 10), "empty CarbonTrace");
+    EXPECT_DEATH(empty.atSlot(0), "empty CarbonTrace");
+    EXPECT_DEATH(empty.minSlotIn(0, 10), "empty CarbonTrace");
+    EXPECT_DEATH(empty.slotCount(), "empty CarbonTrace");
+    EXPECT_DEATH(empty.region(), "empty CarbonTrace");
 }
 
 } // namespace
