@@ -155,6 +155,7 @@ eventLoopRate(std::size_t total)
     {
         std::size_t fired = 0;
         void onEvent(const SimEvent &) override { ++fired; }
+        void onArrival(std::uint32_t) override { ++fired; }
     };
     Counter counter;
     EventQueue queue;
@@ -166,7 +167,7 @@ eventLoopRate(std::size_t total)
         for (std::size_t i = 0; i < batch; ++i) {
             queue.schedule(
                 now + static_cast<Seconds>(i % 97),
-                static_cast<int>(i % 3),
+                static_cast<int>(1 + i % 3),
                 SimEvent{static_cast<std::uint32_t>(i % 7),
                          static_cast<std::uint32_t>(i), 0});
         }

@@ -77,15 +77,15 @@ meanEnergyPrice(const SimulationResult &result,
 {
     double weighted = 0.0, core_seconds = 0.0;
     for (const JobOutcome &o : result.outcomes) {
+        const int cpus = result.job(o).cpus;
         for (const PlacedSegment &seg : result.placements(o)) {
             for (Seconds t = seg.start; t < seg.end();
                  t += kSecondsPerHour) {
                 const Seconds step =
                     std::min(kSecondsPerHour, seg.end() - t);
                 weighted += prices.at(t) *
-                            static_cast<double>(step) * o.cpus;
-                core_seconds +=
-                    static_cast<double>(step) * o.cpus;
+                            static_cast<double>(step) * cpus;
+                core_seconds += static_cast<double>(step) * cpus;
             }
         }
     }

@@ -168,9 +168,10 @@ writeRunArtifacts(const SimulationResult &result,
                  "wait_s", "carbon_g", "carbon_nowait_g",
                  "variable_cost", "evictions", "lost_core_seconds"}));
         for (const JobOutcome &o : result.outcomes) {
+            const Job &job = result.job(o);
             details.writeRow(
-                {std::to_string(o.id), std::to_string(o.submit),
-                 std::to_string(o.length), std::to_string(o.cpus),
+                {std::to_string(job.id), std::to_string(job.submit),
+                 std::to_string(o.length), std::to_string(job.cpus),
                  std::to_string(result.start(o)),
                  std::to_string(result.finish(o)),
                  std::to_string(result.waiting(o)),

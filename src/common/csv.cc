@@ -40,14 +40,15 @@ parseStream(std::istream &in, const std::string &context)
         }
         rows.push_back(std::move(row));
     }
-    return CsvTable(std::move(header), std::move(rows));
+    return CsvTable(context, std::move(header), std::move(rows));
 }
 
 } // namespace
 
-CsvTable::CsvTable(std::vector<std::string> header,
+CsvTable::CsvTable(std::string name, std::vector<std::string> header,
                    std::vector<std::vector<std::string>> rows)
-    : header_(std::move(header)), rows_(std::move(rows))
+    : name_(std::move(name)), header_(std::move(header)),
+      rows_(std::move(rows))
 {
     for (const auto &row : rows_) {
         GAIA_ASSERT(row.size() == header_.size(),
@@ -76,17 +77,29 @@ CsvTable::cell(std::size_t row, std::size_t col) const
 Result<double>
 CsvTable::tryCellDouble(std::size_t row, std::size_t col) const
 {
-    std::ostringstream ctx;
-    ctx << "row " << row << ", column '" << header_[col] << "'";
-    return tryParseDouble(cell(row, col), ctx.str());
+    Result<double> value =
+        tryParseDouble(cell(row, col), cellContext(row, col));
+    if (!value.isOk())
+        return Status::parseError(name_, ": ", value.status().message());
+    return value;
 }
 
 Result<std::int64_t>
 CsvTable::tryCellInt(std::size_t row, std::size_t col) const
 {
+    Result<std::int64_t> value =
+        tryParseInt(cell(row, col), cellContext(row, col));
+    if (!value.isOk())
+        return Status::parseError(name_, ": ", value.status().message());
+    return value;
+}
+
+std::string
+CsvTable::cellContext(std::size_t row, std::size_t col) const
+{
     std::ostringstream ctx;
     ctx << "row " << row << ", column '" << header_[col] << "'";
-    return tryParseInt(cell(row, col), ctx.str());
+    return ctx.str();
 }
 
 Result<std::vector<double>>

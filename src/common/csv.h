@@ -20,13 +20,18 @@
 
 namespace gaia {
 
-/** In-memory CSV table: a header plus string-valued rows. */
+/**
+ * In-memory CSV table: a header plus string-valued rows, and the name
+ * it was read from (a path, or the context given to
+ * tryReadCsvText()), which its cell errors start with.
+ */
 class CsvTable
 {
   public:
-    CsvTable(std::vector<std::string> header,
+    CsvTable(std::string name, std::vector<std::string> header,
              std::vector<std::vector<std::string>> rows);
 
+    const std::string &name() const { return name_; }
     const std::vector<std::string> &header() const { return header_; }
     std::size_t rowCount() const { return rows_.size(); }
     std::size_t columnCount() const { return header_.size(); }
@@ -37,7 +42,8 @@ class CsvTable
     /** Raw cell access. */
     const std::string &cell(std::size_t row, std::size_t col) const;
 
-    /** Typed accessors; ParseError describes row and column. */
+    /** Typed accessors; a ParseError names the table, row and
+     *  column. */
     Result<double> tryCellDouble(std::size_t row,
                                  std::size_t col) const;
     Result<std::int64_t> tryCellInt(std::size_t row,
@@ -48,6 +54,10 @@ class CsvTable
     tryColumnDoubles(const std::string &name) const;
 
   private:
+    /** "row R, column 'C'", where a cell error points. */
+    std::string cellContext(std::size_t row, std::size_t col) const;
+
+    std::string name_;
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
 };

@@ -59,6 +59,9 @@ ServeDaemon::ServeDaemon(RealizedScenario realized,
       queue_(config.queue_capacity), accel_(config.accel)
 {
     engine_.setListener(this);
+    // The consumer submits every job, but the engine's job column is
+    // allocated here, beside the engine's other columns.
+    engine_.reserveStream();
 
     // Spawned last: every member the consumer touches is live.
     consumer_ = std::thread([this] { consume(); });

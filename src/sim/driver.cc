@@ -5,8 +5,7 @@ namespace gaia {
 Status
 VirtualClockDriver::replay(const JobTrace &trace)
 {
-    for (const Job &job : trace.jobs())
-        GAIA_TRY(engine_.submit(job));
+    GAIA_TRY(engine_.replay(trace));
     engine_.drain();
     return Status::ok();
 }

@@ -3,7 +3,8 @@
  * VirtualClockDriver — the batch driver of OnlineScheduler.
  *
  * Replays a pre-materialised JobTrace against the engine in virtual
- * time: submit every job in submit order, then drain. The engine's
+ * time: submit every job in submit order, sharing the trace's job
+ * column rather than copying it, then drain. The engine's
  * event queue does all the clock-keeping, so there is no explicit
  * ticking — this is exactly the feed loop the batch simulator has
  * always run, and the serving daemon's wall-clock-paced consumer is
@@ -31,13 +32,14 @@ class VirtualClockDriver
     }
 
     /**
-     * Submit every job of `trace` (sorted by submit time, so no
-     * submit can land in the past), then drain the engine. May be
-     * called more than once for incremental multi-trace feeds.
+     * Hand a fresh engine the trace's shared job column (sorted by
+     * submit time, so no submit can land in the past), then drain
+     * it. Call once per engine: OnlineScheduler::replay() asserts
+     * the engine holds no jobs yet.
      */
     Status replay(const JobTrace &trace);
 
-    /** Close the engine's books; call once, after the replays. */
+    /** Close the engine's books; call once, after the replay. */
     SimulationResult finish() { return engine_.finalize(); }
 
   private:

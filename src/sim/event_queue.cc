@@ -1,95 +1,99 @@
 #include "sim/event_queue.h"
 
+#include <limits>
+
 #include "common/logging.h"
 
 namespace gaia {
-
-std::uint64_t
-EventQueue::packOrd(int priority)
-{
-    GAIA_ASSERT(priority >= 0 && priority < 256,
-                "event priority out of [0, 256): ", priority);
-    const std::uint64_t seq = next_seq_++;
-    GAIA_ASSERT(seq < (std::uint64_t{1} << 56),
-                "event sequence counter overflow");
-    return (static_cast<std::uint64_t>(priority) << 56) | seq;
-}
-
-void
-EventQueue::schedule(Seconds when, SimEvent event)
-{
-    schedule(when, 1, event);
-}
 
 void
 EventQueue::schedule(Seconds when, int priority, SimEvent event)
 {
     GAIA_ASSERT(when >= now_, "scheduling into the past: ", when,
                 " < ", now_);
-    heap_.push(Entry{when, packOrd(priority), event});
+    GAIA_ASSERT(priority >= 1 && priority < 256,
+                "event priority out of [1, 256): ", priority);
+    const std::uint64_t seq = next_seq_++;
+    GAIA_ASSERT(seq < kFirstEventOrd, "event sequence counter overflow");
+    heap_.push(Entry{when, (static_cast<std::uint64_t>(priority) << 56) |
+                               seq,
+                     event});
 }
 
 void
-EventQueue::scheduleSequential(Seconds when, int priority,
-                               SimEvent event)
+EventQueue::scheduleArrival(std::uint32_t job, Seconds when)
 {
+    GAIA_ASSERT(arrivals_ != nullptr && job < arrivals_->size(),
+                "arrival of job ", job, " outside the arrival column");
     GAIA_ASSERT(when >= now_, "scheduling into the past: ", when,
                 " < ", now_);
-    const Entry entry{when, packOrd(priority), event};
-    if (!fifo_.empty() &&
-        (entry.time < fifo_.back().time ||
-         (entry.time == fifo_.back().time &&
-          entry.ord < fifo_.back().ord))) {
-        // Out of order relative to the staged lane: the heap still
-        // dispatches it at the right point.
-        heap_.push(entry);
+    if (when == (*arrivals_)[job].submit &&
+        (lane_.empty() ||
+         (job > lane_.back() && when >= laneTime(lane_.size() - 1)))) {
+        lane_.push_back(job);
         return;
     }
-    fifo_.push_back(entry);
+    // Delayed, or out of order relative to the lane: the heap still
+    // dispatches it at the right point.
+    heap_.push(Entry{when, job, SimEvent{0, job, 0}});
 }
 
-/** Earliest pending entry across both lanes; nullptr when empty. */
-const EventQueue::Entry *
-EventQueue::peek() const
+bool
+EventQueue::laneFirst() const
 {
-    const Entry *staged =
-        fifo_head_ < fifo_.size() ? &fifo_[fifo_head_] : nullptr;
+    if (lane_head_ == lane_.size())
+        return false;
     if (heap_.empty())
-        return staged;
-    const Entry *heaped = &heap_.top();
-    if (staged == nullptr)
-        return heaped;
-    if (staged->time != heaped->time)
-        return staged->time < heaped->time ? staged : heaped;
-    return staged->ord < heaped->ord ? staged : heaped;
+        return true;
+    const Entry &top = heap_.top();
+    const Seconds time = laneTime(lane_head_);
+    if (time != top.time)
+        return time < top.time;
+    return lane_[lane_head_] < top.ord;
 }
 
-EventQueue::Entry
-EventQueue::pop()
+void
+EventQueue::popLane()
 {
-    const Entry *next = peek();
-    const Entry entry = *next;
-    if (!heap_.empty() && next == &heap_.top()) {
-        heap_.pop();
-    } else {
-        ++fifo_head_;
-        if (fifo_head_ == fifo_.size()) {
-            fifo_.clear();
-            fifo_head_ = 0;
-        }
+    ++lane_head_;
+    // Each drop moves fewer entries than were consumed since the last
+    // one, so dropping costs O(1) amortized per arrival.
+    if (2 * lane_head_ >= lane_.size()) {
+        lane_.erase(lane_.begin(),
+                    lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+        lane_head_ = 0;
     }
-    return entry;
+}
+
+bool
+EventQueue::runNextUntil(Seconds until, Sink &sink)
+{
+    if (laneFirst()) {
+        const Seconds time = laneTime(lane_head_);
+        if (time > until)
+            return false;
+        const std::uint32_t job = lane_[lane_head_];
+        popLane();
+        now_ = time;
+        sink.onArrival(job);
+        return true;
+    }
+    if (heap_.empty() || heap_.top().time > until)
+        return false;
+    const Entry entry = heap_.top();
+    heap_.pop();
+    now_ = entry.time;
+    if (entry.ord < kFirstEventOrd)
+        sink.onArrival(entry.event.a);
+    else
+        sink.onEvent(entry.event);
+    return true;
 }
 
 bool
 EventQueue::runNext(Sink &sink)
 {
-    if (empty())
-        return false;
-    const Entry entry = pop();
-    now_ = entry.time;
-    sink.onEvent(entry.event);
-    return true;
+    return runNextUntil(std::numeric_limits<Seconds>::max(), sink);
 }
 
 void
@@ -104,11 +108,7 @@ EventQueue::runUntil(Seconds until, Sink &sink)
 {
     GAIA_ASSERT(until >= now_, "runUntil into the past: ", until,
                 " < ", now_);
-    for (const Entry *next = peek();
-         next != nullptr && next->time <= until; next = peek()) {
-        const Entry entry = pop();
-        now_ = entry.time;
-        sink.onEvent(entry.event);
+    while (runNextUntil(until, sink)) {
     }
     now_ = until;
 }
@@ -116,14 +116,9 @@ EventQueue::runUntil(Seconds until, Sink &sink)
 Seconds
 EventQueue::nextEventTime() const
 {
-    const Entry *next = peek();
-    return next == nullptr ? -1 : next->time;
-}
-
-void
-EventQueue::reserveSequential(std::size_t events)
-{
-    fifo_.reserve(events);
+    if (laneFirst())
+        return laneTime(lane_head_);
+    return heap_.empty() ? -1 : heap_.top().time;
 }
 
 } // namespace gaia

@@ -1,15 +1,24 @@
 /**
  * @file
  * Discrete-event simulation core: a time-ordered queue of small POD
- * events dispatched to a sink.
+ * events and job arrivals, dispatched to a sink.
  *
- * Events at equal timestamps run in scheduling order (a monotonic
- * sequence number breaks ties), which keeps every simulation fully
- * deterministic. Events are 16-byte tagged records rather than
- * heap-allocated closures, so the scheduling hot path performs no
- * allocation beyond the heap vector's amortized growth — the tag
- * and payloads are interpreted by the Sink (see OnlineScheduler),
- * keeping the queue itself policy-free.
+ * Events at equal timestamps run in (priority, scheduling order) (a
+ * monotonic sequence number breaks ties), which keeps every
+ * simulation fully deterministic. Events are 16-byte tagged records
+ * rather than heap-allocated closures, so the scheduling hot path
+ * performs no allocation beyond the heap vector's amortized growth —
+ * the tag and payloads are interpreted by the Sink (see
+ * OnlineScheduler), keeping the queue itself policy-free.
+ *
+ * Job arrivals are the one kind the queue knows: each names a job by
+ * its index in the run's job column, runs before every other event
+ * at its instant, and among arrivals at one instant the lower index
+ * runs first. An arrival at its job's submit time waits in a lane of
+ * 4-byte indices, whose times are read from the column; the rest (a
+ * fault-delayed arrival, a streamed submit earlier than the lane's
+ * tail) wait in the heap. Both merge in that one order, so which of
+ * them holds an arrival never shows in the dispatch order.
  */
 
 #ifndef GAIA_SIM_EVENT_QUEUE_H
@@ -20,6 +29,7 @@
 #include <vector>
 
 #include "common/time.h"
+#include "workload/job.h"
 
 namespace gaia {
 
@@ -45,30 +55,34 @@ class EventQueue
         virtual ~Sink() = default;
         /** Called with now() already set to the event's time. */
         virtual void onEvent(const SimEvent &event) = 0;
+        /** Job `job` of the arrival column arrives; now() is the
+         *  arrival instant. */
+        virtual void onArrival(std::uint32_t job) = 0;
     };
 
-    /** Schedule `event` at absolute time `when` (>= now()). */
-    void schedule(Seconds when, SimEvent event);
+    /**
+     * Read arrival times from `jobs`, the run's job column: a lane
+     * entry for job i fires at jobs[i].submit. Call before the first
+     * scheduleArrival(). The vector may grow (a streamed run appends
+     * to it) but must stay at its address while arrivals are queued.
+     */
+    void bindArrivals(const std::vector<Job> &jobs) { arrivals_ = &jobs; }
 
     /**
-     * Schedule with an explicit same-timestamp priority (lower runs
-     * first; the plain overload uses priority 1). Job arrivals use
-     * priority 0 so batch-fed and incrementally-fed simulations
-     * order timestamp ties identically.
+     * Schedule `event` at absolute time `when` (>= now()) with a
+     * same-timestamp priority in [1, 256): lower runs first, and
+     * equal priorities run in scheduling order. Priority 0 belongs
+     * to arrivals.
      */
     void schedule(Seconds when, int priority, SimEvent event);
 
     /**
-     * Schedule hint for callers whose `when` values arrive in
-     * non-decreasing order (batch job feeds): events land in a flat
-     * FIFO lane instead of the heap, so a year-long trace does not
-     * inflate the heap — and every pop's sift-down — with tens of
-     * thousands of far-future arrivals. Out-of-order calls silently
-     * fall back to the heap; dispatch order is identical either way
-     * (global (time, priority, seq) order across both lanes).
+     * Schedule the arrival of job `job` of the bound column at
+     * `when` (>= now()); see the file comment for its order. It
+     * joins the lane when `when` is the job's submit time and it
+     * sorts after the lane's last entry, and the heap otherwise.
      */
-    void scheduleSequential(Seconds when, int priority,
-                            SimEvent event);
+    void scheduleArrival(std::uint32_t job, Seconds when);
 
     /**
      * Pop the earliest event and hand it to `sink`; false when
@@ -96,25 +110,32 @@ class EventQueue
     bool
     empty() const
     {
-        return heap_.empty() && fifo_head_ == fifo_.size();
+        return heap_.empty() && lane_head_ == lane_.size();
     }
 
     std::size_t
     pendingCount() const
     {
-        return heap_.size() + (fifo_.size() - fifo_head_);
+        return heap_.size() + (lane_.size() - lane_head_);
     }
 
-    /** Pre-size the sequential lane for `events`
-     *  scheduleSequential() calls; the heap grows as needed. */
-    void reserveSequential(std::size_t events);
+    /**
+     * Entries the arrival lane holds: its pending arrivals plus a
+     * consumed prefix, which is dropped once it reaches half the
+     * lane, so a long-lived stream's lane stays within twice its
+     * pending arrivals.
+     */
+    std::size_t laneEntries() const { return lane_.size(); }
+
+    /** Pre-size the arrival lane for `arrivals` lane entries; the
+     *  heap grows as needed. */
+    void reserveArrivals(std::size_t arrivals) { lane_.reserve(arrivals); }
 
   private:
     /**
-     * 32-byte queue record. `ord` packs (priority << 56) | seq so
+     * 32-byte heap record. `ord` packs (priority << 56) | seq so
      * the (time, priority, seq) dispatch order collapses into two
-     * comparisons; seq is a global counter across both lanes, which
-     * is what keeps their merge order well defined.
+     * comparisons; an arrival's is its bare job index (priority 0).
      */
     struct Entry
     {
@@ -131,14 +152,31 @@ class EventQueue
             return a.ord > b.ord;
         }
     };
-    std::uint64_t packOrd(int priority);
-    const Entry *peek() const;
-    Entry pop();
+    /** The lowest `ord` of a priority-1 event; every arrival's is
+     *  below it. */
+    static constexpr std::uint64_t kFirstEventOrd = std::uint64_t{1}
+                                                    << 56;
+
+    Seconds laneTime(std::size_t k) const
+    {
+        return (*arrivals_)[lane_[k]].submit;
+    }
+    /** True when the lane has a pending arrival that runs before
+     *  the heap's earliest entry. */
+    bool laneFirst() const;
+    /** Consume the lane's head, dropping the consumed prefix once it
+     *  reaches half the lane. */
+    void popLane();
+    /** Dispatch the earliest event if it is due by `until`. */
+    bool runNextUntil(Seconds until, Sink &sink);
 
     std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    /** Sorted lane: non-decreasing (time, ord), consumed in order. */
-    std::vector<Entry> fifo_;
-    std::size_t fifo_head_ = 0;
+    /** Job indices of arrivals at their submit times, sorted by
+     *  (submit, index); [lane_head_, end) are pending. */
+    std::vector<std::uint32_t> lane_;
+    std::size_t lane_head_ = 0;
+    /** The bound job column; null until bindArrivals(). */
+    const std::vector<Job> *arrivals_ = nullptr;
     std::uint64_t next_seq_ = 0;
     Seconds now_ = 0;
 };

@@ -29,13 +29,6 @@ obs::Counter &c_spot_instance_retries =
 obs::Counter &c_degraded_instance_hours =
     obs::counter("policy.degraded_instance_hours");
 
-/**
- * Same-timestamp priority of EvJobEnd notifications. Arrivals run at
- * 0 and every scheduling action at the default 1, so 2 delivers the
- * listener callback after the instant's state changes have settled.
- */
-constexpr int kNotifyPriority = 2;
-
 } // namespace
 
 OnlineScheduler::OnlineScheduler(const SchedulingPolicy &policy,
@@ -91,7 +84,8 @@ void
 OnlineScheduler::reserveJobs(std::size_t count,
                              SimulationResult storage)
 {
-    GAIA_ASSERT(outcomes_.empty(), "reserveJobs() after submit()");
+    GAIA_ASSERT(jobs_ == nullptr,
+                "reserveJobs() after the engine took its jobs");
     // Every job records at least one segment, and a rerun of the
     // cell that filled `storage` records exactly as many as it did.
     const std::size_t segment_slots =
@@ -102,10 +96,16 @@ OnlineScheduler::reserveJobs(std::size_t count,
     storage.segments.clear();
     segments_ = std::move(storage.segments);
     segments_.reserve(segment_slots);
-    // A batch feed puts exactly the `count` arrivals in the
-    // sequential lane; the heap holds only in-flight events, far
-    // fewer than `count`, and grows with them.
-    events_.reserveSequential(count);
+    reserved_jobs_ = count;
+}
+
+void
+OnlineScheduler::onArrival(std::uint32_t job)
+{
+    ++events_dispatched_;
+    const std::uint32_t slot = takeSlot(job);
+    planArrival(slot);
+    freeIfUnnamed(slot);
 }
 
 void
@@ -121,26 +121,20 @@ OnlineScheduler::onEvent(const SimEvent &event)
         // Notification only; a listener detached after the schedule
         // simply misses the callback.
         if (listener_ != nullptr)
-            listener_->onJobEnd(events_.now(), outcomes_[event.a].id);
+            listener_->onJobEnd(events_.now(), jobAt(event.a).id);
         return;
     }
 
-    // Every other event names a job-state slot. An arrival takes
-    // one; any later event takes off the reference its scheduling
-    // counted, and the slot is freed once the handler has left no
-    // queued event naming it.
-    std::uint32_t slot = event.a;
-    if (event.kind == EvArrival) {
-        slot = takeSlot(event.a, static_cast<int>(event.b));
-    } else {
-        GAIA_ASSERT(slot < states_.size() && states_[slot].refs > 0,
-                    "event ", event.kind, " names free slot ", slot);
-        --states_[slot].refs;
-    }
+    // Every other event names a job-state slot: it takes off the
+    // reference its scheduling counted, and the slot is freed once
+    // the handler has left no queued event naming it.
+    const std::uint32_t slot = event.a;
+    GAIA_ASSERT(slot < states_.size() && states_[slot].refs > 0,
+                "event ", event.kind, " names free slot ", slot);
+    --states_[slot].refs;
     switch (event.kind) {
-      case EvArrival:
       case EvRetryArrival:
-        onArrival(slot);
+        planArrival(slot);
         break;
       case EvPlaceSegment:
         placeSegment(slot, static_cast<std::size_t>(event.b));
@@ -157,6 +151,12 @@ OnlineScheduler::onEvent(const SimEvent &event)
       default:
         panic("unknown event kind ", event.kind);
     }
+    freeIfUnnamed(slot);
+}
+
+void
+OnlineScheduler::freeIfUnnamed(std::uint32_t slot)
+{
     if (states_[slot].refs == 0) {
         states_[slot] = JobState{};
         free_slots_.push_back(slot);
@@ -164,7 +164,7 @@ OnlineScheduler::onEvent(const SimEvent &event)
 }
 
 std::uint32_t
-OnlineScheduler::takeSlot(std::uint32_t job, int queue_hint)
+OnlineScheduler::takeSlot(std::uint32_t job)
 {
     // Byte budget of one slot; tests/sim/test_layout_budget.cc pins
     // the public records, and JobState is private, so its budget
@@ -179,9 +179,7 @@ OnlineScheduler::takeSlot(std::uint32_t job, int queue_hint)
         slot = free_slots_.back();
         free_slots_.pop_back();
     }
-    JobState &state = states_[slot];
-    state.job = job;
-    state.queue_hint = queue_hint;
+    states_[slot].job = job;
     return slot;
 }
 
@@ -217,27 +215,68 @@ OnlineScheduler::spotEnabled() const
            cluster_.spot_max_length > 0;
 }
 
+void
+OnlineScheduler::reserveStream()
+{
+    GAIA_ASSERT(jobs_ == nullptr,
+                "reserveStream() on an engine that already holds jobs");
+    auto column = std::make_shared<std::vector<Job>>();
+    column->reserve(reserved_jobs_);
+    streamed_ = column.get();
+    events_.bindArrivals(*column);
+    jobs_ = std::move(column);
+}
+
 Status
 OnlineScheduler::submit(const Job &job)
 {
     GAIA_ASSERT(!finalized_, "submit() after finalize()");
+    if (jobs_ == nullptr)
+        reserveStream();
+    GAIA_ASSERT(streamed_ != nullptr,
+                "submit() on an engine fed by replay()");
+    streamed_->push_back(job);
+    const Status admitted = admit(streamed_->size() - 1);
+    if (!admitted.isOk())
+        streamed_->pop_back();
+    return admitted;
+}
+
+Status
+OnlineScheduler::replay(const JobTrace &trace)
+{
+    GAIA_ASSERT(!finalized_, "replay() after finalize()");
+    GAIA_ASSERT(jobs_ == nullptr,
+                "replay() on an engine that already holds jobs");
+    jobs_ = trace.sharedJobs();
+    events_.bindArrivals(*jobs_);
+    // Every arrival but a fault-delayed one waits in the lane; the
+    // heap holds only in-flight events and grows with them.
+    events_.reserveArrivals(jobs_->size());
+    for (std::size_t i = 0; i < jobs_->size(); ++i)
+        GAIA_TRY(admit(i));
+    return Status::ok();
+}
+
+Status
+OnlineScheduler::admit(std::size_t idx)
+{
+    const Job &job = (*jobs_)[idx];
     // The engine holds its own bounds rather than trusting every
-    // feed to have validated: the packed outcome stores submit and
-    // length in 32 bits, and cpus x width must stay inside an int.
+    // feed to have validated: the packed outcome stores the length
+    // in 32 bits, and cpus x width must stay inside an int.
     GAIA_TRY(validateJob(job));
     GAIA_REQUIRE(job.submit >= events_.now(), "job ", job.id,
                  " submitted at ", job.submit,
                  " but simulation time is already ", events_.now());
-    const std::size_t idx = outcomes_.size();
+    GAIA_ASSERT(idx == outcomes_.size(), "job ", idx,
+                " admitted out of column order");
     GAIA_ASSERT(idx < kMaxJobs, "job index overflows the event "
                 "payload");
     // Admitted arrival: the user's submit plus any fault delay.
     Seconds arrival = job.submit;
     JobOutcome &outcome = outcomes_.emplace_back();
-    outcome.id = job.id;
-    outcome.submit = static_cast<std::uint32_t>(job.submit);
     outcome.length = static_cast<std::uint32_t>(job.length);
-    outcome.cpus = job.cpus;
     if (faults_ != nullptr) {
         if (faults_->straggler(job.id)) {
             // Straggler slowdown: the job really takes longer; the
@@ -254,15 +293,12 @@ OnlineScheduler::submit(const Job &job)
             ++faults_injected_;
         }
     }
-    // Priority 0: arrivals at a timestamp run before same-instant
-    // releases/starts, so batch and incremental feeding agree. The
-    // sequential lane keeps a batch-fed trace's arrivals (sorted by
-    // submit time) out of the heap; a fault-delayed arrival that
-    // lands out of order falls back to the heap transparently.
-    events_.scheduleSequential(
-        arrival, /*priority=*/0,
-        SimEvent{EvArrival, static_cast<std::uint32_t>(idx),
-                 job.queue_hint});
+    // Arrivals at a timestamp run before same-instant retries,
+    // releases and starts, in job order, so batch and incremental
+    // feeding agree. The lane keeps a sorted feed's arrivals out of
+    // the heap as 4-byte indices; a fault-delayed arrival falls back
+    // to the heap transparently.
+    events_.scheduleArrival(static_cast<std::uint32_t>(idx), arrival);
     return Status::ok();
 }
 
@@ -281,16 +317,17 @@ OnlineScheduler::drain()
 }
 
 void
-OnlineScheduler::onArrival(std::uint32_t slot)
+OnlineScheduler::planArrival(std::uint32_t slot)
 {
     JobState &state = states_[slot];
     JobOutcome &outcome = outcomes_[state.job];
+    const Job &submitted = jobAt(state.job);
     // The job as admitted: stretched by a straggler fault, arriving
     // now, at its (possibly delayed or retried) arrival instant.
-    // Planning runs at this instant; the outcome keeps the user's
+    // Planning runs at this instant; the column keeps the user's
     // submit, so any delay counts as waiting.
-    const Job job{outcome.id, events_.now(), outcome.length,
-                  outcome.cpus, state.queue_hint};
+    const Job job{submitted.id, events_.now(), outcome.length,
+                  submitted.cpus, submitted.queue_hint};
 
     if (!cis_.availableAt(events_.now())) {
         if (retryArrivalLater(slot))
@@ -385,11 +422,11 @@ OnlineScheduler::retryArrivalLater(std::uint32_t slot)
         spec.cis_retry_backoff << state.cis_attempts;
     ++state.cis_attempts;
     ++cis_retries_;
-    // The job effectively re-arrives at the probe instant, at an
-    // arrival's priority, and plans there with ctx.now == the
-    // admitted submit.
+    // The job effectively re-arrives at the probe instant, right
+    // after that instant's first arrivals, and plans there with
+    // ctx.now == the admitted submit.
     scheduleForSlot(events_.now() + backoff, EvRetryArrival, slot,
-                    0, /*priority=*/0);
+                    0, kRetryPriority);
     return true;
 }
 
@@ -426,7 +463,7 @@ OnlineScheduler::dispatch(std::uint32_t slot)
         // is free, even if the policy preferred to wait. (Plans
         // reaching here are single-segment; elastic ones need the
         // segment's full gang of cores.)
-        if (pool_.canFit(outcomes_[state.job].cpus *
+        if (pool_.canFit(jobAt(state.job).cpus *
                          state.plan.segment(0).width)) {
             startOnReserved(slot, at);
             return;
@@ -474,7 +511,7 @@ OnlineScheduler::placeSegment(std::uint32_t slot, std::size_t seg_idx)
     if (state.aborted)
         return; // plan superseded by an eviction restart
     const RunSegment &seg = state.plan.segment(seg_idx);
-    const int cores = outcomes_[state.job].cpus * seg.width;
+    const int cores = jobAt(state.job).cpus * seg.width;
     const Seconds at = events_.now();
     GAIA_ASSERT(at == seg.start, "segment event fired at ", at,
                 " for a segment starting at ", seg.start);
@@ -486,7 +523,7 @@ OnlineScheduler::placeSegment(std::uint32_t slot, std::size_t seg_idx)
                       PurchaseOption::Reserved, /*lost=*/false,
                       seg.width);
         events_.schedule(
-            seg.end,
+            seg.end, kActionPriority,
             SimEvent{EvPoolRelease,
                      static_cast<std::uint32_t>(cores), 0});
     } else {
@@ -594,14 +631,14 @@ OnlineScheduler::restartAfterEviction(std::uint32_t slot, Seconds at)
     // Restart the full job; prefer a free reserved core, matching
     // the paper ("on either on-demand or reserved instances based
     // on availability"). The restart never returns to spot.
-    const int cores = outcomes_[state.job].cpus * width;
+    const int cores = jobAt(state.job).cpus * width;
     if (usesReserved() && pool_.canFit(cores)) {
         pool_.acquire(cores);
         recordSegment(state.job, at, at + duration,
                       PurchaseOption::Reserved, /*lost=*/false,
                       width);
         events_.schedule(
-            at + duration,
+            at + duration, kActionPriority,
             SimEvent{EvPoolRelease,
                      static_cast<std::uint32_t>(cores), 0});
     } else {
@@ -622,13 +659,13 @@ OnlineScheduler::startOnReserved(std::uint32_t slot, Seconds at)
                 "work-conserving start of a suspend-resume plan");
     const int width = state.plan.segment(0).width;
     const Seconds duration = state.plan.totalRunTime();
-    const int cores = outcomes_[state.job].cpus * width;
+    const int cores = jobAt(state.job).cpus * width;
     state.pending = false;
     pool_.acquire(cores);
     recordSegment(state.job, at, at + duration,
                   PurchaseOption::Reserved, /*lost=*/false, width);
     events_.schedule(
-        at + duration,
+        at + duration, kActionPriority,
         SimEvent{EvPoolRelease,
                  static_cast<std::uint32_t>(cores), 0});
     notifyJobEnd(state.job, at + duration);
@@ -696,7 +733,7 @@ OnlineScheduler::drainPending()
         const std::uint32_t slot = it->second;
         const JobState &state = states_[slot];
         GAIA_ASSERT(state.pending, "stale pending-queue entry");
-        if (pool_.canFit(outcomes_[state.job].cpus *
+        if (pool_.canFit(jobAt(state.job).cpus *
                          state.plan.segment(0).width)) {
             it = pending_.erase(it);
             startOnReserved(slot, at);
@@ -738,6 +775,8 @@ void
 OnlineScheduler::finalizeInto(SimulationResult &result)
 {
     groupSegmentsByJob();
+    result.jobs = std::move(jobs_);
+    streamed_ = nullptr;
     result.outcomes = std::move(outcomes_);
     result.segments = std::move(segments_);
     // What each job's carbon and money derive from, set before the
@@ -754,7 +793,8 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             result.segments[o.first_segment + k].lost = true;
     }
     for (const JobOutcome &o : result.outcomes) {
-        GAIA_ASSERT(o.segment_count > 0, "job ", o.id,
+        const Job &job = result.job(o);
+        GAIA_ASSERT(o.segment_count > 0, "job ", job.id,
                     " never executed");
         const std::span<PlacedSegment> segments(
             result.segments.data() + o.first_segment,
@@ -775,7 +815,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             // Every per-instance quantity scales with the gang
             // width (1 for fixed-width jobs, so their books are
             // bit-identical to before the field existed).
-            const int cores = o.cpus * seg.width;
+            const int cores = job.cpus * seg.width;
             const double core_seconds =
                 static_cast<double>(seg.duration()) * cores;
             carbon_g = result.addSliceCarbon(carbon_g, seg, cores);
@@ -827,10 +867,10 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                                 static_cast<double>(o.length) +
                                     2.0 * elastic_.maxThroughput() +
                                     1e-6,
-                        "job ", o.id, " delivered ", useful_work,
+                        "job ", job.id, " delivered ", useful_work,
                         " work-seconds, expected about ", o.length);
         } else {
-            GAIA_ASSERT(useful == o.length, "job ", o.id, " ran ",
+            GAIA_ASSERT(useful == o.length, "job ", job.id, " ran ",
                         useful, "s of useful work, expected ",
                         o.length);
         }
@@ -841,11 +881,11 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             // horizon can legitimately be shorter, so the books
             // stay correct but the overrun is surfaced.
             GAIA_ASSERT(cluster_.reservation_horizon > 0,
-                        "job ", o.id,
+                        "job ", job.id,
                         " finished past the derived horizon");
             if (!horizon_overrun_warned_) {
                 warn("schedule extends past the configured "
-                     "reservation horizon (job ", o.id,
+                     "reservation horizon (job ", job.id,
                      " finishes at ", finish, " > ", horizon_,
                      "); reserved upfront cost still covers only "
                      "the configured horizon");
@@ -875,6 +915,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             (horizon_ + kSecondsPerHour - 1) / kSecondsPerHour);
         std::vector<double> busy(slots, 0.0); // core-seconds/slot
         for (const JobOutcome &o : result.outcomes) {
+            const int cpus = result.job(o).cpus;
             for (const PlacedSegment &seg : result.placements(o)) {
                 if (seg.option != PurchaseOption::Reserved)
                     continue;
@@ -889,7 +930,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                         std::min(slot_end, seg.end());
                     busy[slot] +=
                         static_cast<double>(end - cursor) *
-                        o.cpus * seg.width;
+                        cpus * seg.width;
                     cursor = end;
                 }
             }

@@ -15,41 +15,51 @@
  * Both paths share one engine and one accounting implementation.
  *
  * Tie-breaking contract drivers rely on: events at equal virtual
- * timestamps dispatch in (priority, schedule order), and job
- * arrivals use the highest priority — so submitting a job before
- * advancing the clock *into* its submit second reproduces the batch
- * ordering exactly. A driver must therefore never advance the clock
- * past `submit - 1` of a job it has yet to submit (the daemon
+ * timestamps dispatch in (priority, schedule order), first arrivals
+ * use the highest priority (in admission order among themselves), and
+ * a carbon-source retry of an arrival the next — so submitting a job
+ * before advancing the clock *into* its submit second reproduces the
+ * batch ordering exactly. A driver must therefore never advance the
+ * clock past `submit - 1` of a job it has yet to submit (the daemon
  * consumer's release-horizon bound).
  *
  * The event loop is allocation-free on the hot path: every handler
  * is a 16-byte tagged SimEvent dispatched through onEvent() — no
  * per-event closures. reserveJobs() pre-sizes the outcome and
- * segment columns and the arrival lane when the population is known
- * up front (makeEngine() in sim/simulator.h does this for both
- * drivers).
+ * segment columns when the population is known up front
+ * (makeEngine() in sim/simulator.h does this for both drivers).
  *
- * submit() records a job's JobOutcome, which alone holds its id,
- * cpus and (stretched) length, and queues its arrival by outcome
- * index; nothing else is stored per job. The engine's working state
- * (JobState: the plan and a few flags and counters) lives in a pool
- * of slots that holds only the jobs in flight: the arrival takes a
- * slot, every later event that names the job carries that slot, and
- * the slot returns to a free list once no queued event names it. So
- * the pool is sized by concurrency, not by history — about one slot
- * for on-demand start-time runs and a live daemon, a few hundred in
- * a year of spot and reserved suspend-resume. The one elastic
- * profile belongs to the run, not to a job. Every placement is
- * appended to one segment column in event order. While placements
- * come job by job in outcome order (start-time policies on
- * on-demand capacity) that column is already grouped by job; from
- * the first placement out of that order, each placement's outcome
- * index is logged in a 4-byte column beside it. finalize() permutes
- * the segment column in place into job order, marks what evictions
- * lost, accounts both columns in place, and hands them over whole
- * as SimulationResult::outcomes and SimulationResult::segments, so
- * a run never holds a record twice and recording a placement
- * allocates nothing per job. Both records are packed (40-byte
+ * The engine keeps each job's inputs in one job column, and every
+ * other per-job record indexes it. replay() hands a fresh engine a
+ * trace's own column, shared, never copied; submit() appends each
+ * admitted job to a column the engine owns (reserveStream()
+ * allocates it, or the first submit()). Either way a job is
+ * admitted by one function that validates it, records its JobOutcome
+ * (only what the run decides: the stretched length, evictions, the
+ * segment range and the counterfactual carbon) and queues its
+ * arrival as a 4-byte job index, whose time the arrival lane reads
+ * from the column (see sim/event_queue.h), as planning reads its
+ * queue hint. A
+ * rejected or late job gets neither a column entry nor an outcome.
+ * The engine's working state (JobState: the plan and a few flags and
+ * counters) lives in a pool of slots that holds only the jobs in
+ * flight: the arrival takes a slot, every later event that names the
+ * job carries that slot, and the slot returns to a free list once no
+ * queued event names it. So the pool is sized by concurrency, not by
+ * history — about one slot for on-demand start-time runs and a live
+ * daemon, a few hundred in a year of spot and reserved
+ * suspend-resume. The one elastic profile belongs to the run, not to
+ * a job. Every placement is appended to one segment column in event
+ * order. While placements come job by job in outcome order
+ * (start-time policies on on-demand capacity) that column is already
+ * grouped by job; from the first placement out of that order, each
+ * placement's outcome index is logged in a 4-byte column beside it.
+ * finalize() permutes the segment column in place into job order,
+ * marks what evictions lost, accounts the columns in place, and
+ * hands them over whole as SimulationResult::jobs,
+ * SimulationResult::outcomes and SimulationResult::segments, so a
+ * run never holds a record twice and recording a placement
+ * allocates nothing per job. Both records are packed (24-byte
  * outcomes, 16-byte segments; see sim/results.h), since a sweep
  * holds them for every job of every cell.
  *
@@ -70,6 +80,7 @@
 #define GAIA_SIM_ONLINE_H
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -147,20 +158,46 @@ class OnlineScheduler : private EventQueue::Sink
     OnlineScheduler(OnlineScheduler &&) = default;
 
     /**
-     * Submit a job. Errors (rather than asserting) when the job
-     * fails validateJob() or its submit time precedes the current
+     * Submit a job of a stream: the engine appends it to its own job
+     * column. Errors (rather than asserting) when the job fails
+     * validateJob() or its submit time precedes the current
      * simulation time, since live feeds are untrusted input; a
      * rejected job leaves no trace. The engine applies validateJob()
-     * itself because its packed records rely on it: outcomes hold
-     * submit and length in 32 bits, and cpus x width must fit an
-     * int.
+     * itself because its packed records rely on it: outcomes hold the
+     * length in 32 bits, and cpus x width must fit an int. Not for an
+     * engine that replay() fed.
      */
     Status submit(const Job &job);
 
     /**
-     * Pre-size the outcome and segment columns and the arrival lane
-     * for `count` jobs. Call before the first submit(). The job-state
-     * pool is not reserved: it grows to the jobs in flight.
+     * Submit every job of `trace`, in its (submit) order, sharing the
+     * trace's job column instead of copying it: the result carries
+     * that column. A fresh engine runs at most one trace, and takes
+     * no submit() beside it.
+     */
+    Status replay(const JobTrace &trace);
+
+    /**
+     * Allocate the job column submit() appends to, at the capacity
+     * reserveJobs() recorded, on the calling thread; the first
+     * submit() does it otherwise. A driver that submits from another
+     * thread calls this first, so the column comes from the same
+     * malloc arena as the outcome and segment columns: allocated on
+     * the serving daemon's consumer thread, it stayed resident in
+     * that thread's arena, about 3 MB more peak RSS on bench/perf's
+     * serve_stream.
+     */
+    void reserveStream();
+
+    /**
+     * Pre-size the outcome and segment columns for `count` jobs, and
+     * record `count` as the capacity of the job column a streamed
+     * run allocates (reserveStream()); an engine fed by replay()
+     * shares its trace's column and allocates none. Call before the
+     * engine takes its jobs. The job-state pool and the arrival lane
+     * are not reserved here: the pool grows to the jobs in flight,
+     * and the lane to a streamed run's pending arrivals (replay()
+     * sizes it for the whole trace).
      * `storage`'s outcome and segment columns become this run's: they
      * are cleared and only their capacity is kept, so a caller
      * rerunning a cell can hand back the previous run's whole
@@ -191,6 +228,14 @@ class OnlineScheduler : private EventQueue::Sink
 
     /** Jobs submitted so far. */
     std::size_t submittedJobs() const { return outcomes_.size(); }
+
+    /** Entries the event queue's arrival lane holds (see
+     *  EventQueue::laneEntries()): at most about twice the arrivals
+     *  still pending there, however long a stream has run. */
+    std::size_t arrivalLaneEntries() const
+    {
+        return events_.laneEntries();
+    }
 
     /**
      * Job-state slots held right now: one per job that has arrived
@@ -242,10 +287,9 @@ class OnlineScheduler : private EventQueue::Sink
     struct JobState
     {
         SchedulePlan plan;
-        /** Outcome index of the job holding the slot. */
+        /** Job-column (and outcome) index of the job holding the
+         *  slot. */
         std::uint32_t job = 0;
-        /** The submitted Job::queue_hint. */
-        int queue_hint = -1;
         bool spot_eligible = false;
         bool pending = false;
         bool aborted = false;
@@ -266,13 +310,12 @@ class OnlineScheduler : private EventQueue::Sink
         std::uint32_t segments;
     };
 
-    /** Event tags; payloads documented per tag. Every tag but
-     *  EvArrival, EvPoolRelease and EvJobEnd names a job-state slot
-     *  and is scheduled through scheduleForSlot(). */
+    /** Event tags; payloads documented per tag. First arrivals are
+     *  not events: the queue hands them to onArrival(). Every tag but
+     *  EvPoolRelease and EvJobEnd names a job-state slot and is
+     *  scheduled through scheduleForSlot(). */
     enum Ev : std::uint32_t
     {
-        /** a = outcome index, b = queue hint; takes a slot. */
-        EvArrival,
         /** a = slot; a carbon-source retry probe of the arrival. */
         EvRetryArrival,
         /** a = slot, b = plan segment index. */
@@ -286,7 +329,7 @@ class OnlineScheduler : private EventQueue::Sink
         /** a = cpus to return to the reserved pool. */
         EvPoolRelease,
         /**
-         * a = outcome index; notification to the attached
+         * a = job index; notification to the attached
          * ProtocolListener that the job settled. Scheduled only
          * while a listener is attached, so listener-free (batch)
          * runs dispatch no notification events at all.
@@ -294,11 +337,35 @@ class OnlineScheduler : private EventQueue::Sink
         EvJobEnd,
     };
 
-    void onEvent(const SimEvent &event) override;
+    /**
+     * Same-timestamp priorities of the engine's events (lower runs
+     * first). First arrivals run before all of them, at the queue's
+     * priority 0. A carbon-source retry re-arrives next, so a
+     * streamed run orders it after a same-second first arrival
+     * submitted later, as the batch run (which submits every job
+     * before the first retry) does. Every scheduling action follows,
+     * and EvJobEnd notifications run last, after the instant's state
+     * changes have settled.
+     */
+    static constexpr int kRetryPriority = 1;
+    static constexpr int kActionPriority = 2;
+    static constexpr int kNotifyPriority = 3;
 
-    /** A slot for outcome `job`: the most recently freed one, else a
-     *  new one appended to the pool. */
-    std::uint32_t takeSlot(std::uint32_t job, int queue_hint);
+    void onEvent(const SimEvent &event) override;
+    /** A first arrival: takes a slot for job `job` and plans it. */
+    void onArrival(std::uint32_t job) override;
+
+    /** The submitted job at index `job` of the job column. */
+    const Job &jobAt(std::uint32_t job) const { return (*jobs_)[job]; }
+    /** Admit job `job` of the job column, which must be the next
+     *  one: validate it, record its outcome and queue its arrival. */
+    Status admit(std::size_t job);
+
+    /** A slot for job `job`: the most recently freed one, else a new
+     *  one appended to the pool. */
+    std::uint32_t takeSlot(std::uint32_t job);
+    /** Return `slot` to the free list if no queued event names it. */
+    void freeIfUnnamed(std::uint32_t slot);
     /** Schedule `kind` naming `slot` and count it in the slot's
      *  refs; onEvent() takes the count off as it dispatches. Every
      *  event that names a slot goes through here, so a slot is never
@@ -307,12 +374,14 @@ class OnlineScheduler : private EventQueue::Sink
      *  start after an early reserved start, the rest of an evicted
      *  spot plan). */
     void scheduleForSlot(Seconds when, Ev kind, std::uint32_t slot,
-                         std::int64_t b = 0, int priority = 1);
+                         std::int64_t b = 0,
+                         int priority = kActionPriority);
 
     bool usesReserved() const;
     bool spotEnabled() const;
 
-    void onArrival(std::uint32_t slot);
+    /** Plan the job in `slot` at its (first or retried) arrival. */
+    void planArrival(std::uint32_t slot);
     /** Degradation ladder on source outage: true = arrival handled
      *  (a backoff retry was scheduled); false = plan carbon-
      *  obliviously now. */
@@ -330,7 +399,7 @@ class OnlineScheduler : private EventQueue::Sink
      *  restart that covers the whole job). */
     void runSpotSlice(std::uint32_t slot, Seconds from, Seconds to,
                       int width, bool final_slice);
-    /** Schedule the EvJobEnd notification for outcome `job` at `at`;
+    /** Schedule the EvJobEnd notification for job `job` at `at`;
      *  no-op without an attached listener. Called exactly once per
      *  job, at the record site of its final non-lost segment. */
     void notifyJobEnd(std::uint32_t job, Seconds at);
@@ -376,8 +445,19 @@ class OnlineScheduler : private EventQueue::Sink
     std::vector<JobState> states_;
     /** Freed slots of states_, reused last-in first-out. */
     std::vector<std::uint32_t> free_slots_;
-    /** One record per submitted job, in submit order; moved into the
-     *  result by finalize(). */
+    /** The job column: a replayed trace's shared jobs, or the jobs
+     *  submit() admitted so far, in admission order. Null until
+     *  replay() or reserveStream(); handed to the result by
+     *  finalize(). */
+    std::shared_ptr<const std::vector<Job>> jobs_;
+    /** The column submit() appends to, which jobs_ shares; null
+     *  unless the engine streams. */
+    std::vector<Job> *streamed_ = nullptr;
+    /** Jobs reserveJobs() sized the run for, the capacity
+     *  reserveStream() gives a streamed column. */
+    std::size_t reserved_jobs_ = 0;
+    /** One record per admitted job, outcome i for job i of the
+     *  column; moved into the result by finalize(). */
     std::vector<JobOutcome> outcomes_;
     /** Every placement in event order until finalize() groups it by
      *  job and moves it into the result. */

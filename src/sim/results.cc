@@ -57,11 +57,12 @@ SimulationResult::finish(const JobOutcome &o) const
 double
 SimulationResult::lostCoreSeconds(const JobOutcome &o) const
 {
+    const int cpus = job(o).cpus;
     double lost = 0.0;
     for (const PlacedSegment &seg : placements(o)) {
         if (seg.lost)
             lost += static_cast<double>(seg.duration()) *
-                    (o.cpus * seg.width);
+                    (cpus * seg.width);
     }
     return lost;
 }
@@ -69,21 +70,23 @@ SimulationResult::lostCoreSeconds(const JobOutcome &o) const
 double
 SimulationResult::overheadCoreSeconds(const JobOutcome &o) const
 {
+    const int cpus = job(o).cpus;
     double overhead = 0.0;
     for (const PlacedSegment &seg : placements(o))
         overhead +=
-            seg.overheadCoreSeconds(o.cpus * seg.width, startup_overhead);
+            seg.overheadCoreSeconds(cpus * seg.width, startup_overhead);
     return overhead;
 }
 
 double
 SimulationResult::variableCost(const JobOutcome &o) const
 {
+    const int cpus = job(o).cpus;
     double cost = 0.0;
     for (const PlacedSegment &seg : placements(o)) {
         if (seg.option == PurchaseOption::Reserved)
             continue; // paid upfront
-        const int cores = o.cpus * seg.width;
+        const int cores = cpus * seg.width;
         cost += pricing.usageCost(
             seg.option,
             static_cast<double>(seg.duration()) * cores +
@@ -119,9 +122,10 @@ SimulationResult::addSliceCarbon(double grams, const PlacedSegment &seg,
 double
 SimulationResult::carbonGrams(const JobOutcome &o) const
 {
+    const int cpus = job(o).cpus;
     double grams = 0.0;
     for (const PlacedSegment &seg : placements(o))
-        grams = addSliceCarbon(grams, seg, o.cpus * seg.width);
+        grams = addSliceCarbon(grams, seg, cpus * seg.width);
     return grams;
 }
 
@@ -186,12 +190,15 @@ resultFingerprint(const SimulationResult &result)
     digest.mix<std::uint64_t>(result.eviction_count);
     digest.mix<std::uint64_t>(result.outcomes.size());
     for (const JobOutcome &o : result.outcomes) {
-        // Narrowed fields mix at their old widths (Seconds, int), so
-        // packing the records moved no fingerprint.
-        digest.mix(o.id);
-        digest.mix<Seconds>(o.submit);
+        // The submitted job's fields mix where the outcome once held
+        // them, and narrowed fields at their old widths (Seconds), so
+        // neither packing the records nor moving the job into the
+        // column moved a fingerprint.
+        const Job &job = result.job(o);
+        digest.mix(job.id);
+        digest.mix(job.submit);
         digest.mix<Seconds>(o.length);
-        digest.mix(o.cpus);
+        digest.mix(job.cpus);
         digest.mix(result.start(o));
         digest.mix(result.finish(o));
         digest.mix(result.carbonGrams(o));
@@ -240,6 +247,7 @@ allocationSeries(const SimulationResult &result, Seconds step,
         static_cast<std::size_t>((horizon + step - 1) / step);
     std::vector<double> series(buckets, 0.0);
     for (const JobOutcome &o : result.outcomes) {
+        const int cpus = result.job(o).cpus;
         for (const PlacedSegment &seg : result.placements(o)) {
             if (!any_option && seg.option != option)
                 continue;
@@ -252,7 +260,7 @@ allocationSeries(const SimulationResult &result, Seconds step,
                 const Seconds seg_end =
                     std::min(bucket_end, seg.end());
                 series[bucket] +=
-                    static_cast<double>(seg_end - cursor) * o.cpus *
+                    static_cast<double>(seg_end - cursor) * cpus *
                     seg.width;
                 cursor = seg_end;
             }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -99,26 +100,25 @@ struct PlacedSegment
 };
 
 /**
- * Everything recorded about one job's execution, except where it
- * ran: its placed segments live in the result's shared `segments`
- * column (SimulationResult::placements()), and start, finish,
+ * What the run decided for one job. The job as submitted (id, submit
+ * time, cpus) lives in the result's shared job column
+ * (SimulationResult::job()), and its placed segments in the result's
+ * segment column (SimulationResult::placements()); start, finish,
  * waiting, lost core-seconds, start-up overhead, variable cost and
  * carbon derive from them (with the result's price list, carbon
  * trace and power model) rather than being stored beside them. A
  * sweep holds one of these per job per cell, so the layout is packed
- * (tests/sim/test_layout_budget.cc pins the byte budget): submit and
- * length are 32-bit (a validated job's are at most
- * kMaxInputDuration), and they, the two ints and the segment range
- * fill three 8-byte words, beside the id and the one counterfactual
- * double. Outcomes hold indices into the column, not pointers, so
- * copying a result keeps them valid.
+ * into three 8-byte words (tests/sim/test_layout_budget.cc pins the
+ * byte budget): a 32-bit length (a validated job's is at most
+ * kMaxInputDuration), the eviction count, the segment range and the
+ * one counterfactual double. Outcomes hold indices into the columns,
+ * not pointers, so copying a result keeps them valid.
  */
 struct JobOutcome
 {
-    JobId id = 0;
-    std::uint32_t submit = 0;
+    /** Length as run: the submitted length, or the stretched one a
+     *  straggler fault gave it. */
     std::uint32_t length = 0;
-    int cpus = 1;
     /** Spot evictions suffered. */
     int evictions = 0;
 
@@ -128,8 +128,8 @@ struct JobOutcome
 
     /** Counterfactual emissions of starting at the admitted arrival
      *  instant, grams CO2eq. Stored, not derived: a fault delay or a
-     *  carbon-source retry moves that instant away from `submit`,
-     *  and the outcome keeps only `submit`. */
+     *  carbon-source retry moves that instant away from the job's
+     *  submit time, which is all the result keeps of it. */
     double carbon_nowait_g = 0.0;
 };
 
@@ -137,12 +137,16 @@ struct JobOutcome
  * Cluster-level aggregates and the per-job columns of one simulation
  * run.
  *
- * `segments` holds every job's placements, including lost spot
- * slices, grouped job by job in `outcomes` order; each job's range
- * is chronological once the scheduler has finalized the run. One
- * column per result, rather than a list inside each outcome, means
- * recording placements allocates nothing per job and an outcome
- * carries no inline slots its job may not use.
+ * `jobs` holds the submitted jobs, outcome i's at position i: a
+ * replayed trace's own jobs (JobTrace::sharedJobs(), shared, never
+ * copied), or a streamed run's admitted jobs in admission order,
+ * which need not be sorted. `segments` holds every job's placements,
+ * including lost spot slices, grouped job by job in `outcomes`
+ * order; each job's range is chronological once the scheduler has
+ * finalized the run. One column per result, rather than a list
+ * inside each outcome, means recording placements allocates nothing
+ * per job and an outcome carries no inline slots its job may not
+ * use.
  */
 struct SimulationResult
 {
@@ -151,6 +155,10 @@ struct SimulationResult
     std::string region;
     std::string workload;
 
+    /** The submitted jobs, one per outcome; shared with the trace
+     *  or engine that made the result, so it stays valid after
+     *  both are gone. */
+    std::shared_ptr<const std::vector<Job>> jobs;
     std::vector<JobOutcome> outcomes;
     std::vector<PlacedSegment> segments;
 
@@ -197,6 +205,25 @@ struct SimulationResult
     double totalCost() const
     {
         return reserved_upfront + on_demand_cost + spot_cost;
+    }
+
+    /** The submitted job `o` records: the job at `o`'s position in
+     *  `outcomes`. Asserts that `o` is one of this result's
+     *  outcomes and that the job column holds its job. */
+    const Job &job(const JobOutcome &o) const
+    {
+        // Compared as addresses, since `o` may not point into
+        // `outcomes`.
+        const auto offset =
+            reinterpret_cast<std::uintptr_t>(&o) -
+            reinterpret_cast<std::uintptr_t>(outcomes.data());
+        const std::size_t i = offset / sizeof(JobOutcome);
+        GAIA_ASSERT(i < outcomes.size() &&
+                        offset % sizeof(JobOutcome) == 0,
+                    "outcome is not one of this result's");
+        GAIA_ASSERT(jobs != nullptr && i < jobs->size(), "outcome ", i,
+                    " has no job in the result's job column");
+        return (*jobs)[i];
     }
 
     /** `o`'s placements, chronological once finalized. */
@@ -250,7 +277,7 @@ struct SimulationResult
     /** Completion time: finish − submit. */
     Seconds completion(const JobOutcome &o) const
     {
-        return finish(o) - o.submit;
+        return finish(o) - job(o).submit;
     }
     /** Waiting (non-running) time: completion − useful run time.
      *  Negative for elastic jobs that finish faster than their

@@ -84,7 +84,8 @@ simulateChecked(const SimulationSetup &setup,
         // trace.
         for (const JobOutcome &o : result.outcomes) {
             GAIA_ASSERT(result.finish(o) <= result.horizon, "job ",
-                        o.id, " finished past the derived horizon");
+                        result.job(o).id,
+                        " finished past the derived horizon");
         }
     }
     return result;

@@ -6,8 +6,10 @@
  * strategy over a carbon-intensity trace, producing per-job and
  * cluster-level accounting. This is the C++ counterpart of the
  * paper's GAIA-Simulator: identical interfaces and accounting to the
- * AWS ParallelCluster deployment, minus instance spin-up/teardown
- * overheads (which the paper's normalized metrics neglect too).
+ * AWS ParallelCluster deployment. Instance spin-up is an opt-in cost
+ * (ClusterConfig::startup_overhead, 0 by default as in the paper's
+ * simulator): each non-reserved slice then bills its spin-up and
+ * emits its carbon without doing work.
  *
  * The one entry point is simulateChecked(): fill a SimulationSetup's
  * fields and pass it in. It validates the setup and returns a Status

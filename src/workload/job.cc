@@ -42,19 +42,20 @@ JobTrace::validateJobs(const std::string &name,
 }
 
 JobTrace::JobTrace(std::string name, std::vector<Job> jobs)
-    : name_(std::move(name)), jobs_(std::move(jobs))
+    : name_(std::move(name))
 {
     // Synthesized traces arrive in order already; checking is far
     // cheaper than a stable sort of a year of jobs.
     const auto by_submit = [](const Job &a, const Job &b) {
         return a.submit < b.submit;
     };
-    if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_submit))
-        std::stable_sort(jobs_.begin(), jobs_.end(), by_submit);
-    const Status valid = validateJobs(name_, jobs_);
+    if (!std::is_sorted(jobs.begin(), jobs.end(), by_submit))
+        std::stable_sort(jobs.begin(), jobs.end(), by_submit);
+    const Status valid = validateJobs(name_, jobs);
     GAIA_ASSERT(valid.isOk(), "invalid job list passed to the ",
                 "constructor (use JobTrace::make for untrusted ",
                 "data): ", valid.message());
+    jobs_ = std::make_shared<const std::vector<Job>>(std::move(jobs));
 }
 
 Result<JobTrace>
@@ -67,21 +68,21 @@ JobTrace::make(std::string name, std::vector<Job> jobs)
 const Job &
 JobTrace::job(std::size_t i) const
 {
-    GAIA_ASSERT(i < jobs_.size(), "job index out of range: ", i);
-    return jobs_[i];
+    GAIA_ASSERT(i < jobs_->size(), "job index out of range: ", i);
+    return (*jobs_)[i];
 }
 
 Seconds
 JobTrace::lastArrival() const
 {
-    return jobs_.empty() ? 0 : jobs_.back().submit;
+    return jobs_->empty() ? 0 : jobs_->back().submit;
 }
 
 Seconds
 JobTrace::busyHorizon() const
 {
     Seconds max_len = 0;
-    for (const Job &j : jobs_)
+    for (const Job &j : *jobs_)
         max_len = std::max(max_len, j.length);
     return lastArrival() + max_len;
 }
@@ -90,7 +91,7 @@ double
 JobTrace::totalCoreSeconds() const
 {
     double total = 0.0;
-    for (const Job &j : jobs_)
+    for (const Job &j : *jobs_)
         total += j.coreSeconds();
     return total;
 }
@@ -109,8 +110,8 @@ JobTrace::filtered(Seconds min_length, Seconds max_length,
                    int max_cpus) const
 {
     std::vector<Job> kept;
-    kept.reserve(jobs_.size());
-    for (const Job &j : jobs_) {
+    kept.reserve(jobs_->size());
+    for (const Job &j : *jobs_) {
         if (j.length < min_length || j.length > max_length)
             continue;
         if (max_cpus > 0 && j.cpus > max_cpus)
@@ -126,7 +127,7 @@ JobTrace::toCsv(const std::string &path) const
     GAIA_TRY_ASSIGN(CsvWriter writer,
                     CsvWriter::open(path, {"id", "submit", "length",
                                            "cpus"}));
-    for (const Job &j : jobs_) {
+    for (const Job &j : *jobs_) {
         writer.writeRow({std::to_string(j.id),
                          std::to_string(j.submit),
                          std::to_string(j.length),
@@ -158,7 +159,8 @@ JobTrace::fromCsv(const std::string &path, const std::string &name)
         GAIA_TRY_ASSIGN(const std::int64_t cpus,
                         table.tryCellInt(r, cpus_col));
         GAIA_TRY_ASSIGN(j.cpus,
-                        tryNarrowInt(cpus, "row " + std::to_string(r) +
+                        tryNarrowInt(cpus, table.name() + ": row " +
+                                               std::to_string(r) +
                                                ", column 'cpus'"));
         jobs.push_back(j);
     }

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,7 @@ using JobId = std::int64_t;
 
 /**
  * Most jobs one run may hold: the engine packs a job's index into 32
- * bits of each event payload.
+ * bits of each event payload and arrival-lane entry.
  */
 constexpr std::size_t kMaxJobs = 0xffffffffu;
 
@@ -82,11 +83,16 @@ struct Job
  * OnlineScheduler::submit applies it again. The time bounds keep a
  * job's window within two centuries, so integrating it past the end
  * of the carbon trace stays cheap, and let the engine's outcome
- * records hold them in 32 bits.
+ * record hold the length in 32 bits.
  */
 Status validateJob(const Job &job);
 
-/** Arrival-ordered collection of jobs. */
+/**
+ * Arrival-ordered collection of jobs. The sorted, validated jobs are
+ * held behind a shared pointer, the way CarbonTrace keeps its tables:
+ * copying a trace costs one reference-count bump, and a simulation
+ * result keeps the column it was run on alive (sharedJobs()).
+ */
 class JobTrace
 {
   public:
@@ -102,9 +108,15 @@ class JobTrace
                                  std::vector<Job> jobs);
 
     const std::string &name() const { return name_; }
-    std::size_t jobCount() const { return jobs_.size(); }
-    bool empty() const { return jobs_.empty(); }
-    const std::vector<Job> &jobs() const { return jobs_; }
+    std::size_t jobCount() const { return jobs_->size(); }
+    bool empty() const { return jobs_->empty(); }
+    const std::vector<Job> &jobs() const { return *jobs_; }
+    /** The jobs themselves, shared rather than copied: what
+     *  OnlineScheduler::replay() runs and a result carries. */
+    const std::shared_ptr<const std::vector<Job>> &sharedJobs() const
+    {
+        return jobs_;
+    }
     const Job &job(std::size_t i) const;
 
     /** Time of the last arrival (0 for an empty trace). */
@@ -144,7 +156,7 @@ class JobTrace
                                const std::vector<Job> &jobs);
 
     std::string name_;
-    std::vector<Job> jobs_;
+    std::shared_ptr<const std::vector<Job>> jobs_;
 };
 
 } // namespace gaia

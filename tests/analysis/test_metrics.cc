@@ -23,11 +23,8 @@ TEST(Metrics, ExtractFromResult)
     r.reserved_upfront = 3.0;
     r.on_demand_cost = 2.0;
     r.spot_cost = 1.0;
-    JobOutcome o;
-    o.submit = 0;
-    o.length = 3600;
     testutil::appendOutcome(
-        r, o, {{3600, 7200, PurchaseOption::OnDemand, false, 1}});
+        r, Job{1, 0, 3600, 1}, JobOutcome{}, {{3600, 7200, PurchaseOption::OnDemand, false, 1}});
 
     const MetricsRow m = metricsOf("x", r);
     EXPECT_EQ(m.label, "x");

@@ -17,13 +17,9 @@ addOutcome(SimulationResult &r, Seconds length, double saved,
 {
     testutil::setCarbon(r, {0.0});
     JobOutcome o;
-    o.id = 1;
-    o.submit = 0;
-    o.length = length;
-    o.cpus = 1;
     o.carbon_nowait_g = saved;
     testutil::appendOutcome(
-        r, o,
+        r, Job{1, 0, length, 1}, o,
         {{wait, wait + length, PurchaseOption::OnDemand, false, 1}});
 }
 

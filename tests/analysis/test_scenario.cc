@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "analysis/harness.h"
 #include "analysis/parallel.h"
 #include "common/time.h"
 #include "core/cis.h"
+#include "sim/results.h"
 
 namespace gaia {
 namespace {
@@ -210,6 +214,56 @@ TEST(RunScenario, IsDeterministicAcrossCaches)
         runScenario(tinyScenario(), cache2).value();
     EXPECT_DOUBLE_EQ(a.carbon_kg, b.carbon_kg);
     EXPECT_DOUBLE_EQ(a.totalCost(), b.totalCost());
+}
+
+TEST(RunScenario, AResultOutlivesItsTraceCacheAndEngine)
+{
+    // A result shares its trace's job column instead of copying it,
+    // so every per-job figure reads the same once the cache holding
+    // the trace, the realized scenario and the engine are gone (under
+    // ASan, a result that referred to any of them would read freed
+    // memory here). A spot+reserved cell under carbon-source outages,
+    // storms, stragglers and delays drives every per-job field.
+    ScenarioSpec spec = tinyScenario();
+    spec.strategy = ResourceStrategy::SpotReserved;
+    spec.cluster.reserved_cores = 4;
+    spec.cluster.spot_eviction_rate = 0.3;
+    spec.cluster.spot_max_length = 4 * kSecondsPerHour;
+    spec.fault =
+        FaultSpec::parse("outage:rate=0.2,hours=2;storm:rate=0.05;"
+                         "straggler:rate=0.3,factor=1.5;"
+                         "delay:rate=0.2,minutes=20")
+            .value();
+    SimulationResult r;
+    std::uint64_t fingerprint = 0;
+    std::vector<Job> jobs;
+    std::vector<double> grams;
+    {
+        AssetCache cache;
+        r = runScenario(spec, cache).value();
+        const std::shared_ptr<const JobTrace> trace =
+            cache.trace(spec.workload).value();
+        EXPECT_EQ(r.jobs, trace->sharedJobs());
+        fingerprint = resultFingerprint(r);
+        for (const JobOutcome &o : r.outcomes) {
+            jobs.push_back(r.job(o));
+            grams.push_back(r.carbonGrams(o));
+        }
+    }
+    EXPECT_EQ(resultFingerprint(r), fingerprint);
+    ASSERT_EQ(r.outcomes.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobOutcome &o = r.outcomes[i];
+        EXPECT_EQ(r.job(o).id, jobs[i].id);
+        EXPECT_EQ(r.job(o).submit, jobs[i].submit);
+        EXPECT_EQ(r.job(o).cpus, jobs[i].cpus);
+        EXPECT_EQ(r.carbonGrams(o), grams[i]) << "job " << jobs[i].id;
+    }
+    EXPECT_GT(r.eviction_count, 0u);
+    EXPECT_TRUE(std::any_of(
+        r.outcomes.begin(), r.outcomes.end(), [&](const JobOutcome &o) {
+            return static_cast<Seconds>(o.length) != r.job(o).length;
+        }));
 }
 
 TEST(RunScenario, UnknownPolicyIsError)

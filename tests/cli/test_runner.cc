@@ -258,7 +258,7 @@ TEST(CliRunner, ResampleAppliesThePaperPipeline)
     EXPECT_EQ(r.outcomes.size(), 300u);
     Seconds last = 0;
     for (const JobOutcome &o : r.outcomes)
-        last = std::max<Seconds>(last, o.submit);
+        last = std::max<Seconds>(last, r.job(o).submit);
     EXPECT_GT(last, days(15));
     std::filesystem::remove_all(dir);
 }
@@ -388,6 +388,65 @@ TEST(CliRunner, BothDriversExitTwoOnAShuffledCarbonCsv)
         EXPECT_NE(line.find("row 0 has hour '5'"), std::string::npos)
             << line;
         EXPECT_FALSE(std::getline(in, rest)) << rest;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CliRunner, CsvCellErrorsNameTheirFile)
+{
+    // Given both a workload and a carbon CSV, a cell that does not
+    // parse must say which file it is in: the column alone once had
+    // to tell the user.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_bad_cell";
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path jobs = dir / "jobs.csv";
+    const std::filesystem::path bad_jobs = dir / "bad-jobs.csv";
+    const std::filesystem::path carbon = dir / "carbon.csv";
+    const std::filesystem::path bad_carbon = dir / "bad-carbon.csv";
+    {
+        CsvWriter good = CsvWriter::open(jobs.string(),
+                                         {"id", "submit", "length", "cpus"})
+                             .value();
+        good.writeRow({"1", "0", "3600", "1"});
+        CsvWriter bad = CsvWriter::open(bad_jobs.string(),
+                                        {"id", "submit", "length", "cpus"})
+                            .value();
+        bad.writeRow({"1", "0", "an-hour", "1"});
+        CsvWriter hours = CsvWriter::open(carbon.string(),
+                                          {"hour", "carbon_intensity"})
+                              .value();
+        CsvWriter bad_hours =
+            CsvWriter::open(bad_carbon.string(),
+                            {"hour", "carbon_intensity"})
+                .value();
+        for (int h = 0; h < 48; ++h) {
+            hours.writeRow({std::to_string(h), "100"});
+            bad_hours.writeRow({std::to_string(h), h == 1 ? "banana" : "100"});
+        }
+    }
+    const std::filesystem::path err = dir / "stderr.txt";
+    const std::pair<std::filesystem::path, std::filesystem::path> runs[] = {
+        {bad_jobs, carbon}, {jobs, bad_carbon}};
+    for (const auto &[workload, intensities] : runs) {
+        const std::filesystem::path &bad =
+            workload == bad_jobs ? bad_jobs : bad_carbon;
+        const std::string command =
+            std::string(GAIA_RUN_BIN) + " --output-dir " +
+            (dir / "out").string() + " --workload-csv " +
+            workload.string() + " --carbon-csv " + intensities.string() +
+            " --policy NoWait >/dev/null 2>" + err.string();
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << bad;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
+
+        std::ifstream in(err);
+        std::string line;
+        std::getline(in, line);
+        EXPECT_EQ(line.rfind("gaia_run: " + bad.string() + ": ", 0), 0u)
+            << line;
+        EXPECT_NE(line.find("cannot parse"), std::string::npos) << line;
     }
     std::filesystem::remove_all(dir);
 }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -27,15 +28,25 @@
 namespace gaia::testutil {
 
 /**
- * Append `outcome` to a hand-built `result`, with `segments` as its
- * placements at the end of the segment column; sets the outcome's
- * segment range and returns the appended outcome (valid until the
- * next append).
+ * Append `job` to a hand-built `result`'s job column (a copy: the
+ * column is shared) and `outcome` to its outcomes, with `segments` as
+ * its placements at the end of the segment column. Sets the
+ * outcome's segment range, and its length to the job's unless
+ * `outcome` sets one (a straggler's stretched length); returns the
+ * appended outcome (valid until the next append).
  */
 inline JobOutcome &
-appendOutcome(SimulationResult &result, JobOutcome outcome,
+appendOutcome(SimulationResult &result, const Job &job,
+              JobOutcome outcome,
               std::initializer_list<PlacedSegment> segments)
 {
+    auto jobs = result.jobs == nullptr
+                    ? std::make_shared<std::vector<Job>>()
+                    : std::make_shared<std::vector<Job>>(*result.jobs);
+    jobs->push_back(job);
+    result.jobs = std::move(jobs);
+    if (outcome.length == 0)
+        outcome.length = static_cast<std::uint32_t>(job.length);
     outcome.first_segment =
         static_cast<std::uint32_t>(result.segments.size());
     outcome.segment_count = static_cast<std::uint32_t>(segments.size());
@@ -71,7 +82,8 @@ segmentColumnViolation(const SimulationResult &result)
 {
     std::size_t next = 0;
     for (const JobOutcome &o : result.outcomes) {
-        const std::string job = "job " + std::to_string(o.id) + ": ";
+        const std::string job =
+            "job " + std::to_string(result.job(o).id) + ": ";
         if (o.first_segment != next)
             return job + "range starts at " +
                    std::to_string(o.first_segment) + ", expected " +

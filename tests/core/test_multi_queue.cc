@@ -101,8 +101,8 @@ TEST(MultiQueue, PerQueueWaitingBoundsHold)
             trace, *makePolicy(policy), queues, cis);
         for (const JobOutcome &o : r.outcomes) {
             const QueueSpec &queue = queues.queueFor(o.length);
-            EXPECT_LE(r.start(o), o.submit + queue.max_wait)
-                << policy << " job " << o.id << " in queue "
+            EXPECT_LE(r.start(o), r.job(o).submit + queue.max_wait)
+                << policy << " job " << r.job(o).id << " in queue "
                 << queue.name;
         }
     }

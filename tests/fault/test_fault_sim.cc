@@ -166,7 +166,7 @@ TEST(FaultSim, RetriesBackOffExponentiallyThenDegrade)
     // Probes at +1h and +3h (1h then 2h backoff), both find the
     // source still down, so the job degrades and starts at 3h. The
     // stall counts as waiting against the original submit.
-    EXPECT_EQ(o.submit, 0);
+    EXPECT_EQ(r.job(o).submit, 0);
     EXPECT_EQ(r.start(o), hours(3));
     EXPECT_EQ(r.waiting(o), hours(3));
     EXPECT_EQ(r.finish(o), hours(4));
@@ -299,7 +299,7 @@ TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
         run(trace, "NoWait", queues, cis, &delayer);
     // The job reaches the scheduler half an hour late; the stall
     // counts as waiting against the user-visible submit.
-    EXPECT_EQ(delayed.outcomes[0].submit, 0);
+    EXPECT_EQ(delayed.job(delayed.outcomes[0]).submit, 0);
     EXPECT_EQ(delayed.start(delayed.outcomes[0]), minutes(30));
     EXPECT_EQ(delayed.waiting(delayed.outcomes[0]), minutes(30));
 }

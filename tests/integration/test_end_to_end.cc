@@ -116,7 +116,7 @@ TEST(EndToEnd, ForecastNoiseDegradesGracefully)
     for (const JobOutcome &o : rough.outcomes) {
         const Seconds max_wait =
             queues.queueFor(o.length).max_wait;
-        EXPECT_LE(rough.start(o), o.submit + max_wait);
+        EXPECT_LE(rough.start(o), rough.job(o).submit + max_wait);
     }
     // Perfect information should not do worse (tiny tolerance for
     // tie-breaking differences).

@@ -5,8 +5,9 @@
  * fingerprint of the batch virtual-clock run — the tentpole
  * guarantee of the serving layer. Cells are drawn from the golden
  * sweeps (fig08 policy comparison, fig14 waiting pair, fig19
- * hybrid spot+reserved) plus an elastic-scaling cell and an elastic
- * hybrid cell under cluster faults, unpaced and wall-clock paced.
+ * hybrid spot+reserved) plus an elastic-scaling cell, an elastic
+ * hybrid cell under cluster faults and a hybrid cell under
+ * carbon-source outages, unpaced and wall-clock paced.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <thread>
 
 #include "analysis/scenario.h"
+#include "common/obs.h"
 #include "serve/daemon.h"
 #include "sim/results.h"
 
@@ -139,6 +141,24 @@ TEST(DriverParity, ElasticHybridCellUnderClusterFaults)
     spec.fault = *fault;
     EXPECT_EQ(batchFingerprint(spec),
               streamedFingerprint(spec, /*accel=*/0.0));
+}
+
+TEST(DriverParity, HybridCellUnderCarbonSourceOutages)
+{
+    // Outages send arrivals down the retry and degradation ladder:
+    // retries re-arrive at their own priority, and jobs whose budget
+    // runs out plan carbon-obliviously. Streamed through the daemon,
+    // every eviction draw must still land where batch put it.
+    ScenarioSpec spec = hybridSpec();
+    const Result<FaultSpec> fault =
+        FaultSpec::parse("outage:rate=0.2,hours=2");
+    ASSERT_TRUE(fault.isOk()) << fault.status().toString();
+    spec.fault = *fault;
+    const std::uint64_t retries_before =
+        obs::counter("cis.retries").value();
+    const std::uint64_t batch = batchFingerprint(spec);
+    EXPECT_GT(obs::counter("cis.retries").value(), retries_before);
+    EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/0.0));
 }
 
 TEST(DriverParity, WallClockPacingCannotPerturbTheSchedule)

@@ -113,7 +113,7 @@ TEST(Protocol, ListenerGetsOneOrderedEndPerJob)
     // Each job is notified exactly once, at its recorded finish.
     std::map<JobId, Seconds> finish_by_id;
     for (const JobOutcome &o : result.outcomes)
-        finish_by_id[o.id] = result.finish(o);
+        finish_by_id[result.job(o).id] = result.finish(o);
     std::map<JobId, Seconds> notified;
     for (const auto &[at, id] : listener.ends) {
         EXPECT_TRUE(notified.emplace(id, at).second)

@@ -6,13 +6,18 @@
  * the result's segment column (3.27M there), so their sizes drive the
  * benchmark's `peak_rss_mb` (bench/perf/README.md, "End-to-end
  * metrics"). A figure that derives from a job's segments (its times,
- * money and attributed carbon) is computed, not held. Every trace holds one Job per job, and so does every
- * slot of the serving daemon's submission ring. Growing any of these
- * records should be a visible decision: raise the budget here in the
- * same change and report the `peak_rss_mb` it costs. The engine's
- * private JobState (a SchedulePlan, the outcome index, queue hint,
- * flags and counters; 56 bytes) is held only for the jobs in flight,
- * and has its budget as a static_assert in sim/online.cc.
+ * money and attributed carbon) is computed, not held, and what the
+ * job was submitted with (id, submit time, cpus) is read from the
+ * result's job column, which a replayed run shares with its trace.
+ * Every trace holds one Job per job, and so does every slot of the
+ * serving daemon's submission ring and a streamed engine's job
+ * column. Growing any of these records should be a visible decision:
+ * raise the budget here in the same change and report the
+ * `peak_rss_mb` it costs. The engine's private JobState (a
+ * SchedulePlan, the job index, flags and counters; 56 bytes) is held
+ * only for the jobs in flight, and has its budget as a static_assert
+ * in sim/online.cc; its arrival lane holds a 4-byte job index per
+ * pending arrival (sim/event_queue.h).
  */
 
 #include <gtest/gtest.h>
@@ -35,11 +40,12 @@ TEST(LayoutBudget, PlacedSegmentIsSixteenBytes)
 
 TEST(LayoutBudget, JobOutcomeFitsItsBudget)
 {
-    // id; 32-bit submit and length, cpus + evictions and the segment
-    // range share a word each; the counterfactual carbon double. The
-    // segments live in the result's column, and the money and the
-    // attributed carbon derive from them.
-    EXPECT_LE(sizeof(JobOutcome), 40u);
+    // The 32-bit length and the evictions share a word, as does the
+    // segment range; the counterfactual carbon double. The job's id,
+    // submit and cpus live in the result's job column, its segments
+    // in the segment column, and the money and the attributed carbon
+    // derive from them.
+    EXPECT_LE(sizeof(JobOutcome), 24u);
 }
 
 TEST(LayoutBudget, JobIsThirtyTwoBytes)

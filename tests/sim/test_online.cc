@@ -197,6 +197,221 @@ TEST(Online, RandomAdvancePatternsNeverChangeTheBooks)
     }
 }
 
+/** A carbon source that is down over [down_from, up_from) and
+ *  exact otherwise. */
+class OutageSource : public CarbonInfoSource
+{
+  public:
+    OutageSource(const CarbonTrace &trace, Seconds down_from,
+                 Seconds up_from)
+        : cis_(trace), down_from_(down_from), up_from_(up_from)
+    {
+    }
+    const CarbonTrace &trace() const override { return cis_.trace(); }
+    bool availableAt(Seconds now) const override
+    {
+        return now < down_from_ || now >= up_from_;
+    }
+    double intensityAt(Seconds t) const override
+    {
+        return cis_.intensityAt(t);
+    }
+    double forecastAtSlot(Seconds now, SlotIndex slot) const override
+    {
+        return cis_.forecastAtSlot(now, slot);
+    }
+
+  private:
+    CarbonInfoService cis_;
+    Seconds down_from_;
+    Seconds up_from_;
+};
+
+TEST(Online, ARetryRunsAfterASameSecondArrivalSubmittedLater)
+{
+    // Job 0 finds the source down and retries 5 min later, at 300 s,
+    // the second in which job 2 arrives. Batch submits job 2 before
+    // the retry is scheduled; the stream submits it after. Both must
+    // run the arrival first, or jobs swap eviction draws.
+    const CarbonTrace carbon = flatTrace();
+    const OutageSource source(carbon, 0, 10);
+    const QueueConfig queues = oneQueue();
+    ClusterConfig cluster;
+    cluster.spot_eviction_rate = 0.9;
+    const PolicyPtr policy = makePolicy("NoWait");
+    const std::vector<Job> jobs = {{0, 0, hours(1), 1},
+                                   {1, 100, hours(1), 1},
+                                   {2, 300, hours(1), 1},
+                                   {3, 5000, hours(1), 1}};
+    const JobTrace trace("t", jobs);
+    cluster.reservation_horizon =
+        defaultReservationHorizon(trace, queues);
+    const auto engine = [&] {
+        return OnlineScheduler::create(*policy, queues, source, cluster,
+                                       ResourceStrategy::SpotFirst, "t")
+            .value();
+    };
+
+    OnlineScheduler batch_engine = engine();
+    ASSERT_TRUE(batch_engine.replay(trace).isOk());
+    batch_engine.drain();
+    const SimulationResult batch = batch_engine.finalize();
+    // The retry and job 2's arrival share their second.
+    ASSERT_EQ(batch.start(batch.outcomes[0]), 300);
+    ASSERT_EQ(batch.start(batch.outcomes[2]), 300);
+
+    OnlineScheduler streamed_engine = engine();
+    ASSERT_TRUE(streamed_engine.submit(jobs[0]).isOk());
+    ASSERT_TRUE(streamed_engine.submit(jobs[1]).isOk());
+    streamed_engine.advanceTo(99);
+    ASSERT_TRUE(streamed_engine.submit(jobs[2]).isOk());
+    streamed_engine.advanceTo(299);
+    ASSERT_TRUE(streamed_engine.submit(jobs[3]).isOk());
+    streamed_engine.drain();
+    const SimulationResult streamed = streamed_engine.finalize();
+    EXPECT_GT(streamed.eviction_count, 0u);
+    EXPECT_EQ(fingerprintHex(resultFingerprint(streamed)),
+              fingerprintHex(resultFingerprint(batch)));
+}
+
+TEST(Online, ARetryRunsBeforeTheSameSecondsOtherEvents)
+{
+    // Job 0 holds the one reserved core until 450 s, job 1 waits for
+    // it with a planned start a day out, and job 2 finds the source
+    // down at 150 s and retries at 450 s. The retry runs before the
+    // core's release, so job 2 is pending, with the earlier planned
+    // start, when the release hands the core on; run after the
+    // release, it would find job 1 already holding the core.
+    const CarbonTrace carbon = flatTrace();
+    const OutageSource source(carbon, 100, 200);
+    const QueueConfig queues = QueueConfig::standardShortLong();
+    ClusterConfig cluster;
+    cluster.reserved_cores = 1;
+    const PolicyPtr policy = makePolicy("AllWait-Threshold");
+    const JobTrace trace("t", {{0, 0, 450, 1},
+                               {1, 10, hours(3), 1},
+                               {2, 150, 600, 1}});
+    cluster.reservation_horizon =
+        defaultReservationHorizon(trace, queues);
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, source, cluster,
+                                ResourceStrategy::ReservedFirst, "t")
+            .value();
+    ASSERT_TRUE(sched.replay(trace).isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+    ASSERT_EQ(r.outcomes.size(), 3u);
+    const JobOutcome &waiting = r.outcomes[1];
+    const JobOutcome &retried = r.outcomes[2];
+    EXPECT_EQ(r.start(retried), 450);
+    EXPECT_EQ(r.placements(retried)[0].option, PurchaseOption::Reserved);
+    EXPECT_EQ(r.start(waiting), 1050);
+    EXPECT_EQ(r.placements(waiting)[0].option, PurchaseOption::Reserved);
+}
+
+TEST(Online, RandomAdvancePatternsUnderOutagesNeverChangeTheBooks)
+{
+    // The differential fuzz above, through carbon-source outages and
+    // spot evictions: retries re-arrive on the 5-minute grid the jobs
+    // arrive on, so many share a second with a later-submitted
+    // arrival, and every eviction draw must still land where the
+    // batch run's did.
+    const CarbonTrace carbon =
+        makeRegionTrace(Region::SouthAustralia, 24 * 40, 3);
+    const CarbonInfoService cis(carbon);
+    FaultSpec spec;
+    spec.outage_rate = 0.4;
+    spec.outage_duration = hours(2);
+    spec.cis_max_retries = 4;
+    spec.cis_retry_backoff = minutes(5);
+    const FaultInjector injector(spec);
+    const FaultyCarbonSource faulty(cis, injector);
+    const QueueConfig queues = oneQueue(hours(5));
+    ClusterConfig cluster;
+    cluster.spot_eviction_rate = 0.5;
+    const PolicyPtr policy = makePolicy("Carbon-Time");
+
+    Rng job_rng(31);
+    std::vector<Job> jobs;
+    for (int i = 0; i < 80; ++i) {
+        jobs.push_back({i, minutes(5) * job_rng.uniformInt(0, 150),
+                        job_rng.uniformInt(600, hours(2)), 1});
+    }
+    const JobTrace trace("t", jobs);
+    cluster.reservation_horizon =
+        defaultReservationHorizon(trace, queues);
+    const auto engine = [&] {
+        return OnlineScheduler::create(*policy, queues, faulty, cluster,
+                                       ResourceStrategy::SpotFirst, "t",
+                                       &injector)
+            .value();
+    };
+    const std::uint64_t retries_before =
+        obs::counter("cis.retries").value();
+    OnlineScheduler batch_engine = engine();
+    ASSERT_TRUE(batch_engine.replay(trace).isOk());
+    batch_engine.drain();
+    const SimulationResult batch = batch_engine.finalize();
+    ASSERT_GT(obs::counter("cis.retries").value(), retries_before);
+    ASSERT_GT(batch.eviction_count, 0u);
+
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        Rng advance_rng(seed);
+        OnlineScheduler sched = engine();
+        for (const Job &job : trace.jobs()) {
+            Seconds t = sched.now();
+            while (t < job.submit - 1 && advance_rng.bernoulli(0.7)) {
+                t = std::min<Seconds>(
+                    job.submit - 1,
+                    t + advance_rng.uniformInt(1, hours(1)));
+                sched.advanceTo(t);
+            }
+            ASSERT_TRUE(sched.submit(job).isOk()) << "job " << job.id;
+        }
+        sched.drain();
+        const SimulationResult online = sched.finalize();
+        EXPECT_EQ(fingerprintHex(resultFingerprint(online)),
+                  fingerprintHex(resultFingerprint(batch)))
+            << "seed " << seed;
+    }
+}
+
+TEST(Online, AStreamedFeedKeepsItsArrivalLaneAtItsPendingArrivals)
+{
+    // The daemon's consumer submits what it has released, then
+    // advances to the second before the latest submit, so an arrival
+    // is always pending and the lane never drains. Over 100k jobs,
+    // two a second, the lane must still hold only about its pending
+    // arrivals (at most two), not every arrival it has seen.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    const PolicyPtr policy = makePolicy("NoWait");
+    constexpr std::size_t kJobs = 100000;
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly, "t")
+            .value();
+    sched.reserveJobs(kJobs);
+    std::size_t peak = 0;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        const Job job{static_cast<JobId>(i), static_cast<Seconds>(i / 2),
+                      600, 1};
+        ASSERT_TRUE(sched.submit(job).isOk());
+        if (job.submit - 1 > sched.now())
+            sched.advanceTo(job.submit - 1);
+        peak = std::max(peak, sched.arrivalLaneEntries());
+    }
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, 4u);
+    sched.drain();
+    EXPECT_EQ(sched.arrivalLaneEntries(), 0u);
+    const SimulationResult r = sched.finalize();
+    ASSERT_EQ(r.outcomes.size(), kJobs);
+    EXPECT_EQ(r.job(r.outcomes.back()).id,
+              static_cast<JobId>(kJobs - 1));
+}
+
 TEST(Online, DerivedHorizonCoversSchedule)
 {
     const CarbonTrace carbon = flatTrace();
@@ -264,6 +479,11 @@ TEST(Online, SubmitIntoThePastIsARecoverableError)
     sched.drain();
     const SimulationResult r = sched.finalize();
     EXPECT_EQ(r.outcomes.size(), 2u);
+    // The late job has no column entry either: outcome i is still
+    // the i-th admitted job's.
+    ASSERT_EQ(r.jobs->size(), 2u);
+    EXPECT_EQ(r.job(r.outcomes[0]).id, 1);
+    EXPECT_EQ(r.job(r.outcomes[1]).id, 3);
 }
 
 TEST(Online, SubmitRejectsWhatValidateJobRejects)
@@ -294,14 +514,17 @@ TEST(Online, SubmitRejectsWhatValidateJobRejects)
     sched.drain();
     const SimulationResult r = sched.finalize();
     ASSERT_EQ(r.outcomes.size(), 1u);
-    EXPECT_EQ(r.outcomes[0].cpus, kMaxJobCpus);
+    ASSERT_EQ(r.jobs->size(), 1u);
+    EXPECT_EQ(r.job(r.outcomes[0]).id, 4);
+    EXPECT_EQ(r.job(r.outcomes[0]).cpus, kMaxJobCpus);
 }
 
 TEST(Online, PackedRecordsHoldTheirBoundsExactly)
 {
     // A century is the longest submit and length validateJob admits
     // and what a straggler stretches to at most; both come back
-    // exactly through the 32-bit outcome and slice fields.
+    // exactly through the job column and the 32-bit outcome and
+    // slice fields.
     const CarbonTrace carbon = flatTrace();
     const CarbonInfoService cis(carbon);
     const QueueConfig queues = oneQueue();
@@ -326,14 +549,14 @@ TEST(Online, PackedRecordsHoldTheirBoundsExactly)
     const Seconds submits[] = {0, kMaxInputDuration};
     for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
         const JobOutcome &o = r.outcomes[i];
-        EXPECT_EQ(o.submit, submits[i]) << "job " << o.id;
-        EXPECT_EQ(o.length, kMaxInputDuration) << "job " << o.id;
-        EXPECT_EQ(r.start(o), submits[i]) << "job " << o.id;
+        EXPECT_EQ(r.job(o).submit, submits[i]) << "job " << i;
+        EXPECT_EQ(o.length, kMaxInputDuration) << "job " << i;
+        EXPECT_EQ(r.start(o), submits[i]) << "job " << i;
         EXPECT_EQ(r.finish(o), submits[i] + kMaxInputDuration)
-            << "job " << o.id;
-        ASSERT_EQ(r.placements(o).size(), 1u) << "job " << o.id;
+            << "job " << i;
+        ASSERT_EQ(r.placements(o).size(), 1u) << "job " << i;
         EXPECT_EQ(r.placements(o)[0].duration(), kMaxInputDuration)
-            << "job " << o.id;
+            << "job " << i;
     }
 }
 
@@ -458,6 +681,19 @@ TEST(OnlineDeath, ApiMisuseIsCaught)
         (void)sched.finalize();
         EXPECT_DEATH(sched.submit({1, 0, 600, 1}),
                      "after finalize");
+    }
+    {
+        // An engine runs one trace, which it shares, so it takes
+        // neither a second trace nor a streamed job beside it.
+        const JobTrace trace("t", {{1, 0, 600, 1}});
+        OnlineScheduler sched =
+            OnlineScheduler::create(*policy, queues, cis, {},
+                                    ResourceStrategy::OnDemandOnly)
+                .value();
+        ASSERT_TRUE(sched.replay(trace).isOk());
+        EXPECT_DEATH((void)sched.replay(trace), "already holds jobs");
+        EXPECT_DEATH((void)sched.submit({2, 0, 600, 1}),
+                     "fed by replay");
     }
     {
         // The profile belongs to the whole run, so it cannot change

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,27 +56,19 @@ pinnedResult()
     // Evicted once on spot, restarted on reserved, then a suspend-
     // resume tail on an on-demand gang of two: four segments.
     JobOutcome evicted;
-    evicted.id = 17;
-    evicted.submit = 3600;
-    evicted.length = 7200;
-    evicted.cpus = 2;
     evicted.evictions = 1;
     evicted.carbon_nowait_g = 901.7;
     testutil::appendOutcome(
-        r, evicted,
+        r, Job{17, 3600, 7200, 2}, evicted,
         {{3600, 5400, PurchaseOption::Spot, /*lost=*/true, 1},
          {5400, 9000, PurchaseOption::Reserved, false, 1},
          {10800, 12600, PurchaseOption::OnDemand, false, 2},
          {14400, 15300, PurchaseOption::Spot, false, 1}});
 
     JobOutcome plain;
-    plain.id = 18;
-    plain.submit = 7200;
-    plain.length = 3600;
-    plain.cpus = 1;
     plain.carbon_nowait_g = 250.0;
     testutil::appendOutcome(
-        r, plain, {{7200, 10800, PurchaseOption::OnDemand, false, 1}});
+        r, Job{18, 7200, 3600, 1}, plain, {{7200, 10800, PurchaseOption::OnDemand, false, 1}});
     return r;
 }
 
@@ -84,6 +77,17 @@ PlacedSegment &
 seg(SimulationResult &r, std::size_t job, std::size_t k)
 {
     return r.segments[r.outcomes[job].first_segment + k];
+}
+
+/** Edit job `job` of `r`'s column, through a copy of the column
+ *  (it is shared and const). */
+void
+editJob(SimulationResult &r, std::size_t job,
+        const std::function<void(Job &)> &edit)
+{
+    auto jobs = std::make_shared<std::vector<Job>>(*r.jobs);
+    edit((*jobs)[job]);
+    r.jobs = std::move(jobs);
 }
 
 /** Move segment `k` of job `job`'s end by `by` seconds, keeping its
@@ -136,10 +140,16 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { r.reserved_utilization += 0.1; },
         [](SimulationResult &r) { r.eviction_count += 1; },
         [](SimulationResult &r) { r.outcomes.pop_back(); },
-        [](SimulationResult &r) { r.outcomes[1].id += 1; },
-        [](SimulationResult &r) { r.outcomes[1].submit += 1; },
+        [](SimulationResult &r) {
+            editJob(r, 1, [](Job &j) { j.id += 1; });
+        },
+        [](SimulationResult &r) {
+            editJob(r, 1, [](Job &j) { j.submit += 1; });
+        },
         [](SimulationResult &r) { r.outcomes[1].length += 1; },
-        [](SimulationResult &r) { r.outcomes[1].cpus += 1; },
+        [](SimulationResult &r) {
+            editJob(r, 1, [](Job &j) { j.cpus += 1; });
+        },
         [](SimulationResult &r) { r.outcomes[1].evictions += 1; },
         // start(), finish() and lostCoreSeconds() are computed from
         // the segments: move each through one.

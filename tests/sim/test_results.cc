@@ -14,13 +14,8 @@ JobOutcome &
 appendRun(SimulationResult &r, Seconds submit, Seconds length,
           Seconds start, int cpus)
 {
-    JobOutcome o;
-    o.id = 1;
-    o.submit = submit;
-    o.length = length;
-    o.cpus = cpus;
     return testutil::appendOutcome(
-        r, o,
+        r, Job{1, submit, length, cpus}, JobOutcome{},
         {{start, start + length, PurchaseOption::OnDemand, false, 1}});
 }
 
@@ -46,13 +41,10 @@ TEST(JobOutcome, FinishIgnoresLostSlices)
     // A suspend-resume job on spot: the first slice completes, the
     // second is evicted after 30 min.
     SimulationResult r;
-    JobOutcome job;
-    job.submit = 0;
-    job.length = 2 * 3600;
-    job.cpus = 2;
-    job.evictions = 1;
+    JobOutcome evicted;
+    evicted.evictions = 1;
     JobOutcome &o = testutil::appendOutcome(
-        r, job,
+        r, Job{1, 0, 2 * 3600, 2}, evicted,
         {{0, 3600, PurchaseOption::Spot, false, 1},
          {7200, 9000, PurchaseOption::Spot, true, 1}});
     EXPECT_EQ(r.start(o), 0);
@@ -74,10 +66,9 @@ TEST(JobOutcome, LostGangCountsEveryInstance)
 {
     // An elastic gang of two 3-core instances, lost after 20 min.
     SimulationResult r;
-    JobOutcome job;
-    job.cpus = 3;
     const JobOutcome &o = testutil::appendOutcome(
-        r, job, {{600, 1800, PurchaseOption::Spot, true, 2}});
+        r, Job{1, 0, 1200, 3}, JobOutcome{},
+        {{600, 1800, PurchaseOption::Spot, true, 2}});
     EXPECT_EQ(r.start(o), 600);
     EXPECT_EQ(r.finish(o), 0);
     EXPECT_EQ(r.lostCoreSeconds(o), 1200.0 * 3 * 2);
@@ -86,7 +77,8 @@ TEST(JobOutcome, LostGangCountsEveryInstance)
 TEST(JobOutcome, NoSegmentsGivesZeros)
 {
     SimulationResult r;
-    const JobOutcome &o = testutil::appendOutcome(r, JobOutcome{}, {});
+    const JobOutcome &o =
+        testutil::appendOutcome(r, Job{}, JobOutcome{}, {});
     EXPECT_TRUE(r.placements(o).empty());
     EXPECT_EQ(r.start(o), 0);
     EXPECT_EQ(r.finish(o), 0);
@@ -99,10 +91,8 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
     // own, and a copied result reads the same ranges of its copy.
     SimulationResult r;
     appendRun(r, 0, 100, 0, 1);
-    JobOutcome job;
-    job.cpus = 1;
     testutil::appendOutcome(
-        r, job,
+        r, Job{2, 0, 100, 1}, JobOutcome{},
         {{200, 260, PurchaseOption::Spot, true, 1},
          {300, 400, PurchaseOption::Reserved, false, 1}});
     appendRun(r, 0, 50, 500, 1);
@@ -120,6 +110,35 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
     EXPECT_EQ(copy.finish(copy.outcomes[0]), 100);
 }
 
+TEST(JobOutcome, JobIsTheColumnEntryAtTheOutcomesPosition)
+{
+    SimulationResult r;
+    appendRun(r, 10, 100, 10, 1);
+    testutil::appendOutcome(
+        r, Job{7, 20, 60, 4}, JobOutcome{},
+        {{20, 80, PurchaseOption::OnDemand, false, 1}});
+    EXPECT_EQ(r.job(r.outcomes[0]).id, 1);
+    EXPECT_EQ(r.job(r.outcomes[1]).id, 7);
+    EXPECT_EQ(r.job(r.outcomes[1]).submit, 20);
+    EXPECT_EQ(r.job(r.outcomes[1]).cpus, 4);
+
+    // A copy reads its own outcomes against the one shared column.
+    const SimulationResult copy = r;
+    EXPECT_EQ(&copy.job(copy.outcomes[1]), &r.job(r.outcomes[1]));
+}
+
+TEST(JobOutcomeDeath, JobAssertsTheOutcomeIsInTheColumn)
+{
+    SimulationResult r;
+    appendRun(r, 0, 100, 0, 1);
+    const JobOutcome stray = r.outcomes[0];
+    EXPECT_DEATH((void)r.job(stray), "not one of this result's");
+    SimulationResult bare = r;
+    bare.jobs = nullptr;
+    EXPECT_DEATH((void)bare.job(bare.outcomes[0]),
+                 "no job in the result's job column");
+}
+
 TEST(JobOutcome, CarbonSaved)
 {
     // One core-hour at 300 g/kWh and 100 W emits 30 g.
@@ -128,7 +147,8 @@ TEST(JobOutcome, CarbonSaved)
     JobOutcome o;
     o.carbon_nowait_g = 50.0;
     const JobOutcome &added = testutil::appendOutcome(
-        r, o, {{0, 3600, PurchaseOption::OnDemand, false, 1}});
+        r, Job{1, 0, 3600, 1}, o,
+        {{0, 3600, PurchaseOption::OnDemand, false, 1}});
     EXPECT_DOUBLE_EQ(r.carbonSaved(added), 20.0);
 }
 

@@ -140,7 +140,8 @@ TEST(SimulatorOverhead, AccountingIdentityHolds)
     double placed = 0.0, per_job_overhead = 0.0;
     for (const JobOutcome &o : r.outcomes) {
         for (const PlacedSegment &seg : r.placements(o))
-            placed += static_cast<double>(seg.duration()) * o.cpus;
+            placed +=
+                static_cast<double>(seg.duration()) * r.job(o).cpus;
         per_job_overhead += r.overheadCoreSeconds(o);
     }
     EXPECT_NEAR(per_job_overhead, r.overhead_core_seconds, 1e-9);

@@ -116,7 +116,7 @@ TEST(SimCarbon, AResultOutlivesItsTraceSourceAndEngine)
         ASSERT_EQ(r.outcomes.size(), grams.size());
         for (std::size_t i = 0; i < grams.size(); ++i)
             EXPECT_EQ(r.carbonGrams(r.outcomes[i]), grams[i])
-                << policy << " job " << r.outcomes[i].id;
+                << policy << " job " << r.job(r.outcomes[i]).id;
 
         // The cell took the branches it is meant to cover.
         EXPECT_GT(r.eviction_count, 0u) << policy;
@@ -195,17 +195,18 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
             if (!seg.lost)
                 useful += seg.duration();
         }
+        const Job &job = r.job(o);
         EXPECT_EQ(useful, o.length);
         EXPECT_GE(r.waiting(o), 0);
-        EXPECT_GE(r.start(o), o.submit);
+        EXPECT_GE(r.start(o), job.submit);
 
         // Execution begins within the queue's waiting bound for
         // every non-suspend-resume policy (suspend-resume plans
         // bound total waiting instead; evictions may extend
         // completions but never the first start).
         const QueueSpec &queue = queues.queueFor(o.length);
-        EXPECT_LE(r.start(o), o.submit + queue.max_wait)
-            << "job " << o.id;
+        EXPECT_LE(r.start(o), job.submit + queue.max_wait)
+            << "job " << job.id;
 
         variable += r.variableCost(o);
         carbon_g += r.carbonGrams(o);
@@ -215,7 +216,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         for (const PlacedSegment &seg : r.placements(o)) {
             expected_carbon += carbon.gramsFor(
                 seg.start, seg.end(),
-                cluster.energy.kilowatts(o.cpus));
+                cluster.energy.kilowatts(job.cpus));
         }
         EXPECT_NEAR(r.carbonGrams(o), expected_carbon, 1e-6);
     }
@@ -228,7 +229,8 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
     double placed = 0.0;
     for (const JobOutcome &o : r.outcomes)
         for (const PlacedSegment &seg : r.placements(o))
-            placed += static_cast<double>(seg.duration()) * o.cpus;
+            placed +=
+                static_cast<double>(seg.duration()) * r.job(o).cpus;
     EXPECT_NEAR(placed,
                 r.reserved_core_seconds + r.on_demand_core_seconds +
                     r.spot_core_seconds,
@@ -241,8 +243,8 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
             for (const PlacedSegment &seg : r.placements(o)) {
                 if (seg.option != PurchaseOption::Reserved)
                     continue;
-                deltas[seg.start] += o.cpus;
-                deltas[seg.end()] -= o.cpus;
+                deltas[seg.start] += r.job(o).cpus;
+                deltas[seg.end()] -= r.job(o).cpus;
             }
         }
         int in_use = 0;

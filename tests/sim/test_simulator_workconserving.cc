@@ -135,7 +135,7 @@ TEST(WorkConserving, ZeroReservedDegeneratesToPlannedStarts)
     const SimulationResult r =
         runReservedFirst(trace, 0, hours(3));
     for (const JobOutcome &o : r.outcomes) {
-        EXPECT_EQ(r.start(o), o.submit + hours(3));
+        EXPECT_EQ(r.start(o), r.job(o).submit + hours(3));
         EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::OnDemand);
     }
 }
@@ -180,8 +180,8 @@ TEST(WorkConserving, MixedWidthHeavyLoadInvariants)
         runReservedFirst(trace, 6, hours(8), "Carbon-Time");
     ASSERT_EQ(r.outcomes.size(), 200u);
     for (const JobOutcome &o : r.outcomes) {
-        EXPECT_GE(r.start(o), o.submit);
-        EXPECT_LE(r.start(o), o.submit + hours(8));
+        EXPECT_GE(r.start(o), r.job(o).submit);
+        EXPECT_LE(r.start(o), r.job(o).submit + hours(8));
     }
 }
 
