@@ -148,24 +148,4 @@ Rng::discrete(std::span<const double> weights)
     return weights.size() - 1; // numerical edge: return last bucket
 }
 
-std::int64_t
-Rng::geometric(double p)
-{
-    GAIA_ASSERT(p > 0.0 && p <= 1.0, "geometric p out of range: ", p);
-    if (p >= 1.0)
-        return 1;
-    double u = uniform();
-    while (u <= 0.0)
-        u = uniform();
-    // Inverse CDF of the {1, 2, ...} geometric distribution.
-    return 1 +
-           static_cast<std::int64_t>(std::log(u) / std::log1p(-p));
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next());
-}
-
 } // namespace gaia

@@ -67,16 +67,6 @@ class Rng
      */
     std::size_t discrete(std::span<const double> weights);
 
-    /**
-     * Sample a geometric "first success" count in {1, 2, ...} with
-     * per-trial success probability p in (0, 1]. Used for spot
-     * eviction: the hour (1-based) in which the instance is evicted.
-     */
-    std::int64_t geometric(double p);
-
-    /** Derive an independent child stream (e.g., per region/job). */
-    Rng fork();
-
   private:
     std::array<std::uint64_t, 4> state_;
     double cached_normal_ = 0.0;

@@ -151,43 +151,4 @@ empiricalCdf(std::vector<double> sample,
     return out;
 }
 
-std::vector<std::pair<double, double>>
-cdfCurve(std::vector<double> sample, std::size_t resolution)
-{
-    GAIA_ASSERT(!sample.empty(), "cdfCurve of empty sample");
-    GAIA_ASSERT(resolution >= 2, "cdfCurve resolution too small");
-    std::sort(sample.begin(), sample.end());
-    std::vector<std::pair<double, double>> out;
-    out.reserve(resolution);
-    for (std::size_t i = 0; i < resolution; ++i) {
-        const double p =
-            static_cast<double>(i) /
-            static_cast<double>(resolution - 1);
-        const double rank =
-            p * static_cast<double>(sample.size() - 1);
-        const auto lo = static_cast<std::size_t>(std::floor(rank));
-        const auto hi = static_cast<std::size_t>(std::ceil(rank));
-        const double frac = rank - std::floor(rank);
-        const double q = sample[lo] + frac * (sample[hi] - sample[lo]);
-        out.emplace_back(q, p);
-    }
-    return out;
-}
-
-double
-weightedShare(const std::vector<double> &keys,
-              const std::vector<double> &weights, double lo, double hi)
-{
-    GAIA_ASSERT(keys.size() == weights.size(),
-                "weightedShare: size mismatch");
-    double total = 0.0;
-    double in_range = 0.0;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        total += weights[i];
-        if (keys[i] >= lo && keys[i] < hi)
-            in_range += weights[i];
-    }
-    return total == 0.0 ? 0.0 : in_range / total;
-}
-
 } // namespace gaia

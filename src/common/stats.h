@@ -108,22 +108,6 @@ std::vector<std::pair<double, double>>
 empiricalCdf(std::vector<double> sample,
              const std::vector<double> &points);
 
-/**
- * Equi-depth CDF of a sample: `resolution` evenly spaced probability
- * levels with the corresponding sample quantiles. Useful for plotting
- * a whole distribution compactly.
- */
-std::vector<std::pair<double, double>>
-cdfCurve(std::vector<double> sample, std::size_t resolution = 100);
-
-/**
- * Weighted histogram share: fraction of `weights` mass whose paired
- * `keys` value falls into [lo, hi). Sizes must match.
- */
-double weightedShare(const std::vector<double> &keys,
-                     const std::vector<double> &weights, double lo,
-                     double hi);
-
 } // namespace gaia
 
 #endif // GAIA_COMMON_STATS_H

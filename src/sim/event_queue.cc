@@ -113,12 +113,4 @@ EventQueue::runUntil(Seconds until, Sink &sink)
     now_ = until;
 }
 
-Seconds
-EventQueue::nextEventTime() const
-{
-    if (laneFirst())
-        return laneTime(lane_head_);
-    return heap_.empty() ? -1 : heap_.top().time;
-}
-
 } // namespace gaia

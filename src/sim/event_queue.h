@@ -101,9 +101,6 @@ class EventQueue
      */
     void runUntil(Seconds until, Sink &sink);
 
-    /** Timestamp of the earliest pending event; -1 when empty. */
-    Seconds nextEventTime() const;
-
     /** Current simulation time (start of the last-run event). */
     Seconds now() const { return now_; }
 

@@ -29,19 +29,24 @@
  * segment columns when the population is known up front
  * (makeEngine() in sim/simulator.h does this for both drivers).
  *
+ * Placement follows one rule: a slice runs on spot when the job is
+ * spot-eligible, else on free reserved cores, else on demand.
+ * ReservedFirst and SpotReserved hold a single-segment, off-spot job
+ * for reserved capacity until its planned start; every other job
+ * follows its plan, one EvPlaceSegment per segment.
+ *
  * The engine keeps each job's inputs in one job column, and every
  * other per-job record indexes it. replay() hands a fresh engine a
  * trace's own column, shared, never copied; submit() appends each
- * admitted job to a column the engine owns (reserveStream()
- * allocates it, or the first submit()). Either way a job is
- * admitted by one function that validates it, records its JobOutcome
- * (only what the run decides: the stretched length, evictions, the
- * segment range and the counterfactual carbon) and queues its
- * arrival as a 4-byte job index, whose time the arrival lane reads
- * from the column (see sim/event_queue.h), as planning reads its
- * queue hint. A
- * rejected or late job gets neither a column entry nor an outcome.
- * The engine's working state (JobState: the plan and a few flags and
+ * admitted job to a column the engine owns (reserveStream() allocates
+ * it, or the first submit()). Either way a job is admitted by one
+ * function that validates it, records its JobOutcome (only what the
+ * run decides: the stretched length, evictions, the segment range and
+ * the counterfactual carbon) and queues its arrival as a 4-byte job
+ * index, whose time the arrival lane reads from the column (see
+ * sim/event_queue.h), as planning reads its queue hint. A rejected or
+ * late job gets neither a column entry nor an outcome. The engine's
+ * working state (JobState: the plan, the spot flag and a few
  * counters) lives in a pool of slots that holds only the jobs in
  * flight: the arrival takes a slot, every later event that names the
  * job carries that slot, and the slot returns to a free list once no
@@ -55,13 +60,13 @@
  * grouped by job; from the first placement out of that order, each
  * placement's outcome index is logged in a 4-byte column beside it.
  * finalize() permutes the segment column in place into job order,
- * marks what evictions lost, accounts the columns in place, and
- * hands them over whole as SimulationResult::jobs,
- * SimulationResult::outcomes and SimulationResult::segments, so a
- * run never holds a record twice and recording a placement
- * allocates nothing per job. Both records are packed (24-byte
- * outcomes, 16-byte segments; see sim/results.h), since a sweep
- * holds them for every job of every cell.
+ * marks what evictions lost, accounts the columns in place in one
+ * walk per job, and hands them over whole as SimulationResult::jobs,
+ * SimulationResult::outcomes and SimulationResult::segments, so a run
+ * never holds a record twice and recording a placement allocates
+ * nothing per job. Both records are packed (24-byte outcomes, 16-byte
+ * segments; see sim/results.h), since a sweep holds them for every
+ * job of every cell.
  *
  * Usage:
  *
@@ -290,9 +295,9 @@ class OnlineScheduler : private EventQueue::Sink
         /** Job-column (and outcome) index of the job holding the
          *  slot. */
         std::uint32_t job = 0;
+        /** Every segment of the plan runs on spot (SpotFirst and
+         *  SpotReserved, up to spot_max_length). */
         bool spot_eligible = false;
-        bool pending = false;
-        bool aborted = false;
         /** Queued events that name this slot. */
         std::uint32_t refs = 0;
         /** Carbon-source probes spent in the degradation ladder. */
@@ -318,11 +323,12 @@ class OnlineScheduler : private EventQueue::Sink
     {
         /** a = slot; a carbon-source retry probe of the arrival. */
         EvRetryArrival,
-        /** a = slot, b = plan segment index. */
+        /** a = slot, b = plan segment index: on spot if the job is
+         *  spot-eligible, else on reserved cores if they fit, else on
+         *  demand; inert once the job has been evicted. */
         EvPlaceSegment,
-        /** a = slot, b = plan segment index. */
-        EvPlaceSpotSegment,
-        /** a = slot. */
+        /** a = slot; a job waiting for reserved capacity reached its
+         *  planned start: on demand, unless a release started it. */
         EvPlannedStart,
         /** a = slot; fires at the eviction instant. */
         EvRestartAfterEviction,
@@ -377,19 +383,16 @@ class OnlineScheduler : private EventQueue::Sink
                          std::int64_t b = 0,
                          int priority = kActionPriority);
 
-    bool usesReserved() const;
-    bool spotEnabled() const;
-
     /** Plan the job in `slot` at its (first or retried) arrival. */
     void planArrival(std::uint32_t slot);
     /** Degradation ladder on source outage: true = arrival handled
      *  (a backoff retry was scheduled); false = plan carbon-
      *  obliviously now. */
     bool retryArrivalLater(std::uint32_t slot);
+    /** Place the planned job in `slot` by the placement rule. */
     void dispatch(std::uint32_t slot);
-    void followPlan(std::uint32_t slot, bool on_spot);
+    void followPlan(std::uint32_t slot);
     void placeSegment(std::uint32_t slot, std::size_t seg_idx);
-    void placeSpotSegment(std::uint32_t slot, std::size_t seg_idx);
     /** Run [from, to) of the job in `slot` on spot at `width`
      *  instances; evict at the earlier of the independent sampled
      *  eviction and the first storm. One eviction draw covers the
@@ -403,7 +406,18 @@ class OnlineScheduler : private EventQueue::Sink
      *  no-op without an attached listener. Called exactly once per
      *  job, at the record site of its final non-lost segment. */
     void notifyJobEnd(std::uint32_t job, Seconds at);
-    void startOnReserved(std::uint32_t slot, Seconds at);
+    /** Run [from, to) of job `job` at `width` instances on reserved
+     *  cores if they fit: acquire them, record the slice and queue
+     *  their release at `to`. False (and nothing done) otherwise. */
+    bool runOnReserved(std::uint32_t job, Seconds from, Seconds to,
+                       int width);
+    /** Run [from, to) of job `job` on reserved cores if they fit,
+     *  else on demand. */
+    void placeSlice(std::uint32_t job, Seconds from, Seconds to,
+                    int width);
+    /** Start the waiting single-segment job in `slot` now, at its
+     *  planned duration and width, if its reserved cores fit. */
+    bool startOnReserved(std::uint32_t slot);
     void recordSegment(std::uint32_t job, Seconds from, Seconds to,
                        PurchaseOption option, bool lost,
                        int width = 1);
@@ -419,6 +433,8 @@ class OnlineScheduler : private EventQueue::Sink
     const SchedulingPolicy &policy_;
     const QueueConfig &queues_;
     const CarbonInfoSource &cis_;
+    /** The run's cluster; finalize() derives a zero
+     *  reservation_horizon in place. */
     ClusterConfig cluster_;
     ResourceStrategy strategy_;
     std::string workload_;
@@ -474,8 +490,6 @@ class OnlineScheduler : private EventQueue::Sink
     /** Slots waiting for reserved capacity, by planned start; equal
      *  starts keep their insertion order. */
     std::multimap<Seconds, std::uint32_t> pending_;
-    Seconds horizon_ = 0;
-    bool horizon_overrun_warned_ = false;
     bool finalized_ = false;
     /** Events seen by onEvent(); a plain member (no atomic — the
      *  dispatch loop is single-threaded) flushed to the process-wide

@@ -8,7 +8,10 @@
  * between `min_instances` and maxInstances() instances at once, and
  * each additional instance contributes a (typically diminishing)
  * marginal throughput. An ElasticProfile captures that scaling curve
- * as plain data attached to a Job.
+ * as plain data. It belongs to the run, not to a job: a run holds
+ * exactly one (the scenario's `--elastic-profile`, handed to every
+ * plan as PlanContext::elastic) and it applies to every job; no trace
+ * format or job record carries one.
  *
  * Conventions:
  *   - Work is measured in seconds of single-instance execution, so
@@ -19,7 +22,7 @@
  *     k+1, in units of the first instance's nominal rate; a valid
  *     profile therefore has marginal[0] == 1, so a width-1 run of
  *     `length` seconds delivers exactly `length` work.
- *   - An empty marginal vector means "not elastic": the job is the
+ *   - An empty marginal vector means "not elastic": every job is the
  *     paper's fixed single-width job and every policy treats it
  *     exactly as before. The elastic machinery is fully opt-in.
  */
@@ -37,7 +40,7 @@ namespace gaia {
 /** Most instances an elastic profile may run at once. */
 constexpr int kMaxElasticInstances = 64;
 
-/** Marginal-throughput scaling curve of one elastic job. */
+/** Marginal-throughput scaling curve of a run's elastic jobs. */
 struct ElasticProfile
 {
     /** Smallest admissible width while the job is running. */
@@ -45,11 +48,11 @@ struct ElasticProfile
 
     /**
      * marginal[k] = extra work rate of instance k+1 relative to the
-     * single-instance rate; empty = fixed (non-elastic) job.
+     * single-instance rate; empty = fixed (non-elastic) jobs.
      */
     std::vector<double> marginal;
 
-    /** True when the job can actually change width. */
+    /** True when a job can actually change width. */
     bool enabled() const
     {
         return marginal.size() > 1 ||
@@ -80,7 +83,8 @@ struct ElasticProfile
      */
     bool concave() const;
 
-    /** Input validation for untrusted (CLI/CSV) profiles. */
+    /** Input validation for a profile built outside
+     *  parseElasticProfile() (which already applies it). */
     Status validate() const;
 
     /** Canonical content key; disabled profiles key to "off". */

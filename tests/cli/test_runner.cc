@@ -679,6 +679,39 @@ TEST(CliRunner, BothDriversExitTwoWhenTheJobLimitOutgrowsMemory)
     std::filesystem::remove_all(dir);
 #endif
 }
+
+TEST(CliRunner, GaiaRunChargesIdleReservedPowerWhenWorkOutlastsTheHorizon)
+{
+    // Stragglers and week-long start delays run reserved work past
+    // the reservation horizon derived from the nominal trace; the
+    // idle-power share counts only the hours inside it, so the run
+    // completes and writes its books.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_idle_overrun";
+    const std::string base =
+        std::string(GAIA_RUN_BIN) +
+        " --workload alibaba --jobs 50 --span-days 1 --reserved 1000"
+        " --idle-power-fraction 0.5 --output-dir " +
+        (dir / "out").string() + " ";
+    for (const char *flags :
+         {"--strategy res-first --fault straggler:rate=1,factor=100",
+          "--strategy res-first --fault delay:rate=1,minutes=10080",
+          "--strategy hybrid --fault straggler:rate=1,factor=20"}) {
+        std::filesystem::remove_all(dir);
+        const std::string command =
+            base + flags + " >/dev/null 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_NE(status, -1);
+        EXPECT_TRUE(WIFEXITED(status)) << flags;
+        EXPECT_EQ(WEXITSTATUS(status), 0) << flags;
+        for (const char *csv :
+             {"aggregate.csv", "details.csv", "allocation.csv"}) {
+            EXPECT_TRUE(std::filesystem::exists(dir / "out" / csv))
+                << flags << ": " << csv;
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
 #endif
 
 TEST(CliRunner, FaultFlagsFlowIntoTheScenario)

@@ -71,7 +71,9 @@ setCarbon(SimulationResult &result, std::vector<double> hourly,
  * The first broken invariant of a finalized `result`'s segment
  * column, or "" when it holds them all:
  *  - the outcomes' ranges tile `segments` in outcome order;
- *  - each range is sorted by start and ends in a surviving slice;
+ *  - each range is in time order, every slice starting at or after
+ *    the end of the one before it (finalize asserts the same), and
+ *    ends in a surviving slice;
  *  - the lost slices are exactly those recorded before the job's
  *    last eviction. Each job records its slices in time order, so
  *    they are a chronological prefix, none of them ends after a
@@ -97,8 +99,9 @@ segmentColumnViolation(const SimulationResult &result)
         bool survived = false;
         Seconds evicted_at = 0;
         for (std::size_t k = 0; k < segs.size(); ++k) {
-            if (k > 0 && segs[k].start < segs[k - 1].start)
-                return job + "segments out of start order";
+            if (k > 0 && segs[k].start < segs[k - 1].end())
+                return job + "slice starts before the previous one "
+                             "ends";
             if (segs[k].lost) {
                 if (survived)
                     return job + "lost slice after a surviving one";

@@ -133,40 +133,11 @@ TEST(Rng, DiscreteZeroWeightNeverChosen)
         EXPECT_NE(rng.discrete(weights), 1u);
 }
 
-TEST(Rng, GeometricMeanMatchesAnalytic)
-{
-    Rng rng(41);
-    double sum = 0.0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.geometric(0.25));
-    EXPECT_NEAR(sum / n, 4.0, 0.1); // mean of Geom(p) is 1/p
-    EXPECT_EQ(rng.geometric(1.0), 1);
-}
-
-TEST(Rng, GeometricAlwaysAtLeastOne)
-{
-    Rng rng(43);
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_GE(rng.geometric(0.9), 1);
-}
-
-TEST(Rng, ForkIsIndependentButDeterministic)
-{
-    Rng a(99);
-    Rng child1 = a.fork();
-    Rng b(99);
-    Rng child2 = b.fork();
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(child1.next(), child2.next());
-}
-
 TEST(RngDeath, InvalidParametersRejected)
 {
     Rng rng(1);
     EXPECT_DEATH(rng.exponential(0.0), "mean must be positive");
     EXPECT_DEATH(rng.bernoulli(1.5), "out of range");
-    EXPECT_DEATH(rng.geometric(0.0), "out of range");
     EXPECT_DEATH(rng.uniform(5.0, 1.0), "bad uniform range");
     EXPECT_DEATH(rng.discrete({}), "needs weights");
     const std::array<double, 2> zeros = {0.0, 0.0};

@@ -106,26 +106,6 @@ TEST(EmpiricalCdf, StepsAtSamplePoints)
     EXPECT_DOUBLE_EQ(cdf[3].second, 1.0);
 }
 
-TEST(CdfCurve, EndpointsAreExtremes)
-{
-    const auto curve = cdfCurve({3.0, 1.0, 2.0, 10.0}, 5);
-    EXPECT_DOUBLE_EQ(curve.front().first, 1.0);
-    EXPECT_DOUBLE_EQ(curve.front().second, 0.0);
-    EXPECT_DOUBLE_EQ(curve.back().first, 10.0);
-    EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-    for (std::size_t i = 1; i < curve.size(); ++i)
-        EXPECT_GE(curve[i].first, curve[i - 1].first);
-}
-
-TEST(WeightedShare, PartitionsMass)
-{
-    const std::vector<double> keys = {1.0, 2.0, 3.0};
-    const std::vector<double> weights = {1.0, 2.0, 7.0};
-    EXPECT_DOUBLE_EQ(weightedShare(keys, weights, 0.0, 2.0), 0.1);
-    EXPECT_DOUBLE_EQ(weightedShare(keys, weights, 2.0, 10.0), 0.9);
-    EXPECT_DOUBLE_EQ(weightedShare({}, {}, 0.0, 1.0), 0.0);
-}
-
 TEST(StatsDeath, InvalidInputsRejected)
 {
     EXPECT_DEATH(percentile({}, 50.0), "empty sample");

@@ -59,6 +59,37 @@ TEST(IdlePower, ClosedFormOnFlatTrace)
     EXPECT_NEAR(r.energy_kwh, busy_kwh + r.idle_energy_kwh, 1e-12);
 }
 
+TEST(IdlePower, ReservedWorkPastTheHorizonCountsOnlyInsideIt)
+{
+    // A 3 h reserved job outlasts a 2 h reservation. The reservation
+    // pays for [0, 2 h) only, so the job keeps one of the two cores
+    // busy for 2 h, and the idle share is 2 core-hours; the hour past
+    // the horizon has no idle share and no table slot.
+    const CarbonTrace carbon("flat",
+                             std::vector<double>(24 * 40, 100.0));
+    const CarbonInfoService cis(carbon);
+    const JobTrace trace("t", {{1, 0, hours(3), 1}});
+    ClusterConfig cluster;
+    cluster.reserved_cores = 2;
+    cluster.reserved_idle_power_fraction = 0.5;
+    cluster.reservation_horizon = hours(2);
+
+    const PolicyPtr p = makePolicy("NoWait");
+    const SimulationResult r =
+        testutil::runSim(trace, *p, oneQueue(), cis, cluster,
+                         ResourceStrategy::ReservedFirst);
+
+    ASSERT_EQ(r.placements(r.outcomes[0]).size(), 1u);
+    EXPECT_EQ(r.placements(r.outcomes[0])[0].option,
+              PurchaseOption::Reserved);
+    EXPECT_EQ(r.finish(r.outcomes[0]), hours(3));
+    // 2 idle core-hours at 0.5 x 5 W: 5 Wh, at 100 g/kWh.
+    EXPECT_NEAR(r.idle_energy_kwh, 0.005, 1e-12);
+    EXPECT_NEAR(r.idle_carbon_kg, 0.005 * 0.1, 1e-12);
+    const double busy_kwh = 0.015; // 3 core-hours at 5 W
+    EXPECT_NEAR(r.energy_kwh, busy_kwh + r.idle_energy_kwh, 1e-12);
+}
+
 TEST(IdlePower, IdleCarbonFollowsIntensityTiming)
 {
     // Intensity is high only in slot 1; a job busy during slot 1
