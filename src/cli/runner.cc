@@ -176,7 +176,7 @@ writeRunArtifacts(const SimulationResult &result,
                  std::to_string(result.finish(o)),
                  std::to_string(result.waiting(o)),
                  fmt(result.carbonGrams(o), 6),
-                 fmt(o.carbon_nowait_g, 6),
+                 fmt(result.carbonNowaitGrams(o), 6),
                  fmt(result.variableCost(o), 6),
                  std::to_string(o.evictions),
                  fmt(result.lostCoreSeconds(o), 1)});

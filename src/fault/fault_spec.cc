@@ -10,10 +10,6 @@ namespace gaia {
 
 namespace {
 
-/** Bound on window, delay and retry-backoff durations: injector
- *  window scans stay O(slots-per-window) with a small constant, and
- *  the longest retry ladder ends about 1,256 years out. */
-constexpr Seconds kMaxFaultDuration = 7 * kSecondsPerDay;
 /** Spiked forecasts of the largest intensity a carbon trace accepts
  *  stay finite, and so do the integrals over them. */
 constexpr double kMaxSpikeFactor = 1000.0;
@@ -170,8 +166,17 @@ FaultSpec::validate() const
     GAIA_REQUIRE(cis_max_retries >= 0 && cis_max_retries <= 16,
                  "cis retry budget must be in [0, 16], got ",
                  cis_max_retries);
-    // The retry ladder doubles the backoff up to 15 times.
     GAIA_TRY(checkDuration("cis retry backoff", cis_retry_backoff));
+    // The ladder's probes wait backoff x (1 + 2 + ... + 2^(n-1)) in
+    // all. Bounded by a century like any input duration, it keeps
+    // every admitted arrival within 2^32 s of its submit time, which
+    // the outcome's 32-bit arrival offset relies on.
+    const Seconds ladder =
+        cis_retry_backoff * ((Seconds{1} << cis_max_retries) - 1);
+    GAIA_REQUIRE(ladder <= kMaxInputDuration, "cis retry ladder of ",
+                 cis_max_retries, " retries from a ", cis_retry_backoff,
+                 "s backoff waits ", ladder, "s, past the ",
+                 kMaxInputDuration, " s limit");
     GAIA_REQUIRE(storm_spot_retries >= 0 &&
                      storm_spot_retries <= 16,
                  "storm spot-retry budget must be in [0, 16], "

@@ -34,6 +34,11 @@
 
 namespace gaia {
 
+/** Bound on every window, delay and retry-backoff duration: injector
+ *  window scans stay O(slots-per-window) with a small constant, and a
+ *  delayed start moves an arrival at most a week. */
+constexpr Seconds kMaxFaultDuration = 7 * kSecondsPerDay;
+
 /** All fault-injection knobs for one simulation, as plain data. */
 struct FaultSpec
 {

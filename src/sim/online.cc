@@ -373,9 +373,15 @@ OnlineScheduler::planArrival(std::uint32_t slot)
                     "plan start violates the waiting bound W");
     }
 
-    outcome.carbon_nowait_g = cis_.trace().gramsFor(
-        job.submit, job.submit + job.length,
-        cluster_.energy.kilowatts(job.cpus));
+    // The no-wait counterfactual starts here, at the admitted arrival
+    // (SimulationResult::carbonNowaitGrams()). FaultSpec::validate
+    // keeps it within 32 bits of the submit time.
+    GAIA_ASSERT(job.submit - submitted.submit <=
+                    kMaxFaultDuration + kMaxInputDuration,
+                "job ", job.id, " arrived ", job.submit - submitted.submit,
+                "s after its submit time");
+    outcome.arrival_delay =
+        static_cast<std::uint32_t>(job.submit - submitted.submit);
 
     // A validated job's length is positive, so a zero bound admits
     // none to spot.
@@ -526,9 +532,10 @@ OnlineScheduler::runSpotSlice(std::uint32_t slot, Seconds from,
                       /*lost=*/true, width);
     }
     // A counted eviction also marks the rest of the plan inert (see
-    // placeSegment).
+    // placeSegment). Until finalize, segment_end counts the job's
+    // slices so far.
     JobOutcome &outcome = outcomes_[state.job];
-    lost_prefixes_.push_back({state.job, outcome.segment_count});
+    lost_prefixes_.push_back({state.job, outcome.segment_end});
     outcome.evictions += 1;
     scheduleForSlot(evict_at, EvRestartAfterEviction, slot);
 }
@@ -623,11 +630,12 @@ OnlineScheduler::recordSegment(std::uint32_t job, Seconds from,
                 "segment column outgrew its 32-bit indices");
     if (segment_jobs_.empty() && job < last_segment_job_) {
         // The first placement out of job order: log every job from
-        // here on, starting with the grouped prefix.
+        // here on, starting with the grouped prefix (each
+        // segment_end counts its job's slices until finalize).
         segment_jobs_.reserve(segments_.capacity());
         for (std::uint32_t j = 0; j <= last_segment_job_; ++j)
             segment_jobs_.insert(segment_jobs_.end(),
-                                 outcomes_[j].segment_count, j);
+                                 outcomes_[j].segment_end, j);
     }
     if (segment_jobs_.empty())
         last_segment_job_ = job;
@@ -637,7 +645,7 @@ OnlineScheduler::recordSegment(std::uint32_t job, Seconds from,
     // 32-bit duration and 16-bit width; a validated job keeps far
     // inside both.
     segments_.emplace_back(from, to, option, lost, width);
-    ++outcomes_[job].segment_count;
+    ++outcomes_[job].segment_end;
 }
 
 void
@@ -680,19 +688,24 @@ OnlineScheduler::drainPending()
 void
 OnlineScheduler::groupSegmentsByJob()
 {
-    std::uint32_t next = 0;
+    // Turn each job's slice count into the end of its range.
+    std::uint32_t end = 0;
     for (JobOutcome &o : outcomes_) {
-        o.first_segment = next;
-        next += o.segment_count;
+        end += o.segment_end;
+        o.segment_end = end;
     }
     if (segment_jobs_.empty())
         return; // recorded in job order
-    // Turn each job index into its slot: first_segment plus a running
-    // count, kept in first_segment meanwhile.
-    for (std::uint32_t &job : segment_jobs_)
-        job = outcomes_[job].first_segment++;
-    for (JobOutcome &o : outcomes_)
-        o.first_segment -= o.segment_count;
+    // Turn each job index into its slot, filling each range from its
+    // end: walking the log backward gives a job's last placement the
+    // range's last slot, so a job's slices keep their record order,
+    // and leaves each segment_end at its range's start meanwhile.
+    for (std::size_t k = segment_jobs_.size(); k-- > 0;)
+        segment_jobs_[k] = --outcomes_[segment_jobs_[k]].segment_end;
+    // A range starts where the previous one ends.
+    for (std::size_t i = 0; i + 1 < outcomes_.size(); ++i)
+        outcomes_[i].segment_end = outcomes_[i + 1].segment_end;
+    outcomes_.back().segment_end = end;
     // Apply the permutation in place by following its cycles: each
     // swap puts one segment in its final slot.
     for (std::uint32_t k = 0; k < segment_jobs_.size(); ++k) {
@@ -722,16 +735,20 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     // Each job's range is in record order, so an eviction's lost
     // segments are a prefix of it.
     for (const LostPrefix &lost : lost_prefixes_) {
-        const JobOutcome &o = result.outcomes[lost.job];
+        const auto first = static_cast<std::size_t>(
+            result.placements(result.outcomes[lost.job]).data() -
+            result.segments.data());
         for (std::uint32_t k = 0; k < lost.segments; ++k)
-            result.segments[o.first_segment + k].lost = true;
+            result.segments[first + k].lost = true;
     }
 
     const Seconds horizon = cluster_.reservation_horizon;
-    // Busy reserved core-seconds in each hour of the horizon, for the
-    // idle-power share (0 under the paper's assumption, which needs
-    // no table). The reservation pays for [0, horizon) only, as its
-    // upfront cost does, so reserved work past it is not counted.
+    // The reservation pays for [0, horizon) only, as its upfront cost
+    // does, so reserved work past it counts toward neither the pool's
+    // utilization nor, hour by hour, its busy share for the
+    // idle-power draw (0 under the paper's assumption, which needs no
+    // table).
+    double reserved_in_horizon = 0.0;
     const bool idle_power = cluster_.reserved_cores > 0 &&
                             cluster_.reserved_idle_power_fraction > 0.0;
     const auto hours = static_cast<std::size_t>(
@@ -742,8 +759,8 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     std::uint64_t evicted_jobs = 0;
     for (const JobOutcome &o : result.outcomes) {
         const Job &job = result.job(o);
-        GAIA_ASSERT(o.segment_count > 0, "job ", job.id,
-                    " never executed");
+        const std::span<const PlacedSegment> segs = result.placements(o);
+        GAIA_ASSERT(!segs.empty(), "job ", job.id, " never executed");
         Seconds useful = 0;
         double useful_work = 0.0;
         double carbon_g = 0.0;
@@ -753,7 +770,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         // of the evicted plan. So the range needs no sort, and the
         // end of its last slice, a survivor, is the job's finish.
         Seconds finish = 0;
-        for (const PlacedSegment &seg : result.placements(o)) {
+        for (const PlacedSegment &seg : segs) {
             GAIA_ASSERT(seg.start >= finish, "job ", job.id,
                         " has a slice at ", seg.start,
                         " before its previous one ends at ", finish);
@@ -782,13 +799,18 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             }
 
             switch (seg.option) {
-              case PurchaseOption::Reserved:
+              case PurchaseOption::Reserved: {
                 result.reserved_core_seconds += core_seconds;
+                // A slice inside the horizon adds the same double as
+                // above, so the two sums differ only past it.
+                const Seconds end = std::min(seg.end(), horizon);
+                if (seg.start < end)
+                    reserved_in_horizon +=
+                        static_cast<double>(end - seg.start) * cores;
                 if (!busy.empty()) {
                     // Each addend is an exact integer (at most an
                     // hour times 2^26 cores), so the sums do not
                     // depend on the order of the walk.
-                    const Seconds end = std::min(seg.end(), horizon);
                     for (Seconds at = seg.start; at < end;) {
                         const SlotIndex hour = slotOf(at);
                         const Seconds next =
@@ -799,6 +821,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                     }
                 }
                 break;
+              }
               case PurchaseOption::OnDemand:
                 result.on_demand_core_seconds +=
                     core_seconds + overhead_core_seconds;
@@ -849,7 +872,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         }
 
         result.carbon_kg += carbon_g / 1000.0;
-        result.carbon_nowait_kg += o.carbon_nowait_g / 1000.0;
+        result.carbon_nowait_kg += result.carbonNowaitGrams(o) / 1000.0;
         result.lost_core_seconds += result.lostCoreSeconds(o);
         result.eviction_count +=
             static_cast<std::size_t>(o.evictions);
@@ -901,7 +924,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         cluster_.reserved_cores, horizon);
     if (cluster_.reserved_cores > 0) {
         result.reserved_utilization =
-            result.reserved_core_seconds /
+            reserved_in_horizon /
             (static_cast<double>(cluster_.reserved_cores) *
              static_cast<double>(horizon));
     }

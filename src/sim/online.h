@@ -41,13 +41,14 @@
  * admitted job to a column the engine owns (reserveStream() allocates
  * it, or the first submit()). Either way a job is admitted by one
  * function that validates it, records its JobOutcome (only what the
- * run decides: the stretched length, evictions, the segment range and
- * the counterfactual carbon) and queues its arrival as a 4-byte job
- * index, whose time the arrival lane reads from the column (see
- * sim/event_queue.h), as planning reads its queue hint. A rejected or
- * late job gets neither a column entry nor an outcome. The engine's
- * working state (JobState: the plan, the spot flag and a few
- * counters) lives in a pool of slots that holds only the jobs in
+ * run decides: the stretched length, evictions, the end of the
+ * segment range and the admitted arrival's offset from submit, from
+ * which the no-wait counterfactual derives) and queues its arrival
+ * as a 4-byte job index, whose time the arrival lane reads from the
+ * column (see sim/event_queue.h), as planning reads its queue hint.
+ * A rejected or late job gets neither a column entry nor an outcome.
+ * The engine's working state (JobState: the plan, the spot flag and a
+ * few counters) lives in a pool of slots that holds only the jobs in
  * flight: the arrival takes a slot, every later event that names the
  * job carries that slot, and the slot returns to a free list once no
  * queued event names it. So the pool is sized by concurrency, not by
@@ -59,14 +60,16 @@
  * (start-time policies on on-demand capacity) that column is already
  * grouped by job; from the first placement out of that order, each
  * placement's outcome index is logged in a 4-byte column beside it.
- * finalize() permutes the segment column in place into job order,
- * marks what evictions lost, accounts the columns in place in one
- * walk per job, and hands them over whole as SimulationResult::jobs,
- * SimulationResult::outcomes and SimulationResult::segments, so a run
- * never holds a record twice and recording a placement allocates
- * nothing per job. Both records are packed (24-byte outcomes, 16-byte
- * segments; see sim/results.h), since a sweep holds them for every
- * job of every cell.
+ * Until finalize() each outcome's segment_end counts its job's
+ * placements. finalize() turns the counts into range ends, permutes
+ * the segment column in place into job order, marks what evictions
+ * lost, accounts the columns in place in one walk per job, and hands
+ * them over whole as SimulationResult::jobs, SimulationResult::outcomes
+ * and SimulationResult::segments, so a run never holds a record twice
+ * and recording a placement allocates nothing per job. Both records
+ * are packed (16-byte outcomes, 16-byte segments; see
+ * sim/results.h), since a sweep holds them for every job of every
+ * cell.
  *
  * Usage:
  *
@@ -424,9 +427,9 @@ class OnlineScheduler : private EventQueue::Sink
     void onPlannedStart(std::uint32_t slot);
     void drainPending();
     void restartAfterEviction(std::uint32_t slot, Seconds at);
-    /** Set each outcome's first_segment and, if segment_jobs_ was
-     *  started, permute segments_ into job order in place and free
-     *  segment_jobs_. */
+    /** Turn each outcome's slice count into its segment_end and, if
+     *  segment_jobs_ was started, permute segments_ into job order in
+     *  place and free segment_jobs_. */
     void groupSegmentsByJob();
     void finalizeInto(SimulationResult &result);
 

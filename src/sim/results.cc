@@ -190,10 +190,10 @@ resultFingerprint(const SimulationResult &result)
     digest.mix<std::uint64_t>(result.eviction_count);
     digest.mix<std::uint64_t>(result.outcomes.size());
     for (const JobOutcome &o : result.outcomes) {
-        // The submitted job's fields mix where the outcome once held
-        // them, and narrowed fields at their old widths (Seconds), so
-        // neither packing the records nor moving the job into the
-        // column moved a fingerprint.
+        // The submitted job's fields and the derived figures mix
+        // where the outcome once held them, and narrowed fields at
+        // their old widths (Seconds), so neither packing the records
+        // nor moving the job into the column moved a fingerprint.
         const Job &job = result.job(o);
         digest.mix(job.id);
         digest.mix(job.submit);
@@ -202,13 +202,14 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(result.start(o));
         digest.mix(result.finish(o));
         digest.mix(result.carbonGrams(o));
-        digest.mix(o.carbon_nowait_g);
+        digest.mix(result.carbonNowaitGrams(o));
         digest.mix(result.variableCost(o));
         digest.mix(o.evictions);
         digest.mix(result.lostCoreSeconds(o));
         digest.mix(result.overheadCoreSeconds(o));
-        digest.mix<std::uint64_t>(o.segment_count);
-        for (const PlacedSegment &seg : result.placements(o)) {
+        const std::span<const PlacedSegment> segs = result.placements(o);
+        digest.mix<std::uint64_t>(segs.size());
+        for (const PlacedSegment &seg : segs) {
             digest.mix(seg.start);
             digest.mix(seg.end());
             digest.mix(static_cast<int>(seg.option));

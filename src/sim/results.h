@@ -25,6 +25,7 @@
 #include "cloud/purchase.h"
 #include "common/logging.h"
 #include "common/time.h"
+#include "fault/fault_spec.h"
 #include "trace/carbon_trace.h"
 #include "workload/job.h"
 
@@ -104,15 +105,16 @@ struct PlacedSegment
  * time, cpus) lives in the result's shared job column
  * (SimulationResult::job()), and its placed segments in the result's
  * segment column (SimulationResult::placements()); start, finish,
- * waiting, lost core-seconds, start-up overhead, variable cost and
- * carbon derive from them (with the result's price list, carbon
- * trace and power model) rather than being stored beside them. A
- * sweep holds one of these per job per cell, so the layout is packed
- * into three 8-byte words (tests/sim/test_layout_budget.cc pins the
- * byte budget): a 32-bit length (a validated job's is at most
- * kMaxInputDuration), the eviction count, the segment range and the
- * one counterfactual double. Outcomes hold indices into the columns,
- * not pointers, so copying a result keeps them valid.
+ * waiting, lost core-seconds, start-up overhead, variable cost,
+ * carbon and the no-wait counterfactual carbon derive from them (with
+ * the result's price list, carbon trace and power model) rather than
+ * being stored beside them. A sweep holds one of these per job per
+ * cell, so the layout is packed into four 32-bit words
+ * (tests/sim/test_layout_budget.cc pins the byte budget): a 32-bit
+ * length (a validated job's is at most kMaxInputDuration), the
+ * eviction count, the end of the segment range and the admitted
+ * arrival's offset. Outcomes hold indices into the columns, not
+ * pointers, so copying a result keeps them valid.
  */
 struct JobOutcome
 {
@@ -122,15 +124,25 @@ struct JobOutcome
     /** Spot evictions suffered. */
     int evictions = 0;
 
-    /** This job's range of SimulationResult::segments. */
-    std::uint32_t first_segment = 0;
-    std::uint32_t segment_count = 0;
+    /** One past this job's last slice in SimulationResult::segments.
+     *  The range starts at the previous outcome's segment_end (0 for
+     *  the first), since the column is grouped job by job in outcome
+     *  order. While the engine runs it counts the job's slices, and
+     *  finalize turns the counts into ends. */
+    std::uint32_t segment_end = 0;
 
-    /** Counterfactual emissions of starting at the admitted arrival
-     *  instant, grams CO2eq. Stored, not derived: a fault delay or a
-     *  carbon-source retry moves that instant away from the job's
-     *  submit time, which is all the result keeps of it. */
-    double carbon_nowait_g = 0.0;
+    /** Admitted arrival minus submit time: a fault's start delay plus
+     *  the carbon-source retry ladder, 0 in every fault-free run. The
+     *  no-wait counterfactual starts there
+     *  (SimulationResult::carbonNowaitGrams()). */
+    std::uint32_t arrival_delay = 0;
+    // FaultSpec::validate bounds the start delay by kMaxFaultDuration
+    // and the whole retry ladder by kMaxInputDuration, so no admitted
+    // arrival lies further than their sum after its submit time.
+    static_assert(kMaxFaultDuration + kMaxInputDuration <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "the longest delay and retry ladder must fit the "
+                  "32-bit arrival offset");
 };
 
 /**
@@ -171,7 +183,8 @@ struct SimulationResult
     Seconds startup_overhead = 0;
     /** The ground-truth carbon trace and power model the run was
      *  accounted against; each job's carbon derives from its segments
-     *  through them and `startup_overhead`. The trace shares its
+     *  through them and `startup_overhead`, and its no-wait carbon
+     *  from its admitted arrival and length. The trace shares its
      *  tables with the run's, so a result stays valid after the
      *  trace, carbon source and engine that made it are gone. */
     CarbonTrace carbon;
@@ -197,7 +210,11 @@ struct SimulationResult
     double lost_core_seconds = 0.0;
     double overhead_core_seconds = 0.0;
 
-    /** Reserved-pool utilization over the horizon, [0, 1]. */
+    /** Reserved-pool utilization over the horizon, [0, 1]: the
+     *  reserved core-seconds inside [0, horizon) over
+     *  reserved_cores x horizon. Reserved work that faults stretch
+     *  or delay past the horizon counts only in
+     *  reserved_core_seconds. */
     double reserved_utilization = 0.0;
     std::size_t eviction_count = 0;
 
@@ -212,33 +229,30 @@ struct SimulationResult
      *  outcomes and that the job column holds its job. */
     const Job &job(const JobOutcome &o) const
     {
-        // Compared as addresses, since `o` may not point into
-        // `outcomes`.
-        const auto offset =
-            reinterpret_cast<std::uintptr_t>(&o) -
-            reinterpret_cast<std::uintptr_t>(outcomes.data());
-        const std::size_t i = offset / sizeof(JobOutcome);
-        GAIA_ASSERT(i < outcomes.size() &&
-                        offset % sizeof(JobOutcome) == 0,
-                    "outcome is not one of this result's");
+        const std::size_t i = indexOf(o);
         GAIA_ASSERT(jobs != nullptr && i < jobs->size(), "outcome ", i,
                     " has no job in the result's job column");
         return (*jobs)[i];
     }
 
-    /** `o`'s placements, chronological once finalized. */
+    /** `o`'s placements, chronological once finalized: the segments
+     *  from the previous outcome's segment_end (0 for the first) up
+     *  to `o`'s. Asserts that `o` is one of this result's outcomes. */
     std::span<const PlacedSegment>
     placements(const JobOutcome &o) const
     {
-        return {segments.data() + o.first_segment, o.segment_count};
+        const std::size_t i = indexOf(o);
+        const std::uint32_t first =
+            i == 0 ? 0 : outcomes[i - 1].segment_end;
+        return {segments.data() + first, o.segment_end - first};
     }
 
     /** First instant any of `o`'s segments ran (the first segment's
      *  start); 0 without segments. */
     Seconds start(const JobOutcome &o) const
     {
-        return o.segment_count == 0 ? 0
-                                    : segments[o.first_segment].start;
+        const std::span<const PlacedSegment> segs = placements(o);
+        return segs.empty() ? 0 : segs.front().start;
     }
     /** Instant `o`'s last successful segment completed (lost slices
      *  ignored); 0 without one. */
@@ -268,10 +282,20 @@ struct SimulationResult
      *  work and start-up overhead included, through
      *  addSliceCarbon(). */
     double carbonGrams(const JobOutcome &o) const;
+    /** `o`'s counterfactual emissions, grams CO2eq: its as-run
+     *  length at its cpus, started at once at its admitted arrival
+     *  (submit plus arrival_delay), under `carbon` and `energy`. */
+    double carbonNowaitGrams(const JobOutcome &o) const
+    {
+        const Job &submitted = job(o);
+        const Seconds arrival = submitted.submit + o.arrival_delay;
+        return carbon.gramsFor(arrival, arrival + o.length,
+                               energy.kilowatts(submitted.cpus));
+    }
     /** Emissions `o` saved versus running immediately, grams. */
     double carbonSaved(const JobOutcome &o) const
     {
-        return o.carbon_nowait_g - carbonGrams(o);
+        return carbonNowaitGrams(o) - carbonGrams(o);
     }
 
     /** Completion time: finish − submit. */
@@ -297,6 +321,22 @@ struct SimulationResult
     double carbonSavedKg() const
     {
         return carbon_nowait_kg - carbon_kg;
+    }
+
+  private:
+    /** `o`'s position in `outcomes`. Asserts that `o` is one of them:
+     *  compared as addresses, since `o` may not point into
+     *  `outcomes`. */
+    std::size_t indexOf(const JobOutcome &o) const
+    {
+        const auto offset =
+            reinterpret_cast<std::uintptr_t>(&o) -
+            reinterpret_cast<std::uintptr_t>(outcomes.data());
+        const std::size_t i = offset / sizeof(JobOutcome);
+        GAIA_ASSERT(i < outcomes.size() &&
+                        offset % sizeof(JobOutcome) == 0,
+                    "outcome is not one of this result's");
+        return i;
     }
 };
 

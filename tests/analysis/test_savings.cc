@@ -4,23 +4,45 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "tests/common/sim_test_util.h"
 
 namespace gaia {
 namespace {
 
-/** Append a job that waited `wait`, then ran for `length`, and saved
- *  `saved` grams: under the zero-intensity trace it emits nothing. */
+/**
+ * Append a 1-core job of whole hours `length` that waited `wait` and
+ * saved `saved` grams against running at once. Each job gets its own
+ * stretch of `r`'s trace, at 1 kW per core: the first hour of its
+ * no-wait window emits `saved` grams if positive, the first hour of
+ * its run `-saved` grams if negative, and every other hour nothing.
+ * A saving needs the two windows apart, so `wait` (by default
+ * `length`) is at least `length` unless `saved` is 0.
+ */
 void
 addOutcome(SimulationResult &r, Seconds length, double saved,
-           Seconds wait = 0)
+           Seconds wait = -1)
 {
-    testutil::setCarbon(r, {0.0});
-    JobOutcome o;
-    o.carbon_nowait_g = saved;
-    testutil::appendOutcome(
-        r, Job{1, 0, length, 1}, o,
-        {{wait, wait + length, PurchaseOption::OnDemand, false, 1}});
+    if (wait < 0)
+        wait = length;
+    GAIA_ASSERT(saved == 0.0 || wait >= length,
+                "overlapping windows cannot save");
+    // The previous job's stretch ends where its run does.
+    const Seconds submit = r.segments.empty() ? 0 : r.segments.back().end();
+    std::vector<double> hourly =
+        r.segments.empty() ? std::vector<double>{} : r.carbon.values();
+    const auto first = hourly.size();
+    hourly.resize(first + static_cast<std::size_t>(
+                              (wait + length) / kSecondsPerHour));
+    hourly[first] += std::max(saved, 0.0);
+    hourly[first + static_cast<std::size_t>(wait / kSecondsPerHour)] +=
+        std::max(-saved, 0.0);
+    testutil::setCarbon(r, std::move(hourly), 1000.0);
+    testutil::appendOutcome(r, Job{1, submit, length, 1}, JobOutcome{},
+                            {{submit + wait, submit + wait + length,
+                              PurchaseOption::OnDemand, false, 1}});
 }
 
 TEST(Savings, CdfByLengthHandExample)
@@ -83,7 +105,7 @@ TEST(Savings, PerWaitingHour)
 TEST(Savings, PerWaitingHourZeroWait)
 {
     SimulationResult r;
-    addOutcome(r, hours(1), 100.0, 0);
+    addOutcome(r, hours(1), 0.0, 0);
     r.carbon_nowait_kg = 0.1;
     EXPECT_DOUBLE_EQ(savingsPerWaitingHour(r), 0.0);
 }

@@ -594,6 +594,7 @@ TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
               "--spot-max-hours inf", "--startup-overhead-min 1e300",
               "--fault-backoff-min 1e300",
               "--fault-backoff-min 10081",
+              "--fault-retries 16 --fault-backoff-min 803",
               "--fault outage:rate=0.1,hours=1e300"}) {
             const std::string command = std::string(binary) + " " +
                                         flags + " >/dev/null 2>&1";

@@ -31,9 +31,10 @@ namespace gaia::testutil {
  * Append `job` to a hand-built `result`'s job column (a copy: the
  * column is shared) and `outcome` to its outcomes, with `segments` as
  * its placements at the end of the segment column. Sets the
- * outcome's segment range, and its length to the job's unless
- * `outcome` sets one (a straggler's stretched length); returns the
- * appended outcome (valid until the next append).
+ * outcome's segment_end, and its length to the job's unless
+ * `outcome` sets one (a straggler's stretched length); keeps its
+ * evictions and arrival_delay. Returns the appended outcome (valid
+ * until the next append).
  */
 inline JobOutcome &
 appendOutcome(SimulationResult &result, const Job &job,
@@ -47,17 +48,17 @@ appendOutcome(SimulationResult &result, const Job &job,
     result.jobs = std::move(jobs);
     if (outcome.length == 0)
         outcome.length = static_cast<std::uint32_t>(job.length);
-    outcome.first_segment =
-        static_cast<std::uint32_t>(result.segments.size());
-    outcome.segment_count = static_cast<std::uint32_t>(segments.size());
     result.segments.insert(result.segments.end(), segments);
+    outcome.segment_end =
+        static_cast<std::uint32_t>(result.segments.size());
     return result.outcomes.emplace_back(outcome);
 }
 
 /**
  * Give a hand-built `result` the carbon trace and power model its
- * jobs' carbon derives from (SimulationResult::carbonGrams()):
- * `hourly` intensities from t = 0, at `watts_per_core`.
+ * jobs' carbon and no-wait carbon derive from
+ * (SimulationResult::carbonGrams(), carbonNowaitGrams()): `hourly`
+ * intensities from t = 0, at `watts_per_core`.
  */
 inline void
 setCarbon(SimulationResult &result, std::vector<double> hourly,
@@ -70,7 +71,9 @@ setCarbon(SimulationResult &result, std::vector<double> hourly,
 /**
  * The first broken invariant of a finalized `result`'s segment
  * column, or "" when it holds them all:
- *  - the outcomes' ranges tile `segments` in outcome order;
+ *  - the outcomes' ranges tile `segments` in outcome order: each
+ *    segment_end is past the previous one, and the last is the
+ *    column's size;
  *  - each range is in time order, every slice starting at or after
  *    the end of the one before it (finalize asserts the same), and
  *    ends in a surviving slice;
@@ -86,13 +89,13 @@ segmentColumnViolation(const SimulationResult &result)
     for (const JobOutcome &o : result.outcomes) {
         const std::string job =
             "job " + std::to_string(result.job(o).id) + ": ";
-        if (o.first_segment != next)
-            return job + "range starts at " +
-                   std::to_string(o.first_segment) + ", expected " +
-                   std::to_string(next);
-        next += o.segment_count;
-        if (o.segment_count == 0 || next > result.segments.size())
-            return job + "empty range or past the column's end";
+        if (o.segment_end <= next ||
+            o.segment_end > result.segments.size())
+            return job + "range ends at " +
+                   std::to_string(o.segment_end) +
+                   ", not past its start " + std::to_string(next) +
+                   " and within the column";
+        next = o.segment_end;
         const std::span<const PlacedSegment> segs =
             result.placements(o);
         bool lost_any = false;

@@ -115,9 +115,8 @@ TEST(FaultSpec, ValidationErrorsAreStatuses)
     FaultSpec backoff;
     backoff.cis_retry_backoff = 0;
     EXPECT_FALSE(backoff.validate().isOk());
-    // The backoff doubles up to 15 times, so it shares the 7-day
-    // bound of every other fault duration: the longest ladder then
-    // ends about 1,256 years out instead of overflowing Seconds.
+    // The first backoff shares the 7-day bound of every other fault
+    // duration, so the ladder's product cannot overflow Seconds.
     backoff.cis_retry_backoff = 7 * kSecondsPerDay + 1;
     const Status past = backoff.validate();
     ASSERT_FALSE(past.isOk());
@@ -127,6 +126,31 @@ TEST(FaultSpec, ValidationErrorsAreStatuses)
         << past.message();
     backoff.cis_retry_backoff = 7 * kSecondsPerDay;
     EXPECT_TRUE(backoff.validate().isOk());
+}
+
+TEST(FaultSpec, RetryLadderEndsWithinACentury)
+{
+    // 16 probes wait backoff x (2^16 - 1) in all. A century is
+    // 3,153,600,000 s, so 48,120 s (802 minutes) is the longest
+    // first backoff that 16 retries allow; a week-long one would
+    // plan jobs about 1,256 years after submit.
+    FaultSpec spec;
+    spec.cis_max_retries = 16;
+    spec.cis_retry_backoff = 48120;
+    EXPECT_TRUE(spec.validate().isOk());
+    spec.cis_retry_backoff = 48121;
+    const Status past = spec.validate();
+    ASSERT_FALSE(past.isOk());
+    EXPECT_NE(past.message().find("cis retry ladder of 16 retries"),
+              std::string::npos)
+        << past.message();
+    // Fewer retries leave room for a longer backoff: a week-long one
+    // allows 12.
+    spec.cis_retry_backoff = 7 * kSecondsPerDay;
+    spec.cis_max_retries = 12;
+    EXPECT_TRUE(spec.validate().isOk());
+    spec.cis_max_retries = 13;
+    EXPECT_FALSE(spec.validate().isOk());
 }
 
 TEST(FaultSpec, KeyIdentifiesTheConfiguration)

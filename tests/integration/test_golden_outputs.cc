@@ -418,6 +418,93 @@ TEST(GoldenOutputs, ExtProvisioningMix)
 }
 
 /**
+ * Fault runs at golden scale: small Azure spot+reserved cells under
+ * delayed starts, carbon-source outages that run the retry ladder
+ * (the longest one the spec accepts included) and then degrade,
+ * stragglers and storms, plus one elastic gang under the serve
+ * smoke's fault mix. Delays and retries move a job's admitted
+ * arrival away from its submit time, and its no-wait carbon is
+ * computed there; stragglers and week-long delays run reserved work
+ * past the horizon, where it no longer counts toward utilization.
+ */
+std::string
+buildFaultCsv()
+{
+    TraceBuildOptions options;
+    options.job_count = 300;
+    options.span = 3 * kSecondsPerDay;
+    options.seed = 1;
+
+    ScenarioSpec base;
+    base.workload =
+        WorkloadSpec::builtin(WorkloadSource::AzureVm, options);
+    base.carbon = CarbonSpec::forRegion(Region::SouthAustralia,
+                                        24 * 13, 1);
+    base.strategy = ResourceStrategy::SpotReserved;
+    base.cluster.spot_eviction_rate = 0.10;
+
+    struct Cell
+    {
+        std::string label;
+        std::string policy;
+        std::string fault;
+        int retries = 3;
+        Seconds backoff = minutes(5);
+        std::string elastic_profile;
+        int reserved = 4;
+    };
+    const std::vector<Cell> cells = {
+        {"delay", "Carbon-Time", "delay:rate=0.3,minutes=90"},
+        {"delay-week", "Carbon-Time", "delay:rate=0.2,minutes=10080"},
+        {"outage", "Carbon-Time", "outage:rate=0.2,hours=2"},
+        {"outage", "Wait-Awhile", "outage:rate=0.2,hours=2", 5,
+         minutes(10)},
+        {"longest-ladder", "Carbon-Time", "outage:rate=1,hours=168", 16,
+         minutes(802)},
+        {"straggler", "Carbon-Time", "straggler:rate=0.3,factor=20"},
+        {"storm", "Ecovisor", "storm:rate=0.1"},
+        {"serve-smoke-mix", "Carbon-Scaler",
+         "straggler:rate=0.3,factor=1.5;delay:rate=0.2,minutes=20;"
+         "storm:rate=0.05",
+         3, minutes(5), "linear:max=4", 8},
+    };
+
+    SweepEngine sweep;
+    for (const Cell &cell : cells) {
+        ScenarioSpec spec = base;
+        spec.label = cell.label;
+        spec.policy = cell.policy;
+        Result<FaultSpec> fault = FaultSpec::parse(cell.fault);
+        EXPECT_TRUE(fault.isOk()) << fault.status().toString();
+        spec.fault = fault.value();
+        spec.fault.cis_max_retries = cell.retries;
+        spec.fault.cis_retry_backoff = cell.backoff;
+        spec.elastic_profile = cell.elastic_profile;
+        spec.cluster.reserved_cores = cell.reserved;
+        sweep.add(std::move(spec));
+    }
+    sweep.run();
+
+    std::string csv = line({"cell", "policy", "carbon_kg",
+                            "carbon_nowait_kg", "reserved_utilization",
+                            "evictions", "fingerprint"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const SimulationResult &r = cellValue(sweep, i);
+        csv += line({cells[i].label, cells[i].policy,
+                     fmt(r.carbon_kg, 6), fmt(r.carbon_nowait_kg, 6),
+                     fmt(r.reserved_utilization, 4),
+                     std::to_string(r.eviction_count),
+                     fingerprintHex(resultFingerprint(r))});
+    }
+    return csv;
+}
+
+TEST(GoldenOutputs, FaultRuns)
+{
+    checkGolden("fault_small.csv", buildFaultCsv());
+}
+
+/**
  * The elastic goldens embed result fingerprints, so this pins
  * bitwise determinism end to end: one worker thread must reproduce
  * the parallel bytes — schedules (and their fingerprints) may not

@@ -6,9 +6,12 @@
  * the result's segment column (3.27M there), so their sizes drive the
  * benchmark's `peak_rss_mb` (bench/perf/README.md, "End-to-end
  * metrics"). A figure that derives from a job's segments (its times,
- * money and attributed carbon) is computed, not held, and what the
- * job was submitted with (id, submit time, cpus) is read from the
- * result's job column, which a replayed run shares with its trace.
+ * money and attributed carbon) is computed, not held, as is its
+ * no-wait carbon, from its admitted arrival's 32-bit offset; a job's
+ * range of the segment column is held as its end alone, since it
+ * starts where the previous job's ends. What the job was submitted
+ * with (id, submit time, cpus) is read from the result's job column,
+ * which a replayed run shares with its trace.
  * Every trace holds one Job per job, and so does every slot of the
  * serving daemon's submission ring and a streamed engine's job
  * column. Growing any of these records should be a visible decision:
@@ -40,12 +43,13 @@ TEST(LayoutBudget, PlacedSegmentIsSixteenBytes)
 
 TEST(LayoutBudget, JobOutcomeFitsItsBudget)
 {
-    // The 32-bit length and the evictions share a word, as does the
-    // segment range; the counterfactual carbon double. The job's id,
-    // submit and cpus live in the result's job column, its segments
-    // in the segment column, and the money and the attributed carbon
-    // derive from them.
-    EXPECT_LE(sizeof(JobOutcome), 24u);
+    // Four 32-bit words: the length, the evictions, the end of the
+    // segment range (it starts where the previous outcome's ends) and
+    // the admitted arrival's offset from submit. The job's id, submit
+    // and cpus live in the result's job column, its segments in the
+    // segment column, and the money, the attributed carbon and the
+    // no-wait carbon derive from them.
+    EXPECT_EQ(sizeof(JobOutcome), 16u);
 }
 
 TEST(LayoutBudget, JobIsThirtyTwoBytes)

@@ -16,12 +16,14 @@ namespace {
 /**
  * One hand-built result touching every field the fingerprint mixes:
  * on-demand, reserved and spot segments, a lost spot slice, a width-2
- * segment, a job with four segments and non-zero evictions. Fields
- * are assigned by name, so the fixture does not depend on struct
- * layout; each job's start, finish, lost core-seconds, start-up
- * overhead, variable cost and carbon follow from its segments, the
- * default price list, a 15 s start-up overhead, a six-hour carbon
- * trace and 7.5 W per core.
+ * segment, a job with four segments and non-zero evictions, and a job
+ * admitted half an hour after its submit time. Fields are assigned by
+ * name, so the fixture does not depend on struct layout; each job's
+ * start, finish, lost core-seconds, start-up overhead, variable cost
+ * and carbon follow from its segments, the default price list, a
+ * 15 s start-up overhead, a six-hour carbon trace and 7.5 W per
+ * core, and its no-wait carbon from its admitted arrival, the trace
+ * and the power model.
  */
 SimulationResult
 pinnedResult()
@@ -57,7 +59,7 @@ pinnedResult()
     // resume tail on an on-demand gang of two: four segments.
     JobOutcome evicted;
     evicted.evictions = 1;
-    evicted.carbon_nowait_g = 901.7;
+    evicted.arrival_delay = 1800;
     testutil::appendOutcome(
         r, Job{17, 3600, 7200, 2}, evicted,
         {{3600, 5400, PurchaseOption::Spot, /*lost=*/true, 1},
@@ -65,10 +67,9 @@ pinnedResult()
          {10800, 12600, PurchaseOption::OnDemand, false, 2},
          {14400, 15300, PurchaseOption::Spot, false, 1}});
 
-    JobOutcome plain;
-    plain.carbon_nowait_g = 250.0;
     testutil::appendOutcome(
-        r, Job{18, 7200, 3600, 1}, plain, {{7200, 10800, PurchaseOption::OnDemand, false, 1}});
+        r, Job{18, 7200, 3600, 1}, JobOutcome{},
+        {{7200, 10800, PurchaseOption::OnDemand, false, 1}});
     return r;
 }
 
@@ -76,7 +77,9 @@ pinnedResult()
 PlacedSegment &
 seg(SimulationResult &r, std::size_t job, std::size_t k)
 {
-    return r.segments[r.outcomes[job].first_segment + k];
+    const std::uint32_t first =
+        job == 0 ? 0 : r.outcomes[job - 1].segment_end;
+    return r.segments[first + k];
 }
 
 /** Edit job `job` of `r`'s column, through a copy of the column
@@ -100,12 +103,13 @@ moveEnd(SimulationResult &r, std::size_t job, std::size_t k, Seconds by)
 }
 
 // Computed while JobOutcome still stored its variable cost, start-up
-// overhead and carbon (set to the values the accessors derive here),
-// so deriving them instead provably mixes the same bits; layout
-// changes must never move it. If a deliberate change to the digest's
-// definition moves it, every pinned fingerprint (the golden tests and
-// the benchmark's fingerprint table) moves with it.
-constexpr std::uint64_t kPinnedDigest = 0x415f5c261ff7ba60ULL;
+// overhead, carbon and no-wait carbon (set to the values the
+// accessors derive here), so deriving them instead provably mixes the
+// same bits; layout changes must never move it. If a deliberate
+// change to the digest's definition moves it, every pinned
+// fingerprint (the golden tests and the benchmark's fingerprint
+// table) moves with it.
+constexpr std::uint64_t kPinnedDigest = 0x780ba2910b021855ULL;
 
 TEST(ResultFingerprint, MatchesThePinnedDigest)
 {
@@ -156,9 +160,10 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { seg(r, 1, 0).start += 1; },
         [](SimulationResult &r) { moveEnd(r, 1, 0, 1); },
         [](SimulationResult &r) { moveEnd(r, 0, 0, 1); },
-        [](SimulationResult &r) {
-            r.outcomes[1].carbon_nowait_g += 1.0;
-        },
+        // carbonNowaitGrams() is computed from the admitted arrival,
+        // the length, the cpus, the carbon trace and the power model.
+        [](SimulationResult &r) { r.outcomes[1].arrival_delay += 600; },
+        [](SimulationResult &r) { r.outcomes[0].arrival_delay = 0; },
         // carbonGrams() is computed from the segments, the carbon
         // trace, the power model and the start-up overhead.
         [](SimulationResult &r) {
@@ -174,7 +179,7 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         },
         [](SimulationResult &r) { r.pricing.spot_fraction += 0.01; },
         [](SimulationResult &r) { r.startup_overhead += 1; },
-        [](SimulationResult &r) { r.outcomes[0].segment_count = 0; },
+        [](SimulationResult &r) { r.outcomes[0].segment_end = 3; },
         [](SimulationResult &r) { seg(r, 0, 3).start -= 1; },
         [](SimulationResult &r) { moveEnd(r, 0, 3, 1); },
         [](SimulationResult &r) {

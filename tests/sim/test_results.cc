@@ -55,7 +55,7 @@ TEST(JobOutcome, FinishIgnoresLostSlices)
     // so its range can grow at the column's end.
     r.segments.emplace_back(9000, 12600, PurchaseOption::OnDemand, false,
                             1);
-    ++o.segment_count;
+    ++o.segment_end;
     EXPECT_EQ(r.start(o), 0);
     EXPECT_EQ(r.finish(o), 12600);
     EXPECT_EQ(r.lostCoreSeconds(o), 1800.0 * 2);
@@ -97,8 +97,11 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
          {300, 400, PurchaseOption::Reserved, false, 1}});
     appendRun(r, 0, 50, 500, 1);
     ASSERT_EQ(r.segments.size(), 4u);
-    EXPECT_EQ(r.outcomes[1].first_segment, 1u);
-    EXPECT_EQ(r.outcomes[2].first_segment, 3u);
+    EXPECT_EQ(r.outcomes[0].segment_end, 1u);
+    EXPECT_EQ(r.outcomes[1].segment_end, 3u);
+    EXPECT_EQ(r.outcomes[2].segment_end, 4u);
+    EXPECT_EQ(r.placements(r.outcomes[1]).data(), &r.segments[1]);
+    EXPECT_EQ(r.placements(r.outcomes[2]).data(), &r.segments[3]);
 
     const SimulationResult copy = r;
     r.segments.clear();
@@ -139,17 +142,51 @@ TEST(JobOutcomeDeath, JobAssertsTheOutcomeIsInTheColumn)
                  "no job in the result's job column");
 }
 
+TEST(JobOutcomeDeath, PlacementsAssertTheOutcomeIsInTheColumn)
+{
+    // A range starts at the previous outcome's end, which only an
+    // outcome inside the column has.
+    SimulationResult r;
+    appendRun(r, 0, 100, 0, 1);
+    appendRun(r, 0, 100, 100, 1);
+    const JobOutcome stray = r.outcomes[1];
+    EXPECT_DEATH((void)r.placements(stray), "not one of this result's");
+    EXPECT_DEATH((void)r.start(stray), "not one of this result's");
+    const SimulationResult copy = r;
+    EXPECT_DEATH((void)copy.placements(r.outcomes[1]),
+                 "not one of this result's");
+}
+
 TEST(JobOutcome, CarbonSaved)
 {
-    // One core-hour at 300 g/kWh and 100 W emits 30 g.
+    // One core-hour at 100 W emits 50 g at 500 g/kWh, at submit, and
+    // 30 g at 300 g/kWh, an hour later, when the job ran.
     SimulationResult r;
-    testutil::setCarbon(r, {300.0}, 100.0);
-    JobOutcome o;
-    o.carbon_nowait_g = 50.0;
+    testutil::setCarbon(r, {500.0, 300.0}, 100.0);
     const JobOutcome &added = testutil::appendOutcome(
-        r, Job{1, 0, 3600, 1}, o,
-        {{0, 3600, PurchaseOption::OnDemand, false, 1}});
+        r, Job{1, 0, 3600, 1}, JobOutcome{},
+        {{3600, 7200, PurchaseOption::OnDemand, false, 1}});
+    EXPECT_DOUBLE_EQ(r.carbonNowaitGrams(added), 50.0);
+    EXPECT_DOUBLE_EQ(r.carbonGrams(added), 30.0);
     EXPECT_DOUBLE_EQ(r.carbonSaved(added), 20.0);
+}
+
+TEST(JobOutcome, NoWaitCarbonStartsAtTheAdmittedArrival)
+{
+    // Submitted at 0 and admitted half an hour later (a delayed start
+    // or a carbon-source retry), a 2-core job of one hour, stretched
+    // to 90 min by a straggler fault, would emit from 1800 to 7200 s
+    // at 100 W per core: 0.2 kW x (0.5 h x 500 + 1 h x 300) g/kWh.
+    SimulationResult r;
+    testutil::setCarbon(r, {500.0, 300.0, 900.0}, 100.0);
+    JobOutcome delayed;
+    delayed.length = 5400;
+    delayed.arrival_delay = 1800;
+    const JobOutcome &o = testutil::appendOutcome(
+        r, Job{1, 0, 3600, 2}, delayed,
+        {{1800, 7200, PurchaseOption::OnDemand, false, 1}});
+    EXPECT_DOUBLE_EQ(r.carbonNowaitGrams(o), 0.2 * (250.0 + 300.0));
+    EXPECT_DOUBLE_EQ(r.carbonSaved(o), 0.0);
 }
 
 TEST(SimulationResult, CostAndWaitAggregates)

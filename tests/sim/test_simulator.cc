@@ -54,7 +54,7 @@ TEST(Simulator, SingleJobClosedFormAccounting)
     EXPECT_EQ(r.waiting(o), 0);
     // 2 cores x 5 W = 10 W = 0.01 kW for 2 h at 100 g/kWh -> 2 g.
     EXPECT_NEAR(r.carbonGrams(o), 2.0, 1e-9);
-    EXPECT_NEAR(o.carbon_nowait_g, 2.0, 1e-9);
+    EXPECT_NEAR(r.carbonNowaitGrams(o), 2.0, 1e-9);
     // 4 core-hours on demand at $0.0624.
     EXPECT_NEAR(r.variableCost(o), 4 * 0.0624, 1e-9);
     EXPECT_NEAR(r.totalCost(), 4 * 0.0624, 1e-9);
@@ -311,6 +311,37 @@ TEST(Simulator, ExplicitHorizonOverridesDefault)
                 1e-9);
 }
 
+TEST(Simulator, ReservedUtilizationCountsOnlyTheHorizon)
+{
+    // A 3 h reserved job outlasts a 2 h reservation of one core. The
+    // usage split keeps all 3 core-hours, but the pool can be busy
+    // for only the 2 h it is reserved, so its utilization is 1, not
+    // 1.5.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const JobTrace trace("t", {{1, 0, hours(3), 1}});
+    ClusterConfig cluster;
+    cluster.reserved_cores = 1;
+    cluster.reservation_horizon = hours(2);
+    const SimulationResult r =
+        run(trace, "NoWait", oneQueue(0), cis, cluster,
+            ResourceStrategy::ReservedFirst);
+    ASSERT_EQ(r.placements(r.outcomes[0]).size(), 1u);
+    EXPECT_EQ(r.placements(r.outcomes[0])[0].option,
+              PurchaseOption::Reserved);
+    EXPECT_DOUBLE_EQ(r.reserved_core_seconds, 3.0 * 3600.0);
+    EXPECT_DOUBLE_EQ(r.reserved_utilization, 1.0);
+
+    // A slice that starts past the horizon adds nothing.
+    const JobTrace late("t", {{1, 0, hours(1), 1}, {2, hours(3),
+                                                    hours(1), 1}});
+    const SimulationResult l =
+        run(late, "NoWait", oneQueue(0), cis, cluster,
+            ResourceStrategy::ReservedFirst);
+    EXPECT_DOUBLE_EQ(l.reserved_core_seconds, 2.0 * 3600.0);
+    EXPECT_DOUBLE_EQ(l.reserved_utilization, 0.5);
+}
+
 TEST(Simulator, EmptyTraceProducesEmptyResult)
 {
     const CarbonTrace carbon = flatTrace();
@@ -354,7 +385,9 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
     const std::uint64_t expected = resultFingerprint(fresh);
     ASSERT_TRUE(std::any_of(
         fresh.outcomes.begin(), fresh.outcomes.end(),
-        [](const JobOutcome &o) { return o.segment_count > 2; }));
+        [&fresh](const JobOutcome &o) {
+            return fresh.placements(o).size() > 2;
+        }));
 
     // Both columns of the result that run filled are refilled in
     // place.
