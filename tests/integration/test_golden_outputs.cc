@@ -452,6 +452,7 @@ buildFaultCsv()
         Seconds backoff = minutes(5);
         std::string elastic_profile;
         int reserved = 4;
+        int spot_retries = 3;
     };
     const std::vector<Cell> cells = {
         {"delay", "Carbon-Time", "delay:rate=0.3,minutes=90"},
@@ -467,6 +468,10 @@ buildFaultCsv()
          "straggler:rate=0.3,factor=1.5;delay:rate=0.2,minutes=20;"
          "storm:rate=0.05",
          3, minutes(5), "linear:max=4", 8},
+        // A storm every hour and the most spot re-attempts the spec
+        // accepts: a spot job longer than an hour is evicted 17 times.
+        {"storm-max-retries", "Ecovisor", "storm:rate=1", 3, minutes(5),
+         "", 8, 16},
     };
 
     SweepEngine sweep;
@@ -479,6 +484,7 @@ buildFaultCsv()
         spec.fault = fault.value();
         spec.fault.cis_max_retries = cell.retries;
         spec.fault.cis_retry_backoff = cell.backoff;
+        spec.fault.storm_spot_retries = cell.spot_retries;
         spec.elastic_profile = cell.elastic_profile;
         spec.cluster.reserved_cores = cell.reserved;
         sweep.add(std::move(spec));
