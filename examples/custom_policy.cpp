@@ -79,7 +79,7 @@ meanEnergyPrice(const SimulationResult &result,
     for (const JobOutcome &o : result.outcomes) {
         const int cpus = result.job(o).cpus;
         for (const PlacedSegment &seg : result.placements(o)) {
-            for (Seconds t = seg.start; t < seg.end();
+            for (Seconds t = seg.start(); t < seg.end();
                  t += kSecondsPerHour) {
                 const Seconds step =
                     std::min(kSecondsPerHour, seg.end() - t);

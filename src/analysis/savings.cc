@@ -16,7 +16,8 @@ savingsCdfByLength(const SimulationResult &result,
     by_length.reserve(result.outcomes.size());
     double total = 0.0;
     for (const JobOutcome &o : result.outcomes) {
-        by_length.emplace_back(toHours(o.length), result.carbonSaved(o));
+        by_length.emplace_back(toHours(result.length(o)),
+                               result.carbonSaved(o));
         total += by_length.back().second;
     }
 
@@ -58,7 +59,7 @@ savingsShareByLength(const SimulationResult &result, double lo_hours,
     for (const JobOutcome &o : result.outcomes) {
         const double saved = result.carbonSaved(o);
         total += saved;
-        const double len = toHours(o.length);
+        const double len = toHours(result.length(o));
         if (len >= lo_hours && len < hi_hours)
             in_band += saved;
     }

@@ -171,7 +171,8 @@ writeRunArtifacts(const SimulationResult &result,
             const Job &job = result.job(o);
             details.writeRow(
                 {std::to_string(job.id), std::to_string(job.submit),
-                 std::to_string(o.length), std::to_string(job.cpus),
+                 std::to_string(result.length(o)),
+                 std::to_string(job.cpus),
                  std::to_string(result.start(o)),
                  std::to_string(result.finish(o)),
                  std::to_string(result.waiting(o)),

@@ -178,9 +178,9 @@ FaultSpec::validate() const
                  "s backoff waits ", ladder, "s, past the ",
                  kMaxInputDuration, " s limit");
     GAIA_REQUIRE(storm_spot_retries >= 0 &&
-                     storm_spot_retries <= 16,
-                 "storm spot-retry budget must be in [0, 16], "
-                 "got ", storm_spot_retries);
+                     storm_spot_retries <= kMaxStormSpotRetries,
+                 "storm spot-retry budget must be in [0, ",
+                 kMaxStormSpotRetries, "], got ", storm_spot_retries);
     return Status::ok();
 }
 

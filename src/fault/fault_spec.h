@@ -39,6 +39,10 @@ namespace gaia {
  *  delayed start moves an arrival at most a week. */
 constexpr Seconds kMaxFaultDuration = 7 * kSecondsPerDay;
 
+/** Most spot re-attempts a storm-evicted job may make before its
+ *  restart falls back to reserved or on-demand capacity. */
+constexpr int kMaxStormSpotRetries = 16;
+
 /** All fault-injection knobs for one simulation, as plain data. */
 struct FaultSpec
 {

@@ -30,6 +30,7 @@
 
 #include "common/time.h"
 #include "fault/fault_spec.h"
+#include "workload/job.h"
 
 namespace gaia {
 
@@ -37,6 +38,9 @@ namespace gaia {
 class FaultInjector
 {
   public:
+    /** No faults: the default spec, every rate zero. */
+    FaultInjector() = default;
+
     /**
      * Asserts on a spec validate() would reject — untrusted specs
      * must be validated first (runScenario does).
@@ -114,6 +118,20 @@ class FaultInjector
 
     FaultSpec spec_;
 };
+
+/**
+ * `job`'s length as run under `faults` (nullptr: no faults): its
+ * length, or FaultInjector::stretched() of it for a straggler. The
+ * one rule for it: the engine plans and restarts jobs at this length,
+ * and a result derives each outcome's from it.
+ */
+inline Seconds
+asRunLength(const Job &job, const FaultInjector *faults)
+{
+    return faults != nullptr && faults->straggler(job.id)
+               ? faults->stretched(job.length)
+               : job.length;
+}
 
 } // namespace gaia
 

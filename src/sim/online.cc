@@ -243,8 +243,9 @@ OnlineScheduler::admit(std::size_t idx)
 {
     const Job &job = (*jobs_)[idx];
     // The engine holds its own bounds rather than trusting every
-    // feed to have validated: the packed outcome stores the length
-    // in 32 bits, and cpus x width must stay inside an int.
+    // feed to have validated: the packed slices store their duration
+    // in 32 bits and their start in 48, and cpus x width must stay
+    // inside an int.
     GAIA_TRY(validateJob(job));
     GAIA_REQUIRE(job.submit >= events_.now(), "job ", job.id,
                  " submitted at ", job.submit,
@@ -255,16 +256,13 @@ OnlineScheduler::admit(std::size_t idx)
                 "payload");
     // Admitted arrival: the user's submit plus any fault delay.
     Seconds arrival = job.submit;
-    JobOutcome &outcome = outcomes_.emplace_back();
-    outcome.length = static_cast<std::uint32_t>(job.length);
+    outcomes_.emplace_back();
     if (faults_ != nullptr) {
-        if (faults_->straggler(job.id)) {
-            // Straggler slowdown: the job really takes longer; the
-            // books account the stretched length as useful work.
-            outcome.length = static_cast<std::uint32_t>(
-                faults_->stretched(job.length));
+        // Straggler slowdown: the job really takes longer. Planning,
+        // restarts and the books all take its as-run length
+        // (asRunLength()), so here it is only counted.
+        if (faults_->straggler(job.id))
             ++faults_injected_;
-        }
         if (faults_->delayedStart(job.id)) {
             // Delayed start: the scheduler sees the job late, but
             // the user submitted at the original instant, so the
@@ -300,14 +298,14 @@ void
 OnlineScheduler::planArrival(std::uint32_t slot)
 {
     JobState &state = states_[slot];
-    JobOutcome &outcome = outcomes_[state.job];
     const Job &submitted = jobAt(state.job);
     // The job as admitted: stretched by a straggler fault, arriving
     // now, at its (possibly delayed or retried) arrival instant.
     // Planning runs at this instant; the column keeps the user's
     // submit, so any delay counts as waiting.
-    const Job job{submitted.id, events_.now(), outcome.length,
-                  submitted.cpus, submitted.queue_hint};
+    const Job job{submitted.id, events_.now(),
+                  asRunLength(submitted, faults_), submitted.cpus,
+                  submitted.queue_hint};
 
     if (!cis_.availableAt(events_.now())) {
         if (retryArrivalLater(slot))
@@ -380,7 +378,7 @@ OnlineScheduler::planArrival(std::uint32_t slot)
                     kMaxFaultDuration + kMaxInputDuration,
                 "job ", job.id, " arrived ", job.submit - submitted.submit,
                 "s after its submit time");
-    outcome.arrival_delay =
+    outcomes_[state.job].arrival_delay =
         static_cast<std::uint32_t>(job.submit - submitted.submit);
 
     // A validated job's length is positive, so a zero bound admits
@@ -457,8 +455,7 @@ OnlineScheduler::followPlan(std::uint32_t slot)
         for (std::size_t s = 0; s < state.plan.segmentCount(); ++s) {
             const RunSegment &seg = state.plan.segment(s);
             recordSegment(state.job, seg.start, seg.end,
-                          PurchaseOption::OnDemand, /*lost=*/false,
-                          seg.width);
+                          PurchaseOption::OnDemand, seg.width);
         }
         notifyJobEnd(state.job, state.plan.plannedEnd());
         return;
@@ -514,29 +511,25 @@ OnlineScheduler::runSpotSlice(std::uint32_t slot, Seconds from,
         }
     }
     if (evict_at < 0) {
-        recordSegment(state.job, from, to, PurchaseOption::Spot,
-                      /*lost=*/false, width);
+        recordSegment(state.job, from, to, PurchaseOption::Spot, width);
         if (final_slice)
             notifyJobEnd(state.job, to);
         return;
     }
 
     // Evicted: this slice (and any previously completed slices) is
-    // wasted; the paper assumes all progress is lost, so finalize()
-    // marks every segment recorded so far lost. A width-w gang loses
-    // all w instances' work together.
+    // wasted; the paper assumes all progress is lost. A width-w gang
+    // loses all w instances' work together. The restart records the
+    // job's one surviving slice, so every slice before it is lost
+    // (SimulationResult::lostSlices()).
     if (storm)
         ++faults_injected_;
-    if (evict_at > from) {
+    if (evict_at > from)
         recordSegment(state.job, from, evict_at, PurchaseOption::Spot,
-                      /*lost=*/true, width);
-    }
+                      width);
     // A counted eviction also marks the rest of the plan inert (see
-    // placeSegment). Until finalize, segment_end counts the job's
-    // slices so far.
-    JobOutcome &outcome = outcomes_[state.job];
-    lost_prefixes_.push_back({state.job, outcome.segment_end});
-    outcome.evictions += 1;
+    // placeSegment).
+    outcomes_[state.job].evictions += 1;
     scheduleForSlot(evict_at, EvRestartAfterEviction, slot);
 }
 
@@ -549,9 +542,9 @@ OnlineScheduler::restartAfterEviction(std::uint32_t slot, Seconds at)
     // work in ceil(length / maxThroughput) seconds: exactly the
     // length at fixed width, whose throughput is 1.0.
     const int width = elastic_.maxInstances();
-    const auto duration = static_cast<Seconds>(
-        std::ceil(static_cast<double>(outcomes_[state.job].length) /
-                  elastic_.maxThroughput()));
+    const auto duration = static_cast<Seconds>(std::ceil(
+        static_cast<double>(asRunLength(jobAt(state.job), faults_)) /
+        elastic_.maxThroughput()));
     // Under the storm model a bounded number of restarts re-attempt
     // spot first — that is what makes back-to-back revocations of
     // the same job possible — before falling through to the
@@ -587,8 +580,7 @@ OnlineScheduler::runOnReserved(std::uint32_t job, Seconds from,
     if (!pool_.canFit(cores))
         return false;
     pool_.acquire(cores);
-    recordSegment(job, from, to, PurchaseOption::Reserved,
-                  /*lost=*/false, width);
+    recordSegment(job, from, to, PurchaseOption::Reserved, width);
     events_.schedule(to, kActionPriority,
                      SimEvent{EvPoolRelease,
                               static_cast<std::uint32_t>(cores), 0});
@@ -600,8 +592,7 @@ OnlineScheduler::placeSlice(std::uint32_t job, Seconds from,
                             Seconds to, int width)
 {
     if (!runOnReserved(job, from, to, width))
-        recordSegment(job, from, to, PurchaseOption::OnDemand,
-                      /*lost=*/false, width);
+        recordSegment(job, from, to, PurchaseOption::OnDemand, width);
 }
 
 bool
@@ -623,7 +614,7 @@ OnlineScheduler::startOnReserved(std::uint32_t slot)
 void
 OnlineScheduler::recordSegment(std::uint32_t job, Seconds from,
                                Seconds to, PurchaseOption option,
-                               bool lost, int width)
+                               int width)
 {
     GAIA_ASSERT(segments_.size() <
                     std::numeric_limits<std::uint32_t>::max(),
@@ -642,9 +633,9 @@ OnlineScheduler::recordSegment(std::uint32_t job, Seconds from,
     else
         segment_jobs_.push_back(job);
     // The constructor asserts the slice is non-empty and fits its
-    // 32-bit duration and 16-bit width; a validated job keeps far
-    // inside both.
-    segments_.emplace_back(from, to, option, lost, width);
+    // 48-bit start, 32-bit duration and 8-bit width; a validated job
+    // keeps inside all three (sim/results.h).
+    segments_.emplace_back(from, to, option, width);
     ++outcomes_[job].segment_end;
 }
 
@@ -667,8 +658,7 @@ OnlineScheduler::onPlannedStart(std::uint32_t slot)
     // at the plan's duration and width (single-segment plans only).
     const Seconds end = events_.now() + state.plan.totalRunTime();
     recordSegment(state.job, events_.now(), end,
-                  PurchaseOption::OnDemand, /*lost=*/false,
-                  state.plan.segment(0).width);
+                  PurchaseOption::OnDemand, state.plan.segment(0).width);
     notifyJobEnd(state.job, end);
 }
 
@@ -732,15 +722,8 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     result.startup_overhead = cluster_.startup_overhead;
     result.carbon = cis_.trace();
     result.energy = cluster_.energy;
-    // Each job's range is in record order, so an eviction's lost
-    // segments are a prefix of it.
-    for (const LostPrefix &lost : lost_prefixes_) {
-        const auto first = static_cast<std::size_t>(
-            result.placements(result.outcomes[lost.job]).data() -
-            result.segments.data());
-        for (std::uint32_t k = 0; k < lost.segments; ++k)
-            result.segments[first + k].lost = true;
-    }
+    if (faults_ != nullptr)
+        result.faults = *faults_;
 
     const Seconds horizon = cluster_.reservation_horizon;
     // The reservation pays for [0, horizon) only, as its upfront cost
@@ -761,6 +744,8 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         const Job &job = result.job(o);
         const std::span<const PlacedSegment> segs = result.placements(o);
         GAIA_ASSERT(!segs.empty(), "job ", job.id, " never executed");
+        const std::size_t lost = result.lostSlices(o);
+        const Seconds length = result.length(o);
         Seconds useful = 0;
         double useful_work = 0.0;
         double carbon_g = 0.0;
@@ -770,10 +755,14 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         // of the evicted plan. So the range needs no sort, and the
         // end of its last slice, a survivor, is the job's finish.
         Seconds finish = 0;
-        for (const PlacedSegment &seg : segs) {
-            GAIA_ASSERT(seg.start >= finish, "job ", job.id,
-                        " has a slice at ", seg.start,
+        for (std::size_t k = 0; k < segs.size(); ++k) {
+            const PlacedSegment &seg = segs[k];
+            const Seconds start = seg.start();
+            GAIA_ASSERT(start >= finish, "job ", job.id,
+                        " has a slice at ", start,
                         " before its previous one ends at ", finish);
+            GAIA_ASSERT(k >= lost || seg.option == PurchaseOption::Spot,
+                        "job ", job.id, " lost a slice off spot");
             finish = seg.end();
             // Every per-instance quantity scales with the gang
             // width (1 for fixed-width jobs, so their books are
@@ -804,14 +793,14 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                 // A slice inside the horizon adds the same double as
                 // above, so the two sums differ only past it.
                 const Seconds end = std::min(seg.end(), horizon);
-                if (seg.start < end)
+                if (start < end)
                     reserved_in_horizon +=
-                        static_cast<double>(end - seg.start) * cores;
+                        static_cast<double>(end - start) * cores;
                 if (!busy.empty()) {
                     // Each addend is an exact integer (at most an
                     // hour times 2^26 cores), so the sums do not
                     // depend on the order of the walk.
-                    for (Seconds at = seg.start; at < end;) {
+                    for (Seconds at = start; at < end;) {
                         const SlotIndex hour = slotOf(at);
                         const Seconds next =
                             std::min(slotStart(hour + 1), end);
@@ -831,7 +820,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
                     core_seconds + overhead_core_seconds;
                 break;
             }
-            if (!seg.lost) {
+            if (k >= lost) {
                 useful += seg.duration();
                 useful_work +=
                     static_cast<double>(seg.duration()) *
@@ -844,18 +833,16 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
             // instance, so up to one second of over-delivery per
             // marginal instance plus the base chunk can accrue —
             // bounded by 2 x maxThroughput seconds of work.
-            GAIA_ASSERT(useful_work + 1e-6 >=
-                                static_cast<double>(o.length) &&
+            const auto work = static_cast<double>(length);
+            GAIA_ASSERT(useful_work + 1e-6 >= work &&
                             useful_work <
-                                static_cast<double>(o.length) +
-                                    2.0 * elastic_.maxThroughput() +
+                                work + 2.0 * elastic_.maxThroughput() +
                                     1e-6,
                         "job ", job.id, " delivered ", useful_work,
-                        " work-seconds, expected about ", o.length);
+                        " work-seconds, expected about ", length);
         } else {
-            GAIA_ASSERT(useful == o.length, "job ", job.id, " ran ",
-                        useful, "s of useful work, expected ",
-                        o.length);
+            GAIA_ASSERT(useful == length, "job ", job.id, " ran ", useful,
+                        "s of useful work, expected ", length);
         }
         if (finish > horizon && !horizon_overrun_warned) {
             // A horizon derived at finalize covers every slice, but

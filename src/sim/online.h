@@ -41,9 +41,10 @@
  * admitted job to a column the engine owns (reserveStream() allocates
  * it, or the first submit()). Either way a job is admitted by one
  * function that validates it, records its JobOutcome (only what the
- * run decides: the stretched length, evictions, the end of the
- * segment range and the admitted arrival's offset from submit, from
- * which the no-wait counterfactual derives) and queues its arrival
+ * run decides: evictions, the end of the segment range and the
+ * admitted arrival's offset from submit, from which the no-wait
+ * counterfactual derives; a straggler's stretched length derives
+ * from the job and the run's fault injector) and queues its arrival
  * as a 4-byte job index, whose time the arrival lane reads from the
  * column (see sim/event_queue.h), as planning reads its queue hint.
  * A rejected or late job gets neither a column entry nor an outcome.
@@ -62,14 +63,16 @@
  * placement's outcome index is logged in a 4-byte column beside it.
  * Until finalize() each outcome's segment_end counts its job's
  * placements. finalize() turns the counts into range ends, permutes
- * the segment column in place into job order, marks what evictions
- * lost, accounts the columns in place in one walk per job, and hands
- * them over whole as SimulationResult::jobs, SimulationResult::outcomes
- * and SimulationResult::segments, so a run never holds a record twice
- * and recording a placement allocates nothing per job. Both records
- * are packed (16-byte outcomes, 16-byte segments; see
- * sim/results.h), since a sweep holds them for every job of every
- * cell.
+ * the segment column in place into job order, accounts the columns
+ * in place in one walk per job, and hands them over whole as
+ * SimulationResult::jobs, SimulationResult::outcomes and
+ * SimulationResult::segments, so a run never holds a record twice
+ * and recording a placement allocates nothing per job. No slice
+ * records whether an eviction lost it: an evicted job restarts as
+ * exactly one slice, so every slice before its last is lost
+ * (SimulationResult::lostSlices()). Both records are packed (12-byte
+ * outcomes, 12-byte segments; see sim/results.h), since a sweep holds
+ * them for every job of every cell.
  *
  * Usage:
  *
@@ -171,9 +174,9 @@ class OnlineScheduler : private EventQueue::Sink
      * validateJob() or its submit time precedes the current
      * simulation time, since live feeds are untrusted input; a
      * rejected job leaves no trace. The engine applies validateJob()
-     * itself because its packed records rely on it: outcomes hold the
-     * length in 32 bits, and cpus x width must fit an int. Not for an
-     * engine that replay() fed.
+     * itself because its packed records rely on it: slices hold their
+     * duration in 32 bits and their start in 48, and cpus x width
+     * must fit an int. Not for an engine that replay() fed.
      */
     Status submit(const Job &job);
 
@@ -309,15 +312,6 @@ class OnlineScheduler : private EventQueue::Sink
         std::uint32_t spot_retries = 0;
     };
 
-    /** One eviction: outcome `job` had recorded `segments` segments
-     *  when it was evicted; the paper assumes all that progress is
-     *  lost, so finalize() marks them lost. */
-    struct LostPrefix
-    {
-        std::uint32_t job;
-        std::uint32_t segments;
-    };
-
     /** Event tags; payloads documented per tag. First arrivals are
      *  not events: the queue hands them to onArrival(). Every tag but
      *  EvPoolRelease and EvJobEnd names a job-state slot and is
@@ -422,8 +416,7 @@ class OnlineScheduler : private EventQueue::Sink
      *  planned duration and width, if its reserved cores fit. */
     bool startOnReserved(std::uint32_t slot);
     void recordSegment(std::uint32_t job, Seconds from, Seconds to,
-                       PurchaseOption option, bool lost,
-                       int width = 1);
+                       PurchaseOption option, int width);
     void onPlannedStart(std::uint32_t slot);
     void drainPending();
     void restartAfterEviction(std::uint32_t slot, Seconds at);
@@ -487,9 +480,6 @@ class OnlineScheduler : private EventQueue::Sink
     std::vector<std::uint32_t> segment_jobs_;
     /** Job of the latest placement while segment_jobs_ is empty. */
     std::uint32_t last_segment_job_ = 0;
-    /** Every eviction in event order; a job's later entries only
-     *  lengthen its lost prefix. */
-    std::vector<LostPrefix> lost_prefixes_;
     /** Slots waiting for reserved capacity, by planned start; equal
      *  starts keep their insertion order. */
     std::multimap<Seconds, std::uint32_t> pending_;

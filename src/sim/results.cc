@@ -43,27 +43,13 @@ class Digest
 
 } // namespace
 
-Seconds
-SimulationResult::finish(const JobOutcome &o) const
-{
-    Seconds latest = 0;
-    for (const PlacedSegment &seg : placements(o)) {
-        if (!seg.lost)
-            latest = std::max(latest, seg.end());
-    }
-    return latest;
-}
-
 double
 SimulationResult::lostCoreSeconds(const JobOutcome &o) const
 {
     const int cpus = job(o).cpus;
     double lost = 0.0;
-    for (const PlacedSegment &seg : placements(o)) {
-        if (seg.lost)
-            lost += static_cast<double>(seg.duration()) *
-                    (cpus * seg.width);
-    }
+    for (const PlacedSegment &seg : placements(o).first(lostSlices(o)))
+        lost += static_cast<double>(seg.duration()) * (cpus * seg.width);
     return lost;
 }
 
@@ -100,15 +86,16 @@ SimulationResult::addSliceCarbon(double grams, const PlacedSegment &seg,
                                  int cores) const
 {
     const double kilowatts = energy.kilowatts(cores);
-    grams += carbon.gramsFor(seg.start, seg.end(), kilowatts);
+    const Seconds start = seg.start();
+    grams += carbon.gramsFor(start, seg.end(), kilowatts);
     if (seg.overheadCoreSeconds(cores, startup_overhead) > 0.0) {
         // Each acquisition's spin-up emits without doing work.
         const Seconds from =
-            std::max<Seconds>(seg.start - startup_overhead, 0);
-        double overhead = carbon.gramsFor(from, seg.start, kilowatts);
+            std::max<Seconds>(start - startup_overhead, 0);
+        double overhead = carbon.gramsFor(from, start, kilowatts);
         // Clip at t=0: charge the clipped part at the first slot's
         // intensity.
-        const Seconds clipped = startup_overhead - (seg.start - from);
+        const Seconds clipped = startup_overhead - (start - from);
         if (clipped > 0) {
             overhead += carbon.at(0) * kilowatts *
                         static_cast<double>(clipped) /
@@ -191,13 +178,13 @@ resultFingerprint(const SimulationResult &result)
     digest.mix<std::uint64_t>(result.outcomes.size());
     for (const JobOutcome &o : result.outcomes) {
         // The submitted job's fields and the derived figures mix
-        // where the outcome once held them, and narrowed fields at
+        // where the records once held them, and narrowed fields at
         // their old widths (Seconds), so neither packing the records
         // nor moving the job into the column moved a fingerprint.
         const Job &job = result.job(o);
         digest.mix(job.id);
         digest.mix(job.submit);
-        digest.mix<Seconds>(o.length);
+        digest.mix(result.length(o));
         digest.mix(job.cpus);
         digest.mix(result.start(o));
         digest.mix(result.finish(o));
@@ -208,12 +195,14 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(result.lostCoreSeconds(o));
         digest.mix(result.overheadCoreSeconds(o));
         const std::span<const PlacedSegment> segs = result.placements(o);
+        const std::size_t lost = result.lostSlices(o);
         digest.mix<std::uint64_t>(segs.size());
-        for (const PlacedSegment &seg : segs) {
-            digest.mix(seg.start);
+        for (std::size_t k = 0; k < segs.size(); ++k) {
+            const PlacedSegment &seg = segs[k];
+            digest.mix(seg.start());
             digest.mix(seg.end());
             digest.mix(static_cast<int>(seg.option));
-            digest.mix(seg.lost);
+            digest.mix(k < lost);
             // Mixed only when above 1 so every fixed-width
             // fingerprint (all pinned golden CSVs) is unchanged by
             // the field's introduction.
@@ -252,7 +241,7 @@ allocationSeries(const SimulationResult &result, Seconds step,
         for (const PlacedSegment &seg : result.placements(o)) {
             if (!any_option && seg.option != option)
                 continue;
-            Seconds cursor = seg.start;
+            Seconds cursor = seg.start();
             while (cursor < seg.end()) {
                 const auto bucket =
                     static_cast<std::size_t>(cursor / step);

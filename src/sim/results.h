@@ -26,6 +26,7 @@
 #include "common/logging.h"
 #include "common/time.h"
 #include "fault/fault_spec.h"
+#include "fault/injector.h"
 #include "trace/carbon_trace.h"
 #include "workload/job.h"
 
@@ -34,38 +35,59 @@ namespace gaia {
 /** Longest slice a PlacedSegment can hold: its duration is 32-bit. */
 constexpr Seconds kMaxSegmentDuration =
     std::numeric_limits<std::uint32_t>::max();
-/** Widest gang a PlacedSegment can hold: its width is 16-bit. */
-constexpr int kMaxSegmentWidth = std::numeric_limits<std::uint16_t>::max();
+/** Latest start a PlacedSegment can hold: its start is 48-bit. */
+constexpr Seconds kMaxSegmentStart = (Seconds{1} << 48) - 1;
+/** Widest gang a PlacedSegment can hold: its width is 8-bit. */
+constexpr int kMaxSegmentWidth = std::numeric_limits<std::uint8_t>::max();
 
 // The engine records nothing these fields cannot hold: validateJob
 // bounds every job's submit and length by kMaxInputDuration (and
 // FaultInjector::stretched saturates there), no slice outlasts its
 // job, and ElasticProfile::validate caps the width.
 static_assert(kMaxInputDuration <= kMaxSegmentDuration,
-              "a century must fit the 32-bit outcome and slice fields");
+              "a century must fit the 32-bit slice duration");
 static_assert(kMaxElasticInstances <= kMaxSegmentWidth);
+// The latest slice validated inputs reach starts after a century
+// submit (validateJob), a week's start delay and a century retry
+// ladder (FaultSpec::validate), a century wait (the CLI reads a
+// queue's bound as a duration, at most a century), a century-long
+// plan, and 1 + kMaxStormSpotRetries restarts, each at most a century
+// long: about 21 centuries, below 2^37 s. The constructor asserts
+// the bound for any other input.
+static_assert(kMaxInputDuration + kMaxFaultDuration +
+                      kMaxInputDuration + kMaxInputDuration +
+                      kMaxInputDuration +
+                      (1 + kMaxStormSpotRetries) * kMaxInputDuration <=
+                  kMaxSegmentStart,
+              "the latest start validated inputs reach must fit the "
+              "48-bit slice start");
 
 /**
  * One executed (or lost) slice of a job on a purchase option. A
- * sweep holds one per placement per cell, so it packs into 16 bytes
- * (tests/sim/test_layout_budget.cc): a 32-bit duration with the end
- * derived from it, and a 16-bit width. The one constructor takes the
+ * sweep holds one per placement per cell, so it packs into 12 bytes
+ * (tests/sim/test_layout_budget.cc): a 48-bit start, a 32-bit
+ * duration with the end derived from it, an 8-bit width and the
+ * option. Whether an eviction lost the slice is not stored: it
+ * follows from its place in its job's range
+ * (SimulationResult::lostSlices()). The one constructor takes the
  * end, so no initializer can pass an end where a duration belongs,
- * and asserts both fit.
+ * and asserts that every field fits.
  */
 struct PlacedSegment
 {
-    /** The slice [start, end) at `width` instances; asserts it is
-     *  non-empty, at most kMaxSegmentDuration long and 1 to
-     *  kMaxSegmentWidth wide. */
+    /** The slice [start, end) at `width` instances; asserts it starts
+     *  in [0, kMaxSegmentStart], is non-empty, at most
+     *  kMaxSegmentDuration long and 1 to kMaxSegmentWidth wide. */
     PlacedSegment(Seconds start, Seconds end, PurchaseOption option,
-                  bool lost, int width)
-        : start(start),
-          width(static_cast<std::uint16_t>(width)),
-          option(option),
-          lost(lost),
-          duration_(static_cast<std::uint32_t>(end - start))
+                  int width)
+        : start_lo_(static_cast<std::uint32_t>(start)),
+          duration_(static_cast<std::uint32_t>(end - start)),
+          start_hi_(static_cast<std::uint16_t>(start >> 32)),
+          width(static_cast<std::uint8_t>(width)),
+          option(option)
     {
+        GAIA_ASSERT(start >= 0 && start <= kMaxSegmentStart, "slice at ",
+                    start, " starts outside the 48-bit start");
         GAIA_ASSERT(end > start && end - start <= kMaxSegmentDuration,
                     "slice [", start, ", ", end,
                     ") is empty or outlasts the 32-bit duration");
@@ -74,15 +96,11 @@ struct PlacedSegment
                     kMaxSegmentWidth, "]");
     }
 
-    Seconds start;
-    /** Concurrent instances during the slice; 1 for every
-     *  fixed-width job, above 1 only for elastic plans. */
-    std::uint16_t width;
-    PurchaseOption option;
-    /** True for spot work destroyed by an eviction. */
-    bool lost;
-
-    Seconds end() const { return start + duration_; }
+    Seconds start() const
+    {
+        return (static_cast<Seconds>(start_hi_) << 32) | start_lo_;
+    }
+    Seconds end() const { return start() + duration_; }
     Seconds duration() const { return duration_; }
 
     /** Core-seconds of start-up overhead this slice carries at
@@ -97,30 +115,38 @@ struct PlacedSegment
     }
 
   private:
+    // Declared first, so the start's low word and the duration fill
+    // the first eight bytes and the rest packs into the third word.
+    std::uint32_t start_lo_;
     std::uint32_t duration_;
+    std::uint16_t start_hi_;
+
+  public:
+    /** Concurrent instances during the slice; 1 for every
+     *  fixed-width job, above 1 only for elastic plans. */
+    std::uint8_t width;
+    PurchaseOption option;
 };
 
 /**
  * What the run decided for one job. The job as submitted (id, submit
- * time, cpus) lives in the result's shared job column
+ * time, length, cpus) lives in the result's shared job column
  * (SimulationResult::job()), and its placed segments in the result's
- * segment column (SimulationResult::placements()); start, finish,
- * waiting, lost core-seconds, start-up overhead, variable cost,
- * carbon and the no-wait counterfactual carbon derive from them (with
- * the result's price list, carbon trace and power model) rather than
+ * segment column (SimulationResult::placements()); its as-run length
+ * derives from the job and the run's fault injector
+ * (SimulationResult::length()), and start, finish, waiting, lost
+ * slices and core-seconds, start-up overhead, variable cost, carbon
+ * and the no-wait counterfactual carbon from the segments (with the
+ * result's price list, carbon trace and power model) rather than
  * being stored beside them. A sweep holds one of these per job per
- * cell, so the layout is packed into four 32-bit words
- * (tests/sim/test_layout_budget.cc pins the byte budget): a 32-bit
- * length (a validated job's is at most kMaxInputDuration), the
+ * cell, so the layout is packed into three 32-bit words
+ * (tests/sim/test_layout_budget.cc pins the byte budget): the
  * eviction count, the end of the segment range and the admitted
  * arrival's offset. Outcomes hold indices into the columns, not
  * pointers, so copying a result keeps them valid.
  */
 struct JobOutcome
 {
-    /** Length as run: the submitted length, or the stretched one a
-     *  straggler fault gave it. */
-    std::uint32_t length = 0;
     /** Spot evictions suffered. */
     int evictions = 0;
 
@@ -189,6 +215,9 @@ struct SimulationResult
      *  trace, carbon source and engine that made it are gone. */
     CarbonTrace carbon;
     EnergyModel energy;
+    /** The run's fault injector (plain data; no faults by default):
+     *  a straggler's as-run length derives from it (length()). */
+    FaultInjector faults;
 
     /** Dollars. */
     double reserved_upfront = 0.0;
@@ -247,17 +276,40 @@ struct SimulationResult
         return {segments.data() + first, o.segment_end - first};
     }
 
+    /** `o`'s length as run: its job's length, stretched if the run's
+     *  injector makes the job a straggler (asRunLength()). */
+    Seconds length(const JobOutcome &o) const
+    {
+        return asRunLength(job(o), &faults);
+    }
+
+    /** How many of `o`'s slices an eviction lost: a prefix of its
+     *  range. The paper assumes an eviction loses all progress, and
+     *  the engine restarts an evicted job as exactly one slice (a
+     *  spot re-attempt that a storm evicts in turn restarts the same
+     *  way), so every slice of an evicted job but its last is lost,
+     *  and a job never evicted loses none. */
+    std::size_t lostSlices(const JobOutcome &o) const
+    {
+        const std::size_t slices = placements(o).size();
+        return o.evictions > 0 && slices > 0 ? slices - 1 : 0;
+    }
+
     /** First instant any of `o`'s segments ran (the first segment's
      *  start); 0 without segments. */
     Seconds start(const JobOutcome &o) const
     {
         const std::span<const PlacedSegment> segs = placements(o);
-        return segs.empty() ? 0 : segs.front().start;
+        return segs.empty() ? 0 : segs.front().start();
     }
-    /** Instant `o`'s last successful segment completed (lost slices
-     *  ignored); 0 without one. */
-    Seconds finish(const JobOutcome &o) const;
-    /** Core-seconds `o` lost to evictions: the lost segments'
+    /** Instant `o` completed: the end of its last slice, which
+     *  survived (lostSlices()); 0 without segments. */
+    Seconds finish(const JobOutcome &o) const
+    {
+        const std::span<const PlacedSegment> segs = placements(o);
+        return segs.empty() ? 0 : segs.back().end();
+    }
+    /** Core-seconds `o` lost to evictions: the lost slices'
      *  duration x cpus x width, summed in segment order. */
     double lostCoreSeconds(const JobOutcome &o) const;
     /** Core-seconds of instance start-up overhead attributed to `o`:
@@ -289,7 +341,7 @@ struct SimulationResult
     {
         const Job &submitted = job(o);
         const Seconds arrival = submitted.submit + o.arrival_delay;
-        return carbon.gramsFor(arrival, arrival + o.length,
+        return carbon.gramsFor(arrival, arrival + length(o),
                                energy.kilowatts(submitted.cpus));
     }
     /** Emissions `o` saved versus running immediately, grams. */
@@ -308,7 +360,7 @@ struct SimulationResult
      *  single-instance length — a speedup, reported as-is. */
     Seconds waiting(const JobOutcome &o) const
     {
-        return completion(o) - o.length;
+        return completion(o) - length(o);
     }
 
     /** Mean job waiting time, hours. */
@@ -356,9 +408,10 @@ allocationSeries(const SimulationResult &result, Seconds step,
  * pattern, so even sub-printing-precision drift changes the
  * digest). Two runs are bit-identical iff their fingerprints match
  * — the determinism tests compare this across thread counts and
- * repeated runs. `pricing`, `startup_overhead`, `carbon` and
- * `energy` are not mixed themselves: they enter through each job's
- * variableCost(), overheadCoreSeconds() and carbonGrams().
+ * repeated runs. `pricing`, `startup_overhead`, `carbon`, `energy`
+ * and `faults` are not mixed themselves: they enter through each
+ * job's variableCost(), overheadCoreSeconds(), carbonGrams() and
+ * length().
  */
 std::uint64_t resultFingerprint(const SimulationResult &result);
 

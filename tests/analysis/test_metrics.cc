@@ -24,7 +24,8 @@ TEST(Metrics, ExtractFromResult)
     r.on_demand_cost = 2.0;
     r.spot_cost = 1.0;
     testutil::appendOutcome(
-        r, Job{1, 0, 3600, 1}, JobOutcome{}, {{3600, 7200, PurchaseOption::OnDemand, false, 1}});
+        r, Job{1, 0, 3600, 1}, JobOutcome{},
+        {{3600, 7200, PurchaseOption::OnDemand, 1}});
 
     const MetricsRow m = metricsOf("x", r);
     EXPECT_EQ(m.label, "x");

@@ -42,7 +42,7 @@ addOutcome(SimulationResult &r, Seconds length, double saved,
     testutil::setCarbon(r, std::move(hourly), 1000.0);
     testutil::appendOutcome(r, Job{1, submit, length, 1}, JobOutcome{},
                             {{submit + wait, submit + wait + length,
-                              PurchaseOption::OnDemand, false, 1}});
+                              PurchaseOption::OnDemand, 1}});
 }
 
 TEST(Savings, CdfByLengthHandExample)

@@ -262,7 +262,7 @@ TEST(RunScenario, AResultOutlivesItsTraceCacheAndEngine)
     EXPECT_GT(r.eviction_count, 0u);
     EXPECT_TRUE(std::any_of(
         r.outcomes.begin(), r.outcomes.end(), [&](const JobOutcome &o) {
-            return static_cast<Seconds>(o.length) != r.job(o).length;
+            return r.length(o) != r.job(o).length;
         }));
 }
 

@@ -459,9 +459,12 @@ TEST(CliRunner, GaiaServeNamesAServeFlagMissingItsValue)
     const std::filesystem::path err = dir / "stderr.txt";
     for (const std::string flag :
          {"--socket", "--accel", "--queue-capacity"}) {
-        const std::string command = std::string(GAIA_SERVE_BIN) + " " +
-                                    flag + " >/dev/null 2>" +
-                                    err.string();
+        // The flag comes last, so a first --socket keeps a daemon
+        // that accepted it off the default socket.
+        const std::string command =
+            "timeout 10 " + std::string(GAIA_SERVE_BIN) +
+            " --socket " + (dir / "sock").string() + " " + flag +
+            " >/dev/null 2>" + err.string();
         const int status = std::system(command.c_str());
         ASSERT_NE(status, -1);
         EXPECT_TRUE(WIFEXITED(status)) << flag;
@@ -564,11 +567,12 @@ TEST(CliRunner, BothDriversListTheSamePolicies)
         std::filesystem::temp_directory_path() / "gaia_cli_policies";
     std::filesystem::create_directories(dir);
     std::string listings[2];
-    const char *binaries[] = {GAIA_RUN_BIN, GAIA_SERVE_BIN};
+    const std::string binaries[] = {
+        GAIA_RUN_BIN, "timeout 10 " + std::string(GAIA_SERVE_BIN) +
+                          " --socket " + (dir / "sock").string()};
     for (int b = 0; b < 2; ++b) {
         const std::filesystem::path out = dir / "stdout.txt";
-        const std::string command = std::string(binaries[b]) +
-                                    " --list-policies >" +
+        const std::string command = binaries[b] + " --list-policies >" +
                                     out.string() + " 2>&1";
         const int status = std::system(command.c_str());
         ASSERT_NE(status, -1);
@@ -587,7 +591,16 @@ TEST(CliRunner, BothDriversListTheSamePolicies)
 
 TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
 {
-    for (const char *binary : {GAIA_RUN_BIN, GAIA_SERVE_BIN}) {
+    // gaia_serve runs under a timeout and off the default socket: a
+    // daemon that accepted one of these inputs would listen until
+    // killed.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_hostile";
+    std::filesystem::create_directories(dir);
+    const std::string binaries[] = {
+        GAIA_RUN_BIN, "timeout 10 " + std::string(GAIA_SERVE_BIN) +
+                          " --socket " + (dir / "sock").string()};
+    for (const std::string &binary : binaries) {
         for (const char *flags :
              {"--span-days inf", "--span-days 1e300",
               "--jobs 100000000000000", "-w 1e300x1e300",
@@ -596,8 +609,8 @@ TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
               "--fault-backoff-min 10081",
               "--fault-retries 16 --fault-backoff-min 803",
               "--fault outage:rate=0.1,hours=1e300"}) {
-            const std::string command = std::string(binary) + " " +
-                                        flags + " >/dev/null 2>&1";
+            const std::string command =
+                binary + " " + flags + " >/dev/null 2>&1";
             const int status = std::system(command.c_str());
             ASSERT_NE(status, -1);
             EXPECT_TRUE(WIFEXITED(status)) << binary << " " << flags;
@@ -605,6 +618,7 @@ TEST(CliRunner, BothDriversExitTwoOnHostileSizesAndDurations)
                 << binary << " " << flags;
         }
     }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CliRunner, GaiaRunExitsTwoOnForecastsThatWouldOverflow)
@@ -650,7 +664,7 @@ TEST(CliRunner, BothDriversExitTwoWhenTheJobLimitOutgrowsMemory)
     const std::pair<std::string, std::string> drivers[] = {
         {"gaia_run", GAIA_RUN_BIN + out},
         {"gaia_serve",
-         GAIA_SERVE_BIN + std::string(" --socket ") +
+         "timeout 10 " + std::string(GAIA_SERVE_BIN) + " --socket " +
              (dir / "sock").string()},
     };
     for (const auto &[name, binary] : drivers) {
@@ -679,6 +693,47 @@ TEST(CliRunner, BothDriversExitTwoWhenTheJobLimitOutgrowsMemory)
     EXPECT_EQ(WEXITSTATUS(status), 0);
     std::filesystem::remove_all(dir);
 #endif
+}
+
+TEST(CliRunner, GaiaRunPlacesSlicesPastTheThirtyTwoBitStart)
+{
+    // A job submitted a century in, a century long, that Ecovisor may
+    // hold for a century: it finishes three centuries in. No slice
+    // lasts 2^32 s, so its last one starts past 2^32 s, where a
+    // 32-bit start would wrap.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "gaia_cli_widest_start";
+    std::filesystem::create_directories(dir);
+    {
+        std::ofstream jobs(dir / "jobs.csv");
+        jobs << "id,submit,length,cpus\n1," << kMaxInputDuration << ","
+             << kMaxInputDuration << ",1\n2,0,3600,1\n";
+    }
+    const std::string command =
+        std::string(GAIA_RUN_BIN) + " --workload-csv " +
+        (dir / "jobs.csv").string() +
+        " --policy Ecovisor -w 876000x876000 --output-dir " +
+        (dir / "out").string() + " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_NE(status, -1);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+
+    const CsvTable details =
+        tryReadCsv((dir / "out" / "details.csv").string()).value();
+    ASSERT_EQ(details.rowCount(), 2u);
+    const auto column = [&](const char *name) {
+        return details.tryColumnIndex(name).value();
+    };
+    // Rows follow the trace's submit order: job 2 comes first.
+    ASSERT_EQ(details.cell(1, column("id")), "1");
+    EXPECT_EQ(details.tryCellInt(1, column("start")).value(),
+              3153636000);
+    EXPECT_EQ(details.tryCellInt(1, column("finish")).value(),
+              9460800000);
+    EXPECT_EQ(details.tryCellInt(1, column("wait_s")).value(),
+              3153600000);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CliRunner, GaiaRunChargesIdleReservedPowerWhenWorkOutlastsTheHorizon)

@@ -12,7 +12,6 @@
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
 #define GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
 
-#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -31,10 +30,8 @@ namespace gaia::testutil {
  * Append `job` to a hand-built `result`'s job column (a copy: the
  * column is shared) and `outcome` to its outcomes, with `segments` as
  * its placements at the end of the segment column. Sets the
- * outcome's segment_end, and its length to the job's unless
- * `outcome` sets one (a straggler's stretched length); keeps its
- * evictions and arrival_delay. Returns the appended outcome (valid
- * until the next append).
+ * outcome's segment_end; keeps its evictions and arrival_delay.
+ * Returns the appended outcome (valid until the next append).
  */
 inline JobOutcome &
 appendOutcome(SimulationResult &result, const Job &job,
@@ -46,8 +43,6 @@ appendOutcome(SimulationResult &result, const Job &job,
                     : std::make_shared<std::vector<Job>>(*result.jobs);
     jobs->push_back(job);
     result.jobs = std::move(jobs);
-    if (outcome.length == 0)
-        outcome.length = static_cast<std::uint32_t>(job.length);
     result.segments.insert(result.segments.end(), segments);
     outcome.segment_end =
         static_cast<std::uint32_t>(result.segments.size());
@@ -75,12 +70,12 @@ setCarbon(SimulationResult &result, std::vector<double> hourly,
  *    segment_end is past the previous one, and the last is the
  *    column's size;
  *  - each range is in time order, every slice starting at or after
- *    the end of the one before it (finalize asserts the same), and
- *    ends in a surviving slice;
- *  - the lost slices are exactly those recorded before the job's
- *    last eviction. Each job records its slices in time order, so
- *    they are a chronological prefix, none of them ends after a
- *    survivor starts, and a job never evicted has none.
+ *    the end of the one before it (finalize asserts the same);
+ *  - every slice an eviction lost ran on spot, since only spot work
+ *    is evicted. The lost slices are derived, not stored
+ *    (SimulationResult::lostSlices(): every slice of an evicted job
+ *    but its last), so this is where a run whose evicted jobs did not
+ *    restart as one slice would show.
  */
 inline std::string
 segmentColumnViolation(const SimulationResult &result)
@@ -98,29 +93,15 @@ segmentColumnViolation(const SimulationResult &result)
         next = o.segment_end;
         const std::span<const PlacedSegment> segs =
             result.placements(o);
-        bool lost_any = false;
-        bool survived = false;
-        Seconds evicted_at = 0;
-        for (std::size_t k = 0; k < segs.size(); ++k) {
-            if (k > 0 && segs[k].start < segs[k - 1].end())
+        for (std::size_t k = 1; k < segs.size(); ++k) {
+            if (segs[k].start() < segs[k - 1].end())
                 return job + "slice starts before the previous one "
                              "ends";
-            if (segs[k].lost) {
-                if (survived)
-                    return job + "lost slice after a surviving one";
-                lost_any = true;
-                evicted_at = std::max(evicted_at, segs[k].end());
-            } else {
-                if (segs[k].start < evicted_at)
-                    return job + "survivor starts before the last "
-                                 "eviction";
-                survived = true;
-            }
         }
-        if (segs.back().lost)
-            return job + "ends in a lost slice";
-        if (lost_any && o.evictions == 0)
-            return job + "lost slices but no eviction";
+        for (const PlacedSegment &seg : segs.first(result.lostSlices(o))) {
+            if (seg.option != PurchaseOption::Spot)
+                return job + "lost a slice that did not run on spot";
+        }
     }
     if (next != result.segments.size())
         return "segments past the last job's range";

@@ -100,7 +100,7 @@ TEST(MultiQueue, PerQueueWaitingBoundsHold)
         const SimulationResult r = testutil::runSim(
             trace, *makePolicy(policy), queues, cis);
         for (const JobOutcome &o : r.outcomes) {
-            const QueueSpec &queue = queues.queueFor(o.length);
+            const QueueSpec &queue = queues.queueFor(r.length(o));
             EXPECT_LE(r.start(o), r.job(o).submit + queue.max_wait)
                 << policy << " job " << r.job(o).id << " in queue "
                 << queue.name;

@@ -108,7 +108,7 @@ TEST(ElasticFaults, StormGangRetriesCountEveryInstance)
     EXPECT_EQ(r.finish(o), strike + hours(1));
     ASSERT_FALSE(r.placements(o).empty());
     EXPECT_EQ(r.placements(o).back().width, 3);
-    EXPECT_FALSE(r.placements(o).back().lost);
+    EXPECT_EQ(r.lostSlices(o), r.placements(o).size() - 1);
     // Each gang retry re-acquires spot capacity per instance: two
     // retries at width 3 count six instance-level retries.
     EXPECT_EQ(

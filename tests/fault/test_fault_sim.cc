@@ -272,7 +272,7 @@ TEST(FaultSim, StormAtSliceEndDoesNotRevoke)
     EXPECT_EQ(o.evictions, 0u);
     EXPECT_EQ(r.finish(o), 1800);
     ASSERT_EQ(r.placements(o).size(), 1u);
-    EXPECT_FALSE(r.placements(o)[0].lost);
+    EXPECT_EQ(r.lostSlices(o), 0u);
 }
 
 TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
@@ -288,7 +288,7 @@ TEST(FaultSim, StragglersStretchAndDelaysShiftArrivals)
     const FaultInjector stretcher(stretch);
     const SimulationResult slow =
         run(trace, "NoWait", queues, cis, &stretcher);
-    EXPECT_EQ(slow.outcomes[0].length, hours(2));
+    EXPECT_EQ(slow.length(slow.outcomes[0]), hours(2));
     EXPECT_EQ(slow.finish(slow.outcomes[0]), hours(2));
 
     FaultSpec late;

@@ -115,7 +115,7 @@ TEST(EndToEnd, ForecastNoiseDegradesGracefully)
 
     for (const JobOutcome &o : rough.outcomes) {
         const Seconds max_wait =
-            queues.queueFor(o.length).max_wait;
+            queues.queueFor(rough.length(o)).max_wait;
         EXPECT_LE(rough.start(o), rough.job(o).submit + max_wait);
     }
     // Perfect information should not do worse (tiny tolerance for

@@ -9,9 +9,14 @@
  * money and attributed carbon) is computed, not held, as is its
  * no-wait carbon, from its admitted arrival's 32-bit offset; a job's
  * range of the segment column is held as its end alone, since it
- * starts where the previous job's ends. What the job was submitted
- * with (id, submit time, cpus) is read from the result's job column,
- * which a replayed run shares with its trace.
+ * starts where the previous job's ends. Neither record stores what
+ * follows from the others: a slice is lost iff its job was evicted
+ * and it is not the job's last (SimulationResult::lostSlices()), and
+ * a job's as-run length is its submitted one, stretched if the run's
+ * fault injector makes it a straggler (SimulationResult::length()).
+ * What the job was submitted with (id, submit time, length, cpus) is
+ * read from the result's job column, which a replayed run shares
+ * with its trace.
  * Every trace holds one Job per job, and so does every slot of the
  * serving daemon's submission ring and a streamed engine's job
  * column. Growing any of these records should be a visible decision:
@@ -33,23 +38,24 @@
 namespace gaia {
 namespace {
 
-TEST(LayoutBudget, PlacedSegmentIsSixteenBytes)
+TEST(LayoutBudget, PlacedSegmentIsTwelveBytes)
 {
-    // start; a 32-bit duration, a 16-bit width, one byte of option
-    // and lost share the second word.
+    // The start's low word and the 32-bit duration fill the first
+    // eight bytes; the start's 16 high bits, an 8-bit width and one
+    // byte of option share the third word.
     static_assert(sizeof(PurchaseOption) == 1);
-    EXPECT_EQ(sizeof(PlacedSegment), 16u);
+    EXPECT_EQ(sizeof(PlacedSegment), 12u);
 }
 
-TEST(LayoutBudget, JobOutcomeFitsItsBudget)
+TEST(LayoutBudget, JobOutcomeIsTwelveBytes)
 {
-    // Four 32-bit words: the length, the evictions, the end of the
-    // segment range (it starts where the previous outcome's ends) and
-    // the admitted arrival's offset from submit. The job's id, submit
-    // and cpus live in the result's job column, its segments in the
-    // segment column, and the money, the attributed carbon and the
-    // no-wait carbon derive from them.
-    EXPECT_EQ(sizeof(JobOutcome), 16u);
+    // Three 32-bit words: the evictions, the end of the segment range
+    // (it starts where the previous outcome's ends) and the admitted
+    // arrival's offset from submit. The job's id, submit, length and
+    // cpus live in the result's job column, its segments in the
+    // segment column, and the as-run length, the money, the
+    // attributed carbon and the no-wait carbon derive from them.
+    EXPECT_EQ(sizeof(JobOutcome), 12u);
 }
 
 TEST(LayoutBudget, JobIsThirtyTwoBytes)

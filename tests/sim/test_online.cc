@@ -550,7 +550,7 @@ TEST(Online, PackedRecordsHoldTheirBoundsExactly)
     for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
         const JobOutcome &o = r.outcomes[i];
         EXPECT_EQ(r.job(o).submit, submits[i]) << "job " << i;
-        EXPECT_EQ(o.length, kMaxInputDuration) << "job " << i;
+        EXPECT_EQ(r.length(o), kMaxInputDuration) << "job " << i;
         EXPECT_EQ(r.start(o), submits[i]) << "job " << i;
         EXPECT_EQ(r.finish(o), submits[i] + kMaxInputDuration)
             << "job " << i;
@@ -595,8 +595,7 @@ TEST(Online, WidestElasticGangKeepsItsWidth)
     const JobOutcome &o = r.outcomes[0];
     EXPECT_EQ(o.evictions, 1);
     ASSERT_EQ(r.placements(o).size(), 2u);
-    EXPECT_TRUE(r.placements(o)[0].lost);
-    EXPECT_FALSE(r.placements(o)[1].lost);
+    EXPECT_EQ(r.lostSlices(o), 1u);
     EXPECT_EQ(r.placements(o)[1].duration(), hours(2));
     for (const PlacedSegment &seg : r.placements(o))
         EXPECT_EQ(seg.width, kMaxElasticInstances);
@@ -883,11 +882,11 @@ TEST(Online, StalePlannedStartNeverReachesAReusedSlot)
         const std::span<const PlacedSegment> segs =
             r.placements(r.outcomes[i]);
         ASSERT_EQ(segs.size(), 1u) << "job " << i;
-        EXPECT_EQ(segs[0].start, expected[i][0]) << "job " << i;
+        EXPECT_EQ(segs[0].start(), expected[i][0]) << "job " << i;
         EXPECT_EQ(segs[0].end(), expected[i][1]) << "job " << i;
         EXPECT_EQ(segs[0].option, PurchaseOption::Reserved)
             << "job " << i;
-        EXPECT_FALSE(segs[0].lost) << "job " << i;
+        EXPECT_EQ(r.lostSlices(r.outcomes[i]), 0u) << "job " << i;
     }
 }
 
@@ -941,23 +940,22 @@ TEST(Online, StaleSpotSegmentNeverReachesAReusedSlot)
     const std::span<const PlacedSegment> e =
         r.placements(r.outcomes[0]);
     ASSERT_EQ(e.size(), 2u);
-    EXPECT_EQ(e[0].start, hours(2));
+    EXPECT_EQ(r.lostSlices(r.outcomes[0]), 1u);
+    EXPECT_EQ(e[0].start(), hours(2));
     EXPECT_EQ(e[0].end(), strike);
     EXPECT_EQ(e[0].option, PurchaseOption::Spot);
-    EXPECT_TRUE(e[0].lost);
-    EXPECT_EQ(e[1].start, strike);
+    EXPECT_EQ(e[1].start(), strike);
     EXPECT_EQ(e[1].end(), strike + hours(2));
     EXPECT_EQ(e[1].option, PurchaseOption::OnDemand);
-    EXPECT_FALSE(e[1].lost);
 
     EXPECT_EQ(r.outcomes[1].evictions, 0u);
     const std::span<const PlacedSegment> d =
         r.placements(r.outcomes[1]);
     ASSERT_EQ(d.size(), 1u);
-    EXPECT_EQ(d[0].start, hours(4));
+    EXPECT_EQ(r.lostSlices(r.outcomes[1]), 0u);
+    EXPECT_EQ(d[0].start(), hours(4));
     EXPECT_EQ(d[0].end(), hours(7));
     EXPECT_EQ(d[0].option, PurchaseOption::OnDemand);
-    EXPECT_FALSE(d[0].lost);
 }
 
 TEST(Online, AdvanceToIsIdempotentAcrossQuietPeriods)

@@ -16,7 +16,47 @@ appendRun(SimulationResult &r, Seconds submit, Seconds length,
 {
     return testutil::appendOutcome(
         r, Job{1, submit, length, cpus}, JobOutcome{},
-        {{start, start + length, PurchaseOption::OnDemand, false, 1}});
+        {{start, start + length, PurchaseOption::OnDemand, 1}});
+}
+
+TEST(PlacedSegment, RoundTripsTheLatestStartItHolds)
+{
+    const PlacedSegment seg(kMaxSegmentStart - 3600, kMaxSegmentStart,
+                            PurchaseOption::Spot, kMaxSegmentWidth);
+    EXPECT_EQ(seg.start(), kMaxSegmentStart - 3600);
+    EXPECT_EQ(seg.end(), kMaxSegmentStart);
+    EXPECT_EQ(seg.duration(), 3600);
+    EXPECT_EQ(seg.width, kMaxSegmentWidth);
+    EXPECT_EQ(seg.option, PurchaseOption::Spot);
+
+    // The start's high bits survive: 2^48 - 1 s, and past 2^32.
+    const PlacedSegment last(kMaxSegmentStart, kMaxSegmentStart + 1,
+                             PurchaseOption::Reserved, 1);
+    EXPECT_EQ(last.start(), (Seconds{1} << 48) - 1);
+    EXPECT_EQ(last.end(), Seconds{1} << 48);
+    const PlacedSegment wide(Seconds{1} << 32,
+                             (Seconds{1} << 32) + kMaxSegmentDuration,
+                             PurchaseOption::OnDemand, 1);
+    EXPECT_EQ(wide.start(), Seconds{1} << 32);
+    EXPECT_EQ(wide.duration(), kMaxSegmentDuration);
+}
+
+TEST(PlacedSegmentDeath, AssertsEveryFieldFits)
+{
+    EXPECT_DEATH(PlacedSegment(kMaxSegmentStart + 1,
+                               kMaxSegmentStart + 2,
+                               PurchaseOption::OnDemand, 1),
+                 "outside the 48-bit start");
+    EXPECT_DEATH(PlacedSegment(-1, 1, PurchaseOption::OnDemand, 1),
+                 "outside the 48-bit start");
+    EXPECT_DEATH(PlacedSegment(0, kMaxSegmentDuration + 1,
+                               PurchaseOption::OnDemand, 1),
+                 "outlasts the 32-bit duration");
+    EXPECT_DEATH(PlacedSegment(5, 5, PurchaseOption::OnDemand, 1),
+                 "is empty");
+    EXPECT_DEATH(PlacedSegment(0, 1, PurchaseOption::OnDemand,
+                               kMaxSegmentWidth + 1),
+                 "slice width 256");
 }
 
 TEST(JobOutcome, TimingDerivations)
@@ -36,42 +76,68 @@ TEST(JobOutcome, OneSegmentGivesItsSpan)
     EXPECT_EQ(r.lostCoreSeconds(o), 0.0);
 }
 
-TEST(JobOutcome, FinishIgnoresLostSlices)
+TEST(JobOutcome, AnEvictionLosesEverySliceButTheRestart)
 {
     // A suspend-resume job on spot: the first slice completes, the
-    // second is evicted after 30 min.
+    // second is evicted after 30 min, which loses both, and the
+    // restart on demand runs the whole job and settles it.
     SimulationResult r;
     JobOutcome evicted;
     evicted.evictions = 1;
-    JobOutcome &o = testutil::appendOutcome(
+    const JobOutcome &o = testutil::appendOutcome(
         r, Job{1, 0, 2 * 3600, 2}, evicted,
-        {{0, 3600, PurchaseOption::Spot, false, 1},
-         {7200, 9000, PurchaseOption::Spot, true, 1}});
+        {{0, 3600, PurchaseOption::Spot, 1},
+         {7200, 9000, PurchaseOption::Spot, 1},
+         {9000, 16200, PurchaseOption::OnDemand, 1}});
+    EXPECT_EQ(r.lostSlices(o), 2u);
     EXPECT_EQ(r.start(o), 0);
-    EXPECT_EQ(r.finish(o), 3600); // not the lost slice's end
-    EXPECT_EQ(r.lostCoreSeconds(o), 1800.0 * 2);
+    EXPECT_EQ(r.finish(o), 16200);
+    EXPECT_EQ(r.lostCoreSeconds(o), (3600.0 + 1800.0) * 2);
+    EXPECT_EQ(r.waiting(o), 16200 - 2 * 3600);
 
-    // The restart on on-demand settles the job; it is the last job,
-    // so its range can grow at the column's end.
-    r.segments.emplace_back(9000, 12600, PurchaseOption::OnDemand, false,
-                            1);
-    ++o.segment_end;
-    EXPECT_EQ(r.start(o), 0);
-    EXPECT_EQ(r.finish(o), 12600);
-    EXPECT_EQ(r.lostCoreSeconds(o), 1800.0 * 2);
-    EXPECT_EQ(r.waiting(o), 12600 - 2 * 3600);
+    // Never evicted, the same job's suspended slices all survive.
+    const JobOutcome &kept = testutil::appendOutcome(
+        r, Job{2, 0, 2 * 3600, 2}, JobOutcome{},
+        {{0, 3600, PurchaseOption::Spot, 1},
+         {7200, 10800, PurchaseOption::Spot, 1}});
+    EXPECT_EQ(r.lostSlices(kept), 0u);
+    EXPECT_EQ(r.finish(kept), 10800);
+    EXPECT_EQ(r.lostCoreSeconds(kept), 0.0);
 }
 
 TEST(JobOutcome, LostGangCountsEveryInstance)
 {
-    // An elastic gang of two 3-core instances, lost after 20 min.
+    // An elastic gang of two 3-core instances, lost after 20 min,
+    // restarts at full width on demand.
     SimulationResult r;
+    JobOutcome evicted;
+    evicted.evictions = 1;
     const JobOutcome &o = testutil::appendOutcome(
-        r, Job{1, 0, 1200, 3}, JobOutcome{},
-        {{600, 1800, PurchaseOption::Spot, true, 2}});
+        r, Job{1, 0, 1200, 3}, evicted,
+        {{600, 1800, PurchaseOption::Spot, 2},
+         {1800, 2400, PurchaseOption::OnDemand, 2}});
     EXPECT_EQ(r.start(o), 600);
-    EXPECT_EQ(r.finish(o), 0);
+    EXPECT_EQ(r.finish(o), 2400);
     EXPECT_EQ(r.lostCoreSeconds(o), 1200.0 * 3 * 2);
+}
+
+TEST(JobOutcome, RepeatedEvictionsLoseEveryReattempt)
+{
+    // Evicted three times: the plan's slice and two spot re-attempts
+    // are lost (an eviction at a slice's first instant records none),
+    // and the third restart survives on reserved cores.
+    SimulationResult r;
+    JobOutcome evicted;
+    evicted.evictions = 3;
+    const JobOutcome &o = testutil::appendOutcome(
+        r, Job{1, 0, 600, 1}, evicted,
+        {{0, 100, PurchaseOption::Spot, 1},
+         {100, 400, PurchaseOption::Spot, 1},
+         {400, 1000, PurchaseOption::Reserved, 1}});
+    EXPECT_EQ(r.lostSlices(o), 2u);
+    EXPECT_EQ(r.lostCoreSeconds(o), 400.0);
+    EXPECT_EQ(r.finish(o), 1000);
+    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
 }
 
 TEST(JobOutcome, NoSegmentsGivesZeros)
@@ -91,10 +157,12 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
     // own, and a copied result reads the same ranges of its copy.
     SimulationResult r;
     appendRun(r, 0, 100, 0, 1);
+    JobOutcome evicted;
+    evicted.evictions = 1;
     testutil::appendOutcome(
-        r, Job{2, 0, 100, 1}, JobOutcome{},
-        {{200, 260, PurchaseOption::Spot, true, 1},
-         {300, 400, PurchaseOption::Reserved, false, 1}});
+        r, Job{2, 0, 100, 1}, evicted,
+        {{200, 260, PurchaseOption::Spot, 1},
+         {300, 400, PurchaseOption::Reserved, 1}});
     appendRun(r, 0, 50, 500, 1);
     ASSERT_EQ(r.segments.size(), 4u);
     EXPECT_EQ(r.outcomes[0].segment_end, 1u);
@@ -119,7 +187,7 @@ TEST(JobOutcome, JobIsTheColumnEntryAtTheOutcomesPosition)
     appendRun(r, 10, 100, 10, 1);
     testutil::appendOutcome(
         r, Job{7, 20, 60, 4}, JobOutcome{},
-        {{20, 80, PurchaseOption::OnDemand, false, 1}});
+        {{20, 80, PurchaseOption::OnDemand, 1}});
     EXPECT_EQ(r.job(r.outcomes[0]).id, 1);
     EXPECT_EQ(r.job(r.outcomes[1]).id, 7);
     EXPECT_EQ(r.job(r.outcomes[1]).submit, 20);
@@ -165,7 +233,7 @@ TEST(JobOutcome, CarbonSaved)
     testutil::setCarbon(r, {500.0, 300.0}, 100.0);
     const JobOutcome &added = testutil::appendOutcome(
         r, Job{1, 0, 3600, 1}, JobOutcome{},
-        {{3600, 7200, PurchaseOption::OnDemand, false, 1}});
+        {{3600, 7200, PurchaseOption::OnDemand, 1}});
     EXPECT_DOUBLE_EQ(r.carbonNowaitGrams(added), 50.0);
     EXPECT_DOUBLE_EQ(r.carbonGrams(added), 30.0);
     EXPECT_DOUBLE_EQ(r.carbonSaved(added), 20.0);
@@ -179,12 +247,16 @@ TEST(JobOutcome, NoWaitCarbonStartsAtTheAdmittedArrival)
     // at 100 W per core: 0.2 kW x (0.5 h x 500 + 1 h x 300) g/kWh.
     SimulationResult r;
     testutil::setCarbon(r, {500.0, 300.0, 900.0}, 100.0);
+    FaultSpec stragglers;
+    stragglers.straggler_rate = 1.0;
+    stragglers.straggler_factor = 1.5;
+    r.faults = FaultInjector(stragglers);
     JobOutcome delayed;
-    delayed.length = 5400;
     delayed.arrival_delay = 1800;
     const JobOutcome &o = testutil::appendOutcome(
         r, Job{1, 0, 3600, 2}, delayed,
-        {{1800, 7200, PurchaseOption::OnDemand, false, 1}});
+        {{1800, 7200, PurchaseOption::OnDemand, 1}});
+    EXPECT_EQ(r.length(o), 5400);
     EXPECT_DOUBLE_EQ(r.carbonNowaitGrams(o), 0.2 * (250.0 + 300.0));
     EXPECT_DOUBLE_EQ(r.carbonSaved(o), 0.0);
 }

@@ -206,8 +206,8 @@ TEST(Simulator, SuspendResumePlacesEachSegment)
 
     const JobOutcome &o = r.outcomes[0];
     ASSERT_EQ(r.placements(o).size(), 2u);
-    EXPECT_EQ(r.placements(o)[0].start, hours(1));
-    EXPECT_EQ(r.placements(o)[1].start, hours(3));
+    EXPECT_EQ(r.placements(o)[0].start(), hours(1));
+    EXPECT_EQ(r.placements(o)[1].start(), hours(3));
     EXPECT_EQ(r.finish(o), hours(4));
     EXPECT_EQ(r.waiting(o), hours(2));
     // Carbon: 0.005 kW x (10 + 20) g/kWh x 1 h each.

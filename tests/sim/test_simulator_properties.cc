@@ -88,7 +88,7 @@ clippedOverheads(const SimulationResult &r)
     std::size_t clipped = 0;
     for (const PlacedSegment &seg : r.segments)
         clipped += seg.option != PurchaseOption::Reserved &&
-                   seg.start < r.startup_overhead;
+                   seg.start() < r.startup_overhead;
     return clipped;
 }
 
@@ -188,15 +188,16 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
 
     double variable = 0.0, carbon_g = 0.0;
     for (const JobOutcome &o : r.outcomes) {
-        // Useful work equals the job length.
+        // Useful work, every slice after the lost ones, equals the
+        // job length.
         Seconds useful = 0;
-        for (const PlacedSegment &seg : r.placements(o)) {
-            EXPECT_GT(seg.end(), seg.start);
-            if (!seg.lost)
-                useful += seg.duration();
-        }
+        const std::span<const PlacedSegment> segs = r.placements(o);
+        for (const PlacedSegment &seg : segs)
+            EXPECT_GT(seg.end(), seg.start());
+        for (const PlacedSegment &seg : segs.subspan(r.lostSlices(o)))
+            useful += seg.duration();
         const Job &job = r.job(o);
-        EXPECT_EQ(useful, o.length);
+        EXPECT_EQ(useful, r.length(o));
         EXPECT_GE(r.waiting(o), 0);
         EXPECT_GE(r.start(o), job.submit);
 
@@ -204,7 +205,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         // every non-suspend-resume policy (suspend-resume plans
         // bound total waiting instead; evictions may extend
         // completions but never the first start).
-        const QueueSpec &queue = queues.queueFor(o.length);
+        const QueueSpec &queue = queues.queueFor(r.length(o));
         EXPECT_LE(r.start(o), job.submit + queue.max_wait)
             << "job " << job.id;
 
@@ -215,7 +216,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         double expected_carbon = 0.0;
         for (const PlacedSegment &seg : r.placements(o)) {
             expected_carbon += carbon.gramsFor(
-                seg.start, seg.end(),
+                seg.start(), seg.end(),
                 cluster.energy.kilowatts(job.cpus));
         }
         EXPECT_NEAR(r.carbonGrams(o), expected_carbon, 1e-6);
@@ -243,7 +244,7 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
             for (const PlacedSegment &seg : r.placements(o)) {
                 if (seg.option != PurchaseOption::Reserved)
                     continue;
-                deltas[seg.start] += r.job(o).cpus;
+                deltas[seg.start()] += r.job(o).cpus;
                 deltas[seg.end()] -= r.job(o).cpus;
             }
         }
@@ -360,7 +361,7 @@ TEST(SimProperties, EvictionStormStillCompletesEveryJob)
     ASSERT_EQ(r.outcomes.size(), trace.jobCount());
     std::size_t spot_jobs = 0;
     for (const JobOutcome &o : r.outcomes) {
-        if (o.length <= cluster.spot_max_length) {
+        if (r.length(o) <= cluster.spot_max_length) {
             ++spot_jobs;
             EXPECT_EQ(o.evictions, 1);
         } else {

@@ -49,7 +49,7 @@ TEST(SimulatorSpot, ZeroEvictionRunsShortJobsOnSpot)
     const JobOutcome &o = r.outcomes[0];
     ASSERT_EQ(r.placements(o).size(), 1u);
     EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::Spot);
-    EXPECT_FALSE(r.placements(o)[0].lost);
+    EXPECT_EQ(r.lostSlices(o), 0u);
     EXPECT_EQ(o.evictions, 0);
     // 2 core-hours at 20% of $0.0624.
     EXPECT_NEAR(r.spot_cost, 2 * 0.0624 * 0.2, 1e-9);
@@ -108,11 +108,10 @@ TEST(SimulatorSpot, CertainEvictionRestartsOnDemand)
     // full-length on-demand run.
     const PlacedSegment &final = r.placements(o).back();
     EXPECT_EQ(final.option, PurchaseOption::OnDemand);
-    EXPECT_FALSE(final.lost);
     EXPECT_EQ(final.duration(), hours(2));
+    EXPECT_EQ(r.lostSlices(o), r.placements(o).size() - 1);
     if (r.placements(o).size() == 2u) {
         EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::Spot);
-        EXPECT_TRUE(r.placements(o)[0].lost);
         EXPECT_LT(r.placements(o)[0].duration(), kSecondsPerHour);
         EXPECT_GT(r.lostCoreSeconds(o), 0.0);
     }
@@ -197,10 +196,9 @@ TEST(SimulatorSpot, MultiSegmentSpotPlanSurvivesWithoutEvictions)
         run(trace, "Wait-Awhile", queues, cis, cluster);
     const JobOutcome &o = r.outcomes[0];
     ASSERT_EQ(r.placements(o).size(), 2u);
-    for (const PlacedSegment &seg : r.placements(o)) {
+    EXPECT_EQ(r.lostSlices(o), 0u);
+    for (const PlacedSegment &seg : r.placements(o))
         EXPECT_EQ(seg.option, PurchaseOption::Spot);
-        EXPECT_FALSE(seg.lost);
-    }
 }
 
 TEST(SimulatorSpot, MultiSegmentEvictionAbortsAndRestarts)
@@ -223,9 +221,10 @@ TEST(SimulatorSpot, MultiSegmentEvictionAbortsAndRestarts)
     const PlacedSegment &final = r.placements(o).back();
     EXPECT_EQ(final.option, PurchaseOption::OnDemand);
     EXPECT_EQ(final.duration(), hours(2)); // full restart
-    // Every earlier slice was marked lost.
+    // Every earlier slice ran on spot and is lost.
+    EXPECT_EQ(r.lostSlices(o), r.placements(o).size() - 1);
     for (std::size_t i = 0; i + 1 < r.placements(o).size(); ++i)
-        EXPECT_TRUE(r.placements(o)[i].lost);
+        EXPECT_EQ(r.placements(o)[i].option, PurchaseOption::Spot);
 }
 
 TEST(SimulatorSpot, EvictionSamplingIsSeedDeterministic)
@@ -308,16 +307,11 @@ TEST(SimulatorSpot, SegmentColumnKeepsItsInvariantsUnderEvictions)
         if (policy != "Wait-Awhile")
             continue;
         // Some jobs finish a slice and lose the next one: the
-        // eviction marks the finished slice lost too.
+        // eviction loses the finished slice too.
         EXPECT_TRUE(std::any_of(
             r.outcomes.begin(), r.outcomes.end(),
             [&](const JobOutcome &o) {
-                const auto segs = r.placements(o);
-                return o.evictions == 1 &&
-                       std::count_if(segs.begin(), segs.end(),
-                                     [](const PlacedSegment &seg) {
-                                         return seg.lost;
-                                     }) > 1;
+                return o.evictions == 1 && r.lostSlices(o) > 1;
             }));
     }
 }
