@@ -25,10 +25,12 @@
  * the engine owns every spec and result it hands out references to.
  * run() recycles each cell's result: it takes the previous run's
  * whole SimulationResult back from every OK cell and the cell's
- * rerun refills its `outcomes` and `segments` columns in place, so
- * a rerun allocates no new columns. A Result<SimulationResult>
- * reference, and any pointer into its columns, is therefore
- * invalidated by run() as well as by the engine's destruction.
+ * rerun refills its `outcomes` and `segments` columns, and the
+ * `job_evictions` and `arrival_delays` columns a faulted or evicting
+ * cell fills, in place, so a rerun allocates no new columns. A
+ * Result<SimulationResult> reference, and any pointer into its
+ * columns, is therefore invalidated by run() as well as by the
+ * engine's destruction.
  */
 
 #ifndef GAIA_ANALYSIS_SWEEP_H

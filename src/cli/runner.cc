@@ -179,7 +179,7 @@ writeRunArtifacts(const SimulationResult &result,
                  fmt(result.carbonGrams(o), 6),
                  fmt(result.carbonNowaitGrams(o), 6),
                  fmt(result.variableCost(o), 6),
-                 std::to_string(o.evictions),
+                 std::to_string(result.evictions(o)),
                  fmt(result.lostCoreSeconds(o), 1)});
         }
     }

@@ -28,6 +28,20 @@ obs::Counter &c_spot_instance_retries =
 obs::Counter &c_degraded_instance_hours =
     obs::counter("policy.degraded_instance_hours");
 
+/** Set job `job`'s entry of a per-job `column` to `value`. An empty
+ *  column (0 for every job) or one that ends before `job` (admitted
+ *  after the latest entry) first grows to the `admitted` jobs, with
+ *  0 for each new entry. */
+template <typename T>
+void
+setJobEntry(std::vector<T> &column, std::size_t admitted,
+            std::uint32_t job, T value)
+{
+    if (job >= column.size())
+        column.resize(admitted);
+    column[job] = value;
+}
+
 } // namespace
 
 OnlineScheduler::OnlineScheduler(const SchedulingPolicy &policy,
@@ -94,6 +108,10 @@ OnlineScheduler::reserveJobs(std::size_t count,
     storage.segments.clear();
     segments_ = std::move(storage.segments);
     segments_.reserve(segment_slots);
+    storage.job_evictions.clear();
+    job_evictions_ = std::move(storage.job_evictions);
+    storage.arrival_delays.clear();
+    arrival_delays_ = std::move(storage.arrival_delays);
     reserved_jobs_ = count;
 }
 
@@ -374,12 +392,13 @@ OnlineScheduler::planArrival(std::uint32_t slot)
     // The no-wait counterfactual starts here, at the admitted arrival
     // (SimulationResult::carbonNowaitGrams()). FaultSpec::validate
     // keeps it within 32 bits of the submit time.
-    GAIA_ASSERT(job.submit - submitted.submit <=
-                    kMaxFaultDuration + kMaxInputDuration,
-                "job ", job.id, " arrived ", job.submit - submitted.submit,
-                "s after its submit time");
-    outcomes_[state.job].arrival_delay =
-        static_cast<std::uint32_t>(job.submit - submitted.submit);
+    const Seconds delay = job.submit - submitted.submit;
+    GAIA_ASSERT(delay <= kMaxFaultDuration + kMaxInputDuration, "job ",
+                job.id, " arrived ", delay, "s after its submit time");
+    if (delay != 0) {
+        setJobEntry(arrival_delays_, outcomes_.size(), state.job,
+                    static_cast<std::uint32_t>(delay));
+    }
 
     // A validated job's length is positive, so a zero bound admits
     // none to spot.
@@ -470,7 +489,7 @@ void
 OnlineScheduler::placeSegment(std::uint32_t slot, std::size_t seg_idx)
 {
     const JobState &state = states_[slot];
-    if (outcomes_[state.job].evictions > 0)
+    if (state.evictions > 0)
         return; // plan superseded by an eviction restart
     const RunSegment &seg = state.plan.segment(seg_idx);
     GAIA_ASSERT(events_.now() == seg.start, "segment event fired at ",
@@ -528,8 +547,14 @@ OnlineScheduler::runSpotSlice(std::uint32_t slot, Seconds from,
         recordSegment(state.job, from, evict_at, PurchaseOption::Spot,
                       width);
     // A counted eviction also marks the rest of the plan inert (see
-    // placeSegment).
-    outcomes_[state.job].evictions += 1;
+    // placeSegment). A job is evicted at most 1 + kMaxStormSpotRetries
+    // times, which the 8-bit count holds (sim/results.h).
+    GAIA_ASSERT(state.evictions < std::numeric_limits<std::uint8_t>::max(),
+                "job ", jobAt(state.job).id, " evicted ",
+                static_cast<int>(state.evictions), " times");
+    ++state.evictions;
+    setJobEntry(job_evictions_, outcomes_.size(), state.job,
+                state.evictions);
     scheduleForSlot(evict_at, EvRestartAfterEviction, slot);
 }
 
@@ -716,6 +741,14 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     streamed_ = nullptr;
     result.outcomes = std::move(outcomes_);
     result.segments = std::move(segments_);
+    // A per-job column ends at the latest job that wrote an entry;
+    // streamed jobs admitted after it read 0.
+    if (!job_evictions_.empty())
+        job_evictions_.resize(result.outcomes.size());
+    result.job_evictions = std::move(job_evictions_);
+    if (!arrival_delays_.empty())
+        arrival_delays_.resize(result.outcomes.size());
+    result.arrival_delays = std::move(arrival_delays_);
     // What each job's carbon and money derive from, set before the
     // loop below accounts by the same rules.
     result.pricing = cluster_.pricing;
@@ -861,9 +894,9 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         result.carbon_kg += carbon_g / 1000.0;
         result.carbon_nowait_kg += result.carbonNowaitGrams(o) / 1000.0;
         result.lost_core_seconds += result.lostCoreSeconds(o);
-        result.eviction_count +=
-            static_cast<std::size_t>(o.evictions);
-        if (o.evictions > 0)
+        const int evictions = result.evictions(o);
+        result.eviction_count += static_cast<std::size_t>(evictions);
+        if (evictions > 0)
             ++evicted_jobs;
     }
     if (evicted_jobs > 0)

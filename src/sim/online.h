@@ -40,14 +40,18 @@
  * trace's own column, shared, never copied; submit() appends each
  * admitted job to a column the engine owns (reserveStream() allocates
  * it, or the first submit()). Either way a job is admitted by one
- * function that validates it, records its JobOutcome (only what the
- * run decides: evictions, the end of the segment range and the
- * admitted arrival's offset from submit, from which the no-wait
- * counterfactual derives; a straggler's stretched length derives
- * from the job and the run's fault injector) and queues its arrival
- * as a 4-byte job index, whose time the arrival lane reads from the
- * column (see sim/event_queue.h), as planning reads its queue hint.
- * A rejected or late job gets neither a column entry nor an outcome.
+ * function that validates it, records its JobOutcome (the end of its
+ * segment range, all the run decides that nothing else gives; a
+ * straggler's stretched length derives from the job and the run's
+ * fault injector) and queues its arrival as a 4-byte job index, whose
+ * time the arrival lane reads from the column (see
+ * sim/event_queue.h), as planning reads its queue hint. A rejected or
+ * late job gets neither a column entry nor an outcome. A job's spot
+ * evictions and its admitted arrival's offset from submit (from which
+ * the no-wait counterfactual derives) are almost always 0, so each
+ * lives in a per-job column that the engine creates only when it
+ * first writes a nonzero entry, zero-filled for the jobs admitted
+ * before, and extends when a job admitted later writes one.
  * The engine's working state (JobState: the plan, the spot flag and a
  * few counters) lives in a pool of slots that holds only the jobs in
  * flight: the arrival takes a slot, every later event that names the
@@ -65,12 +69,12 @@
  * placements. finalize() turns the counts into range ends, permutes
  * the segment column in place into job order, accounts the columns
  * in place in one walk per job, and hands them over whole as
- * SimulationResult::jobs, SimulationResult::outcomes and
- * SimulationResult::segments, so a run never holds a record twice
- * and recording a placement allocates nothing per job. No slice
- * records whether an eviction lost it: an evicted job restarts as
- * exactly one slice, so every slice before its last is lost
- * (SimulationResult::lostSlices()). Both records are packed (12-byte
+ * SimulationResult::jobs, outcomes, segments, job_evictions and
+ * arrival_delays, so a run never holds a record twice and recording
+ * a placement allocates nothing per job. No slice records whether an
+ * eviction lost it: an evicted job restarts as exactly one slice, so
+ * every slice before its last is lost
+ * (SimulationResult::lostSlices()). The records are packed (4-byte
  * outcomes, 12-byte segments; see sim/results.h), since a sweep holds
  * them for every job of every cell.
  *
@@ -209,15 +213,17 @@ class OnlineScheduler : private EventQueue::Sink
      * are not reserved here: the pool grows to the jobs in flight,
      * and the lane to a streamed run's pending arrivals (replay()
      * sizes it for the whole trace).
-     * `storage`'s outcome and segment columns become this run's: they
-     * are cleared and only their capacity is kept, so a caller
-     * rerunning a cell can hand back the previous run's whole
-     * SimulationResult and have both columns refilled in place
-     * instead of freed and allocated again. The segment column
-     * reserves max(count, storage.segments.size()) slots, which a
-     * rerun of the same cell fills exactly. Every record is still
-     * built fresh; an empty result (the default) is a fresh run on
-     * the same path.
+     * `storage`'s outcome, segment, eviction and arrival-delay
+     * columns become this run's: they are cleared and only their
+     * capacity is kept, so a caller rerunning a cell can hand back
+     * the previous run's whole SimulationResult and have each column
+     * refilled in place instead of freed and allocated again. The
+     * eviction and arrival-delay columns are not reserved: a run
+     * fills them only when one of its jobs is evicted or arrives
+     * late. The segment column reserves max(count,
+     * storage.segments.size()) slots, which a rerun of the same cell
+     * fills exactly. Every record is still built fresh; an empty
+     * result (the default) is a fresh run on the same path.
      */
     void reserveJobs(std::size_t count, SimulationResult storage = {});
 
@@ -304,6 +310,9 @@ class OnlineScheduler : private EventQueue::Sink
         /** Every segment of the plan runs on spot (SpotFirst and
          *  SpotReserved, up to spot_max_length). */
         bool spot_eligible = false;
+        /** Spot evictions the job has suffered; once nonzero, the
+         *  rest of its plan is superseded by the restart. */
+        std::uint8_t evictions = 0;
         /** Queued events that name this slot. */
         std::uint32_t refs = 0;
         /** Carbon-source probes spent in the degradation ladder. */
@@ -471,6 +480,13 @@ class OnlineScheduler : private EventQueue::Sink
     /** One record per admitted job, outcome i for job i of the
      *  column; moved into the result by finalize(). */
     std::vector<JobOutcome> outcomes_;
+    /** The result's per-job eviction and arrival-delay columns
+     *  (SimulationResult::job_evictions, arrival_delays). Each stays
+     *  empty until a job writes a nonzero entry, and then holds an
+     *  entry for every job admitted up to the latest write;
+     *  finalize() sizes a non-empty one to every outcome. */
+    std::vector<std::uint8_t> job_evictions_;
+    std::vector<std::uint32_t> arrival_delays_;
     /** Every placement in event order until finalize() groups it by
      *  job and moves it into the result. */
     std::vector<PlacedSegment> segments_;

@@ -179,8 +179,9 @@ resultFingerprint(const SimulationResult &result)
     for (const JobOutcome &o : result.outcomes) {
         // The submitted job's fields and the derived figures mix
         // where the records once held them, and narrowed fields at
-        // their old widths (Seconds), so neither packing the records
-        // nor moving the job into the column moved a fingerprint.
+        // their old widths (Seconds, and the 8-bit eviction count as
+        // an int), so neither packing the records nor moving the job
+        // or its evictions into a column moved a fingerprint.
         const Job &job = result.job(o);
         digest.mix(job.id);
         digest.mix(job.submit);
@@ -191,7 +192,7 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(result.carbonGrams(o));
         digest.mix(result.carbonNowaitGrams(o));
         digest.mix(result.variableCost(o));
-        digest.mix(o.evictions);
+        digest.mix(result.evictions(o));
         digest.mix(result.lostCoreSeconds(o));
         digest.mix(result.overheadCoreSeconds(o));
         const std::span<const PlacedSegment> segs = result.placements(o);

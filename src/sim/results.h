@@ -129,46 +129,32 @@ struct PlacedSegment
 };
 
 /**
- * What the run decided for one job. The job as submitted (id, submit
- * time, length, cpus) lives in the result's shared job column
- * (SimulationResult::job()), and its placed segments in the result's
- * segment column (SimulationResult::placements()); its as-run length
+ * What the run decided for one job that follows from nothing else:
+ * where its slices end in the result's segment column. The job as
+ * submitted (id, submit time, length, cpus) lives in the result's
+ * shared job column (SimulationResult::job()), its placed segments in
+ * the segment column (SimulationResult::placements()), and its spot
+ * evictions and admitted arrival in two per-job columns that a run
+ * allocates only when one of its jobs has a nonzero entry
+ * (SimulationResult::evictions(), arrivalDelay()). Its as-run length
  * derives from the job and the run's fault injector
  * (SimulationResult::length()), and start, finish, waiting, lost
  * slices and core-seconds, start-up overhead, variable cost, carbon
  * and the no-wait counterfactual carbon from the segments (with the
  * result's price list, carbon trace and power model) rather than
  * being stored beside them. A sweep holds one of these per job per
- * cell, so the layout is packed into three 32-bit words
- * (tests/sim/test_layout_budget.cc pins the byte budget): the
- * eviction count, the end of the segment range and the admitted
- * arrival's offset. Outcomes hold indices into the columns, not
+ * cell, so it is one 32-bit word (tests/sim/test_layout_budget.cc
+ * pins the byte budget). Outcomes hold indices into the columns, not
  * pointers, so copying a result keeps them valid.
  */
 struct JobOutcome
 {
-    /** Spot evictions suffered. */
-    int evictions = 0;
-
     /** One past this job's last slice in SimulationResult::segments.
      *  The range starts at the previous outcome's segment_end (0 for
      *  the first), since the column is grouped job by job in outcome
      *  order. While the engine runs it counts the job's slices, and
      *  finalize turns the counts into ends. */
     std::uint32_t segment_end = 0;
-
-    /** Admitted arrival minus submit time: a fault's start delay plus
-     *  the carbon-source retry ladder, 0 in every fault-free run. The
-     *  no-wait counterfactual starts there
-     *  (SimulationResult::carbonNowaitGrams()). */
-    std::uint32_t arrival_delay = 0;
-    // FaultSpec::validate bounds the start delay by kMaxFaultDuration
-    // and the whole retry ladder by kMaxInputDuration, so no admitted
-    // arrival lies further than their sum after its submit time.
-    static_assert(kMaxFaultDuration + kMaxInputDuration <=
-                      std::numeric_limits<std::uint32_t>::max(),
-                  "the longest delay and retry ladder must fit the "
-                  "32-bit arrival offset");
 };
 
 /**
@@ -184,7 +170,11 @@ struct JobOutcome
  * finalized the run. One column per result, rather than a list
  * inside each outcome, means recording placements allocates nothing
  * per job and an outcome carries no inline slots its job may not
- * use.
+ * use. `job_evictions` and `arrival_delays` are per-job columns that
+ * are almost always all zeros: no on-demand job is evicted, and
+ * every job of a fault-free run arrives at its submit time. Each is
+ * either empty, meaning 0 for every job, or holds one entry per
+ * outcome; evictions() and arrivalDelay() read them either way.
  */
 struct SimulationResult
 {
@@ -199,6 +189,27 @@ struct SimulationResult
     std::shared_ptr<const std::vector<Job>> jobs;
     std::vector<JobOutcome> outcomes;
     std::vector<PlacedSegment> segments;
+    /** Spot evictions each job suffered, outcome i's at position i;
+     *  empty when the run evicted no job. */
+    std::vector<std::uint8_t> job_evictions;
+    // A job is evicted at most once from its plan and once per storm
+    // re-attempt of spot, which FaultSpec::validate caps at
+    // kMaxStormSpotRetries.
+    static_assert(1 + kMaxStormSpotRetries <=
+                      std::numeric_limits<std::uint8_t>::max(),
+                  "a job's most evictions must fit the 8-bit count");
+    /** Each job's admitted arrival minus its submit time, outcome i's
+     *  at position i: a fault's start delay plus the carbon-source
+     *  retry ladder. Empty when every job arrived at its submit time,
+     *  as in every fault-free run. */
+    std::vector<std::uint32_t> arrival_delays;
+    // FaultSpec::validate bounds the start delay by kMaxFaultDuration
+    // and the whole retry ladder by kMaxInputDuration, so no admitted
+    // arrival lies further than their sum after its submit time.
+    static_assert(kMaxFaultDuration + kMaxInputDuration <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "the longest delay and retry ladder must fit the "
+                  "32-bit arrival offset");
 
     int reserved_cores = 0;
     Seconds horizon = 0;
@@ -276,6 +287,20 @@ struct SimulationResult
         return {segments.data() + first, o.segment_end - first};
     }
 
+    /** `o`'s spot evictions: its entry of `job_evictions`, 0 when
+     *  the column is empty. */
+    int evictions(const JobOutcome &o) const
+    {
+        return entryOf(job_evictions, o);
+    }
+
+    /** `o`'s admitted arrival minus its submit time: its entry of
+     *  `arrival_delays`, 0 when the column is empty. */
+    Seconds arrivalDelay(const JobOutcome &o) const
+    {
+        return entryOf(arrival_delays, o);
+    }
+
     /** `o`'s length as run: its job's length, stretched if the run's
      *  injector makes the job a straggler (asRunLength()). */
     Seconds length(const JobOutcome &o) const
@@ -292,7 +317,7 @@ struct SimulationResult
     std::size_t lostSlices(const JobOutcome &o) const
     {
         const std::size_t slices = placements(o).size();
-        return o.evictions > 0 && slices > 0 ? slices - 1 : 0;
+        return evictions(o) > 0 && slices > 0 ? slices - 1 : 0;
     }
 
     /** First instant any of `o`'s segments ran (the first segment's
@@ -336,11 +361,11 @@ struct SimulationResult
     double carbonGrams(const JobOutcome &o) const;
     /** `o`'s counterfactual emissions, grams CO2eq: its as-run
      *  length at its cpus, started at once at its admitted arrival
-     *  (submit plus arrival_delay), under `carbon` and `energy`. */
+     *  (submit plus arrivalDelay()), under `carbon` and `energy`. */
     double carbonNowaitGrams(const JobOutcome &o) const
     {
         const Job &submitted = job(o);
-        const Seconds arrival = submitted.submit + o.arrival_delay;
+        const Seconds arrival = submitted.submit + arrivalDelay(o);
         return carbon.gramsFor(arrival, arrival + length(o),
                                energy.kilowatts(submitted.cpus));
     }
@@ -390,6 +415,21 @@ struct SimulationResult
                     "outcome is not one of this result's");
         return i;
     }
+
+    /** `o`'s entry of the per-job `column`, 0 when it is empty.
+     *  Asserts that `o` is one of this result's outcomes and that a
+     *  non-empty column holds its entry. */
+    template <typename T>
+    T entryOf(const std::vector<T> &column, const JobOutcome &o) const
+    {
+        if (column.empty())
+            return 0;
+        const std::size_t i = indexOf(o);
+        GAIA_ASSERT(i < column.size(), "outcome ", i,
+                    " has no entry in a per-job column of ",
+                    column.size());
+        return column[i];
+    }
 };
 
 /**
@@ -404,14 +444,14 @@ allocationSeries(const SimulationResult &result, Seconds step,
 
 /**
  * Stable 64-bit digest of every field of `result`, including each
- * job outcome and its placed segments (doubles hashed by bit
- * pattern, so even sub-printing-precision drift changes the
- * digest). Two runs are bit-identical iff their fingerprints match
- * — the determinism tests compare this across thread counts and
- * repeated runs. `pricing`, `startup_overhead`, `carbon`, `energy`
- * and `faults` are not mixed themselves: they enter through each
- * job's variableCost(), overheadCoreSeconds(), carbonGrams() and
- * length().
+ * job outcome, its per-job column entries and its placed segments
+ * (doubles hashed by bit pattern, so even sub-printing-precision
+ * drift changes the digest). Two runs are bit-identical iff their
+ * fingerprints match — the determinism tests compare this across
+ * thread counts and repeated runs. `pricing`, `startup_overhead`,
+ * `carbon`, `energy` and `faults` are not mixed themselves: they
+ * enter through each job's variableCost(), overheadCoreSeconds(),
+ * carbonGrams() and length().
  */
 std::uint64_t resultFingerprint(const SimulationResult &result);
 

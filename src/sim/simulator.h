@@ -83,8 +83,8 @@ Result<OnlineScheduler> makeEngine(const SimulationSetup &setup,
 /**
  * Run one simulation; returns a Status (instead of dying) on an
  * inconsistent setup. Untrusted configuration comes through here.
- * `storage`'s outcome and segment columns are recycled as the
- * result's (see OnlineScheduler::reserveJobs): pass a previous
+ * `storage`'s outcome, segment and per-job columns are recycled as
+ * the result's (see OnlineScheduler::reserveJobs): pass a previous
  * result to rerun without reallocating them.
  */
 Result<SimulationResult>

@@ -24,7 +24,7 @@ TEST(Metrics, ExtractFromResult)
     r.on_demand_cost = 2.0;
     r.spot_cost = 1.0;
     testutil::appendOutcome(
-        r, Job{1, 0, 3600, 1}, JobOutcome{},
+        r, Job{1, 0, 3600, 1}, 0, 0,
         {{3600, 7200, PurchaseOption::OnDemand, 1}});
 
     const MetricsRow m = metricsOf("x", r);

@@ -40,7 +40,7 @@ addOutcome(SimulationResult &r, Seconds length, double saved,
     hourly[first + static_cast<std::size_t>(wait / kSecondsPerHour)] +=
         std::max(-saved, 0.0);
     testutil::setCarbon(r, std::move(hourly), 1000.0);
-    testutil::appendOutcome(r, Job{1, submit, length, 1}, JobOutcome{},
+    testutil::appendOutcome(r, Job{1, submit, length, 1}, 0, 0,
                             {{submit + wait, submit + wait + length,
                               PurchaseOption::OnDemand, 1}});
 }

@@ -6,7 +6,7 @@
  * simulateChecked(), and dies with the Status message on an invalid
  * setup, which in a test is a bug in the test. appendOutcome() and
  * setCarbon() build results by hand, and segmentColumnViolation()
- * checks a finalized result's segment column.
+ * checks a finalized result's segment and per-job columns.
  */
 
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
@@ -27,15 +27,32 @@
 namespace gaia::testutil {
 
 /**
+ * Give the last of `outcomes` outcomes `value` in a per-job `column`
+ * the way the engine fills one: a column stays empty while every
+ * entry is 0, and grows, zero-filled, to every outcome before it
+ * takes an entry.
+ */
+template <typename T>
+void
+setLastEntry(std::vector<T> &column, std::size_t outcomes, Seconds value)
+{
+    if (value == 0 && column.empty())
+        return;
+    column.resize(outcomes);
+    column.back() = static_cast<T>(value);
+}
+
+/**
  * Append `job` to a hand-built `result`'s job column (a copy: the
- * column is shared) and `outcome` to its outcomes, with `segments` as
- * its placements at the end of the segment column. Sets the
- * outcome's segment_end; keeps its evictions and arrival_delay.
- * Returns the appended outcome (valid until the next append).
+ * column is shared) and an outcome to its outcomes, with `segments`
+ * as its placements at the end of the segment column, `evictions` as
+ * its entry of the eviction column and `arrival_delay` as its entry
+ * of the arrival-delay column (setLastEntry()). Returns the appended
+ * outcome (valid until the next append).
  */
 inline JobOutcome &
-appendOutcome(SimulationResult &result, const Job &job,
-              JobOutcome outcome,
+appendOutcome(SimulationResult &result, const Job &job, int evictions,
+              Seconds arrival_delay,
               std::initializer_list<PlacedSegment> segments)
 {
     auto jobs = result.jobs == nullptr
@@ -44,9 +61,14 @@ appendOutcome(SimulationResult &result, const Job &job,
     jobs->push_back(job);
     result.jobs = std::move(jobs);
     result.segments.insert(result.segments.end(), segments);
+    JobOutcome &outcome = result.outcomes.emplace_back();
     outcome.segment_end =
         static_cast<std::uint32_t>(result.segments.size());
-    return result.outcomes.emplace_back(outcome);
+    setLastEntry(result.job_evictions, result.outcomes.size(),
+                 evictions);
+    setLastEntry(result.arrival_delays, result.outcomes.size(),
+                 arrival_delay);
+    return outcome;
 }
 
 /**
@@ -65,7 +87,9 @@ setCarbon(SimulationResult &result, std::vector<double> hourly,
 
 /**
  * The first broken invariant of a finalized `result`'s segment
- * column, or "" when it holds them all:
+ * column and per-job columns, or "" when it holds them all:
+ *  - the eviction and arrival-delay columns are each empty or hold
+ *    one entry per outcome;
  *  - the outcomes' ranges tile `segments` in outcome order: each
  *    segment_end is past the previous one, and the last is the
  *    column's size;
@@ -80,6 +104,14 @@ setCarbon(SimulationResult &result, std::vector<double> hourly,
 inline std::string
 segmentColumnViolation(const SimulationResult &result)
 {
+    for (const auto &[name, size] :
+         {std::pair{"job_evictions", result.job_evictions.size()},
+          std::pair{"arrival_delays", result.arrival_delays.size()}}) {
+        if (size != 0 && size != result.outcomes.size())
+            return std::string(name) + " holds " + std::to_string(size) +
+                   " entries for " +
+                   std::to_string(result.outcomes.size()) + " outcomes";
+    }
     std::size_t next = 0;
     for (const JobOutcome &o : result.outcomes) {
         const std::string job =

@@ -104,7 +104,7 @@ TEST(ElasticFaults, StormGangRetriesCountEveryInstance)
     // Initial width-3 slice revoked at the strike, both spot
     // re-attempts revoked at their start (the storm covers it),
     // then the on-demand gang restart finishes in one hour.
-    EXPECT_EQ(o.evictions, 3u);
+    EXPECT_EQ(r.evictions(o), 3);
     EXPECT_EQ(r.finish(o), strike + hours(1));
     ASSERT_FALSE(r.placements(o).empty());
     EXPECT_EQ(r.placements(o).back().width, 3);
@@ -250,7 +250,7 @@ TEST(ElasticFaults, SegmentColumnKeepsItsInvariantsUnderStorms)
         EXPECT_GT(r.eviction_count, r.outcomes.size() / 4);
         EXPECT_TRUE(std::any_of(
             r.outcomes.begin(), r.outcomes.end(),
-            [](const JobOutcome &o) { return o.evictions > 1; }));
+            [&r](const JobOutcome &o) { return r.evictions(o) > 1; }));
     }
 }
 

@@ -232,7 +232,7 @@ TEST(FaultSim, StormRevokesBackToBackThenFallsToOnDemand)
     // Initial slice revoked at the strike, both spot re-attempts
     // revoked on the spot (the storm covers their start), then the
     // on-demand restart completes the job.
-    EXPECT_EQ(o.evictions, 3u);
+    EXPECT_EQ(r.evictions(o), 3);
     EXPECT_EQ(r.eviction_count, 3u);
     EXPECT_EQ(r.finish(o), strike + hours(2));
 }
@@ -269,7 +269,7 @@ TEST(FaultSim, StormAtSliceEndDoesNotRevoke)
         run(trace, "NoWait", queues, cis, &injector, cluster,
             ResourceStrategy::SpotFirst);
     const JobOutcome &o = r.outcomes[0];
-    EXPECT_EQ(o.evictions, 0u);
+    EXPECT_EQ(r.evictions(o), 0);
     EXPECT_EQ(r.finish(o), 1800);
     ASSERT_EQ(r.placements(o).size(), 1u);
     EXPECT_EQ(r.lostSlices(o), 0u);

@@ -450,28 +450,47 @@ buildFaultCsv()
         std::string fault;
         int retries = 3;
         Seconds backoff = minutes(5);
-        std::string elastic_profile;
+        std::string elastic_profile = "";
         int reserved = 4;
         int spot_retries = 3;
     };
     const std::vector<Cell> cells = {
-        {"delay", "Carbon-Time", "delay:rate=0.3,minutes=90"},
-        {"delay-week", "Carbon-Time", "delay:rate=0.2,minutes=10080"},
-        {"outage", "Carbon-Time", "outage:rate=0.2,hours=2"},
-        {"outage", "Wait-Awhile", "outage:rate=0.2,hours=2", 5,
-         minutes(10)},
-        {"longest-ladder", "Carbon-Time", "outage:rate=1,hours=168", 16,
-         minutes(802)},
-        {"straggler", "Carbon-Time", "straggler:rate=0.3,factor=20"},
-        {"storm", "Ecovisor", "storm:rate=0.1"},
-        {"serve-smoke-mix", "Carbon-Scaler",
-         "straggler:rate=0.3,factor=1.5;delay:rate=0.2,minutes=20;"
-         "storm:rate=0.05",
-         3, minutes(5), "linear:max=4", 8},
+        {.label = "delay",
+         .policy = "Carbon-Time",
+         .fault = "delay:rate=0.3,minutes=90"},
+        {.label = "delay-week",
+         .policy = "Carbon-Time",
+         .fault = "delay:rate=0.2,minutes=10080"},
+        {.label = "outage",
+         .policy = "Carbon-Time",
+         .fault = "outage:rate=0.2,hours=2"},
+        {.label = "outage",
+         .policy = "Wait-Awhile",
+         .fault = "outage:rate=0.2,hours=2",
+         .retries = 5,
+         .backoff = minutes(10)},
+        {.label = "longest-ladder",
+         .policy = "Carbon-Time",
+         .fault = "outage:rate=1,hours=168",
+         .retries = 16,
+         .backoff = minutes(802)},
+        {.label = "straggler",
+         .policy = "Carbon-Time",
+         .fault = "straggler:rate=0.3,factor=20"},
+        {.label = "storm", .policy = "Ecovisor", .fault = "storm:rate=0.1"},
+        {.label = "serve-smoke-mix",
+         .policy = "Carbon-Scaler",
+         .fault = "straggler:rate=0.3,factor=1.5;delay:rate=0.2,"
+                  "minutes=20;storm:rate=0.05",
+         .elastic_profile = "linear:max=4",
+         .reserved = 8},
         // A storm every hour and the most spot re-attempts the spec
         // accepts: a spot job longer than an hour is evicted 17 times.
-        {"storm-max-retries", "Ecovisor", "storm:rate=1", 3, minutes(5),
-         "", 8, 16},
+        {.label = "storm-max-retries",
+         .policy = "Ecovisor",
+         .fault = "storm:rate=1",
+         .reserved = 8,
+         .spot_retries = 16},
     };
 
     SweepEngine sweep;

@@ -9,7 +9,11 @@
  * money and attributed carbon) is computed, not held, as is its
  * no-wait carbon, from its admitted arrival's 32-bit offset; a job's
  * range of the segment column is held as its end alone, since it
- * starts where the previous job's ends. Neither record stores what
+ * starts where the previous job's ends. A job's eviction count (one
+ * byte) and arrival offset (four) are held in per-job columns of the
+ * result that a run allocates only when one of its jobs is evicted
+ * or arrives late, so a fault-free on-demand run holds neither and a
+ * fault-free spot run at most the first. Neither record stores what
  * follows from the others: a slice is lost iff its job was evicted
  * and it is not the job's last (SimulationResult::lostSlices()), and
  * a job's as-run length is its submitted one, stretched if the run's
@@ -47,15 +51,16 @@ TEST(LayoutBudget, PlacedSegmentIsTwelveBytes)
     EXPECT_EQ(sizeof(PlacedSegment), 12u);
 }
 
-TEST(LayoutBudget, JobOutcomeIsTwelveBytes)
+TEST(LayoutBudget, JobOutcomeIsFourBytes)
 {
-    // Three 32-bit words: the evictions, the end of the segment range
-    // (it starts where the previous outcome's ends) and the admitted
-    // arrival's offset from submit. The job's id, submit, length and
+    // One 32-bit word: the end of the segment range (it starts where
+    // the previous outcome's ends). The job's id, submit, length and
     // cpus live in the result's job column, its segments in the
-    // segment column, and the as-run length, the money, the
-    // attributed carbon and the no-wait carbon derive from them.
-    EXPECT_EQ(sizeof(JobOutcome), 12u);
+    // segment column, its evictions and admitted arrival's offset in
+    // per-job columns that are empty unless a job has one, and the
+    // as-run length, the money, the attributed carbon and the no-wait
+    // carbon derive from them.
+    EXPECT_EQ(sizeof(JobOutcome), 4u);
 }
 
 TEST(LayoutBudget, JobIsThirtyTwoBytes)

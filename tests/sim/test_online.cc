@@ -560,6 +560,72 @@ TEST(Online, PackedRecordsHoldTheirBoundsExactly)
     }
 }
 
+TEST(Online, PerJobColumnsReachJobsAdmittedAfterTheirFirstEntry)
+{
+    // A streamed run creates its eviction and arrival-delay columns
+    // at their first nonzero entries, sized to the jobs admitted by
+    // then. A job admitted later that is delayed and evicted extends
+    // both and reads its entries at its own index, and finalize()
+    // sizes both to every outcome, so a job admitted after the last
+    // entry reads 0.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    const PolicyPtr policy = makePolicy("NoWait");
+    ClusterConfig cluster;
+    cluster.spot_eviction_rate = 1.0; // every spot slice, at once
+    cluster.spot_max_length = hours(2);
+    FaultSpec spec;
+    spec.delay_rate = 0.5;
+    spec.delay_duration = minutes(20);
+    const FaultInjector injector(spec);
+    std::vector<JobId> late;
+    std::vector<JobId> on_time;
+    for (JobId id = 1; late.size() < 2 || on_time.size() < 3; ++id)
+        (injector.delayedStart(static_cast<std::uint64_t>(id))
+             ? late
+             : on_time)
+            .push_back(id);
+
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::SpotFirst, "t",
+                                &injector)
+            .value();
+    // Job 0 is delayed and too long for spot; job 1 is evicted from
+    // spot and restarts on demand. Both columns exist once their
+    // arrivals have run.
+    ASSERT_TRUE(sched.submit({late[0], 0, hours(3), 1}).isOk());
+    ASSERT_TRUE(sched.submit({on_time[0], 0, hours(1), 1}).isOk());
+    sched.advanceTo(hours(1) - 1);
+    // Job 2 runs on demand; job 3 is delayed and evicted.
+    ASSERT_TRUE(sched.submit({on_time[1], hours(1), hours(3), 1}).isOk());
+    ASSERT_TRUE(sched.submit({late[1], hours(1), hours(1), 1}).isOk());
+    sched.advanceTo(hours(2) - 1);
+    // Job 4 runs on demand, admitted after every entry.
+    ASSERT_TRUE(sched.submit({on_time[2], hours(2), hours(3), 1}).isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+
+    ASSERT_EQ(r.outcomes.size(), 5u);
+    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+    EXPECT_EQ(r.job_evictions.size(), 5u);
+    EXPECT_EQ(r.arrival_delays.size(), 5u);
+    const int evictions[] = {0, 1, 0, 1, 0};
+    const Seconds delays[] = {minutes(20), 0, 0, minutes(20), 0};
+    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+        const JobOutcome &o = r.outcomes[i];
+        EXPECT_EQ(r.evictions(o), evictions[i]) << "job " << i;
+        EXPECT_EQ(r.arrivalDelay(o), delays[i]) << "job " << i;
+    }
+    const JobOutcome &evicted = r.outcomes[3];
+    EXPECT_EQ(r.job(evicted).id, late[1]);
+    EXPECT_EQ(r.start(evicted), hours(1) + minutes(20));
+    ASSERT_EQ(r.placements(evicted).size(), 1u);
+    EXPECT_EQ(r.placements(evicted)[0].option, PurchaseOption::OnDemand);
+    EXPECT_EQ(r.eviction_count, 2u);
+}
+
 TEST(Online, WidestElasticGangKeepsItsWidth)
 {
     // Under a run profile at the 64-instance limit, a job keeps
@@ -593,7 +659,7 @@ TEST(Online, WidestElasticGangKeepsItsWidth)
 
     ASSERT_EQ(r.outcomes.size(), 1u);
     const JobOutcome &o = r.outcomes[0];
-    EXPECT_EQ(o.evictions, 1);
+    EXPECT_EQ(r.evictions(o), 1);
     ASSERT_EQ(r.placements(o).size(), 2u);
     EXPECT_EQ(r.lostSlices(o), 1u);
     EXPECT_EQ(r.placements(o)[1].duration(), hours(2));
@@ -936,7 +1002,7 @@ TEST(Online, StaleSpotSegmentNeverReachesAReusedSlot)
     const SimulationResult r = sched.finalize();
 
     ASSERT_EQ(r.outcomes.size(), 2u);
-    EXPECT_EQ(r.outcomes[0].evictions, 1u);
+    EXPECT_EQ(r.evictions(r.outcomes[0]), 1);
     const std::span<const PlacedSegment> e =
         r.placements(r.outcomes[0]);
     ASSERT_EQ(e.size(), 2u);
@@ -948,7 +1014,7 @@ TEST(Online, StaleSpotSegmentNeverReachesAReusedSlot)
     EXPECT_EQ(e[1].end(), strike + hours(2));
     EXPECT_EQ(e[1].option, PurchaseOption::OnDemand);
 
-    EXPECT_EQ(r.outcomes[1].evictions, 0u);
+    EXPECT_EQ(r.evictions(r.outcomes[1]), 0);
     const std::span<const PlacedSegment> d =
         r.placements(r.outcomes[1]);
     ASSERT_EQ(d.size(), 1u);

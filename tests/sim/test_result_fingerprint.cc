@@ -19,7 +19,8 @@ namespace {
  * restarted on reserved cores (a lost slice, then its survivor),
  * admitted half an hour after its submit time; a one-slice on-demand
  * job; and a never-evicted suspend-resume job whose first slice is an
- * on-demand gang of two and whose second runs on spot. Fields are
+ * on-demand gang of two and whose second runs on spot. The evicted,
+ * delayed job gives the result both per-job columns. Fields are
  * assigned by name, so the fixture does not depend on struct layout;
  * each job's start, finish, lost core-seconds, start-up overhead,
  * variable cost and carbon follow from its segments, the default
@@ -59,21 +60,18 @@ pinnedResult()
 
     // Admitted at 3600, evicted from spot at 5400, and restarted on
     // reserved cores for its whole length.
-    JobOutcome evicted;
-    evicted.evictions = 1;
-    evicted.arrival_delay = 1800;
     testutil::appendOutcome(
-        r, Job{17, 1800, 3600, 2}, evicted,
+        r, Job{17, 1800, 3600, 2}, 1, 1800,
         {{3600, 5400, PurchaseOption::Spot, 1},
          {5400, 9000, PurchaseOption::Reserved, 1}});
 
     testutil::appendOutcome(
-        r, Job{18, 7200, 3600, 1}, JobOutcome{},
+        r, Job{18, 7200, 3600, 1}, 0, 0,
         {{7200, 10800, PurchaseOption::OnDemand, 1}});
 
     // Suspended between an on-demand gang of two and a spot slice.
     testutil::appendOutcome(
-        r, Job{19, 10800, 4500, 1}, JobOutcome{},
+        r, Job{19, 10800, 4500, 1}, 0, 0,
         {{10800, 12600, PurchaseOption::OnDemand, 2},
          {14400, 15300, PurchaseOption::Spot, 1}});
     return r;
@@ -118,8 +116,10 @@ moveEnd(SimulationResult &r, std::size_t job, std::size_t k, Seconds by)
 }
 
 // Computed on this fixture while each segment stored its lost flag
-// and each outcome its as-run length, so deriving them instead
-// provably mixes the same bits; layout changes must never move it.
+// and each outcome its as-run length, evictions and arrival offset,
+// so deriving the first two and moving the others into per-job
+// columns provably mixes the same bits; layout changes must never
+// move it.
 // If a deliberate change to the digest's definition moves it, every
 // pinned fingerprint (the golden tests and the benchmark's
 // fingerprint table) moves with it.
@@ -157,7 +157,11 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { r.overhead_core_seconds += 1.0; },
         [](SimulationResult &r) { r.reserved_utilization += 0.1; },
         [](SimulationResult &r) { r.eviction_count += 1; },
-        [](SimulationResult &r) { r.outcomes.pop_back(); },
+        [](SimulationResult &r) {
+            r.outcomes.pop_back();
+            r.job_evictions.pop_back();
+            r.arrival_delays.pop_back();
+        },
         [](SimulationResult &r) {
             editJob(r, 1, [](Job &j) { j.id += 1; });
         },
@@ -173,7 +177,7 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) {
             editJob(r, 1, [](Job &j) { j.cpus += 1; });
         },
-        [](SimulationResult &r) { r.outcomes[1].evictions += 1; },
+        [](SimulationResult &r) { r.job_evictions[1] += 1; },
         // start(), finish() and lostCoreSeconds() are computed from
         // the segments: move each through one.
         [](SimulationResult &r) { moveStart(r, 1, 0, 1); },
@@ -181,8 +185,10 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { moveEnd(r, 0, 0, 1); },
         // carbonNowaitGrams() is computed from the admitted arrival,
         // the length, the cpus, the carbon trace and the power model.
-        [](SimulationResult &r) { r.outcomes[1].arrival_delay += 600; },
-        [](SimulationResult &r) { r.outcomes[0].arrival_delay = 0; },
+        [](SimulationResult &r) { r.arrival_delays[1] += 600; },
+        [](SimulationResult &r) { r.arrival_delays[0] = 0; },
+        // An empty column reads 0 for every job.
+        [](SimulationResult &r) { r.arrival_delays.clear(); },
         // carbonGrams() is computed from the segments, the carbon
         // trace, the power model and the start-up overhead.
         [](SimulationResult &r) {
@@ -205,7 +211,8 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
             seg(r, 2, 1).option = PurchaseOption::OnDemand;
         },
         // An evicted job's slices but its last are lost.
-        [](SimulationResult &r) { r.outcomes[0].evictions = 0; },
+        [](SimulationResult &r) { r.job_evictions[0] = 0; },
+        [](SimulationResult &r) { r.job_evictions.clear(); },
         [](SimulationResult &r) { seg(r, 2, 0).width = 3; },
     };
     for (std::size_t i = 0; i < edits.size(); ++i) {

@@ -15,7 +15,7 @@ appendRun(SimulationResult &r, Seconds submit, Seconds length,
           Seconds start, int cpus)
 {
     return testutil::appendOutcome(
-        r, Job{1, submit, length, cpus}, JobOutcome{},
+        r, Job{1, submit, length, cpus}, 0, 0,
         {{start, start + length, PurchaseOption::OnDemand, 1}});
 }
 
@@ -82,10 +82,8 @@ TEST(JobOutcome, AnEvictionLosesEverySliceButTheRestart)
     // second is evicted after 30 min, which loses both, and the
     // restart on demand runs the whole job and settles it.
     SimulationResult r;
-    JobOutcome evicted;
-    evicted.evictions = 1;
     const JobOutcome &o = testutil::appendOutcome(
-        r, Job{1, 0, 2 * 3600, 2}, evicted,
+        r, Job{1, 0, 2 * 3600, 2}, 1, 0,
         {{0, 3600, PurchaseOption::Spot, 1},
          {7200, 9000, PurchaseOption::Spot, 1},
          {9000, 16200, PurchaseOption::OnDemand, 1}});
@@ -97,7 +95,7 @@ TEST(JobOutcome, AnEvictionLosesEverySliceButTheRestart)
 
     // Never evicted, the same job's suspended slices all survive.
     const JobOutcome &kept = testutil::appendOutcome(
-        r, Job{2, 0, 2 * 3600, 2}, JobOutcome{},
+        r, Job{2, 0, 2 * 3600, 2}, 0, 0,
         {{0, 3600, PurchaseOption::Spot, 1},
          {7200, 10800, PurchaseOption::Spot, 1}});
     EXPECT_EQ(r.lostSlices(kept), 0u);
@@ -110,10 +108,8 @@ TEST(JobOutcome, LostGangCountsEveryInstance)
     // An elastic gang of two 3-core instances, lost after 20 min,
     // restarts at full width on demand.
     SimulationResult r;
-    JobOutcome evicted;
-    evicted.evictions = 1;
     const JobOutcome &o = testutil::appendOutcome(
-        r, Job{1, 0, 1200, 3}, evicted,
+        r, Job{1, 0, 1200, 3}, 1, 0,
         {{600, 1800, PurchaseOption::Spot, 2},
          {1800, 2400, PurchaseOption::OnDemand, 2}});
     EXPECT_EQ(r.start(o), 600);
@@ -127,10 +123,8 @@ TEST(JobOutcome, RepeatedEvictionsLoseEveryReattempt)
     // are lost (an eviction at a slice's first instant records none),
     // and the third restart survives on reserved cores.
     SimulationResult r;
-    JobOutcome evicted;
-    evicted.evictions = 3;
     const JobOutcome &o = testutil::appendOutcome(
-        r, Job{1, 0, 600, 1}, evicted,
+        r, Job{1, 0, 600, 1}, 3, 0,
         {{0, 100, PurchaseOption::Spot, 1},
          {100, 400, PurchaseOption::Spot, 1},
          {400, 1000, PurchaseOption::Reserved, 1}});
@@ -144,7 +138,7 @@ TEST(JobOutcome, NoSegmentsGivesZeros)
 {
     SimulationResult r;
     const JobOutcome &o =
-        testutil::appendOutcome(r, Job{}, JobOutcome{}, {});
+        testutil::appendOutcome(r, Job{}, 0, 0, {});
     EXPECT_TRUE(r.placements(o).empty());
     EXPECT_EQ(r.start(o), 0);
     EXPECT_EQ(r.finish(o), 0);
@@ -157,10 +151,8 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
     // own, and a copied result reads the same ranges of its copy.
     SimulationResult r;
     appendRun(r, 0, 100, 0, 1);
-    JobOutcome evicted;
-    evicted.evictions = 1;
     testutil::appendOutcome(
-        r, Job{2, 0, 100, 1}, evicted,
+        r, Job{2, 0, 100, 1}, 1, 0,
         {{200, 260, PurchaseOption::Spot, 1},
          {300, 400, PurchaseOption::Reserved, 1}});
     appendRun(r, 0, 50, 500, 1);
@@ -186,7 +178,7 @@ TEST(JobOutcome, JobIsTheColumnEntryAtTheOutcomesPosition)
     SimulationResult r;
     appendRun(r, 10, 100, 10, 1);
     testutil::appendOutcome(
-        r, Job{7, 20, 60, 4}, JobOutcome{},
+        r, Job{7, 20, 60, 4}, 0, 0,
         {{20, 80, PurchaseOption::OnDemand, 1}});
     EXPECT_EQ(r.job(r.outcomes[0]).id, 1);
     EXPECT_EQ(r.job(r.outcomes[1]).id, 7);
@@ -225,6 +217,58 @@ TEST(JobOutcomeDeath, PlacementsAssertTheOutcomeIsInTheColumn)
                  "not one of this result's");
 }
 
+TEST(JobOutcome, PerJobColumnsAreEmptyOrOneEntryPerOutcome)
+{
+    // Both columns stay empty while every job reads 0; the first
+    // nonzero entry fills in the jobs before it, and every later job
+    // takes an entry. Any other length is a broken result.
+    SimulationResult r;
+    appendRun(r, 0, 100, 0, 1);
+    EXPECT_TRUE(r.job_evictions.empty());
+    EXPECT_TRUE(r.arrival_delays.empty());
+    EXPECT_EQ(r.evictions(r.outcomes[0]), 0);
+    EXPECT_EQ(r.arrivalDelay(r.outcomes[0]), 0);
+
+    testutil::appendOutcome(
+        r, Job{2, 0, 100, 1}, 2, 600,
+        {{600, 650, PurchaseOption::Spot, 1},
+         {650, 700, PurchaseOption::Spot, 1},
+         {700, 800, PurchaseOption::OnDemand, 1}});
+    appendRun(r, 0, 100, 900, 1);
+    ASSERT_EQ(r.job_evictions.size(), 3u);
+    ASSERT_EQ(r.arrival_delays.size(), 3u);
+    const int evictions[] = {0, 2, 0};
+    const Seconds delays[] = {0, 600, 0};
+    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+        EXPECT_EQ(r.evictions(r.outcomes[i]), evictions[i]) << i;
+        EXPECT_EQ(r.arrivalDelay(r.outcomes[i]), delays[i]) << i;
+    }
+    EXPECT_EQ(r.lostSlices(r.outcomes[1]), 2u);
+    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+
+    SimulationResult short_evictions = r;
+    short_evictions.job_evictions.pop_back();
+    EXPECT_EQ(testutil::segmentColumnViolation(short_evictions),
+              "job_evictions holds 2 entries for 3 outcomes");
+    SimulationResult long_delays = r;
+    long_delays.arrival_delays.push_back(0);
+    EXPECT_EQ(testutil::segmentColumnViolation(long_delays),
+              "arrival_delays holds 4 entries for 3 outcomes");
+}
+
+TEST(JobOutcomeDeath, PerJobColumnsAssertTheyHoldTheOutcome)
+{
+    SimulationResult r;
+    appendRun(r, 0, 100, 0, 1);
+    testutil::appendOutcome(r, Job{2, 0, 100, 1}, 0, 600,
+                            {{600, 700, PurchaseOption::OnDemand, 1}});
+    r.arrival_delays.pop_back();
+    EXPECT_DEATH((void)r.arrivalDelay(r.outcomes[1]),
+                 "has no entry in a per-job column");
+    const JobOutcome stray = r.outcomes[0];
+    EXPECT_DEATH((void)r.arrivalDelay(stray), "not one of this result's");
+}
+
 TEST(JobOutcome, CarbonSaved)
 {
     // One core-hour at 100 W emits 50 g at 500 g/kWh, at submit, and
@@ -232,7 +276,7 @@ TEST(JobOutcome, CarbonSaved)
     SimulationResult r;
     testutil::setCarbon(r, {500.0, 300.0}, 100.0);
     const JobOutcome &added = testutil::appendOutcome(
-        r, Job{1, 0, 3600, 1}, JobOutcome{},
+        r, Job{1, 0, 3600, 1}, 0, 0,
         {{3600, 7200, PurchaseOption::OnDemand, 1}});
     EXPECT_DOUBLE_EQ(r.carbonNowaitGrams(added), 50.0);
     EXPECT_DOUBLE_EQ(r.carbonGrams(added), 30.0);
@@ -251,10 +295,8 @@ TEST(JobOutcome, NoWaitCarbonStartsAtTheAdmittedArrival)
     stragglers.straggler_rate = 1.0;
     stragglers.straggler_factor = 1.5;
     r.faults = FaultInjector(stragglers);
-    JobOutcome delayed;
-    delayed.arrival_delay = 1800;
     const JobOutcome &o = testutil::appendOutcome(
-        r, Job{1, 0, 3600, 2}, delayed,
+        r, Job{1, 0, 3600, 2}, 0, 1800,
         {{1800, 7200, PurchaseOption::OnDemand, 1}});
     EXPECT_EQ(r.length(o), 5400);
     EXPECT_DOUBLE_EQ(r.carbonNowaitGrams(o), 0.2 * (250.0 + 300.0));

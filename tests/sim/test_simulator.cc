@@ -8,6 +8,7 @@
 #include <iterator>
 
 #include "core/policy_factory.h"
+#include "fault/injector.h"
 #include "tests/common/sim_test_util.h"
 
 namespace gaia {
@@ -353,11 +354,85 @@ TEST(Simulator, EmptyTraceProducesEmptyResult)
     EXPECT_DOUBLE_EQ(r.totalCost(), 0.0);
 }
 
+TEST(Simulator, PerJobColumnsExistOnlyWhenAJobHasAnEntry)
+{
+    // In the paper's setting every job's eviction count and arrival
+    // delay are 0, so neither column is allocated: not for an
+    // on-demand run without faults, nor for a spot run at a zero
+    // eviction rate. One eviction, or a delay fault, creates its
+    // column with an entry for every outcome.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(6));
+    std::vector<Job> jobs;
+    for (int i = 0; i < 12; ++i)
+        jobs.push_back({i + 1, i * 600, i == 0 ? hours(1) : hours(5), 1});
+    const JobTrace trace("t", std::move(jobs));
+
+    const SimulationResult on_demand =
+        run(trace, "Carbon-Time", queues, cis);
+    EXPECT_TRUE(on_demand.job_evictions.empty());
+    EXPECT_TRUE(on_demand.arrival_delays.empty());
+
+    ClusterConfig spot;
+    spot.spot_eviction_rate = 0.0;
+    spot.spot_max_length = hours(24);
+    const SimulationResult calm = run(trace, "Carbon-Time", queues, cis,
+                                      spot, ResourceStrategy::SpotFirst);
+    EXPECT_GT(calm.spot_core_seconds, 0.0);
+    EXPECT_TRUE(calm.job_evictions.empty());
+    EXPECT_TRUE(calm.arrival_delays.empty());
+
+    // Only the first job is short enough for spot, and a certain
+    // eviction revokes it at once; it restarts on demand.
+    spot.spot_eviction_rate = 1.0;
+    spot.spot_max_length = hours(2);
+    const SimulationResult evicted = run(trace, "Carbon-Time", queues,
+                                         cis, spot,
+                                         ResourceStrategy::SpotFirst);
+    EXPECT_EQ(evicted.eviction_count, 1u);
+    ASSERT_EQ(evicted.job_evictions.size(), evicted.outcomes.size());
+    EXPECT_EQ(evicted.evictions(evicted.outcomes[0]), 1);
+    for (std::size_t i = 1; i < evicted.outcomes.size(); ++i)
+        EXPECT_EQ(evicted.evictions(evicted.outcomes[i]), 0) << i;
+    EXPECT_TRUE(evicted.arrival_delays.empty());
+    EXPECT_EQ(testutil::segmentColumnViolation(evicted), "");
+
+    // A delay fault holds some jobs back by 20 minutes; the others
+    // read 0 from the same column.
+    FaultSpec delays;
+    delays.delay_rate = 0.3;
+    delays.delay_duration = minutes(20);
+    const FaultInjector injector(delays);
+    const PolicyPtr policy = makePolicy("Carbon-Time");
+    SimulationSetup setup;
+    setup.trace = &trace;
+    setup.policy = policy.get();
+    setup.queues = &queues;
+    setup.cis = &cis;
+    setup.faults = &injector;
+    const SimulationResult delayed = simulateChecked(setup).value();
+    ASSERT_EQ(delayed.arrival_delays.size(), delayed.outcomes.size());
+    std::size_t late = 0;
+    for (const JobOutcome &o : delayed.outcomes) {
+        const JobId id = delayed.job(o).id;
+        const bool held =
+            injector.delayedStart(static_cast<std::uint64_t>(id));
+        late += held ? 1 : 0;
+        EXPECT_EQ(delayed.arrivalDelay(o), held ? minutes(20) : 0)
+            << "job " << id;
+    }
+    EXPECT_GT(late, 0u);
+    EXPECT_LT(late, delayed.outcomes.size());
+    EXPECT_TRUE(delayed.job_evictions.empty());
+    EXPECT_EQ(testutil::segmentColumnViolation(delayed), "");
+}
+
 TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
 {
     // Wait-Awhile splits jobs across the cheap odd hours and spot
     // evictions add lost segments, so many jobs record more than two
-    // segments.
+    // segments; delayed starts fill the arrival-delay column.
     std::vector<double> hourly(24 * 40);
     for (std::size_t h = 0; h < hourly.size(); ++h)
         hourly[h] = h % 2 == 0 ? 400.0 : 40.0 + static_cast<double>(h % 7);
@@ -373,6 +448,9 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
     cluster.reserved_cores = 2;
     cluster.spot_eviction_rate = 0.5;
     cluster.spot_max_length = 2 * kSecondsPerHour;
+    FaultSpec delays;
+    delays.delay_rate = 0.3;
+    const FaultInjector injector(delays);
     SimulationSetup setup;
     setup.trace = &trace;
     setup.policy = policy.get();
@@ -380,6 +458,7 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
     setup.cis = &cis;
     setup.cluster = cluster;
     setup.strategy = ResourceStrategy::SpotReserved;
+    setup.faults = &injector;
 
     SimulationResult fresh = simulateChecked(setup).value();
     const std::uint64_t expected = resultFingerprint(fresh);
@@ -389,15 +468,21 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
             return fresh.placements(o).size() > 2;
         }));
 
-    // Both columns of the result that run filled are refilled in
+    // Every column of the result that run filled is refilled in
     // place.
+    ASSERT_FALSE(fresh.job_evictions.empty());
+    ASSERT_FALSE(fresh.arrival_delays.empty());
     const JobOutcome *outcomes = fresh.outcomes.data();
     const PlacedSegment *segments = fresh.segments.data();
+    const std::uint8_t *eviction_column = fresh.job_evictions.data();
+    const std::uint32_t *delay_column = fresh.arrival_delays.data();
     const SimulationResult recycled =
         simulateChecked(setup, std::move(fresh)).value();
     EXPECT_EQ(resultFingerprint(recycled), expected);
     EXPECT_EQ(recycled.outcomes.data(), outcomes);
     EXPECT_EQ(recycled.segments.data(), segments);
+    EXPECT_EQ(recycled.job_evictions.data(), eviction_column);
+    EXPECT_EQ(recycled.arrival_delays.data(), delay_column);
 
     // Storage with too little capacity grows like fresh columns.
     SimulationResult small;

@@ -363,9 +363,9 @@ TEST(SimProperties, EvictionStormStillCompletesEveryJob)
     for (const JobOutcome &o : r.outcomes) {
         if (r.length(o) <= cluster.spot_max_length) {
             ++spot_jobs;
-            EXPECT_EQ(o.evictions, 1);
+            EXPECT_EQ(r.evictions(o), 1);
         } else {
-            EXPECT_EQ(o.evictions, 0);
+            EXPECT_EQ(r.evictions(o), 0);
         }
     }
     EXPECT_EQ(r.eviction_count, spot_jobs);

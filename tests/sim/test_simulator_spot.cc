@@ -50,7 +50,7 @@ TEST(SimulatorSpot, ZeroEvictionRunsShortJobsOnSpot)
     ASSERT_EQ(r.placements(o).size(), 1u);
     EXPECT_EQ(r.placements(o)[0].option, PurchaseOption::Spot);
     EXPECT_EQ(r.lostSlices(o), 0u);
-    EXPECT_EQ(o.evictions, 0);
+    EXPECT_EQ(r.evictions(o), 0);
     // 2 core-hours at 20% of $0.0624.
     EXPECT_NEAR(r.spot_cost, 2 * 0.0624 * 0.2, 1e-9);
     EXPECT_DOUBLE_EQ(r.on_demand_cost, 0.0);
@@ -99,7 +99,7 @@ TEST(SimulatorSpot, CertainEvictionRestartsOnDemand)
     const SimulationResult r =
         run(trace, "NoWait", queues, cis, cluster);
     const JobOutcome &o = r.outcomes[0];
-    EXPECT_EQ(o.evictions, 1);
+    EXPECT_EQ(r.evictions(o), 1);
     EXPECT_EQ(r.eviction_count, 1u);
 
     ASSERT_GE(r.placements(o).size(), 1u);
@@ -217,7 +217,7 @@ TEST(SimulatorSpot, MultiSegmentEvictionAbortsAndRestarts)
     const SimulationResult r =
         run(trace, "Wait-Awhile", queues, cis, cluster);
     const JobOutcome &o = r.outcomes[0];
-    EXPECT_EQ(o.evictions, 1);
+    EXPECT_EQ(r.evictions(o), 1);
     const PlacedSegment &final = r.placements(o).back();
     EXPECT_EQ(final.option, PurchaseOption::OnDemand);
     EXPECT_EQ(final.duration(), hours(2)); // full restart
@@ -311,7 +311,7 @@ TEST(SimulatorSpot, SegmentColumnKeepsItsInvariantsUnderEvictions)
         EXPECT_TRUE(std::any_of(
             r.outcomes.begin(), r.outcomes.end(),
             [&](const JobOutcome &o) {
-                return o.evictions == 1 && r.lostSlices(o) > 1;
+                return r.evictions(o) == 1 && r.lostSlices(o) > 1;
             }));
     }
 }
