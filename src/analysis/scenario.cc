@@ -46,7 +46,7 @@ WorkloadSpec::motivating(Seconds span, std::uint64_t seed)
 {
     WorkloadSpec spec;
     spec.kind = Kind::Motivating;
-    spec.motivating_span = span;
+    spec.options.span = span;
     spec.options.seed = seed;
     return spec;
 }
@@ -87,7 +87,7 @@ WorkloadSpec::key() const
             << "|seed=" << options.seed;
         break;
       case Kind::Motivating:
-        oss << "motivating|span=" << motivating_span
+        oss << "motivating|span=" << options.span
             << "|seed=" << options.seed;
         break;
       case Kind::Csv:
@@ -112,10 +112,9 @@ WorkloadSpec::realize() const
       case Kind::Builtin:
         return buildTrace(source, options);
       case Kind::Motivating:
-        GAIA_REQUIRE(motivating_span > 0,
-                     "non-positive motivating span ",
-                     motivating_span);
-        return makeMotivatingTrace(motivating_span, options.seed);
+        GAIA_REQUIRE(options.span > 0,
+                     "non-positive motivating span ", options.span);
+        return makeMotivatingTrace(options.span, options.seed);
       case Kind::Csv: {
         GAIA_REQUIRE(!csv_path.empty(),
                      "csv workload spec has no path");
@@ -134,24 +133,22 @@ WorkloadSpec::realize() const
 
 CarbonSpec
 CarbonSpec::forRegion(Region region, std::size_t slots,
-                      std::uint64_t seed, double start_day)
+                      std::uint64_t seed)
 {
     CarbonSpec spec;
     spec.kind = Kind::RegionModel;
     spec.region = region;
     spec.slots = slots;
     spec.seed = seed;
-    spec.start_day = start_day;
     return spec;
 }
 
 CarbonSpec
-CarbonSpec::fromCsv(std::string path, std::string label)
+CarbonSpec::fromCsv(std::string path)
 {
     CarbonSpec spec;
     spec.kind = Kind::Csv;
     spec.csv_path = std::move(path);
-    spec.csv_label = std::move(label);
     return spec;
 }
 
@@ -162,11 +159,10 @@ CarbonSpec::key(std::size_t resolved_slots) const
     switch (kind) {
       case Kind::RegionModel:
         oss << "region|" << regionName(region)
-            << "|slots=" << resolved_slots << "|seed=" << seed
-            << "|start=" << start_day;
+            << "|slots=" << resolved_slots << "|seed=" << seed;
         break;
       case Kind::Csv:
-        oss << "csv|" << csv_path << "|label=" << csv_label;
+        oss << "csv|" << csv_path;
         break;
     }
     return oss.str();
@@ -179,13 +175,11 @@ CarbonSpec::realize(std::size_t resolved_slots) const
       case Kind::RegionModel:
         GAIA_REQUIRE(resolved_slots > 0,
                      "carbon trace needs at least one slot");
-        return makeRegionTrace(region, resolved_slots, seed,
-                               start_day);
+        return makeRegionTrace(region, resolved_slots, seed);
       case Kind::Csv:
         GAIA_REQUIRE(!csv_path.empty(),
                      "csv carbon spec has no path");
-        return CarbonTrace::fromCsv(
-            csv_path, csv_label.empty() ? csv_path : csv_label);
+        return CarbonTrace::fromCsv(csv_path, csv_path);
     }
     panic("unknown carbon kind");
 }

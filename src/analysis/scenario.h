@@ -65,13 +65,9 @@ struct WorkloadSpec
     /**
      * Builtin: synthesis options. For Csv with resample, job_count,
      * span, and seed parameterize the §6.1 pipeline. For
-     * Motivating, only seed is read (the span lives in
-     * motivating_span).
+     * Motivating, only span (the arrival span) and seed are read.
      */
     TraceBuildOptions options;
-
-    /** Motivating: arrival span. */
-    Seconds motivating_span = 3 * kSecondsPerDay;
 
     /** Csv: path to a JobTrace CSV (id, submit, length, cpus). */
     std::string csv_path;
@@ -121,21 +117,17 @@ struct CarbonSpec
     std::size_t slots = 0;
     /** RegionModel: RNG seed. */
     std::uint64_t seed = 1;
-    /** RegionModel: day-of-year of slot 0. */
-    double start_day = 0.0;
 
-    /** Csv: path to a CarbonTrace CSV (hour, carbon_intensity). */
+    /** Csv: path to a CarbonTrace CSV (hour, carbon_intensity); the
+     *  trace's region label is the path. */
     std::string csv_path;
-    /** Csv: region label for reporting; defaults to the path. */
-    std::string csv_label;
 
-    /** Synthesize `region` (slots = 0 derives from the workload). */
+    /** Synthesize `region` from day 0 of the year (slots = 0
+     *  derives from the workload). */
     static CarbonSpec forRegion(Region region, std::size_t slots = 0,
-                                std::uint64_t seed = 1,
-                                double start_day = 0.0);
+                                std::uint64_t seed = 1);
     /** Load a CSV dump. */
-    static CarbonSpec fromCsv(std::string path,
-                              std::string label = "");
+    static CarbonSpec fromCsv(std::string path);
 
     /** Content key for `resolved_slots` hourly slots. */
     std::string key(std::size_t resolved_slots) const;

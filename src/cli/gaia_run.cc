@@ -99,21 +99,6 @@ run(int argc, char **argv)
     obs::startSinks(options.metrics_out, options.trace_out,
                     options.verbose);
 
-    if (!options.export_workload.empty()) {
-        // Export the exact stream a serve client would replay: the
-        // realized (synthesized/loaded/resampled) trace, not the
-        // spec that describes it.
-        Result<ScenarioSpec> spec = scenarioFromOptions(options);
-        if (!spec.isOk())
-            return reportError(spec.status());
-        Result<JobTrace> trace = spec->workload.realize();
-        if (!trace.isOk())
-            return reportError(trace.status());
-        const Status exported = trace->toCsv(options.export_workload);
-        if (!exported.isOk())
-            return reportError(exported);
-    }
-
     RunArtifacts artifacts;
     Result<SimulationResult> run =
         runFromOptions(options, &artifacts);

@@ -224,6 +224,14 @@ runFromOptions(const CliOptions &options, RunArtifacts *artifacts)
     // cell runs inline on this thread.
     SweepEngine sweep;
     sweep.add(spec);
+    if (!options.export_workload.empty()) {
+        // Export the exact stream a serve client would replay: the
+        // realized (synthesized/loaded/resampled) trace the cell then
+        // reuses from the sweep's cache.
+        GAIA_TRY_ASSIGN(const std::shared_ptr<const JobTrace> trace,
+                        sweep.cache().trace(spec.workload));
+        GAIA_TRY(trace->toCsv(options.export_workload));
+    }
     sweep.run();
     GAIA_TRY_ASSIGN(SimulationResult result, sweep.result(0));
     GAIA_TRY_ASSIGN(const RunArtifacts files,

@@ -37,11 +37,12 @@ struct RunArtifacts
 Result<ScenarioSpec> scenarioFromOptions(const CliOptions &options);
 
 /**
- * Execute one gaia_run invocation: build the scenario, simulate it,
- * write the three CSVs into options.output_dir, and return the
- * result for further inspection. Bad input (missing file, malformed
- * CSV, unknown name, an output path that cannot be written) yields
- * an error Status instead of exiting.
+ * Execute one gaia_run invocation: build the scenario, write its
+ * realized job trace to options.export_workload when that is set,
+ * simulate it, write the three CSVs into options.output_dir, and
+ * return the result for further inspection. Bad input (missing file,
+ * malformed CSV, unknown name, an output path that cannot be
+ * written) yields an error Status instead of exiting.
  */
 Result<SimulationResult>
 runFromOptions(const CliOptions &options,

@@ -19,23 +19,41 @@ SchedulePlan::append(Seconds start, Seconds end, int width)
     GAIA_ASSERT(end > start, "empty or inverted segment [", start,
                 ", ", end, ")");
     GAIA_ASSERT(width >= 1, "segment width ", width, " below 1");
-    if (!segments_.empty()) {
-        RunSegment &last = segments_.back();
-        GAIA_ASSERT(start >= last.end, "segment [", start, ", ", end,
-                    ") overlaps the plan's end at ", last.end);
-        if (start == last.end && width == last.width) {
-            last.end = end;
+    if (RunSegment *last = lastSegment()) {
+        GAIA_ASSERT(start >= last->end, "segment [", start, ", ", end,
+                    ") overlaps the plan's end at ", last->end);
+        if (start == last->end && width == last->width) {
+            last->end = end;
             return;
         }
     }
-    segments_.push_back({start, end, width});
+    // The first segment stays inline; a second moves both into a
+    // vector, which later ones join.
+    const RunSegment next{start, end, width};
+    auto *several = std::get_if<std::vector<RunSegment>>(&segments_);
+    if (several == nullptr)
+        segments_ = std::vector<RunSegment>{
+            *std::get_if<RunSegment>(&segments_), next};
+    else if (several->empty())
+        segments_ = next;
+    else
+        several->push_back(next);
+}
+
+RunSegment *
+SchedulePlan::lastSegment()
+{
+    if (RunSegment *one = std::get_if<RunSegment>(&segments_))
+        return one;
+    auto &several = *std::get_if<std::vector<RunSegment>>(&segments_);
+    return several.empty() ? nullptr : &several.back();
 }
 
 Seconds
 SchedulePlan::totalRunTime() const
 {
     Seconds total = 0;
-    for (const RunSegment &s : segments_)
+    for (const RunSegment &s : segments())
         total += s.duration();
     return total;
 }
@@ -44,7 +62,7 @@ int
 SchedulePlan::maxWidth() const
 {
     int width = 1;
-    for (const RunSegment &s : segments_)
+    for (const RunSegment &s : segments())
         width = std::max(width, s.width);
     return width;
 }
@@ -53,13 +71,12 @@ std::string
 SchedulePlan::toString() const
 {
     std::ostringstream oss;
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-        if (i > 0)
-            oss << " + ";
-        oss << "[" << segments_[i].start << ", " << segments_[i].end
-            << ")";
-        if (segments_[i].width != 1)
-            oss << "x" << segments_[i].width;
+    const char *separator = "";
+    for (const RunSegment &s : segments()) {
+        oss << separator << "[" << s.start << ", " << s.end << ")";
+        if (s.width != 1)
+            oss << "x" << s.width;
+        separator = " + ";
     }
     return oss.str();
 }

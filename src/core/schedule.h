@@ -15,9 +15,10 @@
 
 #include <span>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/logging.h"
-#include "common/small_vector.h"
 #include "common/time.h"
 
 namespace gaia {
@@ -58,32 +59,35 @@ class SchedulePlan
      */
     void append(Seconds start, Seconds end, int width = 1);
 
-    bool empty() const { return segments_.empty(); }
-    std::size_t segmentCount() const { return segments_.size(); }
+    bool empty() const { return segments().empty(); }
+    std::size_t segmentCount() const { return segments().size(); }
     std::span<const RunSegment> segments() const
     {
-        return {segments_.data(), segments_.size()};
+        if (const RunSegment *one = std::get_if<RunSegment>(&segments_))
+            return {one, 1};
+        return *std::get_if<std::vector<RunSegment>>(&segments_);
     }
     const RunSegment &segment(std::size_t i) const
     {
-        GAIA_ASSERT(i < segments_.size(),
-                    "segment index out of range");
-        return segments_[i];
+        const std::span<const RunSegment> all = segments();
+        GAIA_ASSERT(i < all.size(), "segment index out of range");
+        return all[i];
     }
 
     /** When execution first begins. */
     Seconds plannedStart() const
     {
-        GAIA_ASSERT(!segments_.empty(),
-                    "plannedStart of empty plan");
-        return segments_.front().start;
+        const std::span<const RunSegment> all = segments();
+        GAIA_ASSERT(!all.empty(), "plannedStart of empty plan");
+        return all.front().start;
     }
 
     /** When execution finally completes. */
     Seconds plannedEnd() const
     {
-        GAIA_ASSERT(!segments_.empty(), "plannedEnd of empty plan");
-        return segments_.back().end;
+        const std::span<const RunSegment> all = segments();
+        GAIA_ASSERT(!all.empty(), "plannedEnd of empty plan");
+        return all.back().end;
     }
 
     /** Total planned compute time across segments. */
@@ -93,15 +97,20 @@ class SchedulePlan
     int maxWidth() const;
 
     /** True for suspend-resume plans (more than one segment). */
-    bool isSuspendResume() const { return segments_.size() > 1; }
+    bool isSuspendResume() const { return segmentCount() > 1; }
 
     /** Debug rendering, e.g. "[100, 400) + [700, 800)". */
     std::string toString() const;
 
   private:
-    /** One segment stays inline — every start-time policy's plan —
-     *  so planning a job costs no heap allocation. */
-    SmallVector<RunSegment, 1> segments_;
+    /** The last segment, for append to extend; null if empty. */
+    RunSegment *lastSegment();
+
+    /** An empty plan is the empty vector. A one-segment plan, every
+     *  start-time policy's, holds its segment inline, so planning
+     *  such a job allocates nothing; a plan of several segments
+     *  keeps them in the vector. */
+    std::variant<std::vector<RunSegment>, RunSegment> segments_;
 };
 
 } // namespace gaia

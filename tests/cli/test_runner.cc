@@ -17,6 +17,7 @@
 
 #include "common/csv.h"
 #include "common/strings.h"
+#include "workload/job.h"
 
 namespace gaia {
 namespace {
@@ -76,6 +77,33 @@ TEST(CliRunner, ProducesAllThreeArtifacts)
     const CsvTable allocation =
         tryReadCsv(artifacts.allocation_csv).value();
     EXPECT_GT(allocation.rowCount(), 24u);
+    std::filesystem::remove_all(options.output_dir);
+}
+
+TEST(CliRunner, ExportsTheTraceTheRunUsed)
+{
+    // The exported CSV is what a serve client replays, so it must be
+    // the run's own job column, job by job.
+    CliOptions options = smallRun("gaia_cli_export");
+    options.workload = "azure";
+    options.jobs = 200;
+    options.export_workload = options.output_dir + "-trace.csv";
+    const SimulationResult result = runOk(options);
+
+    const Result<JobTrace> exported =
+        JobTrace::fromCsv(options.export_workload, "exported");
+    ASSERT_TRUE(exported.isOk()) << exported.status().toString();
+    ASSERT_NE(result.jobs, nullptr);
+    ASSERT_EQ(exported->jobCount(), result.jobs->size());
+    for (std::size_t i = 0; i < exported->jobCount(); ++i) {
+        const Job &written = exported->job(i);
+        const Job &ran = (*result.jobs)[i];
+        EXPECT_EQ(written.id, ran.id) << i;
+        EXPECT_EQ(written.submit, ran.submit) << i;
+        EXPECT_EQ(written.length, ran.length) << i;
+        EXPECT_EQ(written.cpus, ran.cpus) << i;
+    }
+    std::filesystem::remove(options.export_workload);
     std::filesystem::remove_all(options.output_dir);
 }
 

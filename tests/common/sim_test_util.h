@@ -2,11 +2,13 @@
  * @file
  * Shared test helpers for simulation results.
  *
- * runSim() fills a SimulationSetup from parts, runs it with
- * simulateChecked(), and dies with the Status message on an invalid
- * setup, which in a test is a bug in the test. appendOutcome() and
- * setCarbon() build results by hand, and segmentColumnViolation()
- * checks a finalized result's segment and per-job columns.
+ * oneQueue(), flatTrace() and fallingTrace() build the queue and the
+ * carbon traces the simulator suites run on. runSim() fills a
+ * SimulationSetup from parts, runs it with simulateChecked(), and
+ * dies with the Status message on an invalid setup, which in a test
+ * is a bug in the test. appendOutcome() and setCarbon() build
+ * results by hand, and segmentColumnViolation() checks a finalized
+ * result's segment and per-job columns.
  */
 
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
@@ -21,10 +23,40 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/time.h"
+#include "core/queues.h"
 #include "sim/results.h"
 #include "sim/simulator.h"
+#include "trace/carbon_trace.h"
 
 namespace gaia::testutil {
+
+/** One three-day-horizon queue named "only" that waits at most
+ *  `max_wait` for jobs averaging `avg`. */
+inline QueueConfig
+oneQueue(Seconds max_wait = hours(6), Seconds avg = kSecondsPerHour)
+{
+    return QueueConfig({{"only", 3 * kSecondsPerDay, max_wait, avg}});
+}
+
+/** Flat intensity `value` over `slots` hours (40 days by default,
+ *  long enough for every scenario of the simulator suites). */
+inline CarbonTrace
+flatTrace(double value = 100.0, std::size_t slots = 24 * 40)
+{
+    return CarbonTrace("flat", std::vector<double>(slots, value));
+}
+
+/** Decreasing intensity over 40 days: waiting always lowers carbon,
+ *  so a carbon-aware policy visibly diverges from NoWait. */
+inline CarbonTrace
+fallingTrace()
+{
+    std::vector<double> values(24 * 40);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = 1000.0 - static_cast<double>(i);
+    return CarbonTrace("falling", std::move(values));
+}
 
 /**
  * Give the last of `outcomes` outcomes `value` in a per-job `column`

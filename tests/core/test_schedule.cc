@@ -2,6 +2,9 @@
 
 #include "core/schedule.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace gaia {
@@ -68,6 +71,33 @@ TEST(SchedulePlan, ToStringRendersIntervals)
     plan.append(1, 2);
     plan.append(5, 7);
     EXPECT_EQ(plan.toString(), "[1, 2) + [5, 7)");
+}
+
+TEST(SchedulePlan, CopiesAreIndependentAndMovesKeepEverySegment)
+{
+    // One segment is held inline, several in a vector; a copy of
+    // either owns its segments.
+    for (const bool several : {false, true}) {
+        SchedulePlan original(0, 10);
+        if (several)
+            original.append(20, 30);
+        const std::string before = original.toString();
+
+        SchedulePlan copy(original);
+        copy.append(40, 50);
+        SchedulePlan assigned;
+        assigned = original;
+        assigned.append(60, 70, 2);
+        EXPECT_EQ(original.toString(), before);
+        EXPECT_EQ(copy.toString(), before + " + [40, 50)");
+        EXPECT_EQ(assigned.toString(), before + " + [60, 70)x2");
+
+        const SchedulePlan moved(std::move(copy));
+        EXPECT_EQ(moved.toString(), before + " + [40, 50)");
+        SchedulePlan moved_into(5, 1);
+        moved_into = std::move(assigned);
+        EXPECT_EQ(moved_into.toString(), before + " + [60, 70)x2");
+    }
 }
 
 TEST(SchedulePlanDeath, InvalidPlansRejected)

@@ -15,34 +15,14 @@
 #include "fault/injector.h"
 #include "sim/results.h"
 #include "sim/simulator.h"
+#include "tests/common/sim_test_util.h"
 
 namespace gaia {
 namespace {
 
-QueueConfig
-oneQueue(Seconds max_wait)
-{
-    return QueueConfig(
-        {{"only", 3 * kSecondsPerDay, max_wait, kSecondsPerHour}});
-}
-
-CarbonTrace
-flatTrace(double value = 100.0)
-{
-    return CarbonTrace("flat",
-                       std::vector<double>(24 * 40, value));
-}
-
-/** Decreasing intensity: waiting always lowers carbon, so a
- *  carbon-aware policy visibly diverges from NoWait. */
-CarbonTrace
-fallingTrace()
-{
-    std::vector<double> values(24 * 40);
-    for (std::size_t i = 0; i < values.size(); ++i)
-        values[i] = 1000.0 - static_cast<double>(i);
-    return CarbonTrace("falling", std::move(values));
-}
+using testutil::oneQueue;
+using testutil::flatTrace;
+using testutil::fallingTrace;
 
 SimulationResult
 run(const JobTrace &trace, const std::string &policy,

@@ -19,19 +19,8 @@
 namespace gaia {
 namespace {
 
-QueueConfig
-oneQueue(Seconds max_wait = hours(6))
-{
-    return QueueConfig(
-        {{"only", 3 * kSecondsPerDay, max_wait, kSecondsPerHour}});
-}
-
-CarbonTrace
-flatTrace()
-{
-    return CarbonTrace("flat",
-                       std::vector<double>(24 * 40, 100.0));
-}
+using testutil::oneQueue;
+using testutil::flatTrace;
 
 /**
  * Feed `jobs` (in submit order) the way the serving daemon does:

@@ -14,19 +14,8 @@
 namespace gaia {
 namespace {
 
-/** One-queue configuration with an explicit waiting limit. */
-QueueConfig
-oneQueue(Seconds max_wait, Seconds avg = kSecondsPerHour)
-{
-    return QueueConfig({{"only", 3 * kSecondsPerDay, max_wait, avg}});
-}
-
-/** Flat-intensity trace long enough for every scenario here. */
-CarbonTrace
-flatTrace(double value = 100.0, std::size_t slots = 24 * 40)
-{
-    return CarbonTrace("flat", std::vector<double>(slots, value));
-}
+using testutil::oneQueue;
+using testutil::flatTrace;
 
 SimulationResult
 run(const JobTrace &trace, const std::string &policy,

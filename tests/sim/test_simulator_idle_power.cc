@@ -9,12 +9,7 @@
 namespace gaia {
 namespace {
 
-QueueConfig
-oneQueue()
-{
-    return QueueConfig({{"only", 3 * kSecondsPerDay,
-                         6 * kSecondsPerHour, kSecondsPerHour}});
-}
+using testutil::oneQueue;
 
 TEST(IdlePower, DisabledByDefault)
 {

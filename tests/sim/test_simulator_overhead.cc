@@ -9,19 +9,8 @@
 namespace gaia {
 namespace {
 
-QueueConfig
-oneQueue(Seconds max_wait)
-{
-    return QueueConfig(
-        {{"only", 3 * kSecondsPerDay, max_wait, kSecondsPerHour}});
-}
-
-CarbonTrace
-flatTrace(double value = 100.0)
-{
-    return CarbonTrace("flat",
-                       std::vector<double>(24 * 40, value));
-}
+using testutil::oneQueue;
+using testutil::flatTrace;
 
 TEST(SimulatorOverhead, OnDemandSegmentChargedOnce)
 {

@@ -11,18 +11,8 @@
 namespace gaia {
 namespace {
 
-QueueConfig
-oneQueue(Seconds max_wait, Seconds avg = kSecondsPerHour)
-{
-    return QueueConfig({{"only", 3 * kSecondsPerDay, max_wait, avg}});
-}
-
-CarbonTrace
-flatTrace(double value = 100.0)
-{
-    return CarbonTrace("flat",
-                       std::vector<double>(24 * 40, value));
-}
+using testutil::oneQueue;
+using testutil::flatTrace;
 
 SimulationResult
 run(const JobTrace &trace, const std::string &policy,

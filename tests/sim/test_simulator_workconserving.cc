@@ -14,19 +14,8 @@
 namespace gaia {
 namespace {
 
-QueueConfig
-oneQueue(Seconds max_wait)
-{
-    return QueueConfig(
-        {{"only", 3 * kSecondsPerDay, max_wait, kSecondsPerHour}});
-}
-
-CarbonTrace
-flatTrace()
-{
-    return CarbonTrace("flat",
-                       std::vector<double>(24 * 40, 100.0));
-}
+using testutil::oneQueue;
+using testutil::flatTrace;
 
 SimulationResult
 runReservedFirst(const JobTrace &trace, int reserved,
