@@ -30,7 +30,12 @@
  * cell fills, in place, so a rerun allocates no new columns. A
  * Result<SimulationResult> reference, and any pointer into its
  * columns, is therefore invalidated by run() as well as by the
- * engine's destruction.
+ * engine's destruction. The columns map their large blocks for
+ * themselves (common/column.h), so a freed one would leave nothing
+ * resident; what recycling saves is faulting a fresh column's pages
+ * in again on every pass: bench/perf's fig14_year (seed 1) takes
+ * 13,455 minor faults per run with it and 224,594 without, at the
+ * same peak.
  */
 
 #ifndef GAIA_ANALYSIS_SWEEP_H

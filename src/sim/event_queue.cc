@@ -25,17 +25,31 @@ EventQueue::scheduleArrival(std::uint32_t job, Seconds when)
 {
     GAIA_ASSERT(arrivals_ != nullptr && job < arrivals_->size(),
                 "arrival of job ", job, " outside the arrival column");
+    GAIA_ASSERT(job < kMaxJobs, "job index ", job,
+                " leaves no room for its run's end");
     GAIA_ASSERT(when >= now_, "scheduling into the past: ", when,
                 " < ", now_);
-    if (when == (*arrivals_)[job].submit &&
-        (lane_.empty() ||
-         (job > lane_.back() && when >= laneTime(lane_.size() - 1)))) {
-        lane_.push_back(job);
+    if (when == submitOf(job) &&
+        (lane_.empty() || (job >= lane_.back().last &&
+                           when >= submitOf(lane_.back().last - 1)))) {
+        if (!lane_.empty() && job == lane_.back().last)
+            ++lane_.back().last;
+        else
+            lane_.push_back(Run{job, job + 1});
         return;
     }
     // Delayed, or out of order relative to the lane: the heap still
     // dispatches it at the right point.
     heap_.push(Entry{when, job, SimEvent{0, job, 0}});
+}
+
+std::size_t
+EventQueue::pendingCount() const
+{
+    std::size_t pending = heap_.size();
+    for (std::size_t k = lane_head_; k < lane_.size(); ++k)
+        pending += lane_[k].last - lane_[k].first;
+    return pending;
 }
 
 bool
@@ -46,17 +60,21 @@ EventQueue::laneFirst() const
     if (heap_.empty())
         return true;
     const Entry &top = heap_.top();
-    const Seconds time = laneTime(lane_head_);
+    const std::uint32_t job = lane_[lane_head_].first;
+    const Seconds time = submitOf(job);
     if (time != top.time)
         return time < top.time;
-    return lane_[lane_head_] < top.ord;
+    return job < top.ord;
 }
 
 void
 EventQueue::popLane()
 {
+    Run &head = lane_[lane_head_];
+    if (++head.first < head.last)
+        return;
     ++lane_head_;
-    // Each drop moves fewer entries than were consumed since the last
+    // Each drop moves fewer runs than were consumed since the last
     // one, so dropping costs O(1) amortized per arrival.
     if (2 * lane_head_ >= lane_.size()) {
         lane_.erase(lane_.begin(),
@@ -69,10 +87,10 @@ bool
 EventQueue::runNextUntil(Seconds until, Sink &sink)
 {
     if (laneFirst()) {
-        const Seconds time = laneTime(lane_head_);
+        const std::uint32_t job = lane_[lane_head_].first;
+        const Seconds time = submitOf(job);
         if (time > until)
             return false;
-        const std::uint32_t job = lane_[lane_head_];
         popLane();
         now_ = time;
         sink.onArrival(job);

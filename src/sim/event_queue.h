@@ -14,11 +14,15 @@
  * Job arrivals are the one kind the queue knows: each names a job by
  * its index in the run's job column, runs before every other event
  * at its instant, and among arrivals at one instant the lower index
- * runs first. An arrival at its job's submit time waits in a lane of
- * 4-byte indices, whose times are read from the column; the rest (a
- * fault-delayed arrival, a streamed submit earlier than the lane's
- * tail) wait in the heap. Both merge in that one order, so which of
- * them holds an arrival never shows in the dispatch order.
+ * runs first. An arrival at its job's submit time whose index and time
+ * both come after the lane's tail waits in a lane of [first, last)
+ * runs of consecutive job indices, whose times are read from the
+ * column: an index that continues the last run extends it, any other
+ * starts a new one, so a sorted replay or an in-order stream is one
+ * run however many jobs it has. The rest (a fault-delayed arrival, a
+ * streamed submit earlier than the lane's tail) wait in the heap.
+ * Both merge in that one order, so which of them holds an arrival
+ * never shows in the dispatch order.
  */
 
 #ifndef GAIA_SIM_EVENT_QUEUE_H
@@ -79,8 +83,9 @@ class EventQueue
     /**
      * Schedule the arrival of job `job` of the bound column at
      * `when` (>= now()); see the file comment for its order. It
-     * joins the lane when `when` is the job's submit time and it
-     * sorts after the lane's last entry, and the heap otherwise.
+     * joins the lane when `when` is the job's submit time and both
+     * `job` and `when` come after the lane's last arrival, extending
+     * the last run when `job` is its end, and the heap otherwise.
      */
     void scheduleArrival(std::uint32_t job, Seconds when);
 
@@ -110,23 +115,16 @@ class EventQueue
         return heap_.empty() && lane_head_ == lane_.size();
     }
 
-    std::size_t
-    pendingCount() const
-    {
-        return heap_.size() + (lane_.size() - lane_head_);
-    }
+    /** Events and arrivals still queued. */
+    std::size_t pendingCount() const;
 
     /**
-     * Entries the arrival lane holds: its pending arrivals plus a
-     * consumed prefix, which is dropped once it reaches half the
+     * Runs the arrival lane holds: those with a pending arrival plus
+     * a consumed prefix, which is dropped once it reaches half the
      * lane, so a long-lived stream's lane stays within twice its
-     * pending arrivals.
+     * pending runs.
      */
-    std::size_t laneEntries() const { return lane_.size(); }
-
-    /** Pre-size the arrival lane for `arrivals` lane entries; the
-     *  heap grows as needed. */
-    void reserveArrivals(std::size_t arrivals) { lane_.reserve(arrivals); }
+    std::size_t laneRuns() const { return lane_.size(); }
 
   private:
     /**
@@ -154,23 +152,33 @@ class EventQueue
     static constexpr std::uint64_t kFirstEventOrd = std::uint64_t{1}
                                                     << 56;
 
-    Seconds laneTime(std::size_t k) const
+    /** Job indices [first, last) arriving at their submit times, in
+     *  index order. */
+    struct Run
     {
-        return (*arrivals_)[lane_[k]].submit;
+        std::uint32_t first;
+        std::uint32_t last;
+    };
+
+    /** Submit time of job `job` of the bound column. */
+    Seconds submitOf(std::uint32_t job) const
+    {
+        return (*arrivals_)[job].submit;
     }
     /** True when the lane has a pending arrival that runs before
      *  the heap's earliest entry. */
     bool laneFirst() const;
-    /** Consume the lane's head, dropping the consumed prefix once it
-     *  reaches half the lane. */
+    /** Consume the lane's next arrival, dropping the consumed runs
+     *  once they reach half the lane. */
     void popLane();
     /** Dispatch the earliest event if it is due by `until`. */
     bool runNextUntil(Seconds until, Sink &sink);
 
     std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    /** Job indices of arrivals at their submit times, sorted by
-     *  (submit, index); [lane_head_, end) are pending. */
-    std::vector<std::uint32_t> lane_;
+    /** Runs of arrivals at their submit times, sorted by (submit,
+     *  index); [lane_head_, end) hold the pending ones, and the head
+     *  run's `first` is the next to dispatch. */
+    std::vector<Run> lane_;
     std::size_t lane_head_ = 0;
     /** The bound job column; null until bindArrivals(). */
     const std::vector<Job> *arrivals_ = nullptr;

@@ -34,7 +34,7 @@ obs::Counter &c_degraded_instance_hours =
  *  0 for each new entry. */
 template <typename T>
 void
-setJobEntry(std::vector<T> &column, std::size_t admitted,
+setJobEntry(Column<T> &column, std::size_t admitted,
             std::uint32_t job, T value)
 {
     if (job >= column.size())
@@ -248,9 +248,8 @@ OnlineScheduler::replay(const JobTrace &trace)
                 "replay() on an engine that already holds jobs");
     jobs_ = trace.sharedJobs();
     events_.bindArrivals(*jobs_);
-    // Every arrival but a fault-delayed one waits in the lane; the
-    // heap holds only in-flight events and grows with them.
-    events_.reserveArrivals(jobs_->size());
+    // The sorted trace's arrivals wait in the lane as one run, split
+    // only where a fault delays one into the heap.
     for (std::size_t i = 0; i < jobs_->size(); ++i)
         GAIA_TRY(admit(i));
     return Status::ok();
@@ -292,8 +291,8 @@ OnlineScheduler::admit(std::size_t idx)
     // Arrivals at a timestamp run before same-instant retries,
     // releases and starts, in job order, so batch and incremental
     // feeding agree. The lane keeps a sorted feed's arrivals out of
-    // the heap as 4-byte indices; a fault-delayed arrival falls back
-    // to the heap transparently.
+    // the heap as runs of job indices; a fault-delayed arrival falls
+    // back to the heap transparently.
     events_.scheduleArrival(static_cast<std::uint32_t>(idx), arrival);
     return Status::ok();
 }
@@ -730,7 +729,7 @@ OnlineScheduler::groupSegmentsByJob()
             std::swap(segment_jobs_[k], segment_jobs_[to]);
         }
     }
-    segment_jobs_ = std::vector<std::uint32_t>();
+    segment_jobs_ = Column<std::uint32_t>();
 }
 
 void

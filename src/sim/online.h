@@ -43,9 +43,11 @@
  * function that validates it, records its JobOutcome (the end of its
  * segment range, all the run decides that nothing else gives; a
  * straggler's stretched length derives from the job and the run's
- * fault injector) and queues its arrival as a 4-byte job index, whose
- * time the arrival lane reads from the column (see
- * sim/event_queue.h), as planning reads its queue hint. A rejected or
+ * fault injector) and queues its arrival by its job index, whose time
+ * the arrival lane reads from the column, as planning reads its queue
+ * hint; the lane holds a sorted feed's arrivals as runs of
+ * consecutive indices, so a fault-free replay is one run (see
+ * sim/event_queue.h). A rejected or
  * late job gets neither a column entry nor an outcome. A job's spot
  * evictions and its admitted arrival's offset from submit (from which
  * the no-wait counterfactual derives) are almost always 0, so each
@@ -76,7 +78,10 @@
  * every slice before its last is lost
  * (SimulationResult::lostSlices()). The records are packed (4-byte
  * outcomes, 12-byte segments; see sim/results.h), since a sweep holds
- * them for every job of every cell.
+ * them for every job of every cell. The outcome, segment, eviction,
+ * arrival-delay and log columns are Columns (common/column.h), so
+ * growing or freeing a large one leaves no free block resident in a
+ * malloc arena.
  *
  * Usage:
  *
@@ -101,6 +106,7 @@
 
 #include "cloud/eviction.h"
 #include "cloud/reserved_pool.h"
+#include "common/column.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/cis.h"
@@ -196,11 +202,10 @@ class OnlineScheduler : private EventQueue::Sink
      * Allocate the job column submit() appends to, at the capacity
      * reserveJobs() recorded, on the calling thread; the first
      * submit() does it otherwise. A driver that submits from another
-     * thread calls this first, so the column comes from the same
-     * malloc arena as the outcome and segment columns: allocated on
-     * the serving daemon's consumer thread, it stayed resident in
-     * that thread's arena, about 3 MB more peak RSS on bench/perf's
-     * serve_stream.
+     * thread calls this first, so the column comes from the calling
+     * thread's malloc arena: allocated on the serving daemon's
+     * consumer thread, it stayed resident in that thread's arena,
+     * about 3 MB more peak RSS on bench/perf's serve_stream.
      */
     void reserveStream();
 
@@ -211,8 +216,8 @@ class OnlineScheduler : private EventQueue::Sink
      * shares its trace's column and allocates none. Call before the
      * engine takes its jobs. The job-state pool and the arrival lane
      * are not reserved here: the pool grows to the jobs in flight,
-     * and the lane to a streamed run's pending arrivals (replay()
-     * sizes it for the whole trace).
+     * and the lane holds a run of job indices per break in the
+     * arrival order, one for a fault-free replay.
      * `storage`'s outcome, segment, eviction and arrival-delay
      * columns become this run's: they are cleared and only their
      * capacity is kept, so a caller rerunning a cell can hand back
@@ -246,13 +251,11 @@ class OnlineScheduler : private EventQueue::Sink
     /** Jobs submitted so far. */
     std::size_t submittedJobs() const { return outcomes_.size(); }
 
-    /** Entries the event queue's arrival lane holds (see
-     *  EventQueue::laneEntries()): at most about twice the arrivals
-     *  still pending there, however long a stream has run. */
-    std::size_t arrivalLaneEntries() const
-    {
-        return events_.laneEntries();
-    }
+    /** Runs of job indices the event queue's arrival lane holds (see
+     *  EventQueue::laneRuns()): one for a stream submitted in order,
+     *  and at most about twice the runs still pending there however
+     *  long a stream has run. */
+    std::size_t arrivalLaneRuns() const { return events_.laneRuns(); }
 
     /**
      * Job-state slots held right now: one per job that has arrived
@@ -479,21 +482,21 @@ class OnlineScheduler : private EventQueue::Sink
     std::size_t reserved_jobs_ = 0;
     /** One record per admitted job, outcome i for job i of the
      *  column; moved into the result by finalize(). */
-    std::vector<JobOutcome> outcomes_;
+    Column<JobOutcome> outcomes_;
     /** The result's per-job eviction and arrival-delay columns
      *  (SimulationResult::job_evictions, arrival_delays). Each stays
      *  empty until a job writes a nonzero entry, and then holds an
      *  entry for every job admitted up to the latest write;
      *  finalize() sizes a non-empty one to every outcome. */
-    std::vector<std::uint8_t> job_evictions_;
-    std::vector<std::uint32_t> arrival_delays_;
+    Column<std::uint8_t> job_evictions_;
+    Column<std::uint32_t> arrival_delays_;
     /** Every placement in event order until finalize() groups it by
      *  job and moves it into the result. */
-    std::vector<PlacedSegment> segments_;
+    Column<PlacedSegment> segments_;
     /** segment_jobs_[k] is the outcome index of segments_[k]; empty
      *  while segments_ is grouped by job, so runs that place jobs in
      *  order neither allocate nor permute it. */
-    std::vector<std::uint32_t> segment_jobs_;
+    Column<std::uint32_t> segment_jobs_;
     /** Job of the latest placement while segment_jobs_ is empty. */
     std::uint32_t last_segment_job_ = 0;
     /** Slots waiting for reserved capacity, by planned start; equal

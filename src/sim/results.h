@@ -23,6 +23,7 @@
 
 #include "cloud/pricing.h"
 #include "cloud/purchase.h"
+#include "common/column.h"
 #include "common/logging.h"
 #include "common/time.h"
 #include "fault/fault_spec.h"
@@ -175,6 +176,9 @@ struct JobOutcome
  * every job of a fault-free run arrives at its submit time. Each is
  * either empty, meaning 0 for every job, or holds one entry per
  * outcome; evictions() and arrivalDelay() read them either way.
+ * All four are Columns (common/column.h): one of 128 KiB or more is
+ * mapped for itself, and its pages go back to the system when the
+ * result frees it.
  */
 struct SimulationResult
 {
@@ -187,11 +191,11 @@ struct SimulationResult
      *  or engine that made the result, so it stays valid after
      *  both are gone. */
     std::shared_ptr<const std::vector<Job>> jobs;
-    std::vector<JobOutcome> outcomes;
-    std::vector<PlacedSegment> segments;
+    Column<JobOutcome> outcomes;
+    Column<PlacedSegment> segments;
     /** Spot evictions each job suffered, outcome i's at position i;
      *  empty when the run evicted no job. */
-    std::vector<std::uint8_t> job_evictions;
+    Column<std::uint8_t> job_evictions;
     // A job is evicted at most once from its plan and once per storm
     // re-attempt of spot, which FaultSpec::validate caps at
     // kMaxStormSpotRetries.
@@ -202,7 +206,7 @@ struct SimulationResult
      *  at position i: a fault's start delay plus the carbon-source
      *  retry ladder. Empty when every job arrived at its submit time,
      *  as in every fault-free run. */
-    std::vector<std::uint32_t> arrival_delays;
+    Column<std::uint32_t> arrival_delays;
     // FaultSpec::validate bounds the start delay by kMaxFaultDuration
     // and the whole retry ladder by kMaxInputDuration, so no admitted
     // arrival lies further than their sum after its submit time.
@@ -420,7 +424,7 @@ struct SimulationResult
      *  Asserts that `o` is one of this result's outcomes and that a
      *  non-empty column holds its entry. */
     template <typename T>
-    T entryOf(const std::vector<T> &column, const JobOutcome &o) const
+    T entryOf(const Column<T> &column, const JobOutcome &o) const
     {
         if (column.empty())
             return 0;

@@ -32,7 +32,8 @@ using JobId = std::int64_t;
 
 /**
  * Most jobs one run may hold: the engine packs a job's index into 32
- * bits of each event payload and arrival-lane entry.
+ * bits of each event payload, and one past it into the 32-bit end of
+ * an arrival-lane run.
  */
 constexpr std::size_t kMaxJobs = 0xffffffffu;
 

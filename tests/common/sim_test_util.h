@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/column.h"
 #include "common/logging.h"
 #include "common/time.h"
 #include "core/queues.h"
@@ -66,7 +67,7 @@ fallingTrace()
  */
 template <typename T>
 void
-setLastEntry(std::vector<T> &column, std::size_t outcomes, Seconds value)
+setLastEntry(Column<T> &column, std::size_t outcomes, Seconds value)
 {
     if (value == 0 && column.empty())
         return;

@@ -159,28 +159,13 @@ TEST(EventQueue, RunNextAndCounters)
     EXPECT_EQ(q.now(), 1);
 }
 
-TEST(EventQueue, ReserveDoesNotDisturbPendingEvents)
-{
-    const std::vector<Job> jobs = column({20, 30});
-    EventQueue q;
-    q.bindArrivals(jobs);
-    Recorder sink(q);
-    q.schedule(10, 1, SimEvent{0, 7, 0});
-    q.scheduleArrival(0, 20);
-    q.reserveArrivals(1024);
-    q.schedule(5, 1, SimEvent{0, 6, 0});
-    q.scheduleArrival(1, 30);
-    q.runAll(sink);
-    EXPECT_EQ(sink.payloads,
-              (std::vector<std::uint32_t>{6, 7, 0, 1}));
-}
-
 TEST(EventQueue, ArrivalLaneMergesWithHeapInGlobalOrder)
 {
     // Jobs 1 and 4 are delayed past their submit times, so they wait
-    // in the heap; the rest wait in the lane as bare indices. At one
-    // instant every arrival runs before every event, and arrivals run
-    // in job order whichever side holds them.
+    // in the heap; the rest wait in the lane, job 0 as one run and
+    // jobs 2 and 3 as another. At one instant every arrival runs
+    // before every event, and arrivals run in job order whichever
+    // side holds them.
     const std::vector<Job> jobs = column({10, 10, 15, 20, 12});
     EventQueue q;
     q.bindArrivals(jobs);
@@ -192,7 +177,7 @@ TEST(EventQueue, ArrivalLaneMergesWithHeapInGlobalOrder)
     q.schedule(15, 1, SimEvent{0, 101, 0});
     q.scheduleArrival(3, 20);
     q.scheduleArrival(4, 20); // delayed: heap, after job 3
-    EXPECT_EQ(q.laneEntries(), 3u);
+    EXPECT_EQ(q.laneRuns(), 2u);
     EXPECT_EQ(q.pendingCount(), 7u);
     q.runAll(sink);
     EXPECT_EQ(sink.kinds,
@@ -218,7 +203,7 @@ TEST(EventQueue, ArrivalsEarlierThanTheLaneTailFallBackToTheHeap)
     q.scheduleArrival(0, 30);
     q.scheduleArrival(1, 10);
     q.scheduleArrival(2, 40);
-    EXPECT_EQ(q.laneEntries(), 2u);
+    EXPECT_EQ(q.laneRuns(), 2u);
     EXPECT_EQ(q.pendingCount(), 3u);
     q.runAll(sink);
     EXPECT_EQ(sink.payloads, (std::vector<std::uint32_t>{1, 0, 2}));
@@ -238,15 +223,65 @@ TEST(EventQueue, RunUntilCoversTheArrivalLane)
     EXPECT_EQ(q.pendingCount(), 1u);
     q.runUntil(30, sink);
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.laneEntries(), 0u);
+    EXPECT_EQ(q.laneRuns(), 0u);
+}
+
+TEST(EventQueue, ASortedReplayIsOneRun)
+{
+    // Three jobs a second, in submit order: every arrival continues
+    // the lane's one run, however many there are.
+    constexpr std::uint32_t kJobs = 100000;
+    std::vector<Job> jobs;
+    jobs.reserve(kJobs);
+    for (std::uint32_t i = 0; i < kJobs; ++i)
+        jobs.push_back({i, static_cast<Seconds>(i / 3), 60, 1});
+    EventQueue q;
+    q.bindArrivals(jobs);
+    Recorder sink(q);
+    for (std::uint32_t i = 0; i < kJobs; ++i)
+        q.scheduleArrival(i, jobs[i].submit);
+    EXPECT_EQ(q.laneRuns(), 1u);
+    EXPECT_EQ(q.pendingCount(), kJobs);
+    q.runAll(sink);
+    ASSERT_EQ(sink.payloads.size(), kJobs);
+    for (std::uint32_t i = 0; i < kJobs; ++i) {
+        ASSERT_EQ(sink.payloads[i], i);
+        ASSERT_EQ(sink.times[i], jobs[i].submit);
+    }
+    EXPECT_EQ(q.laneRuns(), 0u);
+}
+
+TEST(EventQueue, ADelayedArrivalSplitsTheLaneAroundIt)
+{
+    // Job 2 is delayed from 30 to 40, so it waits in the heap and
+    // the lane holds jobs 0-1 and 3-4 as two runs. It still runs in
+    // (time, index) order: before job 3, its equal-time successor.
+    const std::vector<Job> jobs = column({10, 20, 30, 40, 50});
+    EventQueue q;
+    q.bindArrivals(jobs);
+    Recorder sink(q);
+    q.scheduleArrival(0, 10);
+    q.scheduleArrival(1, 20);
+    q.scheduleArrival(2, 40); // delayed: heap
+    q.scheduleArrival(3, 40);
+    q.scheduleArrival(4, 50);
+    EXPECT_EQ(q.laneRuns(), 2u);
+    EXPECT_EQ(q.pendingCount(), 5u);
+    q.runAll(sink);
+    EXPECT_EQ(sink.payloads,
+              (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(sink.times, (std::vector<Seconds>{10, 20, 40, 40, 50}));
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ArrivalLaneDropsItsConsumedPrefix)
 {
     // A stream that never lets the lane drain: each arrival is
-    // submitted ten seconds ahead of the clock. The lane holds its
-    // pending arrivals plus a consumed prefix shorter than them, not
-    // every arrival it ever saw, and the column may grow meanwhile.
+    // submitted ten seconds ahead of the clock, and only every other
+    // job of the column arrives, so each arrival is a run of its own.
+    // The lane holds its pending runs plus a consumed prefix shorter
+    // than them, not every run it ever saw, and the column may grow
+    // meanwhile.
     std::vector<Job> jobs;
     jobs.reserve(1); // growth relocates the column's elements
     EventQueue q;
@@ -254,18 +289,19 @@ TEST(EventQueue, ArrivalLaneDropsItsConsumedPrefix)
     Recorder sink(q);
     for (std::uint32_t i = 0; i < 1000; ++i) {
         jobs.push_back({i, static_cast<Seconds>(i), 60, 1});
-        q.scheduleArrival(i, i);
+        if (i % 2 == 0)
+            q.scheduleArrival(i, i);
         if (i >= 10)
             q.runUntil(i - 10, sink);
-        ASSERT_LE(q.laneEntries(), 2 * q.pendingCount()) << i;
+        ASSERT_LE(q.laneRuns(), 2 * q.pendingCount()) << i;
     }
-    EXPECT_EQ(q.pendingCount(), 10u);
-    EXPECT_LE(q.laneEntries(), 20u);
+    EXPECT_EQ(q.pendingCount(), 5u);
+    EXPECT_LE(q.laneRuns(), 10u);
     q.runAll(sink);
-    ASSERT_EQ(sink.payloads.size(), 1000u);
-    for (std::uint32_t i = 0; i < 1000; ++i)
-        ASSERT_EQ(sink.payloads[i], i);
-    EXPECT_EQ(q.laneEntries(), 0u);
+    ASSERT_EQ(sink.payloads.size(), 500u);
+    for (std::uint32_t k = 0; k < 500; ++k)
+        ASSERT_EQ(sink.payloads[k], 2 * k);
+    EXPECT_EQ(q.laneRuns(), 0u);
 }
 
 TEST(EventQueueDeath, PastSchedulingRejected)

@@ -28,13 +28,19 @@
  * `peak_rss_mb` it costs. The engine's private JobState (a
  * SchedulePlan, the job index, flags and counters; 56 bytes) is held
  * only for the jobs in flight, and has its budget as a static_assert
- * in sim/online.cc; its arrival lane holds a 4-byte job index per
- * pending arrival (sim/event_queue.h).
+ * in sim/online.cc; its arrival lane holds an 8-byte run of job
+ * indices per break in the arrival order, one for a fault-free replay
+ * (sim/event_queue.h). The result's columns are Columns
+ * (common/column.h), whose allocator is stateless, so a column costs
+ * a result no more bytes than a std::vector would.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cloud/purchase.h"
+#include "common/column.h"
 #include "core/schedule.h"
 #include "sim/results.h"
 #include "workload/job.h"
@@ -68,6 +74,12 @@ TEST(LayoutBudget, JobIsThirtyTwoBytes)
     // id, submit and length; cpus and the queue hint share a word.
     // The elastic profile belongs to the run, not to each job.
     EXPECT_EQ(sizeof(Job), 32u);
+}
+
+TEST(LayoutBudget, AColumnIsTheSizeOfAVector)
+{
+    EXPECT_EQ(sizeof(Column<PlacedSegment>),
+              sizeof(std::vector<PlacedSegment>));
 }
 
 TEST(LayoutBudget, SchedulePlanFitsItsBudget)
