@@ -25,7 +25,7 @@
  * the engine owns every spec and result it hands out references to.
  * run() recycles each cell's result: it takes the previous run's
  * whole SimulationResult back from every OK cell and the cell's
- * rerun refills its `outcomes` and `segments` columns, and the
+ * rerun refills its `outcomes` and segment columns, and the
  * `job_evictions` and `arrival_delays` columns a faulted or evicting
  * cell fills, in place, so a rerun allocates no new columns. A
  * Result<SimulationResult> reference, and any pointer into its

@@ -4,7 +4,7 @@
  *
  * Tracks how many reserved cores are busy. Reserved utilization,
  * the quantity that decides whether the upfront reservation paid
- * off, is derived from the finished run's segment column, not here.
+ * off, is derived from the finished run's segment columns, not here.
  */
 
 #ifndef GAIA_CLOUD_RESERVED_POOL_H

@@ -146,12 +146,6 @@ FaultInjector::firstStormIn(Seconds from, Seconds to) const
     return -1;
 }
 
-bool
-FaultInjector::straggler(std::uint64_t job_id) const
-{
-    return roll(Kind::Straggler, job_id, spec_.straggler_rate);
-}
-
 Seconds
 FaultInjector::stretched(Seconds length) const
 {

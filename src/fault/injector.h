@@ -81,8 +81,14 @@ class FaultInjector
      */
     Seconds firstStormIn(Seconds from, Seconds to) const;
 
-    /** Job `job_id` suffers a straggler slowdown. */
-    bool straggler(std::uint64_t job_id) const;
+    /** Job `job_id` suffers a straggler slowdown. Inline, since a
+     *  result derives each job's as-run length through it on every
+     *  read of its slices, and almost every run has no stragglers. */
+    bool straggler(std::uint64_t job_id) const
+    {
+        return spec_.straggler_rate > 0.0 &&
+               roll(Kind::Straggler, job_id, spec_.straggler_rate);
+    }
     /** Straggler-inflated runtime for a nominal `length`:
      *  ceil(length x factor), never below `length` and saturating
      *  at max(length, kMaxInputDuration). */

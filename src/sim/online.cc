@@ -42,6 +42,33 @@ setJobEntry(Column<T> &column, std::size_t admitted,
     column[job] = value;
 }
 
+/** Append `value` to an optional segment `column`, which stays empty
+ *  while every entry is `fallback`: the first other value creates
+ *  it, reserved to `capacity` entries and holding `fallback` for the
+ *  `recorded` placements before. */
+template <typename T>
+void
+appendSegmentField(Column<T> &column, std::size_t recorded,
+                   std::size_t capacity, T value, T fallback)
+{
+    if (column.empty()) {
+        if (value == fallback)
+            return;
+        column.reserve(capacity);
+        column.assign(recorded, fallback);
+    }
+    column.push_back(value);
+}
+
+/** `column`'s buffer, emptied, for a run to refill. */
+template <typename T>
+Column<T>
+recycled(Column<T> &column)
+{
+    column.clear();
+    return std::move(column);
+}
+
 } // namespace
 
 OnlineScheduler::OnlineScheduler(const SchedulingPolicy &policy,
@@ -101,17 +128,17 @@ OnlineScheduler::reserveJobs(std::size_t count,
     // Every job records at least one segment, and a rerun of the
     // cell that filled `storage` records exactly as many as it did.
     const std::size_t segment_slots =
-        std::max(count, storage.segments.size());
-    storage.outcomes.clear();
-    outcomes_ = std::move(storage.outcomes);
+        std::max(count, storage.segment_starts.size());
+    outcomes_ = recycled(storage.outcomes);
     outcomes_.reserve(count);
-    storage.segments.clear();
-    segments_ = std::move(storage.segments);
-    segments_.reserve(segment_slots);
-    storage.job_evictions.clear();
-    job_evictions_ = std::move(storage.job_evictions);
-    storage.arrival_delays.clear();
-    arrival_delays_ = std::move(storage.arrival_delays);
+    segment_starts_ = recycled(storage.segment_starts);
+    segment_starts_.reserve(segment_slots);
+    segment_starts_hi_ = recycled(storage.segment_starts_hi);
+    segment_widths_ = recycled(storage.segment_widths);
+    segment_options_ = recycled(storage.segment_options);
+    segment_durations_ = recycled(storage.segment_durations);
+    job_evictions_ = recycled(storage.job_evictions);
+    arrival_delays_ = recycled(storage.arrival_delays);
     reserved_jobs_ = count;
 }
 
@@ -640,14 +667,14 @@ OnlineScheduler::recordSegment(std::uint32_t job, Seconds from,
                                Seconds to, PurchaseOption option,
                                int width)
 {
-    GAIA_ASSERT(segments_.size() <
-                    std::numeric_limits<std::uint32_t>::max(),
-                "segment column outgrew its 32-bit indices");
+    const std::size_t recorded = segment_starts_.size();
+    GAIA_ASSERT(recorded < std::numeric_limits<std::uint32_t>::max(),
+                "segment columns outgrew their 32-bit indices");
     if (segment_jobs_.empty() && job < last_segment_job_) {
         // The first placement out of job order: log every job from
         // here on, starting with the grouped prefix (each
         // segment_end counts its job's slices until finalize).
-        segment_jobs_.reserve(segments_.capacity());
+        segment_jobs_.reserve(segment_starts_.capacity());
         for (std::uint32_t j = 0; j <= last_segment_job_; ++j)
             segment_jobs_.insert(segment_jobs_.end(),
                                  outcomes_[j].segment_end, j);
@@ -659,7 +686,30 @@ OnlineScheduler::recordSegment(std::uint32_t job, Seconds from,
     // The constructor asserts the slice is non-empty and fits its
     // 48-bit start, 32-bit duration and 8-bit width; a validated job
     // keeps inside all three (sim/results.h).
-    segments_.emplace_back(from, to, option, width);
+    const PlacedSegment seg(from, to, option, width);
+    const std::size_t capacity = segment_starts_.capacity();
+    appendSegmentField(segment_starts_hi_, recorded, capacity,
+                       static_cast<std::uint16_t>(seg.start() >> 32),
+                       std::uint16_t{0});
+    appendSegmentField(segment_widths_, recorded, capacity, seg.width,
+                       std::uint8_t{1});
+    appendSegmentField(segment_options_, recorded, capacity, seg.option,
+                       PurchaseOption::OnDemand);
+    if (!segment_durations_.empty() || job != recorded ||
+        seg.duration() != asRunLength(jobAt(job), faults_)) {
+        if (segment_durations_.empty()) {
+            // The first placement that is not its job's only slice at
+            // its as-run length (a placement out of job order is not
+            // placement k of job k either): every one before it was.
+            segment_durations_.reserve(capacity);
+            for (std::uint32_t j = 0; j < recorded; ++j)
+                segment_durations_.push_back(static_cast<std::uint32_t>(
+                    asRunLength(jobAt(j), faults_)));
+        }
+        segment_durations_.push_back(
+            static_cast<std::uint32_t>(seg.duration()));
+    }
+    segment_starts_.push_back(static_cast<std::uint32_t>(seg.start()));
     ++outcomes_[job].segment_end;
 }
 
@@ -721,11 +771,21 @@ OnlineScheduler::groupSegmentsByJob()
         outcomes_[i].segment_end = outcomes_[i + 1].segment_end;
     outcomes_.back().segment_end = end;
     // Apply the permutation in place by following its cycles: each
-    // swap puts one segment in its final slot.
+    // swap puts one placement's fields in their final slot of every
+    // column that holds them.
+    const auto swap_entries = [](auto &column, std::uint32_t a,
+                                 std::uint32_t b) {
+        if (!column.empty())
+            std::swap(column[a], column[b]);
+    };
     for (std::uint32_t k = 0; k < segment_jobs_.size(); ++k) {
         while (segment_jobs_[k] != k) {
             const std::uint32_t to = segment_jobs_[k];
-            std::swap(segments_[k], segments_[to]);
+            std::swap(segment_starts_[k], segment_starts_[to]);
+            swap_entries(segment_starts_hi_, k, to);
+            swap_entries(segment_widths_, k, to);
+            swap_entries(segment_options_, k, to);
+            swap_entries(segment_durations_, k, to);
             std::swap(segment_jobs_[k], segment_jobs_[to]);
         }
     }
@@ -739,7 +799,11 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     result.jobs = std::move(jobs_);
     streamed_ = nullptr;
     result.outcomes = std::move(outcomes_);
-    result.segments = std::move(segments_);
+    result.segment_starts = std::move(segment_starts_);
+    result.segment_starts_hi = std::move(segment_starts_hi_);
+    result.segment_widths = std::move(segment_widths_);
+    result.segment_options = std::move(segment_options_);
+    result.segment_durations = std::move(segment_durations_);
     // A per-job column ends at the latest job that wrote an entry;
     // streamed jobs admitted after it read 0.
     if (!job_evictions_.empty())
@@ -757,6 +821,19 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     if (faults_ != nullptr)
         result.faults = *faults_;
 
+    if (cluster_.reservation_horizon == 0) {
+        // Online mode without a contracted horizon: cover the
+        // observed schedule, rounded up to whole days.
+        Seconds last_finish = 0;
+        for (const JobOutcome &o : result.outcomes) {
+            for (const PlacedSegment seg : result.placements(o))
+                last_finish = std::max(last_finish, seg.end());
+        }
+        cluster_.reservation_horizon = std::max<Seconds>(
+            ((last_finish + kSecondsPerDay - 1) / kSecondsPerDay) *
+                kSecondsPerDay,
+            kSecondsPerDay);
+    }
     const Seconds horizon = cluster_.reservation_horizon;
     // The reservation pays for [0, horizon) only, as its upfront cost
     // does, so reserved work past it counts toward neither the pool's
@@ -774,7 +851,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
     std::uint64_t evicted_jobs = 0;
     for (const JobOutcome &o : result.outcomes) {
         const Job &job = result.job(o);
-        const std::span<const PlacedSegment> segs = result.placements(o);
+        const SegmentRange segs = result.placements(o);
         GAIA_ASSERT(!segs.empty(), "job ", job.id, " never executed");
         const std::size_t lost = result.lostSlices(o);
         const Seconds length = result.length(o);
@@ -788,7 +865,7 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
         // end of its last slice, a survivor, is the job's finish.
         Seconds finish = 0;
         for (std::size_t k = 0; k < segs.size(); ++k) {
-            const PlacedSegment &seg = segs[k];
+            const PlacedSegment seg = segs[k];
             const Seconds start = seg.start();
             GAIA_ASSERT(start >= finish, "job ", job.id,
                         " has a slice at ", start,
@@ -892,7 +969,11 @@ OnlineScheduler::finalizeInto(SimulationResult &result)
 
         result.carbon_kg += carbon_g / 1000.0;
         result.carbon_nowait_kg += result.carbonNowaitGrams(o) / 1000.0;
-        result.lost_core_seconds += result.lostCoreSeconds(o);
+        // A job that lost nothing would add 0.0, which leaves the sum's
+        // bits as they are, so only the rare evicted job walks its
+        // range again.
+        if (lost > 0)
+            result.lost_core_seconds += result.lostCoreSeconds(o);
         const int evictions = result.evictions(o);
         result.eviction_count += static_cast<std::size_t>(evictions);
         if (evictions > 0)
@@ -963,18 +1044,6 @@ OnlineScheduler::finalize()
     GAIA_ASSERT(jobSlotsInUse() == 0, jobSlotsInUse(),
                 " job slots still in use after drain");
     finalized_ = true;
-
-    if (cluster_.reservation_horizon == 0) {
-        // Online mode without a contracted horizon: cover the
-        // observed schedule, rounded up to whole days.
-        Seconds last_finish = 0;
-        for (const PlacedSegment &seg : segments_)
-            last_finish = std::max(last_finish, seg.end());
-        cluster_.reservation_horizon = std::max<Seconds>(
-            ((last_finish + kSecondsPerDay - 1) / kSecondsPerDay) *
-                kSecondsPerDay,
-            kSecondsPerDay);
-    }
 
     SimulationResult result;
     result.policy = policy_.name();

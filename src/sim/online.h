@@ -26,7 +26,7 @@
  * The event loop is allocation-free on the hot path: every handler
  * is a 16-byte tagged SimEvent dispatched through onEvent() — no
  * per-event closures. reserveJobs() pre-sizes the outcome and
- * segment columns when the population is known up front
+ * segment start columns when the population is known up front
  * (makeEngine() in sim/simulator.h does this for both drivers).
  *
  * Placement follows one rule: a slice runs on spot when the job is
@@ -62,26 +62,32 @@
  * history — about one slot for on-demand start-time runs and a live
  * daemon, a few hundred in a year of spot and reserved
  * suspend-resume. The one elastic profile belongs to the run, not to
- * a job. Every placement is appended to one segment column in event
- * order. While placements come job by job in outcome order
- * (start-time policies on on-demand capacity) that column is already
- * grouped by job; from the first placement out of that order, each
- * placement's outcome index is logged in a 4-byte column beside it.
- * Until finalize() each outcome's segment_end counts its job's
- * placements. finalize() turns the counts into range ends, permutes
- * the segment column in place into job order, accounts the columns
- * in place in one walk per job, and hands them over whole as
- * SimulationResult::jobs, outcomes, segments, job_evictions and
- * arrival_delays, so a run never holds a record twice and recording
- * a placement allocates nothing per job. No slice records whether an
- * eviction lost it: an evicted job restarts as exactly one slice, so
- * every slice before its last is lost
- * (SimulationResult::lostSlices()). The records are packed (4-byte
- * outcomes, 12-byte segments; see sim/results.h), since a sweep holds
- * them for every job of every cell. The outcome, segment, eviction,
- * arrival-delay and log columns are Columns (common/column.h), so
- * growing or freeing a large one leaves no free block resident in a
- * malloc arena.
+ * a job. Every placement is appended in event order to the segment
+ * columns, one per field. Its start's low word always is; its start's
+ * high word, width, option and duration only from the first
+ * placement whose field its column's default (0, 1, on demand, and
+ * the job's as-run length while placement k is job k's only slice)
+ * does not give, when the engine creates that column, filled with the
+ * default for the placements before. While placements come job by
+ * job in outcome order (start-time policies on on-demand capacity)
+ * the columns are already grouped by job; from the first placement
+ * out of that order, each placement's outcome index is logged in a
+ * 4-byte column beside them. Until finalize() each outcome's
+ * segment_end counts its job's placements. finalize() turns the
+ * counts into range ends, permutes every non-empty segment column in
+ * place into job order, accounts the columns in place in one walk per
+ * job, and hands them over whole as SimulationResult::jobs, outcomes,
+ * the segment columns, job_evictions and arrival_delays, so a run
+ * never holds a record twice and recording a placement allocates
+ * nothing per job. No slice records whether an eviction lost it: an
+ * evicted job restarts as exactly one slice, so every slice before
+ * its last is lost (SimulationResult::lostSlices()). The records are
+ * packed (a 4-byte outcome, and 4 bytes per slice in a fault-free
+ * on-demand run of start-time policies, up to 12 in all; see
+ * sim/results.h), since a sweep holds them for every job of every
+ * cell. The outcome, segment, eviction, arrival-delay and log columns
+ * are Columns (common/column.h), so growing or freeing a large one
+ * leaves no free block resident in a malloc arena.
  *
  * Usage:
  *
@@ -210,11 +216,11 @@ class OnlineScheduler : private EventQueue::Sink
     void reserveStream();
 
     /**
-     * Pre-size the outcome and segment columns for `count` jobs, and
-     * record `count` as the capacity of the job column a streamed
-     * run allocates (reserveStream()); an engine fed by replay()
-     * shares its trace's column and allocates none. Call before the
-     * engine takes its jobs. The job-state pool and the arrival lane
+     * Pre-size the outcome and segment start columns for `count`
+     * jobs, and record `count` as the capacity of the job column a
+     * streamed run allocates (reserveStream()); an engine fed by
+     * replay() shares its trace's column and allocates none. Call
+     * before the engine takes its jobs. The job-state pool and the arrival lane
      * are not reserved here: the pool grows to the jobs in flight,
      * and the lane holds a run of job indices per break in the
      * arrival order, one for a fault-free replay.
@@ -223,12 +229,14 @@ class OnlineScheduler : private EventQueue::Sink
      * capacity is kept, so a caller rerunning a cell can hand back
      * the previous run's whole SimulationResult and have each column
      * refilled in place instead of freed and allocated again. The
-     * eviction and arrival-delay columns are not reserved: a run
-     * fills them only when one of its jobs is evicted or arrives
-     * late. The segment column reserves max(count,
-     * storage.segments.size()) slots, which a rerun of the same cell
-     * fills exactly. Every record is still built fresh; an empty
-     * result (the default) is a fresh run on the same path.
+     * start column reserves max(count, storage.segment_starts.size())
+     * slots, which a rerun of the same cell fills exactly. The other
+     * columns are not reserved here: a run fills the per-job ones only
+     * when one of its jobs is evicted or arrives late, and creates
+     * each optional segment column at its first non-default entry,
+     * reserved then to the start column's capacity. Every record is
+     * still built fresh; an empty result (the default) is a fresh run
+     * on the same path.
      */
     void reserveJobs(std::size_t count, SimulationResult storage = {});
 
@@ -427,14 +435,20 @@ class OnlineScheduler : private EventQueue::Sink
     /** Start the waiting single-segment job in `slot` now, at its
      *  planned duration and width, if its reserved cores fit. */
     bool startOnReserved(std::uint32_t slot);
+    /** Record [from, to) of job `job` at `width` instances on
+     *  `option`: append its start to segment_starts_, and each other
+     *  field to its column, creating that column, filled with the
+     *  default for the placements before, at the first field its
+     *  default does not give. A duration is the default while
+     *  placement k is job k's and lasts its as-run length. */
     void recordSegment(std::uint32_t job, Seconds from, Seconds to,
                        PurchaseOption option, int width);
     void onPlannedStart(std::uint32_t slot);
     void drainPending();
     void restartAfterEviction(std::uint32_t slot, Seconds at);
     /** Turn each outcome's slice count into its segment_end and, if
-     *  segment_jobs_ was started, permute segments_ into job order in
-     *  place and free segment_jobs_. */
+     *  segment_jobs_ was started, permute every non-empty segment
+     *  column into job order in place and free segment_jobs_. */
     void groupSegmentsByJob();
     void finalizeInto(SimulationResult &result);
 
@@ -490,12 +504,20 @@ class OnlineScheduler : private EventQueue::Sink
      *  finalize() sizes a non-empty one to every outcome. */
     Column<std::uint8_t> job_evictions_;
     Column<std::uint32_t> arrival_delays_;
-    /** Every placement in event order until finalize() groups it by
-     *  job and moves it into the result. */
-    Column<PlacedSegment> segments_;
-    /** segment_jobs_[k] is the outcome index of segments_[k]; empty
-     *  while segments_ is grouped by job, so runs that place jobs in
-     *  order neither allocate nor permute it. */
+    /** Every placement's fields in event order, one column each
+     *  (SimulationResult::segment_starts and the four beside it),
+     *  until finalize() groups them by job and moves them into the
+     *  result. Only the start column takes every placement; each of
+     *  the others stays empty until the first placement that its
+     *  default does not give (recordSegment()). */
+    Column<std::uint32_t> segment_starts_;
+    Column<std::uint16_t> segment_starts_hi_;
+    Column<std::uint8_t> segment_widths_;
+    Column<PurchaseOption> segment_options_;
+    Column<std::uint32_t> segment_durations_;
+    /** segment_jobs_[k] is the outcome index of placement k; empty
+     *  while the placements are grouped by job, so runs that place
+     *  jobs in order neither allocate nor permute it. */
     Column<std::uint32_t> segment_jobs_;
     /** Job of the latest placement while segment_jobs_ is empty. */
     std::uint32_t last_segment_job_ = 0;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -195,11 +196,11 @@ resultFingerprint(const SimulationResult &result)
         digest.mix(result.evictions(o));
         digest.mix(result.lostCoreSeconds(o));
         digest.mix(result.overheadCoreSeconds(o));
-        const std::span<const PlacedSegment> segs = result.placements(o);
+        const SegmentRange segs = result.placements(o);
         const std::size_t lost = result.lostSlices(o);
         digest.mix<std::uint64_t>(segs.size());
         for (std::size_t k = 0; k < segs.size(); ++k) {
-            const PlacedSegment &seg = segs[k];
+            const PlacedSegment seg = segs[k];
             digest.mix(seg.start());
             digest.mix(seg.end());
             digest.mix(static_cast<int>(seg.option));
@@ -212,6 +213,64 @@ resultFingerprint(const SimulationResult &result)
         }
     }
     return digest.value();
+}
+
+Status
+checkColumns(const SimulationResult &result)
+{
+    const std::size_t outcomes = result.outcomes.size();
+    for (const auto &[name, size] :
+         {std::pair{"job_evictions", result.job_evictions.size()},
+          std::pair{"arrival_delays", result.arrival_delays.size()}}) {
+        if (size != 0 && size != outcomes)
+            return Status::failedPrecondition(name, " holds ", size,
+                                              " entries for ", outcomes,
+                                              " outcomes");
+    }
+    const std::size_t slices = result.segment_starts.size();
+    for (const auto &[name, size] :
+         {std::pair{"segment_starts_hi", result.segment_starts_hi.size()},
+          std::pair{"segment_widths", result.segment_widths.size()},
+          std::pair{"segment_options", result.segment_options.size()},
+          std::pair{"segment_durations",
+                    result.segment_durations.size()}}) {
+        if (size != 0 && size != slices)
+            return Status::failedPrecondition(name, " holds ", size,
+                                              " entries for ", slices,
+                                              " slices");
+    }
+    const bool one_slice_each = result.segment_durations.empty();
+    std::size_t next = 0;
+    for (const JobOutcome &o : result.outcomes) {
+        const JobId id = result.job(o).id;
+        if (o.segment_end <= next || o.segment_end > slices)
+            return Status::failedPrecondition(
+                "job ", id, ": range ends at ", o.segment_end,
+                ", not past its start ", next, " and within the column");
+        if (one_slice_each && o.segment_end != next + 1)
+            return Status::failedPrecondition(
+                "job ", id, ": range of ", o.segment_end - next,
+                " slices, but a result without segment_durations runs "
+                "each job as one slice");
+        next = o.segment_end;
+        const SegmentRange segs = result.placements(o);
+        for (std::size_t k = 1; k < segs.size(); ++k) {
+            if (segs[k].start() < segs[k - 1].end())
+                return Status::failedPrecondition(
+                    "job ", id,
+                    ": slice starts before the previous one ends");
+        }
+        for (const PlacedSegment seg :
+             segs.first(result.lostSlices(o))) {
+            if (seg.option != PurchaseOption::Spot)
+                return Status::failedPrecondition(
+                    "job ", id, ": lost a slice that did not run on spot");
+        }
+    }
+    if (next != slices)
+        return Status::failedPrecondition(
+            "segments past the last job's range");
+    return Status::ok();
 }
 
 std::string

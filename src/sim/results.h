@@ -1,7 +1,16 @@
 /**
  * @file
- * Simulation outputs: per-job outcomes, the column of their placed
+ * Simulation outputs: per-job outcomes, the columns of their placed
  * segments, and cluster-level aggregates.
+ *
+ * A sweep holds a result for every cell, so a result holds each
+ * field of its per-job and per-slice records in a column of its own,
+ * and no column whose every entry is its default: a fault-free
+ * on-demand run of start-time policies holds a 4-byte outcome per job
+ * and a 4-byte start word per slice, and nothing else grows with it.
+ * SimulationResult::placements() reads a job's slices back as
+ * PlacedSegment values, and checkColumns() checks every column's
+ * shape.
  *
  * GAIA accounts exactly as the paper prescribes (§4.1): on-demand
  * and spot usage is billed pay-as-you-go, reserved capacity is paid
@@ -14,10 +23,11 @@
 #ifndef GAIA_SIM_RESULTS_H
 #define GAIA_SIM_RESULTS_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +35,7 @@
 #include "cloud/purchase.h"
 #include "common/column.h"
 #include "common/logging.h"
+#include "common/status.h"
 #include "common/time.h"
 #include "fault/fault_spec.h"
 #include "fault/injector.h"
@@ -33,12 +44,13 @@
 
 namespace gaia {
 
-/** Longest slice a PlacedSegment can hold: its duration is 32-bit. */
+/** Longest slice a result can hold: its duration column is 32-bit. */
 constexpr Seconds kMaxSegmentDuration =
     std::numeric_limits<std::uint32_t>::max();
-/** Latest start a PlacedSegment can hold: its start is 48-bit. */
+/** Latest start a result can hold: its two start columns hold 48
+ *  bits. */
 constexpr Seconds kMaxSegmentStart = (Seconds{1} << 48) - 1;
-/** Widest gang a PlacedSegment can hold: its width is 8-bit. */
+/** Widest gang a result can hold: its width column is 8-bit. */
 constexpr int kMaxSegmentWidth = std::numeric_limits<std::uint8_t>::max();
 
 // The engine records nothing these fields cannot hold: validateJob
@@ -64,15 +76,16 @@ static_assert(kMaxInputDuration + kMaxFaultDuration +
               "48-bit slice start");
 
 /**
- * One executed (or lost) slice of a job on a purchase option. A
- * sweep holds one per placement per cell, so it packs into 12 bytes
- * (tests/sim/test_layout_budget.cc): a 48-bit start, a 32-bit
- * duration with the end derived from it, an 8-bit width and the
- * option. Whether an eviction lost the slice is not stored: it
- * follows from its place in its job's range
+ * One executed (or lost) slice of a job on a purchase option: the
+ * value the engine records and SimulationResult::placements() yields.
+ * No column holds it whole: a result keeps each field in a column of
+ * its own (SimulationResult::segment_starts and the four beside it)
+ * and leaves a field's column empty while every slice takes its
+ * default. Whether an eviction lost the slice is not stored either:
+ * it follows from its place in its job's range
  * (SimulationResult::lostSlices()). The one constructor takes the
  * end, so no initializer can pass an end where a duration belongs,
- * and asserts that every field fits.
+ * and asserts that every field fits its column.
  */
 struct PlacedSegment
 {
@@ -81,9 +94,8 @@ struct PlacedSegment
      *  kMaxSegmentDuration long and 1 to kMaxSegmentWidth wide. */
     PlacedSegment(Seconds start, Seconds end, PurchaseOption option,
                   int width)
-        : start_lo_(static_cast<std::uint32_t>(start)),
+        : start_(start),
           duration_(static_cast<std::uint32_t>(end - start)),
-          start_hi_(static_cast<std::uint16_t>(start >> 32)),
           width(static_cast<std::uint8_t>(width)),
           option(option)
     {
@@ -97,11 +109,8 @@ struct PlacedSegment
                     kMaxSegmentWidth, "]");
     }
 
-    Seconds start() const
-    {
-        return (static_cast<Seconds>(start_hi_) << 32) | start_lo_;
-    }
-    Seconds end() const { return start() + duration_; }
+    Seconds start() const { return start_; }
+    Seconds end() const { return start_ + duration_; }
     Seconds duration() const { return duration_; }
 
     /** Core-seconds of start-up overhead this slice carries at
@@ -116,11 +125,18 @@ struct PlacedSegment
     }
 
   private:
-    // Declared first, so the start's low word and the duration fill
-    // the first eight bytes and the rest packs into the third word.
-    std::uint32_t start_lo_;
+    friend class SegmentRange;
+
+    /** A slice read back from a result's columns, whose entries the
+     *  checked constructor vetted when the engine recorded them. */
+    PlacedSegment(Seconds start, std::uint32_t duration,
+                  std::uint8_t width, PurchaseOption option)
+        : start_(start), duration_(duration), width(width), option(option)
+    {
+    }
+
+    Seconds start_;
     std::uint32_t duration_;
-    std::uint16_t start_hi_;
 
   public:
     /** Concurrent instances during the slice; 1 for every
@@ -130,11 +146,119 @@ struct PlacedSegment
 };
 
 /**
+ * One job's slices, read from a result's segment columns
+ * (SimulationResult::placements()): a view that yields each slice as
+ * a PlacedSegment value, built from its entry of every column that
+ * holds one and the column's default otherwise. Valid while the
+ * result's segment columns are neither changed nor freed.
+ */
+class SegmentRange
+{
+  public:
+    class Iterator;
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /** Slice `k` of the range; asserts that there is one. */
+    PlacedSegment operator[](std::size_t k) const
+    {
+        GAIA_ASSERT(k < size_, "slice ", k, " of a range of ", size_);
+        return PlacedSegment(
+            (starts_hi_ == nullptr
+                 ? Seconds{0}
+                 : static_cast<Seconds>(starts_hi_[k]) << 32) |
+                starts_[k],
+            durations_ == nullptr ? duration_ : durations_[k],
+            widths_ == nullptr ? std::uint8_t{1} : widths_[k],
+            options_ == nullptr ? PurchaseOption::OnDemand : options_[k]);
+    }
+    PlacedSegment front() const { return (*this)[0]; }
+    PlacedSegment back() const { return (*this)[size_ - 1]; }
+
+    /** The range's first `n` slices; asserts it has them. */
+    SegmentRange first(std::size_t n) const
+    {
+        GAIA_ASSERT(n <= size_, "first ", n, " of a range of ", size_);
+        SegmentRange prefix = *this;
+        prefix.size_ = n;
+        return prefix;
+    }
+
+    Iterator begin() const;
+    Iterator end() const;
+
+  private:
+    friend struct SimulationResult;
+
+    /** The range's entries of each column, null for an empty
+     *  optional column, whose default every slice takes. */
+    const std::uint32_t *starts_ = nullptr;
+    const std::uint16_t *starts_hi_ = nullptr;
+    const std::uint32_t *durations_ = nullptr;
+    const std::uint8_t *widths_ = nullptr;
+    const PurchaseOption *options_ = nullptr;
+    /** Every slice's duration while durations_ is null: a range of
+     *  at most one slice, lasting its job's as-run length. */
+    std::uint32_t duration_ = 0;
+    std::size_t size_ = 0;
+};
+
+/** Yields a SegmentRange's slices in order, by value. It holds a
+ *  copy of the range, so it stays valid as long as the columns do. */
+class SegmentRange::Iterator
+{
+  public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = PlacedSegment;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = PlacedSegment;
+
+    Iterator() = default;
+    PlacedSegment operator*() const { return range_[k_]; }
+    Iterator &operator++()
+    {
+        ++k_;
+        return *this;
+    }
+    Iterator operator++(int)
+    {
+        Iterator before = *this;
+        ++k_;
+        return before;
+    }
+    /** Compares positions only: iterators of one range. */
+    bool operator==(const Iterator &other) const { return k_ == other.k_; }
+
+  private:
+    friend class SegmentRange;
+    Iterator(const SegmentRange &range, std::size_t k)
+        : range_(range), k_(k)
+    {
+    }
+    SegmentRange range_;
+    std::size_t k_ = 0;
+};
+
+inline SegmentRange::Iterator
+SegmentRange::begin() const
+{
+    return Iterator(*this, 0);
+}
+
+inline SegmentRange::Iterator
+SegmentRange::end() const
+{
+    return Iterator(*this, size_);
+}
+
+/**
  * What the run decided for one job that follows from nothing else:
- * where its slices end in the result's segment column. The job as
+ * where its slices end in the result's segment columns. The job as
  * submitted (id, submit time, length, cpus) lives in the result's
  * shared job column (SimulationResult::job()), its placed segments in
- * the segment column (SimulationResult::placements()), and its spot
+ * the segment columns (SimulationResult::placements()), and its spot
  * evictions and admitted arrival in two per-job columns that a run
  * allocates only when one of its jobs has a nonzero entry
  * (SimulationResult::evictions(), arrivalDelay()). Its as-run length
@@ -150,11 +274,11 @@ struct PlacedSegment
  */
 struct JobOutcome
 {
-    /** One past this job's last slice in SimulationResult::segments.
-     *  The range starts at the previous outcome's segment_end (0 for
-     *  the first), since the column is grouped job by job in outcome
-     *  order. While the engine runs it counts the job's slices, and
-     *  finalize turns the counts into ends. */
+    /** One past this job's last slice in the result's segment
+     *  columns. The range starts at the previous outcome's
+     *  segment_end (0 for the first), since the columns are grouped
+     *  job by job in outcome order. While the engine runs it counts
+     *  the job's slices, and finalize turns the counts into ends. */
     std::uint32_t segment_end = 0;
 };
 
@@ -165,20 +289,32 @@ struct JobOutcome
  * `jobs` holds the submitted jobs, outcome i's at position i: a
  * replayed trace's own jobs (JobTrace::sharedJobs(), shared, never
  * copied), or a streamed run's admitted jobs in admission order,
- * which need not be sorted. `segments` holds every job's placements,
- * including lost spot slices, grouped job by job in `outcomes`
- * order; each job's range is chronological once the scheduler has
- * finalized the run. One column per result, rather than a list
- * inside each outcome, means recording placements allocates nothing
- * per job and an outcome carries no inline slots its job may not
- * use. `job_evictions` and `arrival_delays` are per-job columns that
- * are almost always all zeros: no on-demand job is evicted, and
- * every job of a fault-free run arrives at its submit time. Each is
- * either empty, meaning 0 for every job, or holds one entry per
- * outcome; evictions() and arrivalDelay() read them either way.
- * All four are Columns (common/column.h): one of 128 KiB or more is
- * mapped for itself, and its pages go back to the system when the
- * result frees it.
+ * which need not be sorted. The segment columns hold every job's
+ * placements, including lost spot slices, one field per column,
+ * grouped job by job in `outcomes` order; each job's range is
+ * chronological once the scheduler has finalized the run. Columns
+ * per result, rather than a list inside each outcome, mean recording
+ * placements allocates nothing per job and an outcome carries no
+ * inline slots its job may not use. `segment_starts` holds an entry
+ * for every slice. The other four segment columns are either empty,
+ * meaning every slice takes the column's default, or hold one entry
+ * per slice, and placements() reads them either way:
+ *  - `segment_starts_hi`: the start's 16 high bits, 0 by default;
+ *  - `segment_widths`: 1 by default;
+ *  - `segment_options`: on demand by default;
+ *  - `segment_durations`: empty only when every range is one slice
+ *    lasting its job's as-run length (length()), which is what it
+ *    holds for each.
+ * A fault-free on-demand run of start-time policies fills only
+ * `segment_starts`, 4 bytes per slice. `job_evictions` and
+ * `arrival_delays` are per-job columns that are almost always all
+ * zeros: no on-demand job is evicted, and every job of a fault-free
+ * run arrives at its submit time. Each is either empty, meaning 0
+ * for every job, or holds one entry per outcome; evictions() and
+ * arrivalDelay() read them either way. checkColumns() checks every
+ * column's shape. All are Columns (common/column.h): one of 128 KiB
+ * or more is mapped for itself, and its pages go back to the system
+ * when the result frees it.
  */
 struct SimulationResult
 {
@@ -192,7 +328,19 @@ struct SimulationResult
      *  both are gone. */
     std::shared_ptr<const std::vector<Job>> jobs;
     Column<JobOutcome> outcomes;
-    Column<PlacedSegment> segments;
+    /** Each slice's start, its low 32 bits. */
+    Column<std::uint32_t> segment_starts;
+    /** Each slice's start, its high 16 bits; empty when every slice
+     *  starts before 2^32 s. */
+    Column<std::uint16_t> segment_starts_hi;
+    /** Each slice's instances; empty when every slice is 1 wide. */
+    Column<std::uint8_t> segment_widths;
+    /** Each slice's purchase option; empty when every slice ran on
+     *  demand. */
+    Column<PurchaseOption> segment_options;
+    /** Each slice's duration; empty when every job ran as one slice
+     *  lasting its as-run length. */
+    Column<std::uint32_t> segment_durations;
     /** Spot evictions each job suffered, outcome i's at position i;
      *  empty when the run evicted no job. */
     Column<std::uint8_t> job_evictions;
@@ -271,24 +419,38 @@ struct SimulationResult
     /** The submitted job `o` records: the job at `o`'s position in
      *  `outcomes`. Asserts that `o` is one of this result's
      *  outcomes and that the job column holds its job. */
-    const Job &job(const JobOutcome &o) const
-    {
-        const std::size_t i = indexOf(o);
-        GAIA_ASSERT(jobs != nullptr && i < jobs->size(), "outcome ", i,
-                    " has no job in the result's job column");
-        return (*jobs)[i];
-    }
+    const Job &job(const JobOutcome &o) const { return jobAt(indexOf(o)); }
 
-    /** `o`'s placements, chronological once finalized: the segments
+    /** `o`'s placements, chronological once finalized: the slices
      *  from the previous outcome's segment_end (0 for the first) up
-     *  to `o`'s. Asserts that `o` is one of this result's outcomes. */
-    std::span<const PlacedSegment>
-    placements(const JobOutcome &o) const
+     *  to `o`'s. Asserts that `o` is one of this result's outcomes,
+     *  and, when `segment_durations` is empty, that its range is at
+     *  most one slice, which lasts length(o). */
+    SegmentRange placements(const JobOutcome &o) const
     {
         const std::size_t i = indexOf(o);
-        const std::uint32_t first =
-            i == 0 ? 0 : outcomes[i - 1].segment_end;
-        return {segments.data() + first, o.segment_end - first};
+        const std::uint32_t first = rangeStart(i);
+        SegmentRange range;
+        range.size_ = o.segment_end - first;
+        range.starts_ = segment_starts.data() + first;
+        if (!segment_starts_hi.empty())
+            range.starts_hi_ = segment_starts_hi.data() + first;
+        if (!segment_widths.empty())
+            range.widths_ = segment_widths.data() + first;
+        if (!segment_options.empty())
+            range.options_ = segment_options.data() + first;
+        if (!segment_durations.empty()) {
+            range.durations_ = segment_durations.data() + first;
+        } else {
+            GAIA_ASSERT(range.size_ <= 1, "outcome ", i, " has ",
+                        range.size_,
+                        " slices but the result holds no durations");
+            // kMaxSegmentDuration holds any as-run length.
+            if (range.size_ == 1)
+                range.duration_ = static_cast<std::uint32_t>(
+                    asRunLength(jobAt(i), &faults));
+        }
+        return range;
     }
 
     /** `o`'s spot evictions: its entry of `job_evictions`, 0 when
@@ -320,7 +482,7 @@ struct SimulationResult
      *  and a job never evicted loses none. */
     std::size_t lostSlices(const JobOutcome &o) const
     {
-        const std::size_t slices = placements(o).size();
+        const std::size_t slices = o.segment_end - rangeStart(indexOf(o));
         return evictions(o) > 0 && slices > 0 ? slices - 1 : 0;
     }
 
@@ -328,14 +490,14 @@ struct SimulationResult
      *  start); 0 without segments. */
     Seconds start(const JobOutcome &o) const
     {
-        const std::span<const PlacedSegment> segs = placements(o);
+        const SegmentRange segs = placements(o);
         return segs.empty() ? 0 : segs.front().start();
     }
     /** Instant `o` completed: the end of its last slice, which
      *  survived (lostSlices()); 0 without segments. */
     Seconds finish(const JobOutcome &o) const
     {
-        const std::span<const PlacedSegment> segs = placements(o);
+        const SegmentRange segs = placements(o);
         return segs.empty() ? 0 : segs.back().end();
     }
     /** Core-seconds `o` lost to evictions: the lost slices'
@@ -420,6 +582,22 @@ struct SimulationResult
         return i;
     }
 
+    /** The job at position `i` of the job column; asserts that the
+     *  column holds it. */
+    const Job &jobAt(std::size_t i) const
+    {
+        GAIA_ASSERT(jobs != nullptr && i < jobs->size(), "outcome ", i,
+                    " has no job in the result's job column");
+        return (*jobs)[i];
+    }
+
+    /** Where outcome `i`'s range starts: the previous outcome's
+     *  segment_end, 0 for the first. */
+    std::uint32_t rangeStart(std::size_t i) const
+    {
+        return i == 0 ? 0 : outcomes[i - 1].segment_end;
+    }
+
     /** `o`'s entry of the per-job `column`, 0 when it is empty.
      *  Asserts that `o` is one of this result's outcomes and that a
      *  non-empty column holds its entry. */
@@ -435,6 +613,31 @@ struct SimulationResult
         return column[i];
     }
 };
+
+/**
+ * The first broken rule of `result`'s column shapes, as an error
+ * naming it, or OK when it keeps them all:
+ *  - `job_evictions` and `arrival_delays` are each empty or hold one
+ *    entry per outcome;
+ *  - `segment_starts_hi`, `segment_widths`, `segment_options` and
+ *    `segment_durations` are each empty or hold one entry per slice,
+ *    as `segment_starts` does;
+ *  - the outcomes' ranges tile the segment columns in outcome order:
+ *    each segment_end is past the previous one, and the last is the
+ *    slice count;
+ *  - an empty `segment_durations` means every range is exactly one
+ *    slice: outcome i's segment_end is i + 1;
+ *  - each range is in time order, every slice starting at or after
+ *    the end of the one before it (finalize asserts the same);
+ *  - every slice an eviction lost ran on spot, since only spot work
+ *    is evicted. The lost slices are derived, not stored
+ *    (SimulationResult::lostSlices(): every slice of an evicted job
+ *    but its last), so this is where a run whose evicted jobs did not
+ *    restart as one slice would show.
+ * It reads no column out of its bounds, so it is safe on any result
+ * whose outcomes all have a job.
+ */
+Status checkColumns(const SimulationResult &result);
 
 /**
  * Concurrent cores in use by `option` (or all options when

@@ -30,9 +30,10 @@ addOutcome(SimulationResult &r, Seconds length, double saved,
     GAIA_ASSERT(saved == 0.0 || wait >= length,
                 "overlapping windows cannot save");
     // The previous job's stretch ends where its run does.
-    const Seconds submit = r.segments.empty() ? 0 : r.segments.back().end();
+    const Seconds submit =
+        r.outcomes.empty() ? 0 : r.finish(r.outcomes.back());
     std::vector<double> hourly =
-        r.segments.empty() ? std::vector<double>{} : r.carbon.values();
+        r.outcomes.empty() ? std::vector<double>{} : r.carbon.values();
     const auto first = hourly.size();
     hourly.resize(first + static_cast<std::size_t>(
                               (wait + length) / kSecondsPerHour));

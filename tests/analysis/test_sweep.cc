@@ -109,29 +109,51 @@ TEST(Sweep, SummaryReportsCountsAndFailures)
     EXPECT_NE(text.find("Broken-Policy"), std::string::npos);
 }
 
+/** Where each of `r`'s per-job and per-slice columns keeps its
+ *  entries; null for a column never allocated. */
+std::vector<const void *>
+columnBuffers(const SimulationResult &r)
+{
+    return {r.outcomes.data(),          r.segment_starts.data(),
+            r.segment_starts_hi.data(), r.segment_widths.data(),
+            r.segment_options.data(),   r.segment_durations.data(),
+            r.job_evictions.data(),     r.arrival_delays.data()};
+}
+
 TEST(Sweep, RerunIsIdempotent)
 {
-    // A plain cell, a replica group and an invalid cell: every OK
-    // cell's rerun must reproduce its result in the very outcome and
-    // segment columns the previous run allocated.
+    // A plain cell, a replica group, an elastic spot+reserved cell
+    // that fills every optional column but the high start words, and
+    // an invalid cell: every OK cell's rerun must reproduce its
+    // result in the very columns the previous run allocated.
     SweepEngine sweep(2);
     sweep.add(cell("NoWait"));
     sweep.addSeedReplicas(cell("Carbon-Time", 3), 3);
+    ScenarioSpec hybrid = cell("Carbon-Scaler");
+    hybrid.elastic_profile = "linear:max=4";
+    hybrid.strategy = ResourceStrategy::SpotReserved;
+    hybrid.cluster.reserved_cores = 4;
+    hybrid.cluster.spot_eviction_rate = 0.3;
+    hybrid.cluster.spot_max_length = hours(4);
+    const std::size_t elastic = sweep.add(hybrid);
     const std::size_t invalid = sweep.add(cell("No-Such-Policy"));
     sweep.run();
     const std::size_t cells = sweep.size();
     std::vector<std::uint64_t> fingerprints(cells, 0);
-    std::vector<const JobOutcome *> columns(cells, nullptr);
-    std::vector<const PlacedSegment *> segment_columns(cells, nullptr);
+    std::vector<std::vector<const void *>> columns(cells);
     for (std::size_t i = 0; i < cells; ++i) {
         if (i == invalid)
             continue;
         ASSERT_TRUE(sweep.result(i).isOk())
             << sweep.result(i).status().toString();
         fingerprints[i] = resultFingerprint(*sweep.result(i));
-        columns[i] = sweep.result(i)->outcomes.data();
-        segment_columns[i] = sweep.result(i)->segments.data();
+        columns[i] = columnBuffers(*sweep.result(i));
     }
+    const SimulationResult &wide = *sweep.result(elastic);
+    EXPECT_FALSE(wide.segment_widths.empty());
+    EXPECT_FALSE(wide.segment_options.empty());
+    EXPECT_FALSE(wide.segment_durations.empty());
+    EXPECT_FALSE(wide.job_evictions.empty());
     ASSERT_FALSE(sweep.result(invalid).isOk());
 
     // A cell added between runs gets the same results as a
@@ -146,10 +168,7 @@ TEST(Sweep, RerunIsIdempotent)
             EXPECT_EQ(resultFingerprint(*sweep.result(i)),
                       fingerprints[i])
                 << "cell " << i << " pass " << pass;
-            EXPECT_EQ(sweep.result(i)->outcomes.data(), columns[i])
-                << "cell " << i << " pass " << pass;
-            EXPECT_EQ(sweep.result(i)->segments.data(),
-                      segment_columns[i])
+            EXPECT_EQ(columnBuffers(*sweep.result(i)), columns[i])
                 << "cell " << i << " pass " << pass;
         }
         EXPECT_FALSE(sweep.result(invalid).isOk());

@@ -7,8 +7,9 @@
  * SimulationSetup from parts, runs it with simulateChecked(), and
  * dies with the Status message on an invalid setup, which in a test
  * is a bug in the test. appendOutcome() and setCarbon() build
- * results by hand, and segmentColumnViolation() checks a finalized
- * result's segment and per-job columns.
+ * results by hand; checkColumns() (sim/results.h) checks the shape
+ * of their columns as of any finalized result's, and heldColumns()
+ * names the columns a result holds.
  */
 
 #ifndef GAIA_TESTS_COMMON_SIM_TEST_UTIL_H
@@ -17,7 +18,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +26,7 @@
 #include "common/logging.h"
 #include "common/time.h"
 #include "core/queues.h"
+#include "fault/injector.h"
 #include "sim/results.h"
 #include "sim/simulator.h"
 #include "trace/carbon_trace.h"
@@ -76,12 +77,57 @@ setLastEntry(Column<T> &column, std::size_t outcomes, Seconds value)
 }
 
 /**
+ * Append `seg` to a hand-built `result`'s segment columns as a slice
+ * of job `job` of its job column, the way the engine records one:
+ * the start always, and each other field only once a column holds
+ * it, which the first slice its default does not give creates,
+ * filled with the default before it. A duration is the default while
+ * slice k is job k's and lasts its as-run length under
+ * `result.faults`, so set those before appending.
+ */
+inline void
+appendSlice(SimulationResult &result, std::size_t job,
+            const PlacedSegment &seg)
+{
+    const std::size_t k = result.segment_starts.size();
+    const auto append = [k](auto &column, auto value, auto fallback) {
+        if (column.empty()) {
+            if (value == fallback)
+                return;
+            column.assign(k, fallback);
+        }
+        column.push_back(value);
+    };
+    append(result.segment_starts_hi,
+           static_cast<std::uint16_t>(seg.start() >> 32),
+           std::uint16_t{0});
+    append(result.segment_widths, seg.width, std::uint8_t{1});
+    append(result.segment_options, seg.option, PurchaseOption::OnDemand);
+    const auto as_run = [&result](std::size_t j) {
+        return asRunLength((*result.jobs)[j], &result.faults);
+    };
+    if (!result.segment_durations.empty() || job != k ||
+        seg.duration() != as_run(job)) {
+        if (result.segment_durations.empty()) {
+            for (std::size_t j = 0; j < k; ++j)
+                result.segment_durations.push_back(
+                    static_cast<std::uint32_t>(as_run(j)));
+        }
+        result.segment_durations.push_back(
+            static_cast<std::uint32_t>(seg.duration()));
+    }
+    result.segment_starts.push_back(
+        static_cast<std::uint32_t>(seg.start()));
+}
+
+/**
  * Append `job` to a hand-built `result`'s job column (a copy: the
  * column is shared) and an outcome to its outcomes, with `segments`
- * as its placements at the end of the segment column, `evictions` as
- * its entry of the eviction column and `arrival_delay` as its entry
- * of the arrival-delay column (setLastEntry()). Returns the appended
- * outcome (valid until the next append).
+ * as its placements at the end of the segment columns
+ * (appendSlice()), `evictions` as its entry of the eviction column
+ * and `arrival_delay` as its entry of the arrival-delay column
+ * (setLastEntry()). Returns the appended outcome (valid until the
+ * next append).
  */
 inline JobOutcome &
 appendOutcome(SimulationResult &result, const Job &job, int evictions,
@@ -93,10 +139,12 @@ appendOutcome(SimulationResult &result, const Job &job, int evictions,
                     : std::make_shared<std::vector<Job>>(*result.jobs);
     jobs->push_back(job);
     result.jobs = std::move(jobs);
-    result.segments.insert(result.segments.end(), segments);
+    const std::size_t index = result.outcomes.size();
+    for (const PlacedSegment &seg : segments)
+        appendSlice(result, index, seg);
     JobOutcome &outcome = result.outcomes.emplace_back();
     outcome.segment_end =
-        static_cast<std::uint32_t>(result.segments.size());
+        static_cast<std::uint32_t>(result.segment_starts.size());
     setLastEntry(result.job_evictions, result.outcomes.size(),
                  evictions);
     setLastEntry(result.arrival_delays, result.outcomes.size(),
@@ -118,59 +166,28 @@ setCarbon(SimulationResult &result, std::vector<double> hourly,
     result.energy.watts_per_core = watts_per_core;
 }
 
-/**
- * The first broken invariant of a finalized `result`'s segment
- * column and per-job columns, or "" when it holds them all:
- *  - the eviction and arrival-delay columns are each empty or hold
- *    one entry per outcome;
- *  - the outcomes' ranges tile `segments` in outcome order: each
- *    segment_end is past the previous one, and the last is the
- *    column's size;
- *  - each range is in time order, every slice starting at or after
- *    the end of the one before it (finalize asserts the same);
- *  - every slice an eviction lost ran on spot, since only spot work
- *    is evicted. The lost slices are derived, not stored
- *    (SimulationResult::lostSlices(): every slice of an evicted job
- *    but its last), so this is where a run whose evicted jobs did not
- *    restart as one slice would show.
- */
-inline std::string
-segmentColumnViolation(const SimulationResult &result)
+/** A result's held columns: each one's name and length. */
+using HeldColumns = std::vector<std::pair<std::string, std::size_t>>;
+
+/** The per-job and per-slice columns `result` holds, by name and
+ *  length in declaration order, leaving out every empty one. */
+inline HeldColumns
+heldColumns(const SimulationResult &result)
 {
+    HeldColumns held;
     for (const auto &[name, size] :
-         {std::pair{"job_evictions", result.job_evictions.size()},
+         {std::pair{"outcomes", result.outcomes.size()},
+          std::pair{"segment_starts", result.segment_starts.size()},
+          std::pair{"segment_starts_hi", result.segment_starts_hi.size()},
+          std::pair{"segment_widths", result.segment_widths.size()},
+          std::pair{"segment_options", result.segment_options.size()},
+          std::pair{"segment_durations", result.segment_durations.size()},
+          std::pair{"job_evictions", result.job_evictions.size()},
           std::pair{"arrival_delays", result.arrival_delays.size()}}) {
-        if (size != 0 && size != result.outcomes.size())
-            return std::string(name) + " holds " + std::to_string(size) +
-                   " entries for " +
-                   std::to_string(result.outcomes.size()) + " outcomes";
+        if (size != 0)
+            held.emplace_back(name, size);
     }
-    std::size_t next = 0;
-    for (const JobOutcome &o : result.outcomes) {
-        const std::string job =
-            "job " + std::to_string(result.job(o).id) + ": ";
-        if (o.segment_end <= next ||
-            o.segment_end > result.segments.size())
-            return job + "range ends at " +
-                   std::to_string(o.segment_end) +
-                   ", not past its start " + std::to_string(next) +
-                   " and within the column";
-        next = o.segment_end;
-        const std::span<const PlacedSegment> segs =
-            result.placements(o);
-        for (std::size_t k = 1; k < segs.size(); ++k) {
-            if (segs[k].start() < segs[k - 1].end())
-                return job + "slice starts before the previous one "
-                             "ends";
-        }
-        for (const PlacedSegment &seg : segs.first(result.lostSlices(o))) {
-            if (seg.option != PurchaseOption::Spot)
-                return job + "lost a slice that did not run on spot";
-        }
-    }
-    if (next != result.segments.size())
-        return "segments past the last job's range";
-    return "";
+    return held;
 }
 
 inline SimulationResult

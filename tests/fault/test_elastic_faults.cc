@@ -227,7 +227,7 @@ TEST(ElasticFaults, SegmentColumnKeepsItsInvariantsUnderStorms)
                                            : "Wait-Awhile",
                 queues, faulty, &injector, profile, cluster,
                 ResourceStrategy::SpotFirst);
-        EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+        EXPECT_EQ(checkColumns(r).message(), "");
         EXPECT_GT(r.eviction_count, r.outcomes.size() / 4);
         EXPECT_TRUE(std::any_of(
             r.outcomes.begin(), r.outcomes.end(),

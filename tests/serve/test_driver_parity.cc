@@ -7,36 +7,59 @@
  * sweeps (fig08 policy comparison, fig14 waiting pair, fig19
  * hybrid spot+reserved) plus an elastic-scaling cell, an elastic
  * hybrid cell under cluster faults and a hybrid cell under
- * carbon-source outages, unpaced and wall-clock paced.
+ * carbon-source outages, unpaced and wall-clock paced. The
+ * fingerprint mixes values, not which columns hold them, so each
+ * cell also compares the columns the two results hold and their
+ * lengths: a streamed engine that filled an optional column with
+ * its defaults would match the fingerprint and still hold more.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "analysis/scenario.h"
 #include "common/obs.h"
 #include "serve/daemon.h"
 #include "sim/results.h"
+#include "tests/common/sim_test_util.h"
 
 namespace gaia::serve {
 namespace {
 
-/** Batch fingerprint of `spec` via the virtual-clock driver. */
-std::uint64_t
-batchFingerprint(const ScenarioSpec &spec)
+using testutil::HeldColumns;
+
+/** What a parity check compares of one run: its fingerprint and the
+ *  columns its result holds. */
+struct Run
 {
-    const Result<SimulationResult> result = runScenario(spec);
+    std::uint64_t fingerprint = 0;
+    HeldColumns columns;
+};
+
+Run
+runOf(const Result<SimulationResult> &result, std::uint64_t failed)
+{
     EXPECT_TRUE(result.isOk()) << result.status().toString();
-    return result.isOk() ? resultFingerprint(*result) : 0;
+    if (!result.isOk())
+        return {failed, {}};
+    return {resultFingerprint(*result), testutil::heldColumns(*result)};
 }
 
-/** Streamed fingerprint: boot a daemon, stream the calibration
- *  trace job by job, drain. */
-std::uint64_t
-streamedFingerprint(const ScenarioSpec &spec, double accel)
+/** Batch run of `spec` via the virtual-clock driver. */
+Run
+batchRun(const ScenarioSpec &spec)
+{
+    return runOf(runScenario(spec), 0);
+}
+
+/** Streamed run: boot a daemon, stream the calibration trace job by
+ *  job, drain. */
+Run
+streamedRun(const ScenarioSpec &spec, double accel)
 {
     ServeConfig config;
     config.scenario = spec;
@@ -45,7 +68,7 @@ streamedFingerprint(const ScenarioSpec &spec, double accel)
         ServeDaemon::start(config);
     EXPECT_TRUE(daemon.isOk()) << daemon.status().toString();
     if (!daemon.isOk())
-        return 1;
+        return {1, {}};
 
     for (const Job &job : (*daemon)->calibrationTrace().jobs()) {
         Status status = (*daemon)->submit(job);
@@ -56,9 +79,33 @@ streamedFingerprint(const ScenarioSpec &spec, double accel)
         }
         EXPECT_TRUE(status.isOk()) << status.toString();
     }
-    Result<SimulationResult> streamed = (*daemon)->drain();
-    EXPECT_TRUE(streamed.isOk()) << streamed.status().toString();
-    return streamed.isOk() ? resultFingerprint(*streamed) : 1;
+    return runOf((*daemon)->drain(), 1);
+}
+
+/** Whether `columns` holds the column `name`. */
+bool
+holds(const HeldColumns &columns, const std::string &name)
+{
+    for (const auto &column : columns) {
+        if (column.first == name)
+            return true;
+    }
+    return false;
+}
+
+/** Check that `spec` streamed at `accel` gives the batch run's
+ *  fingerprint and columns, and that neither holds high start words
+ *  (no cell starts a slice past 2^32 s); returns the batch run's
+ *  columns. */
+HeldColumns
+expectParity(const ScenarioSpec &spec, double accel)
+{
+    const Run batch = batchRun(spec);
+    const Run streamed = streamedRun(spec, accel);
+    EXPECT_EQ(batch.fingerprint, streamed.fingerprint);
+    EXPECT_EQ(batch.columns, streamed.columns);
+    EXPECT_FALSE(holds(batch.columns, "segment_starts_hi"));
+    return batch.columns;
 }
 
 /** fig08/fig14 base: week-long 1k-job Alibaba-PAI trace. */
@@ -97,9 +144,14 @@ hybridSpec()
 
 TEST(DriverParity, Fig08CarbonTimeCell)
 {
+    // A fault-free on-demand start-time run: each job is one slice
+    // at width 1 lasting its length, so only the starts are held.
     const ScenarioSpec spec = weekSpec("Carbon-Time");
-    EXPECT_EQ(batchFingerprint(spec),
-              streamedFingerprint(spec, /*accel=*/0.0));
+    const HeldColumns columns = expectParity(spec, /*accel=*/0.0);
+    ASSERT_EQ(columns.size(), 2u);
+    EXPECT_EQ(columns[0].first, "outcomes");
+    EXPECT_EQ(columns[1].first, "segment_starts");
+    EXPECT_EQ(columns[1].second, columns[0].second);
 }
 
 TEST(DriverParity, Fig14LowestWindowTightWaitingCell)
@@ -107,23 +159,22 @@ TEST(DriverParity, Fig14LowestWindowTightWaitingCell)
     ScenarioSpec spec = weekSpec("Lowest-Window");
     spec.short_wait = hours(1);
     spec.long_wait = hours(24);
-    EXPECT_EQ(batchFingerprint(spec),
-              streamedFingerprint(spec, /*accel=*/0.0));
+    expectParity(spec, /*accel=*/0.0);
 }
 
 TEST(DriverParity, Fig19HybridSpotReservedCell)
 {
-    const ScenarioSpec spec = hybridSpec();
-    EXPECT_EQ(batchFingerprint(spec),
-              streamedFingerprint(spec, /*accel=*/0.0));
+    const HeldColumns columns = expectParity(hybridSpec(), 0.0);
+    EXPECT_TRUE(holds(columns, "segment_options"));
+    EXPECT_TRUE(holds(columns, "job_evictions"));
 }
 
 TEST(DriverParity, ElasticScalerCell)
 {
     ScenarioSpec spec = weekSpec("Carbon-Scaler");
     spec.elastic_profile = "diminishing:max=4,alpha=0.6";
-    EXPECT_EQ(batchFingerprint(spec),
-              streamedFingerprint(spec, /*accel=*/0.0));
+    EXPECT_TRUE(
+        holds(expectParity(spec, /*accel=*/0.0), "segment_widths"));
 }
 
 TEST(DriverParity, ElasticHybridCellUnderClusterFaults)
@@ -139,8 +190,9 @@ TEST(DriverParity, ElasticHybridCellUnderClusterFaults)
         "storm:rate=0.05");
     ASSERT_TRUE(fault.isOk()) << fault.status().toString();
     spec.fault = *fault;
-    EXPECT_EQ(batchFingerprint(spec),
-              streamedFingerprint(spec, /*accel=*/0.0));
+    const HeldColumns columns = expectParity(spec, /*accel=*/0.0);
+    EXPECT_TRUE(holds(columns, "segment_widths"));
+    EXPECT_TRUE(holds(columns, "arrival_delays"));
 }
 
 TEST(DriverParity, HybridCellUnderCarbonSourceOutages)
@@ -156,9 +208,8 @@ TEST(DriverParity, HybridCellUnderCarbonSourceOutages)
     spec.fault = *fault;
     const std::uint64_t retries_before =
         obs::counter("cis.retries").value();
-    const std::uint64_t batch = batchFingerprint(spec);
+    expectParity(spec, /*accel=*/0.0);
     EXPECT_GT(obs::counter("cis.retries").value(), retries_before);
-    EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/0.0));
 }
 
 TEST(DriverParity, WallClockPacingCannotPerturbTheSchedule)
@@ -169,14 +220,11 @@ TEST(DriverParity, WallClockPacingCannotPerturbTheSchedule)
     // High acceleration keeps the test fast (a simulated week
     // passes in well under a second of wall time).
     const ScenarioSpec spec = hybridSpec();
-    const std::uint64_t batch = batchFingerprint(spec);
-    EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/2.0e6));
-    EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/7.0e6));
+    expectParity(spec, /*accel=*/2.0e6);
+    expectParity(spec, /*accel=*/7.0e6);
     // A pace past any Seconds value runs unpaced.
-    EXPECT_EQ(batch, streamedFingerprint(spec, /*accel=*/1.0e300));
-    EXPECT_EQ(batch,
-              streamedFingerprint(
-                  spec, std::numeric_limits<double>::infinity()));
+    expectParity(spec, /*accel=*/1.0e300);
+    expectParity(spec, std::numeric_limits<double>::infinity());
 }
 
 } // namespace

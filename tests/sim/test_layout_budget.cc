@@ -2,14 +2,18 @@
  * @file Byte budget of the per-job records.
  *
  * A sweep holds one JobOutcome per job per cell (2.0M of them for the
- * 20-cell hybrid year sweep) plus one PlacedSegment per placement in
- * the result's segment column (3.27M there), so their sizes drive the
- * benchmark's `peak_rss_mb` (bench/perf/README.md, "End-to-end
- * metrics"). A figure that derives from a job's segments (its times,
- * money and attributed carbon) is computed, not held, as is its
- * no-wait carbon, from its admitted arrival's 32-bit offset; a job's
- * range of the segment column is held as its end alone, since it
- * starts where the previous job's ends. A job's eviction count (one
+ * 20-cell hybrid year sweep) plus one entry per placement in each
+ * segment column the result holds (3.27M there), so their sizes drive
+ * the benchmark's `peak_rss_mb` (bench/perf/README.md, "End-to-end
+ * metrics"). Only the start column's low words are always held; the
+ * high start words, widths, options and durations are held only by a
+ * run that has a slice their defaults do not give, so a fault-free
+ * on-demand run of start-time policies holds 4 bytes per slice and
+ * hybrid_year's cells 9. A figure that derives from a job's segments
+ * (its times, money and attributed carbon) is computed, not held, as
+ * is its no-wait carbon, from its admitted arrival's 32-bit offset; a
+ * job's range of the segment columns is held as its end alone, since
+ * it starts where the previous job's ends. A job's eviction count (one
  * byte) and arrival offset (four) are held in per-job columns of the
  * result that a run allocates only when one of its jobs is evicted
  * or arrives late, so a fault-free on-demand run holds neither and a
@@ -37,6 +41,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "cloud/purchase.h"
@@ -48,13 +54,24 @@
 namespace gaia {
 namespace {
 
-TEST(LayoutBudget, PlacedSegmentIsTwelveBytes)
+/** Bytes of one entry of `column`. */
+template <typename T>
+constexpr std::size_t
+entryBytes(const Column<T> &)
 {
-    // The start's low word and the 32-bit duration fill the first
-    // eight bytes; the start's 16 high bits, an 8-bit width and one
-    // byte of option share the third word.
-    static_assert(sizeof(PurchaseOption) == 1);
-    EXPECT_EQ(sizeof(PlacedSegment), 12u);
+    return sizeof(T);
+}
+
+TEST(LayoutBudget, SegmentColumnEntriesTotalTwelveBytes)
+{
+    // A 48-bit start split into a 32-bit low word and 16 high bits, a
+    // 32-bit duration, an 8-bit width and the 8-bit option.
+    const SimulationResult r;
+    EXPECT_EQ(entryBytes(r.segment_starts), 4u);
+    EXPECT_EQ(entryBytes(r.segment_starts_hi), 2u);
+    EXPECT_EQ(entryBytes(r.segment_durations), 4u);
+    EXPECT_EQ(entryBytes(r.segment_widths), 1u);
+    EXPECT_EQ(entryBytes(r.segment_options), 1u);
 }
 
 TEST(LayoutBudget, JobOutcomeIsFourBytes)
@@ -78,8 +95,8 @@ TEST(LayoutBudget, JobIsThirtyTwoBytes)
 
 TEST(LayoutBudget, AColumnIsTheSizeOfAVector)
 {
-    EXPECT_EQ(sizeof(Column<PlacedSegment>),
-              sizeof(std::vector<PlacedSegment>));
+    EXPECT_EQ(sizeof(Column<std::uint32_t>),
+              sizeof(std::vector<std::uint32_t>));
 }
 
 TEST(LayoutBudget, SchedulePlanFitsItsBudget)

@@ -21,6 +21,8 @@ namespace {
 
 using testutil::oneQueue;
 using testutil::flatTrace;
+using testutil::HeldColumns;
+using testutil::heldColumns;
 
 /**
  * Feed `jobs` (in submit order) the way the serving daemon does:
@@ -596,7 +598,7 @@ TEST(Online, PerJobColumnsReachJobsAdmittedAfterTheirFirstEntry)
     const SimulationResult r = sched.finalize();
 
     ASSERT_EQ(r.outcomes.size(), 5u);
-    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+    EXPECT_EQ(checkColumns(r).message(), "");
     EXPECT_EQ(r.job_evictions.size(), 5u);
     EXPECT_EQ(r.arrival_delays.size(), 5u);
     const int evictions[] = {0, 1, 0, 1, 0};
@@ -835,7 +837,7 @@ TEST(Online, EverySlotComesBackUnderEachStrategy)
         EXPECT_EQ(sched.jobSlotsInUse(), 0u) << label;
         const SimulationResult r = sched.finalize();
         EXPECT_EQ(r.outcomes.size(), jobs.size()) << label;
-        EXPECT_EQ(testutil::segmentColumnViolation(r), "") << label;
+        EXPECT_EQ(checkColumns(r).message(), "") << label;
         if (c.strategy == ResourceStrategy::SpotFirst ||
             c.strategy == ResourceStrategy::SpotReserved) {
             EXPECT_GT(r.eviction_count, 0u) << label;
@@ -933,8 +935,7 @@ TEST(Online, StalePlannedStartNeverReachesAReusedSlot)
     const Seconds expected[][2] = {
         {0, hours(2)}, {hours(2), hours(8)}, {hours(8), hours(9)}};
     for (std::size_t i = 0; i < 3; ++i) {
-        const std::span<const PlacedSegment> segs =
-            r.placements(r.outcomes[i]);
+        const SegmentRange segs = r.placements(r.outcomes[i]);
         ASSERT_EQ(segs.size(), 1u) << "job " << i;
         EXPECT_EQ(segs[0].start(), expected[i][0]) << "job " << i;
         EXPECT_EQ(segs[0].end(), expected[i][1]) << "job " << i;
@@ -991,8 +992,7 @@ TEST(Online, StaleSpotSegmentNeverReachesAReusedSlot)
 
     ASSERT_EQ(r.outcomes.size(), 2u);
     EXPECT_EQ(r.evictions(r.outcomes[0]), 1);
-    const std::span<const PlacedSegment> e =
-        r.placements(r.outcomes[0]);
+    const SegmentRange e = r.placements(r.outcomes[0]);
     ASSERT_EQ(e.size(), 2u);
     EXPECT_EQ(r.lostSlices(r.outcomes[0]), 1u);
     EXPECT_EQ(e[0].start(), hours(2));
@@ -1003,13 +1003,274 @@ TEST(Online, StaleSpotSegmentNeverReachesAReusedSlot)
     EXPECT_EQ(e[1].option, PurchaseOption::OnDemand);
 
     EXPECT_EQ(r.evictions(r.outcomes[1]), 0);
-    const std::span<const PlacedSegment> d =
-        r.placements(r.outcomes[1]);
+    const SegmentRange d = r.placements(r.outcomes[1]);
     ASSERT_EQ(d.size(), 1u);
     EXPECT_EQ(r.lostSlices(r.outcomes[1]), 0u);
     EXPECT_EQ(d[0].start(), hours(4));
     EXPECT_EQ(d[0].end(), hours(7));
     EXPECT_EQ(d[0].option, PurchaseOption::OnDemand);
+}
+
+TEST(Online, OnDemandStartTimeRunsHoldOnlyTheirStarts)
+{
+    // A start-time policy on demand runs each job as one slice at
+    // width 1 lasting its as-run length, so the run holds only its
+    // outcomes and slice starts, with or without stragglers stretching
+    // some of its jobs.
+    const CarbonTrace carbon = testutil::fallingTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(6));
+    std::vector<Job> jobs;
+    for (int i = 0; i < 40; ++i)
+        jobs.push_back({i, i * 1800, minutes(30 + 7 * i), 1 + i % 3});
+    const JobTrace trace("t", jobs);
+    FaultSpec spec;
+    spec.straggler_rate = 0.5;
+    spec.straggler_factor = 1.7;
+    const FaultInjector stragglers(spec);
+    const HeldColumns starts_only = {{"outcomes", 40},
+                                     {"segment_starts", 40}};
+    for (const char *name : {"NoWait", "Carbon-Time", "Lowest-Window"}) {
+        const PolicyPtr policy = makePolicy(name);
+        for (const FaultInjector *faults :
+             {static_cast<const FaultInjector *>(nullptr),
+              &stragglers}) {
+            SimulationSetup setup;
+            setup.trace = &trace;
+            setup.policy = policy.get();
+            setup.queues = &queues;
+            setup.cis = &cis;
+            setup.faults = faults;
+            const SimulationResult r = simulateChecked(setup).value();
+            EXPECT_EQ(heldColumns(r), starts_only) << name;
+            EXPECT_EQ(checkColumns(r).message(), "") << name;
+            const auto stretched = std::count_if(
+                r.outcomes.begin(), r.outcomes.end(),
+                [&r](const JobOutcome &o) {
+                    return r.length(o) != r.job(o).length;
+                });
+            EXPECT_EQ(stretched > 0, faults != nullptr) << name;
+        }
+    }
+}
+
+TEST(Online, AGangStartsTheWidthColumn)
+{
+    // Carbon-Scaler runs a half-hour job in one width-1 slice, but a
+    // ten-hour job cannot finish within its window at width 1, so it
+    // runs wider in several slices: the first of them creates the
+    // width and duration columns, which hold the defaults (1 and the
+    // first job's length) for the slice before.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(1));
+    const PolicyPtr policy = makePolicy("Carbon-Scaler");
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly)
+            .value();
+    sched.setDefaultElasticProfile(
+        parseElasticProfile("linear:max=4").value());
+    ASSERT_TRUE(sched.submit({1, 0, minutes(30), 1}).isOk());
+    ASSERT_TRUE(sched.submit({2, 0, hours(10), 1}).isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+
+    const std::size_t slices = r.segment_starts.size();
+    ASSERT_GE(slices, 2u);
+    EXPECT_EQ(heldColumns(r), (HeldColumns{{"outcomes", 2},
+                                           {"segment_starts", slices},
+                                           {"segment_widths", slices},
+                                           {"segment_durations", slices}}));
+    EXPECT_EQ(r.segment_widths[0], 1);
+    EXPECT_EQ(r.segment_durations[0], minutes(30));
+    EXPECT_GT(r.placements(r.outcomes[1]).front().width, 1);
+    EXPECT_EQ(checkColumns(r).message(), "");
+}
+
+TEST(Online, SpotAndReservedSlicesStartTheOptionColumn)
+{
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    const PolicyPtr policy = makePolicy("NoWait");
+
+    // Too long for spot, the first job runs on demand; the second
+    // runs on spot and is never evicted.
+    ClusterConfig spot;
+    spot.spot_eviction_rate = 0.0;
+    spot.spot_max_length = hours(2);
+    OnlineScheduler on_spot =
+        OnlineScheduler::create(*policy, queues, cis, spot,
+                                ResourceStrategy::SpotFirst)
+            .value();
+    ASSERT_TRUE(on_spot.submit({1, 0, hours(3), 1}).isOk());
+    ASSERT_TRUE(on_spot.submit({2, 0, hours(1), 1}).isOk());
+    on_spot.drain();
+    const SimulationResult s = on_spot.finalize();
+    EXPECT_EQ(heldColumns(s), (HeldColumns{{"outcomes", 2},
+                                           {"segment_starts", 2},
+                                           {"segment_options", 2}}));
+    EXPECT_EQ(s.segment_options[0], PurchaseOption::OnDemand);
+    EXPECT_EQ(s.segment_options[1], PurchaseOption::Spot);
+
+    // Too wide for the one reserved core, the first job runs on
+    // demand at its planned start; the second, an hour later, takes
+    // the core.
+    ClusterConfig reserved;
+    reserved.reserved_cores = 1;
+    OnlineScheduler on_reserved =
+        OnlineScheduler::create(*policy, queues, cis, reserved,
+                                ResourceStrategy::ReservedFirst)
+            .value();
+    ASSERT_TRUE(on_reserved.submit({1, 0, hours(1), 2}).isOk());
+    on_reserved.advanceTo(hours(1) - 1);
+    ASSERT_TRUE(on_reserved.submit({2, hours(1), hours(1), 1}).isOk());
+    on_reserved.drain();
+    const SimulationResult r = on_reserved.finalize();
+    EXPECT_EQ(heldColumns(r), (HeldColumns{{"outcomes", 2},
+                                           {"segment_starts", 2},
+                                           {"segment_options", 2}}));
+    EXPECT_EQ(r.segment_options[0], PurchaseOption::OnDemand);
+    EXPECT_EQ(r.segment_options[1], PurchaseOption::Reserved);
+    EXPECT_EQ(checkColumns(r).message(), "");
+}
+
+TEST(Online, AnEvictionRestartStartsTheDurationColumnOnlyAfterALostSlice)
+{
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue();
+    const PolicyPtr policy = makePolicy("NoWait");
+    ClusterConfig cluster;
+    cluster.spot_max_length = hours(2);
+
+    // Evicted at its first instant, a spot job records no lost slice,
+    // and its on-demand restart is its one slice at its length: only
+    // the eviction count is held.
+    cluster.spot_eviction_rate = 1.0;
+    OnlineScheduler at_once =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::SpotFirst)
+            .value();
+    ASSERT_TRUE(at_once.submit({1, 0, hours(3), 1}).isOk());
+    ASSERT_TRUE(at_once.submit({2, 0, hours(1), 1}).isOk());
+    at_once.drain();
+    const SimulationResult a = at_once.finalize();
+    EXPECT_EQ(heldColumns(a), (HeldColumns{{"outcomes", 2},
+                                           {"segment_starts", 2},
+                                           {"job_evictions", 2}}));
+    EXPECT_EQ(a.evictions(a.outcomes[1]), 1);
+
+    // A storm that strikes mid-slice loses the slice before the
+    // restart: the lost slice, shorter than its job, starts the
+    // duration and option columns.
+    cluster.spot_eviction_rate = 0.0;
+    FaultSpec spec;
+    spec.storm_rate = 1.0;
+    spec.storm_spot_retries = 0;
+    const FaultInjector storms(spec);
+    Seconds submit = 0;
+    while (storms.firstStormIn(submit, submit + hours(1)) <= submit)
+        submit += kSecondsPerHour;
+    const Seconds strike = storms.firstStormIn(submit, submit + hours(1));
+    OnlineScheduler mid_slice =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::SpotFirst, "t",
+                                &storms)
+            .value();
+    ASSERT_TRUE(mid_slice.submit({1, 0, hours(3), 1}).isOk());
+    if (submit > 0)
+        mid_slice.advanceTo(submit - 1);
+    ASSERT_TRUE(mid_slice.submit({2, submit, hours(1), 1}).isOk());
+    mid_slice.drain();
+    const SimulationResult m = mid_slice.finalize();
+    EXPECT_EQ(heldColumns(m), (HeldColumns{{"outcomes", 2},
+                                           {"segment_starts", 3},
+                                           {"segment_options", 3},
+                                           {"segment_durations", 3},
+                                           {"job_evictions", 2}}));
+    EXPECT_EQ(m.segment_options[0], PurchaseOption::OnDemand);
+    EXPECT_EQ(m.segment_durations[0], hours(3));
+    const SegmentRange evicted = m.placements(m.outcomes[1]);
+    ASSERT_EQ(evicted.size(), 2u);
+    EXPECT_EQ(evicted[0].option, PurchaseOption::Spot);
+    EXPECT_EQ(evicted[0].end(), strike);
+    EXPECT_EQ(evicted[1].option, PurchaseOption::OnDemand);
+    EXPECT_EQ(evicted[1].duration(), hours(1));
+    EXPECT_EQ(checkColumns(m).message(), "");
+}
+
+TEST(Online, AReservedPlacementOutOfJobOrderIsGroupedInEveryColumn)
+{
+    // The one reserved core runs A at once. B is too wide for it and
+    // waits until its planned start, 6.5 h; C takes the core at 2 h,
+    // before B runs, so C's slice is recorded second: it is not slice
+    // 1 of job 1, which starts the duration column with A's length
+    // before it. B's slice, recorded third, starts the placement log,
+    // and finalize() moves every column into job order.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const QueueConfig queues = oneQueue(hours(6));
+    ClusterConfig cluster;
+    cluster.reserved_cores = 1;
+    const PolicyPtr policy = makePolicy("AllWait-Threshold");
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, cluster,
+                                ResourceStrategy::ReservedFirst)
+            .value();
+    streamJobs(sched,
+               {{1, 0, hours(1), 1},
+                {2, minutes(30), hours(1), 2},
+                {3, hours(2), minutes(90), 1}},
+               [] {});
+    const SimulationResult r = sched.finalize();
+    EXPECT_EQ(heldColumns(r), (HeldColumns{{"outcomes", 3},
+                                           {"segment_starts", 3},
+                                           {"segment_options", 3},
+                                           {"segment_durations", 3}}));
+    const Seconds starts[] = {0, minutes(30) + hours(6), hours(2)};
+    const Seconds durations[] = {hours(1), hours(1), minutes(90)};
+    const PurchaseOption options[] = {PurchaseOption::Reserved,
+                                      PurchaseOption::OnDemand,
+                                      PurchaseOption::Reserved};
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(r.segment_starts[i], starts[i]) << i;
+        EXPECT_EQ(r.segment_durations[i], durations[i]) << i;
+        EXPECT_EQ(r.segment_options[i], options[i]) << i;
+    }
+    EXPECT_EQ(checkColumns(r).message(), "");
+}
+
+TEST(Online, AStartPastTwoToTheThirtyTwoStartsTheHighWordColumn)
+{
+    // AllWait-Threshold starts each job at its submit plus the
+    // queue's bound: the first job before 2^32 s, the second, a
+    // century later, past it.
+    const CarbonTrace carbon = flatTrace();
+    const CarbonInfoService cis(carbon);
+    const Seconds wait =
+        (Seconds{1} << 32) - kMaxInputDuration + hours(1);
+    const QueueConfig queues = oneQueue(wait);
+    const PolicyPtr policy = makePolicy("AllWait-Threshold");
+    OnlineScheduler sched =
+        OnlineScheduler::create(*policy, queues, cis, {},
+                                ResourceStrategy::OnDemandOnly)
+            .value();
+    ASSERT_TRUE(sched.submit({1, 0, hours(1), 1}).isOk());
+    ASSERT_TRUE(
+        sched.submit({2, kMaxInputDuration, hours(1), 1}).isOk());
+    sched.drain();
+    const SimulationResult r = sched.finalize();
+    EXPECT_EQ(heldColumns(r), (HeldColumns{{"outcomes", 2},
+                                           {"segment_starts", 2},
+                                           {"segment_starts_hi", 2}}));
+    EXPECT_EQ(r.segment_starts_hi[0], 0);
+    EXPECT_EQ(r.segment_starts_hi[1], 1);
+    EXPECT_EQ(r.start(r.outcomes[0]), wait);
+    EXPECT_EQ(r.start(r.outcomes[1]), (Seconds{1} << 32) + hours(1));
+    EXPECT_EQ(r.finish(r.outcomes[1]), (Seconds{1} << 32) + hours(2));
+    EXPECT_EQ(checkColumns(r).message(), "");
 }
 
 TEST(Online, AdvanceToIsIdempotentAcrossQuietPeriods)

@@ -77,13 +77,26 @@ pinnedResult()
     return r;
 }
 
-/** Segment `k` of job `job` in `r`'s column. */
-PlacedSegment &
-seg(SimulationResult &r, std::size_t job, std::size_t k)
+/** Segment `k` of job `job` in `r`. */
+PlacedSegment
+seg(const SimulationResult &r, std::size_t job, std::size_t k)
 {
-    const std::uint32_t first =
-        job == 0 ? 0 : r.outcomes[job - 1].segment_end;
-    return r.segments[first + k];
+    return r.placements(r.outcomes[job])[k];
+}
+
+/** Store `s` as segment `k` of job `job` in `r`'s columns. The
+ *  fixture holds every segment column but the high start words. */
+void
+setSeg(SimulationResult &r, std::size_t job, std::size_t k,
+       const PlacedSegment &s)
+{
+    const std::size_t i =
+        (job == 0 ? 0 : r.outcomes[job - 1].segment_end) + k;
+    ASSERT_LT(s.start(), Seconds{1} << 32);
+    r.segment_starts[i] = static_cast<std::uint32_t>(s.start());
+    r.segment_durations[i] = static_cast<std::uint32_t>(s.duration());
+    r.segment_widths[i] = s.width;
+    r.segment_options[i] = s.option;
 }
 
 /** Edit job `job` of `r`'s column, through a copy of the column
@@ -102,8 +115,9 @@ editJob(SimulationResult &r, std::size_t job,
 void
 moveStart(SimulationResult &r, std::size_t job, std::size_t k, Seconds by)
 {
-    PlacedSegment &s = seg(r, job, k);
-    s = PlacedSegment(s.start() + by, s.end(), s.option, s.width);
+    const PlacedSegment s = seg(r, job, k);
+    setSeg(r, job, k,
+           PlacedSegment(s.start() + by, s.end(), s.option, s.width));
 }
 
 /** Move segment `k` of job `job`'s end by `by` seconds, keeping its
@@ -111,8 +125,9 @@ moveStart(SimulationResult &r, std::size_t job, std::size_t k, Seconds by)
 void
 moveEnd(SimulationResult &r, std::size_t job, std::size_t k, Seconds by)
 {
-    PlacedSegment &s = seg(r, job, k);
-    s = PlacedSegment(s.start(), s.end() + by, s.option, s.width);
+    const PlacedSegment s = seg(r, job, k);
+    setSeg(r, job, k,
+           PlacedSegment(s.start(), s.end() + by, s.option, s.width));
 }
 
 // Computed on this fixture while each segment stored its lost flag
@@ -208,12 +223,18 @@ TEST(ResultFingerprint, EveryFieldMovesTheDigest)
         [](SimulationResult &r) { moveStart(r, 2, 1, -1); },
         [](SimulationResult &r) { moveEnd(r, 2, 1, 1); },
         [](SimulationResult &r) {
-            seg(r, 2, 1).option = PurchaseOption::OnDemand;
+            PlacedSegment s = seg(r, 2, 1);
+            s.option = PurchaseOption::OnDemand;
+            setSeg(r, 2, 1, s);
         },
         // An evicted job's slices but its last are lost.
         [](SimulationResult &r) { r.job_evictions[0] = 0; },
         [](SimulationResult &r) { r.job_evictions.clear(); },
-        [](SimulationResult &r) { seg(r, 2, 0).width = 3; },
+        [](SimulationResult &r) {
+            PlacedSegment s = seg(r, 2, 0);
+            s.width = 3;
+            setSeg(r, 2, 0, s);
+        },
     };
     for (std::size_t i = 0; i < edits.size(); ++i) {
         SimulationResult edited = pinnedResult();

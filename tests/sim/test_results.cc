@@ -41,6 +41,99 @@ TEST(PlacedSegment, RoundTripsTheLatestStartItHolds)
     EXPECT_EQ(wide.duration(), kMaxSegmentDuration);
 }
 
+TEST(SegmentColumns, HoldTheLatestStartAndWidestGang)
+{
+    // Each field round-trips through its own column: the start's high
+    // bits through segment_starts_hi, a 255-wide gang through
+    // segment_widths, spot through segment_options and a duration
+    // that is not the job's length through segment_durations.
+    SimulationResult r;
+    const JobOutcome &o = testutil::appendOutcome(
+        r, Job{1, 0, 60, 1}, 0, 0,
+        {{kMaxSegmentStart - 3600, kMaxSegmentStart,
+          PurchaseOption::Spot, kMaxSegmentWidth}});
+    EXPECT_EQ(r.segment_starts_hi.size(), 1u);
+    EXPECT_EQ(r.segment_widths.size(), 1u);
+    EXPECT_EQ(r.segment_options.size(), 1u);
+    EXPECT_EQ(r.segment_durations.size(), 1u);
+    const PlacedSegment seg = r.placements(o)[0];
+    EXPECT_EQ(seg.start(), kMaxSegmentStart - 3600);
+    EXPECT_EQ(seg.end(), kMaxSegmentStart);
+    EXPECT_EQ(seg.duration(), 3600);
+    EXPECT_EQ(seg.width, kMaxSegmentWidth);
+    EXPECT_EQ(seg.option, PurchaseOption::Spot);
+    EXPECT_EQ(checkColumns(r).message(), "");
+}
+
+TEST(SegmentColumns, AnEmptyColumnReadsItsDefault)
+{
+    // Two one-slice on-demand jobs at width 1, each lasting its
+    // length: only the start column is held, and every other field
+    // reads its default, the duration being the job's as-run length.
+    SimulationResult r;
+    FaultSpec stragglers;
+    stragglers.straggler_rate = 1.0;
+    stragglers.straggler_factor = 2.0;
+    r.faults = FaultInjector(stragglers);
+    appendRun(r, 0, 100, 50, 1);
+    testutil::appendOutcome(r, Job{2, 0, 300, 1}, 0, 0,
+                            {{700, 1300, PurchaseOption::OnDemand, 1}});
+    EXPECT_EQ(r.segment_starts.size(), 2u);
+    EXPECT_TRUE(r.segment_starts_hi.empty());
+    EXPECT_TRUE(r.segment_widths.empty());
+    EXPECT_TRUE(r.segment_options.empty());
+    // The first job's slice does not last its stretched length.
+    ASSERT_EQ(r.segment_durations.size(), 2u);
+
+    SimulationResult derived;
+    derived.faults = r.faults;
+    testutil::appendOutcome(derived, Job{1, 0, 100, 1}, 0, 0,
+                            {{50, 250, PurchaseOption::OnDemand, 1}});
+    testutil::appendOutcome(derived, Job{2, 0, 300, 1}, 0, 0,
+                            {{700, 1300, PurchaseOption::OnDemand, 1}});
+    EXPECT_TRUE(derived.segment_durations.empty());
+    const SegmentRange second = derived.placements(derived.outcomes[1]);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second.front().start(), 700);
+    EXPECT_EQ(second.front().duration(), 600);
+    EXPECT_EQ(second.front().width, 1);
+    EXPECT_EQ(second.front().option, PurchaseOption::OnDemand);
+    EXPECT_EQ(derived.finish(derived.outcomes[0]), 250);
+    EXPECT_EQ(checkColumns(derived).message(), "");
+}
+
+TEST(SegmentColumns, AColumnStartsAtItsFirstNonDefaultSlice)
+{
+    // Each optional column is created by the first slice its default
+    // does not give, holding the default for every slice before it.
+    SimulationResult r;
+    appendRun(r, 0, 100, 0, 1);
+    appendRun(r, 0, 100, 100, 1);
+    testutil::appendOutcome(r, Job{3, 0, 100, 1}, 0, 0,
+                            {{200, 300, PurchaseOption::Reserved, 2}});
+    EXPECT_EQ(r.segment_widths.size(), 3u);
+    EXPECT_EQ(r.segment_widths[0], 1);
+    EXPECT_EQ(r.segment_widths[1], 1);
+    EXPECT_EQ(r.segment_widths[2], 2);
+    ASSERT_EQ(r.segment_options.size(), 3u);
+    EXPECT_EQ(r.segment_options[1], PurchaseOption::OnDemand);
+    EXPECT_EQ(r.segment_options[2], PurchaseOption::Reserved);
+    EXPECT_TRUE(r.segment_durations.empty());
+    EXPECT_TRUE(r.segment_starts_hi.empty());
+
+    // A job's second slice breaks "slice k is job k's only one": the
+    // durations before it are each job's length.
+    testutil::appendOutcome(r, Job{4, 0, 100, 1}, 0, 0,
+                            {{300, 350, PurchaseOption::OnDemand, 1},
+                             {400, 450, PurchaseOption::OnDemand, 1}});
+    ASSERT_EQ(r.segment_durations.size(), 5u);
+    EXPECT_EQ(r.segment_durations[0], 100u);
+    EXPECT_EQ(r.segment_durations[2], 100u);
+    EXPECT_EQ(r.segment_durations[3], 50u);
+    EXPECT_EQ(r.finish(r.outcomes[3]), 450);
+    EXPECT_EQ(checkColumns(r).message(), "");
+}
+
 TEST(PlacedSegmentDeath, AssertsEveryFieldFits)
 {
     EXPECT_DEATH(PlacedSegment(kMaxSegmentStart + 1,
@@ -131,7 +224,7 @@ TEST(JobOutcome, RepeatedEvictionsLoseEveryReattempt)
     EXPECT_EQ(r.lostSlices(o), 2u);
     EXPECT_EQ(r.lostCoreSeconds(o), 400.0);
     EXPECT_EQ(r.finish(o), 1000);
-    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+    EXPECT_EQ(checkColumns(r).message(), "");
 }
 
 TEST(JobOutcome, NoSegmentsGivesZeros)
@@ -140,6 +233,7 @@ TEST(JobOutcome, NoSegmentsGivesZeros)
     const JobOutcome &o =
         testutil::appendOutcome(r, Job{}, 0, 0, {});
     EXPECT_TRUE(r.placements(o).empty());
+    EXPECT_EQ(r.placements(o).begin(), r.placements(o).end());
     EXPECT_EQ(r.start(o), 0);
     EXPECT_EQ(r.finish(o), 0);
     EXPECT_EQ(r.lostCoreSeconds(o), 0.0);
@@ -156,15 +250,25 @@ TEST(JobOutcome, RangesSelectEachJobsSegments)
         {{200, 260, PurchaseOption::Spot, 1},
          {300, 400, PurchaseOption::Reserved, 1}});
     appendRun(r, 0, 50, 500, 1);
-    ASSERT_EQ(r.segments.size(), 4u);
+    ASSERT_EQ(r.segment_starts.size(), 4u);
     EXPECT_EQ(r.outcomes[0].segment_end, 1u);
     EXPECT_EQ(r.outcomes[1].segment_end, 3u);
     EXPECT_EQ(r.outcomes[2].segment_end, 4u);
-    EXPECT_EQ(r.placements(r.outcomes[1]).data(), &r.segments[1]);
-    EXPECT_EQ(r.placements(r.outcomes[2]).data(), &r.segments[3]);
+    const SegmentRange second = r.placements(r.outcomes[1]);
+    ASSERT_EQ(second.size(), 2u);
+    EXPECT_EQ(second[0].start(), 200);
+    EXPECT_EQ(second[1].option, PurchaseOption::Reserved);
+    EXPECT_EQ(second.first(1).back().end(), 260);
+    std::vector<Seconds> starts;
+    for (const PlacedSegment seg : second)
+        starts.push_back(seg.start());
+    EXPECT_EQ(starts, (std::vector<Seconds>{200, 300}));
+    EXPECT_EQ(r.placements(r.outcomes[2]).front().start(), 500);
 
     const SimulationResult copy = r;
-    r.segments.clear();
+    r.segment_starts.clear();
+    r.segment_options.clear();
+    r.segment_durations.clear();
     ASSERT_EQ(copy.placements(copy.outcomes[1]).size(), 2u);
     EXPECT_EQ(copy.start(copy.outcomes[1]), 200);
     EXPECT_EQ(copy.finish(copy.outcomes[1]), 400);
@@ -215,6 +319,20 @@ TEST(JobOutcomeDeath, PlacementsAssertTheOutcomeIsInTheColumn)
     const SimulationResult copy = r;
     EXPECT_DEATH((void)copy.placements(r.outcomes[1]),
                  "not one of this result's");
+    EXPECT_DEATH((void)r.placements(r.outcomes[1])[1], "slice 1 of a range");
+}
+
+TEST(JobOutcomeDeath, PlacementsAssertARangeWithoutDurationsIsOneSlice)
+{
+    // Without a duration column a slice's duration is its job's
+    // length, which only a job's one slice has.
+    SimulationResult r;
+    testutil::appendOutcome(r, Job{1, 0, 100, 1}, 0, 0,
+                            {{0, 50, PurchaseOption::OnDemand, 1},
+                             {60, 110, PurchaseOption::OnDemand, 1}});
+    r.segment_durations.clear();
+    EXPECT_DEATH((void)r.placements(r.outcomes[0]),
+                 "has 2 slices but the result holds no durations");
 }
 
 TEST(JobOutcome, PerJobColumnsAreEmptyOrOneEntryPerOutcome)
@@ -244,16 +362,97 @@ TEST(JobOutcome, PerJobColumnsAreEmptyOrOneEntryPerOutcome)
         EXPECT_EQ(r.arrivalDelay(r.outcomes[i]), delays[i]) << i;
     }
     EXPECT_EQ(r.lostSlices(r.outcomes[1]), 2u);
-    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+    EXPECT_EQ(checkColumns(r).message(), "");
 
     SimulationResult short_evictions = r;
     short_evictions.job_evictions.pop_back();
-    EXPECT_EQ(testutil::segmentColumnViolation(short_evictions),
+    EXPECT_EQ(checkColumns(short_evictions).message(),
               "job_evictions holds 2 entries for 3 outcomes");
     SimulationResult long_delays = r;
     long_delays.arrival_delays.push_back(0);
-    EXPECT_EQ(testutil::segmentColumnViolation(long_delays),
+    EXPECT_EQ(checkColumns(long_delays).message(),
               "arrival_delays holds 4 entries for 3 outcomes");
+}
+
+/** Three jobs whose result holds every optional segment column but
+ *  the high start words: one slice each, then a suspend-resume pair
+ *  on spot and an on-demand gang of two. */
+SimulationResult
+threeJobs()
+{
+    SimulationResult r;
+    appendRun(r, 0, 100, 0, 1);
+    testutil::appendOutcome(r, Job{2, 0, 100, 1}, 1, 0,
+                            {{100, 150, PurchaseOption::Spot, 1},
+                             {200, 300, PurchaseOption::OnDemand, 1}});
+    testutil::appendOutcome(r, Job{3, 0, 100, 1}, 0, 0,
+                            {{300, 350, PurchaseOption::OnDemand, 2}});
+    return r;
+}
+
+TEST(CheckColumns, ASegmentColumnHoldsNoneOrOneEntryPerSlice)
+{
+    ASSERT_EQ(checkColumns(threeJobs()).message(), "");
+    SimulationResult short_widths = threeJobs();
+    short_widths.segment_widths.pop_back();
+    EXPECT_EQ(checkColumns(short_widths).message(),
+              "segment_widths holds 3 entries for 4 slices");
+    SimulationResult long_high_words = threeJobs();
+    long_high_words.segment_starts_hi.assign(5, 0);
+    EXPECT_EQ(checkColumns(long_high_words).message(),
+              "segment_starts_hi holds 5 entries for 4 slices");
+    SimulationResult short_options = threeJobs();
+    short_options.segment_options.resize(1);
+    EXPECT_EQ(checkColumns(short_options).message(),
+              "segment_options holds 1 entries for 4 slices");
+    SimulationResult long_durations = threeJobs();
+    long_durations.segment_durations.push_back(1);
+    EXPECT_EQ(checkColumns(long_durations).message(),
+              "segment_durations holds 5 entries for 4 slices");
+}
+
+TEST(CheckColumns, RangesTileTheSegmentColumns)
+{
+    SimulationResult overlapping = threeJobs();
+    overlapping.outcomes[1].segment_end = 1;
+    EXPECT_EQ(checkColumns(overlapping).message(),
+              "job 2: range ends at 1, not past its start 1 and within "
+              "the column");
+    SimulationResult past_the_end = threeJobs();
+    past_the_end.outcomes[2].segment_end = 5;
+    EXPECT_EQ(checkColumns(past_the_end).message(),
+              "job 3: range ends at 5, not past its start 3 and within "
+              "the column");
+    SimulationResult short_of_the_end = threeJobs();
+    short_of_the_end.outcomes[2].segment_end = 3;
+    short_of_the_end.outcomes[1].segment_end = 2;
+    EXPECT_EQ(checkColumns(short_of_the_end).message(),
+              "segments past the last job's range");
+}
+
+TEST(CheckColumns, WithoutDurationsEveryRangeIsOneSlice)
+{
+    SimulationResult r = threeJobs();
+    r.segment_durations.clear();
+    EXPECT_EQ(checkColumns(r).message(),
+              "job 2: range of 2 slices, but a result without "
+              "segment_durations runs each job as one slice");
+}
+
+TEST(CheckColumns, EachRangeIsInTimeOrder)
+{
+    SimulationResult r = threeJobs();
+    r.segment_starts[2] = 120; // [120, 220) overlaps [100, 150)
+    EXPECT_EQ(checkColumns(r).message(),
+              "job 2: slice starts before the previous one ends");
+}
+
+TEST(CheckColumns, OnlySpotSlicesAreLost)
+{
+    SimulationResult r = threeJobs();
+    r.segment_options[1] = PurchaseOption::Reserved;
+    EXPECT_EQ(checkColumns(r).message(),
+              "job 2: lost a slice that did not run on spot");
 }
 
 TEST(JobOutcomeDeath, PerJobColumnsAssertTheyHoldTheOutcome)
@@ -332,8 +531,8 @@ TEST(AllocationSeries, SplitsByPurchaseOption)
     SimulationResult r;
     r.horizon = 200;
     appendRun(r, 0, 100, 0, 2); // on-demand [0,100)
-    appendRun(r, 0, 100, 50, 3);
-    r.segments[1].option = PurchaseOption::Reserved; // [50,150)
+    testutil::appendOutcome(r, Job{2, 0, 100, 3}, 0, 0,
+                            {{50, 150, PurchaseOption::Reserved, 1}});
 
     const auto all = allocationSeries(r, 50);
     ASSERT_EQ(all.size(), 4u);

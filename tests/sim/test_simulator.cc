@@ -385,7 +385,7 @@ TEST(Simulator, PerJobColumnsExistOnlyWhenAJobHasAnEntry)
     for (std::size_t i = 1; i < evicted.outcomes.size(); ++i)
         EXPECT_EQ(evicted.evictions(evicted.outcomes[i]), 0) << i;
     EXPECT_TRUE(evicted.arrival_delays.empty());
-    EXPECT_EQ(testutil::segmentColumnViolation(evicted), "");
+    EXPECT_EQ(checkColumns(evicted).message(), "");
 
     // A delay fault holds some jobs back by 20 minutes; the others
     // read 0 from the same column.
@@ -414,7 +414,7 @@ TEST(Simulator, PerJobColumnsExistOnlyWhenAJobHasAnEntry)
     EXPECT_GT(late, 0u);
     EXPECT_LT(late, delayed.outcomes.size());
     EXPECT_TRUE(delayed.job_evictions.empty());
-    EXPECT_EQ(testutil::segmentColumnViolation(delayed), "");
+    EXPECT_EQ(checkColumns(delayed).message(), "");
 }
 
 TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
@@ -458,18 +458,25 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
         }));
 
     // Every column of the result that run filled is refilled in
-    // place.
-    ASSERT_FALSE(fresh.job_evictions.empty());
-    ASSERT_FALSE(fresh.arrival_delays.empty());
+    // place; the run places no gang and no start past 2^32 s.
+    const testutil::HeldColumns held = testutil::heldColumns(fresh);
+    ASSERT_EQ(held.size(), 6u);
+    EXPECT_EQ(held[2].first, "segment_options");
+    EXPECT_EQ(held[3].first, "segment_durations");
     const JobOutcome *outcomes = fresh.outcomes.data();
-    const PlacedSegment *segments = fresh.segments.data();
+    const std::uint32_t *starts = fresh.segment_starts.data();
+    const PurchaseOption *options = fresh.segment_options.data();
+    const std::uint32_t *durations = fresh.segment_durations.data();
     const std::uint8_t *eviction_column = fresh.job_evictions.data();
     const std::uint32_t *delay_column = fresh.arrival_delays.data();
     const SimulationResult recycled =
         simulateChecked(setup, std::move(fresh)).value();
     EXPECT_EQ(resultFingerprint(recycled), expected);
+    EXPECT_EQ(testutil::heldColumns(recycled), held);
     EXPECT_EQ(recycled.outcomes.data(), outcomes);
-    EXPECT_EQ(recycled.segments.data(), segments);
+    EXPECT_EQ(recycled.segment_starts.data(), starts);
+    EXPECT_EQ(recycled.segment_options.data(), options);
+    EXPECT_EQ(recycled.segment_durations.data(), durations);
     EXPECT_EQ(recycled.job_evictions.data(), eviction_column);
     EXPECT_EQ(recycled.arrival_delays.data(), delay_column);
 
@@ -477,10 +484,12 @@ TEST(Simulator, RecycledOutcomeStorageMatchesAFreshRun)
     SimulationResult small;
     small.outcomes.assign(recycled.outcomes.begin(),
                           recycled.outcomes.begin() + 3);
-    small.segments.assign(recycled.segments.begin(),
-                          recycled.segments.begin() + 3);
+    small.segment_starts.assign(recycled.segment_starts.begin(),
+                                recycled.segment_starts.begin() + 3);
+    small.segment_durations.assign(3, 1);
     small.outcomes.shrink_to_fit();
-    small.segments.shrink_to_fit();
+    small.segment_starts.shrink_to_fit();
+    small.segment_durations.shrink_to_fit();
     EXPECT_EQ(resultFingerprint(
                   simulateChecked(setup, std::move(small)).value()),
               expected);

@@ -86,9 +86,11 @@ std::size_t
 clippedOverheads(const SimulationResult &r)
 {
     std::size_t clipped = 0;
-    for (const PlacedSegment &seg : r.segments)
-        clipped += seg.option != PurchaseOption::Reserved &&
-                   seg.start() < r.startup_overhead;
+    for (const JobOutcome &o : r.outcomes) {
+        for (const PlacedSegment seg : r.placements(o))
+            clipped += seg.option != PurchaseOption::Reserved &&
+                       seg.start() < r.startup_overhead;
+    }
     return clipped;
 }
 
@@ -122,8 +124,8 @@ TEST(SimCarbon, AResultOutlivesItsTraceSourceAndEngine)
         EXPECT_GT(r.eviction_count, 0u) << policy;
         EXPECT_GT(clippedOverheads(r), 0u) << policy;
         const bool wide = std::any_of(
-            r.segments.begin(), r.segments.end(),
-            [](const PlacedSegment &seg) { return seg.width > 1; });
+            r.segment_widths.begin(), r.segment_widths.end(),
+            [](std::uint8_t width) { return width > 1; });
         EXPECT_EQ(wide, !profile.empty()) << policy;
     }
 }
@@ -191,11 +193,11 @@ TEST_P(SimInvariants, EveryRunSatisfiesGlobalInvariants)
         // Useful work, every slice after the lost ones, equals the
         // job length.
         Seconds useful = 0;
-        const std::span<const PlacedSegment> segs = r.placements(o);
-        for (const PlacedSegment &seg : segs)
+        const SegmentRange segs = r.placements(o);
+        for (const PlacedSegment seg : segs)
             EXPECT_GT(seg.end(), seg.start());
-        for (const PlacedSegment &seg : segs.subspan(r.lostSlices(o)))
-            useful += seg.duration();
+        for (std::size_t k = r.lostSlices(o); k < segs.size(); ++k)
+            useful += segs[k].duration();
         const Job &job = r.job(o);
         EXPECT_EQ(useful, r.length(o));
         EXPECT_GE(r.waiting(o), 0);

@@ -291,9 +291,17 @@ TEST(SimulatorSpot, SegmentColumnKeepsItsInvariantsUnderEvictions)
         const SimulationResult r =
             run(trace, policy, oneQueue(hours(12)), cis, cluster,
                 ResourceStrategy::SpotReserved);
-        EXPECT_EQ(testutil::segmentColumnViolation(r), "") << policy;
+        EXPECT_EQ(checkColumns(r).message(), "") << policy;
         EXPECT_GT(r.eviction_count, 10u) << policy;
-        EXPECT_GT(r.segments.size(), r.outcomes.size()) << policy;
+        EXPECT_GT(r.segment_starts.size(), r.outcomes.size()) << policy;
+        // finalize adds lostCoreSeconds(o) only for jobs that lost a
+        // slice; the others' 0.0 would not move the total's bits, so
+        // it is still the sum over every job.
+        double lost = 0.0;
+        for (const JobOutcome &o : r.outcomes)
+            lost += r.lostCoreSeconds(o);
+        EXPECT_GT(lost, 0.0) << policy;
+        EXPECT_EQ(lost, r.lost_core_seconds) << policy;
         if (policy != "Wait-Awhile")
             continue;
         // Some jobs finish a slice and lose the next one: the

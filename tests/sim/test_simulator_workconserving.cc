@@ -56,7 +56,7 @@ TEST(WorkConserving, FirstFitSkipsWideHeadOfLine)
               PurchaseOption::Reserved);
     // C is placed before B, out of job order, after a prefix of
     // three placements: the segment column is regrouped by job.
-    EXPECT_EQ(testutil::segmentColumnViolation(r), "");
+    EXPECT_EQ(checkColumns(r).message(), "");
 }
 
 TEST(WorkConserving, DrainOrderFollowsPlannedStart)
